@@ -440,23 +440,19 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
 }
 
-// BenchmarkEngineThroughputTimerHeavy isolates the timer subsystem the
-// timing wheel was built for: a fleet of 4096 hosts × 4 QPs = 16384
-// DCQCN reaction points driving the engine with nothing but recurring
-// timers (alpha decay every 55 µs, rate increase every 300 µs), plus CNP
-// injectors poking 10% of the QPs so cut/re-arm churn and — in the
-// suppressed arm — park/unpark transitions stay on the hot path.
+// BenchmarkEngineThroughputTimerHeavy isolates the timer subsystem: a
+// fleet of 2048 hosts × 4 QPs = 8192 DCQCN reaction points driving the
+// engine with nothing but recurring timers (alpha decay every 55 µs, rate
+// increase every 300 µs), plus CNP injectors poking half of the QPs so
+// cut/re-arm churn and — in the suppressed arm — park/unpark transitions
+// stay on the hot path.
 //
-// Three arms on identical workloads:
+// Two arms on identical workloads:
 //
-//	heap           SetWheelEnabled(false): every timer through the 4-ary heap
-//	wheel          the default engine (timers staged in the timing wheel)
-//	wheel+suppress wheel + quiescent-QP suppression (90% of QPs park)
+//	wheel          the engine as is
+//	wheel+suppress quiescent-QP suppression (un-poked QPs park)
 //
-// heap and wheel process byte-identical event sequences (the wheel's
-// ordering contract), so their ns/event ratio is a pure data-structure
-// comparison; the CI gate requires wheel ≤ 0.75× heap. The suppressed
-// arm additionally skips provably no-op fires, so its events/run drops —
+// The suppressed arm skips provably no-op fires, so its events/run drops —
 // that arm's win shows up in ns of wall clock per simulated second.
 func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 	const (
@@ -465,7 +461,7 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 		nRP     = hosts * qps
 		horizon = 10 * eventsim.Millisecond
 	)
-	run := func(b *testing.B, wheel, suppress bool) {
+	run := func(b *testing.B, suppress bool) {
 		b.ReportAllocs()
 		var events uint64
 		var ms0, ms1 runtime.MemStats
@@ -473,8 +469,7 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer() // fleet construction is identical across arms; time only the run
 			eng := eventsim.NewEngine(7)
-			eng.SetWheelEnabled(wheel)
-			// Pre-size the slab and heap for the fleet's pending-timer
+			// Pre-size the slab for the fleet's pending-timer
 			// high-water mark so the measured region allocates nothing.
 			eng.Reserve(3 * nRP)
 			params := dcqcn.DefaultParams()
@@ -490,11 +485,10 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 			}
 			// CNP injectors: every 2nd QP takes a CNP roughly every 11 µs,
 			// phases staggered so fires spread across wheel slots. Implemented
-			// as self-rearming wheel timers — the recurring-timer pattern the
+			// as self-rearming timers — the recurring-timer pattern the
 			// RearmAfter path is built for. Each CNP re-arms the victim's
-			// live increase timer in place (the OnCNP cut path): O(1) in the
-			// wheel, a full sift through the 2·nRP-element heap without it.
-			// In the suppressed arm injected QPs also exercise park/unpark.
+			// live increase timer in place (the OnCNP cut path). In the
+			// suppressed arm injected QPs also exercise park/unpark.
 			const injectEvery = 11*eventsim.Microsecond + 7
 			for j := 0; j < nRP; j += 2 {
 				j := j
@@ -516,9 +510,8 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
 	}
-	b.Run("heap", func(b *testing.B) { run(b, false, false) })
-	b.Run("wheel", func(b *testing.B) { run(b, true, false) })
-	b.Run("wheel+suppress", func(b *testing.B) { run(b, true, true) })
+	b.Run("wheel", func(b *testing.B) { run(b, false) })
+	b.Run("wheel+suppress", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkShardedThroughput measures the multi-core win from sharded

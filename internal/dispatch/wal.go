@@ -2,7 +2,9 @@ package dispatch
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -93,14 +95,53 @@ type FileWAL struct {
 	f    *os.File
 }
 
+// ErrWALCorrupt is returned (wrapped, with the line number) by
+// FileWAL.Replay when an undecodable line is followed by further records:
+// that is damage inside the journal, not a torn final append, and
+// replaying around it would silently drop or reorder commits.
+var ErrWALCorrupt = errors.New("dispatch: wal corrupt")
+
 // OpenFileWAL opens (creating if needed) the journal at path in append
-// mode. Existing records are preserved; Replay reads them.
+// mode. Existing records are preserved; Replay reads them. A final line
+// with no newline is a torn append from a crash — Append never returned
+// for it — and is cut off here, so the next Append starts a line of its
+// own instead of fusing with the fragment.
 func OpenFileWAL(path string) (*FileWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: open wal: %w", err)
 	}
+	if err := dropTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dispatch: open wal: %w", err)
+	}
 	return &FileWAL{path: path, f: f}, nil
+}
+
+// dropTornTail truncates f to end just after its last newline.
+func dropTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end := st.Size()
+	keep := end // scans back to the offset just past the last newline
+	buf := make([]byte, 4096)
+	for keep > 0 {
+		n := min(int64(len(buf)), keep)
+		if _, err := f.ReadAt(buf[:n], keep-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep += int64(i) + 1 - n
+			break
+		}
+		keep -= n
+	}
+	if keep == end {
+		return nil
+	}
+	return f.Truncate(keep)
 }
 
 // Append writes r as one JSON line and syncs it to stable storage.
@@ -121,9 +162,10 @@ func (w *FileWAL) Append(r Record) error {
 	return nil
 }
 
-// Replay reads every record currently in the journal. A trailing
-// partial line (torn write from a crash mid-append) is skipped, not an
+// Replay reads every record currently in the journal. An undecodable
+// final line (torn write from a crash mid-append) is skipped, not an
 // error: the record it would have been was by definition not durable.
+// An undecodable line with records after it is ErrWALCorrupt.
 func (w *FileWAL) Replay() ([]Record, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -135,15 +177,19 @@ func (w *FileWAL) Replay() ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	badLine := 0 // 1-based number of an undecodable line, 0 if none so far
+	for line := 1; sc.Scan(); line++ {
+		b := sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
+		if badLine != 0 {
+			return nil, fmt.Errorf("%w: line %d is undecodable and line %d follows it", ErrWALCorrupt, badLine, line)
+		}
 		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// Torn tail: stop at the first undecodable line.
-			break
+		if err := json.Unmarshal(b, &r); err != nil {
+			badLine = line
+			continue
 		}
 		recs = append(recs, r)
 	}

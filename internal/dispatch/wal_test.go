@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -68,35 +70,81 @@ func TestFileWALRoundTrip(t *testing.T) {
 	}
 }
 
+// appendRaw writes bytes to the journal file behind the WAL's back, the
+// way a crash or disk damage would.
+func appendRaw(t *testing.T, path, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+}
+
 func TestFileWALTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dispatch.wal")
 	w, err := OpenFileWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	if err := w.Append(Record{T: 1, Kind: KindEpoch, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	// Simulate a crash mid-append: a torn, undecodable trailing line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"t":2,"kind":"int`)
-	f.Close()
-
-	w2, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	got, err := w2.Replay()
+	appendRaw(t, path, `{"t":2,"kind":"int`)
+	got, err := w.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Epoch != 1 {
 		t.Fatalf("torn tail not skipped: %+v", got)
+	}
+
+	// The restarted daemon's appends must not fuse with the fragment.
+	w2, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := w2.Append(Record{T: 3, Kind: KindEpoch, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got, err = w2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Epoch != 1 || got[1].Epoch != 2 {
+		t.Fatalf("after reopen and append: %+v", got)
+	}
+}
+
+// Damage in the middle of the journal must not read as a short journal:
+// the commits after it are real.
+func TestFileWALMidFileCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p := dcqcn.DefaultParams()
+	if err := w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1, Params: &p}); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, path, "{\"t\":2,\"kind\":\"com\x00\x00\n")
+	if err := w.Append(Record{T: 3, Kind: KindCommit, Epoch: 3, Params: &p}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Replay()
+	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Replay error = %v, want ErrWALCorrupt naming line 2", err)
+	}
+	if _, err := Recover(w); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("Recover error = %v, want ErrWALCorrupt", err)
 	}
 }
 

@@ -7,22 +7,21 @@ import (
 	"testing"
 )
 
-// This file is the determinism A/B guard for the pooled engine: a verbatim
-// copy of the pre-pool container/heap scheduler (the "old-order
-// semantics") is driven side by side with the production Engine on
-// identical randomized workloads — interleaved schedules, cancels, and
-// handler-driven reschedules — and both must fire the exact same events at
-// the exact same times in the exact same order. The harness-level
+// This file holds the ordering oracle for the production Engine: a
+// container/heap scheduler that shares no code with the timing wheel and
+// states the contract directly — events fire in (at, key, seq) order, a
+// rearm consumes exactly one sequence number whether its target is live or
+// stale, RunUntil is inclusive, RunBefore exclusive. The differential
+// tests here and in wheel_test.go drive both side by side on identical
+// scripts and require identical pop streams. The harness-level
 // TestChaosTraceGolden extends this to a full seeded chaos experiment.
 
-// refEvent / refEngine: the engine as it was before the slab + indexed
-// 4-ary heap rewrite. Kept only as the ordering oracle for this test.
 type refEvent struct {
-	at      Time
-	seq     uint64
-	fn      Handler
-	stopped bool
-	index   int
+	at    Time
+	key   uint64
+	seq   uint64
+	fn    Handler
+	index int // position in the heap, -1 once fired or cancelled
 }
 
 type refHeap []*refEvent
@@ -31,6 +30,9 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
+	}
+	if h[i].key != h[j].key {
+		return h[i].key < h[j].key
 	}
 	return h[i].seq < h[j].seq
 }
@@ -61,36 +63,75 @@ type refEngine struct {
 	processed uint64
 }
 
-func (e *refEngine) schedule(at Time, fn Handler) *refEvent {
+func (e *refEngine) schedule(at Time, key uint64, fn Handler) *refEvent {
 	if at < e.now {
 		panic("ref: schedule in the past")
 	}
-	ev := &refEvent{at: at, seq: e.seq, fn: fn}
+	ev := &refEvent{at: at, key: key, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.heap, ev)
 	return ev
 }
 
 func (e *refEngine) cancel(ev *refEvent) {
-	if ev == nil || ev.stopped || ev.index < 0 {
-		if ev != nil {
-			ev.stopped = true
-		}
-		return
+	if ev != nil && ev.index >= 0 {
+		heap.Remove(&e.heap, ev.index)
 	}
-	ev.stopped = true
-	heap.Remove(&e.heap, ev.index)
+}
+
+// rearmAt moves a live event in place (same handle, key 0, fresh seq) and
+// schedules afresh for a stale or nil one.
+func (e *refEngine) rearmAt(ev *refEvent, at Time, fn Handler) *refEvent {
+	if ev == nil || ev.index < 0 {
+		return e.schedule(at, 0, fn)
+	}
+	if at < e.now {
+		panic("ref: rearm in the past")
+	}
+	ev.at, ev.key, ev.seq, ev.fn = at, 0, e.seq, fn
+	e.seq++
+	heap.Fix(&e.heap, ev.index)
+	return ev
+}
+
+func (e *refEngine) nextEventTime() (Time, bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
+func (e *refEngine) step() bool {
+	if len(e.heap) == 0 {
+		return false
+	}
+	ev := heap.Pop(&e.heap).(*refEvent)
+	e.now = ev.at
+	e.processed++
+	ev.fn()
+	return true
 }
 
 func (e *refEngine) run() {
-	for len(e.heap) > 0 {
-		ev := heap.Pop(&e.heap).(*refEvent)
-		if ev.stopped {
-			continue
-		}
-		e.now = ev.at
-		e.processed++
-		ev.fn()
+	for e.step() {
+	}
+}
+
+func (e *refEngine) runUntil(deadline Time) {
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.step()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+}
+
+func (e *refEngine) runBefore(horizon Time) {
+	for len(e.heap) > 0 && e.heap[0].at < horizon {
+		e.step()
+	}
+	if e.now < horizon {
+		e.now = horizon
 	}
 }
 
@@ -133,12 +174,11 @@ func abWorkload(seed int64, schedule func(at Time, fn Handler) int, cancel func(
 // issued against each engine's own clock via the closure over `eng`.
 func TestPooledEngineMatchesOldOrderSemantics(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		// A: reference old-order engine.
 		ref := &refEngine{}
 		var refEvs []*refEvent
 		refLog := abWorkload(seed,
 			func(at Time, fn Handler) int {
-				refEvs = append(refEvs, ref.schedule(ref.now+at, fn))
+				refEvs = append(refEvs, ref.schedule(ref.now+at, 0, fn))
 				return len(refEvs) - 1
 			},
 			func(h int) { ref.cancel(refEvs[h]) },
@@ -146,7 +186,6 @@ func TestPooledEngineMatchesOldOrderSemantics(t *testing.T) {
 		ref.run()
 		refLog = append(refLog, fmt.Sprintf("end@%d", ref.now))
 
-		// B: production pooled engine.
 		eng := NewEngine(1)
 		var ids []EventID
 		newLog := abWorkload(seed,
@@ -160,12 +199,12 @@ func TestPooledEngineMatchesOldOrderSemantics(t *testing.T) {
 		newLog = append(newLog, fmt.Sprintf("end@%d", eng.Now()))
 
 		if len(refLog) != len(newLog) {
-			t.Fatalf("seed %d: fired %d events on old semantics, %d on pooled engine",
+			t.Fatalf("seed %d: fired %d events on the oracle, %d on the engine",
 				seed, len(refLog), len(newLog))
 		}
 		for i := range refLog {
 			if refLog[i] != newLog[i] {
-				t.Fatalf("seed %d: firing %d diverges: old=%q pooled=%q", seed, i, refLog[i], newLog[i])
+				t.Fatalf("seed %d: firing %d diverges: oracle=%q engine=%q", seed, i, refLog[i], newLog[i])
 			}
 		}
 		if ref.processed != eng.Processed {
@@ -194,14 +233,14 @@ func TestCancelStaleIDAfterSlotReuse(t *testing.T) {
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
-	// Warm the slab and heap to their steady-state footprint.
+	// Warm the slab to its steady-state footprint.
 	for i := 0; i < 1024; i++ {
 		e.After(Time(i%97+1), fn)
 	}
 	for e.Step() {
 	}
-	// Keep a standing backlog so Schedule and Step exercise real heap
-	// depth, then measure the schedule-one / fire-one steady state.
+	// Keep a standing backlog so Schedule and Step work on a populated
+	// wheel, then measure the schedule-one / fire-one steady state.
 	for i := 0; i < 256; i++ {
 		e.After(Time(i%61+1), fn)
 	}

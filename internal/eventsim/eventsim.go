@@ -1,7 +1,7 @@
 // Package eventsim provides a deterministic discrete-event simulation
-// engine: a virtual clock, a priority queue of timestamped events, and
-// seeded random-number streams that components can split off so that runs
-// are reproducible regardless of scheduling order.
+// engine: a virtual clock, a queue of timestamped events, and seeded
+// random-number streams that components can split off so that runs are
+// reproducible regardless of scheduling order.
 //
 // The engine is deliberately single-threaded: determinism matters more than
 // parallelism for a congestion-control study, where a one-packet reordering
@@ -10,36 +10,58 @@
 // synchronizes one engine per fabric partition under conservative time
 // windows without giving up the same-seed-same-trace contract.
 //
-// The scheduler is allocation-free in steady state: events live in a
-// slab whose slots are recycled through an intrusive free-list, and the
-// priority queue is an indexed 4-ary heap of slot numbers rather than a
-// container/heap of boxed pointers. Cancellation stays safe without
-// retaining pointers because every EventID carries the slot's generation
-// counter, which is bumped each time the slot fires or is cancelled.
+// Events live in a slab whose slots are recycled through an intrusive
+// free-list, so the steady state allocates nothing. Cancellation is safe
+// without retaining pointers because every EventID carries the slot's
+// generation counter, which is bumped each time the slot fires or is
+// cancelled.
 //
-// # Timer wheel ordering contract
+// # Event order
 //
-// Recurring, frequently cancelled timers (TimerAfter / RearmAfter /
-// RearmAt) take a second path: a hierarchical timing wheel with O(1)
-// schedule, cancel, and reschedule-in-place. The wheel is a staging area,
-// never an ordering authority — before any pop the engine flushes every
-// wheel slot that could contain an event at or before the heap's head
-// into the heap, where the single structural (at, key, seq) comparator
-// decides the final order. A timer therefore fires in exactly the
-// position it would have occupied had it been heap-scheduled all along:
-// the merged pop stream is byte-identical to a heap-only engine's, which
-// is what lets the chaos/dispatch/sharded golden traces stay frozen
-// while the timer population moves off the heap. Every rearm consumes
-// exactly one sequence number, the same budget as the Cancel+After pair
-// it replaces, so tie-break order downstream of a rearm is unchanged
-// too. The win is structural: timers that are cancelled or re-armed
-// before firing (the per-CNP DCQCN churn) never touch the heap at all,
-// and the thousands that merely sit pending stop inflating the heap
-// that packet events have to sift through.
+// Events fire in (at, key, seq) order: time, then the optional structural
+// key of ScheduleKeyed, then scheduling sequence. The queue that realizes
+// this order is one hierarchical timing wheel of 11 levels × 64 slots. A
+// level-l slot is 64^l ns wide, so a level-0 slot is one nanosecond — one
+// exact timestamp — and 11 levels span every non-negative int64 time. No
+// comparator-driven structure exists beside it. Why the wheel alone yields
+// the total order:
+//
+//   - Placement. The wheel keeps a cursor with cursor ≤ at for every
+//     pending event. Reading times as base-64 digits, an event is filed at
+//     the level of the highest digit in which at differs from the cursor
+//     (level 0 when equal), in the slot named by at's digit there. Digits
+//     above that level equal the cursor's, so at level l ≥ 1 every
+//     occupied slot lies strictly ahead of the cursor's own digit: there
+//     is no wrap-around, the lowest set bit of a level's occupancy bitmap
+//     is its earliest slot, and every event of level l precedes every
+//     event of level l+1.
+//   - Level 0 holds events whose time differs from the cursor in the last
+//     digit only. Each slot list there is one timestamp, kept sorted by
+//     (key, seq): an insert walks back from the tail past larger keys —
+//     one comparison when keys are all zero. It never needs to look at
+//     seq, because events reach a level-0 list in seq order (next point).
+//     The head of the lowest occupied level-0 slot is therefore the
+//     engine's next event.
+//   - Cascade. When level 0 is empty, the earliest slot of the lowest
+//     occupied level is the earliest pending range. The cursor moves to
+//     that slot's start and its events are refiled, landing one or more
+//     levels down. A newly armed event carries the largest seq so far and
+//     is appended to its list (at level 0, placed behind the last event
+//     whose key is not larger); a cascade only ever refiles into empty
+//     levels, in list order. So lists above level 0 are always in seq
+//     order, events reach level 0 in seq order, and a cascade costs one
+//     relink per event.
+//   - Cursor ≤ limit. Moving the cursor within [cursor, start of the
+//     earliest occupied slot) changes no event's placement, and popping a
+//     level-0 event moves it to that event's time. RunUntil and RunBefore
+//     cascade a slot only when its start is within their limit, so the
+//     cursor never passes the clock they leave behind and a later Schedule
+//     at any at ≥ Now() is still ahead of it. NextEventTime moves nothing.
 package eventsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"time"
@@ -77,42 +99,34 @@ func (t Time) String() string { return t.Duration().String() }
 // event's scheduled virtual time.
 type Handler func()
 
-// event is one slab slot: a scheduled callback plus the bookkeeping that
-// lets the slot be found in the heap and recycled. seq breaks ties between
-// events scheduled for the same instant: earlier-scheduled events fire
-// first, which keeps runs deterministic.
+// event is one slab slot: a scheduled callback plus the links that file it
+// in a wheel list and recycle the slot afterwards.
 type event struct {
-	at  Time
+	at Time
+	// key is an optional structural ordering key that ranks between at and
+	// seq. Events scheduled with plain Schedule carry key 0, so their
+	// relative order is pure (at, seq). Sharded simulations schedule link
+	// deliveries with a key derived from the sending (node, port, emission
+	// count), making same-timestamp arrival order a function of the traffic
+	// itself rather than of which engine scheduled it first; that is what
+	// keeps a run byte-identical across shard counts.
+	key uint64
+	// seq breaks ties between events scheduled for the same instant and
+	// key: earlier-scheduled events fire first, which keeps runs
+	// deterministic.
 	seq uint64
 	fn  Handler
 
-	// key is an optional structural ordering key that ranks between at and
-	// seq. Events scheduled with plain Schedule carry key 0, so their
-	// relative order is pure (at, seq) — identical to the engine's historic
-	// behavior. Sharded simulations schedule link deliveries with a key
-	// derived from the sending (node, port, emission count), making
-	// same-timestamp arrival order a function of the traffic itself rather
-	// than of which engine scheduled it first; that is what keeps a run
-	// byte-identical across shard counts.
-	key uint64
-
 	// gen is the slot's generation; it increments every time the slot is
 	// released (fire or cancel), so EventIDs issued for earlier occupants
-	// can never cancel the current one.
+	// can never cancel the current one. A slot whose generation matches a
+	// caller's EventID is therefore filed in the wheel.
 	gen uint32
-	// heapIdx is the slot's position in the heap, -1 while unqueued, or
-	// wheelQueued while the event is parked in the timing wheel.
-	heapIdx int32
-	// link is the slot's intrusive next pointer, serving double duty: the
-	// free-list chain while released, the wheel slot's doubly linked list
-	// while heapIdx == wheelQueued.
-	link int32
-	// wprev is the wheel list's back pointer (-1 at the head); only
-	// meaningful while heapIdx == wheelQueued.
-	wprev int32
-	// wslot packs the wheel (level, slot) the event is parked in as
-	// level*wheelSlots+slot; only meaningful while heapIdx == wheelQueued.
-	wslot int16
+	// next and prev link the slot into its wheel list (-1 at either end);
+	// next doubles as the free-list chain while the slot is released.
+	next, prev int32
+	// list is the wheel list the event is filed in: level*wheelSlots+slot.
+	list int16
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It is a
@@ -125,31 +139,14 @@ type EventID struct {
 	gen  uint32
 }
 
-// Timing-wheel geometry. Six levels of 64 slots at a 1.024 µs base tick
-// cover horizons up to 2^36 ticks (~19 hours of virtual time); anything
-// beyond falls back to the heap. Level l slot widths are 2^(10+6l) ns, so
-// the DCQCN timer range (microseconds to milliseconds) lands in levels
-// 0–2.
+// Timing-wheel geometry: a level-l slot is 64^l ns wide, and 11 levels of
+// 6 bits cover all 63 value bits of a non-negative Time.
 const (
-	wheelTickShift = 10 // ns per tick = 1 << wheelTickShift
-	wheelBits      = 6  // slots per level = 1 << wheelBits
-	wheelSlots     = 1 << wheelBits
-	wheelMask      = wheelSlots - 1
-	wheelLevels    = 6
-
-	// wheelQueued is the heapIdx sentinel marking an event parked in the
-	// wheel rather than the heap.
-	wheelQueued = -2
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	wheelLevels = 11
 )
-
-// wheelLevel is one ring of the hierarchical wheel: a 64-bit occupancy
-// bitmap plus the head of each slot's intrusive event list. head[i] is
-// only meaningful while bit i of occupied is set, so no -1 initialization
-// is needed.
-type wheelLevel struct {
-	occupied uint64
-	head     [wheelSlots]int32
-}
 
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // NewEngine.
@@ -160,20 +157,16 @@ type Engine struct {
 	// slots is the event slab; freeHead chains released slots (-1 = none).
 	slots    []event
 	freeHead int32
-	// heap is a 4-ary min-heap of slot numbers ordered by (at, seq). A
-	// 4-ary layout halves the tree depth of a binary heap and keeps the
-	// children of a node in one cache line of slot indices.
-	heap []int32
 
-	// wheel stages timer events (TimerAfter/RearmAfter/RearmAt) until
-	// they are due; wheelTick is the level-0 tick the wheel is anchored
-	// at, wheelCount the events currently parked. See the package
-	// comment's ordering contract. wheelOff (SetWheelEnabled) forces
-	// every timer onto the heap — the differential-testing baseline.
-	wheel      [wheelLevels]wheelLevel
-	wheelTick  int64
-	wheelCount int
-	wheelOff   bool
+	// The timing wheel; the package comment argues its order. cursor ≤ at
+	// for every pending event. occupied[l] has bit i set while list
+	// l*wheelSlots+i is non-empty; head and tail are meaningful only under
+	// a set bit, so they need no -1 initialization.
+	cursor   Time
+	pending  int
+	occupied [wheelLevels]uint64
+	head     [wheelLevels * wheelSlots]int32
+	tail     [wheelLevels * wheelSlots]int32
 
 	rng     *rand.Rand
 	stopped bool
@@ -181,6 +174,15 @@ type Engine struct {
 	// Processed counts events executed since construction; useful for
 	// progress reporting and overhead accounting.
 	Processed uint64
+	relinks   uint64
+	peak      int
+}
+
+// Stats is the engine's account of its own work since construction.
+type Stats struct {
+	Processed   uint64 // events executed
+	Relinks     uint64 // events refiled a level down by wheel cascades
+	PeakPending int    // high-water mark of Pending()
 }
 
 // NewEngine returns an engine whose random streams derive from seed.
@@ -191,21 +193,21 @@ func NewEngine(seed int64) *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Reserve grows the event slab and heap storage so at least n events can
-// be pending at once without either slice reallocating. Purely a
-// capacity hint for benchmarks and latency-sensitive callers that want
-// the steady state allocation-free from the first event; scheduling
-// beyond n still works and grows as usual.
+// Stats reports the engine's accounting counters.
+func (e *Engine) Stats() Stats {
+	return Stats{Processed: e.Processed, Relinks: e.relinks, PeakPending: e.peak}
+}
+
+// Reserve grows the event slab so at least n events can be pending at
+// once without it reallocating. Purely a capacity hint for benchmarks and
+// latency-sensitive callers that want the steady state allocation-free
+// from the first event; scheduling beyond n still works and grows as
+// usual.
 func (e *Engine) Reserve(n int) {
 	if cap(e.slots) < n {
 		slots := make([]event, len(e.slots), n)
 		copy(slots, e.slots)
 		e.slots = slots
-	}
-	if cap(e.heap) < n {
-		heap := make([]int32, len(e.heap), n)
-		copy(heap, e.heap)
-		e.heap = heap
 	}
 }
 
@@ -236,14 +238,8 @@ func (e *Engine) ScheduleKeyed(at Time, key uint64, fn Handler) EventID {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
 	}
 	slot := e.alloc()
-	ev := &e.slots[slot]
-	ev.at = at
-	ev.key = key
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	e.heapPush(slot)
-	return EventID{slot: slot, gen: ev.gen}
+	e.arm(slot, at, key, fn)
+	return EventID{slot: slot, gen: e.slots[slot].gen}
 }
 
 // After runs fn after delay d from the current virtual time.
@@ -254,26 +250,16 @@ func (e *Engine) After(d Time, fn Handler) EventID {
 	return e.Schedule(e.now+d, fn)
 }
 
-// TimerAfter runs fn after delay d, routed through the timing wheel: use
-// it for recurring or frequently cancelled timers, whose schedule and
-// cancel then cost O(1) instead of a heap sift. Ordering is identical to
-// After (key 0, next sequence number) — see the package comment's
-// ordering contract.
-func (e *Engine) TimerAfter(d Time, fn Handler) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", d))
-	}
-	return e.timerAt(e.now+d, fn)
-}
+// TimerAfter is After.
+func (e *Engine) TimerAfter(d Time, fn Handler) EventID { return e.After(d, fn) }
 
-// RearmAfter reschedules a live timer to fire after delay d, replacing
-// the Cancel + After pair with one O(1) reschedule-in-place: the event
-// keeps its slot and EventID. A stale id (the timer fired, was cancelled,
-// or was never armed) schedules fn afresh via TimerAfter, so callers can
-// rearm unconditionally from inside the timer's own handler. Either way
-// exactly one sequence number is consumed — the same as Cancel+After —
-// keeping same-timestamp tie order byte-identical to the churn path it
-// replaces.
+// RearmAfter reschedules a live event to fire after delay d, replacing
+// the Cancel + After pair with one reschedule-in-place: the event keeps
+// its slot and EventID. A stale id (the event fired, was cancelled, or was
+// never armed) schedules fn afresh, so callers can rearm unconditionally
+// from inside a timer's own handler. Either way exactly one sequence
+// number is consumed — the same as Cancel+After — so same-timestamp tie
+// order is that of the pair it replaces.
 func (e *Engine) RearmAfter(id EventID, d Time, fn Handler) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
@@ -286,47 +272,25 @@ func (e *Engine) RearmAt(id EventID, at Time, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: rearm at %v before now %v", at, e.now))
 	}
-	if id.gen != 0 && int(id.slot) < len(e.slots) {
-		ev := &e.slots[id.slot]
-		if ev.gen == id.gen {
-			// Live: detach from wherever it is queued and reinsert in
-			// place. The slot and generation survive, so id stays valid.
-			if ev.heapIdx == wheelQueued {
-				e.wheelUnlink(id.slot)
-			} else {
-				e.removeAt(int(ev.heapIdx))
-			}
-			ev.at = at
-			ev.key = 0
-			ev.seq = e.seq
-			ev.fn = fn
-			e.seq++
-			e.wheelInsert(id.slot)
-			return id
-		}
+	if e.live(id) {
+		// The slot and generation survive, so id stays valid.
+		e.unlink(id.slot)
+		e.arm(id.slot, at, 0, fn)
+		return id
 	}
-	return e.timerAt(at, fn)
+	return e.Schedule(at, fn)
 }
 
-// timerAt allocates a fresh timer event and parks it in the wheel (or the
-// heap, when the wheel is off or the deadline is due or out of range).
-func (e *Engine) timerAt(at Time, fn Handler) EventID {
-	slot := e.alloc()
-	ev := &e.slots[slot]
-	ev.at = at
-	ev.key = 0
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	e.wheelInsert(slot)
-	return EventID{slot: slot, gen: ev.gen}
+// live reports whether id names a pending event.
+func (e *Engine) live(id EventID) bool {
+	return id.gen != 0 && int(id.slot) < len(e.slots) && e.slots[id.slot].gen == id.gen
 }
 
 // alloc takes a slot from the free-list, growing the slab when empty.
 func (e *Engine) alloc() int32 {
 	slot := e.freeHead
 	if slot >= 0 {
-		e.freeHead = e.slots[slot].link
+		e.freeHead = e.slots[slot].next
 		return slot
 	}
 	// Grow the slab. Generations start at 1 so the zero EventID never
@@ -335,31 +299,98 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// heapPush appends slot to the heap and restores the heap property.
-func (e *Engine) heapPush(slot int32) {
-	i := len(e.heap)
-	e.heap = append(e.heap, slot)
-	e.slots[slot].heapIdx = int32(i)
-	e.siftUp(i)
+// arm fills an unfiled slot, stamps the next sequence number and files it.
+// This is the one place the cursor catches up with an idle clock: with
+// nothing pending it may sit anywhere, and at now it files near-term
+// events low. It must stay out of file, which a cascade also calls:
+// pulling the cursor back from the slot start while that slot's only
+// event is in hand would refile the event where it came from, forever.
+func (e *Engine) arm(slot int32, at Time, key uint64, fn Handler) {
+	if e.pending == 0 {
+		e.cursor = e.now
+	}
+	ev := &e.slots[slot]
+	ev.at = at
+	ev.key = key
+	ev.seq = e.seq
+	ev.fn = fn
+	e.seq++
+	e.file(slot)
+	e.pending++
+	if e.pending > e.peak {
+		e.peak = e.pending
+	}
+}
+
+// file links a filled slot into the wheel list its time selects relative
+// to the cursor: appended at levels above 0, sorted by (key, seq) at
+// level 0.
+func (e *Engine) file(slot int32) {
+	ev := &e.slots[slot]
+	lvl := uint(bits.Len64(uint64(ev.at^e.cursor)|1)-1) / wheelBits
+	idx := uint(ev.at>>(lvl*wheelBits)) & wheelMask
+	list := lvl*wheelSlots + idx
+	ev.list = int16(list)
+	if bit := uint64(1) << idx; e.occupied[lvl]&bit == 0 {
+		e.occupied[lvl] |= bit
+		ev.prev, ev.next = -1, -1
+		e.head[list], e.tail[list] = slot, slot
+		return
+	}
+	tail := e.tail[list]
+	after := tail
+	if lvl == 0 {
+		// ev has the largest seq to reach this list so far, so only
+		// larger keys sort behind it.
+		for after >= 0 && e.slots[after].key > ev.key {
+			after = e.slots[after].prev
+		}
+	}
+	ev.prev = after
+	switch {
+	case after == tail:
+		ev.next = -1
+		e.slots[tail].next = slot
+		e.tail[list] = slot
+		return
+	case after >= 0:
+		ev.next = e.slots[after].next
+		e.slots[after].next = slot
+	default:
+		ev.next = e.head[list]
+		e.head[list] = slot
+	}
+	e.slots[ev.next].prev = slot
+}
+
+// unlink removes a pending event from its wheel list.
+func (e *Engine) unlink(slot int32) {
+	ev := &e.slots[slot]
+	list := uint(ev.list)
+	if ev.prev >= 0 {
+		e.slots[ev.prev].next = ev.next
+	} else {
+		e.head[list] = ev.next
+	}
+	if ev.next >= 0 {
+		e.slots[ev.next].prev = ev.prev
+	} else {
+		e.tail[list] = ev.prev
+	}
+	if ev.prev < 0 && ev.next < 0 {
+		e.occupied[list/wheelSlots] &^= 1 << (list % wheelSlots)
+	}
+	e.pending--
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
 // already fired, cancelling twice, or cancelling the zero EventID is a
 // no-op: the generation check rejects stale IDs even after slot reuse.
 func (e *Engine) Cancel(id EventID) {
-	if id.gen == 0 || int(id.slot) >= len(e.slots) {
-		return
+	if e.live(id) {
+		e.unlink(id.slot)
+		e.release(id.slot)
 	}
-	ev := &e.slots[id.slot]
-	if ev.gen != id.gen || ev.heapIdx == -1 {
-		return
-	}
-	if ev.heapIdx == wheelQueued {
-		e.wheelUnlink(id.slot)
-	} else {
-		e.removeAt(int(ev.heapIdx))
-	}
-	e.release(id.slot)
 }
 
 // release returns a slot to the free-list, dropping its handler so the
@@ -368,183 +399,88 @@ func (e *Engine) release(slot int32) {
 	ev := &e.slots[slot]
 	ev.fn = nil
 	ev.gen++
-	ev.link = e.freeHead
+	ev.next = e.freeHead
 	e.freeHead = slot
 }
 
 // Stop halts the run loop after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetWheelEnabled turns the timing-wheel path on (the default) or off.
-// With the wheel off, TimerAfter/RearmAfter/RearmAt route through the
-// heap — behaviorally identical by the ordering contract, just slower
-// under timer churn. Disabling drains any parked timers into the heap
-// first, so the switch is safe at any quiescent point. This exists for
-// differential tests and heap-only benchmark baselines.
-func (e *Engine) SetWheelEnabled(on bool) {
-	if !on && e.wheelCount > 0 {
-		for l := range e.wheel {
-			w := &e.wheel[l]
-			for w.occupied != 0 {
-				idx := bits.TrailingZeros64(w.occupied)
-				w.occupied &^= 1 << uint(idx)
-				for s := w.head[idx]; s >= 0; {
-					next := e.slots[s].link
-					e.wheelCount--
-					e.heapPush(s)
-					s = next
-				}
-			}
+// Pending reports the number of events currently scheduled.
+func (e *Engine) Pending() int { return e.pending }
+
+// earliest returns the wheel list holding the earliest pending event — the
+// earliest slot of the lowest occupied level — or -1 when nothing is
+// pending.
+func (e *Engine) earliest() int {
+	for lvl, occ := range e.occupied {
+		if occ != 0 {
+			return lvl*wheelSlots + bits.TrailingZeros64(occ)
 		}
 	}
-	e.wheelOff = !on
+	return -1
 }
-
-// Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
 
 // NextEventTime reports the timestamp of the earliest pending event, and
 // false when the queue is empty. The sharded coordinator uses it to size
-// conservative time windows (skip ahead when every shard is idle); the
-// reported time is exact — wheel slots that could precede the heap head
-// are flushed first — so window sizing is identical to a heap-only run.
+// conservative time windows (skip ahead when every shard is idle). It is
+// a pure read: a list above level 0 is scanned, not cascaded, because the
+// cursor must not pass a clock the caller may still schedule at.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
+	list := e.earliest()
+	if list < 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
-}
-
-// wheelInsert parks an already-filled event slot in the wheel, or pushes
-// it onto the heap when the wheel is off, the deadline is not strictly
-// beyond the wheel's current tick, or the horizon exceeds the wheel's
-// range.
-func (e *Engine) wheelInsert(slot int32) {
-	if e.wheelOff {
-		e.heapPush(slot)
-		return
-	}
-	if e.wheelCount == 0 {
-		// Empty wheel: re-anchor at the present so a long-idle engine
-		// doesn't file near-term timers into far-out levels.
-		if t := int64(e.now) >> wheelTickShift; t > e.wheelTick {
-			e.wheelTick = t
-		}
-	}
-	ev := &e.slots[slot]
-	tick := int64(ev.at) >> wheelTickShift
-	if tick <= e.wheelTick {
-		e.heapPush(slot)
-		return
-	}
-	lvl := (bits.Len64(uint64(tick^e.wheelTick)) - 1) / wheelBits
-	if lvl >= wheelLevels {
-		e.heapPush(slot)
-		return
-	}
-	idx := int(tick>>(uint(lvl)*wheelBits)) & wheelMask
-	w := &e.wheel[lvl]
-	if w.occupied&(1<<uint(idx)) != 0 {
-		head := w.head[idx]
-		ev.link = head
-		e.slots[head].wprev = slot
-	} else {
-		ev.link = -1
-		w.occupied |= 1 << uint(idx)
-	}
-	ev.wprev = -1
-	w.head[idx] = slot
-	ev.wslot = int16(lvl*wheelSlots + idx)
-	ev.heapIdx = wheelQueued
-	e.wheelCount++
-}
-
-// wheelUnlink removes a parked event from its wheel slot list in O(1).
-func (e *Engine) wheelUnlink(slot int32) {
-	ev := &e.slots[slot]
-	lvl, idx := int(ev.wslot)/wheelSlots, int(ev.wslot)%wheelSlots
-	w := &e.wheel[lvl]
-	if ev.wprev >= 0 {
-		e.slots[ev.wprev].link = ev.link
-	} else if ev.link >= 0 {
-		w.head[idx] = ev.link
-	} else {
-		w.occupied &^= 1 << uint(idx)
-	}
-	if ev.link >= 0 {
-		e.slots[ev.link].wprev = ev.wprev
-	}
-	ev.heapIdx = -1
-	e.wheelCount--
-}
-
-// wheelEarliest locates the wheel's earliest occupied slot and the first
-// level-0 tick its range covers. Slot starts are strictly layered by
-// level (all level-l slot ranges precede every level-(l+1) slot start,
-// given inserts anchored at wheelTick), so the first non-empty level owns
-// the global minimum; within a level the next occupied slot at or after
-// wheelTick's position falls out of one rotate + trailing-zeros.
-func (e *Engine) wheelEarliest() (lvl, idx int, startTick int64) {
-	for l := 0; l < wheelLevels; l++ {
-		occ := e.wheel[l].occupied
-		if occ == 0 {
-			continue
-		}
-		shift := uint(l) * wheelBits
-		cur := e.wheelTick >> shift
-		base := int(cur) & wheelMask
-		d := bits.TrailingZeros64(bits.RotateLeft64(occ, -base))
-		return l, (base + d) & wheelMask, (cur + int64(d)) << shift
-	}
-	panic("eventsim: wheelEarliest on empty wheel")
-}
-
-// syncWheel flushes wheel slots into the heap until the heap's head is
-// strictly earlier than every parked timer — the point at which popping
-// from the heap alone is provably identical to a heap-only engine.
-// Level-0 slots flush straight to the heap; higher slots cascade their
-// events down a level (or to the heap once due). wheelTick only ever
-// advances, and never past an occupied slot's start.
-func (e *Engine) syncWheel() {
-	for e.wheelCount > 0 {
-		lvl, idx, startTick := e.wheelEarliest()
-		if len(e.heap) > 0 && e.slots[e.heap[0]].at < Time(startTick<<wheelTickShift) {
-			return
-		}
-		if startTick > e.wheelTick {
-			e.wheelTick = startTick
-		}
-		w := &e.wheel[lvl]
-		head := w.head[idx]
-		w.occupied &^= 1 << uint(idx)
-		for s := head; s >= 0; {
-			next := e.slots[s].link
-			e.wheelCount--
-			if lvl == 0 {
-				e.heapPush(s)
-			} else {
-				e.wheelInsert(s)
+	t := e.slots[e.head[list]].at
+	if list >= wheelSlots {
+		for s := e.slots[e.head[list]].next; s >= 0; s = e.slots[s].next {
+			if at := e.slots[s].at; at < t {
+				t = at
 			}
+		}
+	}
+	return t, true
+}
+
+// next returns the slot of the earliest pending event when its time is ≤
+// limit, cascading on the way without moving the cursor past limit, and
+// -1 when nothing is due by then.
+func (e *Engine) next(limit Time) int32 {
+	for {
+		list := e.earliest()
+		if list < 0 {
+			return -1
+		}
+		lvl, idx := uint(list/wheelSlots), uint64(list%wheelSlots)
+		shift := lvl * wheelBits
+		// A shift of 64 or more yields 0, so the top level masks all bits.
+		start := Time(uint64(e.cursor)&^(1<<(shift+wheelBits)-1) | idx<<shift)
+		if start > limit {
+			return -1
+		}
+		if lvl == 0 {
+			return e.head[list]
+		}
+		e.cursor = start
+		e.occupied[lvl] &^= 1 << idx
+		for s := e.head[list]; s >= 0; {
+			next := e.slots[s].next
+			e.file(s)
+			e.relinks++
 			s = next
 		}
 	}
 }
 
-// Step executes the single earliest pending event. It reports false when no
-// events remain.
-func (e *Engine) Step() bool {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
+// step executes the earliest pending event if its time is ≤ limit.
+func (e *Engine) step(limit Time) bool {
+	slot := e.next(limit)
+	if slot < 0 {
 		return false
 	}
-	slot := e.popMin()
+	e.unlink(slot)
 	ev := &e.slots[slot]
-	e.now = ev.at
+	e.now, e.cursor = ev.at, ev.at
 	fn := ev.fn
 	// Release before invoking: the handler may reschedule into the same
 	// slot, and by then its own EventID must already be stale.
@@ -554,6 +490,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Step executes the single earliest pending event. It reports false when no
+// events remain.
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
 // Run executes events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
@@ -561,31 +501,12 @@ func (e *Engine) Run() {
 	}
 }
 
-// peek reports the earliest pending timestamp across heap and wheel,
-// flushing due wheel slots so the answer is exact.
-func (e *Engine) peek() (Time, bool) {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.slots[e.heap[0]].at, true
-}
-
 // RunUntil executes events with timestamps ≤ deadline, then advances the
 // clock to exactly deadline. Events scheduled beyond deadline remain queued
 // so the simulation can be resumed.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peek()
-		if !ok || t > deadline {
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for !e.stopped && e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -599,110 +520,8 @@ func (e *Engine) RunUntil(deadline Time) {
 // be merged ahead of (or behind) them in structural-key order before the
 // next window runs.
 func (e *Engine) RunBefore(horizon Time) {
-	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peek()
-		if !ok || t >= horizon {
-			break
-		}
-		if !e.Step() {
-			break
-		}
-	}
+	e.RunUntil(horizon - 1)
 	if e.now < horizon {
 		e.now = horizon
-	}
-}
-
-// less orders slots by (time, key, sequence): the unique deterministic
-// total order every heap layout must realize. All-zero keys reduce this to
-// the historic (time, sequence) order.
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.slots[a], &e.slots[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.key != eb.key {
-		return ea.key < eb.key
-	}
-	return ea.seq < eb.seq
-}
-
-// popMin removes and returns the root slot.
-func (e *Engine) popMin() int32 {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	moved := e.heap[last]
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.heap[0] = moved
-		e.slots[moved].heapIdx = 0
-		e.siftDown(0)
-	}
-	e.slots[top].heapIdx = -1
-	return top
-}
-
-// removeAt deletes the heap entry at position i (indexed removal for
-// Cancel): the last element takes its place and sifts whichever way the
-// ordering demands.
-func (e *Engine) removeAt(i int) {
-	last := len(e.heap) - 1
-	slot := e.heap[i]
-	moved := e.heap[last]
-	e.heap = e.heap[:last]
-	if i < last {
-		e.heap[i] = moved
-		e.slots[moved].heapIdx = int32(i)
-		if !e.siftUp(i) {
-			e.siftDown(i)
-		}
-	}
-	e.slots[slot].heapIdx = -1
-}
-
-// siftUp restores the heap property from position i toward the root and
-// reports whether anything moved.
-func (e *Engine) siftUp(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !e.less(e.heap[i], e.heap[parent]) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		e.slots[e.heap[parent]].heapIdx = int32(parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-// siftDown restores the heap property from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			return
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.heap[best], e.heap[i]) {
-			return
-		}
-		e.heap[i], e.heap[best] = e.heap[best], e.heap[i]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		e.slots[e.heap[best]].heapIdx = int32(best)
-		i = best
 	}
 }

@@ -2,146 +2,257 @@ package eventsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// wheelRec replays one scripted op sequence on a fresh engine and returns
-// the full pop stream as "time/tag" strings plus the final engine state.
-// The same script drives a wheel-enabled and a heap-only engine in
-// TestWheelMatchesHeap / FuzzWheelVsHeap; any divergence in the streams
-// breaks the ordering contract.
-type wheelRec struct {
-	eng   *Engine
-	log   []string
-	ids   []EventID // every id ever issued, for cancel/rearm targets
-	tag   int
-	steps int
+// queue is what a differential script needs from a scheduler. engQueue
+// adapts the production Engine and refQueue the container/heap oracle of
+// abguard_test.go; both issue handles as indices into every id they ever
+// returned, so a script can name cancel and rearm targets the same way on
+// either side.
+type queue interface {
+	now() Time
+	schedule(via int, at Time, key uint64, fn Handler)
+	rearm(handle int, at Time, fn Handler) // handle -1 is the zero id
+	cancel(handle int)
+	handles() int
+	step() bool
+	runUntil(t Time)
+	runBefore(t Time)
+	nextEventTime() (Time, bool)
+	pending() int
+	processed() uint64
 }
 
-// op codes for the differential script. Each op consumes a few bytes of
+// Entry points an unkeyed schedule can take on the Engine; all must be the
+// same code path.
+const (
+	viaSchedule = iota
+	viaAfter
+	viaTimerAfter
+)
+
+type engQueue struct {
+	eng *Engine
+	ids []EventID
+}
+
+func (q *engQueue) now() Time { return q.eng.Now() }
+func (q *engQueue) schedule(via int, at Time, key uint64, fn Handler) {
+	var id EventID
+	switch {
+	case key != 0:
+		id = q.eng.ScheduleKeyed(at, key, fn)
+	case via == viaAfter:
+		id = q.eng.After(at-q.eng.Now(), fn)
+	case via == viaTimerAfter:
+		id = q.eng.TimerAfter(at-q.eng.Now(), fn)
+	default:
+		id = q.eng.Schedule(at, fn)
+	}
+	q.ids = append(q.ids, id)
+}
+func (q *engQueue) rearm(handle int, at Time, fn Handler) {
+	var id EventID
+	if handle >= 0 {
+		id = q.ids[handle]
+	}
+	q.ids = append(q.ids, q.eng.RearmAfter(id, at-q.eng.Now(), fn))
+}
+func (q *engQueue) cancel(handle int)           { q.eng.Cancel(q.ids[handle]) }
+func (q *engQueue) handles() int                { return len(q.ids) }
+func (q *engQueue) step() bool                  { return q.eng.Step() }
+func (q *engQueue) runUntil(t Time)             { q.eng.RunUntil(t) }
+func (q *engQueue) runBefore(t Time)            { q.eng.RunBefore(t) }
+func (q *engQueue) nextEventTime() (Time, bool) { return q.eng.NextEventTime() }
+func (q *engQueue) pending() int                { return q.eng.Pending() }
+func (q *engQueue) processed() uint64           { return q.eng.Processed }
+
+type refQueue struct {
+	ref refEngine
+	evs []*refEvent
+}
+
+func (q *refQueue) now() Time { return q.ref.now }
+func (q *refQueue) schedule(_ int, at Time, key uint64, fn Handler) {
+	q.evs = append(q.evs, q.ref.schedule(at, key, fn))
+}
+func (q *refQueue) rearm(handle int, at Time, fn Handler) {
+	var ev *refEvent
+	if handle >= 0 {
+		ev = q.evs[handle]
+	}
+	q.evs = append(q.evs, q.ref.rearmAt(ev, at, fn))
+}
+func (q *refQueue) cancel(handle int)           { q.ref.cancel(q.evs[handle]) }
+func (q *refQueue) handles() int                { return len(q.evs) }
+func (q *refQueue) step() bool                  { return q.ref.step() }
+func (q *refQueue) runUntil(t Time)             { q.ref.runUntil(t) }
+func (q *refQueue) runBefore(t Time)            { q.ref.runBefore(t) }
+func (q *refQueue) nextEventTime() (Time, bool) { return q.ref.nextEventTime() }
+func (q *refQueue) pending() int                { return len(q.ref.heap) }
+func (q *refQueue) processed() uint64           { return q.ref.processed }
+
+// scriptRun replays one scripted op sequence on a queue and records the
+// pop stream as "time/tag@now" strings, interleaved with what the queue
+// reports about itself after every op.
+type scriptRun struct {
+	q   queue
+	log []string
+	tag int
+}
+
+// op codes for the differential script. Each op consumes four bytes of
 // the fuzz input; values are decoded modulo small ranges so every byte
 // string is a valid script.
 const (
-	opSchedule = iota // heap path, key 0
-	opKeyed           // heap path, nonzero key (cross-ordering vs timers)
-	opAfter           // heap path, relative
-	opTimer           // wheel path
-	opRearm           // wheel path, live-or-stale rearm
+	opSchedule = iota // absolute, key 0
+	opKeyed           // nonzero key: cross-ordering at one timestamp
+	opAfter           // relative, short
+	opTimer           // relative, spread from sub-slot to milliseconds
+	opRearm           // live-or-stale rearm
 	opCancel
 	opStepN // interleave: pop a few events mid-script
+	opSpawn // handler schedules a child at its own Now()
+	opIdle  // RunUntil / RunBefore across a gap, possibly with nothing due
+	opFar   // delay up to 2^62 ns: the top wheel levels
 	opCount
 )
 
-func (r *wheelRec) fire(tag int, at Time) {
-	r.log = append(r.log, fmt.Sprintf("%d/%d@%d", at, tag, r.eng.Now()))
+func (r *scriptRun) fire(tag int, at Time) {
+	r.log = append(r.log, fmt.Sprintf("%d/%d@%d", at, tag, r.q.now()))
+}
+
+// later is t+d, saturating at the last representable nanosecond: a script
+// that has popped a far event keeps scheduling from there.
+func later(t, d Time) Time {
+	if d > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + d
 }
 
 // apply decodes and applies one op, returning the number of script bytes
-// consumed. Handlers capture only the recorder and a tag, so the two
-// engines execute identical logic.
-func (r *wheelRec) apply(script []byte) int {
+// consumed. Handlers capture only the recorder and a tag, so both queues
+// execute identical logic.
+func (r *scriptRun) apply(script []byte) int {
 	if len(script) < 4 {
 		return len(script)
 	}
 	op := int(script[0]) % opCount
-	a, b2, c := int(script[1]), int(script[2]), int(script[3])
-	now := r.eng.Now()
+	a, b, c := int(script[1]), int(script[2]), int(script[3])
+	now := r.q.now()
 	tag := r.tag
 	r.tag++
 	switch op {
 	case opSchedule:
-		at := now + Time(a)*Microsecond/4
-		r.ids = append(r.ids, r.eng.Schedule(at, func() { r.fire(tag, at) }))
+		at := later(now, Time(a)*Microsecond/4)
+		r.q.schedule(viaSchedule, at, 0, func() { r.fire(tag, at) })
 	case opKeyed:
-		at := now + Time(a)*Microsecond/4
-		key := uint64(b2%5) + 1
-		r.ids = append(r.ids, r.eng.ScheduleKeyed(at, key, func() { r.fire(tag, at) }))
+		at := later(now, Time(a)*Microsecond/4)
+		r.q.schedule(viaSchedule, at, uint64(b%5)+1, func() { r.fire(tag, at) })
 	case opAfter:
-		d := Time(a) * Microsecond / 8
-		at := now + d
-		r.ids = append(r.ids, r.eng.After(d, func() { r.fire(tag, at) }))
+		at := later(now, Time(a)*Microsecond/8)
+		r.q.schedule(viaAfter, at, 0, func() { r.fire(tag, at) })
 	case opTimer:
-		// Spread delays across wheel levels: sub-tick to multi-millisecond.
-		d := Time(a) * Time(b2+1) * Microsecond / 16
-		at := now + d
-		r.ids = append(r.ids, r.eng.TimerAfter(d, func() { r.fire(tag, at) }))
+		at := later(now, Time(a)*Time(b+1)*Microsecond/16)
+		r.q.schedule(viaTimerAfter, at, 0, func() { r.fire(tag, at) })
 	case opRearm:
-		d := Time(a) * Microsecond / 4
-		at := now + d
-		var id EventID
-		if len(r.ids) > 0 {
-			id = r.ids[b2%len(r.ids)]
+		at := later(now, Time(a)*Microsecond/4)
+		handle := -1
+		if n := r.q.handles(); n > 0 {
+			handle = b % n
 		}
-		r.ids = append(r.ids, r.eng.RearmAfter(id, d, func() { r.fire(tag, at) }))
+		r.q.rearm(handle, at, func() { r.fire(tag, at) })
 	case opCancel:
-		if len(r.ids) > 0 {
-			r.eng.Cancel(r.ids[a%len(r.ids)])
+		if n := r.q.handles(); n > 0 {
+			r.q.cancel(a % n)
 		}
 	case opStepN:
-		for i := 0; i < c%4; i++ {
-			if !r.eng.Step() {
-				break
-			}
-			r.steps++
+		for i := 0; i < c%4 && r.q.step(); i++ {
 		}
+	case opSpawn:
+		// The child lands in the level-0 list its parent is being popped
+		// from; a nonzero key may sort it ahead of peers still waiting.
+		at := later(now, Time(a)*Microsecond/4)
+		key := uint64(b % 3)
+		r.q.schedule(viaSchedule, at, 0, func() {
+			r.fire(tag, at)
+			r.q.schedule(c%3, r.q.now(), key, func() { r.fire(-tag, at) })
+		})
+	case opIdle:
+		t := later(now, Time(a)<<uint(c%24))
+		if b&1 == 0 {
+			r.q.runUntil(t)
+		} else {
+			r.q.runBefore(t)
+		}
+	case opFar:
+		at := later(now, Time(1)<<uint(a%63)+Time(b))
+		r.q.schedule(c%3, at, 0, func() { r.fire(tag, at) })
 	}
+	next, ok := r.q.nextEventTime()
+	r.log = append(r.log, fmt.Sprintf("now=%d next=%d,%v pending=%d", r.q.now(), next, ok, r.q.pending()))
 	return 4
 }
 
-// runScript drives a full differential arm: apply every op, then drain.
-func runScript(script []byte, wheel bool) *wheelRec {
-	r := &wheelRec{eng: NewEngine(42)}
-	r.eng.SetWheelEnabled(wheel)
+// runScript applies every op, then drains the queue.
+func runScript(script []byte, q queue) *scriptRun {
+	r := &scriptRun{q: q}
 	for len(script) > 0 {
 		script = script[r.apply(script):]
 	}
-	r.eng.Run()
+	for q.step() {
+	}
 	return r
 }
 
-// diffScripts asserts the two arms produced identical pop streams and
-// identical final state.
-func diffScripts(t *testing.T, script []byte) {
+// diffScript asserts the Engine and the oracle produced identical pop
+// streams and identical final state.
+func diffScript(t *testing.T, script []byte) {
 	t.Helper()
-	w := runScript(script, true)
-	h := runScript(script, false)
+	w := runScript(script, &engQueue{eng: NewEngine(42)})
+	h := runScript(script, &refQueue{})
 	if len(w.log) != len(h.log) {
-		t.Fatalf("pop stream length: wheel %d, heap %d", len(w.log), len(h.log))
+		t.Fatalf("log length: engine %d, oracle %d", len(w.log), len(h.log))
 	}
 	for i := range w.log {
 		if w.log[i] != h.log[i] {
-			t.Fatalf("pop %d: wheel %q, heap %q", i, w.log[i], h.log[i])
+			t.Fatalf("log line %d: engine %q, oracle %q", i, w.log[i], h.log[i])
 		}
 	}
-	if w.eng.Now() != h.eng.Now() {
-		t.Fatalf("final time: wheel %v, heap %v", w.eng.Now(), h.eng.Now())
+	if w.q.now() != h.q.now() {
+		t.Fatalf("final time: engine %v, oracle %v", w.q.now(), h.q.now())
 	}
-	if w.eng.Processed != h.eng.Processed {
-		t.Fatalf("processed: wheel %d, heap %d", w.eng.Processed, h.eng.Processed)
+	if w.q.processed() != h.q.processed() {
+		t.Fatalf("processed: engine %d, oracle %d", w.q.processed(), h.q.processed())
 	}
 }
 
 // TestWheelMatchesHeap replays deterministic pseudo-random scripts — a
-// seeded version of the fuzz target — so the differential check always
-// runs in plain `go test`.
+// seeded version of the fuzz target — so the differential check against
+// the container/heap oracle always runs in plain `go test`.
 func TestWheelMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		eng := NewEngine(seed + 1000)
 		rng := eng.Rand()
-		script := make([]byte, 400+rng.Intn(400))
+		script := make([]byte, 400+rng.Intn(1200))
 		rng.Read(script)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			diffScripts(t, script)
+			diffScript(t, script)
 		})
 	}
 }
 
-// FuzzWheelVsHeap is the open-ended form: arbitrary byte strings decode
-// to op scripts, and the wheel-enabled engine must pop byte-identically
-// to the heap-only engine on every one.
-func FuzzWheelVsHeap(f *testing.F) {
+// FuzzWheelVsOracle is the open-ended form: arbitrary byte strings decode
+// to op scripts, and the Engine must pop byte-identically to the oracle on
+// every one.
+func FuzzWheelVsOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 0, 3, 200, 1, 0, 4, 50, 0, 0, 6, 0, 0, 3})
+	// Far event, idle RunUntil short of it, nearer schedule, spawn, drain.
+	f.Add([]byte{9, 40, 0, 0, 8, 200, 0, 12, 0, 9, 0, 0, 7, 3, 2, 1, 6, 0, 0, 3})
 	seed := make([]byte, 64)
 	for i := range seed {
 		seed[i] = byte(i * 37)
@@ -151,21 +262,20 @@ func FuzzWheelVsHeap(f *testing.F) {
 		if len(script) > 4096 {
 			script = script[:4096]
 		}
-		diffScripts(t, script)
+		diffScript(t, script)
 	})
 }
 
-// TestWheelCrossOrdering pins the merged order at a single contended
-// timestamp: keyed deliveries, plain schedules, and wheel timers all
-// landing at the same instant must pop in (key, seq) order regardless of
-// which structure staged them.
+// TestWheelCrossOrdering pins the order at a single contended timestamp:
+// keyed deliveries, plain schedules, and timers all landing at the same
+// instant must pop in (key, seq) order whichever entry point filed them.
 func TestWheelCrossOrdering(t *testing.T) {
 	eng := NewEngine(1)
 	at := 100 * Microsecond
 	var got []string
 	rec := func(s string) func() { return func() { got = append(got, s) } }
-	// Interleave the three kinds so sequence numbers alternate across
-	// structures: timers get seq 0,3; keyed get 1,4; plain get 2,5.
+	// Interleave the three kinds so sequence numbers alternate: timers
+	// get seq 0,3; keyed get 1,4; plain get 2,5.
 	eng.TimerAfter(at, rec("t0"))
 	eng.ScheduleKeyed(at, 7, rec("k1"))
 	eng.Schedule(at, rec("p2"))
@@ -217,20 +327,20 @@ func TestRearmAfterSemantics(t *testing.T) {
 }
 
 // TestWheelLongHorizon exercises multi-level cascades: timers spanning
-// every wheel level (plus beyond-range heap fallback) must fire in
+// every wheel level, up to the last representable nanosecond, must fire in
 // deadline order.
 func TestWheelLongHorizon(t *testing.T) {
 	eng := NewEngine(1)
 	var got []Time
-	// Delays from sub-tick to beyond the wheel range (~19.5h virtual).
 	delays := []Time{
-		500 * Nanosecond, 3 * Microsecond, 90 * Microsecond,
+		0, 1, 63, 64, 500 * Nanosecond, 3 * Microsecond, 90 * Microsecond,
 		2 * Millisecond, 170 * Millisecond, 9 * Second,
-		800 * Second, 90000 * Second,
+		800 * Second, 90000 * Second, 1 << 48, 1 << 54, 1 << 60, 1<<62 + 1,
+		math.MaxInt64 - 1, math.MaxInt64,
 	}
-	for _, d := range delays {
-		d := d
-		eng.TimerAfter(d, func() { got = append(got, eng.Now()) })
+	// Armed latest-first, so firing order owes nothing to arming order.
+	for i := len(delays) - 1; i >= 0; i-- {
+		eng.After(delays[i], func() { got = append(got, eng.Now()) })
 	}
 	eng.Run()
 	if len(got) != len(delays) {
@@ -238,18 +348,102 @@ func TestWheelLongHorizon(t *testing.T) {
 	}
 	for i, d := range delays {
 		if got[i] != d {
-			t.Fatalf("timer %d fired at %v, want %v", i, got[i], d)
+			t.Fatalf("timer %d fired at %d, want %d", i, got[i], d)
 		}
 	}
 }
 
-// TestWheelOpsZeroAlloc pins the wheel hot path allocation-free in steady
+// An idle RunUntil must leave the wheel able to take any schedule at or
+// after the clock it set, including one nearer than everything pending.
+func TestRunUntilIdleThenNearerSchedule(t *testing.T) {
+	for _, before := range []bool{false, true} {
+		eng := NewEngine(1)
+		var got []string
+		eng.Schedule(5*Millisecond, func() { got = append(got, "5ms") })
+		if before {
+			eng.RunBefore(Millisecond)
+		} else {
+			eng.RunUntil(Millisecond)
+		}
+		if eng.Now() != Millisecond || len(got) != 0 {
+			t.Fatalf("after idle run: now %v, fired %v", eng.Now(), got)
+		}
+		if next, ok := eng.NextEventTime(); !ok || next != 5*Millisecond {
+			t.Fatalf("NextEventTime = %v, %v; want 5ms", next, ok)
+		}
+		eng.Schedule(Millisecond, func() { got = append(got, "1ms") })
+		eng.Schedule(2*Millisecond, func() { got = append(got, "2ms") })
+		eng.Run()
+		if fmt.Sprint(got) != "[1ms 2ms 5ms]" {
+			t.Fatalf("RunBefore=%v: fired %v, want [1ms 2ms 5ms]", before, got)
+		}
+	}
+}
+
+// A fleet of timers on one far-off nanosecond fires in seq order, and the
+// cascades that bring it down refile each event at most once per level.
+func TestSameNanosecondFleetCascadesLinearly(t *testing.T) {
+	const n = 8192
+	eng := NewEngine(1)
+	at := 3*Second + 17
+	next := 0
+	for i := 0; i < n; i++ {
+		i := i
+		eng.Schedule(at, func() {
+			if i != next {
+				t.Fatalf("timer %d fired in position %d", i, next)
+			}
+			next++
+		})
+	}
+	eng.Run()
+	st := eng.Stats()
+	if next != n || st.Processed != n || st.PeakPending != n {
+		t.Fatalf("fired %d, stats %+v; want %d fired, processed and peak", next, st, n)
+	}
+	if st.Relinks < n || st.Relinks > n*(wheelLevels-1) {
+		t.Fatalf("%d relinks for %d events, want between n and n×%d", st.Relinks, n, wheelLevels-1)
+	}
+}
+
+// Cancelling or rearming an event that sits in the level-0 list being
+// drained — same nanosecond as the running handler — takes effect.
+func TestCancelAndRearmInDrainingSlot(t *testing.T) {
+	eng := NewEngine(1)
+	at := 70 * Microsecond
+	var got []string
+	rec := func(s string) func() { return func() { got = append(got, s) } }
+	var victim, mover, tail EventID
+	eng.Schedule(at, func() {
+		got = append(got, "first")
+		eng.Cancel(victim)
+		// Rearmed to the running instant: goes behind "tail" with a new seq.
+		if id := eng.RearmAfter(mover, 0, rec("mover@same")); id != mover {
+			t.Fatalf("live rearm changed id")
+		}
+		// Rearmed away: leaves the draining list altogether.
+		eng.RearmAfter(tail, Microsecond, rec("tail@later"))
+	})
+	victim = eng.Schedule(at, rec("victim"))
+	mover = eng.Schedule(at, rec("mover"))
+	eng.Schedule(at, rec("bystander"))
+	tail = eng.Schedule(at, rec("tail"))
+	eng.Run()
+	if want := "[first bystander mover@same tail@later]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("%d events left pending", eng.Pending())
+	}
+}
+
+// TestWheelOpsZeroAlloc pins the hot path allocation-free in steady
 // state: schedule, cancel, rearm, and a fire/re-arm cycle must not
 // allocate once the slab has warmed up.
 func TestWheelOpsZeroAlloc(t *testing.T) {
 	eng := NewEngine(1)
 	fn := func() {}
-	// Warm the slab and the heap backing array.
+	// Warm the slab.
 	var warm []EventID
 	for i := 0; i < 64; i++ {
 		warm = append(warm, eng.TimerAfter(Time(i+1)*Microsecond, fn))
@@ -288,42 +482,36 @@ func TestWheelOpsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkTimerWheel measures the wheel's O(1) primitives against the
-// heap path under a realistic pending population. The benchjson gate
-// pins all sub-benches at 0 allocs/op.
+// BenchmarkTimerWheel measures the O(1) timer primitives under a realistic
+// pending population. The benchjson gate pins both sub-benches at 0
+// allocs/op.
 func BenchmarkTimerWheel(b *testing.B) {
 	fn := func() {}
 	// pending timers forming the background population a DCQCN fabric
 	// carries: two timers per QP across thousands of QPs.
 	const pending = 32768
-	build := func(wheel bool) (*Engine, []EventID) {
+	build := func() (*Engine, []EventID) {
 		eng := NewEngine(1)
-		eng.SetWheelEnabled(wheel)
 		ids := make([]EventID, pending)
 		for i := range ids {
 			ids[i] = eng.TimerAfter(Time(i%4096+1)*Microsecond, fn)
 		}
 		return eng, ids
 	}
-	for _, arm := range []struct {
-		name  string
-		wheel bool
-	}{{"wheel", true}, {"heap", false}} {
-		eng, ids := build(arm.wheel)
-		b.Run("rearm/"+arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				id := ids[i%pending]
-				ids[i%pending] = eng.RearmAfter(id, Time(i%4096+1)*Microsecond, fn)
-			}
-		})
-		eng2, ids2 := build(arm.wheel)
-		b.Run("cancel+schedule/"+arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng2.Cancel(ids2[i%pending])
-				ids2[i%pending] = eng2.TimerAfter(Time(i%4096+1)*Microsecond, fn)
-			}
-		})
-	}
+	eng, ids := build()
+	b.Run("rearm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id := ids[i%pending]
+			ids[i%pending] = eng.RearmAfter(id, Time(i%4096+1)*Microsecond, fn)
+		}
+	})
+	eng2, ids2 := build()
+	b.Run("cancel+schedule", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng2.Cancel(ids2[i%pending])
+			ids2[i%pending] = eng2.TimerAfter(Time(i%4096+1)*Microsecond, fn)
+		}
+	})
 }

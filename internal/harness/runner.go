@@ -15,6 +15,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/rnic"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // SchemeKind enumerates the tuning/monitoring schemes under comparison.
@@ -307,7 +308,23 @@ func Run(cfg RunConfig) (*Result, error) {
 		res.Rounds = sys.Tuner.Stats().Sessions
 		res.UtilTrace = append(res.UtilTrace, sys.Tuner.BestTrace()...)
 	}
+	publishEngine(cfg.Scheme.SystemCfg.Telemetry, n)
 	return res, nil
+}
+
+// publishEngine adds a finished run's engine accounting to reg (nil means
+// telemetry.Default()), which is what `paraleon-sim -report` prints.
+func publishEngine(reg *telemetry.Registry, n *sim.Network) {
+	if reg == nil {
+		reg = telemetry.Default()
+	}
+	st, wall := n.EngineStats()
+	tm := telemetry.NewEngineMetrics(reg)
+	tm.Events.Add(int64(st.Processed))
+	tm.Relinks.Add(int64(st.Relinks))
+	tm.WallNs.Add(wall.Nanoseconds())
+	tm.VirtualNs.Add(int64(n.Eng.Now()))
+	tm.PeakPending.SetMax(float64(st.PeakPending))
 }
 
 // buildSources wires the FSD inputs for a Paraleon-kind scheme, composing

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
@@ -49,11 +50,6 @@ type Config struct {
 	// dcqcn.RP.SetSuppression), but off by default so the stock event
 	// counts in overhead reports stay comparable across PRs.
 	SuppressQuiescentTimers bool
-	// HeapOnlyTimers disables the engines' timing-wheel timer path,
-	// forcing every timer onto the binary-heap; behaviorally identical
-	// (the wheel's ordering contract) and only useful as the baseline
-	// arm of performance comparisons.
-	HeapOnlyTimers bool
 }
 
 // DefaultConfig is a small, fast fabric useful for tests and examples:
@@ -122,6 +118,9 @@ type Network struct {
 	OnFlowComplete func(FlowRecord)
 	hooks          []func(FlowRecord)
 	startHooks     []func(id uint64, src, dst topology.NodeID, size int64)
+
+	// runWall is the host time spent inside Run.
+	runWall time.Duration
 }
 
 // AddFlowCompleteHook registers an additional completion observer;
@@ -146,9 +145,6 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	eng := eventsim.NewEngine(cfg.Seed)
-	if cfg.HeapOnlyTimers {
-		eng.SetWheelEnabled(false)
-	}
 	n := &Network{
 		Eng: eng, Topo: topo, cfg: cfg,
 		hostByNode:   map[topology.NodeID]*rnic.Host{},
@@ -388,11 +384,29 @@ func (n *Network) ActiveFlows() int {
 // every engine is quiescent at the deadline and the caller's goroutine
 // may freely read or mutate any device.
 func (n *Network) Run(deadline eventsim.Time) {
+	start := time.Now()
 	if n.shard != nil {
 		n.shard.coord.RunUntil(deadline)
-		return
+	} else {
+		n.Eng.RunUntil(deadline)
 	}
-	n.Eng.RunUntil(deadline)
+	n.runWall += time.Since(start)
+}
+
+// EngineStats reports the event engines' own accounting, summed over
+// every engine of the network (so PeakPending is an upper bound in sharded
+// mode), and the host time Run has spent driving them.
+func (n *Network) EngineStats() (st eventsim.Stats, wall time.Duration) {
+	st = n.Eng.Stats()
+	if n.shard != nil {
+		for _, e := range n.shard.coord.Engines() {
+			s := e.Stats()
+			st.Processed += s.Processed
+			st.Relinks += s.Relinks
+			st.PeakPending += s.PeakPending
+		}
+	}
+	return st, n.runWall
 }
 
 // Pending reports scheduled events across every engine of the network.

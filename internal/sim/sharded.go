@@ -121,9 +121,6 @@ func (n *Network) buildSharded() error {
 		// device stream comes from the global engine — so these seeds only
 		// need to exist, not to match anything.
 		rt.engines[s] = eventsim.NewEngine(cfg.Seed + int64(s) + 1)
-		if cfg.HeapOnlyTimers {
-			rt.engines[s].SetWheelEnabled(false)
-		}
 		rt.pools[s] = netdev.NewPacketPool()
 	}
 	n.shard = rt

@@ -238,6 +238,38 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 	}
 }
 
+// EngineMetrics is the event engine's account of finished simulation
+// runs: what the engine did and what it cost in host time. Each run adds
+// its totals once, at its end, so parallel arms accumulate and the hot
+// path is untouched. Report derives events/s, host seconds per virtual
+// millisecond and relinks per event from these.
+type EngineMetrics struct {
+	Events      *Counter
+	Relinks     *Counter
+	WallNs      *Counter
+	VirtualNs   *Counter
+	PeakPending *Gauge // largest single-run high-water mark
+}
+
+// Engine metric names, shared with Report's derived summary.
+const (
+	engineEvents    = "paraleon_engine_events_total"
+	engineRelinks   = "paraleon_engine_relinks_total"
+	engineWallNs    = "paraleon_engine_wall_ns_total"
+	engineVirtualNs = "paraleon_engine_virtual_ns_total"
+)
+
+// NewEngineMetrics resolves the engine family set from r.
+func NewEngineMetrics(r *Registry) *EngineMetrics {
+	return &EngineMetrics{
+		Events:      r.Counter(engineEvents, "Events executed by simulation engines."),
+		Relinks:     r.Counter(engineRelinks, "Events refiled a level down by timing-wheel cascades."),
+		WallNs:      r.Counter(engineWallNs, "Host nanoseconds spent running simulation engines, summed over runs."),
+		VirtualNs:   r.Counter(engineVirtualNs, "Virtual nanoseconds simulated, summed over runs."),
+		PeakPending: r.Gauge("paraleon_engine_peak_pending", "Largest pending-event high-water mark of any run."),
+	}
+}
+
 // VirtualTime returns the virtual-clock gauge; control loops set it to
 // the engine's current time (nanoseconds) each tick so scrapers can
 // correlate wall-clock scrape times with virtual-time trace events.

@@ -23,6 +23,7 @@ func registerAll(r *Registry) {
 	NewChaosMetrics(r)
 	NewDispatchMetrics(r)
 	NewSimMetrics(r)
+	NewEngineMetrics(r)
 	VirtualTime(r)
 }
 

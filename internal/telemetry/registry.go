@@ -104,6 +104,17 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
+// SetMax raises the gauge to v if v is larger: a high-water mark that
+// concurrent writers can share.
+func (g *Gauge) SetMax(v float64) {
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

