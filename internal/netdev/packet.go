@@ -78,7 +78,6 @@ const (
 // sunk or dropped packet's memory may be reused by an unrelated later
 // packet.
 type Packet struct {
-	Kind   Kind
 	FlowID uint64
 	Src    topology.NodeID
 	Dst    topology.NodeID
@@ -89,7 +88,13 @@ type Packet struct {
 	PayloadBytes int
 	WireBytes    int
 
-	Class int
+	// SentAt is stamped by the sender for RTT measurement.
+	SentAt eventsim.Time
+
+	// The one-byte fields sit together so the struct is exactly one
+	// 64-byte cache line (TestPacketFitsCacheLine).
+	Kind  Kind
+	Class uint8
 
 	// ECNMarked is the CE codepoint set by a congested switch.
 	ECNMarked bool
@@ -99,12 +104,9 @@ type Packet struct {
 	// Last marks the final segment of a message.
 	Last bool
 
-	// SentAt is stamped by the sender for RTT measurement.
-	SentAt eventsim.Time
-
 	// PFC fields (KindPFC only): pause or resume for PauseClass.
 	Pause      bool
-	PauseClass int
+	PauseClass uint8
 }
 
 // maxPooledPackets bounds a PacketPool's free-list so a transient burst

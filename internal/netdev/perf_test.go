@@ -3,9 +3,11 @@ package netdev
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/eventsim"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // poolSink terminates packets the way a host RNIC does: count, bump a
@@ -113,4 +115,66 @@ func BenchmarkPortForward(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rig.sink.bytes)/b.Elapsed().Seconds()/1e9, "simGB/s")
+}
+
+// TestPacketFitsCacheLine pins the packet at one 64-byte line: every
+// queue, delivery slot and pool entry on the forward path touches one.
+func TestPacketFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 64 {
+		t.Fatalf("Packet is %d bytes, want <= 64", size)
+	}
+}
+
+// refRoutePort is the list-building selection routePort replaced: gather
+// the live next hops, fall back to all of them when none is up, index by
+// flow hash.
+func refRoutePort(s *Switch, pkt *Packet) int {
+	hops := s.topo.NextHops(s.node, pkt.Dst)
+	var live []int
+	for _, h := range hops {
+		if s.ports[h].LinkUp() {
+			live = append(live, h)
+		}
+	}
+	if len(live) == 0 {
+		live = hops
+	}
+	return live[ecmpHash(pkt.FlowID, uint64(s.node))%uint64(len(live))]
+}
+
+// TestRoutePortWideECMP drives a ToR with 16 uplinks — wider than any
+// fixed scratch array routePort once appended past — and checks the
+// choice is allocation-free and, for every flow and link state, the port
+// the live-list selection picks.
+func TestRoutePortWideECMP(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		NumToR: 2, NumLeaf: 16, HostsPerToR: 1,
+		HostLinkBps: 100e9, FabricLinkBps: 100e9, PropDelay: eventsim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tor := topo.ToRs()[0]
+	sw := NewSwitch(eventsim.NewEngine(1), topo, tor, DefaultSwitchConfig(), defaultParamsPtr)
+	pkt := NewDataPacket(0, topo.Hosts()[0], topo.Hosts()[1], 0, DefaultMTU, false)
+	hops := topo.NextHops(tor, pkt.Dst)
+	if len(hops) != 16 {
+		t.Fatalf("ECMP width = %d, want 16", len(hops))
+	}
+	// Bit i of a mask cuts the i-th uplink: all up, one down, scattered,
+	// one survivor, all down.
+	for _, down := range []uint16{0, 1 << 5, 0xa5a5, 0xfffe, 0x7fff, 0xffff} {
+		for i, h := range hops {
+			sw.Port(h).SetLinkUp(down&(1<<i) == 0)
+		}
+		for flow := uint64(0); flow < 10000; flow++ {
+			pkt.FlowID = flow
+			if got, want := sw.routePort(pkt), refRoutePort(sw, pkt); got != want {
+				t.Fatalf("down=%#04x flow %d: routePort = %d, live-list selection = %d", down, flow, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { sw.routePort(pkt) }); allocs != 0 {
+			t.Fatalf("down=%#04x: routePort allocates %.1f per call, want 0", down, allocs)
+		}
+	}
 }

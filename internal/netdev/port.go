@@ -352,7 +352,7 @@ func (p *EgressPort) SendPFC(pause bool, class int) {
 	}
 	frame := p.pool.Get()
 	frame.Kind, frame.WireBytes = KindPFC, CtrlFrameBytes
-	frame.Class, frame.Pause, frame.PauseClass = ClassCtrl, pause, class
+	frame.Class, frame.Pause, frame.PauseClass = ClassCtrl, pause, uint8(class)
 	p.Stats.PFCSent++
 	p.scheduleDelivery(frame, p.serialization(CtrlFrameBytes)+p.prop)
 }

@@ -132,7 +132,7 @@ func (s *Switch) BufferUsed() int64 { return s.totalUsed }
 func (s *Switch) Receive(pkt *Packet, inPort int) {
 	if pkt.Kind == KindPFC {
 		s.Stats.PFCReceived++
-		s.ports[inPort].SetPaused(pkt.PauseClass, pkt.Pause)
+		s.ports[inPort].SetPaused(int(pkt.PauseClass), pkt.Pause)
 		s.pool.Put(pkt)
 		return
 	}
@@ -173,17 +173,28 @@ func (s *Switch) routePort(pkt *Packet) int {
 	if len(hops) == 1 {
 		return hops[0]
 	}
-	var alive [8]int
-	live := alive[:0]
+	// Pick the k-th live hop without building the live list: an ECMP
+	// group may be any width and this runs once per packet-hop.
+	live := 0
 	for _, h := range hops {
 		if s.ports[h].LinkUp() {
-			live = append(live, h)
+			live++
 		}
 	}
-	if len(live) == 0 {
-		live = hops
+	hash := ecmpHash(pkt.FlowID, uint64(s.node))
+	if live == 0 || live == len(hops) {
+		return hops[hash%uint64(len(hops))]
 	}
-	return live[ecmpHash(pkt.FlowID, uint64(s.node))%uint64(len(live))]
+	k := int(hash % uint64(live))
+	for _, h := range hops {
+		if s.ports[h].LinkUp() {
+			if k == 0 {
+				return h
+			}
+			k--
+		}
+	}
+	panic("netdev: live next hop vanished mid-selection")
 }
 
 // pauseThreshold is the dynamic threshold α·(B − used).

@@ -274,7 +274,7 @@ func (h *Host) finishSendFlow(f *SendFlow) {
 func (h *Host) Receive(pkt *netdev.Packet, inPort int) {
 	switch pkt.Kind {
 	case netdev.KindPFC:
-		h.port.SetPaused(pkt.PauseClass, pkt.Pause)
+		h.port.SetPaused(int(pkt.PauseClass), pkt.Pause)
 
 	case netdev.KindData:
 		rf := h.rx[pkt.FlowID]

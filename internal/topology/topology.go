@@ -85,26 +85,46 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 
-	// Routing tables are flat [src*n+dst] arenas rather than nested
-	// slices: at thousands of nodes the n² slice headers alone run to
-	// hundreds of megabytes and every GC cycle walks them. nhIndex holds
-	// 1+index into nhSets (0 = no route / src == dst); the port sets
-	// themselves are interned, since a node has only a handful of
-	// distinct ECMP groups no matter how many destinations it routes.
+	// Routing state is kept per attachment switch, not per node. A stub is
+	// a degree-1 node whose neighbour is not itself degree-1 (every host
+	// of a CLOS); it never makes a routing decision, and the route to or
+	// from it is the route to or from its neighbour plus one link. Every
+	// other node is core. attach[node] places a node in that split; the
+	// three tables below are flat [src*C+dst] arenas over the C core
+	// nodes only, so they stay cache-sized where an all-pairs table over
+	// thousands of hosts runs to hundreds of megabytes.
+	attach []attachment
+	cores  int // C
+	// nhIndex holds 1+index into nhSets (0 = no route / src == dst); the
+	// port sets themselves are interned, since a node has only a handful
+	// of distinct ECMP groups no matter how many destinations it routes.
 	nhIndex []uint32
 	// nhSets are the interned next-hop port lists: the local ports at src
 	// on a shortest path toward dst, ascending. ECMP picks among them by
 	// flow hash; callers must not mutate (sets are shared across pairs).
 	nhSets [][]int
-	// hopCount[src*n+dst] is the number of links on a shortest path, -1
+	// portSeq is 0, 1, 2, … up to the widest node; portSeq[p:p+1] is the
+	// one-port set {p} of a route that ends at (or starts from) a stub.
+	portSeq []int
+	// hopCount[src*C+dst] is the number of links on a shortest path, -1
 	// if unreachable.
 	hopCount []int32
-	// pathDelay[src*n+dst] is the summed propagation delay along a
+	// pathDelay[src*C+dst] is the summed propagation delay along a
 	// shortest path (Swift-style "base path delay" numerator, before
 	// adding serialization).
 	pathDelay []eventsim.Time
 
 	hosts []NodeID
+}
+
+// attachment locates a node in the core tables.
+type attachment struct {
+	// core is the node's own core index, or its neighbour's for a stub.
+	core int32
+	// port is the neighbour's local port toward a stub; -1 on a core node.
+	port int32
+	// delay is a stub's link propagation delay; 0 on a core node.
+	delay eventsim.Time
 }
 
 // AddNode appends a node of the given kind and returns its ID.
@@ -133,7 +153,7 @@ func (t *Topology) AddLink(a, b NodeID, rateBps float64, prop eventsim.Time) Lin
 	t.Links = append(t.Links, l)
 	na.Ports = append(na.Ports, id)
 	nb.Ports = append(nb.Ports, id)
-	t.nhIndex = nil // invalidate routing
+	t.attach = nil // invalidate routing
 	return id
 }
 
@@ -162,14 +182,48 @@ func (t *Topology) ToRs() []NodeID {
 	return out
 }
 
-// ComputeRoutes (re)builds shortest-path ECMP tables for every node pair.
-// It must be called after the last AddLink and before NextHops, HopCount,
-// or BasePathDelay.
+// ComputeRoutes (re)builds the shortest-path ECMP tables. It must be
+// called after the last AddLink and before NextHops, HopCount, or
+// BasePathDelay.
 func (t *Topology) ComputeRoutes() {
-	n := len(t.Nodes)
-	t.nhIndex = make([]uint32, n*n)
-	t.hopCount = make([]int32, n*n)
-	t.pathDelay = make([]eventsim.Time, n*n)
+	// Split stubs from core by degree alone, so hand-wired topologies
+	// need no Kind discipline. Two degree-1 nodes cabled back to back are
+	// both core: each is the other's whole network.
+	t.attach = make([]attachment, len(t.Nodes))
+	var core []NodeID
+	width := 0
+	for i := range t.Nodes {
+		ports := t.Nodes[i].Ports
+		if len(ports) > width {
+			width = len(ports)
+		}
+		if len(ports) == 1 {
+			l := &t.Links[ports[0]]
+			if peer, peerPort := l.Peer(NodeID(i)); len(t.Nodes[peer].Ports) != 1 {
+				// core holds the neighbour's node ID until every core
+				// index is known; the loop below resolves it.
+				t.attach[i] = attachment{core: int32(peer), port: int32(peerPort), delay: l.PropDelay}
+				continue
+			}
+		}
+		t.attach[i] = attachment{core: int32(len(core)), port: -1}
+		core = append(core, NodeID(i))
+	}
+	for i := range t.attach {
+		if a := &t.attach[i]; a.port >= 0 {
+			a.core = t.attach[a.core].core
+		}
+	}
+	t.portSeq = make([]int, width)
+	for i := range t.portSeq {
+		t.portSeq[i] = i
+	}
+
+	c := len(core)
+	t.cores = c
+	t.nhIndex = make([]uint32, c*c)
+	t.hopCount = make([]int32, c*c)
+	t.pathDelay = make([]eventsim.Time, c*c)
 	t.nhSets = nil
 
 	// setIDs interns the port lists by content: the lookup key is the
@@ -179,15 +233,17 @@ func (t *Topology) ComputeRoutes() {
 	var keyBuf []byte
 	var ports []int
 
-	// BFS from every destination over the unweighted link graph; hop
+	// BFS from every core destination over the core graph; a stub is a
+	// leaf of any BFS tree, so leaving stubs out changes neither the
+	// distance nor the discovery order of the nodes that remain. Hop
 	// count is the routing metric (links are homogeneous within a tier,
 	// and DC fabrics route on hops). Propagation delay accumulates along
-	// one arbitrary shortest path; with symmetric CLOS wiring all
-	// shortest paths have equal delay.
-	dist := make([]int32, n)
-	delay := make([]eventsim.Time, n)
-	queue := make([]int32, 0, n)
-	for dst := 0; dst < n; dst++ {
+	// the BFS tree; with symmetric CLOS wiring all shortest paths have
+	// equal delay.
+	dist := make([]int32, c)
+	delay := make([]eventsim.Time, c)
+	queue := make([]int32, 0, c)
+	for dst := 0; dst < c; dst++ {
 		for i := range dist {
 			dist[i] = -1
 			delay[i] = 0
@@ -196,35 +252,31 @@ func (t *Topology) ComputeRoutes() {
 		queue = append(queue[:0], int32(dst))
 		for head := 0; head < len(queue); head++ {
 			cur := queue[head]
-			for _, lid := range t.Nodes[cur].Ports {
+			for _, lid := range t.Nodes[core[cur]].Ports {
 				l := &t.Links[lid]
-				peer, _ := l.Peer(NodeID(cur))
-				if dist[peer] == -1 {
-					dist[peer] = dist[cur] + 1
-					delay[peer] = delay[cur] + l.PropDelay
-					queue = append(queue, int32(peer))
+				peer, _ := l.Peer(core[cur])
+				if pa := t.attach[peer]; pa.port < 0 && dist[pa.core] == -1 {
+					dist[pa.core] = dist[cur] + 1
+					delay[pa.core] = delay[cur] + l.PropDelay
+					queue = append(queue, pa.core)
 				}
 			}
 		}
-		for src := 0; src < n; src++ {
-			idx := src*n + dst
+		for src := 0; src < c; src++ {
+			idx := src*c + dst
 			t.hopCount[idx] = dist[src]
 			t.pathDelay[idx] = delay[src]
-			if src == dst || dist[src] <= 0 {
+			if dist[src] <= 0 {
 				continue
 			}
 			// Ports iterate in ascending index order, so the ECMP set
 			// comes out sorted without an explicit sort.
 			ports = ports[:0]
-			for portIdx, lid := range t.Nodes[src].Ports {
-				l := &t.Links[lid]
-				peer, _ := l.Peer(NodeID(src))
-				if dist[peer] >= 0 && dist[peer] == dist[src]-1 {
+			for portIdx, lid := range t.Nodes[core[src]].Ports {
+				peer, _ := t.Links[lid].Peer(core[src])
+				if pa := t.attach[peer]; pa.port < 0 && dist[pa.core] == dist[src]-1 {
 					ports = append(ports, portIdx)
 				}
-			}
-			if len(ports) == 0 {
-				continue
 			}
 			keyBuf = keyBuf[:0]
 			for _, p := range ports {
@@ -246,7 +298,21 @@ func (t *Topology) ComputeRoutes() {
 // not mutate.
 func (t *Topology) NextHops(src, dst NodeID) []int {
 	t.mustRouted()
-	id := t.nhIndex[int(src)*len(t.Nodes)+int(dst)]
+	if src == dst {
+		return nil
+	}
+	s, d := t.attach[src], t.attach[dst]
+	if s.port >= 0 {
+		// A stub's only port leads everywhere it can reach at all.
+		if t.hopCount[t.coreIdx(s, d)] < 0 {
+			return nil
+		}
+		return t.portSeq[:1]
+	}
+	if d.port >= 0 && d.core == s.core {
+		return t.portSeq[d.port : d.port+1 : d.port+1]
+	}
+	id := t.nhIndex[t.coreIdx(s, d)]
 	if id == 0 {
 		return nil
 	}
@@ -257,7 +323,21 @@ func (t *Topology) NextHops(src, dst NodeID) []int {
 // or -1 if unreachable.
 func (t *Topology) HopCount(src, dst NodeID) int {
 	t.mustRouted()
-	return int(t.hopCount[int(src)*len(t.Nodes)+int(dst)])
+	if src == dst {
+		return 0
+	}
+	s, d := t.attach[src], t.attach[dst]
+	hops := int(t.hopCount[t.coreIdx(s, d)])
+	if hops < 0 {
+		return -1
+	}
+	if s.port >= 0 {
+		hops++
+	}
+	if d.port >= 0 {
+		hops++
+	}
+	return hops
 }
 
 // BasePathDelay returns the summed one-way propagation delay on a shortest
@@ -265,11 +345,21 @@ func (t *Topology) HopCount(src, dst NodeID) int {
 // used to normalize RTT in the Paraleon utility function.
 func (t *Topology) BasePathDelay(src, dst NodeID) eventsim.Time {
 	t.mustRouted()
-	return t.pathDelay[int(src)*len(t.Nodes)+int(dst)]
+	s, d := t.attach[src], t.attach[dst]
+	idx := t.coreIdx(s, d)
+	if src == dst || t.hopCount[idx] < 0 {
+		return 0
+	}
+	return s.delay + t.pathDelay[idx] + d.delay
+}
+
+// coreIdx is the core-table slot for the route between two attachments.
+func (t *Topology) coreIdx(s, d attachment) int {
+	return int(s.core)*t.cores + int(d.core)
 }
 
 func (t *Topology) mustRouted() {
-	if t.nhIndex == nil {
+	if t.attach == nil {
 		panic("topology: ComputeRoutes not called (or topology modified since)")
 	}
 }

@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -230,5 +234,155 @@ func TestQuickClosReachability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refRoutes is the all-pairs builder ComputeRoutes replaced, kept as the
+// oracle: one BFS per destination over every node, stubs included, into
+// [src*n+dst] tables.
+type refRoutes struct {
+	n     int
+	next  [][]int
+	hops  []int
+	delay []eventsim.Time
+}
+
+func newRefRoutes(t *Topology) *refRoutes {
+	n := len(t.Nodes)
+	r := &refRoutes{n: n, next: make([][]int, n*n), hops: make([]int, n*n), delay: make([]eventsim.Time, n*n)}
+	dist := make([]int, n)
+	delay := make([]eventsim.Time, n)
+	for dst := 0; dst < n; dst++ {
+		for i := range dist {
+			dist[i], delay[i] = -1, 0
+		}
+		dist[dst] = 0
+		queue := []NodeID{NodeID(dst)}
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, lid := range t.Nodes[cur].Ports {
+				l := &t.Links[lid]
+				if peer, _ := l.Peer(cur); dist[peer] == -1 {
+					dist[peer] = dist[cur] + 1
+					delay[peer] = delay[cur] + l.PropDelay
+					queue = append(queue, peer)
+				}
+			}
+		}
+		for src := 0; src < n; src++ {
+			idx := src*n + dst
+			r.hops[idx], r.delay[idx] = dist[src], delay[src]
+			if dist[src] <= 0 {
+				continue
+			}
+			for port, lid := range t.Nodes[src].Ports {
+				if peer, _ := t.Links[lid].Peer(NodeID(src)); dist[peer] == dist[src]-1 {
+					r.next[idx] = append(r.next[idx], port)
+				}
+			}
+		}
+	}
+	return r
+}
+
+// checkAgainstRef asserts the three routing queries agree with the
+// all-pairs oracle on every ordered node pair.
+func checkAgainstRef(t *testing.T, topo *Topology) {
+	t.Helper()
+	ref := newRefRoutes(topo)
+	for src := 0; src < ref.n; src++ {
+		for dst := 0; dst < ref.n; dst++ {
+			idx := src*ref.n + dst
+			s, d := NodeID(src), NodeID(dst)
+			if got := topo.NextHops(s, d); !slices.Equal(got, ref.next[idx]) {
+				t.Fatalf("NextHops(%d,%d) = %v, oracle %v", src, dst, got, ref.next[idx])
+			}
+			if got := topo.HopCount(s, d); got != ref.hops[idx] {
+				t.Fatalf("HopCount(%d,%d) = %d, oracle %d", src, dst, got, ref.hops[idx])
+			}
+			if got := topo.BasePathDelay(s, d); got != ref.delay[idx] {
+				t.Fatalf("BasePathDelay(%d,%d) = %v, oracle %v", src, dst, got, ref.delay[idx])
+			}
+		}
+	}
+}
+
+// wire builds a topology of n nodes (all Kind Host: degree, not Kind,
+// must decide who routes) from (a, b, delay-in-µs) triples.
+func wire(n int, links ...[3]int) *Topology {
+	topo := &Topology{}
+	for i := 0; i < n; i++ {
+		topo.AddNode(Host, fmt.Sprintf("n%d", i))
+	}
+	for _, l := range links {
+		topo.AddLink(NodeID(l[0]), NodeID(l[1]), 100e9, eventsim.Time(l[2])*eventsim.Microsecond)
+	}
+	topo.ComputeRoutes()
+	return topo
+}
+
+func TestRoutesMatchAllPairsOracle(t *testing.T) {
+	clos := func(cfg ClosConfig) *Topology {
+		topo, err := NewClos(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	wide := PaperClosConfig()
+	wide.NumToR, wide.NumLeaf, wide.HostsPerToR = 6, 16, 3
+	cases := map[string]*Topology{
+		"paper clos":     clos(PaperClosConfig()),
+		"16-leaf clos":   clos(wide),
+		"one tor":        clos(ClosConfig{NumToR: 1, HostsPerToR: 2, HostLinkBps: 1e9, PropDelay: eventsim.Microsecond}),
+		"back to back":   wire(2, [3]int{0, 1, 3}),
+		"isolated node":  wire(1),
+		"empty":          wire(0),
+		"two components": wire(7, [3]int{0, 1, 1}, [3]int{1, 2, 2}, [3]int{3, 4, 4}, [3]int{4, 5, 1}, [3]int{5, 3, 2}),
+		"host chain":     wire(5, [3]int{0, 1, 1}, [3]int{1, 2, 2}, [3]int{2, 3, 3}, [3]int{3, 4, 4}),
+		"parallel links": wire(3, [3]int{0, 1, 1}, [3]int{0, 1, 5}, [3]int{1, 2, 2}),
+	}
+	for name, topo := range cases {
+		t.Run(name, func(t *testing.T) { checkAgainstRef(t, topo) })
+	}
+
+	// Random graphs with unequal link delays: where shortest paths differ
+	// in delay, the one the oracle's BFS tree picks is the one reported.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		n := 2 + rng.Intn(14)
+		var links [][3]int
+		for l := rng.Intn(2 * n); l > 0; l-- {
+			links = append(links, [3]int{rng.Intn(n), rng.Intn(n), 1 + rng.Intn(9)})
+		}
+		topo := wire(n, links...)
+		t.Run(fmt.Sprintf("random %d", i), func(t *testing.T) { checkAgainstRef(t, topo) })
+	}
+}
+
+// TestLargeClosRetainsLittle is the scale guard: a 4096-host fabric has
+// 80 routing nodes, and what NewClos keeps must be sized by those — a
+// table over all 4176² node pairs would hold hundreds of megabytes.
+func TestLargeClosRetainsLittle(t *testing.T) {
+	cfg := PaperClosConfig()
+	cfg.NumToR, cfg.HostsPerToR, cfg.NumLeaf = 64, 64, 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	topo, err := NewClos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained >= 16<<20 {
+		t.Errorf("4096-host CLOS retains %d MB of heap, want < 16", retained>>20)
+	}
+	hosts := topo.Hosts()
+	if got := len(topo.NextHops(topo.ToROf(hosts[0]), hosts[len(hosts)-1])); got != cfg.NumLeaf {
+		t.Errorf("ToR ECMP width to a remote rack = %d, want %d", got, cfg.NumLeaf)
+	}
+	if got := topo.HopCount(hosts[0], hosts[len(hosts)-1]); got != 4 {
+		t.Errorf("inter-rack hop count = %d, want 4", got)
 	}
 }
