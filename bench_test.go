@@ -521,8 +521,7 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 // internal/sim/sharded_test.go). Traffic is mostly pod-local so shards
 // spend their windows working rather than waiting at the handoff barrier;
 // the cross-pod fraction keeps every leaf link busy. events/sec is the
-// headline: the sharded/1-shard ratio is the speedup, recorded per PR in
-// BENCH_pr6.json.
+// headline: the sharded/1-shard ratio is the speedup.
 func BenchmarkShardedThroughput(b *testing.B) {
 	run := func(b *testing.B, shards int, timerHeavy bool) {
 		var events uint64

@@ -483,7 +483,7 @@ func TestWheelOpsZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTimerWheel measures the O(1) timer primitives under a realistic
-// pending population. The benchjson gate pins both sub-benches at 0
+// pending population. TestWheelOpsZeroAlloc pins the same operations at 0
 // allocs/op.
 func BenchmarkTimerWheel(b *testing.B) {
 	fn := func() {}

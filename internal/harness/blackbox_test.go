@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/eventsim"
@@ -113,10 +111,7 @@ func TestBlackboxArtifactDeterministic(t *testing.T) {
 // recorder is pure observation: the JSONL event trace emitted alongside
 // the artifact stays byte-identical to the recorded golden.
 func TestBlackboxLeavesGoldenTraceUntouched(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "chaos_linkflap_seed7_quick.golden.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t, "chaos_linkflap_seed7_quick.golden.jsonl")
 	var trace bytes.Buffer
 	bb := runLinkFlapBlackbox(t, 0, 7, &trace)
 	diffTraces(t, "trace with flight recorder attached diverges from golden", trace.Bytes(), want)

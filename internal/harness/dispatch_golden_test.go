@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/eventsim"
@@ -14,12 +12,7 @@ import (
 // byte-exact trace, and asserts the invariants the trace alone cannot:
 // the fabric converged to exactly one epoch, the recovery restore
 // committed, and the out-of-bounds probe bounced off the guard without
-// touching the fabric.
-//
-// Regenerate (only if an intentional semantic change lands) with:
-//
-//	go run ./cmd/paraleon-sim -exp chaos-dispatch -scale quick \
-//	   -chaos-seed 7 -chaos-trace internal/harness/testdata/chaos_dispatch_seed7_quick.golden.jsonl
+// touching the fabric. -update (see golden_test.go) rewrites the golden.
 func TestChaosDispatchGolden(t *testing.T) {
 	run := func() (*ChaosDispatchResult, []byte) {
 		var buf bytes.Buffer
@@ -53,9 +46,5 @@ func TestChaosDispatchGolden(t *testing.T) {
 	// Same seed, same bytes — twice in-process, and against the golden.
 	_, again := run()
 	diffTraces(t, "chaos-dispatch trace diverges between identical runs", again, got)
-	want, err := os.ReadFile(filepath.Join("testdata", "chaos_dispatch_seed7_quick.golden.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffTraces(t, "chaos-dispatch trace diverges from golden", got, want)
+	checkGolden(t, "chaos-dispatch trace diverges from golden", "chaos_dispatch_seed7_quick.golden.jsonl", got)
 }

@@ -2,12 +2,51 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/eventsim"
 )
+
+// update rewrites the five golden traces under testdata/ from this build:
+//
+//	go test ./internal/harness -run Golden -update
+//
+// Only the tests that own a golden write it. The tests that replay a golden
+// under a variation that must not show (timer suppression, the flight
+// recorder, another shard count) never write: they skip during an update
+// and hold against the new files on the next plain run.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden.jsonl from this build")
+
+// checkGolden compares got with the named golden trace, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, what, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	diffTraces(t, what, got, readGolden(t, name))
+}
+
+// readGolden loads a golden trace for a test that must match it as it is.
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	if *update {
+		t.Skip("-update: goldens are being rewritten")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
 
 // diffTraces fails the test with a snippet around the first divergent byte
 // of two traces that should have been identical.
@@ -38,19 +77,11 @@ func diffTraces(t *testing.T, what string, got, want []byte) {
 		what, i, len(got), len(want), snip(got), snip(want))
 }
 
-// The golden traces under testdata/ were captured from the pre-pool build
-// (container/heap engine, per-packet allocation, per-row sketch hashing)
-// at seed 7, QuickScale, 40 ms horizon. Replaying the same experiments on
-// the pooled engine and comparing bytes proves the zero-allocation rewrite
-// preserved simulation behavior exactly — not just "still passes tests"
-// but bit-for-bit the same fault schedule, samples, and dispatches.
-//
-// Regenerate (only if an intentional semantic change lands) with:
-//
-//	go run ./cmd/paraleon-sim -exp chaos-linkflap -scale quick \
-//	   -chaos-seed 7 -chaos-trace internal/harness/testdata/chaos_linkflap_seed7_quick.golden.jsonl
-//
-// and likewise for chaos-agentcrash.
+// The golden traces under testdata/ pin the chaos experiments at seed 7,
+// QuickScale, 40 ms horizon, byte for byte: fault schedule, samples and
+// dispatches. A change that is meant to leave simulation behaviour alone
+// proves it by leaving them alone; one that moves same-nanosecond event
+// order (and with it ECN coin flips) re-pins them once, with -update.
 func TestChaosTraceGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -76,15 +107,11 @@ func TestChaosTraceGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var buf bytes.Buffer
 			if err := tc.run(&buf); err != nil {
 				t.Fatal(err)
 			}
-			diffTraces(t, "trace diverges from pre-pool golden", buf.Bytes(), want)
+			checkGolden(t, "trace diverges from golden", tc.golden, buf.Bytes())
 		})
 	}
 }
@@ -97,10 +124,7 @@ func TestChaosTraceGolden(t *testing.T) {
 // fewer events. This pins the invariance argument against the full
 // chaos stack, not just the RP unit tests.
 func TestChaosTraceGoldenSuppressed(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "chaos_linkflap_seed7_quick.golden.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t, "chaos_linkflap_seed7_quick.golden.jsonl")
 	scale := QuickScale()
 	scale.Net.SuppressQuiescentTimers = true
 	var buf bytes.Buffer
@@ -120,14 +144,8 @@ func TestChaosTraceGoldenSuppressed(t *testing.T) {
 // The sharded goldens differ from the single-engine ones: completion hooks
 // (the alltoall round chaining) fire at window boundaries under sharding,
 // which shifts when follow-on flows start. That shift is identical for
-// every shard count — which is exactly what this test pins down.
-//
-// Regenerate alongside the legacy goldens with:
-//
-//	go run ./cmd/paraleon-sim -exp chaos-linkflap -scale quick -shards 4 \
-//	   -chaos-seed 7 -chaos-trace internal/harness/testdata/chaos_linkflap_seed7_quick_sharded.golden.jsonl
-//
-// and likewise for chaos-agentcrash.
+// every shard count — which is exactly what this test pins down, and why
+// -update writes the -shards=1 trace only after -shards=4 has matched it.
 func TestChaosTraceGoldenSharded(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -165,11 +183,7 @@ func TestChaosTraceGoldenSharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			diffTraces(t, "-shards=4 trace diverges from -shards=1", four.Bytes(), one.Bytes())
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffTraces(t, "sharded trace diverges from golden", one.Bytes(), want)
+			checkGolden(t, "sharded trace diverges from golden", tc.golden, one.Bytes())
 		})
 	}
 }

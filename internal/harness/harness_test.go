@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eventsim"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -20,9 +21,11 @@ func fbWorkload(load float64, dur eventsim.Time) func(n *sim.Network) error {
 
 func TestRunStaticScheme(t *testing.T) {
 	scale := QuickScale()
+	sc := DefaultScheme()
+	sc.SystemCfg.Telemetry = telemetry.NewRegistry()
 	r, err := Run(RunConfig{
 		Net:        scale.Net,
-		Scheme:     DefaultScheme(),
+		Scheme:     sc,
 		Interval:   scale.Interval,
 		Duration:   20 * eventsim.Millisecond,
 		DrainAfter: true,
@@ -43,6 +46,24 @@ func TestRunStaticScheme(t *testing.T) {
 	sum := r.Summary()
 	if sum.MeanSlowdown < 1 {
 		t.Errorf("mean slowdown %g < 1", sum.MeanSlowdown)
+	}
+
+	// The arm published its engine and port accounting once, and the
+	// report derives events per transmission from them: below two, because
+	// a port nothing waits on arms no serialization timer.
+	tm := telemetry.NewEngineMetrics(sc.SystemCfg.Telemetry)
+	tx, timers := r.Net.PortTotals()
+	if tm.Transmissions.Value() != tx || tm.TxTimers.Value() != timers || timers == 0 || timers >= tx {
+		t.Errorf("published %d transmissions / %d timers, network has %d / %d",
+			tm.Transmissions.Value(), tm.TxTimers.Value(), tx, timers)
+	}
+	if perTx := float64(tm.Events.Value()) / float64(tx); perTx >= 2 {
+		t.Errorf("%.3f events per transmission, want < 2", perTx)
+	}
+	var rep strings.Builder
+	sc.SystemCfg.Telemetry.BuildReport().Fprint(&rep)
+	if !strings.Contains(rep.String(), "  ports: ") {
+		t.Errorf("report has no ports line:\n%s", rep.String())
 	}
 }
 

@@ -325,6 +325,9 @@ func publishEngine(reg *telemetry.Registry, n *sim.Network) {
 	tm.WallNs.Add(wall.Nanoseconds())
 	tm.VirtualNs.Add(int64(n.Eng.Now()))
 	tm.PeakPending.SetMax(float64(st.PeakPending))
+	tx, timers := n.PortTotals()
+	tm.Transmissions.Add(tx)
+	tm.TxTimers.Add(timers)
 }
 
 // buildSources wires the FSD inputs for a Paraleon-kind scheme, composing

@@ -56,12 +56,16 @@ type PortStats struct {
 	PFCSent, PFCReceived int64
 	// LinkDowns counts SetLinkUp(false) transitions (fault injection).
 	LinkDowns int64
+	// TxTimers counts the transmissions that needed a serialization-done
+	// event: something waited on the port, or its owner had to see the
+	// departure on time. The rest cost one event, the delivery.
+	TxTimers int64
 }
 
-// deliverySlot holds one packet in flight on the wire (serialized, not yet
-// arrived). Each slot owns a persistent closure created when the slot is
-// first needed, so scheduling a delivery allocates nothing once the port's
-// in-flight high-water mark is reached.
+// deliverySlot holds one packet on the wire, from the start of its
+// serialization until it arrives. Each slot owns a persistent closure
+// created when the slot is first needed, so scheduling a delivery allocates
+// nothing once the port's in-flight high-water mark is reached.
 type deliverySlot struct {
 	pkt  *Packet
 	next int32 // free-list link
@@ -81,28 +85,25 @@ type EgressPort struct {
 	peerPort int
 
 	queues [NumClasses]fifo
-	busy   bool
 	paused [NumClasses]bool
 
 	// pool recycles packets this port originates (PFC frames). May be nil.
 	pool *PacketPool
 
-	// Transmitter state for the persistent serialization-done handler:
-	// exactly one packet serializes at a time, so its queue entry, class,
-	// and the delivery delay captured at transmit start live in fields
-	// instead of a per-packet closure. txDoneEv is the last serialization
-	// timer; it has always fired by the next transmit (the transmitter is
-	// strictly one-at-a-time), so re-arming it through RearmAfter just
-	// recycles the same wheel slot run after run.
-	txDoneFn   eventsim.Handler
-	txDoneEv   eventsim.EventID
-	inflight   queueEntry
-	inflightCl int
-	inflightDl eventsim.Time
+	// Transmitter state. A packet goes on the wire the moment it starts to
+	// serialize, so all the transmitter keeps of it is busyUntil, the time
+	// its last bit leaves. A serialization-done event (txDoneFn, pending
+	// while txArmed) exists only when something needs that moment: eligible
+	// traffic queued behind the packet, or an owner that must see the
+	// departure on time. Until a pending event has run the port counts as
+	// busy, so an Enqueue landing on the same nanosecond queues behind it.
+	busyUntil eventsim.Time
+	txArmed   bool
+	txDoneFn  eventsim.Handler
 
 	// deliveries is the slab of packets crossing the wire; delivFree heads
-	// its free-list (-1 = none). Several can overlap: serialization of the
-	// next packet starts while earlier ones are still propagating.
+	// its free-list (-1 = none). Several can overlap: the next packet
+	// serializes while earlier ones are still propagating.
 	deliveries []deliverySlot
 	delivFree  int32
 
@@ -135,11 +136,12 @@ type EgressPort struct {
 	// nil disables marking (host ports).
 	marker func(queueBytes int64) float64
 
-	// onDeparted, if set, is called when a packet finishes serializing
-	// and leaves the device, with the ingress port it was admitted on
-	// (−1 for locally generated traffic). Switches release shared-buffer
-	// and ingress accounting here; hosts restart their flow scheduler.
-	onDeparted func(pkt *Packet, inPort int)
+	// sw, when set, is the switch that owns this port as its egress index.
+	// It records a buffer release at every transmit start and settles the
+	// due ones whenever a serialization-done event runs (see Switch.settle).
+	// Host ports have no owner to tell: the RNIC paces itself off BusyUntil.
+	sw    *Switch
+	index int
 	// onResume, if set, is called when a PFC RESUME unpauses a class
 	// (host RNICs restart their flow scheduler here).
 	onResume func(class int)
@@ -253,14 +255,16 @@ func DeliveryKey(node topology.NodeID, port int, emission uint32) uint64 {
 	return (uint64(node)+1)<<44 | uint64(port)<<32 | uint64(emission)
 }
 
-// SetOnDeparted installs the departure hook.
-func (p *EgressPort) SetOnDeparted(fn func(pkt *Packet, inPort int)) { p.onDeparted = fn }
-
 // SetOnResume installs the PFC-resume hook.
 func (p *EgressPort) SetOnResume(fn func(class int)) { p.onResume = fn }
 
-// Busy reports whether a packet is currently serializing.
-func (p *EgressPort) Busy() bool { return p.busy }
+// Busy reports whether the transmitter is taken: a packet is serializing,
+// or the serialization-done event of one that just finished has yet to run.
+func (p *EgressPort) Busy() bool { return p.txArmed || p.eng.Now() < p.busyUntil }
+
+// BusyUntil reports when the packet on the transmitter finishes
+// serializing; a time not after now means nothing is serializing.
+func (p *EgressPort) BusyUntil() eventsim.Time { return p.busyUntil }
 
 // RateBps reports the configured line rate.
 func (p *EgressPort) RateBps() float64 { return p.rateBps }
@@ -274,9 +278,15 @@ func (p *EgressPort) serialization(n int) eventsim.Time {
 	return eventsim.Time(float64(n*8) / (p.rateBps * p.rateFactor) * 1e9)
 }
 
-// Enqueue appends a packet (tagged with its ingress port, −1 for locally
-// generated traffic) and kicks the transmitter.
+// Enqueue hands the port a packet tagged with its ingress port (−1 for
+// locally generated traffic). A free port serves eligible traffic at once,
+// so nothing eligible can be waiting when the port is free: the packet goes
+// straight to the transmitter. Otherwise it queues.
 func (p *EgressPort) Enqueue(pkt *Packet, inPort int) {
+	if p.up && !p.paused[pkt.Class] && !p.Busy() {
+		p.transmit(pkt, inPort)
+		return
+	}
 	p.queues[pkt.Class].push(queueEntry{pkt: pkt, inPort: inPort})
 	p.kick()
 }
@@ -357,76 +367,95 @@ func (p *EgressPort) SendPFC(pause bool, class int) {
 	p.scheduleDelivery(frame, p.serialization(CtrlFrameBytes)+p.prop)
 }
 
-// kick starts the transmitter if idle and eligible traffic is queued.
+// kick serves the highest-priority eligible queue: at once when the port is
+// free, else from a serialization-done event at busyUntil. Every change
+// that can make queued traffic eligible (Enqueue, RESUME, link up) ends
+// here, which is what keeps a free port's queues free of eligible traffic.
 func (p *EgressPort) kick() {
-	if p.busy {
+	if p.txArmed {
 		return
 	}
-	e, class, ok := p.next()
-	if !ok {
+	class := p.eligible()
+	if class < 0 {
 		return
 	}
-	p.transmit(e, class)
+	if p.eng.Now() < p.busyUntil {
+		p.armTxDone()
+		return
+	}
+	e, _ := p.queues[class].pop()
+	p.transmit(e.pkt, e.inPort)
 }
 
-// next picks the highest-priority eligible entry: control first, then
-// unpaused data. A down link serves nothing.
-func (p *EgressPort) next() (queueEntry, int, bool) {
-	if !p.up {
-		return queueEntry{}, 0, false
+// eligible picks the class to serve next — control first, then unpaused
+// data — or -1 when nothing can go. A down link serves nothing.
+func (p *EgressPort) eligible() int {
+	switch {
+	case !p.up:
+	case !p.paused[ClassCtrl] && !p.queues[ClassCtrl].empty():
+		return ClassCtrl
+	case !p.paused[ClassData] && !p.queues[ClassData].empty():
+		return ClassData
 	}
-	if !p.paused[ClassCtrl] && !p.queues[ClassCtrl].empty() {
-		e, _ := p.queues[ClassCtrl].pop()
-		return e, ClassCtrl, true
-	}
-	if !p.paused[ClassData] && !p.queues[ClassData].empty() {
-		e, _ := p.queues[ClassData].pop()
-		return e, ClassData, true
-	}
-	return queueEntry{}, 0, false
+	return -1
 }
 
-func (p *EgressPort) transmit(e queueEntry, class int) {
+// transmit starts serializing pkt on a free port: the ECN decision, the
+// counters and the hand-over to the wire all happen now, and the packet
+// arrives serialization + propagation later. The rate and extra delay are
+// those of this instant, so a degradation fault applied mid-flight leaves
+// the packet's arrival alone.
+func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	if p.peer == nil {
 		panic("netdev: transmit before SetPeer")
 	}
-	pkt := e.pkt
-	if class == ClassData && p.marker != nil && pkt.Kind != KindPFC {
-		// Mark against the depth including the departing packet: the
-		// packet experienced this queue.
-		depth := p.queues[ClassData].bytes + int64(pkt.WireBytes)
-		if prob := p.marker(depth); prob > 0 && p.rng.Float64() < prob {
-			pkt.ECNMarked = true
-			p.Stats.ECNMarked++
+	wire := int64(pkt.WireBytes)
+	if pkt.Class == ClassData {
+		if p.marker != nil && pkt.Kind != KindPFC {
+			// Mark against the depth including the departing packet: the
+			// packet experienced this queue.
+			depth := p.queues[ClassData].bytes + wire
+			if prob := p.marker(depth); prob > 0 && p.rng.Float64() < prob {
+				pkt.ECNMarked = true
+				p.Stats.ECNMarked++
+			}
 		}
+		p.Stats.TxDataBytes += wire
 	}
-	p.busy = true
-	p.inflight = e
-	p.inflightCl = class
-	// The delivery delay is captured now, not at serialization end, so a
-	// degradation fault applied mid-flight leaves this packet's arrival
-	// where the pre-change semantics put it.
-	p.inflightDl = p.prop + p.extraDelay
-	p.txDoneEv = p.eng.RearmAfter(p.txDoneEv, p.serialization(pkt.WireBytes), p.txDoneFn)
+	p.Stats.TxPackets++
+	p.Stats.TxBytes += wire
+	ser := p.serialization(pkt.WireBytes)
+	p.busyUntil = p.eng.Now() + ser
+	watch := p.sw != nil && p.sw.departing(p.index, pkt, inPort, p.busyUntil)
+	p.scheduleDelivery(pkt, ser+p.prop+p.extraDelay)
+	if watch || p.eligible() >= 0 {
+		p.armTxDone()
+	}
 }
 
-// txDone is the persistent serialization-complete handler: account the
-// departure, hand the packet to the wire, and restart the transmitter.
-func (p *EgressPort) txDone() {
-	e, class := p.inflight, p.inflightCl
-	p.inflight = queueEntry{}
-	pkt := e.pkt
-	p.Stats.TxPackets++
-	p.Stats.TxBytes += int64(pkt.WireBytes)
-	if class == ClassData {
-		p.Stats.TxDataBytes += int64(pkt.WireBytes)
+// armTxDone schedules the serialization-done event for the packet on the
+// transmitter.
+func (p *EgressPort) armTxDone() {
+	p.txArmed = true
+	p.Stats.TxTimers++
+	p.eng.Schedule(p.busyUntil, p.txDoneFn)
+}
+
+// watchDeparture makes the packet now serializing, if any, end in a
+// serialization-done event, so the owning switch settles its release on
+// time.
+func (p *EgressPort) watchDeparture() {
+	if !p.txArmed && p.eng.Now() < p.busyUntil {
+		p.armTxDone()
 	}
-	p.scheduleDelivery(pkt, p.inflightDl)
-	// Clear busy before the departure hook: hosts re-enter their flow
-	// scheduler from it and must see the port as free.
-	p.busy = false
-	if p.onDeparted != nil {
-		p.onDeparted(e.pkt, e.inPort)
+}
+
+// txDone is the persistent serialization-done handler: the port is free
+// again, the owner settles what has left, and the next packet starts.
+func (p *EgressPort) txDone() {
+	p.txArmed = false
+	if p.sw != nil {
+		p.sw.settle()
 	}
 	p.kick()
 }
@@ -467,16 +496,13 @@ func (p *EgressPort) delivSlot(pkt *Packet) int32 {
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a
-// class FIFO, mid-serialization, or crossing the wire in a delivery slot.
-// sim.Network sums this over every port to check the packet-pool leak
-// invariant Fresh+Recycled == Puts + in-flight.
+// class FIFO, or in a delivery slot — which holds a packet from the start of
+// its serialization until it arrives. sim.Network sums this over every port
+// to check the packet-pool leak invariant Fresh+Recycled == Puts + in-flight.
 func (p *EgressPort) InFlightPackets() int {
 	n := 0
 	for c := range p.queues {
 		n += len(p.queues[c].entries) - p.queues[c].head
-	}
-	if p.inflight.pkt != nil {
-		n++
 	}
 	for i := range p.deliveries {
 		if p.deliveries[i].pkt != nil {

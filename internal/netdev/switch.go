@@ -56,6 +56,13 @@ type Switch struct {
 	pauseSent    []bool
 	totalUsed    int64
 
+	// releases holds, sorted by due time from relHead on, the buffer
+	// releases of packets that have started to serialize. settle applies
+	// the due ones; every read of totalUsed or ingressBytes settles first,
+	// so a release need not cost an event of its own.
+	releases []release
+	relHead  int
+
 	// pool recycles packets this switch terminates (drops, sunk PFC
 	// frames) and supplies its ports' control frames. May be nil.
 	pool *PacketPool
@@ -67,6 +74,16 @@ type Switch struct {
 	Tap func(pkt *Packet, now eventsim.Time)
 
 	Stats SwitchStats
+}
+
+// release is the buffer a departing packet frees once its last bit has left.
+// It carries sizes, not the packet: the packet may be delivered, sunk and
+// recycled before the release is settled.
+type release struct {
+	at      eventsim.Time
+	wire    int32
+	inPort  int16
+	outPort int16
 }
 
 // NewSwitch builds the device model for node within topo. Egress ports are
@@ -96,7 +113,7 @@ func NewSwitchSeeded(eng, seedSrc *eventsim.Engine, topo *topology.Topology, nod
 		l := &topo.Links[lid]
 		p := NewEgressPort(eng, l.RateBps, l.PropDelay, seedSrc.Rand())
 		p.SetMarker(func(depth int64) float64 { return s.params().MarkProbability(depth) })
-		p.SetOnDeparted(s.released)
+		p.sw, p.index = s, i
 		s.ports[i] = p
 	}
 	return s
@@ -126,7 +143,16 @@ func (s *Switch) WirePort(i int, peer Device, peerPort int) {
 }
 
 // BufferUsed reports the class-0 bytes currently buffered.
-func (s *Switch) BufferUsed() int64 { return s.totalUsed }
+func (s *Switch) BufferUsed() int64 {
+	s.settle()
+	return s.totalUsed
+}
+
+// IngressBytes reports the class-0 bytes buffered that arrived on port i.
+func (s *Switch) IngressBytes(i int) int64 {
+	s.settle()
+	return s.ingressBytes[i]
+}
 
 // Receive implements Device: route, admit, and enqueue.
 func (s *Switch) Receive(pkt *Packet, inPort int) {
@@ -139,6 +165,7 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 	s.Stats.RxPackets++
 	out := s.routePort(pkt)
 	if pkt.Class == ClassData {
+		s.settle()
 		wire := int64(pkt.WireBytes)
 		if s.totalUsed+wire > s.cfg.BufferBytes {
 			// Lossless fabrics should pause before this point; a drop
@@ -214,27 +241,64 @@ func (s *Switch) maybePause(inPort int) {
 		s.pauseSent[inPort] = true
 		s.Stats.PFCTriggers++
 		s.ports[inPort].SendPFC(true, ClassData)
+		// A packet from this ingress that is serializing right now may be
+		// the one whose release sends RESUME: it must settle on time.
+		for _, r := range s.releases[s.relHead:] {
+			if int(r.inPort) == inPort {
+				s.ports[r.outPort].watchDeparture()
+			}
+		}
 	}
 }
 
-// released is the per-port departure hook: free shared buffer, release
-// ingress accounting, and send RESUME when occupancy falls far enough.
-func (s *Switch) released(pkt *Packet, inPort int) {
+// departing is called by egress port out at the start of a transmission
+// that ends at time at. It records the release of the packet's buffer and
+// reports whether the port must end the transmission with an event: while
+// PAUSE is out on the packet's ingress, its release may be the one that
+// sends RESUME, and RESUME leaves at the nanosecond the packet does.
+func (s *Switch) departing(out int, pkt *Packet, inPort int, at eventsim.Time) bool {
 	if pkt.Class != ClassData || inPort < 0 {
-		return
+		return false
 	}
-	wire := int64(pkt.WireBytes)
-	s.totalUsed -= wire
-	s.ingressBytes[inPort] -= wire
-	if s.pauseSent[inPort] {
-		thr := s.pauseThreshold() - s.cfg.PFCResumeOffset
-		if thr < 0 {
-			thr = 0
+	// Insert by due time. A transmission that starts later almost always
+	// ends later, so the walk back from the tail is short.
+	i := len(s.releases)
+	s.releases = append(s.releases, release{})
+	for ; i > s.relHead && s.releases[i-1].at > at; i-- {
+		s.releases[i] = s.releases[i-1]
+	}
+	s.releases[i] = release{at: at, wire: int32(pkt.WireBytes), inPort: int16(inPort), outPort: int16(out)}
+	return s.pauseSent[inPort]
+}
+
+// settle applies every release due by now, in due order: free shared
+// buffer, release ingress accounting, and send RESUME when occupancy falls
+// far enough.
+func (s *Switch) settle() {
+	now := s.eng.Now()
+	for s.relHead < len(s.releases) && s.releases[s.relHead].at <= now {
+		r := s.releases[s.relHead]
+		s.relHead++
+		wire, inPort := int64(r.wire), int(r.inPort)
+		s.totalUsed -= wire
+		s.ingressBytes[inPort] -= wire
+		if s.pauseSent[inPort] {
+			thr := s.pauseThreshold() - s.cfg.PFCResumeOffset
+			if thr < 0 {
+				thr = 0
+			}
+			if s.ingressBytes[inPort] <= thr {
+				s.pauseSent[inPort] = false
+				s.ports[inPort].SendPFC(false, ClassData)
+			}
 		}
-		if s.ingressBytes[inPort] <= thr {
-			s.pauseSent[inPort] = false
-			s.ports[inPort].SendPFC(false, ClassData)
-		}
+	}
+	if s.relHead == len(s.releases) {
+		s.releases, s.relHead = s.releases[:0], 0
+	} else if s.relHead >= 64 {
+		// A busy switch always has a release pending: reclaim the head.
+		s.releases = s.releases[:copy(s.releases, s.releases[s.relHead:])]
+		s.relHead = 0
 	}
 }
 

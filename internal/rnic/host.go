@@ -96,6 +96,11 @@ type Host struct {
 	// signal).
 	markedInbound map[uint64]bool
 
+	// dstSeen and dstList are scratch for walking the distinct
+	// destinations of sendFlows (probe ticks, ActiveDestinations).
+	dstSeen map[topology.NodeID]bool
+	dstList []topology.NodeID
+
 	// reportedSent tracks how many bytes of each flow TakeFlowBytes has
 	// already reported; finishedUnreported holds residue of flows that
 	// completed between takes. Together they realize the §V "per-QP
@@ -132,11 +137,11 @@ func NewHostSeeded(eng, seedSrc *eventsim.Engine, topo *topology.Topology, node 
 		rx:                 map[uint64]*recvFlow{},
 		onComplete:         onComplete,
 		markedInbound:      map[uint64]bool{},
+		dstSeen:            map[topology.NodeID]bool{},
 		reportedSent:       map[uint64]int64{},
 		finishedUnreported: map[uint64]int64{},
 	}
 	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, seedSrc.Rand())
-	h.port.SetOnDeparted(func(pkt *netdev.Packet, inPort int) { h.schedule() })
 	h.port.SetOnResume(func(class int) { h.schedule() })
 	h.timerFn = func() { h.schedule() }
 	h.probeFn = func() {
@@ -207,32 +212,41 @@ func (h *Host) ExpectFlow(id uint64, src topology.NodeID, size int64, start even
 	h.rx[id] = &recvFlow{src: src, expected: size, start: start, np: dcqcn.NewNP(h.params)}
 }
 
-// schedule is the QP arbiter: when the uplink is idle and unpaused, the
-// active flow with the earliest pacing deadline transmits one packet;
-// otherwise a wakeup is armed for the earliest deadline.
+// schedule is the QP arbiter: while the uplink is free and unpaused, the
+// active flow with the earliest pacing deadline transmits one packet; then
+// the one pacing wakeup is armed for the later of the next deadline and the
+// moment the uplink frees. The port therefore never tells the RNIC that a
+// packet has left, and never holds two of its data packets.
 func (h *Host) schedule() {
-	if h.port.Busy() || h.port.Paused(netdev.ClassData) {
-		return
-	}
-	var best *SendFlow
-	for _, f := range h.sendFlows {
-		if best == nil || f.nextSend < best.nextSend {
-			best = f
+	for !h.port.Paused(netdev.ClassData) {
+		var best *SendFlow
+		for _, f := range h.sendFlows {
+			if best == nil || f.nextSend < best.nextSend {
+				best = f
+			}
 		}
-	}
-	if best == nil {
+		if best == nil {
+			return
+		}
+		at, now := best.nextSend, h.eng.Now()
+		if free := h.port.BusyUntil(); at < free {
+			at = free
+		}
+		if at <= now {
+			if !h.port.Busy() {
+				h.sendPacket(best)
+				continue
+			}
+			// The uplink's own serialization-done event is still pending
+			// this nanosecond and may start a queued control or probe
+			// packet: look again right behind it.
+			at = now
+		}
+		// Retarget the wakeup in place when it is still armed (one O(1)
+		// wheel reschedule); arm afresh when it just fired.
+		h.timerEv = h.eng.RearmAt(h.timerEv, at, h.timerFn)
 		return
 	}
-	now := h.eng.Now()
-	if best.nextSend <= now {
-		h.sendPacket(best)
-		return
-	}
-	// Retarget the pacing wakeup in place: when a wakeup is still armed
-	// this replaces the historical Cancel+Schedule pair with one O(1)
-	// wheel reschedule; when the wakeup just fired (its id is stale) it
-	// arms afresh. Both consume one sequence number, exactly like before.
-	h.timerEv = h.eng.RearmAt(h.timerEv, best.nextSend, h.timerFn)
 }
 
 func (h *Host) sendPacket(f *SendFlow) {
@@ -357,12 +371,12 @@ func (h *Host) armProbe() {
 }
 
 func (h *Host) sendProbes() {
-	seen := map[topology.NodeID]bool{}
+	clear(h.dstSeen)
 	for _, f := range h.sendFlows {
-		if seen[f.Dst] {
+		if h.dstSeen[f.Dst] {
 			continue
 		}
-		seen[f.Dst] = true
+		h.dstSeen[f.Dst] = true
 		probe := h.pool.Get()
 		probe.Kind, probe.Class = netdev.KindProbe, netdev.ClassData
 		probe.WireBytes = netdev.CtrlFrameBytes
@@ -387,9 +401,7 @@ func (h *Host) TakeRTT() (sumNorm float64, count int64) {
 // is the NP-side incast-scale estimate DCQCN+ keys its CNP interval on.
 func (h *Host) TakeCongestedInbound() int {
 	n := len(h.markedInbound)
-	if n > 0 {
-		h.markedInbound = map[uint64]bool{}
-	}
+	clear(h.markedInbound)
 	return n
 }
 
@@ -410,9 +422,7 @@ func (h *Host) TakeFlowBytes() []FlowBytes {
 	for id, b := range h.finishedUnreported {
 		out = append(out, FlowBytes{Flow: id, Bytes: b})
 	}
-	if len(h.finishedUnreported) > 0 {
-		h.finishedUnreported = map[uint64]int64{}
-	}
+	clear(h.finishedUnreported)
 	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
 	return out
 }
@@ -424,15 +434,16 @@ type FlowBytes struct {
 }
 
 // ActiveDestinations lists the distinct destinations of in-progress
-// sending flows, in first-flow order.
+// sending flows, in first-flow order. The slice is the host's scratch: it
+// is valid until the next call.
 func (h *Host) ActiveDestinations() []topology.NodeID {
-	seen := map[topology.NodeID]bool{}
-	var out []topology.NodeID
+	clear(h.dstSeen)
+	h.dstList = h.dstList[:0]
 	for _, f := range h.sendFlows {
-		if !seen[f.Dst] {
-			seen[f.Dst] = true
-			out = append(out, f.Dst)
+		if !h.dstSeen[f.Dst] {
+			h.dstSeen[f.Dst] = true
+			h.dstList = append(h.dstList, f.Dst)
 		}
 	}
-	return out
+	return h.dstList
 }

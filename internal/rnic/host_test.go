@@ -12,12 +12,15 @@ import (
 // pipe is a stand-in ToR that relays every non-PFC packet to the other
 // host instantly, recording what it saw.
 type pipe struct {
+	eng   *eventsim.Engine
 	hosts [2]*Host
 	seen  []*netdev.Packet
+	at    []eventsim.Time // arrival time of each packet in seen
 }
 
 func (p *pipe) Receive(pkt *netdev.Packet, inPort int) {
 	p.seen = append(p.seen, pkt)
+	p.at = append(p.at, p.eng.Now())
 	if pkt.Kind == netdev.KindPFC {
 		return
 	}
@@ -47,7 +50,8 @@ func newRig(t *testing.T, p dcqcn.Params) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{eng: eventsim.NewEngine(11), topo: topo, params: &p, relay: &pipe{}}
+	eng := eventsim.NewEngine(11)
+	r := &rig{eng: eng, topo: topo, params: &p, relay: &pipe{eng: eng}}
 	onDone := func(id uint64, src, dst topology.NodeID, size int64, start, end eventsim.Time) {
 		r.done = append(r.done, id)
 	}
@@ -311,4 +315,66 @@ func TestHostRequiresHostNode(t *testing.T) {
 	}()
 	p := dcqcn.DefaultParams()
 	NewHost(r.eng, r.topo, r.topo.ToRs()[0], func() *dcqcn.Params { return &p }, nil)
+}
+
+// TestWakeupFollowsUplinkPastControlFrame: the RNIC hears nothing when a
+// packet leaves its uplink; it wakes at the later of its pacing deadline and
+// the uplink's BusyUntil. A CNP queued behind a data packet moves that
+// moment, and the next data packet starts exactly when the CNP has left.
+func TestWakeupFollowsUplinkPastControlFrame(t *testing.T) {
+	r := newRig(t, dcqcn.DefaultParams())
+	a, b := r.hosts[0], r.hosts[1]
+	a.StartFlow(1, b.NodeID(), 1<<20) // line rate: 1048 B every 8384 ns at 1 Gbps
+	r.eng.Schedule(2*eventsim.Microsecond, func() {
+		marked := netdev.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
+		marked.ECNMarked = true
+		a.Receive(marked, 0) // a answers with a CNP while its first packet serializes
+	})
+	r.eng.RunUntil(30 * eventsim.Microsecond)
+	const ser, cnpSer, prop = 8384, 512, 1000
+	want := []struct {
+		kind netdev.Kind
+		at   eventsim.Time
+	}{
+		{netdev.KindData, ser + prop},
+		{netdev.KindCNP, ser + cnpSer + prop},
+		{netdev.KindData, ser + cnpSer + ser + prop},
+		{netdev.KindData, ser + cnpSer + 2*ser + prop},
+	}
+	if len(r.relay.seen) < len(want) {
+		t.Fatalf("relay saw %d packets, want at least %d", len(r.relay.seen), len(want))
+	}
+	for i, w := range want {
+		if got := r.relay.seen[i]; got.Kind != w.kind || r.relay.at[i] != w.at {
+			t.Errorf("arrival %d: %v at %d ns, want %v at %d ns", i, got.Kind, r.relay.at[i], w.kind, w.at)
+		}
+	}
+}
+
+// TestUplinkNeverHoldsTwoDataPackets: control frames and probes interleave
+// with a line-rate flow for a long time; because the RNIC sends only into a
+// free uplink, its data queue never holds a data packet (a probe at most),
+// however many control frames have gone out.
+func TestUplinkNeverHoldsTwoDataPackets(t *testing.T) {
+	p := dcqcn.DefaultParams()
+	p.MinTimeBetweenCNPs = 0
+	r := newRig(t, p)
+	a, b := r.hosts[0], r.hosts[1]
+	a.StartFlow(1, b.NodeID(), 1<<30)
+	a.StartProbing(20 * eventsim.Microsecond)
+	for i := 1; i <= 200; i++ {
+		r.eng.Schedule(eventsim.Time(i)*5*eventsim.Microsecond, func() {
+			marked := netdev.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
+			marked.ECNMarked = true
+			a.Receive(marked, 0)
+		})
+	}
+	for r.eng.Now() < 2*eventsim.Millisecond && r.eng.Step() {
+		if q := a.Port().QueueBytes(netdev.ClassData); q > 2*netdev.CtrlFrameBytes {
+			t.Fatalf("at %v the uplink data queue holds %d bytes", r.eng.Now(), q)
+		}
+	}
+	if a.Stats.CNPsSent < 100 || a.Stats.ProbesSent == 0 {
+		t.Fatalf("scenario did not interleave control traffic (CNPs %d, probes %d)", a.Stats.CNPsSent, a.Stats.ProbesSent)
+	}
 }

@@ -488,8 +488,28 @@ func (n *Network) PacketPools() []*netdev.PacketPool {
 	return []*netdev.PacketPool{n.pool}
 }
 
+// PortTotals sums, over every egress port of the fabric, the packets
+// transmitted and the transmissions that needed a serialization timer
+// (netdev.PortStats.TxTimers). Events per transmission is the engine's
+// Processed over the first; an uncongested hop costs one event, not two.
+func (n *Network) PortTotals() (transmissions, txTimers int64) {
+	add := func(st *netdev.PortStats) {
+		transmissions += st.TxPackets
+		txTimers += st.TxTimers
+	}
+	for _, sw := range n.Switches {
+		for i := 0; i < sw.NumPorts(); i++ {
+			add(&sw.Port(i).Stats)
+		}
+	}
+	for _, h := range n.Hosts {
+		add(&h.Port().Stats)
+	}
+	return transmissions, txTimers
+}
+
 // PacketsInNetwork counts packets currently alive in the fabric: queued
-// at a port, mid-serialization, crossing a wire, or held by the shard
+// at a port, on a wire (serializing or propagating), or held by the shard
 // handoff machinery. Every such packet came from a pool Get and has not
 // yet been Put.
 func (n *Network) PacketsInNetwork() int {
@@ -510,8 +530,10 @@ func (n *Network) PacketsInNetwork() int {
 // packet a pool handed out (Fresh + Recycled) is either back in a pool
 // (Puts) or still visible somewhere in the fabric. A violation means some
 // path sank a packet without returning it — the slab would grow without
-// bound over a long chaos run. Call it while the network is quiescent
-// (between Run calls).
+// bound over a long chaos run. On a drained fabric — no packet anywhere —
+// it also requires every switch to account zero buffered bytes, in total
+// and per ingress: a release applied twice or never shows up here. Call it
+// while the network is quiescent (between Run calls).
 func (n *Network) CheckPoolInvariant() error {
 	var fresh, recycled, puts int64
 	for _, p := range n.PacketPools() {
@@ -523,6 +545,19 @@ func (n *Network) CheckPoolInvariant() error {
 	if fresh+recycled != puts+inFlight {
 		return fmt.Errorf("sim: packet pool leak: Fresh(%d)+Recycled(%d) = %d gets, but Puts(%d)+inFlight(%d) = %d",
 			fresh, recycled, fresh+recycled, puts, inFlight, puts+inFlight)
+	}
+	if inFlight != 0 {
+		return nil
+	}
+	for _, sw := range n.Switches {
+		if used := sw.BufferUsed(); used != 0 {
+			return fmt.Errorf("sim: switch %d accounts %d buffered bytes on a drained fabric", sw.NodeID(), used)
+		}
+		for i := 0; i < sw.NumPorts(); i++ {
+			if b := sw.IngressBytes(i); b != 0 {
+				return fmt.Errorf("sim: switch %d ingress %d accounts %d bytes on a drained fabric", sw.NodeID(), i, b)
+			}
+		}
 	}
 	return nil
 }

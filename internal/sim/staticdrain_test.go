@@ -1,0 +1,85 @@
+package sim_test
+
+import (
+	"hash/fnv"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/eventsim"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// staticDrainDigest drains a fixed random trace on a tors×leaves×perToR
+// CLOS with static parameters and ECN off (thresholds no queue reaches),
+// and returns the FNV-1a digest of the flow records sorted by ID.
+func staticDrainDigest(t *testing.T, tors, leaves, perToR, flowsPerHost int) uint64 {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.ClosConfig{
+		NumToR: tors, NumLeaf: leaves, HostsPerToR: perToR,
+		HostLinkBps: 100e9, FabricLinkBps: 400e9,
+		PropDelay: 2 * eventsim.Microsecond,
+	}
+	cfg.Params.KminBytes = 1 << 40
+	cfg.Params.KmaxBytes = 2 << 40
+	cfg.Seed = 11
+	n, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	hosts := n.Topo.Hosts()
+	flows := len(hosts) * flowsPerHost
+	for i := 0; i < flows; i++ {
+		src := hosts[i%len(hosts)]
+		dst := hosts[rng.Intn(len(hosts))]
+		for dst == src {
+			dst = hosts[rng.Intn(len(hosts))]
+		}
+		at := eventsim.Time(rng.Int63n(int64(200 * eventsim.Microsecond)))
+		n.StartFlowAt(at, src, dst, int64(1000+rng.Intn(300_000)))
+	}
+	n.RunUntilIdle(eventsim.Second)
+	if len(n.Completed) != flows {
+		t.Fatalf("%d of %d flows completed", len(n.Completed), flows)
+	}
+	if err := n.CheckPoolInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	recs := append([]sim.FlowRecord(nil), n.Completed...)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	h := fnv.New64a()
+	var word [8]byte
+	for _, r := range recs {
+		for _, v := range []uint64{r.ID, uint64(r.Src), uint64(r.Dst), uint64(r.Size), uint64(r.Start), uint64(r.End)} {
+			for b := range word {
+				word[b] = byte(v >> (8 * b))
+			}
+			h.Write(word[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestStaticDrainRecordsMatchParent pins the physics of the data plane:
+// with static parameters and no ECN marks nothing consumes randomness, so
+// every flow's start and end nanosecond is a function of serialization,
+// propagation and queueing alone. The digests were taken at the commit
+// before ports stopped arming a serialization timer per packet; a change
+// to how events are scheduled must not move them.
+func TestStaticDrainRecordsMatchParent(t *testing.T) {
+	for _, tc := range []struct {
+		tors, leaves, perToR, flowsPerHost int
+		want                               uint64
+	}{
+		{4, 2, 4, 6, 0x7686f7fca2ab06b1},
+		{16, 4, 8, 4, 0xb8c7e78dde78e867},
+	} {
+		got := staticDrainDigest(t, tc.tors, tc.leaves, tc.perToR, tc.flowsPerHost)
+		if got != tc.want {
+			t.Errorf("%d×%d×%d drain digest %#016x, want %#016x", tc.tors, tc.leaves, tc.perToR, got, tc.want)
+		}
+	}
+}

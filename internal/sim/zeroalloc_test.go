@@ -17,7 +17,13 @@ import (
 // PFC frames, probe replies, timer re-arms, sketch inserts) that still
 // allocates per event.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	testSteadyStateZeroAlloc(t, sim.DefaultConfig())
+	testSteadyStateZeroAlloc(t, sim.DefaultConfig(), 0)
+}
+
+// With RTT probing on, every host also walks its destinations per probe
+// tick and answers probes; those paths keep host-owned scratch.
+func TestSteadyStateZeroAllocProbing(t *testing.T) {
+	testSteadyStateZeroAlloc(t, sim.DefaultConfig(), 100*eventsim.Microsecond)
 }
 
 // The suppressed variant additionally covers the park/unpark paths: CNPs
@@ -26,10 +32,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 func TestSteadyStateZeroAllocSuppressed(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.SuppressQuiescentTimers = true
-	testSteadyStateZeroAlloc(t, cfg)
+	testSteadyStateZeroAlloc(t, cfg, 0)
 }
 
-func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config) {
+func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config, probeEvery eventsim.Time) {
 	n, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +53,11 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config) {
 	hosts := n.Topo.Hosts()
 	for i := 0; i < 3; i++ {
 		n.StartFlow(hosts[i], hosts[4], 1<<40)
+	}
+	if probeEvery > 0 {
+		for _, h := range n.Hosts {
+			h.StartProbing(probeEvery)
+		}
 	}
 	// Warm up past slow start into the congested steady state: slabs,
 	// queues, pool, and delivery slots all reach their high-water marks.
@@ -66,5 +77,8 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config) {
 	}
 	if n.PacketPool().Recycled == 0 {
 		t.Fatal("packet pool never recycled")
+	}
+	if probeEvery > 0 && n.Hosts[0].Stats.RTTSamples == 0 {
+		t.Fatal("probing arm took no RTT sample")
 	}
 }

@@ -249,6 +249,11 @@ type EngineMetrics struct {
 	WallNs      *Counter
 	VirtualNs   *Counter
 	PeakPending *Gauge // largest single-run high-water mark
+	// Transmissions counts packets put on a wire by any egress port;
+	// TxTimers counts those that needed a serialization-done event on top
+	// of the delivery (netdev.PortStats.TxTimers).
+	Transmissions *Counter
+	TxTimers      *Counter
 }
 
 // Engine metric names, shared with Report's derived summary.
@@ -257,6 +262,8 @@ const (
 	engineRelinks   = "paraleon_engine_relinks_total"
 	engineWallNs    = "paraleon_engine_wall_ns_total"
 	engineVirtualNs = "paraleon_engine_virtual_ns_total"
+	portTx          = "paraleon_port_transmissions_total"
+	portTxTimers    = "paraleon_port_tx_timers_total"
 )
 
 // NewEngineMetrics resolves the engine family set from r.
@@ -267,6 +274,9 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		WallNs:      r.Counter(engineWallNs, "Host nanoseconds spent running simulation engines, summed over runs."),
 		VirtualNs:   r.Counter(engineVirtualNs, "Virtual nanoseconds simulated, summed over runs."),
 		PeakPending: r.Gauge("paraleon_engine_peak_pending", "Largest pending-event high-water mark of any run."),
+
+		Transmissions: r.Counter(portTx, "Packets put on a wire by egress ports, summed over runs."),
+		TxTimers:      r.Counter(portTxTimers, "Transmissions that needed a serialization-done event besides the delivery."),
 	}
 }
 

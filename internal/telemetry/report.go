@@ -86,6 +86,11 @@ func (rep Report) Fprint(w io.Writer) {
 	if events, wall, virt := rep.value(engineEvents), rep.value(engineWallNs), rep.value(engineVirtualNs); events > 0 && wall > 0 && virt > 0 {
 		fmt.Fprintf(w, "  engine: %.0f events, %.4g events/s, %.4g wall-s per virtual-ms, %.3f relinks/event\n",
 			events, events/(wall/1e9), (wall/1e9)/(virt/1e6), rep.value(engineRelinks)/events)
+		if tx := rep.value(portTx); tx > 0 {
+			timers := rep.value(portTxTimers)
+			fmt.Fprintf(w, "  ports: %.0f transmissions, %.0f serialization timers (%.1f %%), %.3f events per transmission\n",
+				tx, timers, 100*timers/tx, events/tx)
+		}
 	}
 	for _, m := range rep.Metrics {
 		switch m.Type {
