@@ -390,11 +390,13 @@ func (p *EgressPort) kick() {
 // eligible picks the class to serve next — control first, then unpaused
 // data — or -1 when nothing can go. A down link serves nothing.
 func (p *EgressPort) eligible() int {
-	switch {
-	case !p.up:
-	case !p.paused[ClassCtrl] && !p.queues[ClassCtrl].empty():
+	if !p.up {
+		return -1
+	}
+	if !p.paused[ClassCtrl] && !p.queues[ClassCtrl].empty() {
 		return ClassCtrl
-	case !p.paused[ClassData] && !p.queues[ClassData].empty():
+	}
+	if !p.paused[ClassData] && !p.queues[ClassData].empty() {
 		return ClassData
 	}
 	return -1

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
@@ -51,14 +52,8 @@ func staticDrainDigest(t *testing.T, tors, leaves, perToR, flowsPerHost int) uin
 	recs := append([]sim.FlowRecord(nil), n.Completed...)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	h := fnv.New64a()
-	var word [8]byte
 	for _, r := range recs {
-		for _, v := range []uint64{r.ID, uint64(r.Src), uint64(r.Dst), uint64(r.Size), uint64(r.Start), uint64(r.End)} {
-			for b := range word {
-				word[b] = byte(v >> (8 * b))
-			}
-			h.Write(word[:])
-		}
+		fmt.Fprintln(h, recordKey(r))
 	}
 	return h.Sum64()
 }
@@ -74,8 +69,8 @@ func TestStaticDrainRecordsMatchParent(t *testing.T) {
 		tors, leaves, perToR, flowsPerHost int
 		want                               uint64
 	}{
-		{4, 2, 4, 6, 0x7686f7fca2ab06b1},
-		{16, 4, 8, 4, 0xb8c7e78dde78e867},
+		{4, 2, 4, 6, 0xfb335dc52763ce7e},
+		{16, 4, 8, 4, 0x7b6c4df921c6e380},
 	} {
 		got := staticDrainDigest(t, tc.tors, tc.leaves, tc.perToR, tc.flowsPerHost)
 		if got != tc.want {
