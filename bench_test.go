@@ -10,10 +10,8 @@ package paraleon
 // EXPERIMENTS.md records the paper-vs-measured comparison for each.
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -512,77 +510,6 @@ func BenchmarkEngineThroughputTimerHeavy(b *testing.B) {
 	}
 	b.Run("wheel", func(b *testing.B) { run(b, false) })
 	b.Run("wheel+suppress", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkShardedThroughput measures the multi-core win from sharded
-// execution: the same pre-scheduled workload on a 16-pod fabric, run on a
-// single engine shard and then spread across engine shards pinned by the
-// determinism contract (identical results at every shard count — see
-// internal/sim/sharded_test.go). Traffic is mostly pod-local so shards
-// spend their windows working rather than waiting at the handoff barrier;
-// the cross-pod fraction keeps every leaf link busy. events/sec is the
-// headline: the sharded/1-shard ratio is the speedup.
-func BenchmarkShardedThroughput(b *testing.B) {
-	run := func(b *testing.B, shards int, timerHeavy bool) {
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			cfg := sim.DefaultConfig()
-			cfg.Clos = topology.ClosConfig{
-				NumToR: 16, NumLeaf: 4, HostsPerToR: 8,
-				HostLinkBps: 10e9, FabricLinkBps: 40e9,
-				PropDelay: 2 * eventsim.Microsecond,
-			}
-			flowBytes := int64(512 << 10)
-			if timerHeavy {
-				// Slow links stretch the same flows over ~80 ms of virtual
-				// time, so the recurring DCQCN timers (alpha every 55 µs,
-				// increase every 300 µs, per QP) outnumber packet events —
-				// the inverse of the packet-dominated default. This is the
-				// sharded analogue of EngineThroughputTimerHeavy: every
-				// shard engine runs its own timing wheel.
-				cfg.Clos.HostLinkBps = 100e6
-				cfg.Clos.FabricLinkBps = 400e6
-				flowBytes = 256 << 10
-			}
-			cfg.Shards = shards
-			n, err := sim.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hosts := n.Topo.Hosts()
-			per := 8 // hosts per pod
-			rng := rand.New(rand.NewSource(11))
-			for h, src := range hosts {
-				pod := h / per
-				for f := 0; f < 4; f++ {
-					// 3 of 4 flows stay inside the pod; the rest cross it.
-					dst := pod*per + rng.Intn(per)
-					if f == 3 {
-						dst = rng.Intn(len(hosts))
-					}
-					for hosts[dst] == src {
-						dst = (dst + 1) % len(hosts)
-					}
-					at := eventsim.Time(rng.Int63n(int64(eventsim.Millisecond)))
-					n.StartFlowAt(at, src, hosts[dst], flowBytes)
-				}
-			}
-			n.RunUntilIdle(eventsim.Second)
-			if n.ActiveFlows() != 0 {
-				b.Fatalf("shards=%d: flows never drained", shards)
-			}
-			events += n.EventsProcessed()
-		}
-		b.ReportMetric(float64(events)/float64(b.N), "events/run")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	}
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { run(b, shards, false) })
-	}
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("timer/shards=%d", shards), func(b *testing.B) { run(b, shards, true) })
-	}
 }
 
 // --- Extensions beyond the paper's evaluation ---

@@ -332,7 +332,6 @@ func main() {
 	csv := flag.String("csv", "", "directory for CSV series output (timeline/CDF experiments)")
 	workers := flag.Int("workers", 0, "experiment arms run in parallel (0 = all CPUs, 1 = sequential)")
 	progress := flag.Bool("progress", false, "print per-arm completion progress to stderr")
-	shards := flag.Int("shards", 0, "run the fabric sharded across this many engines (0 = single-engine; clamped to the ToR count)")
 	tunerName := flag.String("tuner", "", "tuning strategy for Paraleon arms: "+strings.Join(tuner.Names(), " | ")+" (default sa)")
 	seed := flag.Int64("chaos-seed", 1, "fault scenario seed for chaos-* experiments")
 	ctrace := flag.String("chaos-trace", "", "file for the chaos experiments' JSONL event trace")
@@ -424,17 +423,21 @@ func main() {
 		os.Exit(2)
 	}
 	scale.Workers = *workers
-	scale.Net.Shards = *shards
 	scale.Net.Tuner = *tunerName
-	if *progress {
-		scale.Progress = func(st harness.ArmStatus) {
-			status := "ok"
-			if st.Err != nil {
-				status = "FAILED"
-			}
-			fmt.Fprintf(os.Stderr, "  arm %d/%d (%s) %s in %v\n",
-				st.Done, st.Total, st.Scheme, status, st.Wall.Round(time.Millisecond))
+	scale.Progress = func(st harness.ArmStatus) {
+		if st.Incomplete > 0 {
+			fmt.Fprintf(os.Stderr, "  arm %d (%s): %d flows without a completion record when the run ended; the FCT tables lack them\n",
+				st.Index, st.Scheme, st.Incomplete)
 		}
+		if !*progress {
+			return
+		}
+		status := "ok"
+		if st.Err != nil {
+			status = "FAILED"
+		}
+		fmt.Fprintf(os.Stderr, "  arm %d/%d (%s) %s in %v\n",
+			st.Done, st.Total, st.Scheme, status, st.Wall.Round(time.Millisecond))
 	}
 	h := eventsim.Time(horizon.Nanoseconds())
 

@@ -9,16 +9,16 @@ import (
 
 // This file holds the ordering oracle for the production Engine: a
 // container/heap scheduler that shares no code with the timing wheel and
-// states the contract directly — events fire in (at, key, seq) order, a
-// rearm consumes exactly one sequence number whether its target is live or
-// stale, RunUntil is inclusive, RunBefore exclusive. The differential
-// tests here and in wheel_test.go drive both side by side on identical
-// scripts and require identical pop streams. The harness-level
-// TestChaosTraceGolden extends this to a full seeded chaos experiment.
+// states the contract directly — events fire in (at, seq) order, seq being
+// an explicit insertion counter the wheel does without; a rearm takes a
+// fresh seq whether its target is live or stale; RunUntil is inclusive.
+// The differential tests here and in wheel_test.go drive both side by side
+// on identical scripts and require identical pop streams. The
+// harness-level TestChaosTraceGolden extends this to a full seeded chaos
+// experiment.
 
 type refEvent struct {
 	at    Time
-	key   uint64
 	seq   uint64
 	fn    Handler
 	index int // position in the heap, -1 once fired or cancelled
@@ -30,9 +30,6 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
 	}
 	return h[i].seq < h[j].seq
 }
@@ -63,11 +60,11 @@ type refEngine struct {
 	processed uint64
 }
 
-func (e *refEngine) schedule(at Time, key uint64, fn Handler) *refEvent {
+func (e *refEngine) schedule(at Time, fn Handler) *refEvent {
 	if at < e.now {
 		panic("ref: schedule in the past")
 	}
-	ev := &refEvent{at: at, key: key, seq: e.seq, fn: fn}
+	ev := &refEvent{at: at, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.heap, ev)
 	return ev
@@ -79,16 +76,16 @@ func (e *refEngine) cancel(ev *refEvent) {
 	}
 }
 
-// rearmAt moves a live event in place (same handle, key 0, fresh seq) and
+// rearmAt moves a live event in place (same handle, fresh seq) and
 // schedules afresh for a stale or nil one.
 func (e *refEngine) rearmAt(ev *refEvent, at Time, fn Handler) *refEvent {
 	if ev == nil || ev.index < 0 {
-		return e.schedule(at, 0, fn)
+		return e.schedule(at, fn)
 	}
 	if at < e.now {
 		panic("ref: rearm in the past")
 	}
-	ev.at, ev.key, ev.seq, ev.fn = at, 0, e.seq, fn
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.seq++
 	heap.Fix(&e.heap, ev.index)
 	return ev
@@ -123,15 +120,6 @@ func (e *refEngine) runUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-func (e *refEngine) runBefore(horizon Time) {
-	for len(e.heap) > 0 && e.heap[0].at < horizon {
-		e.step()
-	}
-	if e.now < horizon {
-		e.now = horizon
 	}
 }
 
@@ -178,7 +166,7 @@ func TestPooledEngineMatchesOldOrderSemantics(t *testing.T) {
 		var refEvs []*refEvent
 		refLog := abWorkload(seed,
 			func(at Time, fn Handler) int {
-				refEvs = append(refEvs, ref.schedule(ref.now+at, 0, fn))
+				refEvs = append(refEvs, ref.schedule(ref.now+at, fn))
 				return len(refEvs) - 1
 			},
 			func(h int) { ref.cancel(refEvs[h]) },

@@ -6,9 +6,7 @@
 // The engine is deliberately single-threaded: determinism matters more than
 // parallelism for a congestion-control study, where a one-packet reordering
 // changes every downstream measurement. Parallelism comes from running
-// several engines side by side — see the shard subpackage, which
-// synchronizes one engine per fabric partition under conservative time
-// windows without giving up the same-seed-same-trace contract.
+// independent simulations side by side, one engine each (harness.RunAll).
 //
 // Events live in a slab whose slots are recycled through an intrusive
 // free-list, so the steady state allocates nothing. Cancellation is safe
@@ -18,9 +16,11 @@
 //
 // # Event order
 //
-// Events fire in (at, key, seq) order: time, then the optional structural
-// key of ScheduleKeyed, then scheduling sequence. The queue that realizes
-// this order is one hierarchical timing wheel of 11 levels × 64 slots. A
+// Events fire in (time, insertion order): earlier timestamps first, and
+// among events of one timestamp the one armed first (Schedule, After,
+// TimerAfter, or a Rearm, which counts as a fresh insertion). No field
+// records that order; position in a wheel list is the order. The queue that
+// realizes it is one hierarchical timing wheel of 11 levels × 64 slots. A
 // level-l slot is 64^l ns wide, so a level-0 slot is one nanosecond — one
 // exact timestamp — and 11 levels span every non-negative int64 time. No
 // comparator-driven structure exists beside it. Why the wheel alone yields
@@ -36,27 +36,23 @@
 //     is its earliest slot, and every event of level l precedes every
 //     event of level l+1.
 //   - Level 0 holds events whose time differs from the cursor in the last
-//     digit only. Each slot list there is one timestamp, kept sorted by
-//     (key, seq): an insert walks back from the tail past larger keys —
-//     one comparison when keys are all zero. It never needs to look at
-//     seq, because events reach a level-0 list in seq order (next point).
-//     The head of the lowest occupied level-0 slot is therefore the
-//     engine's next event.
+//     digit only. Each slot list there is one timestamp, and events reach
+//     it in insertion order (next point), so appending at the tail keeps
+//     it in insertion order. The head of the lowest occupied level-0 slot
+//     is therefore the engine's next event.
 //   - Cascade. When level 0 is empty, the earliest slot of the lowest
 //     occupied level is the earliest pending range. The cursor moves to
 //     that slot's start and its events are refiled, landing one or more
-//     levels down. A newly armed event carries the largest seq so far and
-//     is appended to its list (at level 0, placed behind the last event
-//     whose key is not larger); a cascade only ever refiles into empty
-//     levels, in list order. So lists above level 0 are always in seq
-//     order, events reach level 0 in seq order, and a cascade costs one
-//     relink per event.
+//     levels down. A newly armed event is the latest insertion so far and
+//     is appended to its list; a cascade only ever refiles into empty
+//     levels, in list order. So every list is always in insertion order,
+//     and a cascade costs one relink per event.
 //   - Cursor ≤ limit. Moving the cursor within [cursor, start of the
 //     earliest occupied slot) changes no event's placement, and popping a
-//     level-0 event moves it to that event's time. RunUntil and RunBefore
-//     cascade a slot only when its start is within their limit, so the
-//     cursor never passes the clock they leave behind and a later Schedule
-//     at any at ≥ Now() is still ahead of it. NextEventTime moves nothing.
+//     level-0 event moves it to that event's time. RunUntil cascades a
+//     slot only when its start is within the deadline, so the cursor never
+//     passes the clock it leaves behind and a later Schedule at any
+//     at ≥ Now() is still ahead of it. NextEventTime moves nothing.
 package eventsim
 
 import (
@@ -100,22 +96,11 @@ func (t Time) String() string { return t.Duration().String() }
 type Handler func()
 
 // event is one slab slot: a scheduled callback plus the links that file it
-// in a wheel list and recycle the slot afterwards.
+// in a wheel list and recycle the slot afterwards. 32 bytes, so two share a
+// cache line (TestEventIs32Bytes).
 type event struct {
 	at Time
-	// key is an optional structural ordering key that ranks between at and
-	// seq. Events scheduled with plain Schedule carry key 0, so their
-	// relative order is pure (at, seq). Sharded simulations schedule link
-	// deliveries with a key derived from the sending (node, port, emission
-	// count), making same-timestamp arrival order a function of the traffic
-	// itself rather than of which engine scheduled it first; that is what
-	// keeps a run byte-identical across shard counts.
-	key uint64
-	// seq breaks ties between events scheduled for the same instant and
-	// key: earlier-scheduled events fire first, which keeps runs
-	// deterministic.
-	seq uint64
-	fn  Handler
+	fn Handler
 
 	// gen is the slot's generation; it increments every time the slot is
 	// released (fire or cancel), so EventIDs issued for earlier occupants
@@ -152,7 +137,6 @@ const (
 // NewEngine.
 type Engine struct {
 	now Time
-	seq uint64
 
 	// slots is the event slab; freeHead chains released slots (-1 = none).
 	slots    []event
@@ -223,22 +207,11 @@ func (e *Engine) Rand() *rand.Rand {
 // programming error and panics: silently reordering time corrupts every
 // queue model downstream.
 func (e *Engine) Schedule(at Time, fn Handler) EventID {
-	return e.ScheduleKeyed(at, 0, fn)
-}
-
-// ScheduleKeyed runs fn at absolute virtual time at, ordered among
-// same-timestamp events by key before insertion sequence. Key 0 (what
-// Schedule uses) sorts before all nonzero keys with the same timestamp,
-// preserving the historic (at, seq) order for unkeyed events. Nonzero keys
-// give same-timestamp events a structural total order that is independent
-// of which engine — or how many engines — scheduled them; the sharded
-// runtime relies on this for its determinism contract.
-func (e *Engine) ScheduleKeyed(at Time, key uint64, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
 	}
 	slot := e.alloc()
-	e.arm(slot, at, key, fn)
+	e.arm(slot, at, fn)
 	return EventID{slot: slot, gen: e.slots[slot].gen}
 }
 
@@ -257,9 +230,9 @@ func (e *Engine) TimerAfter(d Time, fn Handler) EventID { return e.After(d, fn) 
 // the Cancel + After pair with one reschedule-in-place: the event keeps
 // its slot and EventID. A stale id (the event fired, was cancelled, or was
 // never armed) schedules fn afresh, so callers can rearm unconditionally
-// from inside a timer's own handler. Either way exactly one sequence
-// number is consumed — the same as Cancel+After — so same-timestamp tie
-// order is that of the pair it replaces.
+// from inside a timer's own handler. Either way the event is filed as a
+// fresh insertion, so same-timestamp tie order is that of the Cancel+After
+// pair it replaces.
 func (e *Engine) RearmAfter(id EventID, d Time, fn Handler) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
@@ -275,7 +248,7 @@ func (e *Engine) RearmAt(id EventID, at Time, fn Handler) EventID {
 	if e.live(id) {
 		// The slot and generation survive, so id stays valid.
 		e.unlink(id.slot)
-		e.arm(id.slot, at, 0, fn)
+		e.arm(id.slot, at, fn)
 		return id
 	}
 	return e.Schedule(at, fn)
@@ -299,22 +272,19 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// arm fills an unfiled slot, stamps the next sequence number and files it.
+// arm fills an unfiled slot and files it.
 // This is the one place the cursor catches up with an idle clock: with
 // nothing pending it may sit anywhere, and at now it files near-term
 // events low. It must stay out of file, which a cascade also calls:
 // pulling the cursor back from the slot start while that slot's only
 // event is in hand would refile the event where it came from, forever.
-func (e *Engine) arm(slot int32, at Time, key uint64, fn Handler) {
+func (e *Engine) arm(slot int32, at Time, fn Handler) {
 	if e.pending == 0 {
 		e.cursor = e.now
 	}
 	ev := &e.slots[slot]
 	ev.at = at
-	ev.key = key
-	ev.seq = e.seq
 	ev.fn = fn
-	e.seq++
 	e.file(slot)
 	e.pending++
 	if e.pending > e.peak {
@@ -322,9 +292,8 @@ func (e *Engine) arm(slot int32, at Time, key uint64, fn Handler) {
 	}
 }
 
-// file links a filled slot into the wheel list its time selects relative
-// to the cursor: appended at levels above 0, sorted by (key, seq) at
-// level 0.
+// file appends a filled slot to the wheel list its time selects relative to
+// the cursor.
 func (e *Engine) file(slot int32) {
 	ev := &e.slots[slot]
 	lvl := uint(bits.Len64(uint64(ev.at^e.cursor)|1)-1) / wheelBits
@@ -338,29 +307,9 @@ func (e *Engine) file(slot int32) {
 		return
 	}
 	tail := e.tail[list]
-	after := tail
-	if lvl == 0 {
-		// ev has the largest seq to reach this list so far, so only
-		// larger keys sort behind it.
-		for after >= 0 && e.slots[after].key > ev.key {
-			after = e.slots[after].prev
-		}
-	}
-	ev.prev = after
-	switch {
-	case after == tail:
-		ev.next = -1
-		e.slots[tail].next = slot
-		e.tail[list] = slot
-		return
-	case after >= 0:
-		ev.next = e.slots[after].next
-		e.slots[after].next = slot
-	default:
-		ev.next = e.head[list]
-		e.head[list] = slot
-	}
-	e.slots[ev.next].prev = slot
+	ev.prev, ev.next = tail, -1
+	e.slots[tail].next = slot
+	e.tail[list] = slot
 }
 
 // unlink removes a pending event from its wheel list.
@@ -422,10 +371,11 @@ func (e *Engine) earliest() int {
 }
 
 // NextEventTime reports the timestamp of the earliest pending event, and
-// false when the queue is empty. The sharded coordinator uses it to size
-// conservative time windows (skip ahead when every shard is idle). It is
-// a pure read: a list above level 0 is scanned, not cascaded, because the
-// cursor must not pass a clock the caller may still schedule at.
+// false when the queue is empty. It is a pure read, for callers that want
+// to look ahead without running anything (the dcqcn suppression tests
+// check which grid point a woken timer re-armed at): a list above level 0
+// is scanned, not cascaded, because the cursor must not pass a clock the
+// caller may still schedule at.
 func (e *Engine) NextEventTime() (Time, bool) {
 	list := e.earliest()
 	if list < 0 {
@@ -510,18 +460,5 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// RunBefore executes events with timestamps strictly before horizon, then
-// advances the clock to exactly horizon. This is the window-execution
-// primitive of the sharded runtime: events at horizon itself stay queued,
-// so cross-shard arrivals landing exactly on a window boundary can still
-// be merged ahead of (or behind) them in structural-key order before the
-// next window runs.
-func (e *Engine) RunBefore(horizon Time) {
-	e.RunUntil(horizon - 1)
-	if e.now < horizon {
-		e.now = horizon
 	}
 }

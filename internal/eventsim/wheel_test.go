@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // queue is what a differential script needs from a scheduler. engQueue
@@ -13,20 +14,19 @@ import (
 // either side.
 type queue interface {
 	now() Time
-	schedule(via int, at Time, key uint64, fn Handler)
+	schedule(via int, at Time, fn Handler)
 	rearm(handle int, at Time, fn Handler) // handle -1 is the zero id
 	cancel(handle int)
 	handles() int
 	step() bool
 	runUntil(t Time)
-	runBefore(t Time)
 	nextEventTime() (Time, bool)
 	pending() int
 	processed() uint64
 }
 
-// Entry points an unkeyed schedule can take on the Engine; all must be the
-// same code path.
+// Entry points a schedule can take on the Engine; all must be the same code
+// path.
 const (
 	viaSchedule = iota
 	viaAfter
@@ -39,14 +39,12 @@ type engQueue struct {
 }
 
 func (q *engQueue) now() Time { return q.eng.Now() }
-func (q *engQueue) schedule(via int, at Time, key uint64, fn Handler) {
+func (q *engQueue) schedule(via int, at Time, fn Handler) {
 	var id EventID
-	switch {
-	case key != 0:
-		id = q.eng.ScheduleKeyed(at, key, fn)
-	case via == viaAfter:
+	switch via {
+	case viaAfter:
 		id = q.eng.After(at-q.eng.Now(), fn)
-	case via == viaTimerAfter:
+	case viaTimerAfter:
 		id = q.eng.TimerAfter(at-q.eng.Now(), fn)
 	default:
 		id = q.eng.Schedule(at, fn)
@@ -64,7 +62,6 @@ func (q *engQueue) cancel(handle int)           { q.eng.Cancel(q.ids[handle]) }
 func (q *engQueue) handles() int                { return len(q.ids) }
 func (q *engQueue) step() bool                  { return q.eng.Step() }
 func (q *engQueue) runUntil(t Time)             { q.eng.RunUntil(t) }
-func (q *engQueue) runBefore(t Time)            { q.eng.RunBefore(t) }
 func (q *engQueue) nextEventTime() (Time, bool) { return q.eng.NextEventTime() }
 func (q *engQueue) pending() int                { return q.eng.Pending() }
 func (q *engQueue) processed() uint64           { return q.eng.Processed }
@@ -75,8 +72,8 @@ type refQueue struct {
 }
 
 func (q *refQueue) now() Time { return q.ref.now }
-func (q *refQueue) schedule(_ int, at Time, key uint64, fn Handler) {
-	q.evs = append(q.evs, q.ref.schedule(at, key, fn))
+func (q *refQueue) schedule(_ int, at Time, fn Handler) {
+	q.evs = append(q.evs, q.ref.schedule(at, fn))
 }
 func (q *refQueue) rearm(handle int, at Time, fn Handler) {
 	var ev *refEvent
@@ -89,7 +86,6 @@ func (q *refQueue) cancel(handle int)           { q.ref.cancel(q.evs[handle]) }
 func (q *refQueue) handles() int                { return len(q.evs) }
 func (q *refQueue) step() bool                  { return q.ref.step() }
 func (q *refQueue) runUntil(t Time)             { q.ref.runUntil(t) }
-func (q *refQueue) runBefore(t Time)            { q.ref.runBefore(t) }
 func (q *refQueue) nextEventTime() (Time, bool) { return q.ref.nextEventTime() }
 func (q *refQueue) pending() int                { return len(q.ref.heap) }
 func (q *refQueue) processed() uint64           { return q.ref.processed }
@@ -107,15 +103,14 @@ type scriptRun struct {
 // the fuzz input; values are decoded modulo small ranges so every byte
 // string is a valid script.
 const (
-	opSchedule = iota // absolute, key 0
-	opKeyed           // nonzero key: cross-ordering at one timestamp
+	opSchedule = iota // absolute
 	opAfter           // relative, short
 	opTimer           // relative, spread from sub-slot to milliseconds
 	opRearm           // live-or-stale rearm
 	opCancel
 	opStepN // interleave: pop a few events mid-script
 	opSpawn // handler schedules a child at its own Now()
-	opIdle  // RunUntil / RunBefore across a gap, possibly with nothing due
+	opIdle  // RunUntil across a gap, possibly with nothing due
 	opFar   // delay up to 2^62 ns: the top wheel levels
 	opCount
 )
@@ -148,16 +143,13 @@ func (r *scriptRun) apply(script []byte) int {
 	switch op {
 	case opSchedule:
 		at := later(now, Time(a)*Microsecond/4)
-		r.q.schedule(viaSchedule, at, 0, func() { r.fire(tag, at) })
-	case opKeyed:
-		at := later(now, Time(a)*Microsecond/4)
-		r.q.schedule(viaSchedule, at, uint64(b%5)+1, func() { r.fire(tag, at) })
+		r.q.schedule(viaSchedule, at, func() { r.fire(tag, at) })
 	case opAfter:
 		at := later(now, Time(a)*Microsecond/8)
-		r.q.schedule(viaAfter, at, 0, func() { r.fire(tag, at) })
+		r.q.schedule(viaAfter, at, func() { r.fire(tag, at) })
 	case opTimer:
 		at := later(now, Time(a)*Time(b+1)*Microsecond/16)
-		r.q.schedule(viaTimerAfter, at, 0, func() { r.fire(tag, at) })
+		r.q.schedule(viaTimerAfter, at, func() { r.fire(tag, at) })
 	case opRearm:
 		at := later(now, Time(a)*Microsecond/4)
 		handle := -1
@@ -174,23 +166,17 @@ func (r *scriptRun) apply(script []byte) int {
 		}
 	case opSpawn:
 		// The child lands in the level-0 list its parent is being popped
-		// from; a nonzero key may sort it ahead of peers still waiting.
+		// from, behind the peers still waiting there.
 		at := later(now, Time(a)*Microsecond/4)
-		key := uint64(b % 3)
-		r.q.schedule(viaSchedule, at, 0, func() {
+		r.q.schedule(viaSchedule, at, func() {
 			r.fire(tag, at)
-			r.q.schedule(c%3, r.q.now(), key, func() { r.fire(-tag, at) })
+			r.q.schedule(c%3, r.q.now(), func() { r.fire(-tag, at) })
 		})
 	case opIdle:
-		t := later(now, Time(a)<<uint(c%24))
-		if b&1 == 0 {
-			r.q.runUntil(t)
-		} else {
-			r.q.runBefore(t)
-		}
+		r.q.runUntil(later(now, Time(a)<<uint(c%24)))
 	case opFar:
 		at := later(now, Time(1)<<uint(a%63)+Time(b))
-		r.q.schedule(c%3, at, 0, func() { r.fire(tag, at) })
+		r.q.schedule(c%3, at, func() { r.fire(tag, at) })
 	}
 	next, ok := r.q.nextEventTime()
 	r.log = append(r.log, fmt.Sprintf("now=%d next=%d,%v pending=%d", r.q.now(), next, ok, r.q.pending()))
@@ -250,9 +236,9 @@ func TestWheelMatchesHeap(t *testing.T) {
 // every one.
 func FuzzWheelVsOracle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 10, 0, 0, 3, 200, 1, 0, 4, 50, 0, 0, 6, 0, 0, 3})
+	f.Add([]byte{0, 10, 0, 0, 2, 200, 1, 0, 3, 50, 0, 0, 5, 0, 0, 3})
 	// Far event, idle RunUntil short of it, nearer schedule, spawn, drain.
-	f.Add([]byte{9, 40, 0, 0, 8, 200, 0, 12, 0, 9, 0, 0, 7, 3, 2, 1, 6, 0, 0, 3})
+	f.Add([]byte{8, 40, 0, 0, 7, 200, 0, 12, 0, 9, 0, 0, 6, 3, 2, 1, 5, 0, 0, 3})
 	seed := make([]byte, 64)
 	for i := range seed {
 		seed[i] = byte(i * 37)
@@ -267,30 +253,25 @@ func FuzzWheelVsOracle(f *testing.F) {
 }
 
 // TestWheelCrossOrdering pins the order at a single contended timestamp:
-// keyed deliveries, plain schedules, and timers all landing at the same
-// instant must pop in (key, seq) order whichever entry point filed them.
+// events landing at the same instant pop in insertion order whichever
+// entry point filed them, a rearm counting as a fresh insertion.
 func TestWheelCrossOrdering(t *testing.T) {
 	eng := NewEngine(1)
 	at := 100 * Microsecond
 	var got []string
 	rec := func(s string) func() { return func() { got = append(got, s) } }
-	// Interleave the three kinds so sequence numbers alternate: timers
-	// get seq 0,3; keyed get 1,4; plain get 2,5.
 	eng.TimerAfter(at, rec("t0"))
-	eng.ScheduleKeyed(at, 7, rec("k1"))
-	eng.Schedule(at, rec("p2"))
-	eng.TimerAfter(at, rec("t3"))
-	eng.ScheduleKeyed(at, 3, rec("k4"))
-	eng.Schedule(at, rec("p5"))
+	moved := eng.Schedule(at, rec("p1"))
+	eng.After(at, rec("a2"))
+	late := eng.Schedule(at+Microsecond, rec("late"))
+	eng.Schedule(at, rec("p3"))
+	eng.RearmAt(moved, at, rec("r4"))     // live: leaves its place, files last
+	eng.RearmAt(late, at, rec("r5"))      // live, from another timestamp
+	eng.RearmAt(EventID{}, at, rec("r6")) // stale: a plain Schedule
+	eng.TimerAfter(at, rec("t7"))
 	eng.Run()
-	want := []string{"t0", "p2", "t3", "p5", "k4", "k1"} // key 0 seq-order, then key 3, key 7
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
+	if want := "[t0 a2 p3 r4 r5 r6 t7]"; fmt.Sprint(got) != want {
+		t.Fatalf("pop order %v, want %v", got, want)
 	}
 }
 
@@ -356,31 +337,25 @@ func TestWheelLongHorizon(t *testing.T) {
 // An idle RunUntil must leave the wheel able to take any schedule at or
 // after the clock it set, including one nearer than everything pending.
 func TestRunUntilIdleThenNearerSchedule(t *testing.T) {
-	for _, before := range []bool{false, true} {
-		eng := NewEngine(1)
-		var got []string
-		eng.Schedule(5*Millisecond, func() { got = append(got, "5ms") })
-		if before {
-			eng.RunBefore(Millisecond)
-		} else {
-			eng.RunUntil(Millisecond)
-		}
-		if eng.Now() != Millisecond || len(got) != 0 {
-			t.Fatalf("after idle run: now %v, fired %v", eng.Now(), got)
-		}
-		if next, ok := eng.NextEventTime(); !ok || next != 5*Millisecond {
-			t.Fatalf("NextEventTime = %v, %v; want 5ms", next, ok)
-		}
-		eng.Schedule(Millisecond, func() { got = append(got, "1ms") })
-		eng.Schedule(2*Millisecond, func() { got = append(got, "2ms") })
-		eng.Run()
-		if fmt.Sprint(got) != "[1ms 2ms 5ms]" {
-			t.Fatalf("RunBefore=%v: fired %v, want [1ms 2ms 5ms]", before, got)
-		}
+	eng := NewEngine(1)
+	var got []string
+	eng.Schedule(5*Millisecond, func() { got = append(got, "5ms") })
+	eng.RunUntil(Millisecond)
+	if eng.Now() != Millisecond || len(got) != 0 {
+		t.Fatalf("after idle run: now %v, fired %v", eng.Now(), got)
+	}
+	if next, ok := eng.NextEventTime(); !ok || next != 5*Millisecond {
+		t.Fatalf("NextEventTime = %v, %v; want 5ms", next, ok)
+	}
+	eng.Schedule(Millisecond, func() { got = append(got, "1ms") })
+	eng.Schedule(2*Millisecond, func() { got = append(got, "2ms") })
+	eng.Run()
+	if fmt.Sprint(got) != "[1ms 2ms 5ms]" {
+		t.Fatalf("fired %v, want [1ms 2ms 5ms]", got)
 	}
 }
 
-// A fleet of timers on one far-off nanosecond fires in seq order, and the
+// A fleet of timers on one far-off nanosecond fires in insertion order, and the
 // cascades that bring it down refile each event at most once per level.
 func TestSameNanosecondFleetCascadesLinearly(t *testing.T) {
 	const n = 8192
@@ -417,7 +392,7 @@ func TestCancelAndRearmInDrainingSlot(t *testing.T) {
 	eng.Schedule(at, func() {
 		got = append(got, "first")
 		eng.Cancel(victim)
-		// Rearmed to the running instant: goes behind "tail" with a new seq.
+		// Rearmed to the running instant: a fresh insertion, behind "tail".
 		if id := eng.RearmAfter(mover, 0, rec("mover@same")); id != mover {
 			t.Fatalf("live rearm changed id")
 		}
@@ -440,6 +415,13 @@ func TestCancelAndRearmInDrainingSlot(t *testing.T) {
 // TestWheelOpsZeroAlloc pins the hot path allocation-free in steady
 // state: schedule, cancel, rearm, and a fire/re-arm cycle must not
 // allocate once the slab has warmed up.
+// Two events per 64-byte cache line: the slab is the engine's working set.
+func TestEventIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("event is %d bytes, want 32", got)
+	}
+}
+
 func TestWheelOpsZeroAlloc(t *testing.T) {
 	eng := NewEngine(1)
 	fn := func() {}

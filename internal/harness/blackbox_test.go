@@ -13,10 +13,9 @@ import (
 // attached and returns the raw artifact bytes. Each run gets a fresh
 // registry: the artifact embeds histogram snapshots, and the
 // process-wide default registry would mix counts across runs.
-func runLinkFlapBlackbox(t *testing.T, shards int, seed int64, traceTo *bytes.Buffer) []byte {
+func runLinkFlapBlackbox(t *testing.T, seed int64, traceTo *bytes.Buffer) []byte {
 	t.Helper()
 	scale := QuickScale()
-	scale.Net.Shards = shards
 	var traceW *bytes.Buffer
 	if traceTo != nil {
 		traceW = traceTo
@@ -37,13 +36,13 @@ func runLinkFlapBlackbox(t *testing.T, shards int, seed int64, traceTo *bytes.Bu
 
 // TestBlackboxArtifactDeterministic pins the flight recorder into the
 // determinism contract: a fixed seed yields a byte-identical black-box
-// artifact at any shard count, and the artifact actually contains the
+// artifact on every run, and the artifact actually contains the
 // rollback postmortem — the anomaly, and the queue/PFC/utility
 // trajectory around it.
 func TestBlackboxArtifactDeterministic(t *testing.T) {
-	one := runLinkFlapBlackbox(t, 1, 1, nil)
-	four := runLinkFlapBlackbox(t, 4, 1, nil)
-	diffTraces(t, "-shards=4 artifact diverges from -shards=1", four, one)
+	one := runLinkFlapBlackbox(t, 1, nil)
+	again := runLinkFlapBlackbox(t, 1, nil)
+	diffTraces(t, "second run's artifact diverges from the first", again, one)
 
 	a, err := series.Load(bytes.NewReader(one))
 	if err != nil {
@@ -101,7 +100,7 @@ func TestBlackboxArtifactDeterministic(t *testing.T) {
 
 	// Different seeds must produce different artifacts — the determinism
 	// contract is per-seed, not degenerate.
-	other := runLinkFlapBlackbox(t, 1, 2, nil)
+	other := runLinkFlapBlackbox(t, 2, nil)
 	if bytes.Equal(one, other) {
 		t.Error("seed 1 and seed 2 artifacts are byte-identical; recorder is not capturing the run")
 	}
@@ -113,7 +112,7 @@ func TestBlackboxArtifactDeterministic(t *testing.T) {
 func TestBlackboxLeavesGoldenTraceUntouched(t *testing.T) {
 	want := readGolden(t, "chaos_linkflap_seed7_quick.golden.jsonl")
 	var trace bytes.Buffer
-	bb := runLinkFlapBlackbox(t, 0, 7, &trace)
+	bb := runLinkFlapBlackbox(t, 7, &trace)
 	diffTraces(t, "trace with flight recorder attached diverges from golden", trace.Bytes(), want)
 	if _, err := series.Load(bytes.NewReader(bb)); err != nil {
 		t.Fatal(err)
@@ -124,11 +123,11 @@ func TestBlackboxLeavesGoldenTraceUntouched(t *testing.T) {
 // two seeds of the same experiment diffed with a generous tolerance must
 // come out clean — seed noise is not a regression.
 func TestBlackboxDiffSameConfigClean(t *testing.T) {
-	a, err := series.Load(bytes.NewReader(runLinkFlapBlackbox(t, 0, 7, nil)))
+	a, err := series.Load(bytes.NewReader(runLinkFlapBlackbox(t, 7, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := series.Load(bytes.NewReader(runLinkFlapBlackbox(t, 0, 8, nil)))
+	b, err := series.Load(bytes.NewReader(runLinkFlapBlackbox(t, 8, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,10 +98,10 @@ type ChaosRunConfig struct {
 	// the run's black-box artifact (internal/telemetry/series) when the
 	// run ends: the sampled trajectory, anomaly snapshots around every
 	// rollback/fault/freeze, and registry histogram quantiles. With a
-	// fixed scenario seed the artifact is byte-identical across runs and
-	// shard counts (give SystemCfg.Telemetry a fresh registry if the
-	// process-wide default would mix runs). Experiment names the run in
-	// the artifact's meta.
+	// fixed scenario seed the artifact is byte-identical across runs
+	// (give SystemCfg.Telemetry a fresh registry if the process-wide
+	// default would mix runs). Experiment names the run in the
+	// artifact's meta.
 	Blackbox   io.Writer
 	Experiment string
 	// ScaleLabel names the fabric scale in the artifact meta ("quick",

@@ -85,7 +85,7 @@ func shootoutScheme(name string) Scheme {
 // uplink and rollback armed). Within a workload every arm sees the same
 // fabric, seed, and horizon, so differences are attributable to the
 // search strategy alone; with a fixed seed the whole table is
-// deterministic across runs and shard counts.
+// deterministic across runs.
 func TunerShootout(scale Scale, horizon eventsim.Time, seed int64) (*TunerShootoutResult, error) {
 	res := &TunerShootoutResult{
 		Tuners:    ShootoutTuners(),

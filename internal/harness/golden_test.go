@@ -10,14 +10,14 @@ import (
 	"repro/internal/eventsim"
 )
 
-// update rewrites the five golden traces under testdata/ from this build:
+// update rewrites the three golden traces under testdata/ from this build:
 //
 //	go test ./internal/harness -run Golden -update
 //
 // Only the tests that own a golden write it. The tests that replay a golden
 // under a variation that must not show (timer suppression, the flight
-// recorder, another shard count) never write: they skip during an update
-// and hold against the new files on the next plain run.
+// recorder) never write: they skip during an update and hold against the
+// new files on the next plain run.
 var update = flag.Bool("update", false, "rewrite testdata/*.golden.jsonl from this build")
 
 // checkGolden compares got with the named golden trace, or rewrites the
@@ -132,58 +132,4 @@ func TestChaosTraceGoldenSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffTraces(t, "suppressed trace diverges from stock golden", buf.Bytes(), want)
-}
-
-// TestChaosTraceGoldenSharded is the determinism contract applied to the
-// full chaos stack: the same experiment at the same seed must emit a
-// byte-identical trace whether the fabric runs on one engine shard or
-// several. -shards=4 clamps to QuickScale's 2 ToR pods, so this exercises
-// real cross-shard handoff on every leaf traversal while the control loop,
-// fault injector, and trace recorder all ride the global engine.
-//
-// The sharded goldens differ from the single-engine ones: completion hooks
-// (the alltoall round chaining) fire at window boundaries under sharding,
-// which shifts when follow-on flows start. That shift is identical for
-// every shard count — which is exactly what this test pins down, and why
-// -update writes the -shards=1 trace only after -shards=4 has matched it.
-func TestChaosTraceGoldenSharded(t *testing.T) {
-	cases := []struct {
-		name   string
-		golden string
-		run    func(shards int, traceTo *bytes.Buffer) error
-	}{
-		{
-			name:   "linkflap",
-			golden: "chaos_linkflap_seed7_quick_sharded.golden.jsonl",
-			run: func(shards int, buf *bytes.Buffer) error {
-				scale := QuickScale()
-				scale.Net.Shards = shards
-				_, err := ChaosLinkFlap(scale, 40*eventsim.Millisecond, 7, buf)
-				return err
-			},
-		},
-		{
-			name:   "agentcrash",
-			golden: "chaos_agentcrash_seed7_quick_sharded.golden.jsonl",
-			run: func(shards int, buf *bytes.Buffer) error {
-				scale := QuickScale()
-				scale.Net.Shards = shards
-				_, err := ChaosAgentCrash(scale, 40*eventsim.Millisecond, 7, buf)
-				return err
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var one, four bytes.Buffer
-			if err := tc.run(1, &one); err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.run(4, &four); err != nil {
-				t.Fatal(err)
-			}
-			diffTraces(t, "-shards=4 trace diverges from -shards=1", four.Bytes(), one.Bytes())
-			checkGolden(t, "sharded trace diverges from golden", tc.golden, one.Bytes())
-		})
-	}
 }

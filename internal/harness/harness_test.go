@@ -120,6 +120,54 @@ func TestRunEachBaselineKind(t *testing.T) {
 	}
 }
 
+// TestRunDrainsToReceiverCompletion: rack 0 blasts one host of rack 1
+// with ECN off, so the senders stay at line rate, fill the ToR until PFC
+// throttles them and hand over their last packets with ~4 MB — over three
+// intervals of the 10 Gbps uplink — still queued in the fabric. The drain
+// must wait for the receivers' records, not the senders' hand-over; a drain
+// that MaxTime cuts short must count the flows it leaves behind.
+func TestRunDrainsToReceiverCompletion(t *testing.T) {
+	scale := QuickScale()
+	sc := DefaultScheme()
+	sc.Static.KminBytes, sc.Static.KmaxBytes = 1<<40, 2<<40
+	const senders = 4
+	cfg := RunConfig{
+		Net: scale.Net, Scheme: sc, Interval: scale.Interval,
+		Duration: scale.Interval, DrainAfter: true,
+		Workload: func(n *sim.Network) error {
+			hosts := n.Topo.Hosts()
+			for _, src := range hosts[:senders] {
+				n.StartFlow(src, hosts[senders], 2<<20)
+			}
+			return nil
+		},
+	}
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Net.Completed) != senders || r.Incomplete != 0 {
+		t.Errorf("drained run: %d of %d flows recorded, Incomplete = %d", len(r.Net.Completed), senders, r.Incomplete)
+	}
+	var pfc int64
+	for _, sw := range r.Net.Switches {
+		pfc += sw.Stats.PFCTriggers
+	}
+	if pfc == 0 {
+		t.Error("no PFC: the incast no longer holds its tail in the fabric")
+	}
+
+	cfg.MaxTime = 3 * scale.Interval
+	r, err = Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Incomplete == 0 || len(r.Net.Completed)+r.Incomplete != senders {
+		t.Errorf("run cut at MaxTime: %d flows recorded, Incomplete = %d, want them to add up to %d with some incomplete",
+			len(r.Net.Completed), r.Incomplete, senders)
+	}
+}
+
 func TestRunWithAccuracyTracking(t *testing.T) {
 	scale := QuickScale()
 	r, err := Run(RunConfig{

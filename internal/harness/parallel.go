@@ -35,13 +35,15 @@ type ParallelOptions struct {
 
 // ArmStatus is one progress update: arm Index finished (successfully or
 // not) after Wall of wall-clock time, the Done-th of Total to do so.
+// Incomplete is the arm's Result.Incomplete (0 for a failed arm).
 type ArmStatus struct {
-	Index  int
-	Scheme string
-	Done   int
-	Total  int
-	Wall   time.Duration
-	Err    error
+	Index      int
+	Scheme     string
+	Done       int
+	Total      int
+	Wall       time.Duration
+	Err        error
+	Incomplete int
 }
 
 // DeriveArmSeed maps a base seed and an arm index to the arm's engine
@@ -98,14 +100,18 @@ func RunAll(cfgs []RunConfig, opts ParallelOptions) ([]*Result, error) {
 				mu.Lock()
 				done++
 				if opts.Progress != nil {
-					opts.Progress(ArmStatus{
+					st := ArmStatus{
 						Index:  i,
 						Scheme: cfg.Scheme.Name,
 						Done:   done,
 						Total:  len(cfgs),
 						Wall:   time.Since(start),
 						Err:    err,
-					})
+					}
+					if res != nil {
+						st.Incomplete = res.Incomplete
+					}
+					opts.Progress(st)
 				}
 				mu.Unlock()
 			}

@@ -132,9 +132,9 @@ type RunConfig struct {
 	Scheme Scheme
 	// Interval is the sampling/monitor interval λ_MI.
 	Interval eventsim.Time
-	// Duration runs the simulation to this virtual time; with DrainFirst
-	// the run continues (without sampling) until all flows finish or
-	// MaxTime is hit.
+	// Duration runs the simulation to this virtual time; with DrainAfter
+	// the run continues (without sampling) until every started flow has a
+	// completion record or MaxTime is hit.
 	Duration   eventsim.Time
 	DrainAfter bool
 	MaxTime    eventsim.Time
@@ -163,6 +163,12 @@ type Result struct {
 	Triggers, Dispatches, Rounds int
 	// UtilTrace is the tuner's best-so-far trace (Fig 12).
 	UtilTrace []float64
+
+	// Incomplete counts flows that were started and had no completion
+	// record when the run ended. Non-zero after a DrainAfter run means
+	// MaxTime cut the drain; the FCT summary is then missing its worst
+	// tails and must say so.
+	Incomplete int
 }
 
 // MeanAccuracy averages the accuracy series (NaN if empty).
@@ -287,7 +293,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		// Keep the closed loop alive while the tail drains: as mice
 		// finish and elephants take dominance the tuner must be able to
 		// swing throughput-friendly (the §IV-B1 narrative).
-		for n.Eng.Now() < cfg.MaxTime && n.ActiveFlows() > 0 {
+		// The loop ends on the receivers' view (see IncompleteFlows).
+		for n.Eng.Now() < cfg.MaxTime && n.IncompleteFlows() > 0 {
 			n.Run(n.Eng.Now() + cfg.Interval)
 			if sys != nil {
 				sys.TickOnce()
@@ -298,9 +305,8 @@ func Run(cfg RunConfig) (*Result, error) {
 				truth.Tick()
 			}
 		}
-		// Flush in-flight deliveries so receivers record completions.
-		n.Run(n.Eng.Now() + 2*cfg.Interval)
 	}
+	res.Incomplete = n.IncompleteFlows()
 
 	if sys != nil {
 		res.Triggers = sys.Controller.Triggers

@@ -48,34 +48,22 @@ func TestTunerShootoutRunsAllCells(t *testing.T) {
 }
 
 // TestTunerShootoutDeterministic pins the acceptance bar: identical
-// (scale, horizon, seed) must reproduce the full table, and — per the
-// sharding determinism contract (sim.Config.Shards) — any shard count
-// ≥ 1 must produce the same table as any other. (Shards = 0 is the
-// legacy single-engine path, which the contract allows to differ from
-// the sharded schedule; reruns of it must still match themselves.)
+// (scale, horizon, seed) must reproduce the full table.
 func TestTunerShootoutDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-arm simulation in -short mode")
 	}
-	run := func(shards int) *TunerShootoutResult {
-		sc := QuickScale()
-		sc.Net.Shards = shards
-		r, err := TunerShootout(sc, 20*eventsim.Millisecond, 7)
+	run := func() *TunerShootoutResult {
+		r, err := TunerShootout(QuickScale(), 20*eventsim.Millisecond, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	legacyA, legacyB := run(0), run(0)
-	for key, ca := range legacyA.Cells {
-		if cb := legacyB.Cells[key]; ca != cb {
+	a, b := run(), run()
+	for key, ca := range a.Cells {
+		if cb := b.Cells[key]; ca != cb {
 			t.Errorf("rerun diverged at %s:\n%+v\n%+v", key, ca, cb)
-		}
-	}
-	one, four := run(1), run(4)
-	for key, c1 := range one.Cells {
-		if c4 := four.Cells[key]; c1 != c4 {
-			t.Errorf("shard count changed %s:\n%+v\n%+v", key, c1, c4)
 		}
 	}
 }

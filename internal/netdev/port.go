@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/eventsim"
-	"repro/internal/topology"
 )
 
 // queueEntry holds a queued packet plus the ingress port it came in on, so
@@ -107,21 +106,6 @@ type EgressPort struct {
 	deliveries []deliverySlot
 	delivFree  int32
 
-	// keyBase, when nonzero, switches the port to keyed deliveries: every
-	// packet put on the wire is scheduled with structural key
-	// keyBase | emitSeq, so same-timestamp arrivals at the far end order
-	// by (source node, source port, emission number) instead of by engine
-	// insertion order. The sharded runtime keys every port; keyBase 0 is
-	// the legacy single-engine behavior, bit for bit.
-	keyBase uint64
-	emitSeq uint32
-	// remote, when set, intercepts deliveries instead of scheduling them
-	// on the local engine: the packet's arrival time and structural key
-	// are handed to the sharded runtime, which batches them per shard
-	// pair and injects them into the destination engine at the next
-	// window boundary.
-	remote func(pkt *Packet, arrival eventsim.Time, key uint64)
-
 	// Link fault state (internal/chaos). A down link holds its queues —
 	// the sim has no link-layer retransmit, so dropping in-queue lossless
 	// traffic would strand flows forever; holding models an outage that
@@ -222,38 +206,6 @@ func (p *EgressPort) SetPeer(dev Device, port int) {
 // SetMarker installs the ECN marking law (switch CP behaviour). The
 // function is consulted at dequeue with the class-0 queue depth in bytes.
 func (p *EgressPort) SetMarker(m func(queueBytes int64) float64) { p.marker = m }
-
-// SetDeliveryKeying enables keyed deliveries for the port of the given
-// source node: wire arrivals carry DeliveryKey(node, port, emission#) so
-// their order among same-timestamp events is structural. Must be set
-// before the first transmission; the sharded runtime keys every port.
-func (p *EgressPort) SetDeliveryKeying(node topology.NodeID, port int) {
-	p.keyBase = DeliveryKey(node, port, 0)
-}
-
-// SetRemoteHandoff diverts this port's deliveries away from the local
-// engine: fn receives each departing packet with its computed arrival
-// time and structural key. The sharded runtime installs this on ports
-// whose link crosses a shard boundary. Requires keyed deliveries.
-func (p *EgressPort) SetRemoteHandoff(fn func(pkt *Packet, arrival eventsim.Time, key uint64)) {
-	if p.keyBase == 0 {
-		panic("netdev: SetRemoteHandoff requires SetDeliveryKeying")
-	}
-	p.remote = fn
-}
-
-// DeliveryKey packs (source node, source port, per-port emission number)
-// into the structural ordering key used for keyed deliveries. node+1
-// keeps every key nonzero, so keyed deliveries always rank after the
-// key-0 node-local events at the same timestamp. 20 bits of node, 12 of
-// port, 32 of emission number cover a million-node fabric with 4096-port
-// switches; the emission counter wrapping after 4G packets per port
-// could only perturb tie order between two same-arrival-instant packets
-// of the same port 4 billion emissions apart, which serialization
-// spacing rules out.
-func DeliveryKey(node topology.NodeID, port int, emission uint32) uint64 {
-	return (uint64(node)+1)<<44 | uint64(port)<<32 | uint64(emission)
-}
 
 // SetOnResume installs the PFC-resume hook.
 func (p *EgressPort) SetOnResume(fn func(class int)) { p.onResume = fn }
@@ -466,24 +418,6 @@ func (p *EgressPort) txDone() {
 // peer. Slots are recycled, and each slot's closure is built exactly once,
 // so the steady-state cost is one event and zero allocations.
 func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
-	if p.keyBase != 0 {
-		key := p.keyBase | uint64(p.emitSeq)
-		p.emitSeq++
-		if p.remote != nil {
-			p.remote(pkt, p.eng.Now()+delay, key)
-			return
-		}
-		slot := p.delivSlot(pkt)
-		p.eng.ScheduleKeyed(p.eng.Now()+delay, key, p.deliveries[slot].fn)
-		return
-	}
-	slot := p.delivSlot(pkt)
-	p.eng.After(delay, p.deliveries[slot].fn)
-}
-
-// delivSlot takes a delivery slot for pkt from the free-list, growing the
-// slab (and building the slot's persistent closure) on first use.
-func (p *EgressPort) delivSlot(pkt *Packet) int32 {
 	slot := p.delivFree
 	if slot >= 0 {
 		p.delivFree = p.deliveries[slot].next
@@ -494,7 +428,7 @@ func (p *EgressPort) delivSlot(pkt *Packet) int32 {
 		p.deliveries[i].fn = func() { p.deliver(i) }
 	}
 	p.deliveries[slot].pkt = pkt
-	return slot
+	p.eng.After(delay, p.deliveries[slot].fn)
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a

@@ -90,28 +90,18 @@ type release struct {
 // created per the node's topology ports but remain unwired; call WirePort
 // for each once the peer devices exist.
 func NewSwitch(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID, cfg SwitchConfig, params func() *dcqcn.Params) *Switch {
-	return NewSwitchSeeded(eng, eng, topo, node, cfg, params)
-}
-
-// NewSwitchSeeded is NewSwitch with the device's random streams drawn
-// from seedSrc instead of the scheduling engine. The sharded runtime
-// draws every device's streams from the one global engine in
-// construction order, so the streams — and therefore ECN coin flips —
-// are identical no matter which shard engine drives the device, or how
-// many shards exist. NewSwitch passes eng for both.
-func NewSwitchSeeded(eng, seedSrc *eventsim.Engine, topo *topology.Topology, node topology.NodeID, cfg SwitchConfig, params func() *dcqcn.Params) *Switch {
 	n := &topo.Nodes[node]
 	s := &Switch{
 		eng: eng, topo: topo, node: node, cfg: cfg,
 		params:       params,
 		ingressBytes: make([]int64, len(n.Ports)),
 		pauseSent:    make([]bool, len(n.Ports)),
-		rng:          seedSrc.Rand(),
+		rng:          eng.Rand(),
 	}
 	s.ports = make([]*EgressPort, len(n.Ports))
 	for i, lid := range n.Ports {
 		l := &topo.Links[lid]
-		p := NewEgressPort(eng, l.RateBps, l.PropDelay, seedSrc.Rand())
+		p := NewEgressPort(eng, l.RateBps, l.PropDelay, eng.Rand())
 		p.SetMarker(func(depth int64) float64 { return s.params().MarkProbability(depth) })
 		p.sw, p.index = s, i
 		s.ports[i] = p

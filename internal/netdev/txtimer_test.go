@@ -252,42 +252,3 @@ func TestSwitchResumeLeavesOnTime(t *testing.T) {
 		t.Errorf("RESUME from a departure on an idle port arrived at %d ns, want %d", got, want)
 	}
 }
-
-// TestRemoteHandoffAtTransmitStart: a cross-shard port hands a packet over
-// when it starts to serialize, with the arrival time the wire will produce
-// (now + serialization + propagation ≥ one propagation delay ahead, which is
-// the sharded runtime's lookahead), and numbers its emissions in the order
-// they start — PFC frames included.
-func TestRemoteHandoffAtTransmitStart(t *testing.T) {
-	eng, p, _ := newPort(t, 1e9, us)
-	p.SetPacketPool(NewPacketPool())
-	p.SetDeliveryKeying(3, 2)
-	type emission struct {
-		kind            Kind
-		called, arrival eventsim.Time
-		emissionNumber  uint64
-	}
-	var got []emission
-	p.SetRemoteHandoff(func(pkt *Packet, arrival eventsim.Time, key uint64) {
-		got = append(got, emission{pkt.Kind, eng.Now(), arrival, key - DeliveryKey(3, 2, 0)})
-	})
-	for i := 0; i < 3; i++ {
-		p.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: 1250}, -1)
-	}
-	eng.Schedule(15*us, func() { p.SendPFC(true, ClassData) })
-	eng.Run()
-	want := []emission{
-		{KindData, 0, 11 * us, 0},
-		{KindData, 10 * us, 21 * us, 1},
-		{KindPFC, 15 * us, 15*us + 512 + us, 2},
-		{KindData, 20 * us, 31 * us, 3},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d hand-offs, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("hand-off %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}

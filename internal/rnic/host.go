@@ -115,13 +115,6 @@ type Host struct {
 // created from the node's first topology port; wire it to the ToR with
 // Port().SetPeer. onComplete may be nil.
 func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID, params func() *dcqcn.Params, onComplete FlowCompleteFunc) *Host {
-	return NewHostSeeded(eng, eng, topo, node, params, onComplete)
-}
-
-// NewHostSeeded is NewHost with the RNIC's random streams drawn from
-// seedSrc instead of the scheduling engine; the sharded runtime passes
-// its global engine so device streams are identical across shard counts.
-func NewHostSeeded(eng, seedSrc *eventsim.Engine, topo *topology.Topology, node topology.NodeID, params func() *dcqcn.Params, onComplete FlowCompleteFunc) *Host {
 	n := &topo.Nodes[node]
 	if n.Kind != topology.Host {
 		panic(fmt.Sprintf("rnic: node %d is a %v, not a host", node, n.Kind))
@@ -141,7 +134,7 @@ func NewHostSeeded(eng, seedSrc *eventsim.Engine, topo *topology.Topology, node 
 		reportedSent:       map[uint64]int64{},
 		finishedUnreported: map[uint64]int64{},
 	}
-	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, seedSrc.Rand())
+	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, eng.Rand())
 	h.port.SetOnResume(func(class int) { h.schedule() })
 	h.timerFn = func() { h.schedule() }
 	h.probeFn = func() {

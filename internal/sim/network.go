@@ -36,14 +36,6 @@ type Config struct {
 	// reads it — it rides here so harnesses and RPC servers that build
 	// deployments from a sim.Config inherit the selection.
 	Tuner string
-	// Shards, when > 0, runs the fabric sharded: the topology is
-	// partitioned by ToR pod into up to Shards shards, each driven by its
-	// own engine on its own goroutine under conservative time windows
-	// (see internal/eventsim/shard). For a fixed Seed the simulation is
-	// byte-identical for every Shards ≥ 1 value. 0 (the default) is the
-	// legacy single-engine path, unchanged bit for bit from before
-	// sharding existed.
-	Shards int
 	// SuppressQuiescentTimers parks each QP's DCQCN timers while the QP
 	// is provably quiescent (line rate, alpha fully decayed) and re-arms
 	// them lazily on the next CNP — trace-invariant by construction (see
@@ -90,12 +82,8 @@ type Network struct {
 	// pool is the network-wide packet free-list: every host and switch
 	// draws from and recycles into it. Safe because the engine is
 	// single-threaded; parallel experiment arms each own a Network and
-	// therefore a pool. In sharded mode this is nil and each shard owns a
-	// pool instead (see shardRuntime).
+	// therefore a pool.
 	pool *netdev.PacketPool
-
-	// shard is non-nil when the network runs sharded (Config.Shards > 0).
-	shard *shardRuntime
 
 	hostByNode   map[topology.NodeID]*rnic.Host
 	switchByNode map[topology.NodeID]*netdev.Switch
@@ -147,6 +135,7 @@ func New(cfg Config) (*Network, error) {
 	eng := eventsim.NewEngine(cfg.Seed)
 	n := &Network{
 		Eng: eng, Topo: topo, cfg: cfg,
+		pool:         netdev.NewPacketPool(),
 		hostByNode:   map[topology.NodeID]*rnic.Host{},
 		switchByNode: map[topology.NodeID]*netdev.Switch{},
 		switchParams: map[topology.NodeID]*dcqcn.Params{},
@@ -156,14 +145,6 @@ func New(cfg Config) (*Network, error) {
 	rp := cfg.Params
 	n.rnicParams = &rp
 
-	if cfg.Shards > 0 {
-		if err := n.buildSharded(); err != nil {
-			return nil, err
-		}
-		return n, nil
-	}
-
-	n.pool = netdev.NewPacketPool()
 	for _, sn := range topo.SwitchIDs() {
 		sp := cfg.Params
 		spp := &sp
@@ -197,7 +178,6 @@ func New(cfg Config) (*Network, error) {
 		devB, portB := n.devicePort(l.B, l.BPort)
 		portA.SetPeer(devB, l.BPort)
 		portB.SetPeer(devA, l.APort)
-		_, _ = devA, devB
 	}
 	return n, nil
 }
@@ -351,16 +331,10 @@ func (n *Network) StartFlowAt(at eventsim.Time, src, dst topology.NodeID, size i
 	n.Eng.Schedule(at, func() { n.StartFlow(src, dst, size) })
 }
 
+// flowCompleted records a finished flow and fires the completion hooks,
+// inline with the arrival of the flow's last byte at its receiver.
 func (n *Network) flowCompleted(id uint64, src, dst topology.NodeID, size int64, start, end eventsim.Time) {
-	n.deliverCompletion(FlowRecord{ID: id, Src: src, Dst: dst, Size: size, Start: start, End: end})
-}
-
-// deliverCompletion records a finished flow and fires the completion
-// hooks. In legacy mode it runs inline with the last byte's arrival; in
-// sharded mode the shard runtime defers it to the coordinator thread at
-// the completion's exact virtual time, because hooks are global (they may
-// start flows on other shards or write to the trace).
-func (n *Network) deliverCompletion(rec FlowRecord) {
+	rec := FlowRecord{ID: id, Src: src, Dst: dst, Size: size, Start: start, End: end}
 	n.Completed = append(n.Completed, rec)
 	if n.OnFlowComplete != nil {
 		n.OnFlowComplete(rec)
@@ -379,78 +353,41 @@ func (n *Network) ActiveFlows() int {
 	return total
 }
 
-// Run advances the simulation to absolute virtual time deadline. In
-// sharded mode the coordinator drives the window loop; between Run calls
-// every engine is quiescent at the deadline and the caller's goroutine
-// may freely read or mutate any device.
+// IncompleteFlows counts flows that were started and have no completion
+// record yet — the receivers' view, where ActiveFlows is the senders': a
+// sender is done once its last packet is handed to the uplink, which can be
+// long before that packet leaves a PFC-paused fabric. Probe packets do not
+// count, so it reaches zero while probing keeps PacketsInNetwork above it.
+func (n *Network) IncompleteFlows() int { return int(n.nextFlowID) - len(n.Completed) }
+
+// Run advances the simulation to absolute virtual time deadline. Between
+// Run calls the engine is quiescent at the deadline and the caller may
+// freely read or mutate any device.
 func (n *Network) Run(deadline eventsim.Time) {
 	start := time.Now()
-	if n.shard != nil {
-		n.shard.coord.RunUntil(deadline)
-	} else {
-		n.Eng.RunUntil(deadline)
-	}
+	n.Eng.RunUntil(deadline)
 	n.runWall += time.Since(start)
 }
 
-// EngineStats reports the event engines' own accounting, summed over
-// every engine of the network (so PeakPending is an upper bound in sharded
-// mode), and the host time Run has spent driving them.
+// EngineStats reports the event engine's own accounting and the host time
+// Run has spent driving it.
 func (n *Network) EngineStats() (st eventsim.Stats, wall time.Duration) {
-	st = n.Eng.Stats()
-	if n.shard != nil {
-		for _, e := range n.shard.coord.Engines() {
-			s := e.Stats()
-			st.Processed += s.Processed
-			st.Relinks += s.Relinks
-			st.PeakPending += s.PeakPending
-		}
-	}
-	return st, n.runWall
+	return n.Eng.Stats(), n.runWall
 }
 
-// Pending reports scheduled events across every engine of the network.
-func (n *Network) Pending() int {
-	if n.shard != nil {
-		return n.shard.coord.Pending()
-	}
-	return n.Eng.Pending()
-}
-
-// EventsProcessed reports events executed across every engine of the
-// network (throughput accounting for benchmarks).
-func (n *Network) EventsProcessed() uint64 {
-	if n.shard != nil {
-		return n.shard.coord.Processed()
-	}
-	return n.Eng.Processed
-}
-
-// Shards reports the number of shards actually running (1+ in sharded
-// mode — the partition clamps to the ToR count — and 0 in legacy mode).
-func (n *Network) Shards() int {
-	if n.shard == nil {
-		return 0
-	}
-	return n.shard.nshards
-}
+// Pending reports the events currently scheduled.
+func (n *Network) Pending() int { return n.Eng.Pending() }
 
 // RunUntilIdle runs until no work remains or maxTime is reached, returning
 // the stop time. Useful for draining a fixed workload.
 func (n *Network) RunUntilIdle(maxTime eventsim.Time) eventsim.Time {
 	step := 100 * eventsim.Microsecond
-	for n.Eng.Now() < maxTime {
-		if n.Pending() == 0 {
-			break
-		}
+	for n.Eng.Now() < maxTime && n.Pending() > 0 {
 		next := n.Eng.Now() + step
 		if next > maxTime {
 			next = maxTime
 		}
 		n.Run(next)
-		if n.ActiveFlows() == 0 && n.Pending() == 0 {
-			break
-		}
 	}
 	return n.Eng.Now()
 }
@@ -470,23 +407,8 @@ func (n *Network) IdealFCT(src, dst topology.NodeID, size int64) eventsim.Time {
 }
 
 // PacketPool exposes the network-wide packet free-list (pool hit-rate
-// accounting in overhead reports and tests). In sharded mode it returns
-// shard 0's pool; use PacketPools for all of them.
-func (n *Network) PacketPool() *netdev.PacketPool {
-	if n.shard != nil {
-		return n.shard.pools[0]
-	}
-	return n.pool
-}
-
-// PacketPools lists every packet pool of the network: one in legacy mode,
-// one per shard in sharded mode.
-func (n *Network) PacketPools() []*netdev.PacketPool {
-	if n.shard != nil {
-		return n.shard.pools
-	}
-	return []*netdev.PacketPool{n.pool}
-}
+// accounting in overhead reports and tests).
+func (n *Network) PacketPool() *netdev.PacketPool { return n.pool }
 
 // PortTotals sums, over every egress port of the fabric, the packets
 // transmitted and the transmissions that needed a serialization timer
@@ -509,9 +431,8 @@ func (n *Network) PortTotals() (transmissions, txTimers int64) {
 }
 
 // PacketsInNetwork counts packets currently alive in the fabric: queued
-// at a port, on a wire (serializing or propagating), or held by the shard
-// handoff machinery. Every such packet came from a pool Get and has not
-// yet been Put.
+// at a port or on a wire (serializing or propagating). Every such packet
+// came from a pool Get and has not yet been Put.
 func (n *Network) PacketsInNetwork() int {
 	total := 0
 	for _, sw := range n.Switches {
@@ -520,14 +441,11 @@ func (n *Network) PacketsInNetwork() int {
 	for _, h := range n.Hosts {
 		total += h.Port().InFlightPackets()
 	}
-	if n.shard != nil {
-		total += n.shard.outstanding()
-	}
 	return total
 }
 
 // CheckPoolInvariant verifies the packet-pool leak invariant: every
-// packet a pool handed out (Fresh + Recycled) is either back in a pool
+// packet the pool handed out (Fresh + Recycled) is either back in it
 // (Puts) or still visible somewhere in the fabric. A violation means some
 // path sank a packet without returning it — the slab would grow without
 // bound over a long chaos run. On a drained fabric — no packet anywhere —
@@ -535,12 +453,7 @@ func (n *Network) PacketsInNetwork() int {
 // and per ingress: a release applied twice or never shows up here. Call it
 // while the network is quiescent (between Run calls).
 func (n *Network) CheckPoolInvariant() error {
-	var fresh, recycled, puts int64
-	for _, p := range n.PacketPools() {
-		fresh += p.Fresh
-		recycled += p.Recycled
-		puts += p.Puts
-	}
+	fresh, recycled, puts := n.pool.Fresh, n.pool.Recycled, n.pool.Puts
 	inFlight := int64(n.PacketsInNetwork())
 	if fresh+recycled != puts+inFlight {
 		return fmt.Errorf("sim: packet pool leak: Fresh(%d)+Recycled(%d) = %d gets, but Puts(%d)+inFlight(%d) = %d",

@@ -12,7 +12,7 @@ import (
 // pool must survive: congestion heavy enough for PFC exchange and ECN/CNP
 // traffic, a shrunken shared buffer so headroom exhaustion really drops
 // packets, and repeated link flaps so downed links hold queues mid-run.
-func driveFaultyRun(t *testing.T, shards int) *sim.Network {
+func driveFaultyRun(t *testing.T) *sim.Network {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Clos = topology.ClosConfig{
@@ -23,7 +23,6 @@ func driveFaultyRun(t *testing.T, shards int) *sim.Network {
 	// A buffer this small exhausts PFC headroom under incast, forcing the
 	// drop path (Switch.Receive buffer overflow) to actually run.
 	cfg.Switch.BufferBytes = 16 << 10
-	cfg.Shards = shards
 	n, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,14 +50,12 @@ func driveFaultyRun(t *testing.T, shards int) *sim.Network {
 	for k := 0; k < 3; k++ {
 		down := eventsim.Time(200+400*k) * eventsim.Microsecond
 		up := down + 150*eventsim.Microsecond
-		k := k
 		n.Eng.Schedule(down, func() { n.SetLinkUp(tors[0], leaf, false) })
 		n.Eng.Schedule(up, func() { n.SetLinkUp(tors[0], leaf, true) })
-		_ = k
 	}
 	n.RunUntilIdle(200 * eventsim.Millisecond)
 	if n.ActiveFlows() != 0 {
-		t.Fatalf("shards=%d: %d flows never drained", shards, n.ActiveFlows())
+		t.Fatalf("%d flows never drained", n.ActiveFlows())
 	}
 	return n
 }
@@ -69,28 +66,23 @@ func driveFaultyRun(t *testing.T, shards int) *sim.Network {
 // away from the happy path. A leak here means long chaos runs grow the
 // packet slab without bound.
 func TestPoolInvariantUnderFaults(t *testing.T) {
-	for _, shards := range []int{0, 1, 4} {
-		n := driveFaultyRun(t, shards)
-		if err := n.CheckPoolInvariant(); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
-		}
-		var drops int64
-		for _, sw := range n.Switches {
-			drops += sw.Stats.Drops
-		}
-		if drops == 0 {
-			t.Errorf("shards=%d: no drops — the test no longer exercises the overflow path", shards)
-		}
-		var pfc int64
-		for _, sw := range n.Switches {
-			pfc += sw.Stats.PFCReceived
-		}
-		if pfc == 0 {
-			t.Errorf("shards=%d: no PFC frames — the test no longer exercises the pause path", shards)
-		}
-		// Drained network: nothing should still hold a packet.
-		if got := n.PacketsInNetwork(); got != 0 {
-			t.Errorf("shards=%d: %d packets still in fabric after drain", shards, got)
-		}
+	n := driveFaultyRun(t)
+	if err := n.CheckPoolInvariant(); err != nil {
+		t.Error(err)
+	}
+	var drops, pfc int64
+	for _, sw := range n.Switches {
+		drops += sw.Stats.Drops
+		pfc += sw.Stats.PFCReceived
+	}
+	if drops == 0 {
+		t.Error("no drops — the test no longer exercises the overflow path")
+	}
+	if pfc == 0 {
+		t.Error("no PFC frames — the test no longer exercises the pause path")
+	}
+	// Drained network: nothing should still hold a packet.
+	if got := n.PacketsInNetwork(); got != 0 {
+		t.Errorf("%d packets still in fabric after drain", got)
 	}
 }

@@ -58,6 +58,10 @@ func staticDrainDigest(t *testing.T, tors, leaves, perToR, flowsPerHost int) uin
 	return h.Sum64()
 }
 
+func recordKey(r sim.FlowRecord) string {
+	return fmt.Sprintf("id=%d src=%d dst=%d size=%d start=%d end=%d", r.ID, r.Src, r.Dst, r.Size, r.Start, r.End)
+}
+
 // TestStaticDrainRecordsMatchParent pins the physics of the data plane:
 // with static parameters and no ECN marks nothing consumes randomness, so
 // every flow's start and end nanosecond is a function of serialization,
@@ -76,5 +80,47 @@ func TestStaticDrainRecordsMatchParent(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%d×%d×%d drain digest %#016x, want %#016x", tc.tors, tc.leaves, tc.perToR, got, tc.want)
 		}
+	}
+}
+
+// TestLargeCLOSQuickRun is the scale smoke test: a 4096-host CLOS (64 ToR
+// pods × 64 hosts, 16 leaves) builds and pushes a cross-pod workload to
+// completion. It guards construction cost and a full drain at a fabric
+// size far beyond the micro tests — not throughput, which the benchmark's
+// clos4096_drain workload measures.
+func TestLargeCLOSQuickRun(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.ClosConfig{
+		NumToR: 64, NumLeaf: 16, HostsPerToR: 64,
+		HostLinkBps: 10e9, FabricLinkBps: 100e9,
+		PropDelay: 2 * eventsim.Microsecond,
+	}
+	cfg.Seed = 7
+	n, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := n.Topo.Hosts()
+	if len(hosts) != 4096 {
+		t.Fatalf("%d hosts, want 4096", len(hosts))
+	}
+	// One flow out of every 16th host into the next pod over: 256 flows,
+	// all crossing the leaf tier.
+	flows := 0
+	for h := 0; h < len(hosts); h += 16 {
+		dst := (h + 64) % len(hosts)
+		at := eventsim.Time(h) * eventsim.Microsecond / 16
+		n.StartFlowAt(at, hosts[h], hosts[dst], 256<<10)
+		flows++
+	}
+	n.RunUntilIdle(eventsim.Second)
+	if n.ActiveFlows() != 0 {
+		t.Fatalf("%d flows still active", n.ActiveFlows())
+	}
+	if len(n.Completed) != flows {
+		t.Fatalf("%d completions, want %d", len(n.Completed), flows)
+	}
+	if err := n.CheckPoolInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -72,8 +72,8 @@ func TestSuppressionSimInvariant(t *testing.T) {
 
 	// Suppression must have skipped work: by the idle tail every QP is
 	// parked, so the suppressed run processed strictly fewer events.
-	if on.EventsProcessed() >= off.EventsProcessed() {
+	if on.Eng.Processed >= off.Eng.Processed {
 		t.Errorf("suppressed run processed %d events, unsuppressed %d — suppression saved nothing",
-			on.EventsProcessed(), off.EventsProcessed())
+			on.Eng.Processed, off.Eng.Processed)
 	}
 }

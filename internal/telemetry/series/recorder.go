@@ -14,8 +14,8 @@ const ArtifactVersion = 1
 
 // Meta identifies the run an artifact came from. It deliberately
 // excludes anything the determinism contract says must not matter
-// (shard count, worker count, wall-clock timestamps): two runs that
-// should be byte-identical produce byte-identical Meta.
+// (worker count, wall-clock timestamps): two runs that should be
+// byte-identical produce byte-identical Meta.
 type Meta struct {
 	Experiment string `json:"experiment"`
 	Tuner      string `json:"tuner,omitempty"`
@@ -69,7 +69,7 @@ type Snapshot struct {
 // ledger, the recent-event window, per-anomaly series snapshots, the
 // end-of-run series, and histogram snapshots from the telemetry
 // registry. Everything in it derives from virtual-time state, so a
-// fixed seed yields byte-identical artifacts at any shard count.
+// fixed seed yields byte-identical artifacts.
 type Artifact struct {
 	Version       int                           `json:"version"`
 	Meta          Meta                          `json:"meta"`

@@ -11,8 +11,8 @@
 //     at attach time and Append never grows it; overflow is handled by
 //     in-place 2× downsampling.
 //  2. Artifacts are deterministic: a fixed seed yields byte-identical
-//     JSON at any shard count. Nothing here reads wall clocks, draws
-//     randomness, or iterates a map when building output.
+//     JSON. Nothing here reads wall clocks, draws randomness, or
+//     iterates a map when building output.
 //  3. The layer is read-only with respect to the simulation: it never
 //     schedules engine events, so enabling it leaves event traces (and
 //     the recorded goldens) untouched.

@@ -454,60 +454,6 @@ func NewClos(cfg ClosConfig) (*Topology, error) {
 	return t, nil
 }
 
-// PodPartition splits the fabric into at most want shards along pod
-// boundaries and returns the node→shard assignment plus the number of
-// shards actually used. A pod — one ToR and the hosts under it — never
-// splits: its intra-pod links are the hottest (host↔ToR), so keeping them
-// shard-local minimizes cross-shard handoffs. Pods and leaf switches
-// distribute round-robin in ID order. want is clamped to [1, #ToRs]; the
-// result is a pure function of the topology and want, which the sharded
-// runtime's determinism contract depends on.
-func (t *Topology) PodPartition(want int) ([]int, int) {
-	tors := t.ToRs()
-	n := want
-	if n < 1 {
-		n = 1
-	}
-	if len(tors) > 0 && n > len(tors) {
-		n = len(tors)
-	}
-	part := make([]int, len(t.Nodes))
-	for i := range part {
-		part[i] = 0
-	}
-	for i, tor := range tors {
-		part[tor] = i % n
-	}
-	leaf := 0
-	for _, node := range t.Nodes {
-		switch node.Kind {
-		case Host:
-			if tor := t.ToROf(node.ID); tor >= 0 {
-				part[node.ID] = part[tor]
-			}
-		case LeafSwitch:
-			part[node.ID] = leaf % n
-			leaf++
-		}
-	}
-	return part, n
-}
-
-// MinPropDelay reports the smallest link propagation delay in the fabric,
-// or 0 for a linkless topology. This is the sharded runtime's lookahead:
-// no influence crosses any link — shard boundary or not — faster than
-// this, and using the fabric-wide minimum (rather than the cross-shard
-// minimum) keeps window boundaries identical across shard counts.
-func (t *Topology) MinPropDelay() eventsim.Time {
-	var min eventsim.Time
-	for i := range t.Links {
-		if d := t.Links[i].PropDelay; i == 0 || d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // ToROf returns the ToR switch a host hangs off, or -1 if n is not a host
 // or has no switch neighbor.
 func (t *Topology) ToROf(n NodeID) NodeID {
