@@ -91,8 +91,16 @@ type Packet struct {
 	// SentAt is stamped by the sender for RTT measurement.
 	SentAt eventsim.Time
 
-	// The one-byte fields sit together so the struct is exactly one
-	// 64-byte cache line (TestPacketFitsCacheLine).
+	// via is the port whose wire the packet is crossing (nil off the wire),
+	// and arrive the event handler that lands it at via's peer: the packet
+	// is its own delivery record. arrive is built the first time the packet
+	// goes on a wire and survives PacketPool.Put, so a recycled packet
+	// costs no closure.
+	via    *EgressPort
+	arrive eventsim.Handler
+
+	// The one-byte fields sit together so the struct stays in the 80-byte
+	// size class (TestPacketSizeClass).
 	Kind  Kind
 	Class uint8
 
@@ -157,15 +165,16 @@ func (p *PacketPool) Get() *Packet {
 	return pkt
 }
 
-// Put recycles a packet whose life ended. The packet is zeroed here, so a
-// late use-after-Put reads zeroes rather than another packet's fields.
-// Callers must not retain pkt afterwards.
+// Put recycles a packet whose life ended. Every data field is zeroed here,
+// so a late use-after-Put reads zeroes rather than another packet's fields;
+// only the delivery handler, which names the packet and nothing else, is
+// kept. Callers must not retain pkt afterwards.
 func (p *PacketPool) Put(pkt *Packet) {
 	if p == nil || pkt == nil {
 		return
 	}
 	p.Puts++
-	*pkt = Packet{}
+	*pkt = Packet{arrive: pkt.arrive}
 	if len(p.free) >= maxPooledPackets {
 		return
 	}

@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -57,9 +58,9 @@ func (r *forwardRig) sendOne(seq int64) {
 }
 
 // TestPortForwardZeroAlloc pins the acceptance criterion for the packet
-// free-lists: once the pool, the port's delivery slab, and the engine's
-// event slab are warm, forwarding a data packet — including the per-packet
-// telemetry counter increment — allocates nothing.
+// free-lists: once the pool (whose packets carry their own delivery
+// handlers) and the engine's event slab are warm, forwarding a data packet
+// — including the per-packet telemetry counter increment — allocates nothing.
 func TestPortForwardZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rig := newForwardRig(reg.Counter("test_rx_packets_total", "packets sunk by the test rig"))
@@ -117,11 +118,78 @@ func BenchmarkPortForward(b *testing.B) {
 	b.ReportMetric(float64(rig.sink.bytes)/b.Elapsed().Seconds()/1e9, "simGB/s")
 }
 
-// TestPacketFitsCacheLine pins the packet at one 64-byte line: every
-// queue, delivery slot and pool entry on the forward path touches one.
-func TestPacketFitsCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size > 64 {
-		t.Fatalf("Packet is %d bytes, want <= 64", size)
+// TestPacketSizeClass pins the packet inside Go's 80-byte size class. It
+// was one 64-byte line until the packet became its own delivery record; the
+// two words that added (the port being crossed, the arrival handler) cost a
+// second line per packet and removed a per-port record sized by each port's
+// own peak wire BDP. Measured on clos4096_drain (seed 1, 2-vCPU box):
+// peak_rss_mb 112 -> 30 with the coins' 8-byte seeds, ns_per_event 383 ->
+// 280; EXPERIMENTS.md "Scale ceiling" lists every pair. NodeID is an int, so
+// narrowing PayloadBytes/WireBytes to int32 reaches 72 bytes, the same size
+// class: nothing to gain.
+func TestPacketSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 80 {
+		t.Fatalf("Packet is %d bytes, want <= 80", size)
+	}
+}
+
+// lastSink remembers the latest arrival without allocating.
+type lastSink struct {
+	n, port int
+	pkt     *Packet
+}
+
+func (s *lastSink) Receive(pkt *Packet, inPort int) { s.n, s.port, s.pkt = s.n+1, inPort, pkt }
+
+// TestPutKeepsOnlyTheDeliveryHandler pins what survives recycling: every
+// data field reads zero after Put, the arrival handler built on the packet's
+// first wire crossing is kept (a second crossing allocates nothing), and the
+// recycled packet lands at the peer of the port it crosses now, not the one
+// it crossed before.
+func TestPutKeepsOnlyTheDeliveryHandler(t *testing.T) {
+	eng := eventsim.NewEngine(1)
+	pool := NewPacketPool()
+	var sinks [2]lastSink
+	var ports [2]*EgressPort
+	for i := range ports {
+		ports[i] = NewEgressPort(eng, 100e9, 1000, nil)
+		ports[i].SetPeer(&sinks[i], 10+i)
+	}
+	pkt := pool.NewDataPacket(7, 1, 2, 100, DefaultMTU, true)
+	pkt.SentAt, pkt.ECNMarked, pkt.TOSMarked = 5, true, true
+	ports[0].Enqueue(pkt, -1)
+	eng.Run()
+	if sinks[0].n != 1 || sinks[0].port != 10 || pkt.via != nil {
+		t.Fatalf("first crossing: %d arrivals on port %d, via=%v", sinks[0].n, sinks[0].port, pkt.via)
+	}
+	pool.Put(pkt)
+	kept := pkt.arrive
+	if kept == nil {
+		t.Fatal("Put dropped the delivery handler")
+	}
+	pkt.arrive = nil
+	if !reflect.DeepEqual(*pkt, Packet{}) {
+		t.Fatalf("Put left data behind: %+v", *pkt)
+	}
+	pkt.arrive = kept
+
+	again := pool.NewDataPacket(8, 3, 4, 0, DefaultMTU, false)
+	if again != pkt {
+		t.Fatal("Get did not reuse the recycled packet")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		ports[1].Enqueue(again, -1)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("a recycled packet's crossing allocates %.1f, want 0", allocs)
+	}
+	if sinks[0].n != 1 || sinks[1].n != 11 || sinks[1].port != 11 || sinks[1].pkt != again {
+		t.Errorf("recycled packet: %d arrivals at the old peer, %d at the new on port %d; want 1, 11, 11",
+			sinks[0].n, sinks[1].n, sinks[1].port)
+	}
+	if ports[0].InFlightPackets() != 0 || ports[1].InFlightPackets() != 0 {
+		t.Errorf("in flight after drain: %d, %d", ports[0].InFlightPackets(), ports[1].InFlightPackets())
 	}
 }
 

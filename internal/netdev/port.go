@@ -61,16 +61,6 @@ type PortStats struct {
 	TxTimers int64
 }
 
-// deliverySlot holds one packet on the wire, from the start of its
-// serialization until it arrives. Each slot owns a persistent closure
-// created when the slot is first needed, so scheduling a delivery allocates
-// nothing once the port's in-flight high-water mark is reached.
-type deliverySlot struct {
-	pkt  *Packet
-	next int32 // free-list link
-	fn   eventsim.Handler
-}
-
 // EgressPort is one direction of a link: priority queues, a transmitter
 // that serializes at line rate, optional ECN marking, and PFC pause state.
 // Both switches and host RNICs transmit through EgressPorts.
@@ -100,11 +90,10 @@ type EgressPort struct {
 	txArmed   bool
 	txDoneFn  eventsim.Handler
 
-	// deliveries is the slab of packets crossing the wire; delivFree heads
-	// its free-list (-1 = none). Several can overlap: the next packet
-	// serializes while earlier ones are still propagating.
-	deliveries []deliverySlot
-	delivFree  int32
+	// onWire counts the packets crossing the wire, each from the start of
+	// its serialization until it arrives. Several can overlap: the next
+	// packet serializes while earlier ones are still propagating.
+	onWire int
 
 	// Link fault state (internal/chaos). A down link holds its queues —
 	// the sim has no link-layer retransmit, so dropping in-queue lossless
@@ -150,7 +139,7 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, rn
 	if rateBps <= 0 {
 		panic("netdev: non-positive port rate")
 	}
-	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1, delivFree: -1}
+	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1}
 	p.txDoneFn = p.txDone
 	return p
 }
@@ -415,45 +404,35 @@ func (p *EgressPort) txDone() {
 }
 
 // scheduleDelivery puts pkt on the wire: after delay it arrives at the
-// peer. Slots are recycled, and each slot's closure is built exactly once,
-// so the steady-state cost is one event and zero allocations.
+// peer. The packet records the port it is crossing and carries the handler
+// that lands it, built once per packet, so the steady-state cost is one
+// event and zero allocations.
 func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
-	slot := p.delivFree
-	if slot >= 0 {
-		p.delivFree = p.deliveries[slot].next
-	} else {
-		slot = int32(len(p.deliveries))
-		p.deliveries = append(p.deliveries, deliverySlot{})
-		i := slot
-		p.deliveries[i].fn = func() { p.deliver(i) }
+	if pkt.arrive == nil {
+		pkt.arrive = pkt.deliver
 	}
-	p.deliveries[slot].pkt = pkt
-	p.eng.After(delay, p.deliveries[slot].fn)
+	pkt.via = p
+	p.onWire++
+	p.eng.After(delay, pkt.arrive)
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a
-// class FIFO, or in a delivery slot — which holds a packet from the start of
-// its serialization until it arrives. sim.Network sums this over every port
-// to check the packet-pool leak invariant Fresh+Recycled == Puts + in-flight.
+// class FIFO, or on the wire — where a packet is from the start of its
+// serialization until it arrives. sim.Network sums this over every port to
+// check the packet-pool leak invariant Fresh+Recycled == Puts + in-flight.
 func (p *EgressPort) InFlightPackets() int {
-	n := 0
+	n := p.onWire
 	for c := range p.queues {
 		n += len(p.queues[c].entries) - p.queues[c].head
-	}
-	for i := range p.deliveries {
-		if p.deliveries[i].pkt != nil {
-			n++
-		}
 	}
 	return n
 }
 
-// deliver releases delivery slot i and hands its packet to the peer.
-func (p *EgressPort) deliver(i int32) {
-	s := &p.deliveries[i]
-	pkt := s.pkt
-	s.pkt = nil
-	s.next = p.delivFree
-	p.delivFree = i
+// deliver takes the packet off the wire it is crossing and hands it to the
+// peer at the far end.
+func (pkt *Packet) deliver() {
+	p := pkt.via
+	pkt.via = nil
+	p.onWire--
 	p.peer.Receive(pkt, p.peerPort)
 }

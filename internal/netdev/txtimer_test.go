@@ -45,8 +45,8 @@ func TestPortNoTimerWhenNothingWaits(t *testing.T) {
 	}
 }
 
-// TestPortInFlightCountsSerializingPacketOnce: the wire slot holds a packet
-// from transmit start, so it is counted there and nowhere else.
+// TestPortInFlightCountsSerializingPacketOnce: a packet is on the wire from
+// transmit start, so it is counted there and nowhere else.
 func TestPortInFlightCountsSerializingPacketOnce(t *testing.T) {
 	eng, p, _ := newPort(t, 1e9, us)
 	p.Enqueue(&Packet{Class: ClassData, WireBytes: 1250}, -1)
