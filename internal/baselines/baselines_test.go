@@ -114,27 +114,35 @@ func TestDCQCNPlusScalesWithIncast(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		n.StartFlow(hosts[i], hosts[0], 16<<20)
 	}
-	n.Run(10 * eventsim.Millisecond)
-	// The receiver must have a stretched CNP interval.
-	rx := n.HostParams(hosts[0])
-	if rx == nil {
-		t.Fatal("no override installed at the incast receiver")
-	}
-	if rx.MinTimeBetweenCNPs <= base.MinTimeBetweenCNPs {
-		t.Errorf("receiver CNP interval %v not stretched from %v", rx.MinTimeBetweenCNPs, base.MinTimeBetweenCNPs)
-	}
-	// Senders must have shrunken increase steps.
-	foundSender := false
-	for i := 1; i <= 6; i++ {
-		if p := n.HostParams(hosts[i]); p != nil {
-			foundSender = true
-			if p.AIRateBps >= base.AIRateBps {
-				t.Errorf("sender %d ai_rate %g not reduced from %g", i, p.AIRateBps, base.AIRateBps)
-			}
-			if p.RPGTimeReset <= base.RPGTimeReset {
-				t.Errorf("sender %d timer %v not stretched", i, p.RPGTimeReset)
+	// DCQCN's queue oscillates, so an adaptation interval with no marked
+	// inbound flow — and no override at its end — is normal mid-incast, and
+	// which intervals those are depends on the ECN coins. Look at the end of
+	// every interval of the incast, not at one instant.
+	foundReceiver, foundSender := false, false
+	for at := dp.cfg.Interval; at <= 10*eventsim.Millisecond; at += dp.cfg.Interval {
+		n.Run(at)
+		// The receiver must have a stretched CNP interval.
+		if rx := n.HostParams(hosts[0]); rx != nil {
+			foundReceiver = true
+			if rx.MinTimeBetweenCNPs <= base.MinTimeBetweenCNPs {
+				t.Errorf("at %v: receiver CNP interval %v not stretched from %v", at, rx.MinTimeBetweenCNPs, base.MinTimeBetweenCNPs)
 			}
 		}
+		// Senders must have shrunken increase steps.
+		for i := 1; i <= 6; i++ {
+			if p := n.HostParams(hosts[i]); p != nil {
+				foundSender = true
+				if p.AIRateBps >= base.AIRateBps {
+					t.Errorf("at %v: sender %d ai_rate %g not reduced from %g", at, i, p.AIRateBps, base.AIRateBps)
+				}
+				if p.RPGTimeReset <= base.RPGTimeReset {
+					t.Errorf("at %v: sender %d timer %v not stretched", at, i, p.RPGTimeReset)
+				}
+			}
+		}
+	}
+	if !foundReceiver {
+		t.Error("no override installed at the incast receiver")
 	}
 	if !foundSender {
 		t.Error("no sender-side adjustment")

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
 	"repro/internal/sim"
@@ -28,6 +29,23 @@ func TestSystemDispatchPipeline(t *testing.T) {
 	if s.Dispatch == nil {
 		t.Fatal("pipeline not attached")
 	}
+	// The pipeline's devices are the ToRs, and at the instant a plan commits
+	// every one of them runs the committed vector. That instant is the only
+	// time the committed vector is guaranteed: see the live-vector check
+	// below. (The check reads the ToRs' switch parameters, not RNICParams():
+	// a canary or promote wave that covers part of the fabric goes through
+	// ApplyParamsToCluster, which installs per-host overrides and leaves the
+	// shared RNIC vector and the leaf switches alone.)
+	onCommit := s.Dispatch.OnCommit
+	s.Dispatch.OnCommit = func(p dcqcn.Params) {
+		onCommit(p)
+		committed, _ := s.Dispatch.Committed()
+		for _, tor := range n.Topo.ToRs() {
+			if p != committed || *n.SwitchParams(tor) != committed {
+				t.Errorf("at commit of epoch %d ToR %d does not run the committed vector", s.Dispatch.CommittedEpoch(), tor)
+			}
+		}
+	}
 	s.Start()
 	hosts := n.Topo.Hosts()
 	for i := 1; i <= 3; i++ {
@@ -49,12 +67,20 @@ func TestSystemDispatchPipeline(t *testing.T) {
 		t.Errorf("no plan committed (plans=%d aborts=%d phase=%v)",
 			s.Dispatch.Plans, s.Dispatch.Aborts, s.Dispatch.Phase())
 	}
-	if s.Dispatch.Phase() == dispatch.PhaseIdle && !s.Dispatch.Fabric().Converged() {
-		t.Errorf("idle pipeline with diverged fabric: epochs %v", s.Dispatch.Fabric().Epochs())
-	}
-	if committed, ok := s.Dispatch.Committed(); ok && s.Dispatch.Phase() == dispatch.PhaseIdle {
-		if *n.RNICParams() != committed {
-			t.Error("network params differ from the committed vector")
+	if s.Dispatch.Phase() == dispatch.PhaseIdle {
+		if !s.Dispatch.Fabric().Converged() {
+			t.Errorf("idle pipeline with diverged fabric: epochs %v", s.Dispatch.Fabric().Epochs())
+		}
+		// An idle pipeline does not mean the committed vector is running:
+		// SubmitExplore puts each exploration step fabric-wide while the
+		// phase stays idle, so a session that explores after the last commit
+		// leaves the network on a candidate. Whether the run stops inside
+		// such a session depends on the ECN coins; what always holds is that
+		// every device of the pipeline runs its live vector.
+		for _, tor := range n.Topo.ToRs() {
+			if *n.SwitchParams(tor) != s.Dispatch.Live() {
+				t.Errorf("idle, converged pipeline: ToR %d params differ from the live vector", tor)
+			}
 		}
 	}
 }

@@ -282,6 +282,10 @@ func (p *Pipeline) CommittedEpoch() uint64 { return p.committedEpoch }
 // Committed returns the last committed vector and whether one exists.
 func (p *Pipeline) Committed() (dcqcn.Params, bool) { return p.committed, p.haveCommitted }
 
+// Live returns the last vector admitted fabric-wide: the committed one, or
+// an exploration step dispatched since.
+func (p *Pipeline) Live() dcqcn.Params { return p.live }
+
 // Phase returns the current plan phase.
 func (p *Pipeline) Phase() Phase { return p.phase }
 
