@@ -152,6 +152,7 @@ type Engine struct {
 	head     [wheelLevels * wheelSlots]int32
 	tail     [wheelLevels * wheelSlots]int32
 
+	seed    int64
 	rng     *rand.Rand
 	stopped bool
 
@@ -171,8 +172,14 @@ type Stats struct {
 
 // NewEngine returns an engine whose random streams derive from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), freeHead: -1}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), freeHead: -1}
 }
+
+// Seed reports the seed the engine was built with. Devices derive their
+// randomness from it as a pure function (netdev.PortSeed), so what a device
+// draws depends on neither construction order nor how many streams Rand
+// has handed out.
+func (e *Engine) Seed() int64 { return e.seed }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -195,10 +202,12 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// Rand returns a new deterministic random stream for a component. Each call
-// returns an independent generator seeded from the engine's master stream,
-// so adding a component does not perturb the draws seen by others created
-// before it.
+// Rand returns a new deterministic random stream for a workload generator,
+// whose draw order the data plane cannot perturb. Each call returns an
+// independent generator seeded from the engine's master stream, so adding a
+// generator does not perturb the draws seen by those created before it. A
+// math/rand source is 4.9 KB, so this is not for devices, which come by the
+// thousand: they use Seed.
 func (e *Engine) Rand() *rand.Rand {
 	return rand.New(rand.NewSource(e.rng.Int63()))
 }

@@ -69,7 +69,7 @@ func TestFIFOInterleaved(t *testing.T) {
 func newPort(t *testing.T, rate float64, prop eventsim.Time) (*eventsim.Engine, *EgressPort, *sink) {
 	t.Helper()
 	eng := eventsim.NewEngine(3)
-	p := NewEgressPort(eng, rate, prop, eng.Rand())
+	p := NewEgressPort(eng, rate, prop, PortSeed(3, 0, 0))
 	dst := &sink{eng: eng}
 	p.SetPeer(dst, 7)
 	return eng, p, dst

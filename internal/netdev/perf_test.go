@@ -1,7 +1,6 @@
 package netdev
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -42,7 +41,7 @@ type forwardRig struct {
 func newForwardRig(counter *telemetry.Counter) *forwardRig {
 	eng := eventsim.NewEngine(1)
 	pool := NewPacketPool()
-	port := NewEgressPort(eng, 100e9, 1000, rand.New(rand.NewSource(1)))
+	port := NewEgressPort(eng, 100e9, 1000, PortSeed(1, 0, 0))
 	port.SetPacketPool(pool)
 	sink := &poolSink{pool: pool, counter: counter}
 	port.SetPeer(sink, 0)
@@ -152,7 +151,7 @@ func TestPutKeepsOnlyTheDeliveryHandler(t *testing.T) {
 	var sinks [2]lastSink
 	var ports [2]*EgressPort
 	for i := range ports {
-		ports[i] = NewEgressPort(eng, 100e9, 1000, nil)
+		ports[i] = NewEgressPort(eng, 100e9, 1000, PortSeed(1, 0, i))
 		ports[i].SetPeer(&sinks[i], 10+i)
 	}
 	pkt := pool.NewDataPacket(7, 1, 2, 100, DefaultMTU, true)

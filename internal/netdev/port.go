@@ -1,9 +1,9 @@
 package netdev
 
 import (
-	"math/rand"
-
 	"repro/internal/eventsim"
+	"repro/internal/splitmix"
+	"repro/internal/topology"
 )
 
 // queueEntry holds a queued packet plus the ingress port it came in on, so
@@ -68,7 +68,8 @@ type EgressPort struct {
 	eng     *eventsim.Engine
 	rateBps float64
 	prop    eventsim.Time
-	rng     *rand.Rand
+	// seed keys the port's ECN coins (see coin); PortSeed derives it.
+	seed uint64
 
 	peer     Device
 	peerPort int
@@ -132,14 +133,20 @@ type EgressPort struct {
 	Stats PortStats
 }
 
+// PortSeed is the coin seed of a node's port in the run seeded run: a pure
+// function of the three, whatever order the devices are built in.
+func PortSeed(run int64, node topology.NodeID, port int) uint64 {
+	return splitmix.Fold(splitmix.Fold(splitmix.Next(uint64(run)), uint64(node)), uint64(port))
+}
+
 // NewEgressPort builds a port transmitting at rateBps over a link with
-// one-way propagation delay prop. Wire the destination with SetPeer before
-// the first Enqueue.
-func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, rng *rand.Rand) *EgressPort {
+// one-way propagation delay prop, its ECN coins keyed by seed. Wire the
+// destination with SetPeer before the first Enqueue.
+func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, seed uint64) *EgressPort {
 	if rateBps <= 0 {
 		panic("netdev: non-positive port rate")
 	}
-	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1}
+	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, seed: seed, up: true, rateFactor: 1}
 	p.txDoneFn = p.txDone
 	return p
 }
@@ -358,7 +365,7 @@ func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 			// Mark against the depth including the departing packet: the
 			// packet experienced this queue.
 			depth := p.queues[ClassData].bytes + wire
-			if prob := p.marker(depth); prob > 0 && p.rng.Float64() < prob {
+			if prob := p.marker(depth); prob > 0 && p.coin(pkt) < prob {
 				pkt.ECNMarked = true
 				p.Stats.ECNMarked++
 			}
@@ -374,6 +381,16 @@ func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	if watch || p.eligible() >= 0 {
 		p.armTxDone()
 	}
+}
+
+// coin is the uniform [0,1) draw that decides whether this port marks pkt:
+// a function of the port's seed and the packet's identity, not the next value
+// of a stream, so a reordered tie can change the depth a packet sees but
+// cannot hand its coin to a neighbour. A data segment is (FlowID, Seq) with
+// SentAt zero; a probe always has Seq zero and is told apart by SentAt.
+func (p *EgressPort) coin(pkt *Packet) float64 {
+	h := splitmix.Fold(splitmix.Fold(p.seed, pkt.FlowID), uint64(pkt.Seq)^uint64(pkt.SentAt))
+	return float64(h>>11) / (1 << 53)
 }
 
 // armTxDone schedules the serialization-done event for the packet on the

@@ -2,7 +2,6 @@ package netdev
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
@@ -67,8 +66,6 @@ type Switch struct {
 	// frames) and supplies its ports' control frames. May be nil.
 	pool *PacketPool
 
-	rng *rand.Rand
-
 	// Tap, if set, observes every admitted class-0 data packet at
 	// ingress. Paraleon's sketch measurement points attach here.
 	Tap func(pkt *Packet, now eventsim.Time)
@@ -96,12 +93,11 @@ func NewSwitch(eng *eventsim.Engine, topo *topology.Topology, node topology.Node
 		params:       params,
 		ingressBytes: make([]int64, len(n.Ports)),
 		pauseSent:    make([]bool, len(n.Ports)),
-		rng:          eng.Rand(),
 	}
 	s.ports = make([]*EgressPort, len(n.Ports))
 	for i, lid := range n.Ports {
 		l := &topo.Links[lid]
-		p := NewEgressPort(eng, l.RateBps, l.PropDelay, eng.Rand())
+		p := NewEgressPort(eng, l.RateBps, l.PropDelay, PortSeed(eng.Seed(), node, i))
 		p.SetMarker(func(depth int64) float64 { return s.params().MarkProbability(depth) })
 		p.sw, p.index = s, i
 		s.ports[i] = p

@@ -134,7 +134,7 @@ func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID
 		reportedSent:       map[uint64]int64{},
 		finishedUnreported: map[uint64]int64{},
 	}
-	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, eng.Rand())
+	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, netdev.PortSeed(eng.Seed(), node, 0))
 	h.port.SetOnResume(func(class int) { h.schedule() })
 	h.timerFn = func() { h.schedule() }
 	h.probeFn = func() {

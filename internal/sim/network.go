@@ -25,8 +25,9 @@ type Config struct {
 	// Params is the initial DCQCN setting applied to all RNICs and
 	// switches.
 	Params dcqcn.Params
-	// Seed drives all randomness (ECN coin flips, workload draws made
-	// through Rand()).
+	// Seed drives all randomness. Each port's ECN coins are a pure function
+	// of (Seed, node, port, packet) — netdev.PortSeed — and never a stream;
+	// workload generators draw from streams split off Eng.Rand().
 	Seed int64
 	// MTU overrides the data payload per packet when > 0.
 	MTU int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -83,11 +84,44 @@ func TestStaticDrainRecordsMatchParent(t *testing.T) {
 	}
 }
 
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestLargeCLOSSetupRetainsLittle is the scale guard on what a fabric costs
+// to hold before it has carried a packet: sim.New on the 4096-host CLOS of
+// clos4096_drain retains 10.6 MB. It retained 64 MB while each of the 10 320
+// devices and ports owned a math/rand source (4.9 KB apiece); the bound fails
+// long before anything per-device grows back to that.
+func TestLargeCLOSSetupRetainsLittle(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.ClosConfig{
+		NumToR: 64, NumLeaf: 16, HostsPerToR: 64,
+		HostLinkBps: 100e9, FabricLinkBps: 400e9,
+		PropDelay: 2 * eventsim.Microsecond,
+	}
+	before := liveHeap()
+	n, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retained := liveHeap() - before; retained > 16<<20 {
+		t.Errorf("sim.New on the 4096-host CLOS retains %.1f MB of heap, want <= 16", float64(retained)/(1<<20))
+	}
+	runtime.KeepAlive(n)
+}
+
 // TestLargeCLOSQuickRun is the scale smoke test: a 4096-host CLOS (64 ToR
 // pods × 64 hosts, 16 leaves) builds and pushes a cross-pod workload to
 // completion. It guards construction cost and a full drain at a fabric
 // size far beyond the micro tests — not throughput, which the benchmark's
-// clos4096_drain workload measures.
+// clos4096_drain workload measures — and that carrying traffic leaves no
+// state behind sized by the fabric rather than by the packets alive: the
+// heap live after the drain stays within twice the heap after set-up.
 func TestLargeCLOSQuickRun(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Clos = topology.ClosConfig{
@@ -96,10 +130,12 @@ func TestLargeCLOSQuickRun(t *testing.T) {
 		PropDelay: 2 * eventsim.Microsecond,
 	}
 	cfg.Seed = 7
+	before := liveHeap()
 	n, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup := liveHeap() - before
 	hosts := n.Topo.Hosts()
 	if len(hosts) != 4096 {
 		t.Fatalf("%d hosts, want 4096", len(hosts))
@@ -123,4 +159,9 @@ func TestLargeCLOSQuickRun(t *testing.T) {
 	if err := n.CheckPoolInvariant(); err != nil {
 		t.Fatal(err)
 	}
+	if drained := liveHeap() - before; drained > 2*setup {
+		t.Errorf("%.1f MB of heap live after the drain, %.1f MB after set-up: want at most twice",
+			float64(drained)/(1<<20), float64(setup)/(1<<20))
+	}
+	runtime.KeepAlive(n)
 }
