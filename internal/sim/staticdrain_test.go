@@ -92,12 +92,17 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestLargeCLOSSetupRetainsLittle is the scale guard on what a fabric costs
-// to hold before it has carried a packet: sim.New on the 4096-host CLOS of
-// clos4096_drain retains 10.6 MB. It retained 64 MB while each of the 10 320
-// devices and ports owned a math/rand source (4.9 KB apiece); the bound fails
-// long before anything per-device grows back to that.
-func TestLargeCLOSSetupRetainsLittle(t *testing.T) {
+// TestLargeCLOSHeapIsSizedByTheFabric is the scale guard on what a fabric
+// costs to hold, on the 4096-host CLOS of clos4096_drain. Before it has
+// carried a packet, sim.New retains 7.5 MB (10.6 MB of process heap in the
+// benchmark); it was 64 MB while each of the 10 320 devices and ports owned a
+// math/rand source (4.9 KB apiece), and the bound fails long before anything
+// per-device grows back to that. Then every host sends 32 KB into the next
+// pod, one pod at a time, so every port sees its full wire BDP while few
+// packets are alive at once: state that scales with the packets alive stays
+// small (12 MB live after the drain), state kept per port at its own peak
+// does not (34 MB with a per-port delivery slab).
+func TestLargeCLOSHeapIsSizedByTheFabric(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Clos = topology.ClosConfig{
 		NumToR: 64, NumLeaf: 16, HostsPerToR: 64,
@@ -109,8 +114,23 @@ func TestLargeCLOSSetupRetainsLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retained := liveHeap() - before; retained > 16<<20 {
-		t.Errorf("sim.New on the 4096-host CLOS retains %.1f MB of heap, want <= 16", float64(retained)/(1<<20))
+	setup := liveHeap() - before
+	if setup > 16<<20 {
+		t.Errorf("sim.New on the 4096-host CLOS retains %.1f MB of heap, want <= 16", float64(setup)/(1<<20))
+	}
+	hosts := n.Topo.Hosts()
+	for pod := 0; pod < len(hosts); pod += 64 {
+		for h := pod; h < pod+64; h++ {
+			n.StartFlow(hosts[h], hosts[(h+64)%len(hosts)], 32<<10)
+		}
+		n.RunUntilIdle(n.Eng.Now() + eventsim.Second)
+	}
+	if len(n.Completed) != len(hosts) {
+		t.Fatalf("%d of %d flows completed", len(n.Completed), len(hosts))
+	}
+	if drained := liveHeap() - before; drained > 2*setup {
+		t.Errorf("%.1f MB of heap live after every port carried its BDP, %.1f MB after set-up: want at most twice",
+			float64(drained)/(1<<20), float64(setup)/(1<<20))
 	}
 	runtime.KeepAlive(n)
 }
