@@ -78,6 +78,9 @@ func main() {
 	sum := res.Net.Completed
 	fmt.Printf("ran %v of virtual time against controller %s\n", *duration, *controller)
 	fmt.Printf("  flows completed:       %d\n", len(sum))
+	if res.Incomplete > 0 {
+		fmt.Fprintf(os.Stderr, "%d flows without a completion record when the drain hit its time limit\n", res.Incomplete)
+	}
 	fmt.Printf("  parameter dispatches:  %d\n", res.Dispatches)
 	fmt.Printf("  report frame size:     %d B\n", res.ReportBytes)
 	fmt.Printf("  params frame size:     %d B\n", res.ParamsBytes)

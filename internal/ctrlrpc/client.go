@@ -17,6 +17,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	rbuf []byte // reply payloads are read into this, valid until the next call
 
 	// Timeout, when > 0, bounds each frame write and each response read
 	// with a connection deadline, so a hung controller fails the call
@@ -71,7 +72,7 @@ func (c *Client) roundTrip(typ byte, msg any) (byte, []byte, error) {
 		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	rtyp, payload, rn, err := ReadFrame(c.br)
+	rtyp, payload, rn, err := readFrame(c.br, &c.rbuf)
 	if err != nil {
 		return 0, nil, err
 	}

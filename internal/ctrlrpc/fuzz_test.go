@@ -3,6 +3,9 @@ package ctrlrpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -114,6 +117,38 @@ func FuzzWireParamsRoundTrip(f *testing.F) {
 		got := FromWire(ToWire(p))
 		if got != p {
 			t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
+		}
+	})
+}
+
+// FuzzCodecMatchesBinary holds the hand-written codec to encoding/binary
+// on arbitrary payloads: for every message type, Decode must return the
+// error binary.Read returns and, on success, the same message bit for
+// bit, and re-encoding it must give binary.Write's bytes.
+func FuzzCodecMatchesBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(4))
+	for _, tc := range codecCases {
+		msg := tc.fresh()
+		fillRandom(rng, reflect.ValueOf(msg).Elem())
+		f.Add(oracleEncode(f, msg))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, tc := range codecCases {
+			got, ref := tc.fresh(), tc.fresh()
+			err := Decode(payload, got)
+			if rerr := binary.Read(bytes.NewReader(payload), binary.LittleEndian, ref); err != rerr {
+				t.Fatalf("%s: Decode error %v, binary.Read %v", tc.name, err, rerr)
+			}
+			want := oracleEncode(t, ref)
+			if !bytes.Equal(oracleEncode(t, got), want) {
+				t.Fatalf("%s: Decode disagrees with binary.Read", tc.name)
+			}
+			if err == nil && !bytes.Equal(frameBytes(t, tc.typ, got)[frameHeader:], want) {
+				t.Fatalf("%s: re-encoding differs from binary.Write", tc.name)
+			}
 		}
 	})
 }

@@ -6,16 +6,19 @@
 // the Table IV byte accounting exact).
 //
 // Framing: uint32 little-endian payload length, one type byte, then the
-// fixed-layout payload encoded with encoding/binary. Payloads are capped
-// at MaxFrame to bound memory against misbehaving peers.
+// fixed-layout little-endian payload: every field in declaration order,
+// byte for byte what encoding/binary writes for the struct (the tests hold
+// the hand-written codec to that oracle). Payloads are capped at MaxFrame
+// to bound memory against misbehaving peers.
 package ctrlrpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
@@ -167,49 +170,276 @@ func FromWire(w WireParams) dcqcn.Params {
 	}
 }
 
-// WriteFrame encodes msg (a fixed-layout struct, or nil for bodyless
-// types) and writes one frame. It returns the bytes written.
+// frameHeader is the uint32 payload length plus the type byte.
+const frameHeader = 5
+
+// Payload sizes of the fixed layouts: every field in declaration order,
+// bools as one byte, no padding — what binary.Size reports for each struct.
+const (
+	reportSize     = 4 + 8 + 8*monitor.NumBuckets + 4*8 + 4 + 8 + 4 + 8 + 8 + 8 + 4
+	tickSize       = 8 + 8
+	ackSize        = 4 + 8 + 8 + 1
+	wireParamsSize = 14*8 + 1
+	paramsSize     = 1 + 1 + 8 + wireParamsSize
+)
+
+// errNotMessage rejects a value that is not one of the four wire messages.
+var errNotMessage = errors.New("ctrlrpc: not a wire message")
+
+// WriteFrame encodes msg — a *Report, *TickMsg, *AckMsg or *ParamsMsg, or
+// nil for bodyless types — and writes one frame. It returns the bytes
+// written.
 func WriteFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
-	var body bytes.Buffer
-	if msg != nil {
-		if err := binary.Write(&body, binary.LittleEndian, msg); err != nil {
-			return 0, fmt.Errorf("ctrlrpc: encode type %d: %w", typ, err)
-		}
+	// Build the frame in the writer's free space: when it fits, Write
+	// copies it onto itself and nothing is allocated.
+	b := append(w.AvailableBuffer(), 0, 0, 0, 0, typ)
+	switch m := msg.(type) {
+	case nil:
+	case *Report:
+		b = m.appendTo(b)
+	case *TickMsg:
+		b = m.appendTo(b)
+	case *AckMsg:
+		b = m.appendTo(b)
+	case *ParamsMsg:
+		b = m.appendTo(b)
+	default:
+		return 0, fmt.Errorf("ctrlrpc: encode type %d: %w", typ, errNotMessage)
 	}
-	if body.Len() > MaxFrame {
-		return 0, fmt.Errorf("ctrlrpc: frame of %d bytes exceeds max %d", body.Len(), MaxFrame)
-	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeader))
+	if _, err := w.Write(b); err != nil {
 		return 0, err
 	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return 0, err
-	}
-	return len(hdr) + body.Len(), w.Flush()
+	return len(b), w.Flush()
 }
 
-// ReadFrame reads one frame and returns its type and raw payload. The
-// returned byte count includes the header.
+// ReadFrame reads one frame and returns its type and raw payload, freshly
+// allocated. The returned byte count includes the header.
 func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, n int, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return readFrame(r, &buf)
+}
+
+// readFrame is ReadFrame reading the payload into *buf, which it grows
+// when the payload does not fit. Connections keep one buffer for their
+// lifetime; the payload is valid until the next read into it.
+func readFrame(r *bufio.Reader, buf *[]byte) (typ byte, payload []byte, n int, err error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, 0, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:4])
+	size, typ := binary.LittleEndian.Uint32(hdr), hdr[4]
+	r.Discard(frameHeader)
 	if size > MaxFrame {
 		return 0, nil, 0, fmt.Errorf("ctrlrpc: frame of %d bytes exceeds max %d", size, MaxFrame)
 	}
-	payload = make([]byte, size)
+	if cap(*buf) < int(size) {
+		*buf = make([]byte, size)
+	}
+	payload = (*buf)[:size]
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, err
 	}
-	return hdr[4], payload, len(hdr) + int(size), nil
+	return typ, payload, frameHeader + int(size), nil
 }
 
-// Decode unmarshals a fixed-layout payload into out.
+// Decode unmarshals a fixed-layout payload into out, which must be a
+// *Report, *TickMsg, *AckMsg or *ParamsMsg. As with binary.Read, trailing
+// bytes are ignored, and an empty or short payload leaves out untouched
+// and returns io.EOF or io.ErrUnexpectedEOF.
 func Decode(payload []byte, out any) error {
-	return binary.Read(bytes.NewReader(payload), binary.LittleEndian, out)
+	switch m := out.(type) {
+	case *Report:
+		return m.decode(payload)
+	case *TickMsg:
+		return m.decode(payload)
+	case *AckMsg:
+		return m.decode(payload)
+	case *ParamsMsg:
+		return m.decode(payload)
+	}
+	return errNotMessage
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// cursor reads a fixed layout front to back. Each decode checks the
+// length with need before reading, so no read runs past the end.
+type cursor []byte
+
+// need returns what binary.Read returns for a payload shorter than size:
+// io.EOF when it is empty, io.ErrUnexpectedEOF when it is cut short.
+func (c cursor) need(size int) error {
+	switch {
+	case len(c) >= size:
+		return nil
+	case len(c) == 0:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+func (c *cursor) u32() uint32 {
+	v := binary.LittleEndian.Uint32(*c)
+	*c = (*c)[4:]
+	return v
+}
+
+func (c *cursor) u64() uint64 {
+	v := binary.LittleEndian.Uint64(*c)
+	*c = (*c)[8:]
+	return v
+}
+
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+
+// flag decodes a bool as binary.Read does: any non-zero byte is true.
+func (c *cursor) flag() bool {
+	v := (*c)[0] != 0
+	*c = (*c)[1:]
+	return v
+}
+
+func (r *Report) appendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, r.AgentID)
+	b = le.AppendUint64(b, r.Seq)
+	for _, v := range &r.Hist {
+		b = appendF64(b, v)
+	}
+	b = appendF64(b, r.ElephantBytes)
+	b = appendF64(b, r.MiceBytes)
+	b = appendF64(b, r.ElephantFlowsW)
+	b = appendF64(b, r.MiceFlowsW)
+	b = le.AppendUint32(b, uint32(r.Flows))
+	b = appendF64(b, r.UtilSum)
+	b = le.AppendUint32(b, uint32(r.ActiveLinks))
+	b = appendF64(b, r.RTTNormSum)
+	b = le.AppendUint64(b, uint64(r.RTTCount))
+	b = appendF64(b, r.PauseFracSum)
+	return le.AppendUint32(b, uint32(r.Devices))
+}
+
+func (r *Report) decode(c cursor) error {
+	if err := c.need(reportSize); err != nil {
+		return err
+	}
+	r.AgentID = c.u32()
+	r.Seq = c.u64()
+	for i := range r.Hist {
+		r.Hist[i] = c.f64()
+	}
+	r.ElephantBytes = c.f64()
+	r.MiceBytes = c.f64()
+	r.ElephantFlowsW = c.f64()
+	r.MiceFlowsW = c.f64()
+	r.Flows = int32(c.u32())
+	r.UtilSum = c.f64()
+	r.ActiveLinks = int32(c.u32())
+	r.RTTNormSum = c.f64()
+	r.RTTCount = int64(c.u64())
+	r.PauseFracSum = c.f64()
+	r.Devices = int32(c.u32())
+	return nil
+}
+
+func (t *TickMsg) appendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, t.Seq)
+	return binary.LittleEndian.AppendUint64(b, uint64(t.IntervalNanos))
+}
+
+func (t *TickMsg) decode(c cursor) error {
+	if err := c.need(tickSize); err != nil {
+		return err
+	}
+	t.Seq = c.u64()
+	t.IntervalNanos = int64(c.u64())
+	return nil
+}
+
+func (a *AckMsg) appendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, a.AgentID)
+	b = le.AppendUint64(b, a.Epoch)
+	b = le.AppendUint64(b, a.VectorHash)
+	return appendBool(b, a.Applied)
+}
+
+func (a *AckMsg) decode(c cursor) error {
+	if err := c.need(ackSize); err != nil {
+		return err
+	}
+	a.AgentID = c.u32()
+	a.Epoch = c.u64()
+	a.VectorHash = c.u64()
+	a.Applied = c.flag()
+	return nil
+}
+
+func (p *ParamsMsg) appendTo(b []byte) []byte {
+	b = appendBool(b, p.Changed)
+	b = appendBool(b, p.Triggered)
+	b = binary.LittleEndian.AppendUint64(b, p.Epoch)
+	return p.Params.appendTo(b)
+}
+
+func (p *ParamsMsg) decode(c cursor) error {
+	if err := c.need(paramsSize); err != nil {
+		return err
+	}
+	p.Changed = c.flag()
+	p.Triggered = c.flag()
+	p.Epoch = c.u64()
+	p.Params.read(&c)
+	return nil
+}
+
+func (w *WireParams) appendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = appendF64(b, w.AIRateBps)
+	b = appendF64(b, w.HAIRateBps)
+	b = le.AppendUint64(b, uint64(w.RPGTimeResetNs))
+	b = le.AppendUint64(b, uint64(w.RPGByteReset))
+	b = le.AppendUint64(b, uint64(w.RPGThreshold))
+	b = le.AppendUint64(b, uint64(w.RateReduceMonitorNs))
+	b = appendF64(b, w.MinRateBps)
+	b = appendBool(b, w.ClampTgtRate)
+	b = appendF64(b, w.G)
+	b = le.AppendUint64(b, uint64(w.AlphaUpdateIntervalNs))
+	b = appendF64(b, w.InitialAlpha)
+	b = le.AppendUint64(b, uint64(w.MinTimeBetweenCNPsNanos))
+	b = le.AppendUint64(b, uint64(w.KminBytes))
+	b = le.AppendUint64(b, uint64(w.KmaxBytes))
+	return appendF64(b, w.PMax)
+}
+
+// read decodes WireParams inside a ParamsMsg, whose need covers it.
+func (w *WireParams) read(c *cursor) {
+	w.AIRateBps = c.f64()
+	w.HAIRateBps = c.f64()
+	w.RPGTimeResetNs = int64(c.u64())
+	w.RPGByteReset = int64(c.u64())
+	w.RPGThreshold = int64(c.u64())
+	w.RateReduceMonitorNs = int64(c.u64())
+	w.MinRateBps = c.f64()
+	w.ClampTgtRate = c.flag()
+	w.G = c.f64()
+	w.AlphaUpdateIntervalNs = int64(c.u64())
+	w.InitialAlpha = c.f64()
+	w.MinTimeBetweenCNPsNanos = int64(c.u64())
+	w.KminBytes = int64(c.u64())
+	w.KmaxBytes = int64(c.u64())
+	w.PMax = c.f64()
 }

@@ -103,6 +103,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	pending  []Report
+	locals   []monitor.Report // tick's per-agent FSDs, reused across ticks
 	prev     monitor.FSD
 	hasPrev  bool
 	smoother monitor.Smoother
@@ -285,11 +286,12 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	var rbuf []byte
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		typ, payload, n, err := ReadFrame(br)
+		typ, payload, n, err := readFrame(br, &rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("ctrlrpc: read from %v: %v", conn.RemoteAddr(), err)
@@ -358,8 +360,10 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	start := time.Now()
 	defer func() { s.stats.Processing += time.Since(start) }()
 
+	// The whole tick holds s.mu, so no handler appends while reports is
+	// read and its backing array can take the next interval's reports.
 	reports := s.pending
-	s.pending = nil
+	s.pending = reports[:0]
 	s.stats.Ticks++
 	s.tm.Ticks.Inc()
 	s.mm.Ticks.Inc()
@@ -378,7 +382,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 		})
 	}()
 
-	locals := make([]monitor.Report, 0, len(reports))
+	locals := s.locals[:0]
 	sample := monitor.RuntimeSample{ORTT: 1, OPFC: 1}
 	var utilSum, pauseSum float64
 	var links, devices int32
@@ -394,6 +398,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 		pauseSum += r.PauseFracSum
 		devices += r.Devices
 	}
+	s.locals = locals
 	if links > 0 {
 		sample.OTP = utilSum / float64(links)
 		sample.ActiveLinks = int(links)
@@ -473,7 +478,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 		} else {
 			s.epoch++
 			s.current = p
-			s.acks = map[uint32]bool{}
+			clear(s.acks)
 			s.stats.Dispatches++
 			s.tuner.Commit(p)
 			s.ttm.Dispatches.Inc()

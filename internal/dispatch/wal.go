@@ -93,6 +93,10 @@ type FileWAL struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	// buf and enc encode each record in place: enc writes the line
+	// json.Marshal(r)+"\n" into buf (HTML escaping on, as in Marshal).
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 // ErrWALCorrupt is returned (wrapped, with the line number) by
@@ -115,7 +119,9 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("dispatch: open wal: %w", err)
 	}
-	return &FileWAL{path: path, f: f}, nil
+	w := &FileWAL{path: path, f: f}
+	w.enc = json.NewEncoder(&w.buf)
+	return w, nil
 }
 
 // dropTornTail truncates f to end just after its last newline.
@@ -146,14 +152,13 @@ func dropTornTail(f *os.File) error {
 
 // Append writes r as one JSON line and syncs it to stable storage.
 func (w *FileWAL) Append(r Record) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("dispatch: wal encode: %w", err)
-	}
-	b = append(b, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(b); err != nil {
+	w.buf.Reset()
+	if err := w.enc.Encode(r); err != nil {
+		return fmt.Errorf("dispatch: wal encode: %w", err)
+	}
+	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
 		return fmt.Errorf("dispatch: wal append: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {

@@ -1,7 +1,9 @@
 package dispatch
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,6 +36,53 @@ func TestMemWALRoundTrip(t *testing.T) {
 		if got[i].Kind != recs[i].Kind || got[i].Epoch != recs[i].Epoch {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestFileWALLinesMatchMarshal pins the journal format to what Append
+// wrote before it kept an encoder: json.Marshal(r) plus a newline, HTML
+// escaping included, for every record kind. A record Marshal refuses
+// writes nothing and leaves later appends intact.
+func TestFileWALLinesMatchMarshal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p, q := dcqcn.DefaultParams(), dcqcn.ExpertParams()
+	recs := []Record{
+		{T: 1, Kind: KindIntent, Epoch: 4, Params: &p, Hash: VectorHash(&p), Canary: 2},
+		{T: 2, Kind: KindPhase, Epoch: 4, Phase: "canary"},
+		{T: 3, Kind: KindAbort, Epoch: 4, Phase: "canary", Reason: "health <pfc> & \"rtt\""},
+		{T: 4, Kind: KindEpoch, Epoch: 5, Hash: VectorHash(&q)},
+		{T: 5, Kind: KindCommit, Epoch: 6, Params: &q, Hash: VectorHash(&q), Reason: "restore"},
+	}
+	var want strings.Builder
+	for i, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(b)
+		want.WriteByte('\n')
+		if i == 2 {
+			bad := p
+			bad.G = math.NaN()
+			if err := w.Append(Record{Kind: KindCommit, Params: &bad}); err == nil {
+				t.Fatal("a NaN parameter was journaled")
+			}
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Errorf("journal differs from json.Marshal lines:\n got %s\nwant %s", got, want.String())
 	}
 }
 

@@ -369,9 +369,10 @@ func (e *Engine) Pending() int { return e.pending }
 
 // earliest returns the wheel list holding the earliest pending event — the
 // earliest slot of the lowest occupied level — or -1 when nothing is
-// pending.
+// pending. It ranges over a pointer: ranging over the array value would
+// copy all of e.occupied on every call.
 func (e *Engine) earliest() int {
-	for lvl, occ := range e.occupied {
+	for lvl, occ := range &e.occupied {
 		if occ != 0 {
 			return lvl*wheelSlots + bits.TrailingZeros64(occ)
 		}

@@ -31,8 +31,8 @@ type TestbedConfig struct {
 	// reproduction default follows Scale.Interval).
 	Interval eventsim.Time
 	Workload func(n *sim.Network) error
-	// DrainAfter keeps simulating (without control traffic) until flows
-	// finish.
+	// DrainAfter keeps simulating (without control traffic) until every
+	// started flow has a completion record or MaxTime is hit.
 	DrainAfter bool
 	MaxTime    eventsim.Time
 	// ControllerAddr, when non-empty, connects to an already-running
@@ -58,6 +58,9 @@ type TestbedResult struct {
 	AgentBytesOut int64
 	// Dispatches counts parameter applications to the fabric.
 	Dispatches int
+	// Incomplete counts started flows with no completion record when the
+	// run ended; non-zero after a DrainAfter run means MaxTime cut it.
+	Incomplete int
 }
 
 // rackView indexes the per-ToR scope an agent reports on.
@@ -260,12 +263,23 @@ func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 		res.RTT.Append(now, rtt)
 	}
 	if cfg.DrainAfter {
-		n.RunUntilIdle(cfg.MaxTime)
+		drainFlows(n, cfg.Interval, cfg.MaxTime)
 	}
+	res.Incomplete = n.IncompleteFlows()
 	if srv != nil {
 		res.Server = srv.Stats()
 	}
 	return res, nil
+}
+
+// drainFlows runs n a step at a time until every started flow has a
+// completion record or maxTime is reached. It ends on the receivers' view
+// (see sim.Network.IncompleteFlows), as Run's drain does: the testbed's
+// probe timers keep the engine busy, so RunUntilIdle would run to maxTime.
+func drainFlows(n *sim.Network, step, maxTime eventsim.Time) {
+	for n.Eng.Now() < maxTime && n.IncompleteFlows() > 0 {
+		n.Run(min(n.Eng.Now()+step, maxTime))
+	}
 }
 
 // --- Fig 13: testbed alltoall bandwidth vs scale ---
@@ -335,7 +349,7 @@ func Fig13(scale Scale, workerCounts []int, msg int64, duration eventsim.Time) (
 			return nil, err
 		}
 		gen.Stop()
-		tb.Net.RunUntilIdle(duration + eventsim.Second)
+		drainFlows(tb.Net, scale.Interval, duration+eventsim.Second)
 		res.GoodputGbps[wc]["paraleon"] = lateGoodputGbps(gen, half)
 	}
 	return res, nil

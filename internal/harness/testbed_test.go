@@ -79,6 +79,39 @@ func TestTestbedParamsReachFabric(t *testing.T) {
 	}
 }
 
+// TestTestbedDrainEndsOnCompletions pins DrainAfter to the receivers'
+// view. The testbed arms probe timers, so the engine never idles; the
+// parent drained with RunUntilIdle and ran to Duration + the 10 s default
+// MaxTime (10.005 s here) for two flows done at ~7 ms.
+func TestTestbedDrainEndsOnCompletions(t *testing.T) {
+	scale := QuickScale()
+	res, err := RunTestbed(TestbedConfig{
+		Scale:      scale,
+		Server:     ctrlrpc.DefaultServerConfig(),
+		Duration:   5 * eventsim.Millisecond,
+		DrainAfter: true,
+		Workload: func(n *sim.Network) error {
+			hosts := n.Topo.Hosts()
+			n.StartFlow(hosts[1], hosts[0], 4<<20)
+			n.StartFlow(hosts[2], hosts[0], 4<<20)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete != 0 || len(res.Net.Completed) != 2 {
+		t.Fatalf("incomplete %d, completed %d of 2", res.Incomplete, len(res.Net.Completed))
+	}
+	var last eventsim.Time
+	for _, r := range res.Net.Completed {
+		last = max(last, r.End)
+	}
+	if now := res.Net.Eng.Now(); now > last+scale.Interval {
+		t.Errorf("drain ran to %v, last completion at %v: more than one interval (%v) past it", now, last, scale.Interval)
+	}
+}
+
 func TestFig13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed sweep skipped in -short")
