@@ -23,6 +23,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -288,8 +289,8 @@ func BenchmarkAblationGuidedRandomness(b *testing.B) {
 // BenchmarkAblationTemperature isolates Optimization 2: relaxed vs
 // classical schedule length (both guided).
 func BenchmarkAblationTemperature(b *testing.B) {
-	relaxed := core.DefaultSAConfig()
-	classical := core.NaiveSAConfig()
+	relaxed := tuner.DefaultSAConfig()
+	classical := tuner.NaiveSAConfig()
 	classical.Guided = true
 	for i := 0; i < b.N; i++ {
 		_ = relaxed.SessionIterations()
@@ -374,7 +375,7 @@ func BenchmarkAblationTernaryWindow(b *testing.B) {
 // higher utilization, default (delay-leaning) weights with better RTT.
 func BenchmarkAblationUtilityWeights(b *testing.B) {
 	var tpWeighted, delayWeighted [2]float64 // {meanTP, meanRTT}
-	run := func(w core.Weights) [2]float64 {
+	run := func(w tuner.Weights) [2]float64 {
 		sc := harness.ParaleonScheme()
 		sc.SystemCfg.Weights = w
 		r, err := harness.Run(harness.RunConfig{
@@ -401,8 +402,8 @@ func BenchmarkAblationUtilityWeights(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		tpWeighted = run(core.ThroughputWeights())
-		delayWeighted = run(core.DefaultWeights())
+		tpWeighted = run(tuner.ThroughputWeights())
+		delayWeighted = run(tuner.DefaultWeights())
 	}
 	b.ReportMetric(tpWeighted[0], "tp-weights-mean-tp")
 	b.ReportMetric(delayWeighted[0], "default-weights-mean-tp")
@@ -526,7 +527,7 @@ func BenchmarkExtensionPartitioned(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := core.DefaultSystemConfig()
-			cfg.SA = core.ShortSAConfig()
+			cfg.SA = tuner.ShortSAConfig()
 			var systems []*core.System
 			if partitioned {
 				tors := n.Topo.ToRs()

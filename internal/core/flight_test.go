@@ -8,6 +8,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
+	"repro/internal/tuner"
 )
 
 // TestFlightSampleZeroAlloc pins the steady-state contract of the whole
@@ -35,7 +36,7 @@ func TestFlightSampleZeroAlloc(t *testing.T) {
 	n.Run(5 * eventsim.Millisecond)
 
 	sample := s.LastSample
-	util := Utility(sample, DefaultWeights())
+	util := tuner.Utility(sample, tuner.DefaultWeights())
 	var tick eventsim.Time = n.Eng.Now()
 	allocs := testing.AllocsPerRun(2000, func() {
 		tick += s.interval

@@ -1,3 +1,10 @@
+// Package core wires Paraleon's closed control loop together: agents
+// measure, the controller aggregates and triggers, a search strategy
+// from internal/tuner proposes DCQCN vectors, and the loop dispatches
+// them to every RNIC and switch (directly, or through the staged
+// dispatch pipeline). The utility function (Equation 1), the
+// simulated-annealing search of Algorithm 1 and its configuration live
+// in internal/tuner.
 package core
 
 import (
@@ -21,14 +28,14 @@ type SystemConfig struct {
 	// Theta is the KL trigger threshold (0.01).
 	Theta float64
 	// Weights parameterize the utility function.
-	Weights Weights
+	Weights tuner.Weights
 	// Tuner selects the search strategy by registry name ("sa",
 	// "multiecn", "bandit"; see internal/tuner). Empty falls back to the
 	// network's sim.Config.Tuner, then to "sa" — the default, whose
 	// behaviour is byte-identical to the pre-pluggable loop.
 	Tuner string
 	// SA parameterizes the "sa" search strategy.
-	SA SAConfig
+	SA tuner.SAConfig
 	// Bandit and MultiECN parameterize the respective strategies; zero
 	// values mean their defaults. MultiECN.Agents defaults to the
 	// deployment's scope size (one agent per ToR).
@@ -95,8 +102,8 @@ func DefaultSystemConfig() SystemConfig {
 	return SystemConfig{
 		Interval: eventsim.Millisecond,
 		Theta:    0.01,
-		Weights:  DefaultWeights(),
-		SA:       DefaultSAConfig(),
+		Weights:  tuner.DefaultWeights(),
+		SA:       tuner.DefaultSAConfig(),
 		Agent:    monitor.ParaleonAgentConfig(),
 		Seed:     1,
 	}
@@ -116,7 +123,7 @@ type System struct {
 	probe    eventsim.Time
 	tickEv   eventsim.EventID
 	running  bool
-	weights  Weights
+	weights  tuner.Weights
 	// scope, when non-nil, restricts dispatch to these ToRs' clusters.
 	scope []topology.NodeID
 	// torScope is the resolved ToR list (scope, or every ToR): agent i of
@@ -168,9 +175,9 @@ type System struct {
 	Trace TraceSink
 
 	// Telemetry instrumentation (resolved from SystemConfig.Telemetry).
-	reg   *telemetry.Registry
-	TM    *telemetry.TunerMetrics
-	vtime *telemetry.Gauge
+	status *telemetry.StatusCell[LoopStatus]
+	TM     *telemetry.TunerMetrics
+	vtime  *telemetry.Gauge
 
 	// flight, when non-nil, samples the loop into the configured flight
 	// recorder each interval (SystemConfig.Flight).
@@ -261,19 +268,20 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	if s.probe <= 0 {
 		s.probe = cfg.Interval / 4
 	}
-	s.reg = cfg.Telemetry
-	if s.reg == nil {
-		s.reg = telemetry.Default()
+	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.Default()
 	}
-	s.TM = telemetry.NewTunerMetrics(s.reg)
+	s.status = telemetry.NewStatusCell[LoopStatus](reg, "control_loop")
+	s.TM = telemetry.NewTunerMetrics(reg)
 	s.Tuner.SetMetrics(s.TM)
-	s.vtime = telemetry.VirtualTime(s.reg)
+	s.vtime = telemetry.VirtualTime(reg)
 
 	s.scope = cfg.Scope
 	s.torScope = scope
 	sources := cfg.Sources
 	if sources == nil {
-		sketchTM := telemetry.NewSketchMetrics(s.reg)
+		sketchTM := telemetry.NewSketchMetrics(reg)
 		for i, tor := range scope {
 			a := monitor.NewSwitchAgent(cfg.Agent, uint64(cfg.Seed)+uint64(i)+1)
 			a.TM = sketchTM
@@ -285,7 +293,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	s.Controller = monitor.NewController(cfg.Theta, sources...)
 	s.Controller.StaleAfter = cfg.Degrade.StaleAfter
 	s.Controller.QuorumFrac = cfg.Degrade.QuorumFrac
-	s.Controller.TM = telemetry.NewMonitorMetrics(s.reg)
+	s.Controller.TM = telemetry.NewMonitorMetrics(reg)
 	// A session runs to its temperature floor (Algorithm 1); KL spikes
 	// during an active search must not restart it, or noisy FSDs would
 	// pin the tuner at maximum temperature forever.
@@ -297,9 +305,9 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	s.Collector = monitor.NewScopedRuntimeCollector(net, scope)
 	// The dispatch family is registered even when the pipeline is off,
 	// so every run's /metrics surface carries it for scrape checks.
-	telemetry.NewDispatchMetrics(s.reg)
+	telemetry.NewDispatchMetrics(reg)
 	if cfg.Dispatch.Enabled {
-		if err := s.attachDispatch(cfg, scope); err != nil {
+		if err := s.attachDispatch(cfg, scope, reg); err != nil {
 			return nil, err
 		}
 	}
@@ -314,7 +322,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 // deterministic pod subset. The fabric and WAL come from the config
 // when the caller needs them to survive controller restarts (the
 // crash-recovery experiments); otherwise both are fresh.
-func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID) error {
+func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *telemetry.Registry) error {
 	fab := cfg.Dispatch.Fabric
 	if fab == nil {
 		fab = dispatch.NewFabric(len(scope))
@@ -336,7 +344,7 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID) error
 		}
 		net.ApplyParamsToCluster(tors, p)
 	}
-	s.Dispatch = dispatch.New(cfg.Dispatch, net.Eng, fab, apply, s.reg)
+	s.Dispatch = dispatch.New(cfg.Dispatch, net.Eng, fab, apply, reg)
 	s.Dispatch.OnCommit = func(p dcqcn.Params) { s.current = p }
 	s.Dispatch.OnAbort = func(restored dcqcn.Params, reason string) {
 		// A failed canary must not poison the baseline: re-anchor the
@@ -445,7 +453,7 @@ func (s *System) tick() {
 	fsd := s.Controller.Tick()
 	sample := s.Collector.Sample(s.interval)
 	s.LastSample = sample
-	util := Utility(sample, s.weights)
+	util := tuner.Utility(sample, s.weights)
 	s.UtilityTrace = append(s.UtilityTrace, util)
 	now := s.Net.Eng.Now()
 	s.vtime.Set(float64(now))
@@ -577,10 +585,10 @@ func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
 	}
 }
 
-// publishStatus pushes the loop's state snapshot into the registry, where
-// the /debug/status endpoint and -report summaries read it. Push (rather
-// than letting HTTP handlers poll the System) keeps the single-threaded
-// simulation state off concurrent scrape goroutines.
+// publishStatus overwrites the loop's status cell, which the
+// /debug/status endpoint and -report summaries read. Scrapes copy the
+// cell under its lock rather than reading the System, which keeps the
+// single-threaded simulation state off concurrent scrape goroutines.
 func (s *System) publishStatus(now eventsim.Time) {
 	var phase string
 	var epoch uint64
@@ -593,7 +601,7 @@ func (s *System) publishStatus(now eventsim.Time) {
 		temp = td.Temperature()
 	}
 	st := s.Tuner.Stats()
-	s.reg.PublishStatus("control_loop", LoopStatus{
+	s.status.Set(LoopStatus{
 		VirtualTimeNs: int64(now),
 		Params:        s.current,
 		Tuner:         s.Tuner.Name(),

@@ -8,9 +8,9 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dcqcn"
 	"repro/internal/monitor"
+	"repro/internal/tuner"
 )
 
 func TestWireParamsRoundTrip(t *testing.T) {
@@ -91,7 +91,7 @@ func TestQuickWireParamsRoundTrip(t *testing.T) {
 func quickServer(t *testing.T) *Server {
 	t.Helper()
 	cfg := DefaultServerConfig()
-	cfg.SA = core.SAConfig{
+	cfg.SA = tuner.SAConfig{
 		TotalIterNum: 3, CoolingRate: 0.5,
 		InitialTemp: 30, FinalTemp: 10, Eta: 0.8, Guided: true,
 	}

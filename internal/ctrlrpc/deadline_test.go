@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
+	"repro/internal/tuner"
 )
 
 // TestClientTimeoutOnStalledServer: a server that accepts but never
@@ -211,7 +211,7 @@ func TestServerWALRestart(t *testing.T) {
 	}
 
 	cfg := DefaultServerConfig()
-	cfg.SA = core.SAConfig{
+	cfg.SA = tuner.SAConfig{
 		TotalIterNum: 3, CoolingRate: 0.5,
 		InitialTemp: 30, FinalTemp: 10, Eta: 0.8, Guided: true,
 	}

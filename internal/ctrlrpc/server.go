@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
@@ -26,8 +25,8 @@ type ServerConfig struct {
 	// Theta is the KL trigger threshold.
 	Theta float64
 	// Weights and SA configure the tuner.
-	Weights core.Weights
-	SA      core.SAConfig
+	Weights tuner.Weights
+	SA      tuner.SAConfig
 	// Tuner selects the search strategy by registry name (see
 	// internal/tuner); empty means "sa", preserving the historical
 	// behaviour exactly. Bandit and MultiECN parameterize those
@@ -71,8 +70,8 @@ type ServerConfig struct {
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		Theta:   0.01,
-		Weights: core.DefaultWeights(),
-		SA:      core.DefaultSAConfig(),
+		Weights: tuner.DefaultWeights(),
+		SA:      tuner.DefaultSAConfig(),
 		Base:    dcqcn.DefaultParams(),
 		Seed:    1,
 	}
@@ -109,6 +108,10 @@ type Server struct {
 	smoother monitor.Smoother
 	tuner    tuner.Tuner
 	current  dcqcn.Params
+	// proposal receives the tuner's output each tick. It lives here, not
+	// on tick's stack, because its address reaches the guard and the WAL
+	// record, and a local would escape to the heap on every tick.
+	proposal dcqcn.Params
 	guard    *dispatch.Guard
 	epoch    uint64
 	// acks maps an epoch to the set of agents that acknowledged it with
@@ -120,11 +123,11 @@ type Server struct {
 	conns  map[net.Conn]bool
 	closed bool
 
-	reg *telemetry.Registry
-	tm  *telemetry.RPCMetrics
-	mm  *telemetry.MonitorMetrics
-	dm  *telemetry.DispatchMetrics
-	ttm *telemetry.TunerMetrics
+	status *telemetry.StatusCell[controllerStatus]
+	tm     *telemetry.RPCMetrics
+	mm     *telemetry.MonitorMetrics
+	dm     *telemetry.DispatchMetrics
+	ttm    *telemetry.TunerMetrics
 
 	// Flight-recorder series handles (nil unless cfg.Flight is set).
 	flight                    *series.Recorder
@@ -169,14 +172,15 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		acks:  map[uint32]bool{},
 		conns: map[net.Conn]bool{},
 	}
-	s.reg = cfg.Telemetry
-	if s.reg == nil {
-		s.reg = telemetry.Default()
+	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.Default()
 	}
-	s.tm = telemetry.NewRPCMetrics(s.reg)
-	s.mm = telemetry.NewMonitorMetrics(s.reg)
-	s.dm = telemetry.NewDispatchMetrics(s.reg)
-	s.ttm = telemetry.NewTunerMetrics(s.reg)
+	s.status = telemetry.NewStatusCell[controllerStatus](reg, "controller")
+	s.tm = telemetry.NewRPCMetrics(reg)
+	s.mm = telemetry.NewMonitorMetrics(reg)
+	s.dm = telemetry.NewDispatchMetrics(reg)
+	s.ttm = telemetry.NewTunerMetrics(reg)
 	s.tuner.SetMetrics(s.ttm)
 	if cfg.Flight != nil {
 		s.flight = cfg.Flight
@@ -367,20 +371,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	s.stats.Ticks++
 	s.tm.Ticks.Inc()
 	s.mm.Ticks.Inc()
-	defer func() {
-		s.reg.PublishStatus("controller", controllerStatus{
-			Params:      s.current,
-			Ticks:       s.stats.Ticks,
-			Reports:     s.stats.Reports,
-			Triggers:    s.stats.Triggers,
-			Dispatches:  s.stats.Dispatches,
-			Rejects:     s.stats.Rejects,
-			Epoch:       s.epoch,
-			EpochAcks:   len(s.acks),
-			TunerActive: s.tuner.Active(),
-			BestUtility: s.tuner.BestUtility(),
-		})
-	}()
+	defer s.publishStatus()
 
 	locals := s.locals[:0]
 	sample := monitor.RuntimeSample{ORTT: 1, OPFC: 1}
@@ -418,7 +409,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 			s.fOTP.Append(tk, sample.OTP)
 			s.fORTT.Append(tk, sample.ORTT)
 			s.fOPFC.Append(tk, sample.OPFC)
-			s.fUtil.Append(tk, core.Utility(sample, s.cfg.Weights))
+			s.fUtil.Append(tk, tuner.Utility(sample, s.cfg.Weights))
 			// BestUtility is -Inf until a session measures something,
 			// and JSON cannot carry non-finite values.
 			if best := s.tuner.BestUtility(); !math.IsInf(best, 0) && !math.IsNaN(best) {
@@ -464,8 +455,10 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	s.prev = fsd
 	s.hasPrev = true
 
-	if p, ok := s.tuner.Step(sample, fsd); ok {
-		if reason, spec := s.guard.Admit(&p, &s.current, eventsim.Time(time.Now().UnixNano())); reason != dispatch.RejectNone {
+	var ok bool
+	if s.proposal, ok = s.tuner.Step(sample, fsd); ok {
+		p := &s.proposal
+		if reason, spec := s.guard.Admit(p, &s.current, eventsim.Time(time.Now().UnixNano())); reason != dispatch.RejectNone {
 			// A vector the guard refuses never reaches the wire: the
 			// fabric keeps running s.current under the unchanged epoch.
 			s.stats.Rejects++
@@ -477,10 +470,10 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 			s.logf("ctrlrpc: dispatch rejected: %s", s.guard.Explain(reason, spec))
 		} else {
 			s.epoch++
-			s.current = p
+			s.current = *p
 			clear(s.acks)
 			s.stats.Dispatches++
-			s.tuner.Commit(p)
+			s.tuner.Commit(*p)
 			s.ttm.Dispatches.Inc()
 			s.dm.Epochs.Inc()
 			if s.flight != nil {
@@ -488,11 +481,11 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 			}
 			resp.Changed = true
 			resp.Epoch = s.epoch
-			resp.Params = ToWire(p)
+			resp.Params = ToWire(*p)
 			if s.cfg.WAL != nil {
 				rec := dispatch.Record{
 					T: time.Now().UnixNano(), Kind: dispatch.KindCommit,
-					Epoch: s.epoch, Params: &p, Hash: dispatch.VectorHash(&p),
+					Epoch: s.epoch, Params: p, Hash: dispatch.VectorHash(p),
 				}
 				if err := s.cfg.WAL.Append(rec); err != nil {
 					s.logf("ctrlrpc: wal append: %v", err)
@@ -504,6 +497,23 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	}
 	resp.Triggered = triggered
 	return resp
+}
+
+// publishStatus overwrites the /debug/status "controller" section with
+// the state tick leaves behind. The caller holds s.mu.
+func (s *Server) publishStatus() {
+	s.status.Set(controllerStatus{
+		Params:      s.current,
+		Ticks:       s.stats.Ticks,
+		Reports:     s.stats.Reports,
+		Triggers:    s.stats.Triggers,
+		Dispatches:  s.stats.Dispatches,
+		Rejects:     s.stats.Rejects,
+		Epoch:       s.epoch,
+		EpochAcks:   len(s.acks),
+		TunerActive: s.tuner.Active(),
+		BestUtility: s.tuner.BestUtility(),
+	})
 }
 
 // applyAck records an agent's acknowledgement of the current epoch. An

@@ -13,12 +13,16 @@ import (
 // TestDaemonTickAllocs gates the whole control loop the ctrl_daemon
 // benchmark drives: an in-process server with its guard and a FileWAL, one
 // client sending 8 reports, a tick and, after a dispatch, 8 apply-acks.
-// The parent commit allocated ~200 objects and 17.8 KB per tick here
-// (reflection codec, a fresh payload per frame, per-tick pending, locals
-// and ack map, a fresh slice per WAL line), so it fails this test. What
-// legitimately remains is the per-tick PublishStatus boxing (~190 B) and
-// one boxed Record per WAL commit.
+// Frames, ticks and WAL appends reuse their buffers; the status section is
+// overwritten in place and copied only when scraped; the tuner's proposal
+// is written into a Server field, so its address reaching the guard and
+// the WAL record moves nothing to the heap. Boxing the status each tick,
+// or letting the proposal escape, costs about one object and 100–200 B
+// per tick and fails this test.
 func TestDaemonTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	wal, err := dispatch.OpenFileWAL(filepath.Join(t.TempDir(), "wal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +94,7 @@ func TestDaemonTickAllocs(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / ticks
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / ticks
 	t.Logf("%.2f allocs, %.0f B per tick over %d ticks with %d dispatches", allocs, bytes, ticks, dispatches)
-	if allocs > 8 || bytes > 1024 {
-		t.Errorf("control loop allocates %.2f objects, %.0f B per tick; want ≤ 8 and ≤ 1 KB", allocs, bytes)
+	if allocs > 1 || bytes > 128 {
+		t.Errorf("control loop allocates %.2f objects, %.0f B per tick; want ≤ 1 and ≤ 128 B", allocs, bytes)
 	}
 }

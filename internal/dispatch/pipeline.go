@@ -145,7 +145,7 @@ func (c *Config) quorum(awaited int) int {
 // Health is the per-interval signal set the settle window watches — all
 // three already instrumented by the monitor/controller stack.
 type Health struct {
-	// Utility is the EWMA-smoothed utility (core.Utility scale).
+	// Utility is the EWMA-smoothed utility (tuner.Utility scale).
 	Utility float64
 	// PauseFrac is the fabric PFC pause fraction in [0,1].
 	PauseFrac float64
@@ -190,8 +190,8 @@ type Pipeline struct {
 	wal   WAL
 	apply func(devs []int, p dcqcn.Params)
 
-	reg *telemetry.Registry
-	tm  *telemetry.DispatchMetrics
+	status *telemetry.StatusCell[Status]
+	tm     *telemetry.DispatchMetrics
 
 	// Trace, when non-nil, receives plan/phase spans and reject notes.
 	Trace TraceSink
@@ -257,7 +257,7 @@ func New(cfg Config, eng *eventsim.Engine, fab *Fabric, apply func(devs []int, p
 		guard:     NewGuard(cfg.Guard),
 		wal:       wal,
 		apply:     apply,
-		reg:       reg,
+		status:    telemetry.NewStatusCell[Status](reg, "dispatch"),
 		tm:        telemetry.NewDispatchMetrics(reg),
 		Trace:     cfg.Trace,
 		acked:     make([]bool, len(fab.Devices)),
@@ -753,7 +753,7 @@ func (p *Pipeline) endPlan(now eventsim.Time) {
 }
 
 func (p *Pipeline) publish() {
-	p.reg.PublishStatus("dispatch", Status{
+	p.status.Set(Status{
 		Phase:          p.phase.String(),
 		Epoch:          p.epoch,
 		CommittedEpoch: p.committedEpoch,

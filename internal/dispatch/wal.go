@@ -47,10 +47,14 @@ type Record struct {
 // WAL is the journal the pipeline writes through. Append must be
 // durable before it returns (to the WAL's own durability level: a
 // MemWAL survives a simulated controller restart, a FileWAL survives a
-// process one). Replay returns every record in append order.
+// process one), and must not keep r.Params past its return. Replay
+// calls fn on every record in append order and stops at fn's first
+// error, which it returns. The *Record and what it points to are valid
+// only during that call. Records appended while a Replay runs may or
+// may not be visited.
 type WAL interface {
-	Append(Record) error
-	Replay() ([]Record, error)
+	Append(r Record) error
+	Replay(fn func(*Record) error) error
 }
 
 // MemWAL is the in-memory journal used by simulations: the harness
@@ -61,21 +65,34 @@ type MemWAL struct {
 	recs []Record
 }
 
-// Append adds r to the log.
+// Append adds r to the log. It keeps its own copy of r.Params, so a
+// journaled vector never changes when the caller's buffer does.
 func (w *MemWAL) Append(r Record) error {
+	if r.Params != nil {
+		p := *r.Params
+		r.Params = &p
+	}
 	w.mu.Lock()
 	w.recs = append(w.recs, r)
 	w.mu.Unlock()
 	return nil
 }
 
-// Replay returns a copy of the log in append order.
-func (w *MemWAL) Replay() ([]Record, error) {
+// Replay visits the log in append order. Records are never modified
+// once appended, so it visits the prefix present at the call without
+// holding the lock while fn runs.
+func (w *MemWAL) Replay(fn func(*Record) error) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Record, len(w.recs))
-	copy(out, w.recs)
-	return out, nil
+	recs := w.recs
+	w.mu.Unlock()
+	var r Record // a copy, so fn cannot rewrite the log
+	for i := range recs {
+		r = recs[i]
+		if err := fn(&r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len reports the number of records appended so far.
@@ -95,8 +112,11 @@ type FileWAL struct {
 	f    *os.File
 	// buf and enc encode each record in place: enc writes the line
 	// json.Marshal(r)+"\n" into buf (HTML escaping on, as in Marshal).
+	// rec holds the record being encoded, so passing it to enc boxes a
+	// pointer that is already on the heap instead of a fresh copy.
 	buf bytes.Buffer
 	enc *json.Encoder
+	rec Record
 }
 
 // ErrWALCorrupt is returned (wrapped, with the line number) by
@@ -155,7 +175,10 @@ func (w *FileWAL) Append(r Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.buf.Reset()
-	if err := w.enc.Encode(r); err != nil {
+	w.rec = r
+	err := w.enc.Encode(&w.rec)
+	w.rec = Record{}
+	if err != nil {
 		return fmt.Errorf("dispatch: wal encode: %w", err)
 	}
 	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
@@ -167,19 +190,20 @@ func (w *FileWAL) Append(r Record) error {
 	return nil
 }
 
-// Replay reads every record currently in the journal. An undecodable
-// final line (torn write from a crash mid-append) is skipped, not an
-// error: the record it would have been was by definition not durable.
-// An undecodable line with records after it is ErrWALCorrupt.
-func (w *FileWAL) Replay() ([]Record, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// Replay decodes the journal line by line into one reused Record and
+// visits each. An undecodable final line (torn write from a crash
+// mid-append) is skipped, not an error: the record it would have been
+// was by definition not durable. An undecodable line with records after
+// it is ErrWALCorrupt. Replay reads through its own file handle and
+// takes no lock: Append writes each line in one call, so a concurrent
+// append can only show up as a torn final line.
+func (w *FileWAL) Replay(fn func(*Record) error) error {
 	f, err := os.Open(w.path)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: wal replay: %w", err)
+		return fmt.Errorf("dispatch: wal replay: %w", err)
 	}
 	defer f.Close()
-	var recs []Record
+	var r Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	badLine := 0 // 1-based number of an undecodable line, 0 if none so far
@@ -189,19 +213,21 @@ func (w *FileWAL) Replay() ([]Record, error) {
 			continue
 		}
 		if badLine != 0 {
-			return nil, fmt.Errorf("%w: line %d is undecodable and line %d follows it", ErrWALCorrupt, badLine, line)
+			return fmt.Errorf("%w: line %d is undecodable and line %d follows it", ErrWALCorrupt, badLine, line)
 		}
-		var r Record
+		r = Record{}
 		if err := json.Unmarshal(b, &r); err != nil {
 			badLine = line
 			continue
 		}
-		recs = append(recs, r)
+		if err := fn(&r); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dispatch: wal replay: %w", err)
+		return fmt.Errorf("dispatch: wal replay: %w", err)
 	}
-	return recs, nil
+	return nil
 }
 
 // Close releases the journal file.
@@ -229,46 +255,60 @@ type Recovery struct {
 	Replayed int
 }
 
-// Recover replays w and folds it into the state a restarting controller
+// Recover streams w and folds it into the state a restarting controller
 // needs: where epoch numbering left off, what the fabric last agreed
-// on, and whether a rollout was orphaned mid-flight.
+// on, and whether a rollout was orphaned mid-flight. It holds the
+// committed vector and the in-flight intent as values while it reads,
+// so its memory does not grow with the journal.
 func Recover(w WAL) (Recovery, error) {
-	recs, err := w.Replay()
-	if err != nil {
-		return Recovery{}, err
-	}
 	var rec Recovery
-	rec.Replayed = len(recs)
-	for i := range recs {
-		r := &recs[i]
+	var committed, intentParams dcqcn.Params
+	var intent Record
+	haveCommitted, inFlight := false, false
+	err := w.Replay(func(r *Record) error {
+		rec.Replayed++
 		if r.Epoch > rec.Epoch {
 			rec.Epoch = r.Epoch
 		}
 		switch r.Kind {
 		case KindIntent:
-			rc := *r
-			rec.InFlight = &rc
+			intent = *r
+			if r.Params != nil {
+				intentParams = *r.Params
+				intent.Params = &intentParams
+			}
+			inFlight = true
 			rec.InFlightPhase = ""
 		case KindPhase:
-			if rec.InFlight != nil && r.Epoch == rec.InFlight.Epoch {
+			if inFlight && r.Epoch == intent.Epoch {
 				rec.InFlightPhase = r.Phase
 			}
 		case KindCommit:
 			if r.Params != nil {
-				p := *r.Params
-				rec.Committed = &p
+				committed = *r.Params
+				haveCommitted = true
 				rec.CommittedEpoch = r.Epoch
 			}
-			if rec.InFlight != nil && r.Epoch == rec.InFlight.Epoch {
-				rec.InFlight = nil
+			if inFlight && r.Epoch == intent.Epoch {
+				inFlight = false
 				rec.InFlightPhase = ""
 			}
 		case KindAbort:
-			if rec.InFlight != nil && r.Epoch == rec.InFlight.Epoch {
-				rec.InFlight = nil
+			if inFlight && r.Epoch == intent.Epoch {
+				inFlight = false
 				rec.InFlightPhase = ""
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return Recovery{}, err
+	}
+	if haveCommitted {
+		rec.Committed = &committed
+	}
+	if inFlight {
+		rec.InFlight = &intent
 	}
 	return rec, nil
 }

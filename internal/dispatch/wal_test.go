@@ -6,11 +6,27 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/dcqcn"
 )
+
+// replayAll collects a WAL's records, each with its own copy of Params.
+func replayAll(w WAL) ([]Record, error) {
+	var out []Record
+	err := w.Replay(func(r *Record) error {
+		c := *r
+		if r.Params != nil {
+			p := *r.Params
+			c.Params = &p
+		}
+		out = append(out, c)
+		return nil
+	})
+	return out, err
+}
 
 func TestMemWALRoundTrip(t *testing.T) {
 	w := &MemWAL{}
@@ -25,7 +41,7 @@ func TestMemWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := w.Replay()
+	got, err := replayAll(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +52,78 @@ func TestMemWALRoundTrip(t *testing.T) {
 		if got[i].Kind != recs[i].Kind || got[i].Epoch != recs[i].Epoch {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// A retained record must not alias the caller's vector: the daemon
+// proposes into one reused buffer and journals its address every
+// dispatch.
+func TestMemWALCopiesParams(t *testing.T) {
+	w := &MemWAL{}
+	p := dcqcn.DefaultParams()
+	want := p
+	if err := w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1, Params: &p}); err != nil {
+		t.Fatal(err)
+	}
+	p.KminBytes++
+	p.G = 0.5
+	got, err := replayAll(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || *got[0].Params != want {
+		t.Fatalf("replayed %+v, want the vector as appended", got)
+	}
+	rec, err := Recover(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Committed == nil || *rec.Committed != want {
+		t.Fatalf("recovered %+v, want the vector as appended", rec.Committed)
+	}
+}
+
+// Recovery memory is sized by the state it recovers, not by the journal:
+// folding a 10 000-record FileWAL allocates a bounded amount per record
+// (the line decode) and nothing that is kept per record.
+func TestRecoverBytesPerRecord(t *testing.T) {
+	const records = 10000
+	p := dcqcn.DefaultParams()
+	var buf strings.Builder
+	for i := 1; i <= records; i++ {
+		p.KminBytes = int64(i)
+		b, err := json.Marshal(Record{T: int64(i), Kind: KindCommit, Epoch: uint64(i), Params: &p, Hash: VectorHash(&p)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var rec Recovery
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec, err = Recover(w)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Replayed != records || rec.Epoch != records || rec.Committed == nil || rec.Committed.KminBytes != records {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	perRec := float64(after.TotalAlloc-before.TotalAlloc) / records
+	t.Logf("Recover allocates %.0f B per record", perRec)
+	if perRec > 512 {
+		t.Errorf("Recover allocates %.0f B per record; want ≤ 512", perRec)
 	}
 }
 
@@ -107,7 +195,7 @@ func TestFileWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	got, err := w2.Replay()
+	got, err := replayAll(w2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +233,7 @@ func TestFileWALTornTail(t *testing.T) {
 	}
 	// Simulate a crash mid-append: a torn, undecodable trailing line.
 	appendRaw(t, path, `{"t":2,"kind":"int`)
-	got, err := w.Replay()
+	got, err := replayAll(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +250,7 @@ func TestFileWALTornTail(t *testing.T) {
 	if err := w2.Append(Record{T: 3, Kind: KindEpoch, Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = w2.Replay()
+	got, err = replayAll(w2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +276,7 @@ func TestFileWALMidFileCorruption(t *testing.T) {
 	if err := w.Append(Record{T: 3, Kind: KindCommit, Epoch: 3, Params: &p}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.Replay()
+	_, err = replayAll(w)
 	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("Replay error = %v, want ErrWALCorrupt naming line 2", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/telemetry/series"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -71,7 +72,7 @@ func chaosTarget(agent int) string {
 // the standard system with the compressed SA schedule.
 func DefaultChaosSystemConfig() core.SystemConfig {
 	cfg := core.DefaultSystemConfig()
-	cfg.SA = core.ShortSAConfig()
+	cfg.SA = tuner.ShortSAConfig()
 	return cfg
 }
 
@@ -244,7 +245,7 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 
 	weights := sysCfg.Weights
 	if weights.Validate() != nil {
-		weights = core.DefaultWeights()
+		weights = tuner.DefaultWeights()
 	}
 
 	sys.StartProbingOnly()
@@ -264,7 +265,7 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 		res.TP.Append(now, sample.OTP)
 		res.RTT.Append(now, sample.ORTT)
 		res.PFC.Append(now, sample.OPFC)
-		res.Utility.Append(now, core.Utility(sample, weights))
+		res.Utility.Append(now, tuner.Utility(sample, weights))
 		if rec != nil {
 			rec.Sample(sample)
 		}
@@ -458,7 +459,7 @@ func ChaosCtrlPartition(scale Scale, duration eventsim.Time, seed int64) (*Chaos
 		interval = eventsim.Millisecond
 	}
 	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = core.ShortSAConfig()
+	srvCfg.SA = tuner.ShortSAConfig()
 
 	netCfg := scale.Net
 	netCfg.Params = srvCfg.Base

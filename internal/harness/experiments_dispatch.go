@@ -15,6 +15,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
 	"repro/internal/trace"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -196,7 +197,7 @@ func chaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 
 	weights := sysCfg.Weights
 	if weights.Validate() != nil {
-		weights = core.DefaultWeights()
+		weights = tuner.DefaultWeights()
 	}
 
 	sys.StartProbingOnly()
@@ -231,7 +232,7 @@ func chaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 			if i-deadSince < deadIntervals {
 				// Controller down: no ticks, stale sample in the series.
 				res.TP.Append(n.Eng.Now(), sys.LastSample.OTP)
-				res.Utility.Append(n.Eng.Now(), core.Utility(sys.LastSample, weights))
+				res.Utility.Append(n.Eng.Now(), tuner.Utility(sys.LastSample, weights))
 				continue
 			}
 			// Restart: a fresh System (new tuner, new monitor controller,
@@ -247,7 +248,7 @@ func chaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 		sys.TickOnce()
 		sample := sys.LastSample
 		res.TP.Append(n.Eng.Now(), sample.OTP)
-		res.Utility.Append(n.Eng.Now(), core.Utility(sample, weights))
+		res.Utility.Append(n.Eng.Now(), tuner.Utility(sample, weights))
 		if rec != nil {
 			rec.Sample(sample)
 		}

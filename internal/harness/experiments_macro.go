@@ -9,6 +9,7 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -531,10 +532,10 @@ func Fig12(scale Scale, horizon eventsim.Time) (*Fig12Result, error) {
 	res := &Fig12Result{Traces: map[string][]float64{}}
 	arms := []struct {
 		name string
-		sa   core.SAConfig
+		sa   tuner.SAConfig
 	}{
-		{"paraleon", core.DefaultSAConfig()},
-		{"naive_sa", core.NaiveSAConfig()},
+		{"paraleon", tuner.DefaultSAConfig()},
+		{"naive_sa", tuner.NaiveSAConfig()},
 	}
 	cfgs := make([]RunConfig, 0, len(arms))
 	for _, arm := range arms {

@@ -60,7 +60,7 @@ func ShootoutTuners() []string { return tuner.Names() }
 // keeping the race about search quality rather than budget.
 func shootoutSystemCfg(name string) core.SystemConfig {
 	cfg := core.DefaultSystemConfig()
-	cfg.SA = core.ShortSAConfig()
+	cfg.SA = tuner.ShortSAConfig()
 	cfg.Tuner = name
 	cfg.Bandit = tuner.BanditConfig{Budget: 20}
 	cfg.MultiECN = tuner.MultiECNConfig{Budget: 20}

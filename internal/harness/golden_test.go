@@ -14,9 +14,8 @@ import (
 //
 //	go test ./internal/harness -run Golden -update
 //
-// Only the tests that own a golden write it. The tests that replay a golden
-// under a variation that must not show (timer suppression, the flight
-// recorder) never write: they skip during an update and hold against the
+// Only the tests that own a golden write it. A test that replays a golden
+// under a variation that must not show (the flight recorder) never writes: they skip during an update and hold against the
 // new files on the next plain run.
 var update = flag.Bool("update", false, "rewrite testdata/*.golden.jsonl from this build")
 
@@ -114,22 +113,4 @@ func TestChaosTraceGolden(t *testing.T) {
 			checkGolden(t, "trace diverges from golden", tc.golden, buf.Bytes())
 		})
 	}
-}
-
-// TestChaosTraceGoldenSuppressed replays the linkflap golden with
-// quiescent-QP timer suppression enabled. Suppression elides timer fires
-// that provably change no observable state (see dcqcn.RP.SetSuppression),
-// so the trace — fault schedule, samples, dispatches — must stay
-// byte-identical to the stock golden even though the engine processes
-// fewer events. This pins the invariance argument against the full
-// chaos stack, not just the RP unit tests.
-func TestChaosTraceGoldenSuppressed(t *testing.T) {
-	want := readGolden(t, "chaos_linkflap_seed7_quick.golden.jsonl")
-	scale := QuickScale()
-	scale.Net.SuppressQuiescentTimers = true
-	var buf bytes.Buffer
-	if _, err := ChaosLinkFlap(scale, 40*eventsim.Millisecond, 7, &buf); err != nil {
-		t.Fatal(err)
-	}
-	diffTraces(t, "suppressed trace diverges from stock golden", buf.Bytes(), want)
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/tuner"
 )
 
 // SchemeKind enumerates the tuning/monitoring schemes under comparison.
@@ -84,11 +85,11 @@ func StaticScheme(name string, p dcqcn.Params) Scheme {
 }
 
 // ParaleonScheme is the full system. It uses the compressed SA schedule
-// (core.ShortSAConfig) so tuning settles within the short horizons of
+// (tuner.ShortSAConfig) so tuning settles within the short horizons of
 // reproduction runs; ParaleonSchemePaper keeps the Table III schedule.
 func ParaleonScheme() Scheme {
 	sysCfg := core.DefaultSystemConfig()
-	sysCfg.SA = core.ShortSAConfig()
+	sysCfg.SA = tuner.ShortSAConfig()
 	return Scheme{
 		Kind:      KindParaleon,
 		Name:      "paraleon",
@@ -214,7 +215,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// Scheme installation.
 	var sys *core.System
 	var collector *monitor.RuntimeCollector
-	weights := core.DefaultWeights()
+	weights := tuner.DefaultWeights()
 	switch cfg.Scheme.Kind {
 	case KindParaleon:
 		sysCfg := cfg.Scheme.SystemCfg
@@ -226,7 +227,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 		weights = sysCfg.Weights
 		if weights.Validate() != nil {
-			weights = core.DefaultWeights()
+			weights = tuner.DefaultWeights()
 		}
 		sys.StartProbingOnly()
 	case KindACC:
@@ -277,7 +278,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		res.TP.Append(now, sample.OTP)
 		res.RTT.Append(now, sample.ORTT)
 		res.PFC.Append(now, sample.OPFC)
-		res.Utility.Append(now, core.Utility(sample, weights))
+		res.Utility.Append(now, tuner.Utility(sample, weights))
 		if truth != nil {
 			tr := truth.Tick()
 			if tr.TotalBytes > 0 {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -72,7 +73,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// A small testbed run covers the ctrlrpc family the in-sim loop
 	// never touches.
 	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = core.ShortSAConfig()
+	srvCfg.SA = tuner.ShortSAConfig()
 	if _, err := RunTestbed(TestbedConfig{
 		Scale:     QuickScale(),
 		Server:    srvCfg,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ctrlrpc"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -334,7 +334,7 @@ func Fig13(scale Scale, workerCounts []int, msg int64, duration eventsim.Time) (
 		// keep the collective running until MaxTime.
 		var gen *workload.AlltoallGen
 		srvCfg := ctrlrpc.DefaultServerConfig()
-		srvCfg.SA = core.ShortSAConfig()
+		srvCfg.SA = tuner.ShortSAConfig()
 		tb, err := RunTestbed(TestbedConfig{
 			Scale:    scale,
 			Server:   srvCfg,
@@ -461,7 +461,7 @@ func Fig14(scale Scale, spec InfluxSpec) (*Fig14Result, error) {
 		res.Order = append(res.Order, statics[i].Name)
 	}
 	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = core.ShortSAConfig()
+	srvCfg.SA = tuner.ShortSAConfig()
 	tb, err := RunTestbed(TestbedConfig{
 		Scale:    scale,
 		Server:   srvCfg,
@@ -505,7 +505,7 @@ type Table4Result struct {
 // Table4 measures overheads from a testbed run.
 func Table4(scale Scale, duration eventsim.Time) (*Table4Result, error) {
 	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = core.ShortSAConfig()
+	srvCfg.SA = tuner.ShortSAConfig()
 	tb, err := RunTestbed(TestbedConfig{
 		Scale:    scale,
 		Server:   srvCfg,

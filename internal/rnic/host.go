@@ -87,10 +87,6 @@ type Host struct {
 	rttNormSum   float64
 	rttNormCount int64
 
-	// suppressRPTimers, when set, starts every new QP's reaction point
-	// with quiescent-timer suppression on (see dcqcn.RP.SetSuppression).
-	suppressRPTimers bool
-
 	// markedInbound collects inbound flows that saw ECN marks since the
 	// last TakeCongestedInbound (DCQCN+ uses this as its incast-scale
 	// signal).
@@ -165,11 +161,6 @@ func (h *Host) SetMTU(mtu int) {
 	h.mtu = mtu
 }
 
-// SetTimerSuppression controls whether new QPs park their DCQCN timers
-// while provably quiescent (dcqcn.RP.SetSuppression). Applies to flows
-// started after the call; existing flows keep their setting.
-func (h *Host) SetTimerSuppression(on bool) { h.suppressRPTimers = on }
-
 // ActiveFlows reports the number of in-progress sending flows.
 func (h *Host) ActiveFlows() int { return len(h.sendFlows) }
 
@@ -188,9 +179,10 @@ func (h *Host) StartFlow(id uint64, dst topology.NodeID, size int64) *SendFlow {
 		rp:       dcqcn.NewRP(h.eng, h.params, h.port.RateBps()),
 		nextSend: h.eng.Now(),
 	}
-	if h.suppressRPTimers {
-		f.rp.SetSuppression(true)
-	}
+	// Park the QP's timers while it is provably quiescent (line rate,
+	// alpha fully decayed); trace-invariant by construction, see
+	// dcqcn.RP.SetSuppression.
+	f.rp.SetSuppression(true)
 	f.rp.Start()
 	h.sendFlows = append(h.sendFlows, f)
 	h.byID[id] = f

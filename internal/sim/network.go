@@ -37,12 +37,6 @@ type Config struct {
 	// reads it — it rides here so harnesses and RPC servers that build
 	// deployments from a sim.Config inherit the selection.
 	Tuner string
-	// SuppressQuiescentTimers parks each QP's DCQCN timers while the QP
-	// is provably quiescent (line rate, alpha fully decayed) and re-arms
-	// them lazily on the next CNP — trace-invariant by construction (see
-	// dcqcn.RP.SetSuppression), but off by default so the stock event
-	// counts in overhead reports stay comparable across PRs.
-	SuppressQuiescentTimers bool
 }
 
 // DefaultConfig is a small, fast fabric useful for tests and examples:
@@ -166,7 +160,6 @@ func New(cfg Config) (*Network, error) {
 		if cfg.MTU > 0 {
 			h.SetMTU(cfg.MTU)
 		}
-		h.SetTimerSuppression(cfg.SuppressQuiescentTimers)
 		h.SetPacketPool(n.pool)
 		n.Hosts = append(n.Hosts, h)
 		n.hostByNode[hn] = h

@@ -15,7 +15,10 @@ import (
 // simulation allocates nothing. This is the end-to-end form of the
 // per-component AllocsPerRun tests: it catches any path (CNP generation,
 // PFC frames, probe replies, timer re-arms, sketch inserts) that still
-// allocates per event.
+// allocates per event. Every QP parks its timers while quiescent, so this
+// also covers the park/unpark paths: CNPs landing on parked QPs re-arm
+// timers through RearmAfter, which must hit the wheel's O(1) in-place
+// path without allocating.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	testSteadyStateZeroAlloc(t, sim.DefaultConfig(), 0)
 }
@@ -24,15 +27,6 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // tick and answers probes; those paths keep host-owned scratch.
 func TestSteadyStateZeroAllocProbing(t *testing.T) {
 	testSteadyStateZeroAlloc(t, sim.DefaultConfig(), 100*eventsim.Microsecond)
-}
-
-// The suppressed variant additionally covers the park/unpark paths: CNPs
-// landing on parked QPs re-arm timers through RearmAfter, which must hit
-// the wheel's O(1) in-place path without allocating.
-func TestSteadyStateZeroAllocSuppressed(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.SuppressQuiescentTimers = true
-	testSteadyStateZeroAlloc(t, cfg, 0)
 }
 
 func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config, probeEvery eventsim.Time) {

@@ -39,7 +39,7 @@ type statusPayload struct {
 	// VirtualTimeNs is the simulator clock at the last control-loop
 	// tick (see VirtualTimeGauge); zero when nothing has ticked.
 	VirtualTimeNs int64 `json:"virtual_time_ns"`
-	// Sections holds the latest PublishStatus snapshot per section
+	// Sections holds each registered section's current snapshot
 	// (e.g. control_loop: current parameter vector, quorum state, last
 	// trigger, SA progress).
 	Sections map[string]any `json:"sections"`

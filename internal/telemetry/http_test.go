@@ -29,7 +29,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 func TestHTTPServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("paraleon_test_total", "A test counter.").Add(3)
-	r.PublishStatus("control_loop", map[string]any{"triggers": 2})
+	NewStatusCell[map[string]any](r, "control_loop").Set(map[string]any{"triggers": 2})
 	VirtualTime(r).Set(1.5e6)
 
 	srv, err := Serve(nil, "127.0.0.1:0", r)

@@ -205,9 +205,8 @@ type Registry struct {
 	families map[string]*family
 	started  time.Time
 
-	// status maps section name → latest published snapshot. Values are
-	// whole snapshots stored atomically (PublishStatus), so readers never
-	// see a half-updated struct.
+	// status maps section name → the func() any that returns the
+	// section's snapshot at scrape time (StatusSource).
 	status sync.Map
 }
 
@@ -292,22 +291,59 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// PublishStatus stores a snapshot under section for /debug/status and
-// Report. The value should be a self-contained copy (a plain struct or
-// map): it is read from HTTP goroutines while the producer keeps
-// running, so it must not alias mutable state.
-func (r *Registry) PublishStatus(section string, v any) {
-	r.status.Store(section, v)
+// StatusSource registers fn as the provider of section for
+// /debug/status and Report, replacing any earlier provider of that
+// section. fn is called from HTTP goroutines while the producer keeps
+// running, so it must return a self-contained copy taken under the
+// producer's own lock (StatusCell does this), or nil while it has
+// nothing to show.
+func (r *Registry) StatusSource(section string, fn func() any) {
+	r.status.Store(section, fn)
 }
 
-// Status returns the latest snapshot of every published section.
+// Status returns the current snapshot of every section whose provider
+// has one.
 func (r *Registry) Status() map[string]any {
 	out := map[string]any{}
 	r.status.Range(func(k, v any) bool {
-		out[k.(string)] = v
+		if s := v.(func() any)(); s != nil {
+			out[k.(string)] = s
+		}
 		return true
 	})
 	return out
+}
+
+// StatusCell is one status section: the producer overwrites it in place
+// with Set, without allocating, and a scrape reads a copy of the last
+// value set. Until the first Set the section is absent from Status.
+type StatusCell[T any] struct {
+	mu  sync.Mutex
+	v   T
+	set bool
+}
+
+// NewStatusCell registers a cell as the provider of section on r.
+func NewStatusCell[T any](r *Registry, section string) *StatusCell[T] {
+	c := &StatusCell[T]{}
+	r.StatusSource(section, c.snapshot)
+	return c
+}
+
+// Set replaces the section's snapshot with v.
+func (c *StatusCell[T]) Set(v T) {
+	c.mu.Lock()
+	c.v, c.set = v, true
+	c.mu.Unlock()
+}
+
+func (c *StatusCell[T]) snapshot() any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.set {
+		return nil
+	}
+	return c.v
 }
 
 // Started reports when the registry was created (process uptime anchor).

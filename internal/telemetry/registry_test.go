@@ -188,7 +188,7 @@ func TestBuildReport(t *testing.T) {
 	h := r.Histogram("lat_ms", "", BucketsLatencyMs)
 	h.Observe(2)
 	h.Observe(4)
-	r.PublishStatus("loop", map[string]int{"ticks": 9})
+	NewStatusCell[map[string]int](r, "loop").Set(map[string]int{"ticks": 9})
 
 	rep := r.BuildReport()
 	if rep.Empty() {
@@ -233,5 +233,33 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))
+	}
+}
+
+// A status section is pulled at scrape time: absent until its producer
+// first sets it, a copy of the last value set, and owned by whichever
+// provider registered the section last.
+func TestStatusCell(t *testing.T) {
+	type loop struct{ Ticks int }
+	r := NewRegistry()
+	c := NewStatusCell[loop](r, "loop")
+	if _, ok := r.Status()["loop"]; ok {
+		t.Fatal("section present before its first Set")
+	}
+	c.Set(loop{Ticks: 1})
+	got := r.Status()["loop"]
+	c.Set(loop{Ticks: 2})
+	if got != (loop{Ticks: 1}) {
+		t.Errorf("earlier scrape = %+v, want a copy holding 1 tick", got)
+	}
+	if got := r.Status()["loop"]; got != (loop{Ticks: 2}) {
+		t.Errorf("scrape = %+v, want the last value set", got)
+	}
+	NewStatusCell[loop](r, "loop").Set(loop{Ticks: 7})
+	if got := r.Status()["loop"]; got != (loop{Ticks: 7}) {
+		t.Errorf("scrape = %+v, want the newest provider's value", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Set(loop{Ticks: 3}) }); n != 0 {
+		t.Errorf("Set allocates %.0f objects", n)
 	}
 }

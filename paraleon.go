@@ -19,7 +19,7 @@
 //	sim       – wiring it into a runnable network
 //	sketch    – Elastic Sketch
 //	monitor   – ternary flow states, FSD aggregation, KL trigger
-//	core      – utility function and the tuning control loop
+//	core      – the tuning control loop
 //	tuner     – pluggable strategies: guided SA, multi-agent ECN, bandit
 //	baselines – ACC, DCQCN+, NetFlow
 //	workload  – FB_Hadoop / SolarRPC / alltoall generators
@@ -87,7 +87,7 @@ type (
 )
 
 // SAConfig parameterizes the annealing search.
-type SAConfig = core.SAConfig
+type SAConfig = tuner.SAConfig
 
 // Tuner is the pluggable search-strategy interface; every registered
 // strategy (sa, multiecn, bandit) satisfies it. TunerConfig carries the
@@ -116,18 +116,18 @@ var (
 	Attach              = core.Attach
 	AttachPartitioned   = core.AttachPartitioned
 	DefaultSystemConfig = core.DefaultSystemConfig
-	ShortSAConfig       = core.ShortSAConfig
+	ShortSAConfig       = tuner.ShortSAConfig
 	Pretrain            = core.Pretrain
 )
 
 // Weights are the utility-function weights ω_TP/ω_RTT/ω_PFC.
-type Weights = core.Weights
+type Weights = tuner.Weights
 
 // DefaultWeights is (0.2, 0.5, 0.3); ThroughputWeights (0.5, 0.2, 0.3).
 var (
-	DefaultWeights    = core.DefaultWeights
-	ThroughputWeights = core.ThroughputWeights
-	Utility           = core.Utility
+	DefaultWeights    = tuner.DefaultWeights
+	ThroughputWeights = tuner.ThroughputWeights
+	Utility           = tuner.Utility
 )
 
 // FSD is a network-wide flow size distribution; RuntimeSample one
