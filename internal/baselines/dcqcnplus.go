@@ -52,8 +52,12 @@ type DCQCNPlus struct {
 }
 
 // InstallDCQCNPlus prepares the scheme on n, adapting from the network's
-// current shared RNIC setting.
+// current shared RNIC setting, and has every host record its congested
+// inbound flows for the scheme to drain.
 func InstallDCQCNPlus(n *sim.Network, cfg DCQCNPlusConfig) *DCQCNPlus {
+	for _, node := range n.Topo.Hosts() {
+		n.Host(node).RecordCongestedInbound()
+	}
 	return &DCQCNPlus{
 		net:       n,
 		cfg:       cfg,

@@ -100,3 +100,49 @@ func TestSystemDispatchDisabledIsLegacy(t *testing.T) {
 		t.Fatal("pipeline attached despite zero Dispatch config")
 	}
 }
+
+// TestExploreAfterCommitReachesEveryHost pins that a committed canary plan
+// does not pin the hosts: its canary and promote waves each cover part of
+// the fabric and install per-host overrides, and the next fabric-wide
+// exploration step must still change what every host's QPs run on.
+func TestExploreAfterCommitReachesEveryHost(t *testing.T) {
+	n, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickSystem()
+	cfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 1}
+	s, err := Attach(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.Dispatch
+	final := *n.RNICParams()
+	final.KminBytes += 4 << 10
+	if ok, r := d.SubmitFinal(final, 0, n.Eng.Now()); !ok {
+		t.Fatalf("plan refused: %v", r)
+	}
+	n.Eng.RunUntil(n.Eng.Now() + eventsim.Millisecond)
+	d.Tick(dispatch.Health{}, n.Eng.Now())
+	n.Eng.RunUntil(n.Eng.Now() + eventsim.Millisecond)
+	if d.Commits != 1 {
+		t.Fatalf("plan did not commit: phase %v", d.Phase())
+	}
+	hosts := n.Topo.Hosts()
+	for _, hn := range hosts {
+		if got := *n.Host(hn).Params(); got != final {
+			t.Fatalf("host %d does not run the committed vector", hn)
+		}
+	}
+
+	explore := final
+	explore.KminBytes += 4 << 10
+	if ok, r := d.SubmitExplore(explore, n.Eng.Now()); !ok {
+		t.Fatalf("exploration refused: %v", r)
+	}
+	for _, hn := range hosts {
+		if got := *n.Host(hn).Params(); got != explore {
+			t.Errorf("host %d still runs KminBytes %d after exploring %d", hn, got.KminBytes, explore.KminBytes)
+		}
+	}
+}

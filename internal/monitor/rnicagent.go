@@ -19,8 +19,12 @@ type RNICAgent struct {
 	tracker *Tracker
 }
 
-// NewRNICAgent builds an agent over the given hosts' per-QP counters.
+// NewRNICAgent builds an agent over the given hosts' per-QP counters and
+// has each host record the residue of completed flows for it.
 func NewRNICAgent(cfg TrackerConfig, hosts []*rnic.Host) *RNICAgent {
+	for _, h := range hosts {
+		h.RecordFlowBytes()
+	}
 	return &RNICAgent{hosts: hosts, tracker: NewTracker(cfg)}
 }
 

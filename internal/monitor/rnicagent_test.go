@@ -120,6 +120,7 @@ func TestTakeFlowBytesResidueOnCompletion(t *testing.T) {
 	n := buildNet(t)
 	hosts := n.Topo.Hosts()
 	h := n.Host(hosts[0])
+	h.RecordFlowBytes()
 	size := int64(100 << 10)
 	n.StartFlow(hosts[0], hosts[1], size)
 	// Let the flow finish entirely between takes.

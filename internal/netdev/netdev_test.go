@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -30,22 +31,25 @@ func TestFIFO(t *testing.T) {
 		t.Error("new fifo not empty")
 	}
 	for i := 0; i < 100; i++ {
-		q.push(queueEntry{pkt: &Packet{WireBytes: 10, Seq: int64(i)}})
+		q.push(&Packet{WireBytes: 10, Seq: int64(i)}, i)
 	}
-	if q.bytes != 1000 {
-		t.Errorf("bytes = %d, want 1000", q.bytes)
+	if q.bytes != 1000 || q.n != 100 {
+		t.Errorf("bytes = %d, n = %d, want 1000, 100", q.bytes, q.n)
 	}
 	for i := 0; i < 100; i++ {
-		e, ok := q.pop()
-		if !ok || e.pkt.Seq != int64(i) {
-			t.Fatalf("pop %d: ok=%v seq=%d", i, ok, e.pkt.Seq)
+		pkt := q.pop()
+		if pkt == nil || pkt.Seq != int64(i) || pkt.inPort != i {
+			t.Fatalf("pop %d: %+v", i, pkt)
+		}
+		if pkt.next != nil {
+			t.Fatalf("pop %d left the packet linked", i)
 		}
 	}
-	if _, ok := q.pop(); ok {
+	if q.pop() != nil {
 		t.Error("pop on empty fifo succeeded")
 	}
-	if q.bytes != 0 {
-		t.Errorf("bytes = %d after drain, want 0", q.bytes)
+	if q.bytes != 0 || q.n != 0 || q.head != nil || q.tail != nil {
+		t.Errorf("after drain: bytes = %d, n = %d, head %p, tail %p", q.bytes, q.n, q.head, q.tail)
 	}
 }
 
@@ -54,15 +58,65 @@ func TestFIFOInterleaved(t *testing.T) {
 	next := int64(0)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3; i++ {
-			q.push(queueEntry{pkt: &Packet{WireBytes: 1, Seq: int64(round*3 + i)}})
+			q.push(&Packet{WireBytes: 1, Seq: int64(round*3 + i)}, -1)
 		}
 		for i := 0; i < 2; i++ {
-			e, ok := q.pop()
-			if !ok || e.pkt.Seq != next {
-				t.Fatalf("round %d: got seq %d, want %d", round, e.pkt.Seq, next)
+			pkt := q.pop()
+			if pkt == nil || pkt.Seq != next {
+				t.Fatalf("round %d: got %+v, want seq %d", round, pkt, next)
 			}
 			next++
 		}
+	}
+	if q.n != 50 || q.bytes != 50 {
+		t.Errorf("n = %d, bytes = %d after 50 rounds, want 50, 50", q.n, q.bytes)
+	}
+}
+
+// countSink counts arrivals and keeps none of them.
+type countSink struct{ n int }
+
+func (s *countSink) Receive(*Packet, int) { s.n++ }
+
+// TestQueueMemoryIsSizedByBacklog pins that a port's queues hold memory in
+// proportion to what is queued now, not to the deepest backlog they ever
+// held: 50 000 packets pile up behind a PAUSE, drain, and the port keeps
+// no trace of them. The slice-backed queue this replaced kept its backing
+// array for the life of the port, and with it, past its compaction, stale
+// pointers to packets that had already left: 3.3 MB retained here.
+func TestQueueMemoryIsSizedByBacklog(t *testing.T) {
+	const backlog = 50000
+	eng := eventsim.NewEngine(1)
+	p := NewEgressPort(eng, 100e9, eventsim.Microsecond, PortSeed(1, 0, 0))
+	dst := &countSink{}
+	p.SetPeer(dst, 0)
+	// Warm the engine's event storage so only the queue is measured.
+	for i := 0; i < 64; i++ {
+		p.Enqueue(&Packet{Class: ClassData, WireBytes: 1048}, -1)
+	}
+	eng.Run()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p.SetPaused(ClassData, true)
+	for i := 0; i < backlog; i++ {
+		p.Enqueue(&Packet{Class: ClassData, WireBytes: 1048, Seq: int64(i)}, -1)
+	}
+	if got := p.InFlightPackets(); got != backlog {
+		t.Fatalf("InFlightPackets = %d while paused, want %d", got, backlog)
+	}
+	p.SetPaused(ClassData, false)
+	eng.Run()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+
+	if dst.n != 64+backlog || p.InFlightPackets() != 0 || p.QueueBytes(ClassData) != 0 {
+		t.Fatalf("drain: %d arrivals, %d in flight, %d bytes queued", dst.n, p.InFlightPackets(), p.QueueBytes(ClassData))
+	}
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 64<<10 {
+		t.Errorf("port retains %d B of heap after draining a %d-packet backlog, want <= 64 KB", retained, backlog)
 	}
 }
 
@@ -329,6 +383,48 @@ func TestSwitchPFCTriggerAndResume(t *testing.T) {
 	}
 	if resumes == 0 {
 		t.Error("no RESUME after the queue drained")
+	}
+}
+
+// TestQueuedPacketReleasesItsIngress pins that a packet queued behind a
+// busy egress port carries its own ingress port through the queue: when it
+// departs, the switch releases the buffer it holds against that ingress
+// port, not against the one of the packet ahead of it.
+func TestQueuedPacketReleasesItsIngress(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		NumToR: 1, NumLeaf: 0, HostsPerToR: 3,
+		HostLinkBps: 1e9, PropDelay: eventsim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := eventsim.NewEngine(5)
+	sw := NewSwitch(eng, topo, topo.ToRs()[0], DefaultSwitchConfig(), defaultParamsPtr)
+	hosts := topo.Hosts()
+	swPort := make([]int, len(hosts))
+	for i, h := range hosts {
+		_, swPort[i] = topo.LinkAt(h, 0).Peer(h)
+		sw.WirePort(swPort[i], &sink{}, 0)
+	}
+	// Hosts 0 and 2 each send one packet to host 1: the first goes straight
+	// onto the wire, the second queues behind it.
+	sw.Receive(NewDataPacket(1, hosts[0], hosts[1], 0, 1000, false), swPort[0])
+	sw.Receive(NewDataPacket(2, hosts[2], hosts[1], 0, 1000, false), swPort[2])
+	if got := sw.Port(swPort[1]).QueueBytes(ClassData); got != 1048 {
+		t.Fatalf("queued %d B behind the busy port, want 1048", got)
+	}
+	// 1048 B serialize in 8384 ns at 1 Gbps: at 9 µs the first packet has
+	// left and the second is on the wire.
+	eng.RunUntil(9 * eventsim.Microsecond)
+	if a, c := sw.IngressBytes(swPort[0]), sw.IngressBytes(swPort[2]); a != 0 || c != 1048 {
+		t.Fatalf("after the first departure: ingress %d B and %d B, want 0 and 1048", a, c)
+	}
+	eng.Run()
+	if a, c := sw.IngressBytes(swPort[0]), sw.IngressBytes(swPort[2]); a != 0 || c != 0 {
+		t.Fatalf("after both departures: ingress %d B and %d B, want 0 and 0", a, c)
+	}
+	if sw.BufferUsed() != 0 {
+		t.Errorf("buffer not released: %d bytes", sw.BufferUsed())
 	}
 }
 

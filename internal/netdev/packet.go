@@ -99,8 +99,17 @@ type Packet struct {
 	via    *EgressPort
 	arrive eventsim.Handler
 
-	// The one-byte fields sit together so the struct stays in the 80-byte
-	// size class (TestPacketSizeClass).
+	// next and inPort thread an egress queue through its packets: a packet
+	// waits in at most one queue at a time, so the queue is the packet's own
+	// link to the one behind it plus the ingress port it came in on (−1 for
+	// locally generated traffic), which the owning switch needs to release
+	// ingress PFC accounting when the packet leaves. A queue therefore holds
+	// no memory beyond its current backlog.
+	next   *Packet
+	inPort int
+
+	// The one-byte fields sit together so they share one word
+	// (TestPacketSizeClass).
 	Kind  Kind
 	Class uint8
 

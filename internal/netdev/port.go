@@ -6,46 +6,45 @@ import (
 	"repro/internal/topology"
 )
 
-// queueEntry holds a queued packet plus the ingress port it came in on, so
-// the owning switch can release ingress PFC accounting when it leaves.
-type queueEntry struct {
-	pkt    *Packet
-	inPort int
-}
-
-// fifo is a slice-backed FIFO with O(1) amortized operations and byte
-// accounting.
+// fifo is one class queue, linked through the packets it holds: push links
+// at the tail and pop unlinks the head, both O(1) and allocation-free, and
+// an empty queue pins no memory however deep it once was.
 type fifo struct {
-	entries []queueEntry
-	head    int
-	bytes   int64
+	head, tail *Packet
+	n          int
+	bytes      int64
 }
 
-func (q *fifo) push(e queueEntry) {
-	q.entries = append(q.entries, e)
-	q.bytes += int64(e.pkt.WireBytes)
-}
-
-func (q *fifo) pop() (queueEntry, bool) {
-	if q.head >= len(q.entries) {
-		return queueEntry{}, false
+// push queues pkt, which came in on inPort, at the tail.
+func (q *fifo) push(pkt *Packet, inPort int) {
+	pkt.inPort = inPort
+	if q.tail == nil {
+		q.head = pkt
+	} else {
+		q.tail.next = pkt
 	}
-	e := q.entries[q.head]
-	q.entries[q.head] = queueEntry{}
-	q.head++
-	q.bytes -= int64(e.pkt.WireBytes)
-	if q.head == len(q.entries) {
-		q.entries = q.entries[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.head = 0
-	}
-	return e, true
+	q.tail = pkt
+	q.n++
+	q.bytes += int64(pkt.WireBytes)
 }
 
-func (q *fifo) empty() bool { return q.head >= len(q.entries) }
+// pop unlinks the head packet, or returns nil when the queue is empty.
+func (q *fifo) pop() *Packet {
+	pkt := q.head
+	if pkt == nil {
+		return nil
+	}
+	q.head = pkt.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	pkt.next = nil
+	q.n--
+	q.bytes -= int64(pkt.WireBytes)
+	return pkt
+}
+
+func (q *fifo) empty() bool { return q.head == nil }
 
 // PortStats are cumulative egress counters.
 type PortStats struct {
@@ -235,7 +234,7 @@ func (p *EgressPort) Enqueue(pkt *Packet, inPort int) {
 		p.transmit(pkt, inPort)
 		return
 	}
-	p.queues[pkt.Class].push(queueEntry{pkt: pkt, inPort: inPort})
+	p.queues[pkt.Class].push(pkt, inPort)
 	p.kick()
 }
 
@@ -331,8 +330,8 @@ func (p *EgressPort) kick() {
 		p.armTxDone()
 		return
 	}
-	e, _ := p.queues[class].pop()
-	p.transmit(e.pkt, e.inPort)
+	pkt := p.queues[class].pop()
+	p.transmit(pkt, pkt.inPort)
 }
 
 // eligible picks the class to serve next — control first, then unpaused
@@ -440,7 +439,7 @@ func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
 func (p *EgressPort) InFlightPackets() int {
 	n := p.onWire
 	for c := range p.queues {
-		n += len(p.queues[c].entries) - p.queues[c].head
+		n += p.queues[c].n
 	}
 	return n
 }

@@ -89,8 +89,10 @@ type Host struct {
 
 	// markedInbound collects inbound flows that saw ECN marks since the
 	// last TakeCongestedInbound (DCQCN+ uses this as its incast-scale
-	// signal).
-	markedInbound map[uint64]bool
+	// signal). It is recorded only once RecordCongestedInbound has been
+	// called, so a host no reader drains holds it empty.
+	markedInbound       map[uint64]bool
+	recordMarkedInbound bool
 
 	// dstSeen and dstList are scratch for walking the distinct
 	// destinations of sendFlows (probe ticks, ActiveDestinations).
@@ -100,9 +102,11 @@ type Host struct {
 	// reportedSent tracks how many bytes of each flow TakeFlowBytes has
 	// already reported; finishedUnreported holds residue of flows that
 	// completed between takes. Together they realize the §V "per-QP
-	// counters in future RNICs" monitoring mode.
+	// counters in future RNICs" monitoring mode. finishedUnreported is
+	// recorded only once RecordFlowBytes has been called.
 	reportedSent       map[uint64]int64
 	finishedUnreported map[uint64]int64
+	recordFlowBytes    bool
 
 	Stats HostStats
 }
@@ -152,6 +156,9 @@ func (h *Host) NodeID() topology.NodeID { return h.node }
 
 // Port returns the uplink egress port for wiring and counter sampling.
 func (h *Host) Port() *netdev.EgressPort { return h.port }
+
+// Params returns the DCQCN parameters this RNIC's QPs run on now.
+func (h *Host) Params() *dcqcn.Params { return h.params() }
 
 // SetMTU overrides the per-packet payload size (default netdev.DefaultMTU).
 func (h *Host) SetMTU(mtu int) {
@@ -255,7 +262,7 @@ func (h *Host) sendPacket(f *SendFlow) {
 
 func (h *Host) finishSendFlow(f *SendFlow) {
 	f.rp.Stop()
-	if residue := f.Sent - h.reportedSent[f.ID]; residue > 0 {
+	if residue := f.Sent - h.reportedSent[f.ID]; h.recordFlowBytes && residue > 0 {
 		h.finishedUnreported[f.ID] += residue
 	}
 	delete(h.reportedSent, f.ID)
@@ -284,7 +291,7 @@ func (h *Host) Receive(pkt *netdev.Packet, inPort int) {
 			h.rx[pkt.FlowID] = rf
 		}
 		rf.got += int64(pkt.PayloadBytes)
-		if pkt.ECNMarked {
+		if pkt.ECNMarked && h.recordMarkedInbound {
 			h.markedInbound[pkt.FlowID] = true
 		}
 		if pkt.ECNMarked && rf.np.OnECNMarked(h.eng.Now()) {
@@ -381,19 +388,31 @@ func (h *Host) TakeRTT() (sumNorm float64, count int64) {
 	return sumNorm, count
 }
 
+// RecordCongestedInbound starts recording which inbound flows see ECN
+// marks; the reader that will call TakeCongestedInbound turns it on when it
+// is built. Until then the host keeps no per-flow record.
+func (h *Host) RecordCongestedInbound() { h.recordMarkedInbound = true }
+
 // TakeCongestedInbound reports how many distinct inbound flows received
 // ECN-marked packets since the previous call, then resets the set. This
 // is the NP-side incast-scale estimate DCQCN+ keys its CNP interval on.
+// It counts nothing unless RecordCongestedInbound was called.
 func (h *Host) TakeCongestedInbound() int {
 	n := len(h.markedInbound)
 	clear(h.markedInbound)
 	return n
 }
 
+// RecordFlowBytes starts recording the unreported residue of flows that
+// complete; the reader that will call TakeFlowBytes turns it on when it is
+// built. Until then a completed flow leaves nothing behind.
+func (h *Host) RecordFlowBytes() { h.recordFlowBytes = true }
+
 // TakeFlowBytes reports, per flow this RNIC sent on since the previous
 // call, the payload bytes transmitted in that window — exact per-QP
 // counters, the §V alternative to switch sketches. Output is sorted by
-// flow ID; flows that completed between takes contribute their residue.
+// flow ID; flows that completed between takes contribute their residue
+// if RecordFlowBytes was called.
 func (h *Host) TakeFlowBytes() []FlowBytes {
 	out := make([]FlowBytes, 0, len(h.sendFlows)+len(h.finishedUnreported))
 	for _, f := range h.sendFlows {

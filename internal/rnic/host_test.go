@@ -10,12 +10,14 @@ import (
 )
 
 // pipe is a stand-in ToR that relays every non-PFC packet to the other
-// host instantly, recording what it saw.
+// host instantly, recording what it saw. With mark set it ECN-marks every
+// data packet it relays.
 type pipe struct {
 	eng   *eventsim.Engine
 	hosts [2]*Host
 	seen  []*netdev.Packet
 	at    []eventsim.Time // arrival time of each packet in seen
+	mark  bool
 }
 
 func (p *pipe) Receive(pkt *netdev.Packet, inPort int) {
@@ -23,6 +25,9 @@ func (p *pipe) Receive(pkt *netdev.Packet, inPort int) {
 	p.at = append(p.at, p.eng.Now())
 	if pkt.Kind == netdev.KindPFC {
 		return
+	}
+	if p.mark && pkt.Kind == netdev.KindData {
+		pkt.ECNMarked = true
 	}
 	for i := range p.hosts {
 		if p.hosts[i].NodeID() == pkt.Dst {
@@ -211,6 +216,33 @@ func TestECNMarkedDataTriggersCNP(t *testing.T) {
 	// The CNP must arrive back at the sender.
 	if a.Stats.CNPsReceived != 1 {
 		t.Errorf("sender CNPsReceived = %d, want 1", a.Stats.CNPsReceived)
+	}
+}
+
+// TestUnreadFlowRecordsStayEmpty pins that a host nobody reads per-flow
+// records from keeps none: 10 000 ECN-marked flows complete, and neither
+// the congested-inbound set (DCQCN+'s signal) nor the completed-flow
+// residue (the per-QP monitor's) grows on either end.
+func TestUnreadFlowRecordsStayEmpty(t *testing.T) {
+	r := newRig(t, dcqcn.DefaultParams())
+	r.relay.mark = true
+	a, b := r.hosts[0], r.hosts[1]
+	const flows, batch = 10000, 100
+	for id := uint64(0); id < flows; {
+		for end := id + batch; id < end; id++ {
+			b.ExpectFlow(id, a.NodeID(), 1000, r.eng.Now())
+			a.StartFlow(id, b.NodeID(), 1000)
+		}
+		r.eng.RunUntil(r.eng.Now() + eventsim.Millisecond)
+	}
+	if len(r.done) != flows || b.Stats.CNPsSent == 0 {
+		t.Fatalf("%d of %d flows completed, %d CNPs sent", len(r.done), flows, b.Stats.CNPsSent)
+	}
+	for _, h := range r.hosts {
+		if len(h.markedInbound) != 0 || len(h.finishedUnreported) != 0 {
+			t.Errorf("host %d holds %d congested-inbound and %d unreported-flow records with no reader",
+				h.NodeID(), len(h.markedInbound), len(h.finishedUnreported))
+		}
 	}
 }
 

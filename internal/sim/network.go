@@ -86,10 +86,13 @@ type Network struct {
 	// rnicParams is shared by every host RNIC; switchParams is
 	// per-switch so schemes like ACC can tune ECN thresholds locally.
 	// hostParams overrides rnicParams for individual hosts (DCQCN+
-	// adjusts per-endpoint CNP pacing and increase steps).
-	rnicParams   *dcqcn.Params
-	switchParams map[topology.NodeID]*dcqcn.Params
-	hostParams   map[topology.NodeID]*dcqcn.Params
+	// adjusts per-endpoint CNP pacing and increase steps); clusterParams
+	// holds the overrides ApplyParamsToCluster installed, which the next
+	// fabric-wide ApplyParams lifts.
+	rnicParams    *dcqcn.Params
+	switchParams  map[topology.NodeID]*dcqcn.Params
+	hostParams    map[topology.NodeID]*dcqcn.Params
+	clusterParams map[topology.NodeID]*dcqcn.Params
 
 	cfg        Config
 	nextFlowID uint64
@@ -130,12 +133,13 @@ func New(cfg Config) (*Network, error) {
 	eng := eventsim.NewEngine(cfg.Seed)
 	n := &Network{
 		Eng: eng, Topo: topo, cfg: cfg,
-		pool:         netdev.NewPacketPool(),
-		hostByNode:   map[topology.NodeID]*rnic.Host{},
-		switchByNode: map[topology.NodeID]*netdev.Switch{},
-		switchParams: map[topology.NodeID]*dcqcn.Params{},
-		hostParams:   map[topology.NodeID]*dcqcn.Params{},
-		flowSizes:    map[uint64]int64{},
+		pool:          netdev.NewPacketPool(),
+		hostByNode:    map[topology.NodeID]*rnic.Host{},
+		switchByNode:  map[topology.NodeID]*netdev.Switch{},
+		switchParams:  map[topology.NodeID]*dcqcn.Params{},
+		hostParams:    map[topology.NodeID]*dcqcn.Params{},
+		clusterParams: map[topology.NodeID]*dcqcn.Params{},
+		flowSizes:     map[uint64]int64{},
 	}
 	rp := cfg.Params
 	n.rnicParams = &rp
@@ -240,9 +244,18 @@ func (n *Network) RNICParams() *dcqcn.Params { return n.rnicParams }
 func (n *Network) SwitchParams(node topology.NodeID) *dcqcn.Params { return n.switchParams[node] }
 
 // ApplyParams dispatches a homogeneous DCQCN setting to every RNIC and
-// switch — Paraleon's "dispatch P_m to RNICs and switches" step.
+// switch — Paraleon's "dispatch P_m to RNICs and switches" step. Host
+// overrides a cluster dispatch installed are lifted so every such host
+// follows p again; overrides installed through SetHostParams (DCQCN+'s
+// per-endpoint settings) stay.
 func (n *Network) ApplyParams(p dcqcn.Params) {
 	*n.rnicParams = p
+	for hn, cp := range n.clusterParams {
+		if n.hostParams[hn] == cp {
+			delete(n.hostParams, hn)
+		}
+	}
+	clear(n.clusterParams)
 	for _, sp := range n.switchParams {
 		*sp = p
 	}
@@ -269,7 +282,8 @@ func (n *Network) ApplyParamsToCluster(tors []topology.NodeID, p dcqcn.Params) {
 			*hp = p
 		} else {
 			cp := p
-			n.SetHostParams(hn, &cp)
+			n.hostParams[hn] = &cp
+			n.clusterParams[hn] = &cp
 		}
 	}
 }
