@@ -20,6 +20,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/harness"
+	"repro/internal/loop"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -307,7 +308,7 @@ func accuracyWith(b *testing.B, agentCfg monitor.AgentConfig) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var est, truth []monitor.ReportSource
+	var est, truth []loop.ReportSource
 	for i, tor := range n.Topo.ToRs() {
 		o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
 		a := monitor.NewSwitchAgent(agentCfg, uint64(i+1))
@@ -320,8 +321,8 @@ func accuracyWith(b *testing.B, agentCfg monitor.AgentConfig) float64 {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	estCtl := monitor.NewController(0.01, est...)
-	truthCtl := monitor.NewController(0.01, truth...)
+	estCtl := loop.NewController(0.01, est...)
+	truthCtl := loop.NewController(0.01, truth...)
 	var sum float64
 	ticks := 0
 	for mi := 1; mi <= 30; mi++ {

@@ -425,10 +425,6 @@ func main() {
 	scale.Workers = *workers
 	scale.Net.Tuner = *tunerName
 	scale.Progress = func(st harness.ArmStatus) {
-		if st.Incomplete > 0 {
-			fmt.Fprintf(os.Stderr, "  arm %d (%s): %d flows without a completion record when the run ended; the FCT tables lack them\n",
-				st.Index, st.Scheme, st.Incomplete)
-		}
 		if !*progress {
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -195,7 +196,7 @@ func TestNetFlowSamplesAndScales(t *testing.T) {
 	cfg.Interval = 10 * eventsim.Millisecond // fast export for the test
 	tors := n.Topo.ToRs()
 	agents := make([]*NetFlowAgent, len(tors))
-	var sources []monitor.ReportSource
+	var sources []loop.ReportSource
 	for i, tor := range tors {
 		agents[i] = NewNetFlowAgent(cfg, n.Topo, tor)
 		agents[i].Attach(n.Switch(tor))
@@ -203,8 +204,8 @@ func TestNetFlowSamplesAndScales(t *testing.T) {
 	}
 	hosts := n.Topo.Hosts()
 	n.StartFlow(hosts[0], hosts[1], 20<<20) // elephant: ~20k packets, ~200 samples
-	ctl := monitor.NewController(0.01, sources...)
-	var lastFSD monitor.FSD
+	ctl := loop.NewController(0.01, sources...)
+	var lastFSD loop.FSD
 	for mi := 1; mi <= 15; mi++ {
 		n.Run(eventsim.Time(mi) * eventsim.Millisecond)
 		lastFSD = ctl.Tick()
@@ -253,7 +254,7 @@ func TestNetFlowMissesMice(t *testing.T) {
 	cfg := DefaultNetFlowConfig()
 	cfg.Interval = 20 * eventsim.Millisecond
 	tors := n.Topo.ToRs()
-	var sources []monitor.ReportSource
+	var sources []loop.ReportSource
 	for _, tor := range tors {
 		a := NewNetFlowAgent(cfg, n.Topo, tor)
 		a.Attach(n.Switch(tor))
@@ -266,8 +267,8 @@ func TestNetFlowMissesMice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := monitor.NewController(0.01, sources...)
-	var fsd monitor.FSD
+	ctl := loop.NewController(0.01, sources...)
+	var fsd loop.FSD
 	for mi := 1; mi <= 25; mi++ {
 		n.Run(eventsim.Time(mi) * eventsim.Millisecond)
 		fsd = ctl.Tick()
@@ -286,8 +287,8 @@ func TestParaleonBeatsNetFlowAccuracy(t *testing.T) {
 	run := func(useNetFlow bool) float64 {
 		n := newNet(t)
 		tors := n.Topo.ToRs()
-		var est []monitor.ReportSource
-		var oracles []monitor.ReportSource
+		var est []loop.ReportSource
+		var oracles []loop.ReportSource
 		for i, tor := range tors {
 			o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
 			oracles = append(oracles, o)
@@ -307,8 +308,8 @@ func TestParaleonBeatsNetFlowAccuracy(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		estCtl := monitor.NewController(0.01, est...)
-		truthCtl := monitor.NewController(0.01, oracles...)
+		estCtl := loop.NewController(0.01, est...)
+		truthCtl := loop.NewController(0.01, oracles...)
 		var accSum float64
 		ticks := 0
 		for mi := 1; mi <= 30; mi++ {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/monitor"
 	"repro/internal/netdev"
 	"repro/internal/topology"
@@ -39,7 +40,7 @@ func DefaultNetFlowConfig() NetFlowConfig {
 }
 
 // NetFlowAgent is a sampled flow monitor on one ToR. It implements
-// monitor.ReportSource, but unlike the sketch agents its content only
+// loop.ReportSource, but unlike the sketch agents its content only
 // refreshes once per export interval — both the sampling loss and the
 // staleness degrade the FSD the tuner sees (Fig 10).
 type NetFlowAgent struct {
@@ -49,7 +50,7 @@ type NetFlowAgent struct {
 	rng  *rand.Rand
 
 	samples map[uint64]int64
-	current monitor.Report
+	current loop.Report
 
 	ticksPerFlush int
 	tick          int
@@ -97,9 +98,9 @@ func (a *NetFlowAgent) OnPacket(pkt *netdev.Packet, now eventsim.Time) {
 	a.Sampled++
 }
 
-// EndInterval implements monitor.ReportSource. The returned report only
+// EndInterval implements loop.ReportSource. The returned report only
 // changes when an export interval elapses.
-func (a *NetFlowAgent) EndInterval() monitor.Report {
+func (a *NetFlowAgent) EndInterval() loop.Report {
 	a.tick++
 	if a.tick < a.ticksPerFlush {
 		return a.current
@@ -109,16 +110,16 @@ func (a *NetFlowAgent) EndInterval() monitor.Report {
 	return a.current
 }
 
-func (a *NetFlowAgent) flush() monitor.Report {
+func (a *NetFlowAgent) flush() loop.Report {
 	ids := make([]uint64, 0, len(a.samples))
 	for id := range a.samples {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var r monitor.Report
+	var r loop.Report
 	for _, id := range ids {
 		est := a.samples[id] * int64(a.cfg.SampleRate) // scale up
-		r.Hist[monitor.BucketFor(est)] += float64(est)
+		r.Hist[loop.BucketFor(est)] += float64(est)
 		if est >= a.cfg.TauBytes {
 			r.ElephantBytes += float64(est)
 			r.ElephantFlowsW++

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -13,16 +13,16 @@ import (
 // countingSource is a scriptable inner ReportSource.
 type countingSource struct {
 	calls int
-	rep   monitor.Report
+	rep   loop.Report
 }
 
-func (c *countingSource) EndInterval() monitor.Report {
+func (c *countingSource) EndInterval() loop.Report {
 	c.calls++
 	return c.rep
 }
 
-func elephantReport(bytes float64) monitor.Report {
-	var r monitor.Report
+func elephantReport(bytes float64) loop.Report {
+	var r loop.Report
 	r.Hist[5] = bytes
 	r.ElephantBytes = bytes
 	r.ElephantFlowsW = 1

@@ -1,9 +1,9 @@
 package chaos
 
-import "repro/internal/monitor"
+import "repro/internal/loop"
 
-// FlakySource wraps a monitor.ReportSource with failure modes, and
-// implements monitor.LivenessSource so the controller's staleness and
+// FlakySource wraps a loop.ReportSource with failure modes, and
+// implements loop.LivenessSource so the controller's staleness and
 // quorum machinery engages.
 //
 // A crashed source reports !Alive(); the wrapped agent keeps observing
@@ -14,11 +14,11 @@ import "repro/internal/monitor"
 // report verbatim, modelling a wedged agent whose liveness checks still
 // pass.
 type FlakySource struct {
-	inner monitor.ReportSource
+	inner loop.ReportSource
 
 	alive     bool
 	stallLeft int
-	last      monitor.Report
+	last      loop.Report
 	hasLast   bool
 
 	// Crashes, Restarts, and StaleServed count injected activity.
@@ -26,15 +26,15 @@ type FlakySource struct {
 }
 
 // NewFlakySource wraps inner, initially alive.
-func NewFlakySource(inner monitor.ReportSource) *FlakySource {
+func NewFlakySource(inner loop.ReportSource) *FlakySource {
 	return &FlakySource{inner: inner, alive: true}
 }
 
-// Alive implements monitor.LivenessSource.
+// Alive implements loop.LivenessSource.
 func (f *FlakySource) Alive() bool { return f.alive }
 
 // Inner exposes the wrapped source.
-func (f *FlakySource) Inner() monitor.ReportSource { return f.inner }
+func (f *FlakySource) Inner() loop.ReportSource { return f.inner }
 
 // Crash kills the source; it stops answering until Restart.
 func (f *FlakySource) Crash() {
@@ -67,12 +67,12 @@ func (f *FlakySource) Stall(n int) {
 	}
 }
 
-// EndInterval implements monitor.ReportSource.
-func (f *FlakySource) EndInterval() monitor.Report {
+// EndInterval implements loop.ReportSource.
+func (f *FlakySource) EndInterval() loop.Report {
 	if !f.alive {
 		// The controller never asks a !Alive() source, but be safe for
 		// callers that skip the liveness check.
-		return monitor.Report{}
+		return loop.Report{}
 	}
 	if f.stallLeft > 0 && f.hasLast {
 		f.stallLeft--

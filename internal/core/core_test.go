@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/sim"
 	"repro/internal/tuner"
 )
@@ -32,7 +32,7 @@ func TestWeights(t *testing.T) {
 }
 
 func TestUtility(t *testing.T) {
-	s := monitor.RuntimeSample{OTP: 0.8, ORTT: 0.5, OPFC: 1}
+	s := loop.RuntimeSample{OTP: 0.8, ORTT: 0.5, OPFC: 1}
 	w := tuner.Weights{TP: 0.2, RTT: 0.5, PFC: 0.3}
 	want := 0.2*0.8 + 0.5*0.5 + 0.3*1
 	if got := tuner.Utility(s, w); math.Abs(got-want) > 1e-12 {
@@ -43,7 +43,7 @@ func TestUtility(t *testing.T) {
 func TestQuickUtilityBounded(t *testing.T) {
 	w := tuner.DefaultWeights()
 	f := func(a, b, c uint8) bool {
-		s := monitor.RuntimeSample{
+		s := loop.RuntimeSample{
 			OTP:  float64(a) / 255,
 			ORTT: float64(b) / 255,
 			OPFC: float64(c) / 255,
@@ -87,26 +87,26 @@ func TestSessionIterations(t *testing.T) {
 	}
 }
 
-func elephantFSD() monitor.FSD {
-	var r monitor.Report
+func elephantFSD() loop.FSD {
+	var r loop.Report
 	r.Hist[12] = 1000
 	r.ElephantBytes = 900
 	r.MiceBytes = 100
 	r.ElephantFlowsW = 9
 	r.MiceFlowsW = 1
 	r.Flows = 10
-	return monitor.Aggregate(r)
+	return loop.Aggregate(r)
 }
 
-func miceFSD() monitor.FSD {
-	var r monitor.Report
+func miceFSD() loop.FSD {
+	var r loop.Report
 	r.Hist[0] = 1000
 	r.ElephantBytes = 100
 	r.MiceBytes = 900
 	r.ElephantFlowsW = 1
 	r.MiceFlowsW = 29
 	r.Flows = 30
-	return monitor.Aggregate(r)
+	return loop.Aggregate(r)
 }
 
 func quickSA() tuner.SAConfig {
@@ -128,7 +128,7 @@ func TestTunerIdleUntilTriggered(t *testing.T) {
 	if tu.Active() {
 		t.Error("new tuner active")
 	}
-	if _, ok := tu.Step(monitor.RuntimeSample{}, elephantFSD()); ok {
+	if _, ok := tu.Step(loop.RuntimeSample{}, elephantFSD()); ok {
 		t.Error("idle tuner produced params")
 	}
 }
@@ -143,7 +143,7 @@ func TestTunerSessionLifecycle(t *testing.T) {
 	if !tu.Active() {
 		t.Fatal("tuner not active after trigger")
 	}
-	sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+	sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
 	steps := 0
 	for tu.Active() {
 		p, ok := tu.Step(sample, elephantFSD())
@@ -179,7 +179,7 @@ func TestTunerBestUtilityMonotone(t *testing.T) {
 	for tu.Active() {
 		u := utils[i%len(utils)]
 		i++
-		tu.Step(monitor.RuntimeSample{ORTT: u / tuner.DefaultWeights().RTT * 0}, miceFSD())
+		tu.Step(loop.RuntimeSample{ORTT: u / tuner.DefaultWeights().RTT * 0}, miceFSD())
 		_ = u
 		// Directly feed via OTP-only sample for controllable utility.
 	}
@@ -187,7 +187,7 @@ func TestTunerBestUtilityMonotone(t *testing.T) {
 	tu2.Trigger(miceFSD())
 	i = 0
 	for tu2.Active() {
-		tu2.Step(monitor.RuntimeSample{OTP: utils[i%len(utils)]}, miceFSD())
+		tu2.Step(loop.RuntimeSample{OTP: utils[i%len(utils)]}, miceFSD())
 		i++
 	}
 	for j := 1; j < len(tu2.Trace); j++ {
@@ -210,7 +210,7 @@ func TestTunerBestParamsMatchBestUtility(t *testing.T) {
 	u := 0.1
 	var last dcqcn.Params
 	for tu.Active() {
-		p, _ := tu.Step(monitor.RuntimeSample{OTP: u}, elephantFSD())
+		p, _ := tu.Step(loop.RuntimeSample{OTP: u}, elephantFSD())
 		dispatched = append(dispatched, p)
 		utilsFed = append(utilsFed, u)
 		last = p
@@ -385,9 +385,9 @@ type rogueTuner struct {
 	active bool
 }
 
-func (r *rogueTuner) Trigger(monitor.FSD) { r.active = true }
-func (r *rogueTuner) Active() bool        { return r.active }
-func (r *rogueTuner) Step(monitor.RuntimeSample, monitor.FSD) (dcqcn.Params, bool) {
+func (r *rogueTuner) Trigger(loop.FSD) { r.active = true }
+func (r *rogueTuner) Active() bool     { return r.active }
+func (r *rogueTuner) Step(loop.RuntimeSample, loop.FSD) (dcqcn.Params, bool) {
 	p := dcqcn.DefaultParams()
 	p.KminBytes, p.KmaxBytes = p.KmaxBytes, p.KminBytes
 	return p, true
@@ -406,6 +406,7 @@ func TestSystemGuardRejectsRogueProposals(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tuner = &rogueTuner{Tuner: base}
+	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, n.Eng.Now, s.TM)
 	before := *n.RNICParams()
 	s.Start()
 	hosts := n.Topo.Hosts()
@@ -429,7 +430,7 @@ func TestSystemCustomSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickSystem()
-	cfg.Sources = []monitor.ReportSource{} // no-FSD ablation
+	cfg.Sources = []loop.ReportSource{} // no-FSD ablation
 	s, err := Attach(n, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/netdev"
 	"repro/internal/telemetry/series"
 	"repro/internal/tuner"
@@ -108,7 +108,7 @@ func newFlightSampler(rec *series.Recorder, s *System) *flightSampler {
 // sample records one monitor interval. It runs on every tick — frozen
 // and idle intervals included, which is exactly when a postmortem needs
 // the trajectory — and must stay allocation-free.
-func (f *flightSampler) sample(s *System, now eventsim.Time, sample monitor.RuntimeSample, util float64) {
+func (f *flightSampler) sample(s *System, now eventsim.Time, sample loop.RuntimeSample, util float64) {
 	t := int64(now)
 	f.otp.Append(t, sample.OTP)
 	f.ortt.Append(t, sample.ORTT)
@@ -127,9 +127,9 @@ func (f *flightSampler) sample(s *System, now eventsim.Time, sample monitor.Runt
 		f.bestUtility.Append(t, best)
 	}
 	f.regret.Append(t, s.TM.Regret.Value())
-	if s.Dispatch != nil {
-		f.epoch.Append(t, float64(s.Dispatch.Epoch()))
-		f.phase.Append(t, float64(s.Dispatch.Phase()))
+	if phase, epoch, ok := s.apply.rollout(); ok {
+		f.epoch.Append(t, float64(epoch))
+		f.phase.Append(t, float64(phase))
 	}
 
 	for i, sw := range f.switches {

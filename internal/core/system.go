@@ -1,10 +1,11 @@
-// Package core wires Paraleon's closed control loop together: agents
-// measure, the controller aggregates and triggers, a search strategy
-// from internal/tuner proposes DCQCN vectors, and the loop dispatches
-// them to every RNIC and switch (directly, or through the staged
-// dispatch pipeline). The utility function (Equation 1), the
-// simulated-annealing search of Algorithm 1 and its configuration live
-// in internal/tuner.
+// Package core wires Paraleon's closed control loop together on a
+// simulated network: agents measure, the controller and the decision
+// step of internal/loop (the ones the ctrlrpc daemon runs too) aggregate,
+// trigger and drive a search strategy from internal/tuner, and the
+// proposed DCQCN vectors go to every RNIC and switch (directly, or
+// through the staged dispatch pipeline). The utility function
+// (Equation 1), the simulated-annealing search of Algorithm 1 and its
+// configuration live in internal/tuner.
 package core
 
 import (
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -50,7 +52,7 @@ type SystemConfig struct {
 	// Sources, when non-nil, replaces the sketch agents as the
 	// controller's FSD inputs (NetFlow baseline, no-FSD ablation). The
 	// caller is responsible for any tap wiring they need.
-	Sources []monitor.ReportSource
+	Sources []loop.ReportSource
 	// Scope, when non-nil, restricts the deployment to the racks under
 	// these ToRs: agents attach only there, runtime metrics cover only
 	// that scope, and dispatches go only to those devices (§V
@@ -82,7 +84,7 @@ type SystemConfig struct {
 // DegradeConfig is the graceful-degradation policy of a deployment.
 type DegradeConfig struct {
 	// StaleAfter / QuorumFrac configure agent eviction and the tuning
-	// freeze (see monitor.Controller); zero values use its defaults.
+	// freeze (see loop.Controller); zero values use its defaults.
 	StaleAfter int
 	QuorumFrac float64
 	// RollbackWindow, when > 0, enables parameter rollback: if the
@@ -115,7 +117,7 @@ func DefaultSystemConfig() SystemConfig {
 type System struct {
 	Net        *sim.Network
 	Tuner      tuner.Tuner
-	Controller *monitor.Controller
+	Controller *loop.Controller
 	Collector  *monitor.RuntimeCollector
 	Agents     []*monitor.SwitchAgent
 
@@ -129,25 +131,29 @@ type System struct {
 	// torScope is the resolved ToR list (scope, or every ToR): agent i of
 	// a per-switch strategy owns torScope[i].
 	torScope []topology.NodeID
-	// guard bounds-checks every proposal on the legacy direct-apply path
-	// and every per-switch override, so no strategy — in-tree or
-	// registered by a caller — can push an out-of-spec or misordered
-	// (Kmin >= Kmax) vector onto the fabric. The pipeline path carries
-	// its own, stricter guard.
+	// guard bounds-checks every proposal on the direct apply path and
+	// every per-switch override, so no strategy — in-tree or registered
+	// by a caller — can push an out-of-spec or misordered (Kmin >= Kmax)
+	// vector onto the fabric. The pipeline path carries its own, stricter
+	// guard.
 	guard *dispatch.Guard
+	// step is the decision shared with the daemon; apply is the path its
+	// proposals take to the fabric (direct, or staged through Dispatch).
+	step  *loop.Step
+	apply applier
 	// GuardRejects counts proposals the loop's guard refused.
 	GuardRejects int
 
 	// Dispatches counts parameter updates pushed to the network;
 	// LastSample is the most recent runtime measurement.
 	Dispatches int
-	LastSample monitor.RuntimeSample
+	LastSample loop.RuntimeSample
 	// UtilityTrace records Utility(LastSample) each interval.
 	UtilityTrace []float64
 
 	// Dispatch, when non-nil, is the staged rollout pipeline every
 	// parameter push goes through (SystemConfig.Dispatch.Enabled); nil
-	// means the legacy direct-apply path.
+	// means the direct apply path.
 	Dispatch *dispatch.Pipeline
 
 	// Graceful degradation (see DegradeConfig).
@@ -183,8 +189,7 @@ type System struct {
 	// recorder each interval (SystemConfig.Flight).
 	flight *flightSampler
 
-	sessionSpan  uint64
-	sessionStart eventsim.Time
+	sessionSpan uint64
 }
 
 // TraceSink receives span-linked control-loop trace events. It is
@@ -197,7 +202,7 @@ type TraceSink interface {
 	SpanEnd(id uint64)
 	// TriggerIn / DispatchIn / RollbackIn record loop events linked
 	// into a span (0 = unlinked).
-	TriggerIn(span uint64, fsd monitor.FSD)
+	TriggerIn(span uint64, fsd loop.FSD)
 	DispatchIn(span uint64, p dcqcn.Params)
 	RollbackIn(span uint64, p dcqcn.Params)
 }
@@ -290,27 +295,24 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 			sources = append(sources, a)
 		}
 	}
-	s.Controller = monitor.NewController(cfg.Theta, sources...)
+	s.Controller = loop.NewController(cfg.Theta, sources...)
 	s.Controller.StaleAfter = cfg.Degrade.StaleAfter
 	s.Controller.QuorumFrac = cfg.Degrade.QuorumFrac
 	s.Controller.TM = telemetry.NewMonitorMetrics(reg)
-	// A session runs to its temperature floor (Algorithm 1); KL spikes
-	// during an active search must not restart it, or noisy FSDs would
-	// pin the tuner at maximum temperature forever.
-	s.Controller.OnTrigger = func(fsd monitor.FSD) {
-		if !s.Tuner.Active() {
-			s.beginSession(fsd)
-		}
-	}
 	s.Collector = monitor.NewScopedRuntimeCollector(net, scope)
 	// The dispatch family is registered even when the pipeline is off,
 	// so every run's /metrics surface carries it for scrape checks.
 	telemetry.NewDispatchMetrics(reg)
+	s.apply = direct{s}
 	if cfg.Dispatch.Enabled {
 		if err := s.attachDispatch(cfg, scope, reg); err != nil {
 			return nil, err
 		}
 	}
+	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, net.Eng.Now, s.TM)
+	s.step.OnSession = s.traceSession
+	s.step.OnDispatch = s.dispatched
+	s.step.OnSettle = s.settled
 	if cfg.Flight != nil {
 		s.flight = newFlightSampler(cfg.Flight, s)
 	}
@@ -358,24 +360,53 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 			s.flight.rec.Trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
 		}
 	}
+	s.apply = staged{s, s.Dispatch}
 	return s.Dispatch.Resume(*net.RNICParams(), net.Eng.Now())
 }
 
-// beginSession starts (or restarts) a tuning session, opening its trace
-// span and stamping its start for latency accounting.
-func (s *System) beginSession(fsd monitor.FSD) {
-	if s.Trace != nil {
-		if s.Tuner.Active() && s.sessionSpan != 0 {
-			// Restarted mid-session (TriggerNow): close the old span.
-			s.Trace.SpanEnd(s.sessionSpan)
-		}
-		// "sa_session" for the default strategy, matching the historical
-		// trace vocabulary (and the recorded goldens) byte-for-byte.
-		s.sessionSpan = s.Trace.SpanStart(s.Tuner.Name()+"_session", 0)
-		s.Trace.TriggerIn(s.sessionSpan, fsd)
+// traceSession opens the trace span of a session about to start.
+func (s *System) traceSession(fsd loop.FSD) {
+	if s.Trace == nil {
+		return
 	}
-	s.sessionStart = s.Net.Eng.Now()
-	s.Tuner.Trigger(fsd)
+	if s.Tuner.Active() && s.sessionSpan != 0 {
+		// Restarted mid-session (TriggerNow): close the old span.
+		s.Trace.SpanEnd(s.sessionSpan)
+	}
+	// "sa_session" for the default strategy, matching the historical
+	// trace vocabulary (and the recorded goldens) byte-for-byte.
+	s.sessionSpan = s.Trace.SpanStart(s.Tuner.Name()+"_session", 0)
+	s.Trace.TriggerIn(s.sessionSpan, fsd)
+}
+
+// dispatched overlays a per-switch strategy's local proposals on the
+// fabric-wide vector the step committed, and records the dispatch.
+func (s *System) dispatched(p dcqcn.Params) {
+	now := s.Net.Eng.Now()
+	if ps, ok := s.Tuner.(tuner.PerSwitch); ok {
+		s.applyLocalProposals(ps, now)
+	}
+	s.Dispatches++
+	if s.OnDispatch != nil {
+		s.OnDispatch(p)
+	}
+	if s.flight != nil {
+		// Constant kind/detail strings: the event ring entry is a value
+		// write, so recording dispatches allocates nothing.
+		s.flight.rec.Event(int64(now), "dispatch", "")
+	}
+	if s.Trace != nil {
+		s.Trace.DispatchIn(s.sessionSpan, p)
+	}
+}
+
+// settled closes the trace span of a session that decided its final
+// proposal.
+func (s *System) settled() {
+	if s.Trace != nil && s.sessionSpan != 0 {
+		s.Trace.SpanEnd(s.sessionSpan)
+		s.sessionSpan = 0
+	}
 }
 
 // AttachPartitioned deploys one independent Paraleon instance per cluster
@@ -426,7 +457,7 @@ func (s *System) Stop() {
 // TriggerNow force-starts a tuning session with the current FSD,
 // regardless of the KL trigger (used by the no-FSD ablation and by
 // pretraining runs).
-func (s *System) TriggerNow() { s.beginSession(s.Controller.Current) }
+func (s *System) TriggerNow() { s.step.Trigger(s.Controller.Current) }
 
 func (s *System) armTick() {
 	s.tickEv = s.Net.Eng.After(s.interval, func() {
@@ -485,76 +516,17 @@ func (s *System) tick() {
 	// signals. Frozen and idle intervals never reach here — a canary
 	// must not be judged (or promoted) on readings the loop itself
 	// considers suspect.
-	if s.Dispatch != nil {
-		s.Dispatch.Tick(dispatch.Health{
-			Utility:   s.utilEWMA,
-			PauseFrac: 1 - sample.OPFC,
-			KL:        s.Controller.LastKL,
-		}, now)
-	}
+	s.apply.health(dispatch.Health{
+		Utility:   s.utilEWMA,
+		PauseFrac: 1 - sample.OPFC,
+		KL:        s.Controller.LastKL,
+	}, now)
 	// Per-switch strategies see this interval's per-agent reports before
 	// they step; agent i's slice is the report from torScope[i]'s switch.
-	ps, perSwitch := s.Tuner.(tuner.PerSwitch)
-	if perSwitch {
+	if ps, ok := s.Tuner.(tuner.PerSwitch); ok {
 		ps.ObserveLocals(s.Controller.Locals)
 	}
-	wasActive := s.Tuner.Active()
-	if p, ok := s.Tuner.Step(sample, fsd); ok {
-		final := wasActive && !s.Tuner.Active()
-		applied := true
-		if s.Dispatch != nil {
-			// The pipeline owns the push: exploration steps go through
-			// the guard and apply fabric-wide under a fresh epoch; the
-			// session-settling dispatch starts a canary rollout plan.
-			if final {
-				applied, _ = s.Dispatch.SubmitFinal(p, s.utilEWMA, now)
-			} else {
-				applied, _ = s.Dispatch.SubmitExplore(p, now)
-				if applied {
-					s.current = p
-				}
-			}
-		} else if rej, _ := s.guard.Admit(&p, &s.current, now); rej != dispatch.RejectNone {
-			// Legacy direct-apply path: the loop's own guard refuses any
-			// strategy proposal that is out of spec bounds or misordered.
-			// ("sa" proposals are clamped and repaired by construction, so
-			// this check never fires on the default path — the goldens are
-			// untouched.)
-			applied = false
-			s.GuardRejects++
-			s.TM.GuardRejects.Inc()
-		} else {
-			s.apply(p)
-		}
-		if applied {
-			s.Tuner.Commit(p)
-			if perSwitch {
-				s.applyLocalProposals(ps, now)
-			}
-			s.Dispatches++
-			s.TM.Dispatches.Inc()
-			s.TM.DispatchLatencyMs.Observe(float64(now-s.sessionStart) / 1e6)
-			if s.OnDispatch != nil {
-				s.OnDispatch(p)
-			}
-			if s.flight != nil {
-				// Constant kind/detail strings: the event ring entry is a
-				// value write, so recording dispatches allocates nothing.
-				s.flight.rec.Event(int64(now), "dispatch", "")
-			}
-			if s.Trace != nil {
-				s.Trace.DispatchIn(s.sessionSpan, p)
-			}
-		}
-		if final {
-			// The session settled on this dispatch.
-			s.TM.SettleMs.Observe(float64(now-s.sessionStart) / 1e6)
-			if s.Trace != nil && s.sessionSpan != 0 {
-				s.Trace.SpanEnd(s.sessionSpan)
-				s.sessionSpan = 0
-			}
-		}
-	}
+	s.step.Decide(sample, fsd)
 }
 
 // applyLocalProposals overlays a per-switch strategy's local ECN
@@ -566,7 +538,7 @@ func (s *System) tick() {
 // per-switch overrides are withheld — a half-converted fabric must stay
 // exactly as the plan's epoch stamped it.
 func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
-	if s.Dispatch != nil && s.Dispatch.InFlight() {
+	if phase, _, _ := s.apply.rollout(); phase != dispatch.PhaseIdle {
 		return
 	}
 	for _, pr := range ps.LocalProposals() {
@@ -575,14 +547,22 @@ func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
 		}
 		cand := s.current
 		cand.KminBytes, cand.KmaxBytes, cand.PMax = pr.KminBytes, pr.KmaxBytes, pr.PMax
-		if rej, _ := s.guard.Admit(&cand, &s.current, now); rej != dispatch.RejectNone {
-			s.GuardRejects++
-			s.TM.GuardRejects.Inc()
-			continue
+		if s.admit(&cand, now) {
+			s.Net.ApplySwitchECN(s.torScope[pr.Agent], pr.KminBytes, pr.KmaxBytes, pr.PMax)
+			ps.AgentCommitted(pr.Agent)
 		}
-		s.Net.ApplySwitchECN(s.torScope[pr.Agent], pr.KminBytes, pr.KmaxBytes, pr.PMax)
-		ps.AgentCommitted(pr.Agent)
 	}
+}
+
+// admit runs cand past the loop's guard against the live vector and
+// counts a refusal.
+func (s *System) admit(cand *dcqcn.Params, now eventsim.Time) bool {
+	if rej, _ := s.guard.Admit(cand, &s.current, now); rej != dispatch.RejectNone {
+		s.GuardRejects++
+		s.TM.GuardRejects.Inc()
+		return false
+	}
+	return true
 }
 
 // publishStatus overwrites the loop's status cell, which the
@@ -591,10 +571,9 @@ func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
 // single-threaded simulation state off concurrent scrape goroutines.
 func (s *System) publishStatus(now eventsim.Time) {
 	var phase string
-	var epoch uint64
-	if s.Dispatch != nil {
-		phase = s.Dispatch.Phase().String()
-		epoch = s.Dispatch.Epoch()
+	ph, epoch, ok := s.apply.rollout()
+	if ok {
+		phase = ph.String()
 	}
 	var temp float64
 	if td, ok := s.Tuner.(tuner.Temperatured); ok {
@@ -621,21 +600,6 @@ func (s *System) publishStatus(now eventsim.Time) {
 		DispatchPhase: phase,
 		DispatchEpoch: epoch,
 	})
-}
-
-// apply dispatches p to the system's scope and records it as the live
-// setting. With the pipeline attached this is the rollback/restore
-// path: the push still goes through it so the restore is epoch-stamped,
-// journaled, and idempotent on the devices.
-func (s *System) apply(p dcqcn.Params) {
-	if s.Dispatch != nil {
-		s.Dispatch.Restore(p, s.Net.Eng.Now())
-	} else if s.scope != nil {
-		s.Net.ApplyParamsToCluster(s.scope, p)
-	} else {
-		s.Net.ApplyParams(p)
-	}
-	s.current = p
 }
 
 // checkRollback maintains the last-known-good (parameter vector, EWMA
@@ -674,7 +638,7 @@ func (s *System) checkRollback(util float64) bool {
 	if s.regress < s.degrade.RollbackWindow || s.current == s.lastGood {
 		return false
 	}
-	s.apply(s.lastGood)
+	s.apply.restore(s.lastGood, s.Net.Eng.Now())
 	wasActive := s.Tuner.Active()
 	s.Tuner.Abort()
 	s.Rollbacks++

@@ -3,13 +3,16 @@ package ctrlrpc
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/dispatch"
+	"repro/internal/loop"
+	"repro/internal/telemetry"
 	"repro/internal/tuner"
 )
 
@@ -183,6 +186,66 @@ func TestServerSessionConverges(t *testing.T) {
 	}
 }
 
+// fullWAL journals its first room records and then refuses every
+// append, like a disk that filled up.
+type fullWAL struct {
+	dispatch.MemWAL
+	room int
+}
+
+func (w *fullWAL) Append(r dispatch.Record) error {
+	if w.room == 0 {
+		return errors.New("disk full")
+	}
+	w.room--
+	return w.MemWAL.Append(r)
+}
+
+// TestServerVetoesUnjournaledEpochs: once the WAL stops taking records
+// the daemon stops dispatching, so every epoch it answered is one a
+// restarted daemon recovers, and no epoch number is ever issued twice.
+func TestServerVetoesUnjournaledEpochs(t *testing.T) {
+	wal := &fullWAL{room: 2}
+	cfg := DefaultServerConfig()
+	cfg.SA = tuner.ShortSAConfig()
+	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.WAL = wal
+	s, err := Serve("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var last TickResult
+	for seq := uint64(1); seq <= 20; seq++ {
+		if err := c.SendReport(elephantReport(1, seq)); err != nil {
+			t.Fatal(err)
+		}
+		if last, err = c.Tick(seq, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch, current := s.Epoch(), s.Current()
+	st := s.Stats()
+	if st.Dispatches != 2 || epoch != 2 || last.Epoch != 2 {
+		t.Errorf("%d dispatches up to epoch %d (last answer %d) with room for 2 journal records", st.Dispatches, epoch, last.Epoch)
+	}
+	if st.Rejects == 0 {
+		t.Error("the vetoed proposals were not counted as rejects")
+	}
+	rec, err := dispatch.Recover(&wal.MemWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Epoch != epoch || rec.Committed == nil || *rec.Committed != current {
+		t.Errorf("the WAL recovers epoch %d, the daemon stands behind epoch %d", rec.Epoch, epoch)
+	}
+}
+
 func TestServerMultipleAgents(t *testing.T) {
 	s := quickServer(t)
 	const agents = 4
@@ -248,7 +311,7 @@ func TestReportMonitorReport(t *testing.T) {
 	if m.ElephantBytes != 9000 || m.MiceBytes != 1000 || m.Flows != 4 {
 		t.Errorf("conversion lost fields: %+v", m)
 	}
-	fsd := monitor.Aggregate(m)
+	fsd := loop.Aggregate(m)
 	if fsd.ElephantShare != 0.9 {
 		t.Errorf("elephant share %g", fsd.ElephantShare)
 	}

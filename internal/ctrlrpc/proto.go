@@ -22,7 +22,7 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // MaxFrame bounds a frame payload.
@@ -51,8 +51,8 @@ type Report struct {
 	AgentID uint32
 	Seq     uint64
 
-	// Local FSD (mirrors monitor.Report).
-	Hist           [monitor.NumBuckets]float64
+	// Local FSD (mirrors loop.Report).
+	Hist           [loop.NumBuckets]float64
 	ElephantBytes  float64
 	MiceBytes      float64
 	ElephantFlowsW float64
@@ -68,9 +68,9 @@ type Report struct {
 	Devices      int32
 }
 
-// MonitorReport converts the wire FSD fields back to a monitor.Report.
-func (r *Report) MonitorReport() monitor.Report {
-	var m monitor.Report
+// MonitorReport converts the wire FSD fields back to a loop.Report.
+func (r *Report) MonitorReport() loop.Report {
+	var m loop.Report
 	m.Hist = r.Hist
 	m.ElephantBytes = r.ElephantBytes
 	m.MiceBytes = r.MiceBytes
@@ -176,7 +176,7 @@ const frameHeader = 5
 // Payload sizes of the fixed layouts: every field in declaration order,
 // bools as one byte, no padding — what binary.Size reports for each struct.
 const (
-	reportSize     = 4 + 8 + 8*monitor.NumBuckets + 4*8 + 4 + 8 + 4 + 8 + 8 + 8 + 4
+	reportSize     = 4 + 8 + 8*loop.NumBuckets + 4*8 + 4 + 8 + 4 + 8 + 8 + 8 + 4
 	tickSize       = 8 + 8
 	ackSize        = 4 + 8 + 8 + 1
 	wireParamsSize = 14*8 + 1

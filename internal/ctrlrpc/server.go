@@ -14,7 +14,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
 	"repro/internal/tuner"
@@ -55,7 +55,8 @@ type ServerConfig struct {
 	Guard dispatch.GuardConfig
 	// WAL, when non-nil, journals every dispatched epoch so a restarted
 	// controller resumes from the last committed vector instead of
-	// re-announcing the base setting under already-used epochs.
+	// re-announcing the base setting under already-used epochs. An epoch
+	// the WAL cannot journal is not dispatched.
 	WAL dispatch.WAL
 	// Flight, when non-nil, attaches the flight recorder: each tick the
 	// server samples its aggregated health signals into the recorder's
@@ -82,9 +83,11 @@ type ServerStats struct {
 	BytesIn, BytesOut int64
 	Reports           int64
 	Ticks             int64
-	Triggers          int64
-	Dispatches        int64
-	// Rejects counts tuner outputs the admission guard refused.
+	// Triggers counts tuning sessions started.
+	Triggers   int64
+	Dispatches int64
+	// Rejects counts tuner outputs that did not go out: refused by the
+	// admission guard, or vetoed by a WAL that could not journal them.
 	Rejects int64
 	// ApplyAcks counts agent apply acknowledgements.
 	ApplyAcks int64
@@ -94,20 +97,22 @@ type ServerStats struct {
 }
 
 // Server is the centralized controller: it accepts agent connections,
-// collects per-interval reports, aggregates the network-wide FSD, runs
-// the KL trigger and the SA tuner, and answers ticks with parameters.
+// collects per-interval reports, and answers each tick with parameters
+// decided by the aggregation, KL trigger and decision step the simulated
+// loop runs too (internal/loop).
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
 
-	mu       sync.Mutex
-	pending  []Report
-	locals   []monitor.Report // tick's per-agent FSDs, reused across ticks
-	prev     monitor.FSD
-	hasPrev  bool
-	smoother monitor.Smoother
-	tuner    tuner.Tuner
-	current  dcqcn.Params
+	mu      sync.Mutex
+	pending []Report
+	locals  []loop.Report // tick's per-agent FSDs, reused across ticks
+	// ctl and step are the aggregation and decision the simulated loop
+	// runs too; the server feeds them pushed reports on its wall clock.
+	ctl     *loop.Controller
+	step    *loop.Step
+	tuner   tuner.Tuner
+	current dcqcn.Params
 	// proposal receives the tuner's output each tick. It lives here, not
 	// on tick's stack, because its address reaches the guard and the WAL
 	// record, and a local would escape to the heap on every tick.
@@ -125,7 +130,6 @@ type Server struct {
 
 	status *telemetry.StatusCell[controllerStatus]
 	tm     *telemetry.RPCMetrics
-	mm     *telemetry.MonitorMetrics
 	dm     *telemetry.DispatchMetrics
 	ttm    *telemetry.TunerMetrics
 
@@ -178,10 +182,14 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s.status = telemetry.NewStatusCell[controllerStatus](reg, "controller")
 	s.tm = telemetry.NewRPCMetrics(reg)
-	s.mm = telemetry.NewMonitorMetrics(reg)
 	s.dm = telemetry.NewDispatchMetrics(reg)
 	s.ttm = telemetry.NewTunerMetrics(reg)
 	s.tuner.SetMetrics(s.ttm)
+	s.ctl = loop.NewController(cfg.Theta)
+	s.ctl.TM = telemetry.NewMonitorMetrics(reg)
+	s.step = loop.NewStep(s.ctl, tun, wire{s}, wallClock, s.ttm)
+	// ServerStats.Triggers counts sessions started, not KL crossings.
+	s.step.OnSession = func(loop.FSD) { s.stats.Triggers++ }
 	if cfg.Flight != nil {
 		s.flight = cfg.Flight
 		set := s.flight.Set
@@ -357,7 +365,9 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// tick is the controller's per-interval brain: aggregate, trigger, tune.
+// tick is the controller's per-interval brain: it sums the pushed
+// reports into the interval's runtime sample, closes the interval on the
+// shared controller, and lets the shared step decide on live intervals.
 func (s *Server) tick(t TickMsg) ParamsMsg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,11 +380,10 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	s.pending = reports[:0]
 	s.stats.Ticks++
 	s.tm.Ticks.Inc()
-	s.mm.Ticks.Inc()
 	defer s.publishStatus()
 
 	locals := s.locals[:0]
-	sample := monitor.RuntimeSample{ORTT: 1, OPFC: 1}
+	sample := loop.RuntimeSample{ORTT: 1, OPFC: 1}
 	var utilSum, pauseSum float64
 	var links, devices int32
 	var rttSum float64
@@ -401,102 +410,91 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	if devices > 0 {
 		sample.OPFC = 1 - pauseSum/float64(devices)
 	}
+
+	// KL is computed only against traffic an earlier tick absorbed.
+	warm := s.ctl.Current.TotalBytes > 0
+	epoch, triggers := s.epoch, s.stats.Triggers
+	fsd := s.ctl.TickReports(locals)
+	// A tick whose aggregate carries no bytes is idle, even with no
+	// reports at all: no distribution to compare, no feedback worth
+	// feeding the search.
+	live := s.ctl.Raw.TotalBytes > 0
+	if live {
+		s.step.Decide(sample, fsd)
+	}
 	if s.flight != nil {
-		// Deferred so the epoch/best-utility samples see this tick's
-		// dispatch decision; runs under s.mu like the rest of tick.
-		defer func() {
-			tk := s.stats.Ticks
-			s.fOTP.Append(tk, sample.OTP)
-			s.fORTT.Append(tk, sample.ORTT)
-			s.fOPFC.Append(tk, sample.OPFC)
-			s.fUtil.Append(tk, tuner.Utility(sample, s.cfg.Weights))
-			// BestUtility is -Inf until a session measures something,
-			// and JSON cannot carry non-finite values.
-			if best := s.tuner.BestUtility(); !math.IsInf(best, 0) && !math.IsNaN(best) {
-				s.fBest.Append(tk, best)
-			}
-			s.fEpoch.Append(tk, float64(s.epoch))
-		}()
+		tk := s.stats.Ticks
+		if warm && live {
+			s.fKL.Append(tk, s.ctl.LastKL)
+		}
+		s.fOTP.Append(tk, sample.OTP)
+		s.fORTT.Append(tk, sample.ORTT)
+		s.fOPFC.Append(tk, sample.OPFC)
+		s.fUtil.Append(tk, tuner.Utility(sample, s.cfg.Weights))
+		// BestUtility is -Inf until a session measures something, and JSON
+		// cannot carry non-finite values.
+		if best := s.tuner.BestUtility(); !math.IsInf(best, 0) && !math.IsNaN(best) {
+			s.fBest.Append(tk, best)
+		}
+		s.fEpoch.Append(tk, float64(s.epoch))
 	}
+	return ParamsMsg{
+		Epoch: s.epoch, Params: ToWire(s.current),
+		Changed: s.epoch != epoch, Triggered: s.stats.Triggers != triggers,
+	}
+}
 
-	raw := monitor.Aggregate(locals...)
-	resp := ParamsMsg{Epoch: s.epoch, Params: ToWire(s.current)}
-	if raw.TotalBytes == 0 {
-		// Traffic-free interval: no distribution to compare, no feedback
-		// worth feeding the search (see monitor.Controller.Tick).
-		return resp
-	}
-	s.mm.FSDFlows.Observe(float64(raw.Flows))
-	s.mm.FSDBytes.Observe(raw.TotalBytes)
-	// Compare time-averaged distributions (see monitor.Smoother).
-	fsd := s.smoother.Update(raw)
-	s.mm.ElephantShare.Set(fsd.ElephantFlowShare)
-	triggered := false
-	if s.hasPrev {
-		kl := monitor.TriggerDivergence(fsd, s.prev)
-		s.mm.LastKL.Set(kl)
-		s.mm.KL.Observe(kl)
-		if s.flight != nil {
-			s.fKL.Append(s.stats.Ticks, kl)
-		}
-		if kl > s.cfg.Theta && !s.tuner.Active() {
-			s.tuner.Trigger(fsd)
-			s.stats.Triggers++
-			s.mm.Triggers.Inc()
-			triggered = true
-		}
-	} else {
-		// First interval with traffic: treat as a change from nothing.
-		s.tuner.Trigger(fsd)
-		s.stats.Triggers++
-		s.mm.Triggers.Inc()
-		triggered = true
-	}
-	s.prev = fsd
-	s.hasPrev = true
+// wallClock is the daemon's loop clock.
+func wallClock() eventsim.Time { return eventsim.Time(time.Now().UnixNano()) }
 
-	var ok bool
-	if s.proposal, ok = s.tuner.Step(sample, fsd); ok {
-		p := &s.proposal
-		if reason, spec := s.guard.Admit(p, &s.current, eventsim.Time(time.Now().UnixNano())); reason != dispatch.RejectNone {
-			// A vector the guard refuses never reaches the wire: the
-			// fabric keeps running s.current under the unchanged epoch.
-			s.stats.Rejects++
-			s.dm.Rejects.Inc()
-			s.ttm.GuardRejects.Inc()
-			if s.flight != nil {
-				s.flight.Event(s.stats.Ticks, "guard_reject", s.guard.Explain(reason, spec))
-			}
-			s.logf("ctrlrpc: dispatch rejected: %s", s.guard.Explain(reason, spec))
-		} else {
-			s.epoch++
-			s.current = *p
-			clear(s.acks)
-			s.stats.Dispatches++
-			s.tuner.Commit(*p)
-			s.ttm.Dispatches.Inc()
-			s.dm.Epochs.Inc()
-			if s.flight != nil {
-				s.flight.Event(s.stats.Ticks, "dispatch", "")
-			}
-			resp.Changed = true
-			resp.Epoch = s.epoch
-			resp.Params = ToWire(*p)
-			if s.cfg.WAL != nil {
-				rec := dispatch.Record{
-					T: time.Now().UnixNano(), Kind: dispatch.KindCommit,
-					Epoch: s.epoch, Params: p, Hash: dispatch.VectorHash(p),
-				}
-				if err := s.cfg.WAL.Append(rec); err != nil {
-					s.logf("ctrlrpc: wal append: %v", err)
-				} else {
-					s.dm.WALRecords.Inc()
-				}
-			}
-		}
+// wire is the daemon's apply path: the guard on the wall clock, then the
+// WAL, then a fresh epoch the tick answers on the wire.
+type wire struct{ *Server }
+
+func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
+	s := w.Server
+	s.proposal = p
+	if reason, spec := s.guard.Admit(&s.proposal, &s.current, now); reason != dispatch.RejectNone {
+		// A vector the guard refuses never reaches the wire: the fabric
+		// keeps running s.current under the unchanged epoch.
+		s.ttm.GuardRejects.Inc()
+		s.reject("guard_reject", s.guard.Explain(reason, spec))
+		return false
 	}
-	resp.Triggered = triggered
-	return resp
+	if s.cfg.WAL != nil {
+		// Journal first, and let a journal that cannot take the epoch veto
+		// it, as Pipeline.SubmitFinal does: a restarted daemon recovers
+		// only what the WAL holds, and would re-issue an epoch agents
+		// already run.
+		rec := dispatch.Record{
+			T: int64(now), Kind: dispatch.KindCommit,
+			Epoch: s.epoch + 1, Params: &s.proposal, Hash: dispatch.VectorHash(&s.proposal),
+		}
+		if err := s.cfg.WAL.Append(rec); err != nil {
+			s.reject("wal_error", err.Error())
+			return false
+		}
+		s.dm.WALRecords.Inc()
+	}
+	s.epoch++
+	s.current = s.proposal
+	clear(s.acks)
+	s.stats.Dispatches++
+	s.dm.Epochs.Inc()
+	if s.flight != nil {
+		s.flight.Event(s.stats.Ticks, "dispatch", "")
+	}
+	return true
+}
+
+// reject counts a proposal that did not go out and says why.
+func (s *Server) reject(kind, why string) {
+	s.stats.Rejects++
+	s.dm.Rejects.Inc()
+	if s.flight != nil {
+		s.flight.Event(s.stats.Ticks, kind, why)
+	}
+	s.logf("ctrlrpc: dispatch rejected: %s: %s", kind, why)
 }
 
 // publishStatus overwrites the /debug/status "controller" section with

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ctrlrpc"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -209,7 +210,7 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 		})
 	}
 	var flaky []*chaos.FlakySource
-	var sources []monitor.ReportSource
+	var sources []loop.ReportSource
 	sketchTM := telemetry.NewSketchMetrics(reg)
 	for i, tor := range n.Topo.ToRs() {
 		a := monitor.NewSwitchAgent(sysCfg.Agent, uint64(i+1))
@@ -553,22 +554,12 @@ func ChaosCtrlPartition(scale Scale, duration eventsim.Time, seed int64) (*Chaos
 		var tpSum float64
 		var tpLinks int32
 		for i, v := range views {
-			mr := agents[i].EndInterval()
-			r := ctrlrpc.Report{AgentID: uint32(i), Seq: uint64(seq), Flows: int32(mr.Flows)}
-			r.Hist = mr.Hist
-			r.ElephantBytes = mr.ElephantBytes
-			r.MiceBytes = mr.MiceBytes
-			r.ElephantFlowsW = mr.ElephantFlowsW
-			r.MiceFlowsW = mr.MiceFlowsW
-			us, links, rs, rc2, ps, dev := sampleRack(n, v, interval)
-			r.UtilSum, r.ActiveLinks = us, links
-			r.RTTNormSum, r.RTTCount = rs, rc2
-			r.PauseFracSum, r.Devices = ps, dev
+			r := rackReport(n, v, agents[i], i, seq, interval)
 			if err := clients[i].SendReport(r); err != nil {
 				res.ReportErrors++ // degraded interval, not fatal
 			}
-			tpSum += us
-			tpLinks += links
+			tpSum += r.UtilSum
+			tpLinks += r.ActiveLinks
 		}
 		tick, err := driver.Tick(uint64(seq), time.Duration(interval))
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -148,7 +149,7 @@ func chaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 	sysCfg.Flight = flight
 
 	var flaky []*chaos.FlakySource
-	var sources []monitor.ReportSource
+	var sources []loop.ReportSource
 	sketchTM := telemetry.NewSketchMetrics(reg)
 	for i, tor := range n.Topo.ToRs() {
 		a := monitor.NewSwitchAgent(sysCfg.Agent, uint64(i+1))

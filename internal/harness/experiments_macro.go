@@ -33,16 +33,20 @@ type Fig7FBResult struct {
 	Buckets []int64
 	// PerScheme maps scheme → size-bucketed stats.
 	PerScheme map[string][]metrics.BucketStat
-	Order     []string
+	// Incomplete maps scheme → flows the tables lack: started, but with
+	// no completion record when the run ended.
+	Incomplete map[string]int
+	Order      []string
 }
 
 // Fig7FB runs the FB_Hadoop workload under every scheme and buckets FCT
 // slowdowns by flow size.
 func Fig7FB(scale Scale, schemes []Scheme, load float64, horizon eventsim.Time) (*Fig7FBResult, error) {
 	res := &Fig7FBResult{
-		Load:      load,
-		Buckets:   metrics.DefaultSizeBuckets(),
-		PerScheme: map[string][]metrics.BucketStat{},
+		Load:       load,
+		Buckets:    metrics.DefaultSizeBuckets(),
+		PerScheme:  map[string][]metrics.BucketStat{},
+		Incomplete: map[string]int{},
 	}
 	cfgs := make([]RunConfig, 0, len(schemes))
 	for _, sc := range schemes {
@@ -70,6 +74,7 @@ func Fig7FB(scale Scale, schemes []Scheme, load float64, horizon eventsim.Time) 
 	for i, r := range results {
 		sl := metrics.Slowdowns(r.Net, r.Net.Completed)
 		res.PerScheme[schemes[i].Name] = metrics.BucketizeSlowdowns(sl, res.Buckets)
+		res.Incomplete[schemes[i].Name] = r.Incomplete
 		res.Order = append(res.Order, schemes[i].Name)
 	}
 	return res, nil
@@ -86,7 +91,7 @@ func (r *Fig7FBResult) Fprint(w io.Writer) {
 				fmt.Fprintf(w, "%10s", b.Label)
 			}
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "%12s\n", "incomplete")
 		for _, name := range r.Order {
 			fmt.Fprintf(w, "  %-10s", name)
 			for _, b := range r.PerScheme[name] {
@@ -97,7 +102,7 @@ func (r *Fig7FBResult) Fprint(w io.Writer) {
 					fmt.Fprintf(w, "%10.2f", v)
 				}
 			}
-			fmt.Fprintln(w)
+			fmt.Fprintf(w, "%12d\n", r.Incomplete[name])
 		}
 	}
 	print("average", func(b metrics.BucketStat) float64 { return b.Mean })
@@ -112,7 +117,10 @@ type Fig7LLMResult struct {
 	// CDFs[workers][scheme] is the FCT CDF in milliseconds.
 	CDFs  map[int]map[string][]metrics.CDFPoint
 	Tails map[int]map[string]float64 // p99 FCT ms
-	Order []string
+	// Incomplete maps scheme → flows the CDFs lack, summed over worker
+	// counts: started, but with no completion record when the run ended.
+	Incomplete map[string]int
+	Order      []string
 }
 
 // Fig7LLM runs the ON/OFF alltoall at several scales under every scheme.
@@ -121,6 +129,7 @@ func Fig7LLM(scale Scale, schemes []Scheme, workerCounts []int, msg int64, round
 		WorkerCounts: workerCounts,
 		CDFs:         map[int]map[string][]metrics.CDFPoint{},
 		Tails:        map[int]map[string]float64{},
+		Incomplete:   map[string]int{},
 	}
 	type armKey struct {
 		wc     int
@@ -165,6 +174,7 @@ func Fig7LLM(scale Scale, schemes []Scheme, workerCounts []int, msg int64, round
 		}
 		res.CDFs[arm.wc][arm.scheme] = metrics.CDF(fcts, 20)
 		res.Tails[arm.wc][arm.scheme] = metrics.Percentile(fcts, 0.99)
+		res.Incomplete[arm.scheme] += r.Incomplete
 		if len(res.Order) < len(schemes) {
 			res.Order = append(res.Order, arm.scheme)
 		}
@@ -179,13 +189,13 @@ func (r *Fig7LLMResult) Fprint(w io.Writer) {
 	for _, wc := range r.WorkerCounts {
 		fmt.Fprintf(w, "%8dx%-3d", wc, wc)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%12s\n", "incomplete")
 	for _, name := range r.Order {
 		fmt.Fprintf(w, "  %-10s", name)
 		for _, wc := range r.WorkerCounts {
 			fmt.Fprintf(w, "%12.2f", r.Tails[wc][name])
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "%12d\n", r.Incomplete[name])
 	}
 }
 
@@ -366,7 +376,10 @@ type MonitoringResult struct {
 	// Accuracy[arm][key] and MeanSlowdown[arm][key].
 	Accuracy     map[string]map[float64]float64
 	MeanSlowdown map[string]map[float64]float64
-	Order        []string
+	// Incomplete[arm] counts the flows the slowdowns lack, summed over
+	// keys: started, but with no completion record when the run ended.
+	Incomplete map[string]int
+	Order      []string
 }
 
 func newMonitoringResult(xName string, keys []float64) *MonitoringResult {
@@ -375,17 +388,19 @@ func newMonitoringResult(xName string, keys []float64) *MonitoringResult {
 		XName:        xName,
 		Accuracy:     map[string]map[float64]float64{},
 		MeanSlowdown: map[string]map[float64]float64{},
+		Incomplete:   map[string]int{},
 	}
 }
 
-func (r *MonitoringResult) put(arm string, key, acc, slow float64) {
+func (r *MonitoringResult) put(arm string, key float64, res *Result) {
 	if r.Accuracy[arm] == nil {
 		r.Accuracy[arm] = map[float64]float64{}
 		r.MeanSlowdown[arm] = map[float64]float64{}
 		r.Order = append(r.Order, arm)
 	}
-	r.Accuracy[arm][key] = acc
-	r.MeanSlowdown[arm][key] = slow
+	r.Accuracy[arm][key] = res.MeanAccuracy()
+	r.MeanSlowdown[arm][key] = res.Summary().MeanSlowdown
+	r.Incomplete[arm] += res.Incomplete
 }
 
 // monitoringScheme builds a Paraleon scheme wired to one FSD arm.
@@ -439,7 +454,7 @@ func Fig10(scale Scale, loads []float64, horizon eventsim.Time) (*MonitoringResu
 		return nil, err
 	}
 	for i, r := range results {
-		res.put(arms[i].name, arms[i].load, r.MeanAccuracy(), r.Summary().MeanSlowdown)
+		res.put(arms[i].name, arms[i].load, r)
 	}
 	return res, nil
 }
@@ -483,7 +498,7 @@ func Fig11(scale Scale, intervalsMS []float64, load float64, horizon eventsim.Ti
 		return nil, err
 	}
 	for i, r := range results {
-		res.put(keys[i].name, keys[i].ms, r.MeanAccuracy(), r.Summary().MeanSlowdown)
+		res.put(keys[i].name, keys[i].ms, r)
 	}
 	return res, nil
 }
@@ -491,11 +506,14 @@ func Fig11(scale Scale, intervalsMS []float64, load float64, horizon eventsim.Ti
 // Fprint renders accuracy and FCT tables.
 func (r *MonitoringResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Monitoring comparison over %s\n", r.XName)
-	section := func(title string, data map[string]map[float64]float64) {
+	section := func(title string, data map[string]map[float64]float64, incomplete bool) {
 		fmt.Fprintf(w, " %s:\n", title)
 		fmt.Fprintf(w, "  %-10s", "arm")
 		for _, k := range r.Keys {
 			fmt.Fprintf(w, "%10.3g", k)
+		}
+		if incomplete {
+			fmt.Fprintf(w, "%12s", "incomplete")
 		}
 		fmt.Fprintln(w)
 		for _, arm := range r.Order {
@@ -508,11 +526,14 @@ func (r *MonitoringResult) Fprint(w io.Writer) {
 					fmt.Fprintf(w, "%10.3f", v)
 				}
 			}
+			if incomplete {
+				fmt.Fprintf(w, "%12d", r.Incomplete[arm])
+			}
 			fmt.Fprintln(w)
 		}
 	}
-	section("FSD accuracy", r.Accuracy)
-	section("mean FCT slowdown", r.MeanSlowdown)
+	section("FSD accuracy", r.Accuracy, false)
+	section("mean FCT slowdown", r.MeanSlowdown, true)
 }
 
 // --- Fig 12: SA ablation ---

@@ -35,15 +35,13 @@ type ParallelOptions struct {
 
 // ArmStatus is one progress update: arm Index finished (successfully or
 // not) after Wall of wall-clock time, the Done-th of Total to do so.
-// Incomplete is the arm's Result.Incomplete (0 for a failed arm).
 type ArmStatus struct {
-	Index      int
-	Scheme     string
-	Done       int
-	Total      int
-	Wall       time.Duration
-	Err        error
-	Incomplete int
+	Index  int
+	Scheme string
+	Done   int
+	Total  int
+	Wall   time.Duration
+	Err    error
 }
 
 // DeriveArmSeed maps a base seed and an arm index to the arm's engine
@@ -107,9 +105,6 @@ func RunAll(cfgs []RunConfig, opts ParallelOptions) ([]*Result, error) {
 						Total:  len(cfgs),
 						Wall:   time.Since(start),
 						Err:    err,
-					}
-					if res != nil {
-						st.Incomplete = res.Incomplete
 					}
 					opts.Progress(st)
 				}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/rnic"
@@ -200,16 +201,16 @@ func Run(cfg RunConfig) (*Result, error) {
 	res := &Result{SchemeName: cfg.Scheme.Name, Net: n}
 
 	// Ground-truth oracles (optional).
-	var truth *monitor.Controller
+	var truth *loop.Controller
 	var oracles []*monitor.Oracle
 	if cfg.TrackAccuracy {
-		var sources []monitor.ReportSource
+		var sources []loop.ReportSource
 		for _, tor := range n.Topo.ToRs() {
 			o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
 			oracles = append(oracles, o)
 			sources = append(sources, o)
 		}
-		truth = monitor.NewController(0.01, sources...)
+		truth = loop.NewController(0.01, sources...)
 	}
 
 	// Scheme installation.
@@ -268,7 +269,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	for i := 1; i <= ticks; i++ {
 		n.Run(eventsim.Time(i) * cfg.Interval)
 		now := n.Eng.Now()
-		var sample monitor.RuntimeSample
+		var sample loop.RuntimeSample
 		if sys != nil {
 			sys.TickOnce()
 			sample = sys.LastSample
@@ -282,7 +283,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		if truth != nil {
 			tr := truth.Tick()
 			if tr.TotalBytes > 0 {
-				var est monitor.FSD
+				var est loop.FSD
 				if sys != nil {
 					est = sys.Controller.Current
 				}
@@ -339,8 +340,8 @@ func publishEngine(reg *telemetry.Registry, n *sim.Network) {
 
 // buildSources wires the FSD inputs for a Paraleon-kind scheme, composing
 // taps with the oracles when accuracy tracking is on.
-func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*monitor.Oracle) []monitor.ReportSource {
-	var sources []monitor.ReportSource
+func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*monitor.Oracle) []loop.ReportSource {
+	var sources []loop.ReportSource
 	tors := n.Topo.ToRs()
 	for i, tor := range tors {
 		switch s.FSDMode {
@@ -384,7 +385,7 @@ func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*m
 		}
 	}
 	if s.FSDMode == FSDNone {
-		return []monitor.ReportSource{}
+		return []loop.ReportSource{}
 	}
 	return sources
 }

@@ -98,8 +98,15 @@ func rackViews(n *sim.Network) []rackView {
 	return out
 }
 
-// sampleRack builds one agent's runtime-metric contribution.
-func sampleRack(n *sim.Network, v rackView, interval eventsim.Time) (utilSum float64, links int32, rttSum float64, rttCount int64, pauseSum float64, devices int32) {
+// rackReport closes agent id's interval seq: its local FSD and its
+// rack's runtime-metric sums, as the wire carries them.
+func rackReport(n *sim.Network, v rackView, a *monitor.SwitchAgent, id, seq int, interval eventsim.Time) ctrlrpc.Report {
+	mr := a.EndInterval()
+	r := ctrlrpc.Report{
+		AgentID: uint32(id), Seq: uint64(seq), Flows: int32(mr.Flows), Hist: mr.Hist,
+		ElephantBytes: mr.ElephantBytes, MiceBytes: mr.MiceBytes,
+		ElephantFlowsW: mr.ElephantFlowsW, MiceFlowsW: mr.MiceFlowsW,
+	}
 	seconds := interval.Seconds()
 	sw := n.Switch(v.tor)
 	for i, host := range v.hosts {
@@ -114,26 +121,26 @@ func sampleRack(n *sim.Network, v rackView, interval eventsim.Time) (utilSum flo
 			if u > 1 {
 				u = 1
 			}
-			utilSum += u
-			links++
+			r.UtilSum += u
+			r.ActiveLinks++
 		}
 		s, c := n.Host(host).TakeRTT()
-		rttSum += s
-		rttCount += c
+		r.RTTNormSum += s
+		r.RTTCount += c
 		hostPause := float64(hp.TakePausedTime()) / float64(interval)
 		if hostPause > 1 {
 			hostPause = 1
 		}
-		pauseSum += hostPause
-		devices++
+		r.PauseFracSum += hostPause
+		r.Devices++
 	}
 	swPause := float64(sw.TakePausedTime()) / (float64(sw.NumPorts()) * float64(interval))
 	if swPause > 1 {
 		swPause = 1
 	}
-	pauseSum += swPause
-	devices++
-	return utilSum, links, rttSum, rttCount, pauseSum, devices
+	r.PauseFracSum += swPause
+	r.Devices++
+	return r
 }
 
 // RunTestbed executes one testbed-mode run against a live controller.
@@ -210,27 +217,17 @@ func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 		var tpLinks int32
 		var rttN int64
 		for i, v := range views {
-			mr := agents[i].EndInterval()
-			r := ctrlrpc.Report{AgentID: uint32(i), Seq: uint64(seq), Flows: int32(mr.Flows)}
-			r.Hist = mr.Hist
-			r.ElephantBytes = mr.ElephantBytes
-			r.MiceBytes = mr.MiceBytes
-			r.ElephantFlowsW = mr.ElephantFlowsW
-			r.MiceFlowsW = mr.MiceFlowsW
-			us, links, rs, rc, ps, dev := sampleRack(n, v, cfg.Interval)
-			r.UtilSum, r.ActiveLinks = us, links
-			r.RTTNormSum, r.RTTCount = rs, rc
-			r.PauseFracSum, r.Devices = ps, dev
+			r := rackReport(n, v, agents[i], i, seq, cfg.Interval)
 			before := clients[i].BytesOut
 			if err := clients[i].SendReport(r); err != nil {
 				return nil, fmt.Errorf("testbed: report: %w", err)
 			}
 			res.ReportBytes = int(clients[i].BytesOut - before)
 			res.AgentBytesOut += clients[i].BytesOut - before
-			tpSum += us
-			tpLinks += links
-			rttSum += rs
-			rttN += rc
+			tpSum += r.UtilSum
+			tpLinks += r.ActiveLinks
+			rttSum += r.RTTNormSum
+			rttN += r.RTTCount
 		}
 		beforeIn := driver.BytesIn
 		tick, err := driver.Tick(uint64(seq), time.Duration(cfg.Interval))

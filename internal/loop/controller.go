@@ -1,4 +1,4 @@
-package monitor
+package loop
 
 import "repro/internal/telemetry"
 
@@ -21,9 +21,10 @@ const (
 )
 
 // Controller is the centralized aggregation point: every monitor interval
-// it collects local reports from all agents, merges them into the
-// network-wide FSD, and fires the tuning trigger when the KL divergence
-// between successive distributions exceeds θ.
+// it takes the agents' local reports — pulled from Agents by Tick, or
+// pushed to it through TickReports — merges them into the network-wide
+// FSD, and fires the tuning trigger when the KL divergence between
+// successive distributions exceeds θ.
 //
 // The controller degrades gracefully when agents fail (see
 // LivenessSource): a dead agent is carried as a stale member for
@@ -34,7 +35,7 @@ const (
 // resulting FSDs flagged Degraded. An evicted agent that comes back is
 // readmitted on its first live interval.
 type Controller struct {
-	// Agents are the per-ToR report sources.
+	// Agents are the per-ToR report sources Tick pulls from.
 	Agents []ReportSource
 	// Theta is the KL trigger threshold (Table III: 0.01).
 	Theta float64
@@ -64,8 +65,9 @@ type Controller struct {
 	// the latest single-interval snapshot.
 	Current FSD
 	Raw     FSD
-	// Locals retains the most recent interval's per-agent reports,
-	// aligned with Agents (a zero Report for absent or evicted agents).
+	// Locals retains the most recent interval's per-agent reports:
+	// aligned with Agents (a zero Report for absent or evicted agents),
+	// or the reports pushed to TickReports.
 	// Per-switch tuning strategies consume each ToR's slice separately;
 	// the network-wide aggregation above is unaffected.
 	Locals []Report
@@ -173,14 +175,9 @@ func (c *Controller) gather() (locals []Report, present, members int) {
 	return locals, present, members
 }
 
-// Tick closes one monitor interval: gather, aggregate, compare, maybe
-// trigger. It returns the fresh network-wide FSD.
-//
-// Traffic-free intervals (the OFF gaps of an ON/OFF workload) are not
-// treated as a traffic-pattern change: silence carries no distribution to
-// adapt to, and comparing against it would re-trigger tuning at every
-// round boundary. The previous distribution is kept until traffic
-// reappears.
+// Tick is the pull path: it gathers a report from every live agent,
+// tracks membership, and closes the interval over the present reports
+// (see TickReports for the rest). It returns the fresh network-wide FSD.
 //
 // Below quorum the partial aggregate is returned (flagged Degraded) but
 // neither absorbed into the smoothed baseline nor compared for a
@@ -204,7 +201,29 @@ func (c *Controller) Tick() FSD {
 			c.OnRecover("quorum_ok", -1)
 		}
 	}
+	if c.TM != nil {
+		c.TM.PresentAgents.Set(float64(present))
+		c.TM.Degraded.SetBool(c.Degraded)
+	}
+	return c.close(locals)
+}
 
+// TickReports is the push path: it closes one monitor interval over the
+// reports agents pushed (the ctrlrpc daemon), which become Locals. With
+// no membership to track it never freezes or degrades.
+func (c *Controller) TickReports(reports []Report) FSD {
+	c.Locals = reports
+	return c.close(reports)
+}
+
+// close aggregates one interval's reports, compares, and maybe triggers.
+//
+// Traffic-free intervals (the OFF gaps of an ON/OFF workload) are not
+// treated as a traffic-pattern change: silence carries no distribution to
+// adapt to, and comparing against it would re-trigger tuning at every
+// round boundary. The previous distribution is kept until traffic
+// reappears.
+func (c *Controller) close(locals []Report) FSD {
 	raw := Aggregate(locals...)
 	raw.Degraded = c.Degraded
 	c.Ticks++
@@ -212,8 +231,6 @@ func (c *Controller) Tick() FSD {
 	c.Raw = raw
 	if c.TM != nil {
 		c.TM.Ticks.Inc()
-		c.TM.PresentAgents.Set(float64(present))
-		c.TM.Degraded.SetBool(c.Degraded)
 		c.TM.FSDFlows.Observe(float64(raw.Flows))
 		c.TM.FSDBytes.Observe(raw.TotalBytes)
 	}

@@ -10,15 +10,6 @@ import (
 	"repro/internal/topology"
 )
 
-// ReportSource is anything that yields a per-interval local FSD report:
-// Paraleon switch agents, the naive-Elastic variant, NetFlow, or the
-// ground-truth oracle.
-type ReportSource interface {
-	// EndInterval closes the current monitor interval and returns its
-	// local report, resetting interval state.
-	EndInterval() Report
-}
-
 // AgentConfig selects which of Paraleon's two monitor keypoints an agent
 // applies; disabling them yields the "naive Elastic Sketch" baseline of
 // §IV-B3.

@@ -1,6 +1,10 @@
 package monitor
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/loop"
+)
 
 // mortalSource is a scriptable ReportSource + LivenessSource.
 type mortalSource struct {
@@ -32,7 +36,7 @@ type degradeEvent struct {
 	kind  string // "fault" or "recover"
 }
 
-func hookedController(theta float64, events *[]degradeEvent, sources ...ReportSource) *Controller {
+func hookedController(theta float64, events *[]degradeEvent, sources ...ReportSource) *loop.Controller {
 	c := NewController(theta, sources...)
 	c.OnFault = func(fault string, agent int) {
 		*events = append(*events, degradeEvent{fault, agent, "fault"})

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/sketch"
@@ -18,7 +19,7 @@ func TestBucketFor(t *testing.T) {
 		want int
 	}{
 		{1, 0}, {1024, 0}, {1025, 1}, {2048, 1}, {2049, 2},
-		{1 << 20, 10}, {32 << 20, 15}, {1 << 40, NumBuckets - 1},
+		{1 << 20, 10}, {32 << 20, 15}, {1 << 40, loop.NumBuckets - 1},
 	}
 	for _, c := range cases {
 		if got := BucketFor(c.size); got != c.want {
@@ -34,7 +35,7 @@ func TestQuickBucketMonotone(t *testing.T) {
 			x, y = y, x
 		}
 		bx, by := BucketFor(x), BucketFor(y)
-		return bx <= by && bx >= 0 && by < NumBuckets
+		return bx <= by && bx >= 0 && by < loop.NumBuckets
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -101,9 +102,9 @@ func TestKL(t *testing.T) {
 }
 
 func TestQuickKLNonNegative(t *testing.T) {
-	f := func(xs, ys [NumBuckets]uint16) bool {
+	f := func(xs, ys [loop.NumBuckets]uint16) bool {
 		var a, b Report
-		for i := 0; i < NumBuckets; i++ {
+		for i := 0; i < loop.NumBuckets; i++ {
 			a.Hist[i] = float64(xs[i])
 			b.Hist[i] = float64(ys[i])
 		}
@@ -394,8 +395,8 @@ func TestControllerTriggersOnShift(t *testing.T) {
 	eleph.ElephantFlowsW = 2
 	src := &fakeSource{reports: []Report{mice, mice, mice, eleph, eleph}}
 	c := NewController(0.01, src)
-	var fired []FSD
-	c.OnTrigger = func(f FSD) { fired = append(fired, f) }
+	var fired []loop.FSD
+	c.OnTrigger = func(f loop.FSD) { fired = append(fired, f) }
 	for i := 0; i < 5; i++ {
 		c.Tick()
 	}

@@ -6,22 +6,6 @@ import (
 	"repro/internal/topology"
 )
 
-// RuntimeSample holds the three utility-function inputs of Equation (1)
-// for one monitor interval, each already normalized to [0,1].
-type RuntimeSample struct {
-	// OTP is the mean bandwidth utilization of active host↔ToR links.
-	OTP float64
-	// ORTT is the mean normalized RTT (base path delay / measured RTT).
-	ORTT float64
-	// OPFC is 1 − mean per-device PFC pause fraction.
-	OPFC float64
-
-	// ActiveLinks is how many link directions carried data this interval.
-	ActiveLinks int
-	// RTTSamples is how many probe measurements contributed to ORTT.
-	RTTSamples int64
-}
-
 // RuntimeCollector samples per-interval throughput, RTT, and PFC metrics
 // from a simulated network — the event-driven "runtime metric collection"
 // half of Fig 2. Take-style counters mean each Sample covers exactly the

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/loop"
 )
 
-func fsdWithShare(eleFlows, miceFlows float64, bucket int, bytes float64) FSD {
+func fsdWithShare(eleFlows, miceFlows float64, bucket int, bytes float64) loop.FSD {
 	var r Report
 	r.Hist[bucket] = bytes
 	r.ElephantFlowsW = eleFlows
@@ -18,7 +20,7 @@ func fsdWithShare(eleFlows, miceFlows float64, bucket int, bytes float64) FSD {
 }
 
 func TestSmootherFirstSamplePassesThrough(t *testing.T) {
-	var s Smoother
+	var s loop.Smoother
 	raw := fsdWithShare(3, 1, 11, 1000)
 	got := s.Update(raw)
 	if got != raw {
@@ -30,7 +32,7 @@ func TestSmootherFirstSamplePassesThrough(t *testing.T) {
 }
 
 func TestSmootherBlends(t *testing.T) {
-	s := Smoother{Alpha: 0.5}
+	s := loop.Smoother{Alpha: 0.5}
 	s.Update(fsdWithShare(0, 10, 0, 1000)) // pure mice
 	got := s.Update(fsdWithShare(10, 0, 12, 1000))
 	if math.Abs(got.ElephantFlowShare-0.5) > 1e-9 {
@@ -42,11 +44,11 @@ func TestSmootherBlends(t *testing.T) {
 }
 
 func TestSmootherIgnoresEmptyIntervals(t *testing.T) {
-	var s Smoother
+	var s loop.Smoother
 	traffic := fsdWithShare(5, 5, 8, 500)
 	s.Update(traffic)
 	for i := 0; i < 10; i++ {
-		got := s.Update(FSD{})
+		got := s.Update(loop.FSD{})
 		if got.ElephantFlowShare != traffic.ElephantFlowShare {
 			t.Fatalf("empty interval %d changed the average", i)
 		}
@@ -54,8 +56,8 @@ func TestSmootherIgnoresEmptyIntervals(t *testing.T) {
 }
 
 func TestSmootherEmptyBeforeTraffic(t *testing.T) {
-	var s Smoother
-	got := s.Update(FSD{})
+	var s loop.Smoother
+	got := s.Update(loop.FSD{})
 	if s.Has() || got.TotalBytes != 0 {
 		t.Error("empty update before traffic counted")
 	}
@@ -63,9 +65,9 @@ func TestSmootherEmptyBeforeTraffic(t *testing.T) {
 
 func TestQuickSmoothedHistStaysNormalized(t *testing.T) {
 	f := func(shares []uint8) bool {
-		var s Smoother
+		var s loop.Smoother
 		for i, raw := range shares {
-			bucket := int(raw) % NumBuckets
+			bucket := int(raw) % loop.NumBuckets
 			fsd := fsdWithShare(float64(raw%7), float64(raw%3)+1, bucket, float64(raw)+1)
 			got := s.Update(fsd)
 			var sum float64
@@ -89,17 +91,17 @@ func TestQuickSmoothedHistStaysNormalized(t *testing.T) {
 
 func TestTriggerDivergence(t *testing.T) {
 	a := fsdWithShare(9, 1, 11, 1000) // 90% elephants
-	if d := TriggerDivergence(a, a); d != 0 {
+	if d := loop.TriggerDivergence(a, a); d != 0 {
 		t.Errorf("self divergence %g, want 0", d)
 	}
 	b := fsdWithShare(1, 9, 0, 1000) // 10% elephants
-	if d := TriggerDivergence(a, b); d < 0.5 {
+	if d := loop.TriggerDivergence(a, b); d < 0.5 {
 		t.Errorf("90%%→10%% shift divergence %g, want large", d)
 	}
 	// Small composition wobble stays under the Table III θ.
 	c := fsdWithShare(87, 13, 11, 1000)
 	d := fsdWithShare(90, 10, 11, 1000)
-	if div := TriggerDivergence(c, d); div > 0.01 {
+	if div := loop.TriggerDivergence(c, d); div > 0.01 {
 		t.Errorf("3%%-point wobble divergence %g, want <= theta 0.01", div)
 	}
 }
@@ -108,7 +110,7 @@ func TestQuickTriggerDivergenceNonNegative(t *testing.T) {
 	f := func(a, b uint8) bool {
 		fa := fsdWithShare(float64(a), float64(255-a)+1, 5, 100)
 		fb := fsdWithShare(float64(b), float64(255-b)+1, 5, 100)
-		return TriggerDivergence(fa, fb) >= 0
+		return loop.TriggerDivergence(fa, fb) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -121,7 +123,7 @@ func TestQuickTriggerDivergenceNonNegative(t *testing.T) {
 func TestTriggerDivergenceStableAcrossRoundPhases(t *testing.T) {
 	early := fsdWithShare(4, 4, 9, 1000) // flows young: mass low-bucket
 	late := fsdWithShare(4, 4, 11, 1000) // same flows, grown
-	if d := TriggerDivergence(late, early); d > 0.01 {
+	if d := loop.TriggerDivergence(late, early); d > 0.01 {
 		t.Errorf("bucket migration alone fired the trigger: %g", d)
 	}
 	if d := KL(late, early); d < 1 {

@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -122,13 +122,13 @@ func (r *Recorder) Dispatch(p dcqcn.Params) {
 }
 
 // Sample records one monitor interval's runtime metrics.
-func (r *Recorder) Sample(s monitor.RuntimeSample) {
+func (r *Recorder) Sample(s loop.RuntimeSample) {
 	otp, ortt, opfc := s.OTP, s.ORTT, s.OPFC
 	r.emit(Event{Kind: KindSample, OTP: &otp, ORTT: &ortt, OPFC: &opfc})
 }
 
 // Trigger records a tuning trigger with the firing distribution.
-func (r *Recorder) Trigger(fsd monitor.FSD) {
+func (r *Recorder) Trigger(fsd loop.FSD) {
 	share := fsd.ElephantFlowShare
 	r.emit(Event{Kind: KindTrigger, ElephantShare: &share})
 }
@@ -165,7 +165,7 @@ func (r *Recorder) SpanEnd(id uint64) {
 }
 
 // TriggerIn records a tuning trigger linked into a span.
-func (r *Recorder) TriggerIn(span uint64, fsd monitor.FSD) {
+func (r *Recorder) TriggerIn(span uint64, fsd loop.FSD) {
 	share := fsd.ElephantFlowShare
 	r.emit(Event{Kind: KindTrigger, SpanID: span, ElephantShare: &share})
 }

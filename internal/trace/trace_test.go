@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/sim"
 )
 
@@ -60,8 +60,8 @@ func TestRecorderOtherKinds(t *testing.T) {
 	r := NewRecorder(eng, &buf)
 	p := dcqcn.ExpertParams()
 	r.Dispatch(p)
-	r.Sample(monitor.RuntimeSample{OTP: 0.5, ORTT: 0.9, OPFC: 1})
-	r.Trigger(monitor.FSD{ElephantFlowShare: 0.7})
+	r.Sample(loop.RuntimeSample{OTP: 0.5, ORTT: 0.9, OPFC: 1})
+	r.Trigger(loop.FSD{ElephantFlowShare: 0.7})
 	r.Note("burst started at %d", 42)
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)

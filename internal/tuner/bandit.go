@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/telemetry"
 )
 
@@ -171,17 +171,13 @@ func (b *Bandit) Stats() Stats {
 // SetMetrics attaches a telemetry bundle.
 func (b *Bandit) SetMetrics(tm *telemetry.TunerMetrics) { b.tm = tm }
 
-// Observe is a no-op; the bandit learns only from rewards on its own
-// proposals.
-func (b *Bandit) Observe(sample monitor.RuntimeSample, fsd monitor.FSD) {}
-
 // Commit is a no-op; an admitted proposal needs no extra bookkeeping.
 func (b *Bandit) Commit(p dcqcn.Params) {}
 
 // Trigger opens a session: arm statistics reset (the workload changed,
 // so stale per-arm rewards would mislead selection) and the first
 // sample is discarded exactly as the annealer's warmup does.
-func (b *Bandit) Trigger(fsd monitor.FSD) {
+func (b *Bandit) Trigger(fsd loop.FSD) {
 	b.active = true
 	b.warmup = true
 	b.started = false
@@ -221,7 +217,7 @@ func (b *Bandit) propose() {
 // Step consumes the reward measured under the previously proposed
 // vector, credits the arm that produced it, hill-climbs, and proposes
 // the next arm's vector.
-func (b *Bandit) Step(sample monitor.RuntimeSample, fsd monitor.FSD) (dcqcn.Params, bool) {
+func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) {
 	if !b.active {
 		return dcqcn.Params{}, false
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // quickConfig compresses every strategy's session to tens of iterations
@@ -68,7 +68,7 @@ func TestAllTunersIdleUntilTriggered(t *testing.T) {
 		if tu.Active() {
 			t.Errorf("%s: new tuner active", name)
 		}
-		if _, ok := tu.Step(monitor.RuntimeSample{}, elephantFSD()); ok {
+		if _, ok := tu.Step(loop.RuntimeSample{}, elephantFSD()); ok {
 			t.Errorf("%s: idle tuner produced params", name)
 		}
 	}
@@ -83,7 +83,7 @@ func TestAllTunersWarmupDiscardsFirstSample(t *testing.T) {
 		tu := mustNew(t, name, quickTPConfig(), 5)
 		tu.Trigger(elephantFSD())
 		// A deceptively perfect first sample (idle network).
-		p, ok := tu.Step(monitor.RuntimeSample{OTP: 1}, elephantFSD())
+		p, ok := tu.Step(loop.RuntimeSample{OTP: 1}, elephantFSD())
 		if !ok {
 			t.Fatalf("%s: warmup step refused", name)
 		}
@@ -92,7 +92,7 @@ func TestAllTunersWarmupDiscardsFirstSample(t *testing.T) {
 		}
 		// Seed with a realistic sample; the best must reflect it, not the
 		// warmup's perfect reading.
-		tu.Step(monitor.RuntimeSample{OTP: 0.4}, elephantFSD())
+		tu.Step(loop.RuntimeSample{OTP: 0.4}, elephantFSD())
 		if tu.BestUtility() != 40 {
 			t.Errorf("%s: seed utility %g, want 40 (warmup sample leaked)", name, tu.BestUtility())
 		}
@@ -107,7 +107,7 @@ func TestAllTunersTriggerResetsSession(t *testing.T) {
 	for _, name := range Names() {
 		tu := mustNew(t, name, quickConfig(), 1)
 		tu.Trigger(elephantFSD())
-		sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+		sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
 		for i := 0; i < 3; i++ {
 			tu.Step(sample, elephantFSD())
 		}
@@ -137,7 +137,7 @@ func TestAllTunersStepCountAdvancesOnlyOnStep(t *testing.T) {
 		if tu.Stats().Steps != before {
 			t.Errorf("%s: steps advanced without Step", name)
 		}
-		tu.Step(monitor.RuntimeSample{}, elephantFSD())
+		tu.Step(loop.RuntimeSample{}, elephantFSD())
 		if tu.Stats().Steps != before+1 {
 			t.Errorf("%s: Step did not advance the counter", name)
 		}
@@ -152,7 +152,7 @@ func TestAllTunersSessionTerminates(t *testing.T) {
 	for _, name := range Names() {
 		tu := mustNew(t, name, quickConfig(), 1)
 		tu.Trigger(elephantFSD())
-		sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+		sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
 		var last dcqcn.Params
 		steps := 0
 		for tu.Active() {
@@ -195,7 +195,7 @@ func TestAllTunersAbort(t *testing.T) {
 	for _, name := range Names() {
 		tu := mustNew(t, name, quickConfig(), 1)
 		tu.Trigger(elephantFSD())
-		sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+		sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
 		for i := 0; i < 3; i++ {
 			tu.Step(sample, elephantFSD())
 		}
@@ -226,8 +226,8 @@ func TestMultiECNPerSwitchCapability(t *testing.T) {
 	}
 	m := tu.(*MultiECN)
 	tu.Trigger(elephantFSD())
-	sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
-	var elephant, mice monitor.Report
+	sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+	var elephant, mice loop.Report
 	elephant.Hist[12] = 1000
 	elephant.ElephantBytes, elephant.MiceBytes = 900, 100
 	elephant.ElephantFlowsW, elephant.MiceFlowsW = 9, 1
@@ -235,7 +235,7 @@ func TestMultiECNPerSwitchCapability(t *testing.T) {
 	mice.ElephantBytes, mice.MiceBytes = 100, 900
 	mice.ElephantFlowsW, mice.MiceFlowsW = 1, 29
 	for tu.Active() {
-		ps.ObserveLocals([]monitor.Report{elephant, mice, elephant})
+		ps.ObserveLocals([]loop.Report{elephant, mice, elephant})
 		tu.Step(sample, elephantFSD())
 		for _, pr := range ps.LocalProposals() {
 			if pr.KminBytes >= pr.KmaxBytes {
@@ -268,12 +268,12 @@ func TestBanditRegretAccounting(t *testing.T) {
 	b := tu.(*Bandit)
 	tu.Trigger(elephantFSD())
 	// Warmup + seed at 0.8, then alternate worse rewards.
-	tu.Step(monitor.RuntimeSample{OTP: 0.8}, elephantFSD())
-	tu.Step(monitor.RuntimeSample{OTP: 0.8}, elephantFSD())
+	tu.Step(loop.RuntimeSample{OTP: 0.8}, elephantFSD())
+	tu.Step(loop.RuntimeSample{OTP: 0.8}, elephantFSD())
 	if b.Regret() != 0 {
 		t.Fatalf("regret %g before any shortfall", b.Regret())
 	}
-	tu.Step(monitor.RuntimeSample{OTP: 0.5}, elephantFSD())
+	tu.Step(loop.RuntimeSample{OTP: 0.5}, elephantFSD())
 	if b.Regret() <= 0 {
 		t.Error("shortfall vs best-seen did not accumulate regret")
 	}

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // warmTuner builds the named strategy and runs one full session, which lets
 // trace and proposal slices reach their steady-state capacity.
-func warmTuner(tb testing.TB, name string) (Tuner, monitor.FSD, monitor.RuntimeSample) {
+func warmTuner(tb testing.TB, name string) (Tuner, loop.FSD, loop.RuntimeSample) {
 	tb.Helper()
 	cfg := Config{
 		Weights:  DefaultWeights(),
@@ -23,7 +23,7 @@ func warmTuner(tb testing.TB, name string) (Tuner, monitor.FSD, monitor.RuntimeS
 		tb.Fatal(err)
 	}
 	fsd := elephantFSD()
-	sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.6, OPFC: 0.99}
+	sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.6, OPFC: 0.99}
 	tu.Trigger(fsd)
 	for tu.Active() {
 		tu.Step(sample, fsd)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // driveSession runs one full session, feeding a deterministic reward
@@ -25,13 +25,13 @@ func driveSession(t *testing.T, tu Tuner, seedStep int) []dcqcn.Params {
 			fsd = miceFSD()
 		}
 		if ps, ok := tu.(PerSwitch); ok {
-			var r monitor.Report
+			var r loop.Report
 			r.Hist[12] = float64(1000 + i)
 			r.ElephantBytes, r.MiceBytes = 900, 100
 			r.ElephantFlowsW, r.MiceFlowsW = 9, 1
-			ps.ObserveLocals([]monitor.Report{r, r, r})
+			ps.ObserveLocals([]loop.Report{r, r, r})
 		}
-		p, ok := tu.Step(monitor.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, fsd)
+		p, ok := tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, fsd)
 		if !ok {
 			t.Fatal("active tuner refused to step")
 		}
@@ -95,7 +95,7 @@ func TestMultiECNAgentStreamStableAcrossAgentCounts(t *testing.T) {
 		i := 0
 		for tu.Active() {
 			otp := 0.3 + 0.4*float64((i*37)%100)/100
-			tu.Step(monitor.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, elephantFSD())
+			tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, elephantFSD())
 			for _, pr := range ps.LocalProposals() {
 				if pr.Agent == 0 {
 					got = append(got, pr)

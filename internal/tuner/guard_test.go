@@ -6,7 +6,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // TestAllTunersProposalsGuardAdmissible drives a full session per
@@ -24,7 +24,7 @@ func TestAllTunersProposalsGuardAdmissible(t *testing.T) {
 		i := 0
 		for tu.Active() {
 			otp := 0.2 + 0.6*float64((i*53)%100)/100
-			p, ok := tu.Step(monitor.RuntimeSample{OTP: otp, ORTT: 0.4, OPFC: 0.97}, miceFSD())
+			p, ok := tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.4, OPFC: 0.97}, miceFSD())
 			if !ok {
 				t.Fatalf("%s: active tuner refused to step", name)
 			}
@@ -60,7 +60,7 @@ func TestPerSwitchProposalsGuardAdmissible(t *testing.T) {
 	i := 0
 	for tu.Active() {
 		otp := 0.2 + 0.6*float64((i*53)%100)/100
-		tu.Step(monitor.RuntimeSample{OTP: otp, ORTT: 0.4, OPFC: 0.97}, elephantFSD())
+		tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.4, OPFC: 0.97}, elephantFSD())
 		for _, pr := range ps.LocalProposals() {
 			cand := live
 			cand.KminBytes, cand.KmaxBytes, cand.PMax = pr.KminBytes, pr.KmaxBytes, pr.PMax

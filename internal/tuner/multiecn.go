@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/splitmix"
 	"repro/internal/telemetry"
 )
@@ -87,7 +87,7 @@ type ecnAgent struct {
 	commits                      int
 	// haveLocal marks that ObserveLocals delivered a report this
 	// interval; without one the agent falls back to the global FSD.
-	local     monitor.Report
+	local     loop.Report
 	haveLocal bool
 }
 
@@ -117,7 +117,7 @@ type MultiECN struct {
 	currentUtil float64
 	best        dcqcn.Params
 	bestUtil    float64
-	globalFSD   monitor.FSD
+	globalFSD   loop.FSD
 
 	trace []float64
 
@@ -203,16 +203,13 @@ func (m *MultiECN) Stats() Stats {
 // SetMetrics attaches a telemetry bundle.
 func (m *MultiECN) SetMetrics(tm *telemetry.TunerMetrics) { m.tm = tm }
 
-// Observe is a no-op beyond what Step already consumes.
-func (m *MultiECN) Observe(sample monitor.RuntimeSample, fsd monitor.FSD) {}
-
 // Commit is a no-op; per-agent confirmations arrive via AgentCommitted.
 func (m *MultiECN) Commit(p dcqcn.Params) {}
 
 // ObserveLocals hands the tuner this interval's per-agent reports,
 // aligned with the deployment's agent order. Extra reports are ignored;
 // agents beyond the slice fall back to the global FSD.
-func (m *MultiECN) ObserveLocals(locals []monitor.Report) {
+func (m *MultiECN) ObserveLocals(locals []loop.Report) {
 	for i := range m.agents {
 		if i < len(locals) {
 			m.agents[i].local = locals[i]
@@ -248,7 +245,7 @@ func (m *MultiECN) AgentCommitCounts() []int {
 }
 
 // Trigger opens a session.
-func (m *MultiECN) Trigger(fsd monitor.FSD) {
+func (m *MultiECN) Trigger(fsd loop.FSD) {
 	m.active = true
 	m.warmup = true
 	m.started = false
@@ -284,7 +281,7 @@ func (m *MultiECN) propose() {
 
 // Step advances every agent one bounded move and composes the next
 // fabric vector.
-func (m *MultiECN) Step(sample monitor.RuntimeSample, fsd monitor.FSD) (dcqcn.Params, bool) {
+func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) {
 	if !m.active {
 		return dcqcn.Params{}, false
 	}
@@ -434,11 +431,11 @@ func (m *MultiECN) rebuildProposals() {
 	}
 }
 
-// aggregateOne is monitor.Aggregate for a single report without the
+// aggregateOne is loop.Aggregate for a single report without the
 // variadic slice allocation (the per-interval hot path calls it once
 // per agent).
-func aggregateOne(r *monitor.Report) monitor.FSD {
-	var f monitor.FSD
+func aggregateOne(r *loop.Report) loop.FSD {
+	var f loop.FSD
 	f.Flows = r.Flows
 	var total float64
 	for _, v := range r.Hist {

@@ -22,7 +22,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/telemetry"
 )
 
@@ -51,7 +51,7 @@ func (w Weights) Validate() error {
 }
 
 // Utility evaluates Equation (1) on one interval's runtime metrics.
-func Utility(s monitor.RuntimeSample, w Weights) float64 {
+func Utility(s loop.RuntimeSample, w Weights) float64 {
 	return w.TP*s.OTP + w.RTT*s.ORTT + w.PFC*s.OPFC
 }
 
@@ -260,11 +260,6 @@ func (t *SA) Stats() Stats {
 // SetMetrics attaches a telemetry bundle.
 func (t *SA) SetMetrics(tm *telemetry.TunerMetrics) { t.TM = tm }
 
-// / Observe is a no-op: the annealer only learns from Step, so idle and
-// frozen intervals leave the chain exactly where it was — this is what
-// keeps the pre-refactor behaviour byte-identical.
-func (t *SA) Observe(sample monitor.RuntimeSample, fsd monitor.FSD) {}
-
 // / Commit is a no-op: the annealer's chain state already assumes its
 // proposals land; the loop's guard/pipeline rejections surface as
 // ordinary (bad) measurements instead.
@@ -272,7 +267,7 @@ func (t *SA) Commit(p dcqcn.Params) {}
 
 // Trigger starts (or restarts) a tuning session in response to a
 // significant traffic-pattern change.
-func (t *SA) Trigger(fsd monitor.FSD) {
+func (t *SA) Trigger(fsd loop.FSD) {
 	t.active = true
 	t.started = false
 	t.warmup = true
@@ -288,7 +283,7 @@ func (t *SA) Trigger(fsd monitor.FSD) {
 	}
 }
 
-func (t *SA) observeFSD(fsd monitor.FSD) {
+func (t *SA) observeFSD(fsd loop.FSD) {
 	t.dominantElephant, t.mu = fsd.DominantElephant()
 }
 
@@ -321,7 +316,7 @@ func (t *SA) propose() {
 // It returns the next parameter setting to dispatch and true, or false
 // when no session is active (the final Step of a session returns the best
 // setting found).
-func (t *SA) Step(sample monitor.RuntimeSample, fsd monitor.FSD) (dcqcn.Params, bool) {
+func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) {
 	if !t.active {
 		return dcqcn.Params{}, false
 	}

@@ -5,32 +5,32 @@ import (
 	"testing/quick"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 )
 
 // Shared fixtures: an elephant-dominant and a mice-dominant FSD, plus a
 // compressed annealing schedule for fast sessions.
 
-func elephantFSD() monitor.FSD {
-	var r monitor.Report
+func elephantFSD() loop.FSD {
+	var r loop.Report
 	r.Hist[12] = 1000
 	r.ElephantBytes = 900
 	r.MiceBytes = 100
 	r.ElephantFlowsW = 9
 	r.MiceFlowsW = 1
 	r.Flows = 10
-	return monitor.Aggregate(r)
+	return loop.Aggregate(r)
 }
 
-func miceFSD() monitor.FSD {
-	var r monitor.Report
+func miceFSD() loop.FSD {
+	var r loop.Report
 	r.Hist[0] = 1000
 	r.ElephantBytes = 100
 	r.MiceBytes = 900
 	r.ElephantFlowsW = 1
 	r.MiceFlowsW = 29
 	r.Flows = 30
-	return monitor.Aggregate(r)
+	return loop.Aggregate(r)
 }
 
 func quickSA() SAConfig {
@@ -50,7 +50,7 @@ func TestGuidedMutationFollowsDominantType(t *testing.T) {
 	// With elephant-dominant traffic (μ=0.9 → exploit 0.8), hai_rate
 	// (throughput direction: increment) must increase in ~80% of
 	// mutations; with mice dominance it must decrease similarly.
-	count := func(fsd monitor.FSD) (up, down int) {
+	count := func(fsd loop.FSD) (up, down int) {
 		tu, _ := NewSA(quickSA(), DefaultWeights(), dcqcn.DefaultParams(), 7)
 		tu.Trigger(fsd)
 		base := dcqcn.DefaultParams()
@@ -98,11 +98,11 @@ func TestNaiveMutationUnbiased(t *testing.T) {
 func TestMutationRespectsEta(t *testing.T) {
 	// Even with μ=1.0 (pure elephants), η=0.8 forces ≥20% anti-dominant
 	// exploration.
-	var r monitor.Report
+	var r loop.Report
 	r.Hist[12] = 1000
 	r.ElephantBytes = 1000
 	r.ElephantFlowsW = 5
-	fsd := monitor.Aggregate(r)
+	fsd := loop.Aggregate(r)
 	tu, _ := NewSA(quickSA(), DefaultWeights(), dcqcn.DefaultParams(), 9)
 	tu.Trigger(fsd)
 	base := dcqcn.DefaultParams()
@@ -169,7 +169,7 @@ func TestElitistRecentering(t *testing.T) {
 		}
 		lastDispatched := base
 		for tu.Active() {
-			p, ok := tu.Step(monitor.RuntimeSample{OTP: score(lastDispatched)}, elephantFSD())
+			p, ok := tu.Step(loop.RuntimeSample{OTP: score(lastDispatched)}, elephantFSD())
 			if !ok {
 				break
 			}
@@ -194,7 +194,7 @@ func TestElitistRecentering(t *testing.T) {
 func TestSALegacySurface(t *testing.T) {
 	tu, _ := NewSA(quickSA(), DefaultWeights(), dcqcn.DefaultParams(), 1)
 	tu.Trigger(elephantFSD())
-	sample := monitor.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
+	sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
 	for tu.Active() {
 		tu.Step(sample, elephantFSD())
 	}

@@ -16,8 +16,9 @@
 //     one-step neighborhood of the current vector, using the utility
 //     function as the arm reward.
 //
-// The control loop (core.System, ctrlrpc.Server) drives whichever
-// strategy is selected through the same Trigger/Step cycle, and every
+// The control loop (loop.Step, which core.System and ctrlrpc.Server
+// share) drives whichever strategy is selected through the same
+// Trigger/Step/Commit cycle, and every
 // proposal — regardless of strategy — passes a dispatch.Guard bounds
 // check before it touches the fabric.
 package tuner
@@ -27,7 +28,7 @@ import (
 	"sort"
 
 	"repro/internal/dcqcn"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/telemetry"
 )
 
@@ -42,16 +43,12 @@ type Tuner interface {
 	Name() string
 	// Trigger starts (or restarts) a tuning session in response to a
 	// significant traffic-pattern change.
-	Trigger(fsd monitor.FSD)
+	Trigger(fsd loop.FSD)
 	// Step advances one search iteration: sample holds the metrics
 	// measured under the previously proposed parameters. It returns the
 	// next vector to propose and true, or false when no session is
 	// active. The final Step of a session returns the session's best.
-	Step(sample monitor.RuntimeSample, fsd monitor.FSD) (dcqcn.Params, bool)
-	// Observe feeds an interval's metrics without advancing the search
-	// (idle and frozen intervals). Strategies that keep running
-	// statistics may use it; "sa" ignores it.
-	Observe(sample monitor.RuntimeSample, fsd monitor.FSD)
+	Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool)
 	// Commit tells the tuner a proposed vector was actually applied to
 	// the fabric (the dispatch pipeline may reject or abort proposals).
 	Commit(p dcqcn.Params)
@@ -117,7 +114,7 @@ type PerSwitch interface {
 	// ObserveLocals hands the tuner this interval's per-agent reports,
 	// aligned with the deployment's agent order. The slice is only
 	// valid during the call.
-	ObserveLocals(locals []monitor.Report)
+	ObserveLocals(locals []loop.Report)
 	// LocalProposals returns the per-switch proposals produced by the
 	// last Step (valid until the next Step; may be empty).
 	LocalProposals() []ECNProposal

@@ -18,8 +18,9 @@
 //	rnic      – host RNICs, QP pacing, RTT probes
 //	sim       – wiring it into a runnable network
 //	sketch    – Elastic Sketch
-//	monitor   – ternary flow states, FSD aggregation, KL trigger
-//	core      – the tuning control loop
+//	monitor   – sketch agents, ternary flow states, runtime collection
+//	loop      – FSD aggregation, KL trigger, the shared decision step
+//	core      – the simulated tuning control loop
 //	tuner     – pluggable strategies: guided SA, multi-agent ECN, bandit
 //	baselines – ACC, DCQCN+, NetFlow
 //	workload  – FB_Hadoop / SolarRPC / alltoall generators
@@ -34,8 +35,8 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/harness"
+	"repro/internal/loop"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/tuner"
@@ -133,8 +134,8 @@ var (
 // FSD is a network-wide flow size distribution; RuntimeSample one
 // interval's utility inputs.
 type (
-	FSD           = monitor.FSD
-	RuntimeSample = monitor.RuntimeSample
+	FSD           = loop.FSD
+	RuntimeSample = loop.RuntimeSample
 )
 
 // Workload generators.
