@@ -113,12 +113,6 @@ func (c *Controller) quorumFrac() float64 {
 	return DefaultQuorumFrac
 }
 
-// Evicted reports whether agent i is currently evicted from the
-// membership.
-func (c *Controller) Evicted(i int) bool {
-	return i < len(c.evicted) && c.evicted[i]
-}
-
 // gather collects reports from live sources, advances staleness and
 // eviction state, and returns the present reports plus the present and
 // member counts.
