@@ -50,17 +50,14 @@ func (direct) rollout() (dispatch.Phase, uint64, bool) { return dispatch.PhaseId
 // staged routes every push through the rollout pipeline: exploration
 // steps go through its guard and apply fabric-wide under a fresh epoch,
 // and a session-settling dispatch starts a canary rollout plan.
-type staged struct {
-	*System
-	p *dispatch.Pipeline
-}
+type staged struct{ *System }
 
 func (a staged) Apply(p dcqcn.Params, final bool, now eventsim.Time) bool {
 	if final {
-		ok, _ := a.p.SubmitFinal(p, a.utilEWMA, now)
+		ok, _ := a.Dispatch.SubmitFinal(p, a.utilEWMA, now)
 		return ok
 	}
-	ok, _ := a.p.SubmitExplore(p, now)
+	ok, _ := a.Dispatch.SubmitExplore(p, now)
 	if ok {
 		a.current = p
 	}
@@ -70,10 +67,12 @@ func (a staged) Apply(p dcqcn.Params, final bool, now eventsim.Time) bool {
 // restore goes through the pipeline too, so a rollback is
 // epoch-stamped, journaled, and idempotent on the devices.
 func (a staged) restore(p dcqcn.Params, now eventsim.Time) {
-	a.p.Restore(p, now)
+	a.Dispatch.Restore(p, now)
 	a.current = p
 }
 
-func (a staged) health(h dispatch.Health, now eventsim.Time) { a.p.Tick(h, now) }
+func (a staged) health(h dispatch.Health, now eventsim.Time) { a.Dispatch.Tick(h, now) }
 
-func (a staged) rollout() (dispatch.Phase, uint64, bool) { return a.p.Phase(), a.p.Epoch(), true }
+func (a staged) rollout() (dispatch.Phase, uint64, bool) {
+	return a.Dispatch.Phase(), a.Dispatch.Epoch(), true
+}

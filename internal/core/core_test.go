@@ -406,7 +406,7 @@ func TestSystemGuardRejectsRogueProposals(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tuner = &rogueTuner{Tuner: base}
-	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, n.Eng.Now, s.TM)
+	s.wireStep()
 	before := *n.RNICParams()
 	s.Start()
 	hosts := n.Topo.Hosts()

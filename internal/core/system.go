@@ -115,7 +115,9 @@ func DefaultSystemConfig() SystemConfig {
 // controller aggregates and triggers, the tuner searches, and new DCQCN
 // parameters are dispatched to every RNIC and switch.
 type System struct {
-	Net        *sim.Network
+	Net *sim.Network
+	// Tuner is the search strategy. The decision step holds it from
+	// Attach on, so assigning it afterwards does not change what runs.
 	Tuner      tuner.Tuner
 	Controller *loop.Controller
 	Collector  *monitor.RuntimeCollector
@@ -309,10 +311,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 			return nil, err
 		}
 	}
-	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, net.Eng.Now, s.TM)
-	s.step.OnSession = s.traceSession
-	s.step.OnDispatch = s.dispatched
-	s.step.OnSettle = s.settled
+	s.wireStep()
 	if cfg.Flight != nil {
 		s.flight = newFlightSampler(cfg.Flight, s)
 	}
@@ -360,8 +359,17 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 			s.flight.rec.Trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
 		}
 	}
-	s.apply = staged{s, s.Dispatch}
+	s.apply = staged{s}
 	return s.Dispatch.Resume(*net.RNICParams(), net.Eng.Now())
+}
+
+// wireStep builds the decision step over s.Tuner and s.apply and hooks
+// the loop's trace, dispatch and settle bookkeeping onto it.
+func (s *System) wireStep() {
+	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, s.Net.Eng.Now, s.TM)
+	s.step.OnSession = s.traceSession
+	s.step.OnDispatch = s.dispatched
+	s.step.OnSettle = s.settled
 }
 
 // traceSession opens the trace span of a session about to start.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/dispatch"
+	"repro/internal/eventsim"
 	"repro/internal/loop"
 	"repro/internal/telemetry"
 	"repro/internal/tuner"
@@ -243,6 +244,51 @@ func TestServerVetoesUnjournaledEpochs(t *testing.T) {
 	}
 	if rec.Epoch != epoch || rec.Committed == nil || *rec.Committed != current {
 		t.Errorf("the WAL recovers epoch %d, the daemon stands behind epoch %d", rec.Epoch, epoch)
+	}
+}
+
+// TestDaemonGuardGapRunsOnWallClock pins the guard's MinGap to the
+// daemon's wall clock: back-to-back ticks inside the gap are refused, and
+// the first tick after the gap has passed dispatches again.
+func TestDaemonGuardGapRunsOnWallClock(t *testing.T) {
+	const gap = 200 * time.Millisecond
+	cfg := DefaultServerConfig()
+	cfg.SA = tuner.ShortSAConfig()
+	cfg.Guard = dispatch.GuardConfig{MinGap: eventsim.Time(gap)}
+	cfg.Telemetry = telemetry.NewRegistry()
+	s, err := Serve("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tick := func(seq uint64) TickResult {
+		if err := c.SendReport(elephantReport(1, seq)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Tick(seq, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	start := time.Now()
+	for seq := uint64(1); seq <= 5; seq++ {
+		tick(seq)
+	}
+	if time.Since(start) >= gap {
+		t.Skip("five ticks took longer than the guard's gap")
+	}
+	if st := s.Stats(); st.Dispatches != 1 || st.Rejects != 4 {
+		t.Fatalf("inside the gap: %d dispatches, %d rejects; want 1 and 4", st.Dispatches, st.Rejects)
+	}
+	time.Sleep(gap + 50*time.Millisecond)
+	if res := tick(6); !res.Changed || res.Epoch != 2 {
+		t.Errorf("after the gap the daemon answered changed=%v epoch=%d", res.Changed, res.Epoch)
 	}
 }
 

@@ -448,7 +448,9 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 func wallClock() eventsim.Time { return eventsim.Time(time.Now().UnixNano()) }
 
 // wire is the daemon's apply path: the guard on the wall clock, then the
-// WAL, then a fresh epoch the tick answers on the wire.
+// WAL, then a fresh epoch the tick answers on the wire. The guard runs
+// before the journal, as in Pipeline.SubmitFinal, so an epoch the WAL
+// vetoes has already been admitted and opened the guard's MinGap window.
 type wire struct{ *Server }
 
 func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {

@@ -88,14 +88,18 @@ type Controller struct {
 	// PresentAgents is how many sources reported at the last tick.
 	PresentAgents int
 
-	// TM, when non-nil, mirrors aggregation and degradation activity
-	// into the telemetry registry.
+	// TM mirrors aggregation and degradation activity into the
+	// telemetry registry; NewController points it at one nobody scrapes.
 	TM *telemetry.MonitorMetrics
 }
 
+// noMetrics is what a controller records into until a caller attaches a
+// registry's bundle.
+var noMetrics = telemetry.NewMonitorMetrics(telemetry.NewRegistry())
+
 // NewController wires agents with trigger threshold theta.
 func NewController(theta float64, agents ...ReportSource) *Controller {
-	return &Controller{Agents: agents, Theta: theta}
+	return &Controller{Agents: agents, Theta: theta, TM: noMetrics}
 }
 
 // staleAfter / quorumFrac resolve the zero-value defaults.
@@ -136,9 +140,7 @@ func (c *Controller) gather() (locals []Report, present, members int) {
 			if c.evicted[i] {
 				c.evicted[i] = false
 				c.Readmits++
-				if c.TM != nil {
-					c.TM.Readmits.Inc()
-				}
+				c.TM.Readmits.Inc()
 				if c.OnRecover != nil {
 					c.OnRecover("agent_readmit", i)
 				}
@@ -156,9 +158,7 @@ func (c *Controller) gather() (locals []Report, present, members int) {
 		if c.missed[i] > c.staleAfter() {
 			c.evicted[i] = true
 			c.Evictions++
-			if c.TM != nil {
-				c.TM.Evictions.Inc()
-			}
+			c.TM.Evictions.Inc()
 			if c.OnFault != nil {
 				c.OnFault("agent_evict", i)
 			}
@@ -195,10 +195,8 @@ func (c *Controller) Tick() FSD {
 			c.OnRecover("quorum_ok", -1)
 		}
 	}
-	if c.TM != nil {
-		c.TM.PresentAgents.Set(float64(present))
-		c.TM.Degraded.SetBool(c.Degraded)
-	}
+	c.TM.PresentAgents.Set(float64(present))
+	c.TM.Degraded.SetBool(c.Degraded)
 	return c.close(locals)
 }
 
@@ -223,16 +221,12 @@ func (c *Controller) close(locals []Report) FSD {
 	c.Ticks++
 	c.LastKL = 0
 	c.Raw = raw
-	if c.TM != nil {
-		c.TM.Ticks.Inc()
-		c.TM.FSDFlows.Observe(float64(raw.Flows))
-		c.TM.FSDBytes.Observe(raw.TotalBytes)
-	}
+	c.TM.Ticks.Inc()
+	c.TM.FSDFlows.Observe(float64(raw.Flows))
+	c.TM.FSDBytes.Observe(raw.TotalBytes)
 	if c.Frozen {
 		c.FrozenTicks++
-		if c.TM != nil {
-			c.TM.FrozenTicks.Inc()
-		}
+		c.TM.FrozenTicks.Inc()
 		return raw
 	}
 	if raw.TotalBytes == 0 {
@@ -242,20 +236,14 @@ func (c *Controller) close(locals []Report) FSD {
 	fsd := c.smoother.Update(raw)
 	fsd.Degraded = c.Degraded
 	c.Current = fsd
-	if c.TM != nil {
-		c.TM.ElephantShare.Set(fsd.ElephantFlowShare)
-	}
+	c.TM.ElephantShare.Set(fsd.ElephantFlowShare)
 	if c.hasPrev {
 		c.LastKL = TriggerDivergence(fsd, c.prev)
-		if c.TM != nil {
-			c.TM.LastKL.Set(c.LastKL)
-			c.TM.KL.Observe(c.LastKL)
-		}
+		c.TM.LastKL.Set(c.LastKL)
+		c.TM.KL.Observe(c.LastKL)
 		if c.LastKL > c.Theta {
 			c.Triggers++
-			if c.TM != nil {
-				c.TM.Triggers.Inc()
-			}
+			c.TM.Triggers.Inc()
 			if c.OnTrigger != nil {
 				c.OnTrigger(fsd)
 			}
@@ -264,9 +252,7 @@ func (c *Controller) close(locals []Report) FSD {
 		// First traffic ever observed: the change from silence is a
 		// pattern change by definition.
 		c.Triggers++
-		if c.TM != nil {
-			c.TM.Triggers.Inc()
-		}
+		c.TM.Triggers.Inc()
 		if c.OnTrigger != nil {
 			c.OnTrigger(fsd)
 		}

@@ -21,16 +21,11 @@ type (
 	RuntimeSample = loop.RuntimeSample
 )
 
-// BucketFor is loop.BucketFor.
-func BucketFor(size int64) int { return loop.BucketFor(size) }
-
-// Aggregate is loop.Aggregate.
-func Aggregate(locals ...Report) loop.FSD { return loop.Aggregate(locals...) }
-
-// NewController is loop.NewController.
-func NewController(theta float64, agents ...ReportSource) *loop.Controller {
-	return loop.NewController(theta, agents...)
-}
+var (
+	BucketFor     = loop.BucketFor
+	Aggregate     = loop.Aggregate
+	NewController = loop.NewController
+)
 
 // klEpsilon smooths zero probabilities so KL stays finite.
 const klEpsilon = 1e-6

@@ -134,6 +134,7 @@ func NewBandit(cfg BanditConfig, weights Weights, base dcqcn.Params, seed int64)
 		counts:  make([]int, arms),
 		means:   make([]float64, arms),
 		vec:     make([]float64, len(specs)),
+		tm:      noMetrics,
 	}, nil
 }
 
@@ -169,7 +170,7 @@ func (b *Bandit) Stats() Stats {
 }
 
 // SetMetrics attaches a telemetry bundle.
-func (b *Bandit) SetMetrics(tm *telemetry.TunerMetrics) { b.tm = tm }
+func (b *Bandit) SetMetrics(tm *telemetry.TunerMetrics) { b.tm = metricsOr(tm) }
 
 // Commit is a no-op; an admitted proposal needs no extra bookkeeping.
 func (b *Bandit) Commit(p dcqcn.Params) {}
@@ -189,9 +190,7 @@ func (b *Bandit) Trigger(fsd loop.FSD) {
 		b.counts[i] = 0
 		b.means[i] = 0
 	}
-	if b.tm != nil {
-		b.tm.Active.Set(1)
-	}
+	b.tm.Active.Set(1)
 }
 
 // Abort cancels the session without settling.
@@ -201,17 +200,13 @@ func (b *Bandit) Abort() {
 	}
 	b.active = false
 	b.aborts++
-	if b.tm != nil {
-		b.tm.Aborts.Inc()
-		b.tm.Active.Set(0)
-	}
+	b.tm.Aborts.Inc()
+	b.tm.Active.Set(0)
 }
 
 func (b *Bandit) propose() {
 	b.proposals++
-	if b.tm != nil {
-		b.tm.Proposals.Inc()
-	}
+	b.tm.Proposals.Inc()
 }
 
 // Step consumes the reward measured under the previously proposed
@@ -223,9 +218,7 @@ func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bo
 	}
 	reward := 100 * Utility(sample, b.weights)
 	b.steps++
-	if b.tm != nil {
-		b.tm.Iterations.Inc()
-	}
+	b.tm.Iterations.Inc()
 
 	if b.warmup {
 		// Same ramp-bias guard as the annealer: the trigger interval's
@@ -253,41 +246,31 @@ func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bo
 	b.means[b.lastArm] += (reward - b.means[b.lastArm]) / n
 	if gap := b.bestUtil - reward; gap > 0 {
 		b.regret += gap
-		if b.tm != nil {
-			b.tm.Regret.Set(b.regret)
-		}
+		b.tm.Regret.Set(b.regret)
 	}
 	// Hill-climb: commit the move only when it measured strictly better.
 	if reward > b.currentUtil {
 		b.current = b.pending
 		b.currentUtil = reward
 		b.accepts++
-		if b.tm != nil {
-			b.tm.Accepts.Inc()
-		}
+		b.tm.Accepts.Inc()
 	} else {
 		b.rejects++
-		if b.tm != nil {
-			b.tm.Rejects.Inc()
-		}
+		b.tm.Rejects.Inc()
 	}
 	if b.currentUtil > b.bestUtil {
 		b.best = b.current
 		b.bestUtil = b.currentUtil
 	}
 	b.trace = append(b.trace, b.bestUtil)
-	if b.tm != nil {
-		b.tm.BestUtility.Set(b.bestUtil)
-	}
+	b.tm.BestUtility.Set(b.bestUtil)
 
 	b.iter++
 	if b.iter >= b.cfg.Budget {
 		b.active = false
 		b.sessions++
-		if b.tm != nil {
-			b.tm.Sessions.Inc()
-			b.tm.Active.Set(0)
-		}
+		b.tm.Sessions.Inc()
+		b.tm.Active.Set(0)
 		b.propose()
 		return b.best, true
 	}

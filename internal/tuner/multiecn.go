@@ -150,6 +150,7 @@ func NewMultiECN(cfg MultiECNConfig, weights Weights, base dcqcn.Params, seed in
 		proposals: make([]ECNProposal, 0, cfg.Agents),
 		current:   base,
 		best:      base,
+		tm:        noMetrics,
 	}
 	for i := range specs {
 		switch specs[i].Name {
@@ -201,7 +202,7 @@ func (m *MultiECN) Stats() Stats {
 }
 
 // SetMetrics attaches a telemetry bundle.
-func (m *MultiECN) SetMetrics(tm *telemetry.TunerMetrics) { m.tm = tm }
+func (m *MultiECN) SetMetrics(tm *telemetry.TunerMetrics) { m.tm = metricsOr(tm) }
 
 // Commit is a no-op; per-agent confirmations arrive via AgentCommitted.
 func (m *MultiECN) Commit(p dcqcn.Params) {}
@@ -230,9 +231,7 @@ func (m *MultiECN) AgentCommitted(agent int) {
 	}
 	m.agents[agent].commits++
 	m.agentCommits++
-	if m.tm != nil {
-		m.tm.AgentCommits.Inc()
-	}
+	m.tm.AgentCommits.Inc()
 }
 
 // AgentCommitCounts returns per-agent applied-proposal counts.
@@ -254,9 +253,7 @@ func (m *MultiECN) Trigger(fsd loop.FSD) {
 	m.currentUtil = math.Inf(-1)
 	m.trace = m.trace[:0]
 	m.globalFSD = fsd
-	if m.tm != nil {
-		m.tm.Active.Set(1)
-	}
+	m.tm.Active.Set(1)
 }
 
 // Abort cancels the session without settling.
@@ -266,17 +263,13 @@ func (m *MultiECN) Abort() {
 	}
 	m.active = false
 	m.aborts++
-	if m.tm != nil {
-		m.tm.Aborts.Inc()
-		m.tm.Active.Set(0)
-	}
+	m.tm.Aborts.Inc()
+	m.tm.Active.Set(0)
 }
 
 func (m *MultiECN) propose() {
 	m.nproposals++
-	if m.tm != nil {
-		m.tm.Proposals.Inc()
-	}
+	m.tm.Proposals.Inc()
 }
 
 // Step advances every agent one bounded move and composes the next
@@ -288,9 +281,7 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 	m.globalFSD = fsd
 	reward := 100 * Utility(sample, m.weights)
 	m.steps++
-	if m.tm != nil {
-		m.tm.Iterations.Inc()
-	}
+	m.tm.Iterations.Inc()
 
 	if m.warmup {
 		// Same ramp-bias guard as the annealer.
@@ -310,9 +301,7 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 		if reward > m.currentUtil {
 			m.currentUtil = reward
 			m.accepts++
-			if m.tm != nil {
-				m.tm.Accepts.Inc()
-			}
+			m.tm.Accepts.Inc()
 		} else {
 			// Fabric-wide utility regressed: revert every agent to its
 			// pre-move point. Agents whose local signal was right will
@@ -324,28 +313,22 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 				a.kmin, a.kmax, a.pmax = a.prevKmin, a.prevKmax, a.prevPmax
 			}
 			m.rejects++
-			if m.tm != nil {
-				m.tm.Rejects.Inc()
-			}
+			m.tm.Rejects.Inc()
 		}
 		if m.currentUtil > m.bestUtil {
 			m.best = m.composite()
 			m.bestUtil = m.currentUtil
 		}
 		m.trace = append(m.trace, m.bestUtil)
-		if m.tm != nil {
-			m.tm.BestUtility.Set(m.bestUtil)
-		}
+		m.tm.BestUtility.Set(m.bestUtil)
 	}
 
 	m.iter++
 	if m.iter >= m.cfg.Budget {
 		m.active = false
 		m.sessions++
-		if m.tm != nil {
-			m.tm.Sessions.Inc()
-			m.tm.Active.Set(0)
-		}
+		m.tm.Sessions.Inc()
+		m.tm.Active.Set(0)
 		m.rebuildProposals()
 		m.propose()
 		return m.best, true

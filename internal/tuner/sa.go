@@ -192,9 +192,9 @@ type SA struct {
 	Accepts   int
 	Rejects   int
 	Proposals int
-	// TM, when non-nil, mirrors search activity into the telemetry
-	// registry (iterations, accept/reject, session lifecycle, best
-	// utility and temperature gauges).
+	// TM mirrors search activity into the telemetry registry
+	// (iterations, accept/reject, session lifecycle, best utility and
+	// temperature gauges); see SetMetrics.
 	TM *telemetry.TunerMetrics
 	// Trace records best-so-far utility per iteration of the current or
 	// last session, on the annealer's 0–100 scale (Fig 12's convergence
@@ -223,6 +223,7 @@ func NewSA(cfg SAConfig, weights Weights, base dcqcn.Params, seed int64) (*SA, e
 		current: base,
 		best:    base,
 		vec:     make([]float64, len(specs)),
+		TM:      noMetrics,
 	}, nil
 }
 
@@ -258,9 +259,9 @@ func (t *SA) Stats() Stats {
 }
 
 // SetMetrics attaches a telemetry bundle.
-func (t *SA) SetMetrics(tm *telemetry.TunerMetrics) { t.TM = tm }
+func (t *SA) SetMetrics(tm *telemetry.TunerMetrics) { t.TM = metricsOr(tm) }
 
-// / Commit is a no-op: the annealer's chain state already assumes its
+// Commit is a no-op: the annealer's chain state already assumes its
 // proposals land; the loop's guard/pipeline rejections surface as
 // ordinary (bad) measurements instead.
 func (t *SA) Commit(p dcqcn.Params) {}
@@ -277,10 +278,8 @@ func (t *SA) Trigger(fsd loop.FSD) {
 	t.currentUtil = math.Inf(-1)
 	t.Trace = t.Trace[:0]
 	t.observeFSD(fsd)
-	if t.TM != nil {
-		t.TM.Active.Set(1)
-		t.TM.Temperature.Set(t.temp)
-	}
+	t.TM.Active.Set(1)
+	t.TM.Temperature.Set(t.temp)
 }
 
 func (t *SA) observeFSD(fsd loop.FSD) {
@@ -297,18 +296,14 @@ func (t *SA) Abort() {
 	}
 	t.active = false
 	t.Aborts++
-	if t.TM != nil {
-		t.TM.Aborts.Inc()
-		t.TM.Active.Set(0)
-	}
+	t.TM.Aborts.Inc()
+	t.TM.Active.Set(0)
 }
 
 // propose counts a vector handed out for dispatch.
 func (t *SA) propose() {
 	t.Proposals++
-	if t.TM != nil {
-		t.TM.Proposals.Inc()
-	}
+	t.TM.Proposals.Inc()
 }
 
 // Step advances one SA iteration (lines 4–23 of Algorithm 1): the sample
@@ -328,9 +323,7 @@ func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) 
 	// accept everything and the search would degenerate to a random walk.
 	newUtil := 100 * Utility(sample, t.weights)
 	t.Steps++
-	if t.TM != nil {
-		t.TM.Iterations.Inc()
-	}
+	t.TM.Iterations.Inc()
 
 	if t.warmup {
 		// The interval in which the trigger fired straddles the traffic
@@ -359,23 +352,17 @@ func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) 
 		t.current = t.pending
 		t.currentUtil = newUtil
 		t.Accepts++
-		if t.TM != nil {
-			t.TM.Accepts.Inc()
-		}
+		t.TM.Accepts.Inc()
 	} else {
 		t.Rejects++
-		if t.TM != nil {
-			t.TM.Rejects.Inc()
-		}
+		t.TM.Rejects.Inc()
 	}
 	if t.currentUtil > t.bestUtil {
 		t.best = t.current
 		t.bestUtil = t.currentUtil
 	}
 	t.Trace = append(t.Trace, t.bestUtil)
-	if t.TM != nil {
-		t.TM.BestUtility.Set(t.bestUtil)
-	}
+	t.TM.BestUtility.Set(t.bestUtil)
 
 	t.iter++
 	if t.iter >= t.cfg.TotalIterNum {
@@ -385,17 +372,13 @@ func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) 
 			// Session over: settle on the best setting found.
 			t.active = false
 			t.Rounds++
-			if t.TM != nil {
-				t.TM.Sessions.Inc()
-				t.TM.Active.Set(0)
-				t.TM.Temperature.Set(t.temp)
-			}
+			t.TM.Sessions.Inc()
+			t.TM.Active.Set(0)
+			t.TM.Temperature.Set(t.temp)
 			t.propose()
 			return t.best, true
 		}
-		if t.TM != nil {
-			t.TM.Temperature.Set(t.temp)
-		}
+		t.TM.Temperature.Set(t.temp)
 		// Elitist re-centering at each temperature level: guided
 		// mutation biases ~min(μ,η) of the parameters in one direction,
 		// so a chain started from `current` under a permissive early

@@ -71,6 +71,17 @@ type Tuner interface {
 	SetMetrics(tm *telemetry.TunerMetrics)
 }
 
+// noMetrics is the bundle of a strategy no registry is attached to, so
+// strategies record without checking for one.
+var noMetrics = telemetry.NewTunerMetrics(telemetry.NewRegistry())
+
+func metricsOr(tm *telemetry.TunerMetrics) *telemetry.TunerMetrics {
+	if tm == nil {
+		return noMetrics
+	}
+	return tm
+}
+
 // Stats are the lifetime counters every strategy maintains.
 type Stats struct {
 	// Sessions counts completed tuning sessions; Steps counts search
