@@ -14,7 +14,7 @@ import (
 func TestChaosAgentCrashDeterministic(t *testing.T) {
 	run := func() (*ChaosResult, []byte) {
 		var buf bytes.Buffer
-		r, err := ChaosAgentCrash(QuickScale(), 40*eventsim.Millisecond, 7, &buf)
+		r, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, &buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestChaosAgentCrashDeterministic(t *testing.T) {
 func TestChaosAgentCrashFreezeAndResume(t *testing.T) {
 	horizon := 40 * eventsim.Millisecond
 	var buf bytes.Buffer
-	r, err := ChaosAgentCrash(QuickScale(), horizon, 1, &buf)
+	r, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), horizon, 1, &buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestChaosAgentCrashFreezeAndResume(t *testing.T) {
 // last-known-good parameters, visible as trace events.
 func TestChaosLinkFlapRollsBack(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := ChaosLinkFlap(QuickScale(), 40*eventsim.Millisecond, 1, &buf)
+	r, err := RunChaos(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 1, &buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestChaosDispatchGolden(t *testing.T) {
 	run := func() (*ChaosDispatchResult, []byte) {
 		var buf bytes.Buffer
-		r, err := ChaosDispatchCrash(QuickScale(), 40*eventsim.Millisecond, 7, &buf)
+		r, err := ChaosDispatchCrash(QuickScale(), 40*eventsim.Millisecond, 7, &buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

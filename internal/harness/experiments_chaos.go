@@ -37,9 +37,7 @@ type chaosSink struct {
 
 func (s *chaosSink) Fault(fault, target string) {
 	s.faults++
-	if s.tm != nil {
-		s.tm.Faults.Inc()
-	}
+	s.tm.Faults.Inc()
 	if s.rec != nil {
 		s.rec.Fault(fault, target)
 	}
@@ -50,15 +48,138 @@ func (s *chaosSink) Fault(fault, target string) {
 
 func (s *chaosSink) Recover(fault, target string) {
 	s.recovers++
-	if s.tm != nil {
-		s.tm.Recovers.Inc()
-	}
+	s.tm.Recovers.Inc()
 	if s.rec != nil {
 		s.rec.Recover(fault, target)
 	}
 	if s.flight != nil {
 		s.flight.Event(int64(s.now()), "chaos_recover", fault+" "+target)
 	}
+}
+
+// chaosRig is what every in-simulation chaos run builds around its
+// network: the trace recorder, the fault sink, the flight recorder, and
+// one agent per ToR behind a FlakySource so a scenario can crash it.
+type chaosRig struct {
+	n *sim.Network
+	// sysCfg is the caller's system with the rig's registry, interval,
+	// agents and flight recorder.
+	sysCfg core.SystemConfig
+	rec    *trace.Recorder
+	sink   *chaosSink
+	flight *series.Recorder
+	flaky  []*chaos.FlakySource
+}
+
+// newChaosRig builds the network on default parameters and the rig
+// around it. traceTo and blackbox, when set, receive the JSONL trace and
+// the flight-recorder artifact named by meta.
+func newChaosRig(scale Scale, sysCfg core.SystemConfig, traceTo, blackbox io.Writer, meta series.Meta) (*chaosRig, error) {
+	interval := scale.Interval
+	if interval <= 0 {
+		interval = eventsim.Millisecond
+	}
+	netCfg := scale.Net
+	netCfg.Params = dcqcn.DefaultParams()
+	n, err := sim.New(netCfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &chaosRig{n: n}
+	if traceTo != nil {
+		r.rec = trace.NewRecorder(n.Eng, traceTo)
+	}
+	reg := sysCfg.Telemetry
+	if reg == nil {
+		reg = telemetry.Default()
+	}
+	r.sink = &chaosSink{rec: r.rec, tm: telemetry.NewChaosMetrics(reg), now: n.Eng.Now}
+	if blackbox != nil {
+		meta.IntervalNs = int64(interval)
+		r.flight = series.NewRecorder(meta)
+		r.sink.flight = r.flight
+		// Flow completion times feed the registry histogram the artifact
+		// embeds; the hook is composable observation only.
+		fct := telemetry.NewSimMetrics(reg).FCTMs
+		n.AddFlowCompleteHook(func(fr sim.FlowRecord) {
+			fct.Observe(float64(fr.FCT()) / 1e6)
+		})
+	}
+	sysCfg.Telemetry, sysCfg.Interval, sysCfg.Flight = reg, interval, r.flight
+	sysCfg.Sources = nil
+	sketchTM := telemetry.NewSketchMetrics(reg)
+	for i, tor := range n.Topo.ToRs() {
+		a := monitor.NewSwitchAgent(sysCfg.Agent, uint64(i+1))
+		a.TM = sketchTM
+		a.Attach(n.Switch(tor))
+		f := chaos.NewFlakySource(a)
+		r.flaky = append(r.flaky, f)
+		sysCfg.Sources = append(sysCfg.Sources, f)
+	}
+	r.sysCfg = sysCfg
+	return r, nil
+}
+
+// attach deploys Paraleon on the rig's agents, with the controller's and
+// the system's degradation hooks feeding the sink and its sessions traced
+// as spans that link their dispatches and rollbacks.
+func (r *chaosRig) attach() (*core.System, error) {
+	sys, err := core.Attach(r.n, r.sysCfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.Controller.OnFault = func(fault string, agent int) { r.sink.Fault(fault, chaosTarget(agent)) }
+	sys.Controller.OnRecover = func(fault string, agent int) { r.sink.Recover(fault, chaosTarget(agent)) }
+	sys.OnRollback = func(dcqcn.Params) { r.sink.tm.Rollbacks.Inc() }
+	if r.rec != nil {
+		sys.Trace = r.rec
+	}
+	if r.flight != nil {
+		m := r.flight.Meta()
+		m.Tuner = sys.Tuner.Name()
+		r.flight.SetMeta(m)
+	}
+	return sys, nil
+}
+
+// tick closes one interval of sys and traces its sample.
+func (r *chaosRig) tick(sys *core.System) loop.RuntimeSample {
+	sys.TickOnce()
+	if r.rec != nil {
+		r.rec.Sample(sys.LastSample)
+	}
+	return sys.LastSample
+}
+
+// utility is Equation (1) of s under the system's weights.
+func (r *chaosRig) utility(s loop.RuntimeSample) float64 {
+	w := r.sysCfg.Weights
+	if w.Validate() != nil {
+		w = tuner.DefaultWeights()
+	}
+	return tuner.Utility(s, w)
+}
+
+// finish flushes the trace and writes the flight-recorder artifact to
+// blackbox. It returns the number of trace events written.
+func (r *chaosRig) finish(blackbox io.Writer) (int, error) {
+	events := 0
+	if r.rec != nil {
+		if err := r.rec.Flush(); err != nil {
+			return 0, fmt.Errorf("chaos trace: %w", err)
+		}
+		events = r.rec.Events
+	}
+	if r.flight != nil {
+		now := int64(r.n.Eng.Now())
+		if err := r.n.CheckPoolInvariant(); err != nil {
+			r.flight.Trip(now, "pool_invariant", err.Error())
+		}
+		if err := r.flight.WriteArtifact(blackbox, now, r.sysCfg.Telemetry); err != nil {
+			return 0, fmt.Errorf("chaos blackbox: %w", err)
+		}
+	}
+	return events, nil
 }
 
 // chaosTarget renders a controller fault callback's agent index.
@@ -130,20 +251,6 @@ type ChaosResult struct {
 	TraceEvents int
 }
 
-// Fprint renders the degradation ledger.
-func (r *ChaosResult) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "  mean TP=%.3f RTTnorm=%.3f utility=%.3f\n",
-		metrics.Mean(r.TP.Values), metrics.Mean(r.RTT.Values), metrics.Mean(r.Utility.Values))
-	fmt.Fprintf(w, "  faults=%d recoveries=%d\n", r.Faults, r.Recovers)
-	fmt.Fprintf(w, "  frozen intervals=%d evictions=%d readmits=%d\n",
-		r.FrozenIntervals, r.Evictions, r.Readmits)
-	fmt.Fprintf(w, "  triggers=%d dispatches=%d rollbacks=%d\n",
-		r.Triggers, r.Dispatches, r.Rollbacks)
-	if r.TraceEvents > 0 {
-		fmt.Fprintf(w, "  trace events=%d\n", r.TraceEvents)
-	}
-}
-
 // RunChaos executes one Paraleon run under fault injection: agents are
 // wrapped in chaos.FlakySources so the scenario can crash them, the
 // injector schedules the data-plane faults, and the controller/system
@@ -154,101 +261,33 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 		cfg.SystemCfg = DefaultChaosSystemConfig()
 		cfg.SystemCfg.Degrade = deg
 	}
-	interval := cfg.Scale.Interval
-	if interval <= 0 {
-		interval = eventsim.Millisecond
-	}
-
-	netCfg := cfg.Scale.Net
-	netCfg.Params = dcqcn.DefaultParams()
-	n, err := sim.New(netCfg)
+	rig, err := newChaosRig(cfg.Scale, cfg.SystemCfg, cfg.TraceTo, cfg.Blackbox, series.Meta{
+		Experiment: cfg.Experiment,
+		Scale:      cfg.ScaleLabel,
+		HorizonNs:  int64(cfg.Duration),
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	var rec *trace.Recorder
-	if cfg.TraceTo != nil {
-		rec = trace.NewRecorder(n.Eng, cfg.TraceTo)
-	}
-	reg := cfg.SystemCfg.Telemetry
-	if reg == nil {
-		reg = telemetry.Default()
-	}
-	cm := telemetry.NewChaosMetrics(reg)
-	sink := &chaosSink{rec: rec, tm: cm, now: n.Eng.Now}
-
-	// Every agent rides behind a FlakySource so scenarios can kill it.
-	sysCfg := cfg.SystemCfg
-	sysCfg.Telemetry = reg
-	sysCfg.Interval = interval
-
-	// Scenario construction (not installation — the injector schedules
-	// engine events and must keep its position below core.Attach for the
-	// recorded goldens) happens early so the flight recorder can stamp
-	// the scenario seed into its artifact meta.
+	n := rig.n
 	scenario := cfg.Scenario
 	if cfg.ScenarioFn != nil {
 		scenario = cfg.ScenarioFn(n)
 	}
-
-	var flight *series.Recorder
-	if cfg.Blackbox != nil {
-		flight = series.NewRecorder(series.Meta{
-			Experiment: cfg.Experiment,
-			Seed:       scenario.Seed,
-			Scale:      cfg.ScaleLabel,
-			IntervalNs: int64(interval),
-			HorizonNs:  int64(cfg.Duration),
-		})
-		sysCfg.Flight = flight
-		sink.flight = flight
-		// Flow completion times feed the registry histogram the artifact
-		// embeds; the hook is composable observation only.
-		fct := telemetry.NewSimMetrics(reg).FCTMs
-		n.AddFlowCompleteHook(func(fr sim.FlowRecord) {
-			fct.Observe(float64(fr.FCT()) / 1e6)
-		})
+	if rig.flight != nil {
+		m := rig.flight.Meta()
+		m.Seed = scenario.Seed
+		rig.flight.SetMeta(m)
 	}
-	var flaky []*chaos.FlakySource
-	var sources []loop.ReportSource
-	sketchTM := telemetry.NewSketchMetrics(reg)
-	for i, tor := range n.Topo.ToRs() {
-		a := monitor.NewSwitchAgent(sysCfg.Agent, uint64(i+1))
-		a.TM = sketchTM
-		a.Attach(n.Switch(tor))
-		f := chaos.NewFlakySource(a)
-		flaky = append(flaky, f)
-		sources = append(sources, f)
-	}
-	sysCfg.Sources = sources
-	sys, err := core.Attach(n, sysCfg)
+	sys, err := rig.attach()
 	if err != nil {
 		return nil, err
 	}
-	sys.Controller.OnFault = func(fault string, agent int) { sink.Fault(fault, chaosTarget(agent)) }
-	sys.Controller.OnRecover = func(fault string, agent int) { sink.Recover(fault, chaosTarget(agent)) }
-	sys.OnRollback = func(dcqcn.Params) { cm.Rollbacks.Inc() }
-	if rec != nil {
-		// Span-linked trace: the System opens an sa_session span per
-		// trigger and links its dispatches/rollbacks into it.
-		sys.Trace = rec
-	}
-	if flight != nil {
-		m := flight.Meta()
-		m.Tuner = sys.Tuner.Name()
-		flight.SetMeta(m)
-	}
-
-	inj := chaos.NewInjector(n, flaky, sink)
-	if err := inj.Install(scenario); err != nil {
+	// The injector schedules engine events, so it installs after
+	// core.Attach, where the recorded goldens put it.
+	if err := chaos.NewInjector(n, rig.flaky, rig.sink).Install(scenario); err != nil {
 		return nil, err
 	}
-
-	weights := sysCfg.Weights
-	if weights.Validate() != nil {
-		weights = tuner.DefaultWeights()
-	}
-
 	sys.StartProbingOnly()
 	if cfg.Workload != nil {
 		if err := cfg.Workload(n); err != nil {
@@ -256,43 +295,26 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 		}
 	}
 
-	res := &ChaosResult{Net: n, Sources: flaky}
-	ticks := int(cfg.Duration / interval)
-	for i := 1; i <= ticks; i++ {
+	res := &ChaosResult{Net: n, Sources: rig.flaky}
+	interval := rig.sysCfg.Interval
+	for i := 1; i <= int(cfg.Duration/interval); i++ {
 		n.Run(eventsim.Time(i) * interval)
 		now := n.Eng.Now()
-		sys.TickOnce()
-		sample := sys.LastSample
+		sample := rig.tick(sys)
 		res.TP.Append(now, sample.OTP)
 		res.RTT.Append(now, sample.ORTT)
 		res.PFC.Append(now, sample.OPFC)
-		res.Utility.Append(now, tuner.Utility(sample, weights))
-		if rec != nil {
-			rec.Sample(sample)
-		}
+		res.Utility.Append(now, rig.utility(sample))
 	}
-
-	res.Faults = sink.faults
-	res.Recovers = sink.recovers
+	res.Faults, res.Recovers = rig.sink.faults, rig.sink.recovers
 	res.FrozenIntervals = sys.FrozenIntervals
 	res.Evictions = sys.Controller.Evictions
 	res.Readmits = sys.Controller.Readmits
 	res.Rollbacks = sys.Rollbacks
 	res.Dispatches = sys.Dispatches
 	res.Triggers = sys.Controller.Triggers
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return nil, fmt.Errorf("chaos trace: %w", err)
-		}
-		res.TraceEvents = rec.Events
-	}
-	if flight != nil {
-		if err := n.CheckPoolInvariant(); err != nil {
-			flight.Trip(int64(n.Eng.Now()), "pool_invariant", err.Error())
-		}
-		if err := flight.WriteArtifact(cfg.Blackbox, int64(n.Eng.Now()), reg); err != nil {
-			return nil, fmt.Errorf("chaos blackbox: %w", err)
-		}
+	if res.TraceEvents, err = rig.finish(cfg.Blackbox); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -310,20 +332,14 @@ func fabricLink(n *sim.Network) (a, b topology.NodeID, err error) {
 	return 0, 0, fmt.Errorf("chaos: topology has no ToR-leaf link")
 }
 
-// ChaosLinkFlap is the chaos-linkflap experiment: a sustained cross-rack
+// ChaosLinkFlapConfig is the chaos-linkflap run: a sustained cross-rack
 // alltoall while one fabric uplink flaps. The flap shifts the observed
 // traffic pattern, (re)starting a tuning session whose candidate
 // parameters are then measured through the outage — exactly the
 // situation rollback exists for: utility regresses persistently, the
 // system reverts to the last-known-good vector and aborts the search.
-func ChaosLinkFlap(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) (*ChaosResult, error) {
-	return RunChaos(ChaosLinkFlapConfig(scale, horizon, seed, traceTo))
-}
-
-// ChaosLinkFlapConfig builds the chaos-linkflap run configuration, so
-// callers (the CLI's -blackbox flag, the determinism tests) can adjust
-// the run — attach a flight recorder, swap the registry — before
-// RunChaos executes it.
+// Callers adjust the configuration (a flight recorder, a fresh registry,
+// another strategy) before RunChaos executes it.
 func ChaosLinkFlapConfig(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) ChaosRunConfig {
 	sysCfg := DefaultChaosSystemConfig()
 	sysCfg.Degrade = core.DegradeConfig{RollbackWindow: 3, RollbackMargin: 0.05}
@@ -349,34 +365,16 @@ func ChaosLinkFlapConfig(scale Scale, horizon eventsim.Time, seed int64, traceTo
 				}},
 			}
 		},
-		Workload: func(n *sim.Network) error {
-			hosts := n.Topo.Hosts()
-			w := 6
-			if w > len(hosts) {
-				w = len(hosts)
-			}
-			_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
-				Workers:      hosts[:w],
-				MessageBytes: 1 << 20,
-				OffTime:      eventsim.Millisecond,
-			})
-			return err
-		},
+		Workload: crossRackAlltoall,
 	}
 }
 
-// ChaosAgentCrash is the chaos-agentcrash experiment: one of the two
-// rack agents crashes mid-run (losing its sketch state) and restarts
-// later. StaleAfter is set beyond the outage so the membership holds and
-// the sub-quorum freeze spans the entire outage; tuning resumes the
-// interval the agent returns. Fully in-simulation, so a fixed seed
-// yields a byte-identical trace.
-func ChaosAgentCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) (*ChaosResult, error) {
-	return RunChaos(ChaosAgentCrashConfig(scale, horizon, seed, traceTo))
-}
-
-// ChaosAgentCrashConfig builds the chaos-agentcrash run configuration
-// (see ChaosLinkFlapConfig for why it is exported separately).
+// ChaosAgentCrashConfig is the chaos-agentcrash run: one of the two rack
+// agents crashes mid-run (losing its sketch state) and restarts later.
+// StaleAfter is set beyond the outage so the membership holds and the
+// sub-quorum freeze spans the entire outage; tuning resumes the interval
+// the agent returns. Fully in-simulation, so a fixed seed yields a
+// byte-identical trace.
 func ChaosAgentCrashConfig(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) ChaosRunConfig {
 	sysCfg := DefaultChaosSystemConfig()
 	sysCfg.Degrade = core.DegradeConfig{
@@ -400,19 +398,7 @@ func ChaosAgentCrashConfig(scale Scale, horizon eventsim.Time, seed int64, trace
 				RestartAt: horizon * 6 / 10,
 			}},
 		},
-		Workload: func(n *sim.Network) error {
-			hosts := n.Topo.Hosts()
-			w := 6
-			if w > len(hosts) {
-				w = len(hosts)
-			}
-			_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
-				Workers:      hosts[:w],
-				MessageBytes: 1 << 20,
-				OffTime:      eventsim.Millisecond,
-			})
-			return err
-		},
+		Workload: crossRackAlltoall,
 	}
 }
 
@@ -431,16 +417,6 @@ type ChaosPartitionResult struct {
 	Dispatches int
 
 	TP metrics.Series
-}
-
-// Fprint renders the partition ledger.
-func (r *ChaosPartitionResult) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "  intervals=%d mean TP=%.3f dispatches=%d\n",
-		r.Ticks, metrics.Mean(r.TP.Values), r.Dispatches)
-	fmt.Fprintf(w, "  injected: drops=%d dups=%d truncs=%d server restarts=%d\n",
-		r.Drops, r.Dups, r.Truncs, r.ServerRestarts)
-	fmt.Fprintf(w, "  recovered: reconnects=%d; lost: report errors=%d tick errors=%d\n",
-		r.Reconnects, r.ReportErrors, r.TickErrors)
 }
 
 // ChaosCtrlPartition is the chaos-ctrlpartition experiment: the testbed

@@ -91,7 +91,7 @@ func TestChaosTraceGolden(t *testing.T) {
 			name:   "linkflap",
 			golden: "chaos_linkflap_seed7_quick.golden.jsonl",
 			run: func(buf *bytes.Buffer) error {
-				_, err := ChaosLinkFlap(QuickScale(), 40*eventsim.Millisecond, 7, buf)
+				_, err := RunChaos(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
 				return err
 			},
 		},
@@ -99,7 +99,7 @@ func TestChaosTraceGolden(t *testing.T) {
 			name:   "agentcrash",
 			golden: "chaos_agentcrash_seed7_quick.golden.jsonl",
 			run: func(buf *bytes.Buffer) error {
-				_, err := ChaosAgentCrash(QuickScale(), 40*eventsim.Millisecond, 7, buf)
+				_, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
 				return err
 			},
 		},

@@ -11,7 +11,7 @@ import (
 	"repro/internal/splitmix"
 )
 
-// ParallelOptions controls how RunAll spreads experiment arms over
+// ParallelOptions controls how RunAll and RunExperiment spread arms over
 // workers. The zero value is a sensible default: one worker per CPU, no
 // seed derivation, no progress reporting.
 type ParallelOptions struct {
@@ -19,7 +19,7 @@ type ParallelOptions struct {
 	// negative means GOMAXPROCS. One worker degenerates to a strictly
 	// sequential, in-order sweep.
 	Workers int
-	// DeriveSeeds, when true, runs arm i with
+	// DeriveSeeds, when true, makes RunAll run arm i with
 	// Net.Seed = DeriveArmSeed(cfg.Net.Seed, i) so that arms sharing a
 	// base configuration draw independent randomness. The derivation is a
 	// pure function of (base seed, arm index) — never of scheduling — so
@@ -63,70 +63,67 @@ func DeriveArmSeed(base int64, arm int) int64 {
 // scheme name.
 func RunAll(cfgs []RunConfig, opts ParallelOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
-	if len(cfgs) == 0 {
-		return results, nil
-	}
+	err := pool(len(cfgs), opts, func(i int) string { return cfgs[i].Scheme.Name }, func(i int) (err error) {
+		cfg := cfgs[i]
+		if opts.DeriveSeeds {
+			cfg.Net.Seed = DeriveArmSeed(cfg.Net.Seed, i)
+		}
+		results[i], err = Run(cfg)
+		return err
+	})
+	return results, err
+}
+
+// pool runs job(0) … job(n-1) on up to opts.Workers goroutines and
+// reports each completion to opts.Progress. A job's error or panic does
+// not stop the others: the failures come back joined, each tagged with
+// the job's index and label.
+func pool(n int, opts ParallelOptions, label func(int) string, job func(int) error) error {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-
-	errs := make([]error, len(cfgs))
+	workers = min(workers, n)
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards done and serializes Progress
 	done := 0
-
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				cfg := cfgs[i]
-				if opts.DeriveSeeds {
-					cfg.Net.Seed = DeriveArmSeed(cfg.Net.Seed, i)
-				}
 				start := time.Now()
-				res, err := runArm(cfg)
+				err := recovered(func() error { return job(i) })
 				if err != nil {
-					err = fmt.Errorf("harness: arm %d (%s): %w", i, cfg.Scheme.Name, err)
+					err = fmt.Errorf("harness: arm %d (%s): %w", i, label(i), err)
 				}
-				results[i], errs[i] = res, err
+				errs[i] = err
 				mu.Lock()
 				done++
 				if opts.Progress != nil {
-					st := ArmStatus{
-						Index:  i,
-						Scheme: cfg.Scheme.Name,
-						Done:   done,
-						Total:  len(cfgs),
-						Wall:   time.Since(start),
-						Err:    err,
-					}
-					opts.Progress(st)
+					opts.Progress(ArmStatus{Index: i, Scheme: label(i), Done: done, Total: n, Wall: time.Since(start), Err: err})
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for i := range cfgs {
+	for i := range n {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
-// runArm executes one arm, converting a panic anywhere under Run into an
-// ordinary error so a single bad arm cannot kill a long sweep.
-func runArm(cfg RunConfig) (res *Result, err error) {
+// recovered runs f, converting a panic anywhere under it into an ordinary
+// error so a single bad arm cannot kill a long sweep.
+func recovered(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return Run(cfg)
+	return f()
 }

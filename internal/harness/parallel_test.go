@@ -30,7 +30,7 @@ func sweepConfigs(dur eventsim.Time) []RunConfig {
 				Interval:   scale.Interval,
 				Duration:   dur,
 				DrainAfter: true,
-				Workload:   fbWorkload(0.3, dur),
+				Workload:   fbPoisson(0.3, dur),
 			})
 		}
 	}

@@ -1,7 +1,9 @@
-// Package harness runs the paper's experiments: it builds a network,
-// installs a tuning scheme and a workload, drives the monitor-interval
-// loop while recording time series, and returns everything the reporting
-// layer needs to print each table and figure.
+// Package harness runs the paper's experiments. Run builds a network,
+// installs a tuning scheme and a workload, and drives the monitor-interval
+// loop while recording time series. Experiments is the experiment table:
+// every figure, table, ablation and chaos run as a set of arms, which
+// RunExperiment runs at every seed through one worker pool and gathers
+// into a printable Table.
 package harness
 
 import (
@@ -17,8 +19,48 @@ import (
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/tuner"
 )
+
+// Scale fixes the fabric and cadence an experiment runs at. The paper's
+// NS-3 setup is PaperScale; QuickScale shrinks the fabric so every
+// experiment runs in seconds on one core while preserving the 4:1
+// over-subscription that creates the contention under study.
+type Scale struct {
+	Net      sim.Config
+	Interval eventsim.Time
+}
+
+// QuickScale is the default reproduction fabric: 2 racks × 4 hosts at
+// 10 Gbps, 4:1 over-subscribed, λ_MI = 1 ms.
+func QuickScale() Scale {
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.ClosConfig{
+		NumToR: 2, NumLeaf: 1, HostsPerToR: 4,
+		HostLinkBps: 10e9, FabricLinkBps: 10e9,
+		PropDelay: 2 * eventsim.Microsecond,
+	}
+	return Scale{Net: cfg, Interval: eventsim.Millisecond}
+}
+
+// MediumScale is a 4-rack fabric for the macro experiments.
+func MediumScale() Scale {
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.ClosConfig{
+		NumToR: 4, NumLeaf: 2, HostsPerToR: 4,
+		HostLinkBps: 10e9, FabricLinkBps: 20e9,
+		PropDelay: 2 * eventsim.Microsecond,
+	}
+	return Scale{Net: cfg, Interval: eventsim.Millisecond}
+}
+
+// PaperScale is the §IV-B topology: 8 ToRs, 4 leaves, 128 hosts, 100 Gbps.
+func PaperScale() Scale {
+	cfg := sim.DefaultConfig()
+	cfg.Clos = topology.PaperClosConfig()
+	return Scale{Net: cfg, Interval: eventsim.Millisecond}
+}
 
 // SchemeKind enumerates the tuning/monitoring schemes under comparison.
 type SchemeKind int
@@ -87,7 +129,7 @@ func StaticScheme(name string, p dcqcn.Params) Scheme {
 
 // ParaleonScheme is the full system. It uses the compressed SA schedule
 // (tuner.ShortSAConfig) so tuning settles within the short horizons of
-// reproduction runs; ParaleonSchemePaper keeps the Table III schedule.
+// reproduction runs; Fig 12 swaps the Table III schedule in.
 func ParaleonScheme() Scheme {
 	sysCfg := core.DefaultSystemConfig()
 	sysCfg.SA = tuner.ShortSAConfig()
@@ -98,14 +140,6 @@ func ParaleonScheme() Scheme {
 		SystemCfg: sysCfg,
 		FSDMode:   FSDParaleon,
 	}
-}
-
-// ParaleonSchemePaper is the full system with the exact Table III SA
-// schedule (a ~270-interval session).
-func ParaleonSchemePaper() Scheme {
-	sc := ParaleonScheme()
-	sc.SystemCfg = core.DefaultSystemConfig()
-	return sc
 }
 
 // ACCScheme is the RL ECN baseline.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/ctrlrpc"
 	"repro/internal/eventsim"
@@ -16,47 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// linkFlapConfig mirrors ChaosLinkFlap but lets the test supply its own
-// registry so assertions see exactly one run's activity.
+// linkFlapConfig is chaos-linkflap against the test's own registry, so
+// assertions see exactly one run's activity.
 func linkFlapConfig(horizon eventsim.Time, seed int64, reg *telemetry.Registry, traceTo *bytes.Buffer) ChaosRunConfig {
-	sysCfg := DefaultChaosSystemConfig()
-	sysCfg.Degrade = core.DegradeConfig{RollbackWindow: 3, RollbackMargin: 0.05}
-	sysCfg.Telemetry = reg
-	return ChaosRunConfig{
-		Scale:     QuickScale(),
-		SystemCfg: sysCfg,
-		Duration:  horizon,
-		TraceTo:   traceTo,
-		ScenarioFn: func(n *sim.Network) chaos.Scenario {
-			a, b, err := fabricLink(n)
-			if err != nil {
-				return chaos.Scenario{Seed: seed}
-			}
-			return chaos.Scenario{
-				Seed: seed,
-				Links: []chaos.LinkFault{{
-					A: a, B: b,
-					At:      horizon / 4,
-					DownFor: 3 * eventsim.Millisecond,
-					Flaps:   3,
-					Every:   8 * eventsim.Millisecond,
-				}},
-			}
-		},
-		Workload: func(n *sim.Network) error {
-			hosts := n.Topo.Hosts()
-			w := 6
-			if w > len(hosts) {
-				w = len(hosts)
-			}
-			_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
-				Workers:      hosts[:w],
-				MessageBytes: 1 << 20,
-				OffTime:      eventsim.Millisecond,
-			})
-			return err
-		},
-	}
+	cfg := ChaosLinkFlapConfig(QuickScale(), horizon, seed, traceTo)
+	cfg.SystemCfg.Telemetry = reg
+	return cfg
 }
 
 // TestTelemetryEndToEnd is the PR's acceptance scenario: one chaos

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/ctrlrpc"
@@ -14,8 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/tuner"
-	"repro/internal/workload"
 )
 
 // TestbedConfig drives the §IV-C "real testbed" mode: the data plane is
@@ -277,268 +274,4 @@ func drainFlows(n *sim.Network, step, maxTime eventsim.Time) {
 	for n.Eng.Now() < maxTime && n.IncompleteFlows() > 0 {
 		n.Run(min(n.Eng.Now()+step, maxTime))
 	}
-}
-
-// --- Fig 13: testbed alltoall bandwidth vs scale ---
-
-// Fig13Result maps worker count × scheme to mean alltoall goodput (Gbps).
-type Fig13Result struct {
-	WorkerCounts []int
-	GoodputGbps  map[int]map[string]float64
-	Order        []string
-}
-
-// Fig13 compares default, expert, and TCP-control-plane Paraleon on a
-// sustained alltoall at several scales. Every arm runs rounds
-// continuously for duration; goodput is averaged over the rounds of the
-// second half so the adaptive arm is measured after its tuning settles,
-// the same way the paper reports steady-state testbed bandwidth.
-func Fig13(scale Scale, workerCounts []int, msg int64, duration eventsim.Time) (*Fig13Result, error) {
-	res := &Fig13Result{
-		WorkerCounts: workerCounts,
-		GoodputGbps:  map[int]map[string]float64{},
-		Order:        []string{"default", "expert", "paraleon"},
-	}
-	half := duration / 2
-	for _, wc := range workerCounts {
-		res.GoodputGbps[wc] = map[string]float64{}
-		wl := func(n *sim.Network) (*workload.AlltoallGen, error) {
-			return workload.InstallAlltoall(n, workload.AlltoallConfig{
-				Workers:      n.Topo.Hosts()[:wc],
-				MessageBytes: msg,
-				OffTime:      2 * eventsim.Millisecond,
-			})
-		}
-		// Static arms run in plain simulation.
-		for _, sc := range []Scheme{DefaultScheme(), ExpertScheme()} {
-			netCfg := scale.Net
-			netCfg.Params = sc.Static
-			n, err := sim.New(netCfg)
-			if err != nil {
-				return nil, err
-			}
-			g, err := wl(n)
-			if err != nil {
-				return nil, err
-			}
-			n.Run(duration)
-			g.Stop()
-			n.RunUntilIdle(duration + eventsim.Second)
-			res.GoodputGbps[wc][sc.Name] = lateGoodputGbps(g, half)
-		}
-		// Paraleon runs behind the real control plane. Drain manually so
-		// the generator stops launching rounds first — DrainAfter would
-		// keep the collective running until MaxTime.
-		var gen *workload.AlltoallGen
-		srvCfg := ctrlrpc.DefaultServerConfig()
-		srvCfg.SA = tuner.ShortSAConfig()
-		tb, err := RunTestbed(TestbedConfig{
-			Scale:    scale,
-			Server:   srvCfg,
-			Duration: duration,
-			Workload: func(n *sim.Network) error {
-				var err error
-				gen, err = wl(n)
-				return err
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		gen.Stop()
-		drainFlows(tb.Net, scale.Interval, duration+eventsim.Second)
-		res.GoodputGbps[wc]["paraleon"] = lateGoodputGbps(gen, half)
-	}
-	return res, nil
-}
-
-// lateGoodputGbps averages round goodput over rounds completing at or
-// after the cutoff (all rounds if none qualify).
-func lateGoodputGbps(g *workload.AlltoallGen, after eventsim.Time) float64 {
-	if g.RoundsDone == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for r := 0; r < g.RoundsDone; r++ {
-		if g.RoundEnds[r] >= after {
-			sum += g.AggregateGoodputBps(r)
-			n++
-		}
-	}
-	if n == 0 {
-		for r := 0; r < g.RoundsDone; r++ {
-			sum += g.AggregateGoodputBps(r)
-		}
-		n = g.RoundsDone
-	}
-	return sum / float64(n) / 1e9
-}
-
-// Fprint renders the bandwidth table.
-func (r *Fig13Result) Fprint(w io.Writer) {
-	fmt.Fprintln(w, "Fig 13: testbed alltoall mean aggregate goodput (Gbps)")
-	fmt.Fprintf(w, "  %-10s", "scheme")
-	for _, wc := range r.WorkerCounts {
-		fmt.Fprintf(w, "%10d", wc)
-	}
-	fmt.Fprintln(w)
-	for _, name := range r.Order {
-		fmt.Fprintf(w, "  %-10s", name)
-		for _, wc := range r.WorkerCounts {
-			fmt.Fprintf(w, "%10.2f", r.GoodputGbps[wc][name])
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// --- Fig 14: testbed influx (alltoall + SolarRPC) ---
-
-// Fig14Result holds per-scheme series for the testbed influx scenario.
-type Fig14Result struct {
-	Spec    InfluxSpec
-	Order   []string
-	TP, RTT map[string]*metrics.Series
-}
-
-// TestbedInfluxSpec sizes the §IV-C influx: the SolarRPC burst arrives at
-// a load the fabric can actually serve once retuned — an overloaded burst
-// grows queues monotonically no matter the parameters, leaving nothing
-// for any scheme to win.
-func TestbedInfluxSpec() InfluxSpec {
-	spec := DefaultInfluxSpec()
-	spec.BurstLoad = 0.35
-	return spec
-}
-
-// Fig14 runs alltoall background traffic with a SolarRPC burst: static
-// arms in plain simulation, Paraleon behind the TCP control plane.
-func Fig14(scale Scale, spec InfluxSpec) (*Fig14Result, error) {
-	res := &Fig14Result{
-		Spec: spec,
-		TP:   map[string]*metrics.Series{},
-		RTT:  map[string]*metrics.Series{},
-	}
-	install := func(n *sim.Network) error {
-		hosts := n.Topo.Hosts()
-		_, err := workload.InstallInflux(n, workload.InfluxConfig{
-			Background: workload.AlltoallConfig{
-				Workers:      hosts[:spec.Workers],
-				MessageBytes: spec.Message,
-				OffTime:      5 * eventsim.Millisecond,
-			},
-			Burst: workload.PoissonConfig{
-				Hosts:    hosts,
-				CDF:      workload.SolarRPC(),
-				Load:     spec.BurstLoad,
-				Start:    spec.BurstAt,
-				Duration: spec.BurstLen,
-			},
-		})
-		return err
-	}
-	statics := []Scheme{DefaultScheme(), ExpertScheme()}
-	cfgs := make([]RunConfig, 0, len(statics))
-	for _, sc := range statics {
-		cfgs = append(cfgs, RunConfig{
-			Net:      scale.Net,
-			Scheme:   sc,
-			Interval: scale.Interval,
-			Duration: spec.Horizon,
-			Workload: install,
-		})
-	}
-	results, err := RunAll(cfgs, scale.parallel())
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		tp, rtt := r.TP, r.RTT
-		res.TP[statics[i].Name], res.RTT[statics[i].Name] = &tp, &rtt
-		res.Order = append(res.Order, statics[i].Name)
-	}
-	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = tuner.ShortSAConfig()
-	tb, err := RunTestbed(TestbedConfig{
-		Scale:    scale,
-		Server:   srvCfg,
-		Duration: spec.Horizon,
-		Workload: install,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.TP["paraleon"], res.RTT["paraleon"] = &tb.TP, &tb.RTT
-	res.Order = append(res.Order, "paraleon")
-	return res, nil
-}
-
-// Fprint renders burst-phase means.
-func (r *Fig14Result) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "Fig 14: testbed influx (SolarRPC burst at %v for %v)\n", r.Spec.BurstAt, r.Spec.BurstLen)
-	fmt.Fprintf(w, "  %-10s %22s %22s\n", "scheme", "TP during burst", "RTTnorm during burst")
-	for _, name := range r.Order {
-		from, to := r.Spec.BurstAt, r.Spec.BurstAt+r.Spec.BurstLen
-		fmt.Fprintf(w, "  %-10s %22.3f %22.3f\n", name,
-			r.TP[name].MeanOver(from, to), r.RTT[name].MeanOver(from, to))
-	}
-}
-
-// --- Table IV: system overheads ---
-
-// Table4Result reports the control plane's measured overheads.
-type Table4Result struct {
-	// Data transfer per monitor interval.
-	SwitchToControllerBytes int
-	ControllerToFabricBytes int
-	AgentTotalBytes         int64
-	// Controller compute per tick.
-	ProcessingPerTick time.Duration
-	// Agent memory: sketch + tracker footprint estimate.
-	AgentMemoryBytes int
-	Ticks            int64
-}
-
-// Table4 measures overheads from a testbed run.
-func Table4(scale Scale, duration eventsim.Time) (*Table4Result, error) {
-	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = tuner.ShortSAConfig()
-	tb, err := RunTestbed(TestbedConfig{
-		Scale:    scale,
-		Server:   srvCfg,
-		Duration: duration,
-		Workload: func(n *sim.Network) error {
-			_, err := workload.InstallPoisson(n, workload.PoissonConfig{
-				CDF: workload.FBHadoop(), Load: 0.3,
-			})
-			return err
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := tb.Server
-	res := &Table4Result{
-		SwitchToControllerBytes: tb.ReportBytes,
-		ControllerToFabricBytes: tb.ParamsBytes,
-		AgentTotalBytes:         tb.AgentBytesOut,
-		Ticks:                   st.Ticks,
-	}
-	if st.Ticks > 0 {
-		res.ProcessingPerTick = st.Processing / time.Duration(st.Ticks)
-	}
-	// Sketch: 512 heavy buckets (~32 B each) + 4×2048 light counters
-	// (8 B each), plus tracker entries.
-	res.AgentMemoryBytes = 512*32 + 4*2048*8
-	return res, nil
-}
-
-// Fprint renders the overhead table.
-func (r *Table4Result) Fprint(w io.Writer) {
-	fmt.Fprintln(w, "Table IV: Paraleon system overheads (measured)")
-	fmt.Fprintf(w, "  switch→controller per interval: %d B\n", r.SwitchToControllerBytes)
-	fmt.Fprintf(w, "  controller→fabric per interval: %d B\n", r.ControllerToFabricBytes)
-	fmt.Fprintf(w, "  controller compute per tick:    %v\n", r.ProcessingPerTick)
-	fmt.Fprintf(w, "  agent memory (sketch+window):   %d B\n", r.AgentMemoryBytes)
-	fmt.Fprintf(w, "  intervals processed:            %d\n", r.Ticks)
 }

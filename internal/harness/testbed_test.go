@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/ctrlrpc"
@@ -109,74 +108,5 @@ func TestTestbedDrainEndsOnCompletions(t *testing.T) {
 	}
 	if now := res.Net.Eng.Now(); now > last+scale.Interval {
 		t.Errorf("drain ran to %v, last completion at %v: more than one interval (%v) past it", now, last, scale.Interval)
-	}
-}
-
-func TestFig13(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed sweep skipped in -short")
-	}
-	res, err := Fig13(QuickScale(), []int{4, 6}, 1<<20, 80*eventsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wc := range res.WorkerCounts {
-		for _, name := range res.Order {
-			bw := res.GoodputGbps[wc][name]
-			if bw <= 0 {
-				t.Errorf("workers %d scheme %s: goodput %g", wc, name, bw)
-			}
-		}
-	}
-	var sb strings.Builder
-	res.Fprint(&sb)
-	if !strings.Contains(sb.String(), "paraleon") {
-		t.Error("Fprint missing paraleon row")
-	}
-}
-
-func TestFig14(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed influx skipped in -short")
-	}
-	spec := DefaultInfluxSpec()
-	spec.Horizon = 60 * eventsim.Millisecond
-	spec.BurstAt = 20 * eventsim.Millisecond
-	spec.BurstLen = 15 * eventsim.Millisecond
-	res, err := Fig14(QuickScale(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Order) != 3 {
-		t.Fatalf("%d arms", len(res.Order))
-	}
-	for _, name := range res.Order {
-		if res.TP[name].Len() != 60 {
-			t.Errorf("%s: %d samples", name, res.TP[name].Len())
-		}
-	}
-}
-
-func TestTable4(t *testing.T) {
-	res, err := Table4(QuickScale(), 20*eventsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SwitchToControllerBytes <= 0 {
-		t.Error("no switch→controller bytes")
-	}
-	if res.ControllerToFabricBytes <= 0 {
-		t.Error("no controller→fabric bytes")
-	}
-	if res.Ticks != 20 {
-		t.Errorf("ticks %d, want 20", res.Ticks)
-	}
-	if res.ProcessingPerTick <= 0 {
-		t.Error("no processing time recorded")
-	}
-	var sb strings.Builder
-	res.Fprint(&sb)
-	if !strings.Contains(sb.String(), "Table IV") {
-		t.Error("Fprint missing header")
 	}
 }

@@ -26,7 +26,7 @@
 //	workload  – FB_Hadoop / SolarRPC / alltoall generators
 //	metrics   – slowdowns, CDFs, time series
 //	ctrlrpc   – the real TCP control plane
-//	harness   – one runner per paper table/figure
+//	harness   – the experiment table behind cmd/paraleon-sim
 package paraleon
 
 import (
@@ -34,7 +34,6 @@ import (
 	"repro/internal/ctrlrpc"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/harness"
 	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -181,24 +180,6 @@ type (
 
 // Summarize computes FCT statistics for a finished run.
 var Summarize = metrics.Summarize
-
-// Scheme is one experiment arm; Scale one fabric size.
-type (
-	Scheme = harness.Scheme
-	Scale  = harness.Scale
-)
-
-// Experiment arms and scales.
-var (
-	DefaultScheme   = harness.DefaultScheme
-	ExpertScheme    = harness.ExpertScheme
-	ParaleonScheme  = harness.ParaleonScheme
-	ACCScheme       = harness.ACCScheme
-	DCQCNPlusScheme = harness.DCQCNPlusScheme
-	QuickScale      = harness.QuickScale
-	MediumScale     = harness.MediumScale
-	PaperScale      = harness.PaperScale
-)
 
 // ControllerConfig configures the real TCP controller; ServeController
 // starts one and DialController connects an agent to it.
