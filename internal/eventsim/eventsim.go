@@ -20,26 +20,29 @@
 // among events of one timestamp the one armed first (Schedule, After,
 // TimerAfter, or a Rearm, which counts as a fresh insertion). No field
 // records that order; position in a wheel list is the order. The queue that
-// realizes it is one hierarchical timing wheel of 11 levels × 64 slots. A
-// level-l slot is 64^l ns wide, so a level-0 slot is one nanosecond — one
-// exact timestamp — and 11 levels span every non-negative int64 time. No
-// comparator-driven structure exists beside it. Why the wheel alone yields
-// the total order:
+// realizes it is one hierarchical timing wheel of 10 levels: level 0 has
+// 4096 slots of one nanosecond — one exact timestamp each — and every level
+// above it 64 slots, a level-l slot being 4096·64^(l-1) ns wide, so the
+// levels span every non-negative int64 time. No comparator-driven structure
+// exists beside it. Why the wheel alone yields the total order:
 //
 //   - Placement. The wheel keeps a cursor with cursor ≤ at for every
-//     pending event. Reading times as base-64 digits, an event is filed at
-//     the level of the highest digit in which at differs from the cursor
-//     (level 0 when equal), in the slot named by at's digit there. Digits
-//     above that level equal the cursor's, so at level l ≥ 1 every
-//     occupied slot lies strictly ahead of the cursor's own digit: there
-//     is no wrap-around, the lowest set bit of a level's occupancy bitmap
-//     is its earliest slot, and every event of level l precedes every
-//     event of level l+1.
-//   - Level 0 holds events whose time differs from the cursor in the last
-//     digit only. Each slot list there is one timestamp, and events reach
-//     it in insertion order (next point), so appending at the tail keeps
-//     it in insertion order. The head of the lowest occupied level-0 slot
-//     is therefore the engine's next event.
+//     pending event. Reading times as a 12-bit lowest digit under 6-bit
+//     digits, an event is filed at the level of the highest digit in which
+//     at differs from the cursor (level 0 when equal), in the slot named by
+//     at's digit there. Digits above that level equal the cursor's, so at
+//     every level each occupied slot lies at or (above level 0) strictly
+//     ahead of the cursor's own digit: there is no wrap-around, the lowest
+//     set bit of a level's occupancy bitmap is its earliest slot, and every
+//     event of level l precedes every event of level l+1. Level 0's bitmap
+//     is 64 words under a summary word, so finding its earliest slot is
+//     still two trailing-zero counts.
+//   - Level 0 holds events whose time differs from the cursor in the
+//     lowest 12 bits only. Each slot list there is one timestamp, and
+//     events reach it in insertion order (next point), so appending at the
+//     tail keeps it in insertion order. The head of the lowest occupied
+//     level-0 slot is therefore the engine's next event, and popping it
+//     only advances that list's head.
 //   - Cascade. When level 0 is empty, the earliest slot of the lowest
 //     occupied level is the earliest pending range. The cursor moves to
 //     that slot's start and its events are refiled, landing one or more
@@ -107,10 +110,12 @@ type event struct {
 	// can never cancel the current one. A slot whose generation matches a
 	// caller's EventID is therefore filed in the wheel.
 	gen uint32
-	// next and prev link the slot into its wheel list (-1 at either end);
-	// next doubles as the free-list chain while the slot is released.
+	// next and prev link the slot into its wheel list: next is -1 at the
+	// tail, and a head's prev is stale (unlink knows the head from the
+	// list). next doubles as the free-list chain while the slot is released.
 	next, prev int32
-	// list is the wheel list the event is filed in: level*wheelSlots+slot.
+	// list is the wheel list the event is filed in: its level-0 slot, or
+	// level0Slots+(level-1)*wheelSlots+slot above level 0.
 	list int16
 }
 
@@ -124,13 +129,20 @@ type EventID struct {
 	gen  uint32
 }
 
-// Timing-wheel geometry: a level-l slot is 64^l ns wide, and 11 levels of
-// 6 bits cover all 63 value bits of a non-negative Time.
+// Timing-wheel geometry: level 0 is a 12-bit digit of 4096 one-nanosecond
+// slots, and each level above it a 6-bit digit of 64 slots, so a level-l
+// slot (l ≥ 1) is 4096·64^(l-1) ns wide and 10 levels cover all 63 value
+// bits of a non-negative Time. Lists are numbered level 0 first, so list i
+// has occupancy bit i%64 of word i/64 at every level.
 const (
+	level0Bits  = 12
+	level0Slots = 1 << level0Bits
+	level0Words = level0Slots / 64
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 11
+	wheelLevels = 1 + (63-level0Bits+wheelBits-1)/wheelBits
+	wheelLists  = level0Slots + (wheelLevels-1)*wheelSlots
 )
 
 // Engine is a discrete-event scheduler. The zero value is not usable; call
@@ -143,14 +155,16 @@ type Engine struct {
 	freeHead int32
 
 	// The timing wheel; the package comment argues its order. cursor ≤ at
-	// for every pending event. occupied[l] has bit i set while list
-	// l*wheelSlots+i is non-empty; head and tail are meaningful only under
-	// a set bit, so they need no -1 initialization.
+	// for every pending event. occupied[i/64] has bit i%64 set while list i
+	// is non-empty, and summary has bit w set while level-0 word w is
+	// non-zero; head and tail are meaningful only under a set bit, so they
+	// need no -1 initialization.
 	cursor   Time
 	pending  int
-	occupied [wheelLevels]uint64
-	head     [wheelLevels * wheelSlots]int32
-	tail     [wheelLevels * wheelSlots]int32
+	summary  uint64
+	occupied [wheelLists / 64]uint64
+	head     [wheelLists]int32
+	tail     [wheelLists]int32
 
 	seed    int64
 	rng     *rand.Rand
@@ -305,18 +319,23 @@ func (e *Engine) arm(slot int32, at Time, fn Handler) {
 // the cursor.
 func (e *Engine) file(slot int32) {
 	ev := &e.slots[slot]
-	lvl := uint(bits.Len64(uint64(ev.at^e.cursor)|1)-1) / wheelBits
-	idx := uint(ev.at>>(lvl*wheelBits)) & wheelMask
-	list := lvl*wheelSlots + idx
+	var list uint
+	if n := uint(bits.Len64(uint64(ev.at ^ e.cursor))); n <= level0Bits {
+		list = uint(ev.at) % level0Slots
+		e.summary |= 1 << (list / 64)
+	} else {
+		lvl := (n - level0Bits - 1) / wheelBits // level above 0, less one
+		list = level0Slots + lvl*wheelSlots + uint(ev.at>>(level0Bits+lvl*wheelBits))&wheelMask
+	}
 	ev.list = int16(list)
-	if bit := uint64(1) << idx; e.occupied[lvl]&bit == 0 {
-		e.occupied[lvl] |= bit
-		ev.prev, ev.next = -1, -1
+	ev.next = -1
+	if bit := uint64(1) << (list % 64); e.occupied[list/64]&bit == 0 {
+		e.occupied[list/64] |= bit
 		e.head[list], e.tail[list] = slot, slot
 		return
 	}
 	tail := e.tail[list]
-	ev.prev, ev.next = tail, -1
+	ev.prev = tail
 	e.slots[tail].next = slot
 	e.tail[list] = slot
 }
@@ -325,20 +344,32 @@ func (e *Engine) file(slot int32) {
 func (e *Engine) unlink(slot int32) {
 	ev := &e.slots[slot]
 	list := uint(ev.list)
-	if ev.prev >= 0 {
+	if e.head[list] == slot {
+		e.behead(list, ev.next)
+	} else {
 		e.slots[ev.prev].next = ev.next
-	} else {
-		e.head[list] = ev.next
-	}
-	if ev.next >= 0 {
-		e.slots[ev.next].prev = ev.prev
-	} else {
-		e.tail[list] = ev.prev
-	}
-	if ev.prev < 0 && ev.next < 0 {
-		e.occupied[list/wheelSlots] &^= 1 << (list % wheelSlots)
+		if ev.next >= 0 {
+			e.slots[ev.next].prev = ev.prev
+		} else {
+			e.tail[list] = ev.prev
+		}
 	}
 	e.pending--
+}
+
+// behead drops the head of a list, whose successor is next, clearing the
+// list's occupancy when it empties. A head's prev is never read, so the new
+// head's is left as it was.
+func (e *Engine) behead(list uint, next int32) {
+	if next >= 0 {
+		e.head[list] = next
+		return
+	}
+	w := list / 64
+	e.occupied[w] &^= 1 << (list % 64)
+	if e.occupied[w] == 0 && w < level0Words {
+		e.summary &^= 1 << w
+	}
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
@@ -369,12 +400,16 @@ func (e *Engine) Pending() int { return e.pending }
 
 // earliest returns the wheel list holding the earliest pending event — the
 // earliest slot of the lowest occupied level — or -1 when nothing is
-// pending. It ranges over a pointer: ranging over the array value would
-// copy all of e.occupied on every call.
+// pending. Level 0 is two trailing-zero counts, through its summary word;
+// every level above it is one word, and list numbering follows word order.
 func (e *Engine) earliest() int {
-	for lvl, occ := range &e.occupied {
-		if occ != 0 {
-			return lvl*wheelSlots + bits.TrailingZeros64(occ)
+	if e.summary != 0 {
+		w := bits.TrailingZeros64(e.summary)
+		return w*64 + bits.TrailingZeros64(e.occupied[w])
+	}
+	for w := level0Words; w < len(e.occupied); w++ {
+		if occ := e.occupied[w]; occ != 0 {
+			return w*64 + bits.TrailingZeros64(occ)
 		}
 	}
 	return -1
@@ -392,7 +427,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 		return 0, false
 	}
 	t := e.slots[e.head[list]].at
-	if list >= wheelSlots {
+	if list >= level0Slots {
 		for s := e.slots[e.head[list]].next; s >= 0; s = e.slots[s].next {
 			if at := e.slots[s].at; at < t {
 				t = at
@@ -402,27 +437,24 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return t, true
 }
 
-// next returns the slot of the earliest pending event when its time is ≤
-// limit, cascading on the way without moving the cursor past limit, and
-// -1 when nothing is due by then.
-func (e *Engine) next(limit Time) int32 {
+// cascade refiles the earliest slot above level 0 while level 0 is empty
+// and that slot starts by limit, never moving the cursor past limit. It
+// returns the earliest level-0 list then, or -1.
+func (e *Engine) cascade(limit Time) int {
 	for {
 		list := e.earliest()
-		if list < 0 {
-			return -1
+		if list < level0Slots {
+			return list
 		}
-		lvl, idx := uint(list/wheelSlots), uint64(list%wheelSlots)
-		shift := lvl * wheelBits
+		lvl := uint(list-level0Slots) / wheelSlots // level above 0, less one
+		shift := level0Bits + lvl*wheelBits
 		// A shift of 64 or more yields 0, so the top level masks all bits.
-		start := Time(uint64(e.cursor)&^(1<<(shift+wheelBits)-1) | idx<<shift)
+		start := Time(uint64(e.cursor)&^(1<<(shift+wheelBits)-1) | uint64(list%wheelSlots)<<shift)
 		if start > limit {
 			return -1
 		}
-		if lvl == 0 {
-			return e.head[list]
-		}
 		e.cursor = start
-		e.occupied[lvl] &^= 1 << idx
+		e.occupied[list/64] &^= 1 << (list % 64)
 		for s := e.head[list]; s >= 0; {
 			next := e.slots[s].next
 			e.file(s)
@@ -432,14 +464,21 @@ func (e *Engine) next(limit Time) int32 {
 	}
 }
 
-// step executes the earliest pending event if its time is ≤ limit.
+// step executes the earliest pending event if its time is ≤ limit. That
+// event heads the earliest level-0 list, so popping it advances the head
+// instead of taking the general unlink.
 func (e *Engine) step(limit Time) bool {
-	slot := e.next(limit)
-	if slot < 0 {
+	list := e.earliest()
+	if list >= level0Slots {
+		list = e.cascade(limit)
+	}
+	if list < 0 || e.cursor&^(level0Slots-1)|Time(list) > limit {
 		return false
 	}
-	e.unlink(slot)
+	slot := e.head[list]
 	ev := &e.slots[slot]
+	e.behead(uint(list), ev.next)
+	e.pending--
 	e.now, e.cursor = ev.at, ev.at
 	fn := ev.fn
 	// Release before invoking: the handler may reschedule into the same

@@ -3,6 +3,7 @@ package eventsim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"unsafe"
 )
@@ -244,6 +245,17 @@ func FuzzWheelVsOracle(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	// Level 0's 12-bit digit, from cursor 1000: +4096, +4097 and +4096 ns,
+	// an idle run that leaves the cursor behind, +4095 ns, one pop that
+	// cascades them all to level 0, then direct inserts at +4097 and at the
+	// popped nanosecond.
+	f.Add([]byte{7, 250, 0, 2, 8, 12, 0, 0, 8, 12, 1, 1, 8, 12, 0, 2, 7, 7, 0, 8,
+		8, 11, 255, 0, 5, 0, 0, 1, 8, 0, 1, 0, 0, 0, 0, 0})
+	// From cursor 1: 4097 and 4352, then 4096 and 4095 on either side of the
+	// first block boundary, two pops across it, a direct insert at the
+	// cascaded 4097 and a spawn.
+	f.Add([]byte{7, 1, 0, 0, 8, 12, 0, 0, 8, 12, 255, 1, 7, 7, 0, 8, 8, 11, 255, 2,
+		8, 11, 254, 0, 5, 0, 0, 2, 8, 0, 0, 0, 6, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
@@ -381,6 +393,104 @@ func TestSameNanosecondFleetCascadesLinearly(t *testing.T) {
 	}
 }
 
+// levelOf reports the wheel level a pending event is filed at.
+func levelOf(eng *Engine, id EventID) int {
+	list := int(eng.slots[id.slot].list)
+	if list < level0Slots {
+		return 0
+	}
+	return 1 + (list-level0Slots)/wheelSlots
+}
+
+// TestLevel0DigitBoundaries pins placement and order around level 0's
+// 12-bit digit. From an aligned cursor +4095 ns is the last level-0 slot;
+// from any other cursor +4095, +4096 and +4097 ns all leave the cursor's
+// 4096-ns block, and from just below 2^18 they leave its level-1 slot too.
+// However they were filed, events pop in (time, insertion order): on both
+// sides of a block boundary, and when a cascade brings a level-1 slot down
+// to level 0 ahead of direct inserts at the same nanosecond.
+func TestLevel0DigitBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		cursor Time
+		levels [3]int // of +4095, +4096 and +4097
+	}{
+		{5 * level0Slots, [3]int{0, 1, 1}},
+		{5*level0Slots + 1, [3]int{1, 1, 1}},
+		{5*level0Slots + 1234, [3]int{1, 1, 1}},
+		{6*level0Slots - 1, [3]int{1, 1, 1}},
+		{31*level0Slots + 100, [3]int{1, 1, 1}}, // level 1's highest digit bit
+		{1<<18 - 1, [3]int{2, 2, 2}},
+	} {
+		t.Run(fmt.Sprint(tc.cursor), func(t *testing.T) {
+			c := tc.cursor
+			boundary := c&^(level0Slots-1) + level0Slots
+			eng := NewEngine(1)
+			eng.RunUntil(c)
+
+			type armed struct {
+				at  Time
+				tag string
+			}
+			var want []armed // insertion order
+			var got []string
+			var moved EventID
+			cascaded := false
+			var rec func(tag string) Handler
+			arm := func(at Time, tag string) EventID {
+				want = append(want, armed{at, tag})
+				return eng.Schedule(at, rec(tag))
+			}
+			rec = func(tag string) Handler {
+				return func() {
+					got = append(got, tag)
+					if cascaded || eng.Now() < boundary {
+						return
+					}
+					// The first pop past the boundary: the cascade has filed
+					// the +4096 events in level 0, and what is armed at
+					// their nanosecond now goes there directly, behind them.
+					cascaded = true
+					if id := arm(c+4096, "direct"); levelOf(eng, id) != 0 {
+						t.Errorf("direct insert filed at level %d, want 0", levelOf(eng, id))
+					}
+					for i := range want {
+						if want[i].tag == "moved" {
+							want = append(want[:i], want[i+1:]...)
+							break
+						}
+					}
+					want = append(want, armed{c + 4096, "rearmed"})
+					eng.RearmAt(moved, c+4096, rec("rearmed"))
+				}
+			}
+
+			var ids [3]EventID
+			ids[2] = arm(c+4097, "+4097")
+			ids[1] = arm(c+4096, "+4096")
+			ids[0] = arm(c+4095, "+4095")
+			for i, id := range ids {
+				if lvl := levelOf(eng, id); lvl != tc.levels[i] {
+					t.Fatalf("+%d ns filed at level %d, want %d", 4095+i, lvl, tc.levels[i])
+				}
+			}
+			arm(boundary, "boundary")
+			arm(boundary-1, "boundary-1")
+			arm(c+4096, "+4096 again")
+			moved = arm(c+4097, "moved")
+			eng.Run()
+
+			sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+			tags := make([]string, len(want))
+			for i, w := range want {
+				tags[i] = w.tag
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tags) {
+				t.Fatalf("pop order %q, want %q", got, tags)
+			}
+		})
+	}
+}
+
 // Cancelling or rearming an event that sits in the level-0 list being
 // drained — same nanosecond as the running handler — takes effect.
 func TestCancelAndRearmInDrainingSlot(t *testing.T) {
@@ -412,16 +522,19 @@ func TestCancelAndRearmInDrainingSlot(t *testing.T) {
 	}
 }
 
-// TestWheelOpsZeroAlloc pins the hot path allocation-free in steady
-// state: schedule, cancel, rearm, and a fire/re-arm cycle must not
-// allocate once the slab has warmed up.
 // Two events per 64-byte cache line: the slab is the engine's working set.
 func TestEventIs32Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 32 {
 		t.Fatalf("event is %d bytes, want 32", got)
 	}
+	if wheelLists > math.MaxInt16 {
+		t.Fatalf("%d wheel lists overflow event.list", wheelLists)
+	}
 }
 
+// TestWheelOpsZeroAlloc pins the hot path allocation-free in steady
+// state: schedule, cancel, rearm, and a fire/re-arm cycle must not
+// allocate once the slab has warmed up.
 func TestWheelOpsZeroAlloc(t *testing.T) {
 	eng := NewEngine(1)
 	fn := func() {}

@@ -57,6 +57,30 @@ func TestRunStaticScheme(t *testing.T) {
 	}
 }
 
+// TestQuickArmRelinksPerEvent gates the timing wheel's geometry on a real
+// arm. A packet hop is scheduled 0.8–3 µs ahead, so a 4096-ns level 0 files
+// most events once, and cascades refile well under one per event; a 64-ns
+// level 0 refiles 1.5 per event on this arm.
+func TestQuickArmRelinksPerEvent(t *testing.T) {
+	scale := QuickScale()
+	r, err := Run(RunConfig{
+		Net:        scale.Net,
+		Scheme:     DefaultScheme(),
+		Interval:   scale.Interval,
+		Duration:   20 * eventsim.Millisecond,
+		DrainAfter: true,
+		Workload:   fbPoisson(0.3, 20*eventsim.Millisecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Net.Eng.Stats()
+	if perEvent := float64(st.Relinks) / float64(st.Processed); st.Processed == 0 || perEvent > 0.7 {
+		t.Errorf("%d relinks over %d events (%.3f per event), want at most 0.7 per event",
+			st.Relinks, st.Processed, perEvent)
+	}
+}
+
 func TestRunParaleonScheme(t *testing.T) {
 	scale := QuickScale()
 	sc := ParaleonScheme()
