@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("  agent bytes uploaded:  %d B\n", res.AgentBytesOut)
 	if res.TP.Len() > 0 {
 		fmt.Printf("  final interval: TP=%.3f RTTnorm=%.3f\n",
-			res.TP.Values[res.TP.Len()-1], res.RTT.Values[res.RTT.Len()-1])
+			res.TP.Values()[res.TP.Len()-1], res.RTT.Values()[res.RTT.Len()-1])
 	}
 	if *report {
 		telemetry.Default().BuildReport().Fprint(os.Stdout)

@@ -52,8 +52,8 @@ func main() {
 	fmt.Printf("  wire: total in/out       %d / %d B\n", st.BytesIn, st.BytesOut)
 	fmt.Printf("  controller compute:      %v total\n", st.Processing)
 	if res.TP.Len() > 0 {
-		from := 60 * paraleon.Millisecond
-		to := 80 * paraleon.Millisecond
+		from := int64(60 * paraleon.Millisecond)
+		to := int64(80 * paraleon.Millisecond)
 		fmt.Printf("  last 20ms means: TP=%.3f RTTnorm=%.3f\n",
 			res.TP.MeanOver(from, to), res.RTT.MeanOver(from, to))
 	}

@@ -276,9 +276,6 @@ func TestSystemClosedLoop(t *testing.T) {
 	if s.Dispatches == 0 {
 		t.Error("no parameter dispatches during an active session")
 	}
-	if len(s.UtilityTrace) == 0 {
-		t.Error("utility trace empty")
-	}
 	s.Stop()
 	ticksAtStop := s.Controller.Ticks
 	n.Run(20 * eventsim.Millisecond)

@@ -20,7 +20,7 @@ import (
 //
 // Everything here is read-only with respect to the simulation — no
 // engine events, no randomness, no take-style counter resets — so an
-// attached recorder leaves event traces and goldens untouched. Every
+// attached recorder leaves the event log and goldens untouched. Every
 // handle (series, switches) is resolved at construction; sample() is
 // allocation-free.
 type flightSampler struct {
@@ -157,6 +157,13 @@ func (f *flightSampler) sample(s *System, now eventsim.Time, sample loop.Runtime
 	}
 
 	f.checkTransitions(s, t)
+}
+
+// trip records an anomaly in the flight recorder, if one is attached.
+func (f *flightSampler) trip(t int64, kind, detail string) {
+	if f != nil {
+		f.rec.Trip(t, kind, detail)
+	}
 }
 
 // checkTransitions trips the sampler-owned anomaly triggers: quorum

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
+	"repro/internal/trace"
 	"repro/internal/tuner"
 )
 
@@ -48,8 +49,9 @@ func TestFlightSampleZeroAlloc(t *testing.T) {
 }
 
 // TestFlightRecorderCapturesLoop smoke-checks the wiring: running the
-// closed loop with a recorder attached populates the loop and per-ToR
-// series and produces a loadable artifact.
+// closed loop with a recorder and a tail-keeping event log attached
+// populates the loop and per-ToR series and produces a loadable artifact
+// whose events are the log's tail.
 func TestFlightRecorderCapturesLoop(t *testing.T) {
 	n, err := sim.New(sim.DefaultConfig())
 	if err != nil {
@@ -59,7 +61,8 @@ func TestFlightRecorderCapturesLoop(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
 	rec := series.NewRecorder(series.Meta{Experiment: "unit", Seed: 3})
-	cfg.Flight = rec
+	rec.Log = trace.New(func() int64 { return int64(n.Eng.Now()) }, nil, true)
+	cfg.Flight, cfg.Trace = rec, rec.Log
 	s, err := Attach(n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,16 +99,9 @@ func TestFlightRecorderCapturesLoop(t *testing.T) {
 	if u := a.FindSeries("utility"); int64(s.Controller.Ticks) != u.Offered {
 		t.Errorf("utility offered %d samples over %d controller ticks", u.Offered, s.Controller.Ticks)
 	}
-	// Dispatches land in the event window (the loop dispatched at least
-	// once in 15 ms of quickSA on fresh traffic).
-	found := false
-	for _, e := range a.Events {
-		if e.Kind == "dispatch" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Errorf("no dispatch events recorded (events=%d, dispatches=%d)", len(a.Events), s.Dispatches)
+	// Every dispatch lands in the log's tail (the loop dispatched at
+	// least once in 15 ms of quickSA on fresh traffic).
+	if got := len(trace.Filter(a.Events, trace.KindDispatch)); got == 0 || got != s.Dispatches {
+		t.Errorf("%d dispatch events recorded, %d dispatches", got, s.Dispatches)
 	}
 }

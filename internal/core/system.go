@@ -20,6 +20,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/tuner"
 )
 
@@ -79,6 +80,11 @@ type SystemConfig struct {
 	// and guard-reject bursts. Sampling is read-only and allocation-free;
 	// nil (the default) changes nothing.
 	Flight *series.Recorder
+	// Trace, when non-nil, is the run's event log. A span opens at each
+	// tuning trigger, every dispatch of the session carries its ID, and
+	// the span closes when the session settles or aborts; the dispatch
+	// pipeline writes its plan and phase spans into the same log.
+	Trace *trace.Recorder
 }
 
 // DegradeConfig is the graceful-degradation policy of a deployment.
@@ -150,8 +156,6 @@ type System struct {
 	// LastSample is the most recent runtime measurement.
 	Dispatches int
 	LastSample loop.RuntimeSample
-	// UtilityTrace records Utility(LastSample) each interval.
-	UtilityTrace []float64
 
 	// Dispatch, when non-nil, is the staged rollout pipeline every
 	// parameter push goes through (SystemConfig.Dispatch.Enabled); nil
@@ -171,16 +175,10 @@ type System struct {
 	// FrozenIntervals counts intervals held because quorum was lost.
 	Rollbacks       int
 	FrozenIntervals int
-	// OnDispatch / OnRollback, if set, observe parameter pushes (trace
-	// recording). OnRollback fires with the restored vector after it has
-	// been applied.
+	// OnDispatch, if set, observes parameter pushes.
 	OnDispatch func(p dcqcn.Params)
-	OnRollback func(p dcqcn.Params)
-	// Trace, when non-nil, receives span-linked control-loop events: a
-	// span opens at each tuning trigger, every dispatch of the session
-	// carries its ID, and the span closes when the session settles or
-	// aborts. trace.Recorder satisfies this.
-	Trace TraceSink
+	// trace is the run's event log (SystemConfig.Trace; may be nil).
+	trace *trace.Recorder
 
 	// Telemetry instrumentation (resolved from SystemConfig.Telemetry).
 	status *telemetry.StatusCell[LoopStatus]
@@ -192,21 +190,6 @@ type System struct {
 	flight *flightSampler
 
 	sessionSpan uint64
-}
-
-// TraceSink receives span-linked control-loop trace events. It is
-// satisfied by *trace.Recorder (defined structurally here so core does
-// not depend on the trace package).
-type TraceSink interface {
-	// SpanStart opens a named span under parent (0 = root) and returns
-	// its ID; SpanEnd closes it.
-	SpanStart(name string, parent uint64) uint64
-	SpanEnd(id uint64)
-	// TriggerIn / DispatchIn / RollbackIn record loop events linked
-	// into a span (0 = unlinked).
-	TriggerIn(span uint64, fsd loop.FSD)
-	DispatchIn(span uint64, p dcqcn.Params)
-	RollbackIn(span uint64, p dcqcn.Params)
 }
 
 // LoopStatus is the /debug/status snapshot of one control loop,
@@ -271,6 +254,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 		degrade:  cfg.Degrade,
 		current:  *net.RNICParams(),
 		guard:    dispatch.NewGuard(dispatch.GuardConfig{}),
+		trace:    cfg.Trace,
 	}
 	if s.probe <= 0 {
 		s.probe = cfg.Interval / 4
@@ -346,6 +330,7 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 		net.ApplyParamsToCluster(tors, p)
 	}
 	s.Dispatch = dispatch.New(cfg.Dispatch, net.Eng, fab, apply, reg)
+	s.Dispatch.Trace = s.trace
 	s.Dispatch.OnCommit = func(p dcqcn.Params) { s.current = p }
 	s.Dispatch.OnAbort = func(restored dcqcn.Params, reason string) {
 		// A failed canary must not poison the baseline: re-anchor the
@@ -355,9 +340,7 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 		s.goodUtil = s.utilEWMA
 		s.haveGood = true
 		s.regress = 0
-		if s.flight != nil {
-			s.flight.rec.Trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
-		}
+		s.flight.trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
 	}
 	s.apply = staged{s}
 	return s.Dispatch.Resume(*net.RNICParams(), net.Eng.Now())
@@ -374,17 +357,14 @@ func (s *System) wireStep() {
 
 // traceSession opens the trace span of a session about to start.
 func (s *System) traceSession(fsd loop.FSD) {
-	if s.Trace == nil {
-		return
-	}
-	if s.Tuner.Active() && s.sessionSpan != 0 {
+	if s.Tuner.Active() {
 		// Restarted mid-session (TriggerNow): close the old span.
-		s.Trace.SpanEnd(s.sessionSpan)
+		s.trace.SpanEnd(s.sessionSpan)
 	}
 	// "sa_session" for the default strategy, matching the historical
 	// trace vocabulary (and the recorded goldens) byte-for-byte.
-	s.sessionSpan = s.Trace.SpanStart(s.Tuner.Name()+"_session", 0)
-	s.Trace.TriggerIn(s.sessionSpan, fsd)
+	s.sessionSpan = s.trace.SpanStart(s.Tuner.Name()+"_session", 0)
+	s.trace.Trigger(s.sessionSpan, fsd)
 }
 
 // dispatched overlays a per-switch strategy's local proposals on the
@@ -398,23 +378,14 @@ func (s *System) dispatched(p dcqcn.Params) {
 	if s.OnDispatch != nil {
 		s.OnDispatch(p)
 	}
-	if s.flight != nil {
-		// Constant kind/detail strings: the event ring entry is a value
-		// write, so recording dispatches allocates nothing.
-		s.flight.rec.Event(int64(now), "dispatch", "")
-	}
-	if s.Trace != nil {
-		s.Trace.DispatchIn(s.sessionSpan, p)
-	}
+	s.trace.Dispatch(s.sessionSpan, p)
 }
 
 // settled closes the trace span of a session that decided its final
 // proposal.
 func (s *System) settled() {
-	if s.Trace != nil && s.sessionSpan != 0 {
-		s.Trace.SpanEnd(s.sessionSpan)
-		s.sessionSpan = 0
-	}
+	s.trace.SpanEnd(s.sessionSpan)
+	s.sessionSpan = 0
 }
 
 // AttachPartitioned deploys one independent Paraleon instance per cluster
@@ -493,7 +464,6 @@ func (s *System) tick() {
 	sample := s.Collector.Sample(s.interval)
 	s.LastSample = sample
 	util := tuner.Utility(sample, s.weights)
-	s.UtilityTrace = append(s.UtilityTrace, util)
 	now := s.Net.Eng.Now()
 	s.vtime.Set(float64(now))
 	if s.flight != nil {
@@ -651,24 +621,17 @@ func (s *System) checkRollback(util float64) bool {
 	s.Tuner.Abort()
 	s.Rollbacks++
 	s.TM.Rollbacks.Inc()
-	if s.flight != nil {
-		s.flight.rec.Trip(int64(s.Net.Eng.Now()),
-			"rollback", fmt.Sprintf("ewma %.3f below good %.3f", s.utilEWMA, s.goodUtil))
-	}
+	s.flight.trip(int64(s.Net.Eng.Now()),
+		"rollback", fmt.Sprintf("ewma %.3f below good %.3f", s.utilEWMA, s.goodUtil))
 	s.regress = 0
 	// The regression has tainted the baseline too: re-anchor the good
 	// utility at the current level so a persistent fault does not fire
 	// an endless rollback storm against an unreachable pre-fault bar.
 	s.goodUtil = s.utilEWMA
-	if s.OnRollback != nil {
-		s.OnRollback(s.lastGood)
-	}
-	if s.Trace != nil {
-		s.Trace.RollbackIn(s.sessionSpan, s.lastGood)
-		if wasActive && s.sessionSpan != 0 {
-			s.Trace.SpanEnd(s.sessionSpan)
-			s.sessionSpan = 0
-		}
+	s.trace.Rollback(s.sessionSpan, s.lastGood)
+	if wasActive {
+		s.trace.SpanEnd(s.sessionSpan)
+		s.sessionSpan = 0
 	}
 	return true
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/loop"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
+	"repro/internal/trace"
 	"repro/internal/tuner"
 )
 
@@ -60,10 +61,11 @@ type ServerConfig struct {
 	WAL dispatch.WAL
 	// Flight, when non-nil, attaches the flight recorder: each tick the
 	// server samples its aggregated health signals into the recorder's
-	// series (time axis: tick index, since the wall-clock daemon has no
-	// virtual clock) and records dispatches and guard rejects as events.
-	// The caller owns writing the artifact out (paraleon-controller's
-	// -blackbox flag does it on shutdown).
+	// series and records dispatches and rejects in an event log it sets
+	// as the recorder's Log, whose tail the artifact carries. Both use
+	// the tick index as their time axis, since the wall-clock daemon has
+	// no virtual clock. The caller owns writing the artifact out
+	// (paraleon-controller's -blackbox flag does it on shutdown).
 	Flight *series.Recorder
 }
 
@@ -133,8 +135,10 @@ type Server struct {
 	dm     *telemetry.DispatchMetrics
 	ttm    *telemetry.TunerMetrics
 
-	// Flight-recorder series handles (nil unless cfg.Flight is set).
+	// Flight-recorder series handles and event log (nil unless
+	// cfg.Flight is set).
 	flight                    *series.Recorder
+	trace                     *trace.Recorder
 	fOTP, fORTT, fOPFC, fUtil *series.Series
 	fKL, fBest, fEpoch        *series.Series
 }
@@ -203,6 +207,9 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		m := s.flight.Meta()
 		m.Tuner = s.tuner.Name()
 		s.flight.SetMeta(m)
+		// Events are stamped inside tick, which holds s.mu.
+		s.trace = trace.New(func() int64 { return s.stats.Ticks }, nil, true)
+		s.flight.Log = s.trace
 	}
 	if cfg.WAL != nil {
 		rec, err := dispatch.Recover(cfg.WAL)
@@ -483,9 +490,7 @@ func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
 	clear(s.acks)
 	s.stats.Dispatches++
 	s.dm.Epochs.Inc()
-	if s.flight != nil {
-		s.flight.Event(s.stats.Ticks, "dispatch", "")
-	}
+	s.trace.Dispatch(0, s.current)
 	return true
 }
 
@@ -493,9 +498,7 @@ func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
 func (s *Server) reject(kind, why string) {
 	s.stats.Rejects++
 	s.dm.Rejects.Inc()
-	if s.flight != nil {
-		s.flight.Event(s.stats.Ticks, kind, why)
-	}
+	s.trace.Note(0, "%s %s", kind, why)
 	s.logf("ctrlrpc: dispatch rejected: %s: %s", kind, why)
 }
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Phase is the rollout plan state. Exploration dispatches never leave
@@ -75,10 +76,6 @@ type Config struct {
 	// Hand the same Fabric to a restarted controller: device epochs are
 	// switch state and survive the controller.
 	Fabric *Fabric
-	// Trace, when non-nil, receives plan/phase spans and reject notes
-	// (it must be set before construction so Resume-time recovery is
-	// traced too). *trace.Recorder satisfies it.
-	Trace TraceSink
 }
 
 func (c *Config) canary(n int) int {
@@ -153,14 +150,6 @@ type Health struct {
 	KL float64
 }
 
-// TraceSink receives pipeline trace events; *trace.Recorder satisfies
-// it (declared structurally so dispatch does not import trace).
-type TraceSink interface {
-	SpanStart(name string, parent uint64) uint64
-	SpanEnd(id uint64)
-	Note(format string, args ...any)
-}
-
 // Status is the /debug/status snapshot of the pipeline, published to
 // the telemetry registry on every transition and health tick.
 type Status struct {
@@ -194,7 +183,8 @@ type Pipeline struct {
 	tm     *telemetry.DispatchMetrics
 
 	// Trace, when non-nil, receives plan/phase spans and reject notes.
-	Trace TraceSink
+	// Set it before Resume so recovery is traced too.
+	Trace *trace.Recorder
 	// OnCommit fires with the vector once a plan (or recovery restore)
 	// has committed fabric-wide. OnAbort fires with the restored vector
 	// and the abort reason.
@@ -259,7 +249,6 @@ func New(cfg Config, eng *eventsim.Engine, fab *Fabric, apply func(devs []int, p
 		apply:     apply,
 		status:    telemetry.NewStatusCell[Status](reg, "dispatch"),
 		tm:        telemetry.NewDispatchMetrics(reg),
-		Trace:     cfg.Trace,
 		acked:     make([]bool, len(fab.Devices)),
 		ackDrops:  make([]int, len(fab.Devices)),
 		ackDelays: make([]eventsim.Time, len(fab.Devices)),
@@ -330,18 +319,14 @@ func (p *Pipeline) Resume(initial dcqcn.Params, now eventsim.Time) error {
 	if err := p.append(Record{T: int64(now), Kind: KindAbort, Epoch: rec.InFlight.Epoch, Phase: rec.InFlightPhase, Reason: "recovery"}); err != nil {
 		return err
 	}
-	if p.Trace != nil {
-		p.Trace.Note("dispatch_recovery epoch=%d phase=%s: aborting orphaned rollout", rec.InFlight.Epoch, rec.InFlightPhase)
-	}
+	p.Trace.Note(0, "dispatch_recovery epoch=%d phase=%s: aborting orphaned rollout", rec.InFlight.Epoch, rec.InFlightPhase)
 	p.recovering = true
 	p.planEpoch = p.grantEpoch(now)
 	p.target = p.committed
 	p.targetHash = VectorHash(&p.target)
 	p.prev = p.committed
 	p.planStart = now
-	if p.Trace != nil {
-		p.planSpan = p.Trace.SpanStart("dispatch_recovery", 0)
-	}
+	p.planSpan = p.Trace.SpanStart("dispatch_recovery", 0)
 	p.enterPhase(PhasePromote, now)
 	p.startWave(p.allDevices(), now)
 	return nil
@@ -400,10 +385,8 @@ func (p *Pipeline) SubmitFinal(cand dcqcn.Params, baselineUtil float64, now even
 		p.lastReject = "wal_error"
 		return false, RejectNone
 	}
-	if p.Trace != nil {
-		p.planSpan = p.Trace.SpanStart("dispatch_plan", 0)
-		p.Trace.Note("dispatch_plan epoch=%d canary=%d hash=%016x", p.planEpoch, p.canarySize(), p.targetHash)
-	}
+	p.planSpan = p.Trace.SpanStart("dispatch_plan", 0)
+	p.Trace.Note(0, "dispatch_plan epoch=%d canary=%d hash=%016x", p.planEpoch, p.canarySize(), p.targetHash)
 	p.enterPhase(PhaseCanary, now)
 	p.startWave(p.canaryDevices(), now)
 	return true, RejectNone
@@ -525,9 +508,7 @@ func (p *Pipeline) append(r Record) error {
 func (p *Pipeline) reject(r RejectReason, spec int) {
 	p.tm.Rejects.Inc()
 	p.lastReject = p.guard.Explain(r, spec)
-	if p.Trace != nil {
-		p.Trace.Note("dispatch_reject %s", p.lastReject)
-	}
+	p.Trace.Note(0, "dispatch_reject %s", p.lastReject)
 	p.publish()
 }
 
@@ -569,9 +550,7 @@ func (p *Pipeline) sendWave(devs []int, now eventsim.Time) {
 		i := ack.Device
 		if p.ackDrops[i] > 0 {
 			p.ackDrops[i]--
-			if p.Trace != nil {
-				p.Trace.Note("dispatch_ack_drop device=%d epoch=%d", i, epoch)
-			}
+			p.Trace.Note(0, "dispatch_ack_drop device=%d epoch=%d", i, epoch)
 			continue
 		}
 		a := ack
@@ -648,22 +627,16 @@ func (p *Pipeline) onDeadline(epoch uint64, wave int) {
 			missing = append(missing, i)
 		}
 	}
-	if p.Trace != nil {
-		p.Trace.Note("dispatch_ack_retry wave=%d epoch=%d missing=%d", p.ackWave, p.planEpoch, len(missing))
-	}
+	p.Trace.Note(0, "dispatch_ack_retry wave=%d epoch=%d missing=%d", p.ackWave, p.planEpoch, len(missing))
 	now := p.eng.Now()
 	p.sendWave(missing, now)
 }
 
 func (p *Pipeline) enterPhase(ph Phase, now eventsim.Time) {
-	if p.Trace != nil {
-		if p.phaseSpan != 0 {
-			p.Trace.SpanEnd(p.phaseSpan)
-			p.phaseSpan = 0
-		}
-		if ph != PhaseIdle {
-			p.phaseSpan = p.Trace.SpanStart("dispatch_"+ph.String(), p.planSpan)
-		}
+	p.Trace.SpanEnd(p.phaseSpan)
+	p.phaseSpan = 0
+	if ph != PhaseIdle {
+		p.phaseSpan = p.Trace.SpanStart("dispatch_"+ph.String(), p.planSpan)
 	}
 	p.phase = ph
 	p.tm.Phase.Set(float64(ph))
@@ -688,9 +661,7 @@ func (p *Pipeline) commit(now eventsim.Time) {
 	p.live = p.target
 	p.Commits++
 	p.tm.Commits.Inc()
-	if p.Trace != nil {
-		p.Trace.Note("dispatch_commit epoch=%d hash=%016x%s", p.planEpoch, p.targetHash, commitSuffix(reason))
-	}
+	p.Trace.Note(0, "dispatch_commit epoch=%d hash=%016x%s", p.planEpoch, p.targetHash, commitSuffix(reason))
 	p.endPlan(now)
 	if p.OnCommit != nil {
 		p.OnCommit(p.committed)
@@ -721,9 +692,7 @@ func (p *Pipeline) abort(reason string, now eventsim.Time) {
 	p.append(Record{T: int64(now), Kind: KindAbort, Epoch: p.planEpoch, Phase: p.phase.String(), Reason: reason})
 	p.Aborts++
 	p.tm.PlanAborts.Inc()
-	if p.Trace != nil {
-		p.Trace.Note("dispatch_abort epoch=%d phase=%s reason=%s", p.planEpoch, p.phase, reason)
-	}
+	p.Trace.Note(0, "dispatch_abort epoch=%d phase=%s reason=%s", p.planEpoch, p.phase, reason)
 	// Devices that accepted the plan epoch are running the aborted
 	// vector; re-impose the pre-plan one under a fresh epoch (fresher
 	// than anything dispatched, so every touched device accepts it).
@@ -746,10 +715,8 @@ func (p *Pipeline) endPlan(now eventsim.Time) {
 	p.haveBaseline = false
 	p.await = nil
 	p.enterPhase(PhaseIdle, now)
-	if p.Trace != nil && p.planSpan != 0 {
-		p.Trace.SpanEnd(p.planSpan)
-		p.planSpan = 0
-	}
+	p.Trace.SpanEnd(p.planSpan)
+	p.planSpan = 0
 }
 
 func (p *Pipeline) publish() {

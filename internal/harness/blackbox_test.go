@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/eventsim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
+	"repro/internal/trace"
 )
 
 // runLinkFlapBlackbox executes chaos-linkflap with the flight recorder
@@ -106,16 +108,31 @@ func TestBlackboxArtifactDeterministic(t *testing.T) {
 	}
 }
 
-// TestBlackboxLeavesGoldenTraceUntouched proves attaching the flight
-// recorder is pure observation: the JSONL event trace emitted alongside
-// the artifact stays byte-identical to the recorded golden.
+// TestBlackboxLeavesGoldenTraceUntouched is the one-stream check. The
+// run has one event log with both sinks on: attaching the flight
+// recorder is pure observation, so the JSONL stays byte-identical to the
+// recorded golden; and the artifact's events are that same stream's
+// tail, so with fewer events than trace.TailLen they equal the JSONL
+// read back, field for field.
 func TestBlackboxLeavesGoldenTraceUntouched(t *testing.T) {
 	want := readGolden(t, "chaos_linkflap_seed7_quick.golden.jsonl")
-	var trace bytes.Buffer
-	bb := runLinkFlapBlackbox(t, 7, &trace)
-	diffTraces(t, "trace with flight recorder attached diverges from golden", trace.Bytes(), want)
-	if _, err := series.Load(bytes.NewReader(bb)); err != nil {
+	var jsonl bytes.Buffer
+	bb := runLinkFlapBlackbox(t, 7, &jsonl)
+	diffTraces(t, "trace with flight recorder attached diverges from golden", jsonl.Bytes(), want)
+	a, err := series.Load(bytes.NewReader(bb))
+	if err != nil {
 		t.Fatal(err)
+	}
+	events, err := trace.Read(&jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 || len(events) > trace.TailLen {
+		t.Fatalf("golden run has %d events; the check needs 1..%d", len(events), trace.TailLen)
+	}
+	if a.EventsDropped != 0 || !reflect.DeepEqual(a.Events, events) {
+		t.Fatalf("artifact events (%d, %d dropped) are not the JSONL stream (%d events)",
+			len(a.Events), a.EventsDropped, len(events))
 	}
 }
 

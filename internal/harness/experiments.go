@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/telemetry/series"
 	"repro/internal/topology"
 	"repro/internal/tuner"
 	"repro/internal/workload"
@@ -156,7 +157,7 @@ func fig5(x Setup) []Arm {
 			row := fmt.Sprintf("%s=%g%s", s.name, v, s.unit)
 			arms = append(arms, x.sim("", probe(x, row, p), func(r *Result) []Cell {
 				const sec = "mean link utilization (TP) and mean normalized RTT"
-				return []Cell{{sec, "TP", metrics.Mean(r.TP.Values)}, {sec, "RTTnorm", metrics.Mean(r.RTT.Values)}}
+				return []Cell{{sec, "TP", metrics.Mean(r.TP.Values())}, {sec, "RTTnorm", metrics.Mean(r.RTT.Values())}}
 			}))
 		}
 	}
@@ -178,8 +179,8 @@ func fig6(x Setup) []Arm {
 			col := fmt.Sprintf("%gKB", kb)
 			arms = append(arms, x.sim(col, probe(x, fmt.Sprintf("reset=%gus", us), p), func(r *Result) []Cell {
 				return []Cell{
-					{"throughput (mean utilization)", col, metrics.Mean(r.TP.Values)},
-					{"normalized RTT (higher = lower delay)", col, metrics.Mean(r.RTT.Values)},
+					{"throughput (mean utilization)", col, metrics.Mean(r.TP.Values())},
+					{"normalized RTT (higher = lower delay)", col, metrics.Mean(r.RTT.Values())},
 				}
 			}))
 		}
@@ -292,12 +293,12 @@ func (spec influxSpec) install(cdf workload.SizeCDF) func(*sim.Network) error {
 }
 
 // phases are a series' means before, during and after the burst.
-func (spec influxSpec) phases(sec string, s metrics.Series) []Cell {
-	end := spec.BurstAt + spec.BurstLen
+func (spec influxSpec) phases(sec string, s *series.Series) []Cell {
+	at, end := int64(spec.BurstAt), int64(spec.BurstAt+spec.BurstLen)
 	return []Cell{
-		{sec, "before", s.MeanOver(0, spec.BurstAt)},
-		{sec, "during", s.MeanOver(spec.BurstAt, end)},
-		{sec, "after", s.MeanOver(end, spec.Horizon)},
+		{sec, "before", s.MeanOver(0, at)},
+		{sec, "during", s.MeanOver(at, end)},
+		{sec, "after", s.MeanOver(end, int64(spec.Horizon))},
 	}
 }
 
@@ -471,7 +472,7 @@ func fig12(x Setup) []Arm {
 		arms = append(arms, x.sim("", cfg, func(r *Result) []Cell {
 			// The trace's range: Equation 1 keeps every interval in [0,1].
 			const sec = "delivered utility"
-			u := r.Utility.Values
+			u := r.Utility.Values()
 			lo, hi := math.NaN(), math.NaN()
 			if len(u) > 0 {
 				lo, hi = slices.Min(u), slices.Max(u)
@@ -494,7 +495,7 @@ func ablationSA(x Setup) []Arm {
 			sc.Name = "guided"
 		}
 		arms = append(arms, x.sim("", x.config(sc, 120*eventsim.Millisecond, fbPoisson(0.4, 0)), func(r *Result) []Cell {
-			return utilityCells("delivered utility", r.Utility.Values)
+			return utilityCells("delivered utility", r.Utility.Values())
 		}))
 	}
 	classical := tuner.NaiveSAConfig()
@@ -597,9 +598,9 @@ func fig14(x Setup) []Arm {
 	spec := defaultInfluxSpec()
 	spec.BurstLoad = 0.35
 	install := spec.install(workload.SolarRPC())
-	cells := func(tp, rtt metrics.Series) []Cell {
+	cells := func(tp, rtt *series.Series) []Cell {
 		const sec = "during the burst"
-		from, to := spec.BurstAt, spec.BurstAt+spec.BurstLen
+		from, to := int64(spec.BurstAt), int64(spec.BurstAt+spec.BurstLen)
 		return []Cell{{sec, "TP", tp.MeanOver(from, to)}, {sec, "RTTnorm", rtt.MeanOver(from, to)}}
 	}
 	var arms []Arm
@@ -705,7 +706,7 @@ func ablationWeights(x Setup) []Arm {
 		sc.Name, sc.SystemCfg.Weights = w.name, w.w
 		arms = append(arms, x.sim("", x.config(sc, dur, alltoall(6, 2<<20, 2*eventsim.Millisecond)), func(r *Result) []Cell {
 			const sec = "means over the second half"
-			return []Cell{{sec, "TP", r.TP.MeanOver(dur/2, dur)}, {sec, "RTTnorm", r.RTT.MeanOver(dur/2, dur)}}
+			return []Cell{{sec, "TP", r.TP.MeanOver(int64(dur/2), int64(dur))}, {sec, "RTTnorm", r.RTT.MeanOver(int64(dur/2), int64(dur))}}
 		}))
 	}
 	return arms
@@ -797,8 +798,8 @@ func chaosRun(build func(Scale, eventsim.Time, int64, io.Writer) ChaosRunConfig)
 				return nil, err
 			}
 			return ledger(
-				"mean TP", metrics.Mean(r.TP.Values), "mean RTTnorm", metrics.Mean(r.RTT.Values),
-				"mean utility", metrics.Mean(r.Utility.Values), "faults", r.Faults, "recoveries", r.Recovers,
+				"mean TP", metrics.Mean(r.TP.Values()), "mean RTTnorm", metrics.Mean(r.RTT.Values()),
+				"mean utility", metrics.Mean(r.Utility.Values()), "faults", r.Faults, "recoveries", r.Recovers,
 				"frozen intervals", r.FrozenIntervals, "evictions", r.Evictions, "readmits", r.Readmits,
 				"triggers", r.Triggers, "dispatches", r.Dispatches, "rollbacks", r.Rollbacks,
 				"trace events", r.TraceEvents,
@@ -814,7 +815,7 @@ func chaosCtrlPartition(x Setup) []Arm {
 			return nil, err
 		}
 		return ledger(
-			"intervals", r.Ticks, "mean TP", metrics.Mean(r.TP.Values), "dispatches", r.Dispatches,
+			"intervals", r.Ticks, "mean TP", metrics.Mean(r.TP.Values()), "dispatches", r.Dispatches,
 			"injected drops", r.Drops, "injected dups", r.Dups, "injected truncs", r.Truncs,
 			"server restarts", r.ServerRestarts, "reconnects", r.Reconnects,
 			"report errors", r.ReportErrors, "tick errors", r.TickErrors,
@@ -833,7 +834,7 @@ func chaosDispatch(x Setup) []Arm {
 			converged = 1
 		}
 		return ledger(
-			"mean TP", metrics.Mean(r.TP.Values), "mean utility", metrics.Mean(r.Utility.Values),
+			"mean TP", metrics.Mean(r.TP.Values()), "mean utility", metrics.Mean(r.Utility.Values()),
 			"faults", r.Faults, "recoveries", r.Recovers, "controller kills", r.Kills,
 			"plans", r.Plans, "commits", r.Commits, "aborts", r.Aborts, "dispatches", r.Dispatches,
 			"guard rejects", r.GuardRejects, "wal records", r.WALRecords, "replayed", r.Replayed,
@@ -910,7 +911,7 @@ func tunerShootout(x Setup) []Arm {
 			// first session like the pretraining runs do.
 			sc.TriggerAtStart = true
 			arms = append(arms, x.sim(wl.name, x.config(sc, x.Horizon, wl.install), func(r *Result) []Cell {
-				return shootoutCells(wl.name, r.Utility.Values, r.PFC.Values, r.Rounds, r.Dispatches, 0)
+				return shootoutCells(wl.name, r.Utility.Values(), r.PFC.Values(), r.Rounds, r.Dispatches, 0)
 			}))
 		}
 	}
@@ -923,7 +924,7 @@ func tunerShootout(x Setup) []Arm {
 			if err != nil {
 				return nil, err
 			}
-			return shootoutCells("chaos-linkflap", r.Utility.Values, r.PFC.Values, 0, r.Dispatches, r.Rollbacks), nil
+			return shootoutCells("chaos-linkflap", r.Utility.Values(), r.PFC.Values(), 0, r.Dispatches, r.Rollbacks), nil
 		}})
 	}
 	return arms

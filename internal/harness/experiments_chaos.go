@@ -12,7 +12,6 @@ import (
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/loop"
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -23,12 +22,11 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosSink counts fault activity and forwards it to an optional trace
-// recorder, the chaos telemetry family, and the flight recorder (where
-// a fault trips an anomaly snapshot and a recovery lands in the event
-// window).
+// chaosSink counts fault activity and forwards it to the run's event
+// log, the chaos telemetry family, and the flight recorder (where a
+// fault trips an anomaly snapshot).
 type chaosSink struct {
-	rec              *trace.Recorder
+	log              *trace.Recorder
 	tm               *telemetry.ChaosMetrics
 	flight           *series.Recorder
 	now              func() eventsim.Time
@@ -38,9 +36,7 @@ type chaosSink struct {
 func (s *chaosSink) Fault(fault, target string) {
 	s.faults++
 	s.tm.Faults.Inc()
-	if s.rec != nil {
-		s.rec.Fault(fault, target)
-	}
+	s.log.Fault(0, fault, target)
 	if s.flight != nil {
 		s.flight.Trip(int64(s.now()), "chaos_fault", fault+" "+target)
 	}
@@ -49,31 +45,27 @@ func (s *chaosSink) Fault(fault, target string) {
 func (s *chaosSink) Recover(fault, target string) {
 	s.recovers++
 	s.tm.Recovers.Inc()
-	if s.rec != nil {
-		s.rec.Recover(fault, target)
-	}
-	if s.flight != nil {
-		s.flight.Event(int64(s.now()), "chaos_recover", fault+" "+target)
-	}
+	s.log.Recover(0, fault, target)
 }
 
 // chaosRig is what every in-simulation chaos run builds around its
-// network: the trace recorder, the fault sink, the flight recorder, and
-// one agent per ToR behind a FlakySource so a scenario can crash it.
+// network: the event log, the fault sink, the flight recorder, and one
+// agent per ToR behind a FlakySource so a scenario can crash it.
 type chaosRig struct {
 	n *sim.Network
 	// sysCfg is the caller's system with the rig's registry, interval,
-	// agents and flight recorder.
+	// agents, event log and flight recorder.
 	sysCfg core.SystemConfig
-	rec    *trace.Recorder
+	log    *trace.Recorder
 	sink   *chaosSink
 	flight *series.Recorder
 	flaky  []*chaos.FlakySource
 }
 
 // newChaosRig builds the network on default parameters and the rig
-// around it. traceTo and blackbox, when set, receive the JSONL trace and
-// the flight-recorder artifact named by meta.
+// around it. traceTo, when set, receives the event log as JSON Lines;
+// blackbox, when set, turns on the flight recorder named by meta, whose
+// artifact carries the log's tail.
 func newChaosRig(scale Scale, sysCfg core.SystemConfig, traceTo, blackbox io.Writer, meta series.Meta) (*chaosRig, error) {
 	interval := scale.Interval
 	if interval <= 0 {
@@ -86,17 +78,18 @@ func newChaosRig(scale Scale, sysCfg core.SystemConfig, traceTo, blackbox io.Wri
 		return nil, err
 	}
 	r := &chaosRig{n: n}
-	if traceTo != nil {
-		r.rec = trace.NewRecorder(n.Eng, traceTo)
+	if traceTo != nil || blackbox != nil {
+		r.log = trace.New(func() int64 { return int64(n.Eng.Now()) }, traceTo, blackbox != nil)
 	}
 	reg := sysCfg.Telemetry
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	r.sink = &chaosSink{rec: r.rec, tm: telemetry.NewChaosMetrics(reg), now: n.Eng.Now}
+	r.sink = &chaosSink{log: r.log, tm: telemetry.NewChaosMetrics(reg), now: n.Eng.Now}
 	if blackbox != nil {
 		meta.IntervalNs = int64(interval)
 		r.flight = series.NewRecorder(meta)
+		r.flight.Log = r.log
 		r.sink.flight = r.flight
 		// Flow completion times feed the registry histogram the artifact
 		// embeds; the hook is composable observation only.
@@ -105,7 +98,7 @@ func newChaosRig(scale Scale, sysCfg core.SystemConfig, traceTo, blackbox io.Wri
 			fct.Observe(float64(fr.FCT()) / 1e6)
 		})
 	}
-	sysCfg.Telemetry, sysCfg.Interval, sysCfg.Flight = reg, interval, r.flight
+	sysCfg.Telemetry, sysCfg.Interval, sysCfg.Trace, sysCfg.Flight = reg, interval, r.log, r.flight
 	sysCfg.Sources = nil
 	sketchTM := telemetry.NewSketchMetrics(reg)
 	for i, tor := range n.Topo.ToRs() {
@@ -130,10 +123,6 @@ func (r *chaosRig) attach() (*core.System, error) {
 	}
 	sys.Controller.OnFault = func(fault string, agent int) { r.sink.Fault(fault, chaosTarget(agent)) }
 	sys.Controller.OnRecover = func(fault string, agent int) { r.sink.Recover(fault, chaosTarget(agent)) }
-	sys.OnRollback = func(dcqcn.Params) { r.sink.tm.Rollbacks.Inc() }
-	if r.rec != nil {
-		sys.Trace = r.rec
-	}
 	if r.flight != nil {
 		m := r.flight.Meta()
 		m.Tuner = sys.Tuner.Name()
@@ -142,12 +131,10 @@ func (r *chaosRig) attach() (*core.System, error) {
 	return sys, nil
 }
 
-// tick closes one interval of sys and traces its sample.
+// tick closes one interval of sys and logs its sample.
 func (r *chaosRig) tick(sys *core.System) loop.RuntimeSample {
 	sys.TickOnce()
-	if r.rec != nil {
-		r.rec.Sample(sys.LastSample)
-	}
+	r.log.Sample(0, sys.LastSample)
 	return sys.LastSample
 }
 
@@ -160,15 +147,15 @@ func (r *chaosRig) utility(s loop.RuntimeSample) float64 {
 	return tuner.Utility(s, w)
 }
 
-// finish flushes the trace and writes the flight-recorder artifact to
-// blackbox. It returns the number of trace events written.
+// finish flushes the JSON Lines trace and writes the flight-recorder
+// artifact to blackbox. It returns the number of trace events written.
 func (r *chaosRig) finish(blackbox io.Writer) (int, error) {
+	if err := r.log.Flush(); err != nil {
+		return 0, fmt.Errorf("chaos trace: %w", err)
+	}
 	events := 0
-	if r.rec != nil {
-		if err := r.rec.Flush(); err != nil {
-			return 0, fmt.Errorf("chaos trace: %w", err)
-		}
-		events = r.rec.Events
+	if r.log != nil {
+		events = r.log.Events
 	}
 	if r.flight != nil {
 		now := int64(r.n.Eng.Now())
@@ -220,11 +207,11 @@ type ChaosRunConfig struct {
 	// Blackbox, when non-nil, attaches the flight recorder and receives
 	// the run's black-box artifact (internal/telemetry/series) when the
 	// run ends: the sampled trajectory, anomaly snapshots around every
-	// rollback/fault/freeze, and registry histogram quantiles. With a
-	// fixed scenario seed the artifact is byte-identical across runs
-	// (give SystemCfg.Telemetry a fresh registry if the process-wide
-	// default would mix runs). Experiment names the run in the
-	// artifact's meta.
+	// rollback/fault/freeze, the event log's tail, and registry histogram
+	// quantiles. With a fixed scenario seed the artifact is byte-identical
+	// across runs (give SystemCfg.Telemetry a fresh registry if the
+	// process-wide default would mix runs). Experiment names the run in
+	// the artifact's meta.
 	Blackbox   io.Writer
 	Experiment string
 	// ScaleLabel names the fabric scale in the artifact meta ("quick",
@@ -238,7 +225,7 @@ type ChaosResult struct {
 	Net     *sim.Network
 	Sources []*chaos.FlakySource
 
-	TP, RTT, PFC, Utility metrics.Series
+	TP, RTT, PFC, Utility *series.Series
 
 	// Faults / Recovers count injected-fault and recovery events
 	// (including controller-detected ones like eviction and quorum loss).
@@ -297,9 +284,11 @@ func RunChaos(cfg ChaosRunConfig) (*ChaosResult, error) {
 
 	res := &ChaosResult{Net: n, Sources: rig.flaky}
 	interval := rig.sysCfg.Interval
-	for i := 1; i <= int(cfg.Duration/interval); i++ {
+	ticks := int(cfg.Duration / interval)
+	res.TP, res.RTT, res.PFC, res.Utility = runtimeSeries(ticks)
+	for i := 1; i <= ticks; i++ {
 		n.Run(eventsim.Time(i) * interval)
-		now := n.Eng.Now()
+		now := int64(n.Eng.Now())
 		sample := rig.tick(sys)
 		res.TP.Append(now, sample.OTP)
 		res.RTT.Append(now, sample.ORTT)
@@ -416,7 +405,7 @@ type ChaosPartitionResult struct {
 	// Dispatches counts parameter applications that made it through.
 	Dispatches int
 
-	TP metrics.Series
+	TP *series.Series
 }
 
 // ChaosCtrlPartition is the chaos-ctrlpartition experiment: the testbed
@@ -509,8 +498,9 @@ func ChaosCtrlPartition(scale Scale, duration eventsim.Time, seed int64) (*Chaos
 		return nil, err
 	}
 
-	res := &ChaosPartitionResult{}
 	ticks := int(duration / interval)
+	res := &ChaosPartitionResult{}
+	res.TP, _, _, _ = runtimeSeries(ticks)
 	restartAt := ticks / 2
 	for seq := 1; seq <= ticks; seq++ {
 		if seq == restartAt {
@@ -548,7 +538,7 @@ func ChaosCtrlPartition(scale Scale, duration eventsim.Time, seed int64) (*Chaos
 		if tpLinks > 0 {
 			tp = tpSum / float64(tpLinks)
 		}
-		res.TP.Append(now, tp)
+		res.TP.Append(int64(now), tp)
 		res.Ticks++
 	}
 	for _, c := range clients {

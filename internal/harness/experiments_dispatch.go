@@ -7,7 +7,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
 )
@@ -34,7 +33,7 @@ type ChaosDispatchResult struct {
 	// Dispatches sums parameter pushes across both incarnations.
 	Dispatches int
 
-	TP, Utility metrics.Series
+	TP, Utility *series.Series
 	TraceEvents int
 }
 
@@ -77,9 +76,6 @@ func ChaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 	n := rig.n
 	fab := dispatch.NewFabric(len(n.Topo.ToRs()))
 	rig.sysCfg.Dispatch.Fabric = fab
-	if rig.rec != nil {
-		rig.sysCfg.Dispatch.Trace = rig.rec
-	}
 	sys, err := rig.attach()
 	if err != nil {
 		return nil, err
@@ -112,6 +108,7 @@ func ChaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 	var prevIncarnation *dispatch.Pipeline
 	interval := rig.sysCfg.Interval
 	ticks := int(horizon / interval)
+	res.TP, _, _, res.Utility = runtimeSeries(ticks)
 	for i := 1; i <= ticks; i++ {
 		n.Run(eventsim.Time(i) * interval)
 		if killed && deadSince < 0 {
@@ -125,8 +122,8 @@ func ChaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 		if deadSince >= 0 && sys.Dispatch == prevIncarnation {
 			if i-deadSince < deadIntervals {
 				// Controller down: no ticks, stale sample in the series.
-				res.TP.Append(n.Eng.Now(), sys.LastSample.OTP)
-				res.Utility.Append(n.Eng.Now(), rig.utility(sys.LastSample))
+				res.TP.Append(int64(n.Eng.Now()), sys.LastSample.OTP)
+				res.Utility.Append(int64(n.Eng.Now()), rig.utility(sys.LastSample))
 				continue
 			}
 			// Restart: a fresh System (new tuner, new monitor controller,
@@ -140,8 +137,8 @@ func ChaosDispatchCrash(scale Scale, horizon eventsim.Time, seed int64, traceTo,
 			rig.sink.Recover("controller_kill", "phase settle")
 		}
 		sample := rig.tick(sys)
-		res.TP.Append(n.Eng.Now(), sample.OTP)
-		res.Utility.Append(n.Eng.Now(), rig.utility(sample))
+		res.TP.Append(int64(n.Eng.Now()), sample.OTP)
+		res.Utility.Append(int64(n.Eng.Now()), rig.utility(sample))
 	}
 	// Let any in-flight recovery or promotion ACK waves finish.
 	n.Run(eventsim.Time(ticks)*interval + 10*eventsim.Millisecond)

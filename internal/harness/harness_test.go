@@ -7,6 +7,7 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/series"
 )
 
 func TestRunStaticScheme(t *testing.T) {
@@ -201,5 +202,37 @@ func TestRunWithAccuracyTracking(t *testing.T) {
 	acc := r.MeanAccuracy()
 	if acc < 0.5 || acc > 1 {
 		t.Errorf("mean accuracy %g implausible", acc)
+	}
+}
+
+// TestRunKeepsEverySample: a run longer than series.DefaultCapacity ticks
+// keeps one sample per tick in every result series, so a long run cannot
+// halve a figure table's resolution.
+func TestRunKeepsEverySample(t *testing.T) {
+	const interval = 100 * eventsim.Microsecond
+	const ticks = series.DefaultCapacity + 88
+	sc := ParaleonScheme()
+	sc.SystemCfg.Telemetry = telemetry.NewRegistry()
+	r, err := Run(RunConfig{
+		Net:           QuickScale().Net,
+		Scheme:        sc,
+		Interval:      interval,
+		Duration:      ticks * interval,
+		TrackAccuracy: true,
+		Workload: func(n *sim.Network) error {
+			hosts := n.Topo.Hosts()
+			n.StartFlow(hosts[0], hosts[len(hosts)-1], 1<<40)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*series.Series{
+		"TP": r.TP, "RTT": r.RTT, "PFC": r.PFC, "Utility": r.Utility, "Accuracy": r.Accuracy,
+	} {
+		if s.Len() != ticks || s.Stride() != 1 {
+			t.Errorf("%s: %d samples at stride %d, want %d at stride 1", name, s.Len(), s.Stride(), ticks)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
-	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry/series"
 )
 
 // sweepConfigs builds a small 2-scheme × 3-seed sweep, the shape the
@@ -37,13 +37,14 @@ func sweepConfigs(dur eventsim.Time) []RunConfig {
 	return cfgs
 }
 
-func seriesEqual(a, b metrics.Series) bool {
-	if len(a.Values) != len(b.Values) {
+func seriesEqual(a, b *series.Series) bool {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.Values {
-		av, bv := a.Values[i], b.Values[i]
-		if av != bv && !(math.IsNaN(av) && math.IsNaN(bv)) {
+	for i := 0; i < a.Len(); i++ {
+		at, av := a.At(i)
+		bt, bv := b.At(i)
+		if at != bt || av != bv && !(math.IsNaN(av) && math.IsNaN(bv)) {
 			return false
 		}
 	}
@@ -70,7 +71,7 @@ func assertResultsEqual(t *testing.T, got, want []*Result) {
 		}
 		for _, s := range []struct {
 			name string
-			g, w metrics.Series
+			g, w *series.Series
 		}{
 			{"TP", g.TP, w.TP}, {"RTT", g.RTT, w.RTT},
 			{"PFC", g.PFC, w.PFC}, {"Utility", g.Utility, w.Utility},

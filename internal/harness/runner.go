@@ -19,6 +19,7 @@ import (
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/series"
 	"repro/internal/topology"
 	"repro/internal/tuner"
 )
@@ -189,10 +190,10 @@ type Result struct {
 
 	// TP/RTT/PFC are per-interval normalized runtime metrics; Utility is
 	// Equation (1) under the scheme's weights (default weights for
-	// schemes without a tuner).
-	TP, RTT, PFC, Utility metrics.Series
+	// schemes without a tuner). Each holds every interval's sample.
+	TP, RTT, PFC, Utility *series.Series
 	// Accuracy is the per-interval FSD accuracy vs ground truth.
-	Accuracy metrics.Series
+	Accuracy *series.Series
 
 	// Triggers/Dispatches/Rounds summarize tuner activity (Paraleon
 	// arms only).
@@ -207,8 +208,16 @@ type Result struct {
 	Incomplete int
 }
 
+// runtimeSeries builds a run's throughput, normalized-RTT, PFC and
+// utility series, each sized to hold one sample per tick: they never
+// downsample, so the figure tables average every raw sample.
+func runtimeSeries(ticks int) (tp, rtt, pfc, util *series.Series) {
+	return series.New("tp", "frac", ticks), series.New("rttnorm", "frac", ticks),
+		series.New("opfc", "frac", ticks), series.New("utility", "score", ticks)
+}
+
 // MeanAccuracy averages the accuracy series (NaN if empty).
-func (r *Result) MeanAccuracy() float64 { return metrics.Mean(r.Accuracy.Values) }
+func (r *Result) MeanAccuracy() float64 { return metrics.Mean(r.Accuracy.Values()) }
 
 // Summary computes the run's FCT summary.
 func (r *Result) Summary() metrics.FCTSummary {
@@ -232,7 +241,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{SchemeName: cfg.Scheme.Name, Net: n}
+	ticks := int(cfg.Duration / cfg.Interval)
+	res := &Result{SchemeName: cfg.Scheme.Name, Net: n, Accuracy: series.New("accuracy", "frac", ticks)}
+	res.TP, res.RTT, res.PFC, res.Utility = runtimeSeries(ticks)
 
 	// Ground-truth oracles (optional).
 	var truth *loop.Controller
@@ -299,7 +310,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 
 	// The measurement loop.
-	ticks := int(cfg.Duration / cfg.Interval)
 	for i := 1; i <= ticks; i++ {
 		n.Run(eventsim.Time(i) * cfg.Interval)
 		now := n.Eng.Now()
@@ -310,10 +320,10 @@ func Run(cfg RunConfig) (*Result, error) {
 		} else {
 			sample = collector.Sample(cfg.Interval)
 		}
-		res.TP.Append(now, sample.OTP)
-		res.RTT.Append(now, sample.ORTT)
-		res.PFC.Append(now, sample.OPFC)
-		res.Utility.Append(now, tuner.Utility(sample, weights))
+		res.TP.Append(int64(now), sample.OTP)
+		res.RTT.Append(int64(now), sample.ORTT)
+		res.PFC.Append(int64(now), sample.OPFC)
+		res.Utility.Append(int64(now), tuner.Utility(sample, weights))
 		if truth != nil {
 			tr := truth.Tick()
 			if tr.TotalBytes > 0 {
@@ -321,7 +331,7 @@ func Run(cfg RunConfig) (*Result, error) {
 				if sys != nil {
 					est = sys.Controller.Current
 				}
-				res.Accuracy.Append(now, monitor.Accuracy(est, tr))
+				res.Accuracy.Append(int64(now), monitor.Accuracy(est, tr))
 			}
 		}
 	}

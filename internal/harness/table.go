@@ -14,6 +14,7 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry/series"
 	"repro/internal/tuner"
 )
 
@@ -343,9 +344,8 @@ func (x Setup) testbed(seed int64, dur eventsim.Time, wl func(*sim.Network) erro
 
 // timeline writes one arm's throughput and normalized-RTT series to
 // CSVDir, when it is set.
-func (x Setup) timeline(row, key string, seed int64, tp, rtt metrics.Series) error {
-	tp.Name, rtt.Name = "tp", "rttnorm"
-	return x.csv(row, key, seed, "", func(w io.Writer) error { return metrics.WriteSeriesCSV(w, &tp, &rtt) })
+func (x Setup) timeline(row, key string, seed int64, tp, rtt *series.Series) error {
+	return x.csv(row, key, seed, "", func(w io.Writer) error { return metrics.WriteSeriesCSV(w, tp, rtt) })
 }
 
 // cdf writes the CDF of one arm's flow completion times (ms) to CSVDir,

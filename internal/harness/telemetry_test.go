@@ -69,7 +69,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"paraleon_ctrlrpc_frames_in_total": true,
 		"paraleon_ctrlrpc_reports_total":   true,
 		"paraleon_chaos_faults_total":      true,
-		"paraleon_chaos_rollbacks_total":   true,
+		"paraleon_tuner_rollbacks_total":   true,
 		telemetry.VirtualTimeGauge:         true,
 	} {
 		if !strings.Contains(exposition, "\n"+metric+" ") && !strings.HasPrefix(exposition, metric+" ") {

@@ -7,11 +7,11 @@ import (
 	"repro/internal/ctrlrpc"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/series"
 	"repro/internal/topology"
 )
 
@@ -44,7 +44,7 @@ type TestbedConfig struct {
 // TestbedResult carries the run's series plus control-plane overheads.
 type TestbedResult struct {
 	Net     *sim.Network
-	TP, RTT metrics.Series
+	TP, RTT *series.Series
 
 	// Server is the controller's own accounting.
 	Server ctrlrpc.ServerStats
@@ -205,8 +205,9 @@ func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 		return nil, err
 	}
 
-	res := &TestbedResult{Net: n}
 	ticks := int(cfg.Duration / cfg.Interval)
+	res := &TestbedResult{Net: n}
+	res.TP, res.RTT, _, _ = runtimeSeries(ticks)
 	for seq := 1; seq <= ticks; seq++ {
 		n.Run(eventsim.Time(seq) * cfg.Interval)
 		now := n.Eng.Now()
@@ -253,8 +254,8 @@ func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 		if rttN > 0 {
 			rtt = rttSum / float64(rttN)
 		}
-		res.TP.Append(now, tp)
-		res.RTT.Append(now, rtt)
+		res.TP.Append(int64(now), tp)
+		res.RTT.Append(int64(now), rtt)
 	}
 	if cfg.DrainAfter {
 		drainFlows(n, cfg.Interval, cfg.MaxTime)

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/eventsim"
+	"repro/internal/telemetry/series"
 )
 
 // Sentinel errors for WriteSeriesCSV input validation; wrapped errors
@@ -22,21 +25,21 @@ var (
 // time column (milliseconds). Series must be aligned: same length and
 // sample times (which the harness guarantees for series from one run);
 // violations are reported as errors wrapping ErrMisaligned.
-func WriteSeriesCSV(w io.Writer, series ...*Series) error {
-	if len(series) == 0 {
+func WriteSeriesCSV(w io.Writer, ss ...*series.Series) error {
+	if len(ss) == 0 {
 		return ErrNoSeries
 	}
-	n := series[0].Len()
-	for _, s := range series[1:] {
+	n := ss[0].Len()
+	for _, s := range ss[1:] {
 		if s.Len() != n {
-			return fmt.Errorf("%w: series %q has %d samples, want %d", ErrMisaligned, s.Name, s.Len(), n)
+			return fmt.Errorf("%w: series %q has %d samples, want %d", ErrMisaligned, s.Name(), s.Len(), n)
 		}
 	}
 	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(series)+1)
+	header := make([]string, 0, len(ss)+1)
 	header = append(header, "t_ms")
-	for i, s := range series {
-		name := s.Name
+	for i, s := range ss {
+		name := s.Name()
 		if name == "" {
 			name = fmt.Sprintf("series%d", i)
 		}
@@ -47,12 +50,14 @@ func WriteSeriesCSV(w io.Writer, series ...*Series) error {
 	}
 	row := make([]string, len(header))
 	for i := 0; i < n; i++ {
-		row[0] = strconv.FormatFloat(series[0].Times[i].Millis(), 'f', 3, 64)
-		for j, s := range series {
-			if s.Times[i] != series[0].Times[i] {
-				return fmt.Errorf("%w: series %q at sample %d", ErrMisaligned, s.Name, i)
+		t0, _ := ss[0].At(i)
+		row[0] = strconv.FormatFloat(eventsim.Time(t0).Millis(), 'f', 3, 64)
+		for j, s := range ss {
+			t, v := s.At(i)
+			if t != t0 {
+				return fmt.Errorf("%w: series %q at sample %d", ErrMisaligned, s.Name(), i)
 			}
-			row[j+1] = strconv.FormatFloat(s.Values[i], 'g', -1, 64)
+			row[j+1] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/telemetry/series"
 )
 
 // failAfter errors once limit bytes have been written — a disk-full
@@ -27,9 +28,9 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestWriteSeriesCSVPropagatesWriteError(t *testing.T) {
-	s := &Series{Name: "tp"}
+	s := series.New("tp", "", 1000)
 	for i := 1; i <= 1000; i++ {
-		s.Append(eventsim.Time(i)*eventsim.Millisecond, float64(i))
+		s.Append(int64(eventsim.Time(i)*eventsim.Millisecond), float64(i))
 	}
 	// Fail at various depths: header, mid-body, and at the final flush.
 	for _, limit := range []int{0, 64, 4096} {
@@ -52,10 +53,10 @@ func TestWriteCDFCSVPropagatesWriteError(t *testing.T) {
 }
 
 func TestWriteSeriesCSV(t *testing.T) {
-	a := &Series{Name: "tp"}
-	b := &Series{Name: "rtt"}
+	a := series.New("tp", "", 3)
+	b := series.New("rtt", "", 3)
 	for i := 1; i <= 3; i++ {
-		at := eventsim.Time(i) * eventsim.Millisecond
+		at := int64(eventsim.Time(i) * eventsim.Millisecond)
 		a.Append(at, float64(i)/10)
 		b.Append(at, 1-float64(i)/10)
 	}
@@ -79,16 +80,16 @@ func TestWriteSeriesCSVValidation(t *testing.T) {
 	if err := WriteSeriesCSV(&bytes.Buffer{}); !errors.Is(err, ErrNoSeries) {
 		t.Errorf("no series: err=%v, want ErrNoSeries", err)
 	}
-	a := &Series{Name: "a"}
-	a.Append(eventsim.Millisecond, 1)
-	b := &Series{Name: "b"}
+	a := series.New("a", "", 2)
+	a.Append(int64(eventsim.Millisecond), 1)
+	b := series.New("b", "", 2)
 	if err := WriteSeriesCSV(&bytes.Buffer{}, a, b); !errors.Is(err, ErrMisaligned) {
 		t.Errorf("length mismatch: err=%v, want ErrMisaligned", err)
 	} else if !strings.Contains(err.Error(), `"b"`) {
 		t.Errorf("length mismatch error %v does not name the offending series", err)
 	}
-	c := &Series{Name: "c"}
-	c.Append(2*eventsim.Millisecond, 1)
+	c := series.New("c", "", 2)
+	c.Append(int64(2*eventsim.Millisecond), 1)
 	if err := WriteSeriesCSV(&bytes.Buffer{}, a, c); !errors.Is(err, ErrMisaligned) {
 		t.Errorf("time misalignment: err=%v, want ErrMisaligned", err)
 	}

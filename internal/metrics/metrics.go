@@ -1,7 +1,8 @@
 // Package metrics turns raw simulation outputs (flow records, runtime
 // samples) into the statistics the paper reports: FCT slowdowns bucketed
 // by flow size with tail percentiles (Fig 7a/b), FCT CDFs (Fig 7c/d),
-// throughput/RTT time series (Figs 8, 9, 14), and summary aggregates.
+// summary aggregates, and CSV export of both CDFs and the runtime time
+// series (internal/telemetry/series) behind Figs 8, 9 and 14.
 package metrics
 
 import (
@@ -159,38 +160,6 @@ func CDF(values []float64, points int) []CDFPoint {
 		out = append(out, CDFPoint{X: sorted[idx], P: p})
 	}
 	return out
-}
-
-// Series is a virtual-time series (throughput, RTT, utility…).
-type Series struct {
-	Name   string
-	Times  []eventsim.Time
-	Values []float64
-}
-
-// Append adds one sample.
-func (s *Series) Append(at eventsim.Time, v float64) {
-	s.Times = append(s.Times, at)
-	s.Values = append(s.Values, v)
-}
-
-// Len reports the sample count.
-func (s *Series) Len() int { return len(s.Values) }
-
-// MeanOver averages samples with from ≤ t < to.
-func (s *Series) MeanOver(from, to eventsim.Time) float64 {
-	var sum float64
-	var n int
-	for i, t := range s.Times {
-		if t >= from && t < to {
-			sum += s.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 // FCTSummary is an overall flow-completion summary.

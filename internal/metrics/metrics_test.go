@@ -125,23 +125,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Append(eventsim.Time(i)*eventsim.Millisecond, float64(i))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	m := s.MeanOver(2*eventsim.Millisecond, 5*eventsim.Millisecond)
-	if m != 3 {
-		t.Errorf("MeanOver = %g, want 3 (mean of 2,3,4)", m)
-	}
-	if !math.IsNaN(s.MeanOver(100*eventsim.Millisecond, 200*eventsim.Millisecond)) {
-		t.Error("empty window mean not NaN")
-	}
-}
-
 func TestSlowdownsAndSummarize(t *testing.T) {
 	n, err := sim.New(sim.DefaultConfig())
 	if err != nil {

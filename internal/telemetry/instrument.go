@@ -165,17 +165,15 @@ func NewRPCMetrics(r *Registry) *RPCMetrics {
 
 // ChaosMetrics covers fault injection and the system's response to it.
 type ChaosMetrics struct {
-	Faults    *Counter
-	Recovers  *Counter
-	Rollbacks *Counter
+	Faults   *Counter
+	Recovers *Counter
 }
 
 // NewChaosMetrics resolves the chaos family set from r.
 func NewChaosMetrics(r *Registry) *ChaosMetrics {
 	return &ChaosMetrics{
-		Faults:    r.Counter("paraleon_chaos_faults_total", "Injected or detected faults."),
-		Recovers:  r.Counter("paraleon_chaos_recovers_total", "Recoveries from faults."),
-		Rollbacks: r.Counter("paraleon_chaos_rollbacks_total", "Parameter rollbacks observed under chaos."),
+		Faults:   r.Counter("paraleon_chaos_faults_total", "Injected or detected faults."),
+		Recovers: r.Counter("paraleon_chaos_recovers_total", "Recoveries from faults."),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // ArtifactVersion stamps the black-box schema; paraleon-analyze
@@ -23,14 +24,6 @@ type Meta struct {
 	Scale      string `json:"scale,omitempty"`
 	IntervalNs int64  `json:"interval_ns,omitempty"`
 	HorizonNs  int64  `json:"horizon_ns,omitempty"`
-}
-
-// Event is one control-plane occurrence worth keeping around an
-// anomaly: a dispatch, a fault, a recovery, a span boundary.
-type Event struct {
-	T      int64  `json:"t"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
 }
 
 // Anomaly is one tripped trigger. Snapshot indexes into
@@ -66,16 +59,16 @@ type Snapshot struct {
 }
 
 // Artifact is the self-contained black box: run identity, the anomaly
-// ledger, the recent-event window, per-anomaly series snapshots, the
-// end-of-run series, and histogram snapshots from the telemetry
-// registry. Everything in it derives from virtual-time state, so a
-// fixed seed yields byte-identical artifacts.
+// ledger, the tail of the run's event log, per-anomaly series
+// snapshots, the end-of-run series, and histogram snapshots from the
+// telemetry registry. Everything in it derives from virtual-time state,
+// so a fixed seed yields byte-identical artifacts.
 type Artifact struct {
 	Version       int                           `json:"version"`
 	Meta          Meta                          `json:"meta"`
 	EndT          int64                         `json:"end_t"`
 	Anomalies     []Anomaly                     `json:"anomalies"`
-	Events        []Event                       `json:"events,omitempty"`
+	Events        []trace.Event                 `json:"events,omitempty"`
 	EventsDropped int64                         `json:"events_dropped,omitempty"`
 	Snapshots     []Snapshot                    `json:"snapshots,omitempty"`
 	Series        []SeriesDump                  `json:"series"`
@@ -103,34 +96,32 @@ func (a *Artifact) FindHistogram(name string) *telemetry.HistogramSnapshot {
 }
 
 // Recorder is the flight recorder: a Set of series being sampled by
-// the control loop, a bounded ring of recent control-plane events,
-// and the anomaly ledger. Anomaly trips (Trip) freeze a snapshot of
-// every series — the trailing window around the trigger at full
-// available resolution — up to a fixed per-run snapshot budget.
+// the control loop and the anomaly ledger. Anomaly trips (Trip) freeze
+// a snapshot of every series — the trailing window around the trigger
+// at full available resolution — up to a fixed per-run snapshot
+// budget. The run's events live in its trace.Recorder; the artifact
+// carries that log's tail.
 //
-// Sampling (Series handles + Append) is allocation-free; Event and
-// Trip may allocate and are expected to be rare.
+// Sampling (Series handles + Append) is allocation-free; Trip may
+// allocate and is expected to be rare.
 type Recorder struct {
-	Set  *Set
+	Set *Set
+	// Log is the run's event log; its tail becomes the artifact's
+	// events. Nil leaves the artifact without events.
+	Log  *trace.Recorder
 	meta Meta
-
-	events  []Event // ring storage
-	evHead  int     // index of the oldest event
-	evLen   int
-	dropped int64
 
 	anomalies []Anomaly
 	snapshots []Snapshot
 	maxSnaps  int
 }
 
-// NewRecorder builds a recorder with DefaultCapacity series, a
-// 256-event window, and a budget of 4 anomaly snapshots.
+// NewRecorder builds a recorder with DefaultCapacity series and a
+// budget of 4 anomaly snapshots.
 func NewRecorder(meta Meta) *Recorder {
 	return &Recorder{
 		Set:      NewSet(0),
 		meta:     meta,
-		events:   make([]Event, 256),
 		maxSnaps: 4,
 	}
 }
@@ -142,26 +133,8 @@ func (r *Recorder) Meta() Meta { return r.meta }
 // learn after construction, e.g. the resolved tuner name).
 func (r *Recorder) SetMeta(m Meta) { r.meta = m }
 
-// Anomalies reports how many trips have fired.
-func (r *Recorder) Anomalies() int { return len(r.anomalies) }
-
-// Event records a control-plane event into the bounded window; when
-// full, the oldest event is dropped (and counted).
-func (r *Recorder) Event(t int64, kind, detail string) {
-	if r.evLen == len(r.events) {
-		r.events[r.evHead] = Event{T: t, Kind: kind, Detail: detail}
-		r.evHead = (r.evHead + 1) % len(r.events)
-		r.dropped++
-		return
-	}
-	r.events[(r.evHead+r.evLen)%len(r.events)] = Event{T: t, Kind: kind, Detail: detail}
-	r.evLen++
-}
-
 // Trip records an anomaly and, while the snapshot budget lasts,
-// freezes the trailing window of every series at this instant. The
-// anomaly is also mirrored into the event window so it sits in
-// sequence with the dispatches and faults around it.
+// freezes the trailing window of every series at this instant.
 func (r *Recorder) Trip(t int64, kind, detail string) {
 	idx := -1
 	if len(r.snapshots) < r.maxSnaps {
@@ -173,27 +146,23 @@ func (r *Recorder) Trip(t int64, kind, detail string) {
 		})
 	}
 	r.anomalies = append(r.anomalies, Anomaly{T: t, Kind: kind, Detail: detail, Snapshot: idx})
-	r.Event(t, "anomaly:"+kind, detail)
 }
 
 // Artifact assembles the black box as of virtual time endT, embedding
 // histogram snapshots from reg (nil skips them).
 func (r *Recorder) Artifact(endT int64, reg *telemetry.Registry) *Artifact {
 	a := &Artifact{
-		Version:       ArtifactVersion,
-		Meta:          r.meta,
-		EndT:          endT,
-		Anomalies:     r.anomalies,
-		EventsDropped: r.dropped,
-		Snapshots:     r.snapshots,
-		Series:        r.Set.dump(),
+		Version:   ArtifactVersion,
+		Meta:      r.meta,
+		EndT:      endT,
+		Anomalies: r.anomalies,
+		Snapshots: r.snapshots,
+		Series:    r.Set.dump(),
 	}
 	if a.Anomalies == nil {
 		a.Anomalies = []Anomaly{}
 	}
-	for i := 0; i < r.evLen; i++ {
-		a.Events = append(a.Events, r.events[(r.evHead+i)%len(r.events)])
-	}
+	a.Events, a.EventsDropped = r.Log.Tail()
 	if reg != nil {
 		a.Histograms = reg.Histograms()
 	}

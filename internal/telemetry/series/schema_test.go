@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dcqcn"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // requiredSeries are the series cmd/paraleon-analyze and the CI artifact
@@ -17,6 +19,7 @@ var requiredSeries = []string{"utility", "monitor_kl", "queue_bytes_tor0", "pfc_
 //   - meta names the experiment (Load has already checked the version);
 //   - anomalies is a list, each with a kind and a snapshot index that is
 //     -1 (budget exhausted) or points into snapshots;
+//   - every event has a kind, and events are in time order;
 //   - every series is named, carries aligned t/v arrays, a stride ≥ 1 and
 //     an offered count no smaller than what it stored;
 //   - the required series are present;
@@ -35,6 +38,14 @@ func checkSchema(a *Artifact) error {
 		}
 		if an.Snapshot != -1 && (an.Snapshot < 0 || an.Snapshot >= len(a.Snapshots)) {
 			return fmt.Errorf("anomaly %d snapshot index %d out of range", i, an.Snapshot)
+		}
+	}
+	for i, e := range a.Events {
+		if e.Kind == "" {
+			return fmt.Errorf("event %d has no kind", i)
+		}
+		if i > 0 && e.T < a.Events[i-1].T {
+			return fmt.Errorf("event %d at t=%d before its predecessor", i, e.T)
 		}
 	}
 	names := map[string]bool{}
@@ -76,29 +87,32 @@ func checkSchema(a *Artifact) error {
 
 // linkFlapArtifact writes an artifact shaped like chaos-linkflap's: the
 // loop's series sampled once per 1 ms interval for long enough that they
-// downsample, fault and dispatch events, more rollbacks than the snapshot
-// budget, and the FCT histogram.
+// downsample, fault and dispatch events in its event log's tail, more
+// rollbacks than the snapshot budget, and the FCT histogram.
 func linkFlapArtifact(t *testing.T) []byte {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	fct := reg.Histogram("paraleon_sim_fct_ms", "flow completion time", telemetry.BucketsFCTMs)
 	rec := NewRecorder(Meta{Experiment: "chaos-linkflap", Tuner: "sa", Seed: 7, Scale: "quick",
 		IntervalNs: 1e6, HorizonNs: 2000e6})
+	var now int64
+	rec.Log = trace.New(func() int64 { return now }, nil, true)
 	var handles []*Series
 	for _, name := range append(requiredSeries, "ecn_mark_rate_tor0") {
 		handles = append(handles, rec.Set.Series(name, ""))
 	}
 	const ticks = 2000
 	for i := int64(1); i <= ticks; i++ {
+		now = i * 1e6
 		for k, h := range handles {
 			h.Append(i*1e6, float64((i+int64(k))%17))
 		}
 		fct.Observe(float64(i%50) / 10)
 		switch i % 300 {
 		case 100:
-			rec.Event(i*1e6, "fault", "link down tor0-leaf1")
+			rec.Log.Fault(0, "link_down", "tor0-leaf1")
 		case 150:
-			rec.Event(i*1e6, "dispatch", "epoch")
+			rec.Log.Dispatch(0, dcqcn.DefaultParams())
 		case 200:
 			rec.Trip(i*1e6, "rollback", "utility below last good")
 		}
@@ -132,6 +146,9 @@ func TestArtifactSchema(t *testing.T) {
 	if n := len(a.Anomalies); n <= len(a.Snapshots) || a.Anomalies[n-1].Snapshot != -1 {
 		t.Fatalf("%d anomalies over %d snapshots: the budget never ran out", n, len(a.Snapshots))
 	}
+	if len(a.Events) == 0 || a.Events[0].Kind != trace.KindFault || a.Events[1].Params == nil {
+		t.Fatalf("artifact events %+v", a.Events)
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -141,6 +158,8 @@ func TestArtifactSchema(t *testing.T) {
 		{"anomalies not a list", func(a *Artifact) { a.Anomalies = nil }},
 		{"anomaly without kind", func(a *Artifact) { a.Anomalies[0].Kind = "" }},
 		{"snapshot out of range", func(a *Artifact) { a.Anomalies[0].Snapshot = len(a.Snapshots) }},
+		{"event without kind", func(a *Artifact) { a.Events[0].Kind = "" }},
+		{"events out of order", func(a *Artifact) { a.Events[1].T = a.Events[0].T - 1 }},
 		{"unnamed series", func(a *Artifact) { a.Series[0].Name = "" }},
 		{"t/v mismatch", func(a *Artifact) { a.Series[0].V = a.Series[0].V[1:] }},
 		{"stride 0", func(a *Artifact) { a.Series[0].Stride = 0 }},

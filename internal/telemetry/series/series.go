@@ -1,15 +1,17 @@
-// Package series is the virtual-time time-series layer under the
-// flight recorder: fixed-capacity ring buffers sampled once per
-// monitor interval (queue depth, ECN mark rate, PFC pause fraction,
-// KL, utility, dispatch phase, ...), plus the Recorder that snapshots
-// them into self-contained, deterministic JSON black-box artifacts
-// when an anomaly trips.
+// Package series is the time-series layer: fixed-capacity buffers
+// sampled once per monitor interval. The figure tables read them from
+// every harness result (throughput, RTT, PFC, utility, FSD accuracy),
+// and the flight recorder samples its own (queue depth, ECN mark rate,
+// PFC pause fraction, KL, utility, dispatch phase, ...) and snapshots
+// them, with the tail of the run's event log, into self-contained,
+// deterministic JSON black-box artifacts when an anomaly trips.
 //
 // Design constraints, in order:
 //
 //  1. Steady-state sampling allocates nothing. Every Series is sized
 //     at attach time and Append never grows it; overflow is handled by
-//     in-place 2× downsampling.
+//     in-place 2× downsampling. A series sized for its run's tick count
+//     never downsamples.
 //  2. Artifacts are deterministic: a fixed seed yields byte-identical
 //     JSON. Nothing here reads wall clocks, draws randomness, or
 //     iterates a map when building output.
@@ -18,14 +20,14 @@
 //     the recorded goldens) untouched.
 package series
 
-import "fmt"
+import "math"
 
 // Series is a fixed-capacity time series over (virtual time, value)
 // samples. When the buffer fills, it halves itself in place — keeping
 // every second sample — and doubles its acceptance stride, so a series
 // of capacity C holds at most C uniformly spaced samples covering the
-// whole run regardless of length. Capacity must be even for the kept
-// samples to stay on-grid after compaction.
+// whole run regardless of length. Capacity is even, so the kept samples
+// stay on-grid after compaction.
 type Series struct {
 	name string
 	unit string
@@ -39,11 +41,10 @@ type Series struct {
 	offered int64
 }
 
-// newSeries builds a series with the given even capacity (≥ 2).
-func newSeries(name, unit string, capacity int) *Series {
-	if capacity < 2 || capacity%2 != 0 {
-		panic(fmt.Sprintf("series: capacity %d must be even and >= 2", capacity))
-	}
+// New builds a series that holds capacity samples before it first
+// downsamples; capacity is rounded up to an even number of at least 2.
+func New(name, unit string, capacity int) *Series {
+	capacity = max(2, capacity+capacity%2)
 	return &Series{
 		name:   name,
 		unit:   unit,
@@ -55,9 +56,6 @@ func newSeries(name, unit string, capacity int) *Series {
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
-
-// Unit returns the unit label ("bytes", "frac", ...; may be empty).
-func (s *Series) Unit() string { return s.unit }
 
 // Len reports the number of stored samples.
 func (s *Series) Len() int { return s.n }
@@ -71,6 +69,26 @@ func (s *Series) Offered() int64 { return s.offered }
 
 // At returns the i-th stored sample.
 func (s *Series) At(i int) (t int64, v float64) { return s.t[i], s.v[i] }
+
+// Values returns the stored values, oldest first. The slice aliases the
+// series' buffer, so it is valid until the next Append.
+func (s *Series) Values() []float64 { return s.v[:s.n] }
+
+// MeanOver averages the stored samples with from ≤ t < to (NaN if none).
+func (s *Series) MeanOver(from, to int64) float64 {
+	var sum float64
+	var n int
+	for i, t := range s.t[:s.n] {
+		if t >= from && t < to {
+			sum += s.v[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
 
 // Append offers one sample at virtual time t. It is allocation-free:
 // on overflow the buffer compacts in place (keeping samples at even
@@ -121,8 +139,8 @@ type Set struct {
 	cap    int
 }
 
-// NewSet builds a set whose series each hold capacity samples.
-// Capacity must be even; 0 means DefaultCapacity.
+// NewSet builds a set whose series each hold capacity samples (see
+// New); 0 means DefaultCapacity.
 func NewSet(capacity int) *Set {
 	if capacity == 0 {
 		capacity = DefaultCapacity
@@ -141,17 +159,11 @@ func (st *Set) Series(name, unit string) *Series {
 	if s, ok := st.byName[name]; ok {
 		return s
 	}
-	s := newSeries(name, unit, st.cap)
+	s := New(name, unit, st.cap)
 	st.byName[name] = s
 	st.order = append(st.order, s)
 	return s
 }
-
-// Len reports how many series exist.
-func (st *Set) Len() int { return len(st.order) }
-
-// All returns the series in creation order.
-func (st *Set) All() []*Series { return st.order }
 
 // dump snapshots every series in creation order.
 func (st *Set) dump() []SeriesDump {

@@ -2,6 +2,7 @@ package series
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -12,7 +13,7 @@ import (
 // spaced on the offered grid, and the series spans the whole run.
 func TestSeriesDownsample(t *testing.T) {
 	const capacity = 8
-	s := newSeries("q", "bytes", capacity)
+	s := New("q", "bytes", capacity)
 	const n = 100
 	for i := 0; i < n; i++ {
 		s.Append(int64(i), float64(i))
@@ -49,7 +50,7 @@ func TestSeriesDownsample(t *testing.T) {
 // TestSeriesAppendZeroAlloc pins the steady-state sampling contract:
 // Append never allocates, including across overflow compactions.
 func TestSeriesAppendZeroAlloc(t *testing.T) {
-	s := newSeries("q", "bytes", 64)
+	s := New("q", "bytes", 64)
 	var tick int64
 	allocs := testing.AllocsPerRun(10000, func() {
 		tick++
@@ -90,7 +91,7 @@ func TestSetCreationOrder(t *testing.T) {
 	if st.Series("b_second", "") != a {
 		t.Fatal("Series is not get-or-create")
 	}
-	all := st.All()
+	all := st.order
 	if len(all) != 2 || all[0] != a || all[1] != b {
 		t.Fatalf("creation order not preserved: %v", all)
 	}
@@ -129,20 +130,36 @@ func TestRecorderTripSnapshotBudget(t *testing.T) {
 	}
 }
 
-func TestRecorderEventRingDropsOldest(t *testing.T) {
-	rec := NewRecorder(Meta{})
-	for i := 0; i < 300; i++ {
-		rec.Event(int64(i), "dispatch", "")
+func TestSeriesMeanOver(t *testing.T) {
+	s := New("tp", "frac", 10)
+	for i := int64(0); i < 10; i++ {
+		s.Append(i*1e6, float64(i))
 	}
-	a := rec.Artifact(300, nil)
-	if len(a.Events) != 256 {
-		t.Fatalf("events=%d, want ring size 256", len(a.Events))
+	if s.Len() != 10 || s.Stride() != 1 {
+		t.Fatalf("Len = %d, Stride = %d", s.Len(), s.Stride())
 	}
-	if a.EventsDropped != 44 {
-		t.Fatalf("dropped=%d, want 44", a.EventsDropped)
+	if m := s.MeanOver(2e6, 5e6); m != 3 {
+		t.Errorf("MeanOver = %g, want 3 (mean of 2,3,4)", m)
 	}
-	if a.Events[0].T != 44 || a.Events[255].T != 299 {
-		t.Fatalf("ring window [%d, %d], want [44, 299]", a.Events[0].T, a.Events[255].T)
+	if !math.IsNaN(s.MeanOver(100e6, 200e6)) {
+		t.Error("empty window mean not NaN")
+	}
+	if v := s.Values(); len(v) != 10 || v[9] != 9 {
+		t.Errorf("Values = %v", v)
+	}
+}
+
+// TestNewRoundsCapacity: a series sized for an odd tick count still
+// holds every tick without downsampling.
+func TestNewRoundsCapacity(t *testing.T) {
+	for _, ticks := range []int{0, 1, 7, 513} {
+		s := New("u", "", ticks)
+		for i := 0; i < ticks; i++ {
+			s.Append(int64(i), 1)
+		}
+		if s.Len() != ticks || s.Stride() != 1 {
+			t.Errorf("capacity %d: Len %d, Stride %d", ticks, s.Len(), s.Stride())
+		}
 	}
 }
 

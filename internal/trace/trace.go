@@ -1,8 +1,13 @@
-// Package trace records simulation events as JSON Lines for offline
-// analysis: flow starts and completions, parameter dispatches, monitor
-// samples, and PFC activity. A production operator's first question when
-// a tuner misbehaves is "what exactly did it do, when?" — this is that
-// audit log.
+// Package trace is a run's one event log: parameter dispatches, tuning
+// triggers, rollbacks, injected faults and recoveries, monitor samples,
+// notes, and the spans that link them. A production operator's first
+// question when a tuner misbehaves is "what exactly did it do, when?" —
+// this is that audit log.
+//
+// A Recorder feeds up to two sinks: a JSON Lines writer (the chaos
+// goldens are its bytes) and a bounded in-memory tail of the last
+// TailLen events, which the flight-recorder artifact embeds. Methods on
+// a nil *Recorder do nothing, so producers call them unguarded.
 package trace
 
 import (
@@ -12,20 +17,15 @@ import (
 	"io"
 
 	"repro/internal/dcqcn"
-	"repro/internal/eventsim"
 	"repro/internal/loop"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Event kinds.
 const (
-	KindFlowStart    = "flow_start"
-	KindFlowComplete = "flow_complete"
-	KindDispatch     = "dispatch"
-	KindSample       = "sample"
-	KindTrigger      = "trigger"
-	KindNote         = "note"
+	KindDispatch = "dispatch"
+	KindSample   = "sample"
+	KindTrigger  = "trigger"
+	KindNote     = "note"
 	// KindFault / KindRecover bracket injected faults and the system's
 	// recovery from them (internal/chaos and the controller's
 	// degradation logic emit these); KindRollback records a reversion to
@@ -34,25 +34,23 @@ const (
 	KindRecover  = "recover"
 	KindRollback = "rollback"
 	// KindSpanStart / KindSpanEnd bracket a control-loop span (e.g. one
-	// SA tuning session) in virtual time. Events produced inside the
-	// span carry its SpanID, linking a trigger through its search to the
-	// resulting dispatches.
+	// SA tuning session) in the recorder's time. Events produced inside
+	// the span carry its SpanID, linking a trigger through its search to
+	// the resulting dispatches.
 	KindSpanStart = "span_start"
 	KindSpanEnd   = "span_end"
 )
 
+// TailLen is how many of the most recent events the tail sink keeps.
+const TailLen = 256
+
 // Event is one recorded occurrence. Unused fields are omitted from the
 // encoding.
 type Event struct {
-	// T is virtual time in nanoseconds.
+	// T is the recorder's clock: virtual nanoseconds in the simulator,
+	// the tick index in the controller daemon.
 	T    int64  `json:"t"`
 	Kind string `json:"kind"`
-
-	FlowID *uint64 `json:"flow,omitempty"`
-	Src    *int    `json:"src,omitempty"`
-	Dst    *int    `json:"dst,omitempty"`
-	Size   *int64  `json:"size,omitempty"`
-	FCTNs  *int64  `json:"fct_ns,omitempty"`
 
 	Params *dcqcn.Params `json:"params,omitempty"`
 
@@ -78,119 +76,132 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Recorder streams events to a writer as JSON Lines. It is not safe for
-// concurrent use; the simulation is single-threaded.
+// Recorder stamps events with its clock and hands them to its sinks. It
+// is not safe for concurrent use; its producers are single-threaded (the
+// simulation's event loop, or the daemon's tick under its lock).
 type Recorder struct {
-	eng *eventsim.Engine
+	now func() int64
+
+	// JSON Lines sink; nil when the recorder writes nowhere.
 	bw  *bufio.Writer
 	enc *json.Encoder
-
-	// Events counts records written; Err holds the first write error
-	// (subsequent writes are dropped).
+	// Events counts records written to the JSON Lines sink; Err holds
+	// its first write error (subsequent writes are dropped).
 	Events int
 	Err    error
+
+	// Tail sink: a ring of capacity TailLen (zero when off), the index
+	// of its oldest event once full, and how many older events it lost.
+	tail    []Event
+	head    int
+	dropped int64
 
 	// spanSeq hands out span IDs; purely sequential, so a fixed event
 	// order yields a byte-identical trace.
 	spanSeq uint64
 }
 
-// NewRecorder builds a recorder stamping events with eng's clock.
-func NewRecorder(eng *eventsim.Engine, w io.Writer) *Recorder {
-	bw := bufio.NewWriter(w)
-	return &Recorder{eng: eng, bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// AttachNetwork subscribes to n's flow lifecycle.
-func (r *Recorder) AttachNetwork(n *sim.Network) {
-	n.AddFlowStartHook(func(id uint64, src, dst topology.NodeID, size int64) {
-		s, d := int(src), int(dst)
-		r.emit(Event{Kind: KindFlowStart, FlowID: &id, Src: &s, Dst: &d, Size: &size})
-	})
-	n.AddFlowCompleteHook(func(rec sim.FlowRecord) {
-		s, d := int(rec.Src), int(rec.Dst)
-		size := rec.Size
-		fct := int64(rec.FCT())
-		id := rec.ID
-		r.emit(Event{Kind: KindFlowComplete, FlowID: &id, Src: &s, Dst: &d, Size: &size, FCTNs: &fct})
-	})
+// New builds a recorder stamping events with now. When w is non-nil
+// every event is written to it as JSON Lines; when tail is set the last
+// TailLen events are kept for Tail.
+func New(now func() int64, w io.Writer, tail bool) *Recorder {
+	r := &Recorder{now: now}
+	if w != nil {
+		r.bw = bufio.NewWriter(w)
+		r.enc = json.NewEncoder(r.bw)
+	}
+	if tail {
+		r.tail = make([]Event, 0, TailLen)
+	}
+	return r
 }
 
 // Dispatch records a parameter update pushed to the fabric.
-func (r *Recorder) Dispatch(p dcqcn.Params) {
-	r.emit(Event{Kind: KindDispatch, Params: &p})
-}
-
-// Sample records one monitor interval's runtime metrics.
-func (r *Recorder) Sample(s loop.RuntimeSample) {
-	otp, ortt, opfc := s.OTP, s.ORTT, s.OPFC
-	r.emit(Event{Kind: KindSample, OTP: &otp, ORTT: &ortt, OPFC: &opfc})
-}
-
-// Trigger records a tuning trigger with the firing distribution.
-func (r *Recorder) Trigger(fsd loop.FSD) {
-	share := fsd.ElephantFlowShare
-	r.emit(Event{Kind: KindTrigger, ElephantShare: &share})
-}
-
-// Fault records an injected or detected fault against a target; it
-// implements half of chaos.Sink.
-func (r *Recorder) Fault(fault, target string) {
-	r.emit(Event{Kind: KindFault, Fault: fault, Target: target})
-}
-
-// Recover records recovery from a fault; the other half of chaos.Sink.
-func (r *Recorder) Recover(fault, target string) {
-	r.emit(Event{Kind: KindRecover, Fault: fault, Target: target})
+func (r *Recorder) Dispatch(span uint64, p dcqcn.Params) {
+	if r != nil {
+		r.emit(Event{Kind: KindDispatch, SpanID: span, Params: ref(p)})
+	}
 }
 
 // Rollback records a reversion to the last-known-good parameter vector.
-func (r *Recorder) Rollback(p dcqcn.Params) {
-	r.emit(Event{Kind: KindRollback, Params: &p})
+func (r *Recorder) Rollback(span uint64, p dcqcn.Params) {
+	if r != nil {
+		r.emit(Event{Kind: KindRollback, SpanID: span, Params: ref(p)})
+	}
 }
 
-// SpanStart opens a named span (parent 0 for a root span) and returns
-// its ID. The span is measured in virtual time: its extent is the T
-// distance between the span_start and span_end events.
-func (r *Recorder) SpanStart(name string, parent uint64) uint64 {
-	r.spanSeq++
-	id := r.spanSeq
-	r.emit(Event{Kind: KindSpanStart, Span: name, SpanID: id, Parent: parent})
-	return id
+// Sample records one monitor interval's runtime metrics.
+func (r *Recorder) Sample(span uint64, s loop.RuntimeSample) {
+	if r != nil {
+		r.emit(Event{Kind: KindSample, SpanID: span, OTP: ref(s.OTP), ORTT: ref(s.ORTT), OPFC: ref(s.OPFC)})
+	}
 }
 
-// SpanEnd closes a span opened with SpanStart.
-func (r *Recorder) SpanEnd(id uint64) {
-	r.emit(Event{Kind: KindSpanEnd, SpanID: id})
+// Trigger records a tuning trigger with the firing distribution.
+func (r *Recorder) Trigger(span uint64, fsd loop.FSD) {
+	if r != nil {
+		r.emit(Event{Kind: KindTrigger, SpanID: span, ElephantShare: ref(fsd.ElephantFlowShare)})
+	}
 }
 
-// TriggerIn records a tuning trigger linked into a span.
-func (r *Recorder) TriggerIn(span uint64, fsd loop.FSD) {
-	share := fsd.ElephantFlowShare
-	r.emit(Event{Kind: KindTrigger, SpanID: span, ElephantShare: &share})
+// Fault records an injected or detected fault against a target.
+func (r *Recorder) Fault(span uint64, fault, target string) {
+	if r != nil {
+		r.emit(Event{Kind: KindFault, SpanID: span, Fault: fault, Target: target})
+	}
 }
 
-// DispatchIn records a parameter dispatch linked into a span.
-func (r *Recorder) DispatchIn(span uint64, p dcqcn.Params) {
-	r.emit(Event{Kind: KindDispatch, SpanID: span, Params: &p})
-}
-
-// RollbackIn records a last-known-good reversion linked into a span
-// (span 0 when no session was active).
-func (r *Recorder) RollbackIn(span uint64, p dcqcn.Params) {
-	r.emit(Event{Kind: KindRollback, SpanID: span, Params: &p})
+// Recover records recovery from a fault.
+func (r *Recorder) Recover(span uint64, fault, target string) {
+	if r != nil {
+		r.emit(Event{Kind: KindRecover, SpanID: span, Fault: fault, Target: target})
+	}
 }
 
 // Note records a free-form annotation.
-func (r *Recorder) Note(format string, args ...any) {
-	r.emit(Event{Kind: KindNote, Note: fmt.Sprintf(format, args...)})
+func (r *Recorder) Note(span uint64, format string, args ...any) {
+	if r != nil {
+		r.emit(Event{Kind: KindNote, SpanID: span, Note: fmt.Sprintf(format, args...)})
+	}
 }
 
+// SpanStart opens a named span (parent 0 for a root span) and returns
+// its ID, 0 on a nil recorder. The span's extent is the T distance
+// between its span_start and span_end events.
+func (r *Recorder) SpanStart(name string, parent uint64) uint64 {
+	if r == nil {
+		return 0
+	}
+	r.spanSeq++
+	r.emit(Event{Kind: KindSpanStart, Span: name, SpanID: r.spanSeq, Parent: parent})
+	return r.spanSeq
+}
+
+// SpanEnd closes a span opened with SpanStart; span 0 is no span.
+func (r *Recorder) SpanEnd(span uint64) {
+	if r != nil && span != 0 {
+		r.emit(Event{Kind: KindSpanEnd, SpanID: span})
+	}
+}
+
+// ref returns a pointer to a copy of v. Taking the address here rather
+// than in the methods keeps a call on a nil recorder allocation-free.
+func ref[T any](v T) *T { return &v }
+
 func (r *Recorder) emit(e Event) {
-	if r.Err != nil {
+	e.T = r.now()
+	if cap(r.tail) > 0 {
+		if len(r.tail) < cap(r.tail) {
+			r.tail = append(r.tail, e)
+		} else {
+			r.tail[r.head] = e
+			r.head = (r.head + 1) % len(r.tail)
+			r.dropped++
+		}
+	}
+	if r.enc == nil || r.Err != nil {
 		return
 	}
-	e.T = int64(r.eng.Now())
 	if err := r.enc.Encode(&e); err != nil {
 		r.Err = err
 		return
@@ -198,12 +209,26 @@ func (r *Recorder) emit(e Event) {
 	r.Events++
 }
 
-// Flush drains buffered output; call before reading the destination.
+// Flush drains buffered JSON Lines output; call before reading the
+// destination.
 func (r *Recorder) Flush() error {
+	if r == nil || r.bw == nil {
+		return nil
+	}
 	if r.Err != nil {
 		return r.Err
 	}
 	return r.bw.Flush()
+}
+
+// Tail returns the kept events, oldest first, and how many older ones
+// the tail dropped.
+func (r *Recorder) Tail() ([]Event, int64) {
+	if r == nil || len(r.tail) == 0 {
+		return nil, 0
+	}
+	out := append([]Event{}, r.tail[r.head:]...)
+	return append(out, r.tail[:r.head]...), r.dropped
 }
 
 // Read parses a JSON Lines event stream back into memory.
@@ -221,14 +246,14 @@ func Read(rd io.Reader) ([]Event, error) {
 	}
 }
 
-// Span is one reconstructed span: its extent in virtual time plus the
-// events linked into it.
+// Span is one reconstructed span: its extent plus the events linked
+// into it.
 type Span struct {
 	ID     uint64
 	Name   string
 	Parent uint64
-	// StartT / EndT are the span's virtual-time extent; EndT is -1 for a
-	// span never closed (e.g. a session still running at trace end).
+	// StartT / EndT are the span's extent; EndT is -1 for a span never
+	// closed (e.g. a session still running at trace end).
 	StartT, EndT int64
 	// Events are the non-span events carrying this span's ID, in order.
 	Events []Event
