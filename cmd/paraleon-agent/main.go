@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/ctrlrpc"
 	"repro/internal/eventsim"
 	"repro/internal/harness"
 	"repro/internal/sim"
@@ -44,33 +43,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", srv.Addr())
 	}
 
-	var scale harness.Scale
-	switch *scaleName {
-	case "quick":
-		scale = harness.QuickScale()
-	case "medium":
-		scale = harness.MediumScale()
-	case "paper":
-		scale = harness.PaperScale()
-	default:
+	scale, ok := harness.Scales[*scaleName]
+	if !ok {
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
-
-	res, err := harness.RunTestbed(harness.TestbedConfig{
-		Scale:          scale,
-		Server:         ctrlrpc.DefaultServerConfig(), // ignored with ControllerAddr
-		ControllerAddr: *controller,
-		Duration:       eventsim.Time(duration.Nanoseconds()),
-		DrainAfter:     true,
-		Workload: func(n *sim.Network) error {
-			_, err := workload.InstallPoisson(n, workload.PoissonConfig{
-				CDF:      workload.FBHadoop(),
-				Load:     *load,
-				Duration: eventsim.Time(duration.Nanoseconds()),
-			})
-			return err
-		},
+	horizon := eventsim.Time(duration.Nanoseconds())
+	cfg := scale().Config(harness.ParaleonScheme(), horizon, func(n *sim.Network) error {
+		_, err := workload.InstallPoisson(n, workload.PoissonConfig{
+			CDF: workload.FBHadoop(), Load: *load, Duration: horizon,
+		})
+		return err
 	})
+	// The drain keeps the loop ticking against the controller; give up
+	// on it 10 s of virtual time after the run.
+	cfg.DrainAfter, cfg.MaxTime = true, horizon+10*eventsim.Second
+	cfg.Wire = &harness.Wire{Addr: *controller}
+	res, err := harness.Run(cfg)
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
@@ -82,9 +70,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d flows without a completion record when the drain hit its time limit\n", res.Incomplete)
 	}
 	fmt.Printf("  parameter dispatches:  %d\n", res.Dispatches)
-	fmt.Printf("  report frame size:     %d B\n", res.ReportBytes)
-	fmt.Printf("  params frame size:     %d B\n", res.ParamsBytes)
-	fmt.Printf("  agent bytes uploaded:  %d B\n", res.AgentBytesOut)
+	fmt.Printf("  report frame size:     %d B\n", res.Wire.ReportBytes)
+	fmt.Printf("  params frame size:     %d B\n", res.Wire.ParamsBytes)
+	fmt.Printf("  agent bytes uploaded:  %d B\n", res.Wire.AgentBytesOut)
 	if res.TP.Len() > 0 {
 		fmt.Printf("  final interval: TP=%.3f RTTnorm=%.3f\n",
 			res.TP.Values()[res.TP.Len()-1], res.RTT.Values()[res.RTT.Len()-1])

@@ -140,9 +140,7 @@ func main() {
 		}
 		exps = []harness.Experiment{e}
 	}
-	scale, ok := map[string]func() harness.Scale{
-		"quick": harness.QuickScale, "medium": harness.MediumScale, "paper": harness.PaperScale,
-	}[*scaleName]
+	scale, ok := harness.Scales[*scaleName]
 	if !ok {
 		fail(2, "unknown scale %q", *scaleName)
 	}

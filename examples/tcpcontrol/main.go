@@ -24,10 +24,13 @@ func main() {
 	serverCfg := ctrlrpc.DefaultServerConfig()
 	serverCfg.Weights = paraleon.ThroughputWeights()
 
-	res, err := harness.RunTestbed(harness.TestbedConfig{
-		Scale:    harness.QuickScale(),
-		Server:   serverCfg,
+	scale := harness.QuickScale()
+	res, err := harness.Run(harness.RunConfig{
+		Net:      scale.Net,
+		Scheme:   harness.ParaleonScheme(),
+		Interval: scale.Interval,
 		Duration: 80 * paraleon.Millisecond,
+		Wire:     &harness.Wire{Server: serverCfg},
 		Workload: func(n *sim.Network) error {
 			_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
 				Workers:      n.Topo.Hosts()[:6],
@@ -41,14 +44,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := res.Server
+	st := res.Wire.Server
 	fmt.Println("tcp control plane demo (80 ms virtual, controller on TCP loopback)")
 	fmt.Printf("  controller ticks:        %d\n", st.Ticks)
 	fmt.Printf("  reports received:        %d\n", st.Reports)
 	fmt.Printf("  KL triggers:             %d\n", st.Triggers)
 	fmt.Printf("  parameter dispatches:    %d\n", st.Dispatches)
-	fmt.Printf("  wire: report frame       %d B\n", res.ReportBytes)
-	fmt.Printf("  wire: params frame       %d B\n", res.ParamsBytes)
+	fmt.Printf("  wire: report frame       %d B\n", res.Wire.ReportBytes)
+	fmt.Printf("  wire: params frame       %d B\n", res.Wire.ParamsBytes)
 	fmt.Printf("  wire: total in/out       %d / %d B\n", st.BytesIn, st.BytesOut)
 	fmt.Printf("  controller compute:      %v total\n", st.Processing)
 	if res.TP.Len() > 0 {

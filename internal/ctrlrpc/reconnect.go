@@ -175,6 +175,16 @@ func (r *ReconnClient) redial() error {
 	return fmt.Errorf("ctrlrpc: redial %s: %w", r.addr, lastErr)
 }
 
+// Traffic returns the bytes received and sent over every connection so
+// far, the live one included.
+func (r *ReconnClient) Traffic() (in, out int64) {
+	in, out = r.BytesIn, r.BytesOut
+	if r.c != nil {
+		in, out = in+r.c.BytesIn, out+r.c.BytesOut
+	}
+	return in, out
+}
+
 // Close tears down the current connection.
 func (r *ReconnClient) Close() error {
 	if r.c == nil {

@@ -55,6 +55,13 @@ func TestReconnClientSurvivesControllerRestart(t *testing.T) {
 	if st := s2.Stats(); st.Reports == 0 {
 		t.Error("restarted controller saw no reports")
 	}
+	// Traffic spans connections: it keeps the first connection's bytes
+	// and counts the live one's, so it equals the totals Close leaves.
+	in, out := c.Traffic()
+	c.Close()
+	if in == 0 || out == 0 || in != c.BytesIn || out != c.BytesOut {
+		t.Errorf("Traffic() = %d in, %d out; totals after Close are %d in, %d out", in, out, c.BytesIn, c.BytesOut)
+	}
 }
 
 func TestReconnClientGivesUpEventually(t *testing.T) {

@@ -24,13 +24,13 @@ func runLinkFlapBlackbox(t *testing.T, seed int64, traceTo *bytes.Buffer) []byte
 	}
 	cfg := ChaosLinkFlapConfig(scale, 40*eventsim.Millisecond, seed, nil)
 	if traceW != nil {
-		cfg.TraceTo = traceW
+		cfg.Trace = traceW
 	}
 	var bb bytes.Buffer
 	cfg.Blackbox = &bb
 	cfg.ScaleLabel = "quick"
-	cfg.SystemCfg.Telemetry = telemetry.NewRegistry()
-	if _, err := RunChaos(cfg); err != nil {
+	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return bb.Bytes()

@@ -12,9 +12,9 @@ import (
 // twice with the same seed and requires byte-identical traces: the whole
 // fault schedule, every sample, and every dispatch must replay exactly.
 func TestChaosAgentCrashDeterministic(t *testing.T) {
-	run := func() (*ChaosResult, []byte) {
+	run := func() (*Result, []byte) {
 		var buf bytes.Buffer
-		r, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, &buf))
+		r, err := Run(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, &buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,9 +29,9 @@ func TestChaosAgentCrashDeterministic(t *testing.T) {
 		}
 		t.Fatalf("traces diverge at byte %d of %d/%d", i, len(t1), len(t2))
 	}
-	if r1.FrozenIntervals != r2.FrozenIntervals || r1.Dispatches != r2.Dispatches {
+	if r1.Sys.FrozenIntervals != r2.Sys.FrozenIntervals || r1.Dispatches != r2.Dispatches {
 		t.Errorf("counters diverge: frozen %d/%d dispatches %d/%d",
-			r1.FrozenIntervals, r2.FrozenIntervals, r1.Dispatches, r2.Dispatches)
+			r1.Sys.FrozenIntervals, r2.Sys.FrozenIntervals, r1.Dispatches, r2.Dispatches)
 	}
 }
 
@@ -41,16 +41,16 @@ func TestChaosAgentCrashDeterministic(t *testing.T) {
 func TestChaosAgentCrashFreezeAndResume(t *testing.T) {
 	horizon := 40 * eventsim.Millisecond
 	var buf bytes.Buffer
-	r, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), horizon, 1, &buf))
+	r, err := Run(ChaosAgentCrashConfig(QuickScale(), horizon, 1, &buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Crash at 30%, restart at 60% of a 40-interval run: 12 intervals.
-	if r.FrozenIntervals != 12 {
-		t.Errorf("FrozenIntervals=%d, want 12", r.FrozenIntervals)
+	if r.Sys.FrozenIntervals != 12 {
+		t.Errorf("FrozenIntervals=%d, want 12", r.Sys.FrozenIntervals)
 	}
-	if r.Evictions != 0 {
-		t.Errorf("Evictions=%d, want 0 (StaleAfter spans the outage)", r.Evictions)
+	if r.Sys.Controller.Evictions != 0 {
+		t.Errorf("Evictions=%d, want 0 (StaleAfter spans the outage)", r.Sys.Controller.Evictions)
 	}
 	events, err := trace.Read(&buf)
 	if err != nil {
@@ -102,11 +102,11 @@ func TestChaosAgentCrashFreezeAndResume(t *testing.T) {
 // last-known-good parameters, visible as trace events.
 func TestChaosLinkFlapRollsBack(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := RunChaos(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 1, &buf))
+	r, err := Run(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 1, &buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rollbacks == 0 {
+	if r.Sys.Rollbacks == 0 {
 		t.Fatal("no rollbacks under link flapping")
 	}
 	if r.Faults == 0 || r.Recovers == 0 {
@@ -117,8 +117,8 @@ func TestChaosLinkFlapRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	rollbacks := trace.Filter(events, trace.KindRollback)
-	if len(rollbacks) != r.Rollbacks {
-		t.Errorf("trace has %d rollback events, result says %d", len(rollbacks), r.Rollbacks)
+	if len(rollbacks) != r.Sys.Rollbacks {
+		t.Errorf("trace has %d rollback events, result says %d", len(rollbacks), r.Sys.Rollbacks)
 	}
 	for _, e := range rollbacks {
 		if e.Params == nil {
@@ -140,22 +140,23 @@ func TestChaosLinkFlapRollsBack(t *testing.T) {
 // frame faults plus a controller restart: every interval must complete
 // and the clients must have reconnected rather than wedged.
 func TestChaosCtrlPartitionSurvives(t *testing.T) {
-	r, err := ChaosCtrlPartition(QuickScale(), 30*eventsim.Millisecond, 3)
+	r, err := Run(ChaosCtrlPartitionConfig(QuickScale(), 30*eventsim.Millisecond, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Ticks != 30 {
-		t.Errorf("Ticks=%d, want 30", r.Ticks)
+	ticks := r.TP.Len()
+	if ticks != 30 {
+		t.Errorf("Ticks=%d, want 30", ticks)
 	}
-	if r.ServerRestarts != 1 {
-		t.Errorf("ServerRestarts=%d, want 1", r.ServerRestarts)
+	if r.Kills != 1 {
+		t.Errorf("ServerRestarts=%d, want 1", r.Kills)
 	}
-	if r.Reconnects == 0 {
+	if r.Wire.Reconnects == 0 {
 		t.Error("no reconnects despite controller restart")
 	}
 	// Losses are tolerated but must stay a small minority of calls.
-	calls := r.Ticks * 3 // 2 agents + 1 driver per interval at QuickScale
-	if lost := r.ReportErrors + r.TickErrors; lost > calls/4 {
+	calls := ticks * 3 // 2 agents + 1 driver per interval at QuickScale
+	if lost := r.Wire.AgentErrors + r.Wire.TickErrors; lost > calls/4 {
 		t.Errorf("%d/%d calls lost", lost, calls)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/telemetry"
 )
 
 // TestChaosDispatchGolden pins the chaos-dispatch experiment — kill the
@@ -14,37 +15,39 @@ import (
 // committed, and the out-of-bounds probe bounced off the guard without
 // touching the fabric. -update (see golden_test.go) rewrites the golden.
 func TestChaosDispatchGolden(t *testing.T) {
-	run := func() (*ChaosDispatchResult, []byte) {
+	run := func() (*Result, *telemetry.DispatchMetrics, []byte) {
 		var buf bytes.Buffer
-		r, err := ChaosDispatchCrash(QuickScale(), 40*eventsim.Millisecond, 7, &buf, nil)
+		cfg := ChaosDispatchConfig(QuickScale(), 40*eventsim.Millisecond, 7, &buf)
+		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, buf.Bytes()
+		return r, telemetry.NewDispatchMetrics(cfg.Scheme.SystemCfg.Telemetry), buf.Bytes()
 	}
-	res, got := run()
+	res, dm, got := run()
 
 	if res.Kills != 1 {
 		t.Errorf("controller kills = %d, want 1", res.Kills)
 	}
-	if res.Plans == 0 {
+	if dm.Plans.Value() == 0 {
 		t.Error("no rollout plan started before the kill")
 	}
-	if res.Commits == 0 {
+	if dm.Commits.Value() == 0 {
 		t.Error("recovery restore never committed")
 	}
-	if res.Replayed == 0 {
+	d := res.Sys.Dispatch
+	if d.WALReplayed() == 0 {
 		t.Error("restarted controller replayed nothing")
 	}
-	if !res.Converged {
+	if !d.Fabric().Converged() {
 		t.Error("fabric did not converge to one epoch after recovery")
 	}
-	if res.GuardRejects == 0 {
+	if d.Guard().Rejects() == 0 {
 		t.Error("out-of-bounds probe not counted as a guard reject")
 	}
 
 	// Same seed, same bytes — twice in-process, and against the golden.
-	_, again := run()
+	_, _, again := run()
 	diffTraces(t, "chaos-dispatch trace diverges between identical runs", again, got)
 	checkGolden(t, "chaos-dispatch trace diverges from golden", "chaos_dispatch_seed7_quick.golden.jsonl", got)
 }

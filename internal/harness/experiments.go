@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
 	"repro/internal/topology"
 	"repro/internal/tuner"
@@ -129,7 +130,7 @@ func table2(x Setup) []Arm {
 // probe is the fixed-parameter arm the Fig 5/6 sweeps measure: a sustained
 // 6-worker alltoall under p for the horizon.
 func probe(x Setup, name string, p dcqcn.Params) RunConfig {
-	return x.config(StaticScheme(name, p), x.Horizon, alltoall(6, 2<<20, eventsim.Millisecond))
+	return x.Scale.Config(StaticScheme(name, p), x.Horizon, alltoall(6, 2<<20, eventsim.Millisecond))
 }
 
 // fig5 sweeps each of the paper's four representative parameters one at a
@@ -193,7 +194,7 @@ func fig6(x Setup) []Arm {
 func fig7fb(x Setup) []Arm {
 	var arms []Arm
 	for _, sc := range allSchemes() {
-		cfg := x.config(sc, x.Horizon, fbPoisson(0.3, x.Horizon))
+		cfg := x.Scale.Config(sc, x.Horizon, fbPoisson(0.3, x.Horizon))
 		cfg.DrainAfter, cfg.MaxTime = true, 10*x.Horizon
 		arms = append(arms, x.sim("", cfg, func(r *Result) []Cell {
 			var cs []Cell
@@ -222,7 +223,7 @@ func fig7llm(x Setup) []Arm {
 	for _, wc := range []int{4, 6} {
 		col := fmt.Sprintf("%dx%d", wc, wc)
 		for _, sc := range allSchemes() {
-			cfg := x.config(sc, 200*eventsim.Millisecond, func(n *sim.Network) error {
+			cfg := x.Scale.Config(sc, 200*eventsim.Millisecond, func(n *sim.Network) error {
 				_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
 					Workers: n.Topo.Hosts()[:wc], MessageBytes: 1 << 20, OffTime: 5 * eventsim.Millisecond, Rounds: 4,
 				})
@@ -304,7 +305,7 @@ func (spec influxSpec) phases(sec string, s *series.Series) []Cell {
 
 // influxArm runs sc through the FB_Hadoop influx of spec.
 func influxArm(x Setup, sc Scheme, spec influxSpec) Arm {
-	return x.sim("", x.config(sc, spec.Horizon, spec.install(workload.FBHadoop())), func(r *Result) []Cell {
+	return x.sim("", x.Scale.Config(sc, spec.Horizon, spec.install(workload.FBHadoop())), func(r *Result) []Cell {
 		return append(spec.phases("throughput (mean utilization)", r.TP), spec.phases("normalized RTT (higher = better)", r.RTT)...)
 	})
 }
@@ -376,7 +377,7 @@ func monitoringScheme(name string, mode FSDMode, interval eventsim.Time) Scheme 
 // monitoringArm measures one FSD design's accuracy against ground truth
 // and the FCT it buys, in column col of a sweep.
 func monitoringArm(x Setup, sc Scheme, col string, interval eventsim.Time, load float64) Arm {
-	cfg := x.config(sc, x.Horizon, fbPoisson(load, x.Horizon))
+	cfg := x.Scale.Config(sc, x.Horizon, fbPoisson(load, x.Horizon))
 	cfg.Interval = interval
 	cfg.DrainAfter, cfg.MaxTime = true, 10*x.Horizon
 	cfg.TrackAccuracy = sc.FSDMode != FSDNone
@@ -468,7 +469,7 @@ func fig12(x Setup) []Arm {
 	}{{"paraleon", tuner.DefaultSAConfig()}, {"naive_sa", tuner.NaiveSAConfig()}} {
 		sc := ParaleonScheme()
 		sc.Name, sc.SystemCfg.SA = a.name, a.sa
-		cfg := x.config(sc, max(x.Horizon, 350*eventsim.Millisecond), fbPoisson(0.4, 0))
+		cfg := x.Scale.Config(sc, max(x.Horizon, 350*eventsim.Millisecond), fbPoisson(0.4, 0))
 		arms = append(arms, x.sim("", cfg, func(r *Result) []Cell {
 			// The trace's range: Equation 1 keeps every interval in [0,1].
 			const sec = "delivered utility"
@@ -494,7 +495,7 @@ func ablationSA(x Setup) []Arm {
 		if guided {
 			sc.Name = "guided"
 		}
-		arms = append(arms, x.sim("", x.config(sc, 120*eventsim.Millisecond, fbPoisson(0.4, 0)), func(r *Result) []Cell {
+		arms = append(arms, x.sim("", x.Scale.Config(sc, 120*eventsim.Millisecond, fbPoisson(0.4, 0)), func(r *Result) []Cell {
 			return utilityCells("delivered utility", r.Utility.Values())
 		}))
 	}
@@ -574,15 +575,17 @@ func fig13(x Setup) []Arm {
 		// keep the collective running until MaxTime.
 		arms = append(arms, Arm{Row: "paraleon", Key: col, Run: func(seed int64) ([]Cell, error) {
 			var gen *workload.AlltoallGen
-			tb, err := x.testbed(seed, dur, func(n *sim.Network) (err error) {
+			r, err := x.run(testbedConfig(x.Scale, dur, func(n *sim.Network) (err error) {
 				gen, err = install(n)
 				return err
-			})
+			}), col, seed)
 			if err != nil {
 				return nil, err
 			}
 			gen.Stop()
-			drainFlows(tb.Net, x.Scale.Interval, dur+eventsim.Second)
+			if err := drain(r.Net, x.Scale.Interval, dur+eventsim.Second, nil); err != nil {
+				return nil, err
+			}
 			return []Cell{{sec, col, lateGoodputGbps(gen, dur/2)}}, nil
 		}})
 	}
@@ -605,32 +608,28 @@ func fig14(x Setup) []Arm {
 	}
 	var arms []Arm
 	for _, sc := range []Scheme{DefaultScheme(), ExpertScheme()} {
-		arms = append(arms, x.sim("", x.config(sc, spec.Horizon, install), func(r *Result) []Cell {
+		arms = append(arms, x.sim("", x.Scale.Config(sc, spec.Horizon, install), func(r *Result) []Cell {
 			return cells(r.TP, r.RTT)
 		}))
 	}
-	return append(arms, Arm{Row: "paraleon", Run: func(seed int64) ([]Cell, error) {
-		tb, err := x.testbed(seed, spec.Horizon, install)
-		if err != nil {
-			return nil, err
-		}
-		return cells(tb.TP, tb.RTT), x.timeline("paraleon", "", seed, tb.TP, tb.RTT)
-	}})
+	return append(arms, x.sim("", testbedConfig(x.Scale, spec.Horizon, install), func(r *Result) []Cell {
+		return cells(r.TP, r.RTT)
+	}))
 }
 
 // table4 measures the control plane's overheads from a testbed run of
 // FB_Hadoop at 30% load for the horizon.
 func table4(x Setup) []Arm {
 	return []Arm{{Row: "paraleon", Run: func(seed int64) ([]Cell, error) {
-		tb, err := x.testbed(seed, x.Horizon, fbPoisson(0.3, 0))
+		r, err := x.run(testbedConfig(x.Scale, x.Horizon, fbPoisson(0.3, 0)), "", seed)
 		if err != nil {
 			return nil, err
 		}
-		st := tb.Server
+		st := r.Wire.Server
 		const sec = "Paraleon system overheads (measured)"
 		return []Cell{
-			{sec, "switch->controller B per interval", float64(tb.ReportBytes)},
-			{sec, "controller->fabric B per interval", float64(tb.ParamsBytes)},
+			{sec, "switch->controller B per interval", float64(r.Wire.ReportBytes)},
+			{sec, "controller->fabric B per interval", float64(r.Wire.ParamsBytes)},
 			{sec, "controller compute us per tick", st.Processing.Seconds() * 1e6 / float64(max(st.Ticks, 1))},
 			// Sketch: 512 heavy buckets (~32 B each) + 4×2048 light
 			// counters (8 B each), plus tracker entries.
@@ -704,7 +703,7 @@ func ablationWeights(x Setup) []Arm {
 	}{{"default", tuner.DefaultWeights()}, {"throughput", tuner.ThroughputWeights()}} {
 		sc := ParaleonScheme()
 		sc.Name, sc.SystemCfg.Weights = w.name, w.w
-		arms = append(arms, x.sim("", x.config(sc, dur, alltoall(6, 2<<20, 2*eventsim.Millisecond)), func(r *Result) []Cell {
+		arms = append(arms, x.sim("", x.Scale.Config(sc, dur, alltoall(6, 2<<20, 2*eventsim.Millisecond)), func(r *Result) []Cell {
 			const sec = "means over the second half"
 			return []Cell{{sec, "TP", r.TP.MeanOver(int64(dur/2), int64(dur))}, {sec, "RTTnorm", r.RTT.MeanOver(int64(dur/2), int64(dur))}}
 		}))
@@ -776,7 +775,7 @@ func extRNIC(x Setup) []Arm {
 	}{{"sketch", FSDParaleon}, {"rnic", FSDRNIC}} {
 		sc := ParaleonScheme()
 		sc.Name, sc.FSDMode = m.name, m.mode
-		cfg := x.config(sc, 30*eventsim.Millisecond, fbPoisson(0.4, 0))
+		cfg := x.Scale.Config(sc, 30*eventsim.Millisecond, fbPoisson(0.4, 0))
 		cfg.TrackAccuracy = true
 		arms = append(arms, x.sim("", cfg, func(r *Result) []Cell {
 			return []Cell{{"FSD accuracy", "accuracy", r.MeanAccuracy()}}
@@ -788,20 +787,21 @@ func extRNIC(x Setup) []Arm {
 // --- Chaos runs and the tuner shootout ---
 
 // chaosRun is the one-arm experiment of an in-simulation chaos scenario.
-func chaosRun(build func(Scale, eventsim.Time, int64, io.Writer) ChaosRunConfig) func(Setup) []Arm {
+func chaosRun(build func(Scale, eventsim.Time, int64, io.Writer) RunConfig) func(Setup) []Arm {
 	return func(x Setup) []Arm {
 		return []Arm{{Row: x.exp, Run: func(seed int64) ([]Cell, error) {
 			cfg := build(x.seeded(seed), x.Horizon, x.ChaosSeed, x.Trace)
 			cfg.Blackbox, cfg.ScaleLabel = x.Blackbox, x.ScaleLabel
-			r, err := RunChaos(cfg)
+			r, err := Run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			return ledger(
 				"mean TP", metrics.Mean(r.TP.Values()), "mean RTTnorm", metrics.Mean(r.RTT.Values()),
 				"mean utility", metrics.Mean(r.Utility.Values()), "faults", r.Faults, "recoveries", r.Recovers,
-				"frozen intervals", r.FrozenIntervals, "evictions", r.Evictions, "readmits", r.Readmits,
-				"triggers", r.Triggers, "dispatches", r.Dispatches, "rollbacks", r.Rollbacks,
+				"frozen intervals", r.Sys.FrozenIntervals, "evictions", r.Sys.Controller.Evictions,
+				"readmits", r.Sys.Controller.Readmits, "triggers", r.Triggers, "dispatches", r.Dispatches,
+				"rollbacks", r.Sys.Rollbacks,
 				"trace events", r.TraceEvents,
 			), nil
 		}}}
@@ -810,42 +810,43 @@ func chaosRun(build func(Scale, eventsim.Time, int64, io.Writer) ChaosRunConfig)
 
 func chaosCtrlPartition(x Setup) []Arm {
 	return []Arm{{Row: x.exp, Run: func(seed int64) ([]Cell, error) {
-		r, err := ChaosCtrlPartition(x.seeded(seed), x.Horizon, x.ChaosSeed)
+		r, err := Run(ChaosCtrlPartitionConfig(x.seeded(seed), x.Horizon, x.ChaosSeed))
 		if err != nil {
 			return nil, err
 		}
+		w := r.Wire
 		return ledger(
-			"intervals", r.Ticks, "mean TP", metrics.Mean(r.TP.Values()), "dispatches", r.Dispatches,
-			"injected drops", r.Drops, "injected dups", r.Dups, "injected truncs", r.Truncs,
-			"server restarts", r.ServerRestarts, "reconnects", r.Reconnects,
-			"report errors", r.ReportErrors, "tick errors", r.TickErrors,
+			"intervals", r.TP.Len(), "mean TP", metrics.Mean(r.TP.Values()), "dispatches", r.Dispatches,
+			"injected drops", w.Drops, "injected dups", w.Dups, "injected truncs", w.Truncs,
+			"server restarts", r.Kills, "reconnects", w.Reconnects,
+			"agent errors", w.AgentErrors, "tick errors", w.TickErrors,
 		), nil
 	}}}
 }
 
 func chaosDispatch(x Setup) []Arm {
 	return []Arm{{Row: x.exp, Run: func(seed int64) ([]Cell, error) {
-		r, err := ChaosDispatchCrash(x.seeded(seed), x.Horizon, x.ChaosSeed, x.Trace, x.Blackbox)
+		cfg := ChaosDispatchConfig(x.seeded(seed), x.Horizon, x.ChaosSeed, x.Trace)
+		cfg.Blackbox = x.Blackbox
+		r, err := Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		converged := 0
-		if r.Converged {
-			converged = 1
-		}
+		d, dm := r.Sys.Dispatch, telemetry.NewDispatchMetrics(cfg.Scheme.SystemCfg.Telemetry)
 		return ledger(
 			"mean TP", metrics.Mean(r.TP.Values()), "mean utility", metrics.Mean(r.Utility.Values()),
 			"faults", r.Faults, "recoveries", r.Recovers, "controller kills", r.Kills,
-			"plans", r.Plans, "commits", r.Commits, "aborts", r.Aborts, "dispatches", r.Dispatches,
-			"guard rejects", r.GuardRejects, "wal records", r.WALRecords, "replayed", r.Replayed,
-			"epoch", r.Epoch, "committed epoch", r.CommittedEpoch, "fabric converged", converged,
+			"plans", dm.Plans.Value(), "commits", dm.Commits.Value(), "aborts", dm.PlanAborts.Value(),
+			"dispatches", r.Dispatches, "guard rejects", d.Guard().Rejects(),
+			"wal records", dm.WALRecords.Value(), "replayed", d.WALReplayed(), "epoch", d.Epoch(),
+			"committed epoch", d.CommittedEpoch(), "fabric converged", d.Fabric().Converged(),
 			"trace events", r.TraceEvents,
 		), nil
 	}}}
 }
 
-// ledger turns alternating column names and numbers into the cells of a
-// one-row "ledger" section.
+// ledger turns alternating column names and numbers (a bool counts as 0
+// or 1) into the cells of a one-row "ledger" section.
 func ledger(kv ...any) []Cell {
 	cs := make([]Cell, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
@@ -853,10 +854,16 @@ func ledger(kv ...any) []Cell {
 		switch n := kv[i+1].(type) {
 		case int:
 			v = float64(n)
+		case int64:
+			v = float64(n)
 		case uint64:
 			v = float64(n)
 		case float64:
 			v = n
+		case bool:
+			if n {
+				v = 1
+			}
 		default:
 			panic(fmt.Sprintf("harness: ledger value %v of type %T", n, n))
 		}
@@ -910,22 +917,18 @@ func tunerShootout(x Setup) []Arm {
 			// gaps can keep KL below θ for short horizons, so force the
 			// first session like the pretraining runs do.
 			sc.TriggerAtStart = true
-			arms = append(arms, x.sim(wl.name, x.config(sc, x.Horizon, wl.install), func(r *Result) []Cell {
+			arms = append(arms, x.sim(wl.name, x.Scale.Config(sc, x.Horizon, wl.install), func(r *Result) []Cell {
 				return shootoutCells(wl.name, r.Utility.Values(), r.PFC.Values(), r.Rounds, r.Dispatches, 0)
 			}))
 		}
 	}
 	for _, name := range tuner.Names() {
-		arms = append(arms, Arm{Row: name, Key: "chaos-linkflap", Run: func(seed int64) ([]Cell, error) {
-			cfg := ChaosLinkFlapConfig(x.seeded(seed), x.Horizon, x.ChaosSeed, io.Discard)
-			cfg.SystemCfg = shootoutSystemCfg(name)
-			cfg.SystemCfg.Degrade = core.DegradeConfig{RollbackWindow: 3, RollbackMargin: 0.05}
-			r, err := RunChaos(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return shootoutCells("chaos-linkflap", r.Utility.Values(), r.PFC.Values(), 0, r.Dispatches, r.Rollbacks), nil
-		}})
+		cfg := ChaosLinkFlapConfig(x.Scale, x.Horizon, x.ChaosSeed, io.Discard)
+		cfg.Scheme.Name, cfg.Scheme.SystemCfg = name, shootoutSystemCfg(name)
+		cfg.Scheme.SystemCfg.Degrade = core.DegradeConfig{RollbackWindow: 3, RollbackMargin: 0.05}
+		arms = append(arms, x.sim("chaos-linkflap", cfg, func(r *Result) []Cell {
+			return shootoutCells("chaos-linkflap", r.Utility.Values(), r.PFC.Values(), 0, r.Dispatches, r.Sys.Rollbacks)
+		}))
 	}
 	return arms
 }

@@ -15,8 +15,9 @@ import (
 //	go test ./internal/harness -run Golden -update
 //
 // Only the tests that own a golden write it. A test that replays a golden
-// under a variation that must not show (the flight recorder) never writes: they skip during an update and hold against the
-// new files on the next plain run.
+// under a variation that must not show (the flight recorder) never
+// writes: it skips during an update and holds against the new files on
+// the next plain run.
 var update = flag.Bool("update", false, "rewrite testdata/*.golden.jsonl from this build")
 
 // checkGolden compares got with the named golden trace, or rewrites the
@@ -91,7 +92,7 @@ func TestChaosTraceGolden(t *testing.T) {
 			name:   "linkflap",
 			golden: "chaos_linkflap_seed7_quick.golden.jsonl",
 			run: func(buf *bytes.Buffer) error {
-				_, err := RunChaos(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
+				_, err := Run(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
 				return err
 			},
 		},
@@ -99,7 +100,7 @@ func TestChaosTraceGolden(t *testing.T) {
 			name:   "agentcrash",
 			golden: "chaos_agentcrash_seed7_quick.golden.jsonl",
 			run: func(buf *bytes.Buffer) error {
-				_, err := RunChaos(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
+				_, err := Run(ChaosAgentCrashConfig(QuickScale(), 40*eventsim.Millisecond, 7, buf))
 				return err
 			},
 		},

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -234,5 +236,42 @@ func TestRunKeepsEverySample(t *testing.T) {
 		if s.Len() != ticks || s.Stride() != 1 {
 			t.Errorf("%s: %d samples at stride %d, want %d at stride 1", name, s.Len(), s.Stride(), ticks)
 		}
+	}
+}
+
+// TestRunRejectsDrops holds Run to the fabric's lossless promise. PFC
+// keeps a switch from dropping only while its buffer covers the pause
+// headroom; shrunk far below that under a 6-to-1 incast, the switches
+// drop, and Run must fail naming the count, after writing the flight
+// recorder's artifact with the failure in it.
+func TestRunRejectsDrops(t *testing.T) {
+	scale := QuickScale()
+	scale.Net.Switch.BufferBytes = 16 << 10
+	sc := DefaultScheme()
+	sc.SystemCfg.Telemetry = telemetry.NewRegistry()
+	var bb bytes.Buffer
+	_, err := Run(RunConfig{
+		Net:      scale.Net,
+		Scheme:   sc,
+		Interval: scale.Interval,
+		Duration: 5 * eventsim.Millisecond,
+		Blackbox: &bb,
+		Workload: func(n *sim.Network) error {
+			hosts := n.Topo.Hosts()
+			for _, h := range hosts[1:7] {
+				n.StartFlow(h, hosts[0], 1<<20)
+			}
+			return nil
+		},
+	})
+	if err == nil || !regexp.MustCompile(`[1-9][0-9]* packets dropped`).MatchString(err.Error()) {
+		t.Fatalf("Run error %v, want the drop count", err)
+	}
+	a, lerr := series.Load(&bb)
+	if lerr != nil {
+		t.Fatalf("artifact: %v", lerr)
+	}
+	if len(a.Anomalies) == 0 || a.Anomalies[len(a.Anomalies)-1].Kind != "lossless" {
+		t.Errorf("artifact anomalies %+v, want a lossless one last", a.Anomalies)
 	}
 }

@@ -96,18 +96,18 @@ func TestSimLoopMatchesParent(t *testing.T) {
 
 	h := fnv.New64a()
 	cfg := ChaosLinkFlapConfig(QuickScale(), 60*eventsim.Millisecond, 7, h)
-	cfg.SystemCfg.Telemetry = telemetry.NewRegistry()
-	cfg.SystemCfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 2}
-	res, err := RunChaos(cfg)
+	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
+	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 2}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rollbacks == 0 {
+	if res.Sys.Rollbacks == 0 {
 		t.Error("chaos-linkflap never rolled back, so the restore path went unexercised")
 	}
 	fmt.Fprintf(h, "rollbacks=%d frozen=%d dispatches=%d triggers=%d\n",
-		res.Rollbacks, res.FrozenIntervals, res.Dispatches, res.Triggers)
+		res.Sys.Rollbacks, res.Sys.FrozenIntervals, res.Dispatches, res.Triggers)
 	if got, want := h.Sum64(), uint64(0x1a36ebf5c5b151b3); got != want {
-		t.Errorf("chaos-linkflap: digest %#x, want %#x (%d rollbacks, %d dispatches)", got, want, res.Rollbacks, res.Dispatches)
+		t.Errorf("chaos-linkflap: digest %#x, want %#x (%d rollbacks, %d dispatches)", got, want, res.Sys.Rollbacks, res.Dispatches)
 	}
 }

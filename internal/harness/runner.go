@@ -8,14 +8,17 @@ package harness
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/baselines"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/netdev"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -61,6 +64,15 @@ func PaperScale() Scale {
 	cfg := sim.DefaultConfig()
 	cfg.Clos = topology.PaperClosConfig()
 	return Scale{Net: cfg, Interval: eventsim.Millisecond}
+}
+
+// Scales are the fabric scales by the name the CLIs' -scale flag takes.
+var Scales = map[string]func() Scale{"quick": QuickScale, "medium": MediumScale, "paper": PaperScale}
+
+// Config is an arm of scheme sc on the scale's fabric and cadence, loaded
+// by wl for dur.
+func (s Scale) Config(sc Scheme, dur eventsim.Time, wl func(*sim.Network) error) RunConfig {
+	return RunConfig{Net: s.Net, Scheme: sc, Interval: s.Interval, Duration: dur, Workload: wl}
 }
 
 // SchemeKind enumerates the tuning/monitoring schemes under comparison.
@@ -181,12 +193,41 @@ type RunConfig struct {
 	// scheme's FSD each interval (only meaningful when the scheme has an
 	// FSD estimate).
 	TrackAccuracy bool
+
+	// Faults, when set, builds the run's fault schedule from the fresh
+	// network. Every ToR agent then reports through a chaos.FlakySource,
+	// the schedule is installed after the scheme and before probing
+	// starts, and a failed Wire call degrades its interval instead of
+	// failing the run. A controller the schedule kills stays down for two
+	// intervals; then a fresh one attaches on the same dispatch fabric
+	// (and WAL, if Scheme.SystemCfg.Dispatch has one).
+	Faults func(n *sim.Network) chaos.Scenario
+	// Wire, when set, runs a Paraleon scheme's control plane over ctrlrpc
+	// instead of in-process.
+	Wire *Wire
+	// Trace receives the in-process loop's event log as JSON Lines;
+	// Blackbox attaches the flight recorder and receives its artifact,
+	// which names the run by Scheme.Name and ScaleLabel. Both optional.
+	Trace, Blackbox io.Writer
+	ScaleLabel      string
+	// End, when set, runs after the last interval and the drain, before
+	// the run's invariants are checked and its trace and artifact are
+	// written. sys is the in-process controller the run ended with.
+	End func(n *sim.Network, sys *core.System) error
+}
+
+// FixedFaults is a fault schedule that does not depend on the network.
+func FixedFaults(sc chaos.Scenario) func(*sim.Network) chaos.Scenario {
+	return func(*sim.Network) chaos.Scenario { return sc }
 }
 
 // Result is everything one run produced.
 type Result struct {
 	SchemeName string
 	Net        *sim.Network
+	// Sys is the in-process controller the run ended with (nil unless
+	// the scheme is Paraleon without Wire).
+	Sys *core.System
 
 	// TP/RTT/PFC are per-interval normalized runtime metrics; Utility is
 	// Equation (1) under the scheme's weights (default weights for
@@ -195,11 +236,20 @@ type Result struct {
 	// Accuracy is the per-interval FSD accuracy vs ground truth.
 	Accuracy *series.Series
 
-	// Triggers/Dispatches/Rounds summarize tuner activity (Paraleon
-	// arms only).
+	// Triggers/Dispatches/Rounds summarize tuner activity over every
+	// controller of the run (Paraleon arms only; a Wire run counts only
+	// Dispatches).
 	Triggers, Dispatches, Rounds int
 	// UtilTrace is the tuner's best-so-far trace (Fig 12).
 	UtilTrace []float64
+
+	// Faults / Recovers count injected-fault and recovery events
+	// (including controller-detected ones like eviction and quorum
+	// loss); Kills counts controllers the schedule killed; TraceEvents
+	// counts the event log's records.
+	Faults, Recovers, Kills, TraceEvents int
+	// Wire is a Wire run's control-plane accounting.
+	Wire WireStats
 
 	// Incomplete counts flows that were started and had no completion
 	// record when the run ended. Non-zero after a DrainAfter run means
@@ -208,12 +258,12 @@ type Result struct {
 	Incomplete int
 }
 
-// runtimeSeries builds a run's throughput, normalized-RTT, PFC and
-// utility series, each sized to hold one sample per tick: they never
-// downsample, so the figure tables average every raw sample.
-func runtimeSeries(ticks int) (tp, rtt, pfc, util *series.Series) {
-	return series.New("tp", "frac", ticks), series.New("rttnorm", "frac", ticks),
-		series.New("opfc", "frac", ticks), series.New("utility", "score", ticks)
+// addSystem adds one controller's tuner activity.
+func (r *Result) addSystem(sys *core.System) {
+	r.Triggers += sys.Controller.Triggers
+	r.Dispatches += sys.Dispatches
+	r.Rounds += sys.Tuner.Stats().Sessions
+	r.UtilTrace = append(r.UtilTrace, sys.Tuner.BestTrace()...)
 }
 
 // MeanAccuracy averages the accuracy series (NaN if empty).
@@ -241,9 +291,24 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := cfg.Scheme.SystemCfg.Telemetry
+	if reg == nil {
+		reg = telemetry.Default()
+	}
 	ticks := int(cfg.Duration / cfg.Interval)
-	res := &Result{SchemeName: cfg.Scheme.Name, Net: n, Accuracy: series.New("accuracy", "frac", ticks)}
-	res.TP, res.RTT, res.PFC, res.Utility = runtimeSeries(ticks)
+	// Each series is sized to hold one sample per tick: none downsamples,
+	// so the figure tables average every raw sample.
+	res := &Result{
+		SchemeName: cfg.Scheme.Name, Net: n,
+		TP: series.New("tp", "frac", ticks), RTT: series.New("rttnorm", "frac", ticks),
+		PFC: series.New("opfc", "frac", ticks), Utility: series.New("utility", "score", ticks),
+		Accuracy: series.New("accuracy", "frac", ticks),
+	}
+	var scenario chaos.Scenario
+	if cfg.Faults != nil {
+		scenario = cfg.Faults(n)
+	}
+	obs := newObservers(n, reg, cfg, scenario.Seed)
 
 	// Ground-truth oracles (optional).
 	var truth *loop.Controller
@@ -258,39 +323,76 @@ func Run(cfg RunConfig) (*Result, error) {
 		truth = loop.NewController(0.01, sources...)
 	}
 
-	// Scheme installation.
-	var sys *core.System
-	var collector *monitor.RuntimeCollector
+	// Scheme installation. tick closes interval seq of the scheme's
+	// control plane and returns its runtime sample.
+	var tick func(seq int) (loop.RuntimeSample, error)
+	var flaky []*chaos.FlakySource
+	kill := func() {}
 	weights := tuner.DefaultWeights()
 	switch cfg.Scheme.Kind {
 	case KindParaleon:
+		sources := buildSources(n, cfg.Scheme, cfg.Interval, oracles, telemetry.NewSketchMetrics(reg))
+		if cfg.Faults != nil {
+			for i, s := range sources {
+				f := chaos.NewFlakySource(s)
+				flaky = append(flaky, f)
+				sources[i] = f
+			}
+		}
+		if cfg.Wire != nil {
+			wire, err := dialWire(n, cfg, sources, scenario, reg, res)
+			if err != nil {
+				return nil, err
+			}
+			defer wire.close() // fills res.Wire
+			weights, tick = cfg.Wire.Server.Weights, wire.tick
+			break
+		}
 		sysCfg := cfg.Scheme.SystemCfg
-		sysCfg.Interval = cfg.Interval
-		sysCfg.Sources = buildSources(n, cfg.Scheme, cfg.Interval, oracles)
-		sys, err = core.Attach(n, sysCfg)
-		if err != nil {
+		sysCfg.Interval, sysCfg.Sources, sysCfg.Telemetry = cfg.Interval, sources, reg
+		sysCfg.Trace, sysCfg.Flight = obs.log, obs.flight
+		if res.Sys, err = obs.attach(n, sysCfg); err != nil {
 			return nil, err
 		}
 		weights = sysCfg.Weights
-		if weights.Validate() != nil {
-			weights = tuner.DefaultWeights()
+		dead, killed, killedBy := 0, false, ""
+		kill = func() { killed, killedBy = true, obs.lastFault; res.Kills++ }
+		tick = func(seq int) (loop.RuntimeSample, error) {
+			sys := res.Sys
+			if killed {
+				if dead == 0 {
+					dead = seq
+				}
+				if seq-dead < 2 {
+					return sys.LastSample, nil // no controller: the sample goes stale
+				}
+				// A fresh controller: new tuner, new monitor controller,
+				// empty aggregation state. Attach replays the WAL and
+				// launches the recovery restore before the first tick.
+				res.addSystem(sys)
+				if sys.Dispatch != nil {
+					sysCfg.Dispatch.Fabric = sys.Dispatch.Fabric()
+				}
+				if sys, err = obs.attach(n, sysCfg); err != nil {
+					return loop.RuntimeSample{}, fmt.Errorf("harness: controller restart: %w", err)
+				}
+				obs.Recover("controller_kill", killedBy)
+				res.Sys, killed, dead = sys, false, 0
+			}
+			sys.TickOnce()
+			obs.log.Sample(0, sys.LastSample)
+			return sys.LastSample, nil
 		}
-		sys.StartProbingOnly()
 	case KindACC:
-		acc := baselines.InstallACC(n, cfg.Scheme.ACCCfg)
-		acc.Start()
-		collector = monitor.NewRuntimeCollector(n)
-		collector.StartProbing(cfg.Interval / 4)
+		baselines.InstallACC(n, cfg.Scheme.ACCCfg).Start()
 	case KindDCQCNPlus:
-		dp := baselines.InstallDCQCNPlus(n, cfg.Scheme.DPlusCfg)
-		dp.Start()
-		collector = monitor.NewRuntimeCollector(n)
-		collector.StartProbing(cfg.Interval / 4)
+		baselines.InstallDCQCNPlus(n, cfg.Scheme.DPlusCfg).Start()
 	case KindStatic:
-		collector = monitor.NewRuntimeCollector(n)
-		collector.StartProbing(cfg.Interval / 4)
 	default:
 		return nil, fmt.Errorf("harness: unknown scheme kind %d", cfg.Scheme.Kind)
+	}
+	if weights.Validate() != nil {
+		weights = tuner.DefaultWeights()
 	}
 
 	// For oracle taps on non-Paraleon schemes the oracle needs to see
@@ -301,24 +403,44 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 	}
 
+	// The fault schedule schedules engine events, so it installs after
+	// core.Attach, where the recorded goldens put it.
+	if cfg.Faults != nil {
+		inj := chaos.NewInjector(n, flaky, obs)
+		if res.Sys != nil && res.Sys.Dispatch != nil {
+			inj.BindDispatch(res.Sys.Dispatch, kill)
+		}
+		if err := inj.Install(scenario); err != nil {
+			return nil, err
+		}
+	}
+	if res.Sys != nil {
+		res.Sys.StartProbingOnly()
+	} else {
+		// Every host probes RTT; the baselines sample the fabric through
+		// the same collector.
+		collector := monitor.NewRuntimeCollector(n)
+		collector.StartProbing(cfg.Interval / 4)
+		if tick == nil {
+			tick = func(int) (loop.RuntimeSample, error) { return collector.Sample(cfg.Interval), nil }
+		}
+	}
+
 	if err := cfg.Workload(n); err != nil {
 		return nil, err
 	}
 
-	if cfg.Scheme.TriggerAtStart && sys != nil {
-		n.Eng.Schedule(cfg.Interval+1, func() { sys.TriggerNow() })
+	if cfg.Scheme.TriggerAtStart && res.Sys != nil {
+		n.Eng.Schedule(cfg.Interval+1, func() { res.Sys.TriggerNow() })
 	}
 
 	// The measurement loop.
 	for i := 1; i <= ticks; i++ {
 		n.Run(eventsim.Time(i) * cfg.Interval)
 		now := n.Eng.Now()
-		var sample loop.RuntimeSample
-		if sys != nil {
-			sys.TickOnce()
-			sample = sys.LastSample
-		} else {
-			sample = collector.Sample(cfg.Interval)
+		sample, err := tick(i)
+		if err != nil {
+			return nil, err
 		}
 		res.TP.Append(int64(now), sample.OTP)
 		res.RTT.Append(int64(now), sample.ORTT)
@@ -328,8 +450,8 @@ func Run(cfg RunConfig) (*Result, error) {
 			tr := truth.Tick()
 			if tr.TotalBytes > 0 {
 				var est loop.FSD
-				if sys != nil {
-					est = sys.Controller.Current
+				if res.Sys != nil {
+					est = res.Sys.Controller.Current
 				}
 				res.Accuracy.Append(int64(now), monitor.Accuracy(est, tr))
 			}
@@ -339,37 +461,56 @@ func Run(cfg RunConfig) (*Result, error) {
 		// Keep the closed loop alive while the tail drains: as mice
 		// finish and elephants take dominance the tuner must be able to
 		// swing throughput-friendly (the §IV-B1 narrative).
-		// The loop ends on the receivers' view (see IncompleteFlows).
-		for n.Eng.Now() < cfg.MaxTime && n.IncompleteFlows() > 0 {
-			n.Run(n.Eng.Now() + cfg.Interval)
-			if sys != nil {
-				sys.TickOnce()
-			} else if collector != nil {
-				collector.Sample(cfg.Interval)
-			}
+		seq := ticks
+		err := drain(n, cfg.Interval, cfg.MaxTime, func() error {
+			seq++
+			_, err := tick(seq)
 			if truth != nil {
 				truth.Tick()
 			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if cfg.End != nil {
+		if err := cfg.End(n, res.Sys); err != nil {
+			return nil, err
 		}
 	}
 	res.Incomplete = n.IncompleteFlows()
-
-	if sys != nil {
-		res.Triggers = sys.Controller.Triggers
-		res.Dispatches = sys.Dispatches
-		res.Rounds = sys.Tuner.Stats().Sessions
-		res.UtilTrace = append(res.UtilTrace, sys.Tuner.BestTrace()...)
+	if res.Sys != nil {
+		res.addSystem(res.Sys)
 	}
-	publishEngine(cfg.Scheme.SystemCfg.Telemetry, n)
+	res.Faults, res.Recovers = obs.faults, obs.recovers
+	publishEngine(reg, n)
+	if res.TraceEvents, err = obs.finish(n, cfg.Blackbox, reg); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// publishEngine adds a finished run's engine accounting to reg (nil means
-// telemetry.Default()), which is what `paraleon-sim -report` prints.
-func publishEngine(reg *telemetry.Registry, n *sim.Network) {
-	if reg == nil {
-		reg = telemetry.Default()
+// drain runs n an interval at a time, closing each interval with tick
+// when there is one, until every started flow has a completion record or
+// maxTime is reached. It ends on the receivers' view (see
+// sim.Network.IncompleteFlows): probe timers keep the engine busy, so
+// RunUntilIdle would run to maxTime.
+func drain(n *sim.Network, interval, maxTime eventsim.Time, tick func() error) error {
+	for n.Eng.Now() < maxTime && n.IncompleteFlows() > 0 {
+		n.Run(n.Eng.Now() + interval)
+		if tick != nil {
+			if err := tick(); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// publishEngine adds a finished run's engine accounting to reg, which is
+// what `paraleon-sim -report` prints.
+func publishEngine(reg *telemetry.Registry, n *sim.Network) {
 	st, wall := n.EngineStats()
 	tm := telemetry.NewEngineMetrics(reg)
 	tm.Events.Add(int64(st.Processed))
@@ -383,11 +524,15 @@ func publishEngine(reg *telemetry.Registry, n *sim.Network) {
 }
 
 // buildSources wires the FSD inputs for a Paraleon-kind scheme, composing
-// taps with the oracles when accuracy tracking is on.
-func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*monitor.Oracle) []loop.ReportSource {
-	var sources []loop.ReportSource
-	tors := n.Topo.ToRs()
-	for i, tor := range tors {
+// taps with the oracles when accuracy tracking is on. Sketch agents
+// report their interval activity to sketchTM.
+func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*monitor.Oracle, sketchTM *telemetry.SketchMetrics) []loop.ReportSource {
+	sources := []loop.ReportSource{}
+	for i, tor := range n.Topo.ToRs() {
+		var taps []func(*netdev.Packet, eventsim.Time)
+		if oracles != nil {
+			taps = append(taps, oracles[i].OnPacket)
+		}
 		switch s.FSDMode {
 		case FSDParaleon, FSDNaiveElastic:
 			cfg := monitor.ParaleonAgentConfig()
@@ -395,21 +540,14 @@ func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*m
 				cfg = monitor.NaiveElasticConfig()
 			}
 			a := monitor.NewSwitchAgent(cfg, uint64(i+1))
-			if oracles != nil {
-				monitor.TapAll(n.Switch(tor), oracles[i].OnPacket, a.OnPacket)
-			} else {
-				a.Attach(n.Switch(tor))
-			}
+			a.TM = sketchTM
+			taps = append(taps, a.OnPacket)
 			sources = append(sources, a)
 		case FSDNetFlow:
 			nf := baselines.DefaultNetFlowConfig()
 			nf.MonitorInterval = interval
 			a := baselines.NewNetFlowAgent(nf, n.Topo, tor)
-			if oracles != nil {
-				monitor.TapAll(n.Switch(tor), oracles[i].OnPacket, a.OnPacket)
-			} else {
-				a.Attach(n.Switch(tor))
-			}
+			taps = append(taps, a.OnPacket)
 			sources = append(sources, a)
 		case FSDRNIC:
 			var hosts []*rnic.Host
@@ -419,17 +557,10 @@ func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*m
 				}
 			}
 			sources = append(sources, monitor.NewRNICAgent(monitor.DefaultTrackerConfig(), hosts))
-			if oracles != nil {
-				monitor.TapAll(n.Switch(tor), oracles[i].OnPacket)
-			}
-		case FSDNone:
-			if oracles != nil {
-				monitor.TapAll(n.Switch(tor), oracles[i].OnPacket)
-			}
 		}
-	}
-	if s.FSDMode == FSDNone {
-		return []loop.ReportSource{}
+		if len(taps) > 0 {
+			monitor.TapAll(n.Switch(tor), taps...)
+		}
 	}
 	return sources
 }

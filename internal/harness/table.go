@@ -9,13 +9,11 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/ctrlrpc"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry/series"
-	"repro/internal/tuner"
 )
 
 // An Experiment is one entry of the experiment table (Experiments): a set
@@ -306,12 +304,6 @@ func (x Setup) network(seed int64, p dcqcn.Params) (*sim.Network, error) {
 	return sim.New(cfg)
 }
 
-// config is an arm of scheme sc on the setup's fabric, loaded by wl for
-// dur.
-func (x Setup) config(sc Scheme, dur eventsim.Time, wl func(*sim.Network) error) RunConfig {
-	return RunConfig{Net: x.Scale.Net, Scheme: sc, Interval: x.Scale.Interval, Duration: dur, Workload: wl}
-}
-
 // sim is the arm that runs cfg at each seed, in row cfg.Scheme.Name, and
 // measures the result.
 func (x Setup) sim(key string, cfg RunConfig, measure func(*Result) []Cell) Arm {
@@ -332,14 +324,6 @@ func (x Setup) run(cfg RunConfig, key string, seed int64) (*Result, error) {
 		return nil, err
 	}
 	return r, x.timeline(cfg.Scheme.Name, key, seed, r.TP, r.RTT)
-}
-
-// testbed runs Paraleon behind an in-process TCP controller on the setup's
-// fabric at seed, with the compressed SA schedule.
-func (x Setup) testbed(seed int64, dur eventsim.Time, wl func(*sim.Network) error) (*TestbedResult, error) {
-	srv := ctrlrpc.DefaultServerConfig()
-	srv.SA = tuner.ShortSAConfig()
-	return RunTestbed(TestbedConfig{Scale: x.seeded(seed), Server: srv, Duration: dur, Workload: wl})
 }
 
 // timeline writes one arm's throughput and normalized-RTT series to

@@ -17,9 +17,9 @@ import (
 
 // linkFlapConfig is chaos-linkflap against the test's own registry, so
 // assertions see exactly one run's activity.
-func linkFlapConfig(horizon eventsim.Time, seed int64, reg *telemetry.Registry, traceTo *bytes.Buffer) ChaosRunConfig {
+func linkFlapConfig(horizon eventsim.Time, seed int64, reg *telemetry.Registry, traceTo *bytes.Buffer) RunConfig {
 	cfg := ChaosLinkFlapConfig(QuickScale(), horizon, seed, traceTo)
-	cfg.SystemCfg.Telemetry = reg
+	cfg.Scheme.SystemCfg.Telemetry = reg
 	return cfg
 }
 
@@ -30,26 +30,27 @@ func linkFlapConfig(horizon eventsim.Time, seed int64, reg *telemetry.Registry, 
 func TestTelemetryEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	r, err := RunChaos(linkFlapConfig(40*eventsim.Millisecond, 1, reg, &buf))
+	r, err := Run(linkFlapConfig(40*eventsim.Millisecond, 1, reg, &buf))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The chaos run goes through Run, so it publishes engine accounting.
+	if ev := reg.Counter("paraleon_engine_events_total", "").Value(); ev <= 0 {
+		t.Errorf("paraleon_engine_events_total = %d after a chaos-linkflap run, want > 0", ev)
 	}
 	// A small testbed run covers the ctrlrpc family the in-sim loop
 	// never touches.
 	srvCfg := ctrlrpc.DefaultServerConfig()
 	srvCfg.SA = tuner.ShortSAConfig()
-	if _, err := RunTestbed(TestbedConfig{
-		Scale:     QuickScale(),
-		Server:    srvCfg,
-		Duration:  10 * eventsim.Millisecond,
-		Telemetry: reg,
-		Workload: func(n *sim.Network) error {
-			_, err := workload.InstallPoisson(n, workload.PoissonConfig{
-				CDF: workload.FBHadoop(), Load: 0.3,
-			})
-			return err
-		},
-	}); err != nil {
+	tb := wireConfig(srvCfg, 10*eventsim.Millisecond)
+	tb.Scheme.SystemCfg.Telemetry = reg
+	tb.Workload = func(n *sim.Network) error {
+		_, err := workload.InstallPoisson(n, workload.PoissonConfig{
+			CDF: workload.FBHadoop(), Load: 0.3,
+		})
+		return err
+	}
+	if _, err := Run(tb); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,12 +85,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if r.Rollbacks == 0 {
+	if r.Sys.Rollbacks == 0 {
 		t.Fatal("no rollbacks under link flapping; scenario lost its teeth")
 	}
 	rollbacks := reg.Counter("paraleon_tuner_rollbacks_total", "")
-	if got := rollbacks.Value(); got != int64(r.Rollbacks) {
-		t.Errorf("rollback counter = %d, result says %d", got, r.Rollbacks)
+	if got := rollbacks.Value(); got != int64(r.Sys.Rollbacks) {
+		t.Errorf("rollback counter = %d, result says %d", got, r.Sys.Rollbacks)
 	}
 
 	// 2. Span-linked trace: each sa_session span opens with a trigger,
@@ -164,7 +165,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 func TestLoopStatusPublished(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	if _, err := RunChaos(linkFlapConfig(20*eventsim.Millisecond, 1, reg, &buf)); err != nil {
+	if _, err := Run(linkFlapConfig(20*eventsim.Millisecond, 1, reg, &buf)); err != nil {
 		t.Fatal(err)
 	}
 	status := reg.Status()

@@ -2,102 +2,68 @@ package harness
 
 import (
 	"fmt"
+	"net"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/ctrlrpc"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
-	"repro/internal/monitor"
+	"repro/internal/loop"
 	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/series"
 	"repro/internal/topology"
+	"repro/internal/tuner"
 )
 
-// TestbedConfig drives the §IV-C "real testbed" mode: the data plane is
-// simulated, but the control plane is the real thing — per-ToR agents
-// upload metrics to a ctrlrpc controller over TCP loopback and apply the
-// parameters it returns, exactly as the prototype's switch/server agents
-// talk to the Infrawaves controller.
-type TestbedConfig struct {
-	Scale    Scale
-	Server   ctrlrpc.ServerConfig
-	Duration eventsim.Time
-	// Interval is λ_MI (the paper uses 30 ms on the testbed; the
-	// reproduction default follows Scale.Interval).
-	Interval eventsim.Time
-	Workload func(n *sim.Network) error
-	// DrainAfter keeps simulating (without control traffic) until every
-	// started flow has a completion record or MaxTime is hit.
-	DrainAfter bool
-	MaxTime    eventsim.Time
-	// ControllerAddr, when non-empty, connects to an already-running
-	// controller (e.g. cmd/paraleon-controller) instead of starting one
-	// in-process; Server is then ignored and Server stats are zero.
-	ControllerAddr string
-	// Telemetry selects the metrics registry the run instruments itself
-	// against; nil means telemetry.Default().
-	Telemetry *telemetry.Registry
+// Wire runs a Paraleon scheme's control plane the §IV-C testbed way: the
+// data plane is simulated, but each ToR agent uploads its rack's report
+// to a ctrlrpc controller over TCP, a tick driver closes the interval
+// and applies the vector the controller returns, and every agent
+// acknowledges it — as the prototype's agents talk to the Infrawaves
+// controller.
+type Wire struct {
+	// Server configures the in-process controller on loopback; its Base
+	// is Scheme.Static, the fabric's starting setting.
+	Server ctrlrpc.ServerConfig
+	// Addr, when set, names an already-running controller (e.g.
+	// cmd/paraleon-controller) to use instead.
+	Addr string
+	// RestartAt, when positive, kills the in-process controller before
+	// interval RestartAt closes and binds a fresh one on its address.
+	RestartAt int
 }
 
-// TestbedResult carries the run's series plus control-plane overheads.
-type TestbedResult struct {
-	Net     *sim.Network
-	TP, RTT *series.Series
-
-	// Server is the controller's own accounting.
+// WireStats is a Wire run's control-plane accounting.
+type WireStats struct {
+	// Server is the in-process controller's own accounting.
 	Server ctrlrpc.ServerStats
-	// ReportBytes / ParamsBytes are the observed wire sizes of one
-	// report and one params frame (Table IV's data-transfer rows).
+	// ReportBytes / ParamsBytes are the observed sizes of one report and
+	// one params frame (Table IV's data-transfer rows); AgentBytesOut
+	// sums all reports.
 	ReportBytes, ParamsBytes int
-	// AgentBytesOut sums all agent uploads.
-	AgentBytesOut int64
-	// Dispatches counts parameter applications to the fabric.
-	Dispatches int
-	// Incomplete counts started flows with no completion record when the
-	// run ended; non-zero after a DrainAfter run means MaxTime cut it.
-	Incomplete int
+	AgentBytesOut            int64
+	// AgentErrors and TickErrors count agent calls (reports, apply-ACKs)
+	// and driver ticks that failed even after redial; Reconnects counts
+	// the redials, and Drops, Dups and Truncs the injected frame faults.
+	AgentErrors, TickErrors, Reconnects int
+	Drops, Dups, Truncs                 int
 }
 
-// rackView indexes the per-ToR scope an agent reports on.
-type rackView struct {
-	tor      topology.NodeID
-	hosts    []topology.NodeID
-	torPorts []int // host-facing ports on the ToR
+// testbedConfig is Paraleon behind an in-process TCP controller with the
+// compressed SA schedule, on scale's fabric, loaded by wl for dur.
+func testbedConfig(scale Scale, dur eventsim.Time, wl func(*sim.Network) error) RunConfig {
+	srv := ctrlrpc.DefaultServerConfig()
+	srv.SA = tuner.ShortSAConfig()
+	cfg := scale.Config(ParaleonScheme(), dur, wl)
+	cfg.Wire = &Wire{Server: srv}
+	return cfg
 }
 
-func rackViews(n *sim.Network) []rackView {
-	views := map[topology.NodeID]*rackView{}
-	var order []topology.NodeID
-	for _, tor := range n.Topo.ToRs() {
-		views[tor] = &rackView{tor: tor}
-		order = append(order, tor)
-	}
-	for i := range n.Topo.Links {
-		l := &n.Topo.Links[i]
-		a, b := n.Topo.Nodes[l.A], n.Topo.Nodes[l.B]
-		switch {
-		case a.Kind == topology.Host && b.Kind == topology.ToRSwitch:
-			v := views[l.B]
-			v.hosts = append(v.hosts, l.A)
-			v.torPorts = append(v.torPorts, l.BPort)
-		case b.Kind == topology.Host && a.Kind == topology.ToRSwitch:
-			v := views[l.A]
-			v.hosts = append(v.hosts, l.B)
-			v.torPorts = append(v.torPorts, l.APort)
-		}
-	}
-	out := make([]rackView, 0, len(order))
-	for _, tor := range order {
-		out = append(out, *views[tor])
-	}
-	return out
-}
-
-// rackReport closes agent id's interval seq: its local FSD and its
-// rack's runtime-metric sums, as the wire carries them.
-func rackReport(n *sim.Network, v rackView, a *monitor.SwitchAgent, id, seq int, interval eventsim.Time) ctrlrpc.Report {
+// rackReport closes agent id's interval seq on the rack under tor: its
+// local FSD and its rack's runtime-metric sums, as the wire carries them.
+func rackReport(n *sim.Network, tor topology.NodeID, a loop.ReportSource, id, seq int, interval eventsim.Time) ctrlrpc.Report {
 	mr := a.EndInterval()
 	r := ctrlrpc.Report{
 		AgentID: uint32(id), Seq: uint64(seq), Flows: int32(mr.Flows), Hist: mr.Hist,
@@ -105,11 +71,18 @@ func rackReport(n *sim.Network, v rackView, a *monitor.SwitchAgent, id, seq int,
 		ElephantFlowsW: mr.ElephantFlowsW, MiceFlowsW: mr.MiceFlowsW,
 	}
 	seconds := interval.Seconds()
-	sw := n.Switch(v.tor)
-	for i, host := range v.hosts {
+	sw := n.Switch(tor)
+	for port := range sw.NumPorts() {
+		l := n.Topo.LinkAt(tor, port)
+		host := l.A
+		if host == tor {
+			host = l.B
+		}
+		if n.Topo.Nodes[host].Kind != topology.Host {
+			continue
+		}
 		hp := n.Host(host).Port()
-		tp := sw.Port(v.torPorts[i])
-		for _, p := range []*netdev.EgressPort{hp, tp} {
+		for _, p := range []*netdev.EgressPort{hp, sw.Port(port)} {
 			bytes := p.TakeTxDataBytes()
 			if bytes <= 0 {
 				continue
@@ -140,139 +113,185 @@ func rackReport(n *sim.Network, v rackView, a *monitor.SwitchAgent, id, seq int,
 	return r
 }
 
-// RunTestbed executes one testbed-mode run against a live controller.
-func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = cfg.Scale.Interval
-	}
-	if cfg.MaxTime <= 0 {
-		cfg.MaxTime = cfg.Duration + 10*eventsim.Second
-	}
-	netCfg := cfg.Scale.Net
-	netCfg.Params = cfg.Server.Base
-	n, err := sim.New(netCfg)
-	if err != nil {
-		return nil, err
-	}
-
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.Default()
-	}
-	addr := cfg.ControllerAddr
-	var srv *ctrlrpc.Server
-	if addr == "" {
-		srvCfg := cfg.Server
-		if srvCfg.Telemetry == nil {
-			srvCfg.Telemetry = reg
-		}
-		srv, err = ctrlrpc.Serve("127.0.0.1:0", srvCfg)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		addr = srv.Addr()
-	}
-
-	rpcTM := telemetry.NewRPCMetrics(reg)
-	sketchTM := telemetry.NewSketchMetrics(reg)
-	views := rackViews(n)
-	agents := make([]*monitor.SwitchAgent, len(views))
-	clients := make([]*ctrlrpc.Client, len(views))
-	for i, v := range views {
-		agents[i] = monitor.NewSwitchAgent(monitor.ParaleonAgentConfig(), uint64(i+1))
-		agents[i].TM = sketchTM
-		agents[i].Attach(n.Switch(v.tor))
-		c, err := ctrlrpc.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.TM = rpcTM
-		defer c.Close()
-		clients[i] = c
-	}
-	driver, err := ctrlrpc.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	driver.TM = rpcTM
-	defer driver.Close()
-
-	for _, h := range n.Hosts {
-		h.StartProbing(cfg.Interval / 4)
-	}
-	if err := cfg.Workload(n); err != nil {
-		return nil, err
-	}
-
-	ticks := int(cfg.Duration / cfg.Interval)
-	res := &TestbedResult{Net: n}
-	res.TP, res.RTT, _, _ = runtimeSeries(ticks)
-	for seq := 1; seq <= ticks; seq++ {
-		n.Run(eventsim.Time(seq) * cfg.Interval)
-		now := n.Eng.Now()
-		var tpSum, rttSum float64
-		var tpLinks int32
-		var rttN int64
-		for i, v := range views {
-			r := rackReport(n, v, agents[i], i, seq, cfg.Interval)
-			before := clients[i].BytesOut
-			if err := clients[i].SendReport(r); err != nil {
-				return nil, fmt.Errorf("testbed: report: %w", err)
-			}
-			res.ReportBytes = int(clients[i].BytesOut - before)
-			res.AgentBytesOut += clients[i].BytesOut - before
-			tpSum += r.UtilSum
-			tpLinks += r.ActiveLinks
-			rttSum += r.RTTNormSum
-			rttN += r.RTTCount
-		}
-		beforeIn := driver.BytesIn
-		tick, err := driver.Tick(uint64(seq), time.Duration(cfg.Interval))
-		if err != nil {
-			return nil, fmt.Errorf("testbed: tick: %w", err)
-		}
-		res.ParamsBytes = int(driver.BytesIn - beforeIn)
-		if tick.Changed {
-			n.ApplyParams(tick.Params)
-			res.Dispatches++
-			// Every agent confirms the applied (epoch, vector-hash) so the
-			// controller's quorum view covers the whole fabric.
-			hash := dispatch.VectorHash(&tick.Params)
-			for i := range clients {
-				ack := ctrlrpc.AckMsg{AgentID: uint32(i), Epoch: tick.Epoch, VectorHash: hash, Applied: true}
-				if err := clients[i].SendApplyAck(ack); err != nil {
-					return nil, fmt.Errorf("testbed: apply-ack: %w", err)
-				}
-			}
-		}
-		tp := 0.0
-		if tpLinks > 0 {
-			tp = tpSum / float64(tpLinks)
-		}
-		rtt := 1.0
-		if rttN > 0 {
-			rtt = rttSum / float64(rttN)
-		}
-		res.TP.Append(int64(now), tp)
-		res.RTT.Append(int64(now), rtt)
-	}
-	if cfg.DrainAfter {
-		drainFlows(n, cfg.Interval, cfg.MaxTime)
-	}
-	res.Incomplete = n.IncompleteFlows()
-	if srv != nil {
-		res.Server = srv.Stats()
-	}
-	return res, nil
+// wirePlane is a Run's Wire control plane: a redialing client for each
+// ToR agent and, last, one for the tick driver.
+type wirePlane struct {
+	n        *sim.Network
+	interval eventsim.Time
+	tors     []topology.NodeID
+	sources  []loop.ReportSource
+	clients  []*ctrlrpc.ReconnClient
+	// faulty are the connections that inject frame faults.
+	faulty    []*chaos.FaultyConn
+	srv       *ctrlrpc.Server
+	srvCfg    ctrlrpc.ServerConfig
+	restartAt int
+	// tolerant is set under a fault schedule, where a failed call only
+	// degrades its interval.
+	tolerant bool
+	res      *Result
 }
 
-// drainFlows runs n a step at a time until every started flow has a
-// completion record or maxTime is reached. It ends on the receivers' view
-// (see sim.Network.IncompleteFlows), as Run's drain does: the testbed's
-// probe timers keep the engine busy, so RunUntilIdle would run to maxTime.
-func drainFlows(n *sim.Network, step, maxTime eventsim.Time) {
-	for n.Eng.Now() < maxTime && n.IncompleteFlows() > 0 {
-		n.Run(min(n.Eng.Now()+step, maxTime))
+// dialWire starts cfg.Wire's controller unless it names one, and
+// connects a client for each of sources (one per ToR) and the driver.
+func dialWire(n *sim.Network, cfg RunConfig, sources []loop.ReportSource, sc chaos.Scenario, reg *telemetry.Registry, res *Result) (*wirePlane, error) {
+	tors := n.Topo.ToRs()
+	if len(sources) != len(tors) {
+		return nil, fmt.Errorf("harness: the wire needs one FSD source per ToR, have %d for %d", len(sources), len(tors))
+	}
+	w := &wirePlane{
+		n: n, interval: cfg.Interval, tors: tors, sources: sources,
+		restartAt: cfg.Wire.RestartAt, tolerant: cfg.Faults != nil, res: res,
+	}
+	addr := cfg.Wire.Addr
+	if addr == "" {
+		w.srvCfg = cfg.Wire.Server
+		w.srvCfg.Base = cfg.Scheme.Static
+		if w.srvCfg.Telemetry == nil {
+			w.srvCfg.Telemetry = reg
+		}
+		var err error
+		if w.srv, err = ctrlrpc.Serve("127.0.0.1:0", w.srvCfg); err != nil {
+			return nil, err
+		}
+		addr = w.srv.Addr()
+	}
+	faults := sc.Conn
+	if faults.Seed == 0 {
+		faults.Seed = sc.Seed
+	}
+	rpcTM := telemetry.NewRPCMetrics(reg)
+	for i := range len(tors) + 1 {
+		// The driver gets clean connections: under a fault schedule its
+		// job is to show the controller restart recovery, not to fight
+		// frame faults too.
+		faulty := faults.Enabled() && i < len(tors)
+		dial := func(addr string) (*ctrlrpc.Client, error) {
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				return nil, err
+			}
+			if faulty {
+				f := faults
+				f.Seed += int64(len(w.faulty) + 1)
+				fc := f.Wrap(conn)
+				w.faulty = append(w.faulty, fc)
+				conn = fc
+			}
+			return ctrlrpc.NewClient(conn), nil
+		}
+		rc, err := ctrlrpc.DialReconnectingWith(addr, 10, 2*time.Millisecond, 20*time.Millisecond, dial)
+		if err != nil {
+			w.close()
+			return nil, err
+		}
+		rc.TM = rpcTM
+		rc.SeedBackoff(sc.Seed + int64(i))
+		w.clients = append(w.clients, rc)
+	}
+	return w, nil
+}
+
+// tick closes interval seq: every agent reports its rack, the driver
+// ticks the controller, and a changed vector is applied to the fabric and
+// acknowledged by every agent. The sample is the one the controller
+// aggregates from the reports.
+func (w *wirePlane) tick(seq int) (loop.RuntimeSample, error) {
+	sample := loop.RuntimeSample{ORTT: 1, OPFC: 1}
+	if seq == w.restartAt && w.srv != nil {
+		// Kill the controller and bring a fresh one up on the same
+		// address: established connections break, aggregation state is
+		// lost, and every client must redial.
+		w.srv.Close()
+		srv, err := ctrlrpc.Serve(w.srv.Addr(), w.srvCfg)
+		if err != nil {
+			return sample, fmt.Errorf("harness: controller restart: %w", err)
+		}
+		w.srv = srv
+		w.res.Kills++
+	}
+	st := &w.res.Wire
+	var util, rtt, pause float64
+	var links, devices int32
+	var rttN int64
+	for i, tor := range w.tors {
+		r := rackReport(w.n, tor, w.sources[i], i, seq, w.interval)
+		_, before := w.clients[i].Traffic()
+		if err := w.tolerate(w.clients[i].SendReport(r), &st.AgentErrors); err != nil {
+			return sample, fmt.Errorf("harness: wire report: %w", err)
+		}
+		_, after := w.clients[i].Traffic()
+		st.ReportBytes = int(after - before)
+		st.AgentBytesOut += after - before
+		util += r.UtilSum
+		links += r.ActiveLinks
+		rtt += r.RTTNormSum
+		rttN += r.RTTCount
+		pause += r.PauseFracSum
+		devices += r.Devices
+	}
+	if links > 0 {
+		sample.OTP, sample.ActiveLinks = util/float64(links), int(links)
+	}
+	if rttN > 0 {
+		sample.ORTT, sample.RTTSamples = rtt/float64(rttN), rttN
+	}
+	if devices > 0 {
+		sample.OPFC = 1 - pause/float64(devices)
+	}
+
+	driver := len(w.tors)
+	before, _ := w.clients[driver].Traffic()
+	tick, err := w.clients[driver].Tick(uint64(seq), time.Duration(w.interval))
+	if err := w.tolerate(err, &st.TickErrors); err != nil {
+		return sample, fmt.Errorf("harness: wire tick: %w", err)
+	}
+	after, _ := w.clients[driver].Traffic()
+	st.ParamsBytes = int(after - before)
+	if tick.Changed {
+		w.n.ApplyParams(tick.Params)
+		w.res.Dispatches++
+		// Every agent confirms the applied (epoch, vector-hash) so the
+		// controller's quorum view covers the whole fabric.
+		hash := dispatch.VectorHash(&tick.Params)
+		for i, c := range w.clients[:driver] {
+			ack := ctrlrpc.AckMsg{AgentID: uint32(i), Epoch: tick.Epoch, VectorHash: hash, Applied: true}
+			if err := w.tolerate(c.SendApplyAck(ack), &st.AgentErrors); err != nil {
+				return sample, fmt.Errorf("harness: wire apply-ack: %w", err)
+			}
+		}
+	}
+	return sample, nil
+}
+
+// tolerate returns a failed call's error or, under a fault schedule, counts
+// it in *lost instead: the interval degrades and the run goes on.
+func (w *wirePlane) tolerate(err error, lost *int) error {
+	if err != nil && w.tolerant {
+		*lost++
+		return nil
+	}
+	return err
+}
+
+// close records the redials, the injected frame faults and the
+// controller's accounting in the run's result, then closes the clients
+// and the controller.
+func (w *wirePlane) close() {
+	st := &w.res.Wire
+	for _, c := range w.clients {
+		st.Reconnects += c.Reconnects
+	}
+	for _, fc := range w.faulty {
+		st.Drops += fc.Drops
+		st.Dups += fc.Dups
+		st.Truncs += fc.Truncs
+	}
+	for _, c := range w.clients {
+		c.Close()
+	}
+	if w.srv != nil {
+		st.Server = w.srv.Stats()
+		w.srv.Close()
 	}
 }

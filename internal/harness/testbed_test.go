@@ -9,39 +9,43 @@ import (
 	"repro/internal/workload"
 )
 
+// wireConfig is a QuickScale Paraleon run for dur behind an in-process
+// TCP controller configured by srv.
+func wireConfig(srv ctrlrpc.ServerConfig, dur eventsim.Time) RunConfig {
+	cfg := QuickScale().Config(ParaleonScheme(), dur, nil)
+	cfg.Wire = &Wire{Server: srv}
+	return cfg
+}
+
 func TestRunTestbedClosedLoop(t *testing.T) {
-	scale := QuickScale()
-	res, err := RunTestbed(TestbedConfig{
-		Scale:    scale,
-		Server:   ctrlrpc.DefaultServerConfig(),
-		Duration: 30 * eventsim.Millisecond,
-		Workload: func(n *sim.Network) error {
-			_, err := workload.InstallPoisson(n, workload.PoissonConfig{
-				CDF: workload.FBHadoop(), Load: 0.4,
-			})
-			return err
-		},
-	})
+	cfg := wireConfig(ctrlrpc.DefaultServerConfig(), 30*eventsim.Millisecond)
+	cfg.Workload = func(n *sim.Network) error {
+		_, err := workload.InstallPoisson(n, workload.PoissonConfig{
+			CDF: workload.FBHadoop(), Load: 0.4,
+		})
+		return err
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TP.Len() != 30 {
 		t.Errorf("TP samples %d, want 30", res.TP.Len())
 	}
-	if res.Server.Reports == 0 || res.Server.Ticks != 30 {
-		t.Errorf("server stats %+v", res.Server)
+	if st := res.Wire.Server; st.Reports == 0 || st.Ticks != 30 {
+		t.Errorf("server stats %+v", st)
 	}
-	if res.Server.Triggers == 0 {
+	if res.Wire.Server.Triggers == 0 {
 		t.Error("controller never triggered tuning")
 	}
 	if res.Dispatches == 0 {
 		t.Error("no parameters applied to the fabric")
 	}
-	if res.ReportBytes <= 0 || res.ReportBytes > 1024 {
-		t.Errorf("report frame %d B implausible", res.ReportBytes)
+	if b := res.Wire.ReportBytes; b <= 0 || b > 1024 {
+		t.Errorf("report frame %d B implausible", b)
 	}
-	if res.ParamsBytes <= 0 || res.ParamsBytes > 512 {
-		t.Errorf("params frame %d B implausible", res.ParamsBytes)
+	if b := res.Wire.ParamsBytes; b <= 0 || b > 512 {
+		t.Errorf("params frame %d B implausible", b)
 	}
 	if len(res.Net.Completed) == 0 {
 		t.Error("no flows completed")
@@ -49,20 +53,16 @@ func TestRunTestbedClosedLoop(t *testing.T) {
 }
 
 func TestTestbedParamsReachFabric(t *testing.T) {
-	scale := QuickScale()
 	var initial = ctrlrpc.DefaultServerConfig().Base
-	res, err := RunTestbed(TestbedConfig{
-		Scale:    scale,
-		Server:   ctrlrpc.DefaultServerConfig(),
-		Duration: 20 * eventsim.Millisecond,
-		Workload: func(n *sim.Network) error {
-			hosts := n.Topo.Hosts()
-			for i := 1; i <= 5; i++ {
-				n.StartFlow(hosts[i], hosts[0], 64<<20)
-			}
-			return nil
-		},
-	})
+	cfg := wireConfig(ctrlrpc.DefaultServerConfig(), 20*eventsim.Millisecond)
+	cfg.Workload = func(n *sim.Network) error {
+		hosts := n.Topo.Hosts()
+		for i := 1; i <= 5; i++ {
+			n.StartFlow(hosts[i], hosts[0], 64<<20)
+		}
+		return nil
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,23 +79,20 @@ func TestTestbedParamsReachFabric(t *testing.T) {
 }
 
 // TestTestbedDrainEndsOnCompletions pins DrainAfter to the receivers'
-// view. The testbed arms probe timers, so the engine never idles; the
-// parent drained with RunUntilIdle and ran to Duration + the 10 s default
-// MaxTime (10.005 s here) for two flows done at ~7 ms.
+// view. The wire arms probe timers, so the engine never idles; a drain
+// with RunUntilIdle would run to MaxTime (over a second here) for two
+// flows done at ~7 ms.
 func TestTestbedDrainEndsOnCompletions(t *testing.T) {
 	scale := QuickScale()
-	res, err := RunTestbed(TestbedConfig{
-		Scale:      scale,
-		Server:     ctrlrpc.DefaultServerConfig(),
-		Duration:   5 * eventsim.Millisecond,
-		DrainAfter: true,
-		Workload: func(n *sim.Network) error {
-			hosts := n.Topo.Hosts()
-			n.StartFlow(hosts[1], hosts[0], 4<<20)
-			n.StartFlow(hosts[2], hosts[0], 4<<20)
-			return nil
-		},
-	})
+	cfg := wireConfig(ctrlrpc.DefaultServerConfig(), 5*eventsim.Millisecond)
+	cfg.DrainAfter = true
+	cfg.Workload = func(n *sim.Network) error {
+		hosts := n.Topo.Hosts()
+		n.StartFlow(hosts[1], hosts[0], 4<<20)
+		n.StartFlow(hosts[2], hosts[0], 4<<20)
+		return nil
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
