@@ -23,7 +23,6 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/series"
-	"repro/internal/tuner"
 )
 
 func main() {
@@ -33,7 +32,7 @@ func main() {
 	wRTT := flag.Float64("w-rtt", 0.5, "utility weight for RTT")
 	wPFC := flag.Float64("w-pfc", 0.3, "utility weight for PFC")
 	seed := flag.Int64("seed", 1, "tuner randomness seed")
-	tunerName := flag.String("tuner", "", "tuning strategy: sa | bandit | multiecn (default sa)")
+	tunerName := flag.String("tuner", "", "tuning strategy: sa | bandit (default sa)")
 	statsEvery := flag.Duration("stats-every", 10*time.Second, "stats print period (0 disables)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/status and /debug/pprof on this address")
 	ioTimeout := flag.Duration("io-timeout", 0, "per-frame read/write deadline on agent connections (0 disables)")
@@ -57,16 +56,7 @@ func main() {
 	cfg.Theta = *theta
 	cfg.Weights.TP, cfg.Weights.RTT, cfg.Weights.PFC = *wTP, *wRTT, *wPFC
 	cfg.Seed = *seed
-	if *tunerName != "" {
-		known := false
-		for _, n := range tuner.Names() {
-			known = known || n == *tunerName
-		}
-		if !known {
-			log.Fatalf("-tuner: unknown strategy %q (have %v)", *tunerName, tuner.Names())
-		}
-		cfg.Tuner = *tunerName
-	}
+	cfg.Tuner = *tunerName
 	cfg.Logger = log.New(os.Stderr, "controller: ", log.LstdFlags)
 	cfg.ReadTimeout = *ioTimeout
 	cfg.WriteTimeout = *ioTimeout
@@ -94,7 +84,7 @@ func main() {
 
 	srv, err := ctrlrpc.Serve(*addr, cfg)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		log.Fatalf("serve: %v", err)
 	}
 	fmt.Printf("paraleon controller listening on %s (theta=%.3g weights=%.2f/%.2f/%.2f)\n",
 		srv.Addr(), *theta, *wTP, *wRTT, *wPFC)

@@ -13,24 +13,25 @@ import (
 	"log"
 
 	paraleon "repro"
-	"repro/internal/ctrlrpc"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func main() {
-	// A controller with LLM-style throughput weights.
-	serverCfg := ctrlrpc.DefaultServerConfig()
-	serverCfg.Weights = paraleon.ThroughputWeights()
+	// Paraleon with LLM-style throughput weights and the Table III
+	// schedule; the wire run's controller takes both from the scheme.
+	scheme := harness.ParaleonScheme()
+	scheme.SystemCfg.Weights = paraleon.ThroughputWeights()
+	scheme.SystemCfg.SA = paraleon.DefaultSystemConfig().SA
 
 	scale := harness.QuickScale()
 	res, err := harness.Run(harness.RunConfig{
 		Net:      scale.Net,
-		Scheme:   harness.ParaleonScheme(),
+		Scheme:   scheme,
 		Interval: scale.Interval,
 		Duration: 80 * paraleon.Millisecond,
-		Wire:     &harness.Wire{Server: serverCfg},
+		Wire:     &harness.Wire{},
 		Workload: func(n *sim.Network) error {
 			_, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
 				Workers:      n.Topo.Hosts()[:6],

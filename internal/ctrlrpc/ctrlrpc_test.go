@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -111,9 +112,11 @@ func elephantReport(agent uint32, seq uint64) Report {
 	r := Report{
 		AgentID: agent, Seq: seq,
 		ElephantBytes: 9000, MiceBytes: 1000, Flows: 4,
-		UtilSum: 0.8, ActiveLinks: 1,
-		RTTNormSum: 0.9, RTTCount: 1,
-		PauseFracSum: 0, Devices: 2,
+		RuntimeSums: loop.RuntimeSums{
+			UtilSum: 0.8, ActiveLinks: 1,
+			RTTNormSum: 0.9, RTTCount: 1,
+			PauseFracSum: 0, Devices: 2,
+		},
 	}
 	r.Hist[12] = 9000
 	r.Hist[0] = 1000
@@ -360,5 +363,21 @@ func TestReportMonitorReport(t *testing.T) {
 	fsd := loop.Aggregate(m)
 	if fsd.ElephantShare != 0.9 {
 		t.Errorf("elephant share %g", fsd.ElephantShare)
+	}
+}
+
+// TestServeRefusesPerSwitch: the daemon answers a tick with one
+// fabric-wide vector, so it refuses a strategy that tunes each switch on
+// its own instead of running a different loop than the simulator.
+func TestServeRefusesPerSwitch(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Tuner = "multiecn"
+	s, err := Serve("127.0.0.1:0", cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("Serve accepted multiecn")
+	}
+	if !strings.Contains(err.Error(), `"multiecn"`) {
+		t.Errorf("error %q does not name the strategy", err)
 	}
 }

@@ -60,12 +60,7 @@ type Report struct {
 	Flows          int32
 
 	// Runtime metric contributions for this agent's scope.
-	UtilSum      float64
-	ActiveLinks  int32
-	RTTNormSum   float64
-	RTTCount     int64
-	PauseFracSum float64
-	Devices      int32
+	loop.RuntimeSums
 }
 
 // MonitorReport converts the wire FSD fields back to a loop.Report.

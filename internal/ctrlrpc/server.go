@@ -30,11 +30,12 @@ type ServerConfig struct {
 	SA      tuner.SAConfig
 	// Tuner selects the search strategy by registry name (see
 	// internal/tuner); empty means "sa", preserving the historical
-	// behaviour exactly. Bandit and MultiECN parameterize those
-	// strategies when selected; zero values mean their defaults.
-	Tuner    string
-	Bandit   tuner.BanditConfig
-	MultiECN tuner.MultiECNConfig
+	// behaviour exactly. Bandit parameterizes that strategy when
+	// selected; the zero value means its defaults. A per-switch strategy
+	// (tuner.PerSwitch) is refused: ParamsMsg carries one fabric-wide
+	// vector, so its per-switch proposals could not reach the switches.
+	Tuner  string
+	Bandit tuner.BanditConfig
 	// Base is the initial parameter setting.
 	Base dcqcn.Params
 	// Seed fixes the tuner's randomness.
@@ -161,14 +162,16 @@ type controllerStatus struct {
 // it is listening.
 func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	tun, err := tuner.New(cfg.Tuner, tuner.Config{
-		Weights:  cfg.Weights,
-		Base:     cfg.Base,
-		SA:       cfg.SA,
-		Bandit:   cfg.Bandit,
-		MultiECN: cfg.MultiECN,
+		Weights: cfg.Weights,
+		Base:    cfg.Base,
+		SA:      cfg.SA,
+		Bandit:  cfg.Bandit,
 	}, cfg.Seed)
 	if err != nil {
 		return nil, err
+	}
+	if _, ok := tun.(tuner.PerSwitch); ok {
+		return nil, fmt.Errorf("ctrlrpc: strategy %q tunes each switch apart, which the daemon cannot dispatch", tun.Name())
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -390,33 +393,13 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	defer s.publishStatus()
 
 	locals := s.locals[:0]
-	sample := loop.RuntimeSample{ORTT: 1, OPFC: 1}
-	var utilSum, pauseSum float64
-	var links, devices int32
-	var rttSum float64
-	var rttCount int64
+	var sums loop.RuntimeSums
 	for i := range reports {
-		r := &reports[i]
-		locals = append(locals, r.MonitorReport())
-		utilSum += r.UtilSum
-		links += r.ActiveLinks
-		rttSum += r.RTTNormSum
-		rttCount += r.RTTCount
-		pauseSum += r.PauseFracSum
-		devices += r.Devices
+		locals = append(locals, reports[i].MonitorReport())
+		sums.Add(reports[i].RuntimeSums)
 	}
 	s.locals = locals
-	if links > 0 {
-		sample.OTP = utilSum / float64(links)
-		sample.ActiveLinks = int(links)
-	}
-	if rttCount > 0 {
-		sample.ORTT = rttSum / float64(rttCount)
-		sample.RTTSamples = rttCount
-	}
-	if devices > 0 {
-		sample.OPFC = 1 - pauseSum/float64(devices)
-	}
+	sample := sums.Sample()
 
 	// KL is computed only against traffic an earlier tick absorbed.
 	warm := s.ctl.Current.TotalBytes > 0

@@ -328,7 +328,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	var tick func(seq int) (loop.RuntimeSample, error)
 	var flaky []*chaos.FlakySource
 	kill := func() {}
-	weights := tuner.DefaultWeights()
+	weights := cfg.Scheme.SystemCfg.Weights
 	switch cfg.Scheme.Kind {
 	case KindParaleon:
 		sources := buildSources(n, cfg.Scheme, cfg.Interval, oracles, telemetry.NewSketchMetrics(reg))
@@ -345,7 +345,7 @@ func Run(cfg RunConfig) (*Result, error) {
 				return nil, err
 			}
 			defer wire.close() // fills res.Wire
-			weights, tick = cfg.Wire.Server.Weights, wire.tick
+			tick = wire.tick
 			break
 		}
 		sysCfg := cfg.Scheme.SystemCfg
@@ -354,7 +354,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		if res.Sys, err = obs.attach(n, sysCfg); err != nil {
 			return nil, err
 		}
-		weights = sysCfg.Weights
 		dead, killed, killedBy := 0, false, ""
 		kill = func() { killed, killedBy = true, obs.lastFault; res.Kills++ }
 		tick = func(seq int) (loop.RuntimeSample, error) {

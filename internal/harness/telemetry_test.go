@@ -6,12 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ctrlrpc"
 	"repro/internal/eventsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -40,9 +38,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	// A small testbed run covers the ctrlrpc family the in-sim loop
 	// never touches.
-	srvCfg := ctrlrpc.DefaultServerConfig()
-	srvCfg.SA = tuner.ShortSAConfig()
-	tb := wireConfig(srvCfg, 10*eventsim.Millisecond)
+	tb := wireConfig(10 * eventsim.Millisecond)
 	tb.Scheme.SystemCfg.Telemetry = reg
 	tb.Workload = func(n *sim.Network) error {
 		_, err := workload.InstallPoisson(n, workload.PoissonConfig{

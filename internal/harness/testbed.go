@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"time"
@@ -10,11 +11,10 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
 	"repro/internal/loop"
-	"repro/internal/netdev"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/tuner"
 )
 
 // Wire runs a Paraleon scheme's control plane the §IV-C testbed way: the
@@ -22,11 +22,9 @@ import (
 // to a ctrlrpc controller over TCP, a tick driver closes the interval
 // and applies the vector the controller returns, and every agent
 // acknowledges it — as the prototype's agents talk to the Infrawaves
-// controller.
+// controller. The in-process controller runs the scheme's own loop
+// configuration (see serverConfig).
 type Wire struct {
-	// Server configures the in-process controller on loopback; its Base
-	// is Scheme.Static, the fabric's starting setting.
-	Server ctrlrpc.ServerConfig
 	// Addr, when set, names an already-running controller (e.g.
 	// cmd/paraleon-controller) to use instead.
 	Addr string
@@ -51,66 +49,24 @@ type WireStats struct {
 	Drops, Dups, Truncs                 int
 }
 
-// testbedConfig is Paraleon behind an in-process TCP controller with the
-// compressed SA schedule, on scale's fabric, loaded by wl for dur.
+// testbedConfig is Paraleon behind an in-process TCP controller, on
+// scale's fabric, loaded by wl for dur.
 func testbedConfig(scale Scale, dur eventsim.Time, wl func(*sim.Network) error) RunConfig {
-	srv := ctrlrpc.DefaultServerConfig()
-	srv.SA = tuner.ShortSAConfig()
 	cfg := scale.Config(ParaleonScheme(), dur, wl)
-	cfg.Wire = &Wire{Server: srv}
+	cfg.Wire = &Wire{}
 	return cfg
 }
 
-// rackReport closes agent id's interval seq on the rack under tor: its
-// local FSD and its rack's runtime-metric sums, as the wire carries them.
-func rackReport(n *sim.Network, tor topology.NodeID, a loop.ReportSource, id, seq int, interval eventsim.Time) ctrlrpc.Report {
-	mr := a.EndInterval()
-	r := ctrlrpc.Report{
-		AgentID: uint32(id), Seq: uint64(seq), Flows: int32(mr.Flows), Hist: mr.Hist,
-		ElephantBytes: mr.ElephantBytes, MiceBytes: mr.MiceBytes,
-		ElephantFlowsW: mr.ElephantFlowsW, MiceFlowsW: mr.MiceFlowsW,
+// serverConfig is the in-process controller of a wire run: the loop the
+// scheme runs in process, starting from Scheme.Static, with the strategy
+// core.Attach would pick — SystemCfg.Tuner, else the network's.
+func serverConfig(cfg RunConfig, reg *telemetry.Registry) ctrlrpc.ServerConfig {
+	sys := cfg.Scheme.SystemCfg
+	return ctrlrpc.ServerConfig{
+		Theta: sys.Theta, Weights: sys.Weights, SA: sys.SA,
+		Tuner: cmp.Or(sys.Tuner, cfg.Net.Tuner), Bandit: sys.Bandit,
+		Base: cfg.Scheme.Static, Seed: sys.Seed, Telemetry: reg,
 	}
-	seconds := interval.Seconds()
-	sw := n.Switch(tor)
-	for port := range sw.NumPorts() {
-		l := n.Topo.LinkAt(tor, port)
-		host := l.A
-		if host == tor {
-			host = l.B
-		}
-		if n.Topo.Nodes[host].Kind != topology.Host {
-			continue
-		}
-		hp := n.Host(host).Port()
-		for _, p := range []*netdev.EgressPort{hp, sw.Port(port)} {
-			bytes := p.TakeTxDataBytes()
-			if bytes <= 0 {
-				continue
-			}
-			u := float64(bytes*8) / (p.RateBps() * seconds)
-			if u > 1 {
-				u = 1
-			}
-			r.UtilSum += u
-			r.ActiveLinks++
-		}
-		s, c := n.Host(host).TakeRTT()
-		r.RTTNormSum += s
-		r.RTTCount += c
-		hostPause := float64(hp.TakePausedTime()) / float64(interval)
-		if hostPause > 1 {
-			hostPause = 1
-		}
-		r.PauseFracSum += hostPause
-		r.Devices++
-	}
-	swPause := float64(sw.TakePausedTime()) / (float64(sw.NumPorts()) * float64(interval))
-	if swPause > 1 {
-		swPause = 1
-	}
-	r.PauseFracSum += swPause
-	r.Devices++
-	return r
 }
 
 // wirePlane is a Run's Wire control plane: a redialing client for each
@@ -118,9 +74,10 @@ func rackReport(n *sim.Network, tor topology.NodeID, a loop.ReportSource, id, se
 type wirePlane struct {
 	n        *sim.Network
 	interval eventsim.Time
-	tors     []topology.NodeID
 	sources  []loop.ReportSource
-	clients  []*ctrlrpc.ReconnClient
+	// racks count each ToR's runtime metrics, aligned with sources.
+	racks   []*monitor.RuntimeCollector
+	clients []*ctrlrpc.ReconnClient
 	// faulty are the connections that inject frame faults.
 	faulty    []*chaos.FaultyConn
 	srv       *ctrlrpc.Server
@@ -140,16 +97,15 @@ func dialWire(n *sim.Network, cfg RunConfig, sources []loop.ReportSource, sc cha
 		return nil, fmt.Errorf("harness: the wire needs one FSD source per ToR, have %d for %d", len(sources), len(tors))
 	}
 	w := &wirePlane{
-		n: n, interval: cfg.Interval, tors: tors, sources: sources,
+		n: n, interval: cfg.Interval, sources: sources,
 		restartAt: cfg.Wire.RestartAt, tolerant: cfg.Faults != nil, res: res,
+	}
+	for _, tor := range tors {
+		w.racks = append(w.racks, monitor.NewScopedRuntimeCollector(n, []topology.NodeID{tor}))
 	}
 	addr := cfg.Wire.Addr
 	if addr == "" {
-		w.srvCfg = cfg.Wire.Server
-		w.srvCfg.Base = cfg.Scheme.Static
-		if w.srvCfg.Telemetry == nil {
-			w.srvCfg.Telemetry = reg
-		}
+		w.srvCfg = serverConfig(cfg, reg)
 		var err error
 		if w.srv, err = ctrlrpc.Serve("127.0.0.1:0", w.srvCfg); err != nil {
 			return nil, err
@@ -197,7 +153,6 @@ func dialWire(n *sim.Network, cfg RunConfig, sources []loop.ReportSource, sc cha
 // acknowledged by every agent. The sample is the one the controller
 // aggregates from the reports.
 func (w *wirePlane) tick(seq int) (loop.RuntimeSample, error) {
-	sample := loop.RuntimeSample{ORTT: 1, OPFC: 1}
 	if seq == w.restartAt && w.srv != nil {
 		// Kill the controller and bring a fresh one up on the same
 		// address: established connections break, aggregation state is
@@ -205,42 +160,33 @@ func (w *wirePlane) tick(seq int) (loop.RuntimeSample, error) {
 		w.srv.Close()
 		srv, err := ctrlrpc.Serve(w.srv.Addr(), w.srvCfg)
 		if err != nil {
-			return sample, fmt.Errorf("harness: controller restart: %w", err)
+			return loop.RuntimeSample{}, fmt.Errorf("harness: controller restart: %w", err)
 		}
 		w.srv = srv
 		w.res.Kills++
 	}
 	st := &w.res.Wire
-	var util, rtt, pause float64
-	var links, devices int32
-	var rttN int64
-	for i, tor := range w.tors {
-		r := rackReport(w.n, tor, w.sources[i], i, seq, w.interval)
+	var sums loop.RuntimeSums
+	for i, src := range w.sources {
+		mr := src.EndInterval()
+		r := ctrlrpc.Report{
+			AgentID: uint32(i), Seq: uint64(seq), Flows: int32(mr.Flows), Hist: mr.Hist,
+			ElephantBytes: mr.ElephantBytes, MiceBytes: mr.MiceBytes,
+			ElephantFlowsW: mr.ElephantFlowsW, MiceFlowsW: mr.MiceFlowsW,
+			RuntimeSums: w.racks[i].Sums(w.interval),
+		}
 		_, before := w.clients[i].Traffic()
 		if err := w.tolerate(w.clients[i].SendReport(r), &st.AgentErrors); err != nil {
-			return sample, fmt.Errorf("harness: wire report: %w", err)
+			return loop.RuntimeSample{}, fmt.Errorf("harness: wire report: %w", err)
 		}
 		_, after := w.clients[i].Traffic()
 		st.ReportBytes = int(after - before)
 		st.AgentBytesOut += after - before
-		util += r.UtilSum
-		links += r.ActiveLinks
-		rtt += r.RTTNormSum
-		rttN += r.RTTCount
-		pause += r.PauseFracSum
-		devices += r.Devices
+		sums.Add(r.RuntimeSums)
 	}
-	if links > 0 {
-		sample.OTP, sample.ActiveLinks = util/float64(links), int(links)
-	}
-	if rttN > 0 {
-		sample.ORTT, sample.RTTSamples = rtt/float64(rttN), rttN
-	}
-	if devices > 0 {
-		sample.OPFC = 1 - pause/float64(devices)
-	}
+	sample := sums.Sample()
 
-	driver := len(w.tors)
+	driver := len(w.sources)
 	before, _ := w.clients[driver].Traffic()
 	tick, err := w.clients[driver].Tick(uint64(seq), time.Duration(w.interval))
 	if err := w.tolerate(err, &st.TickErrors); err != nil {

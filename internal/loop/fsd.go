@@ -218,6 +218,49 @@ type RuntimeSample struct {
 	RTTSamples int64
 }
 
+// RuntimeSums are one scope's raw runtime-metric sums for an interval:
+// what a rack's agent carries on the wire, and what a controller adds up
+// over its scopes before Sample divides them.
+type RuntimeSums struct {
+	// UtilSum sums the utilization of the ActiveLinks link directions
+	// that carried data.
+	UtilSum     float64
+	ActiveLinks int32
+	// RTTNormSum sums RTTCount normalized RTT probe samples.
+	RTTNormSum float64
+	RTTCount   int64
+	// PauseFracSum sums the PFC pause fraction of Devices devices.
+	PauseFracSum float64
+	Devices      int32
+}
+
+// Add accumulates another scope's sums.
+func (s *RuntimeSums) Add(o RuntimeSums) {
+	s.UtilSum += o.UtilSum
+	s.ActiveLinks += o.ActiveLinks
+	s.RTTNormSum += o.RTTNormSum
+	s.RTTCount += o.RTTCount
+	s.PauseFracSum += o.PauseFracSum
+	s.Devices += o.Devices
+}
+
+// Sample turns the sums into the interval's Equation (1) inputs. With no
+// probe sample or no device, nothing indicates congestion: ORTT and OPFC
+// are then 1.
+func (s RuntimeSums) Sample() RuntimeSample {
+	r := RuntimeSample{ORTT: 1, OPFC: 1, ActiveLinks: int(s.ActiveLinks), RTTSamples: s.RTTCount}
+	if s.ActiveLinks > 0 {
+		r.OTP = s.UtilSum / float64(s.ActiveLinks)
+	}
+	if s.RTTCount > 0 {
+		r.ORTT = s.RTTNormSum / float64(s.RTTCount)
+	}
+	if s.Devices > 0 {
+		r.OPFC = 1 - s.PauseFracSum/float64(s.Devices)
+	}
+	return r
+}
+
 // ReportSource is anything that yields a per-interval local FSD report:
 // Paraleon switch agents, the naive-Elastic variant, NetFlow, or the
 // ground-truth oracle.

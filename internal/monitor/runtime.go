@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"repro/internal/eventsim"
+	"repro/internal/loop"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -65,14 +66,19 @@ func (c *RuntimeCollector) Hosts() []topology.NodeID { return c.hosts }
 
 // Sample closes the interval of the given length and returns its metrics.
 func (c *RuntimeCollector) Sample(interval eventsim.Time) RuntimeSample {
-	var s RuntimeSample
+	return c.Sums(interval).Sample()
+}
+
+// Sums closes the interval of the given length and returns the scope's
+// raw runtime-metric sums; loop.RuntimeSums.Sample divides them.
+func (c *RuntimeCollector) Sums(interval eventsim.Time) loop.RuntimeSums {
+	var s loop.RuntimeSums
 	seconds := interval.Seconds()
 	if seconds <= 0 {
 		panic("monitor: non-positive interval")
 	}
 
-	// O_TP: average utilization across active uplink directions.
-	var utilSum float64
+	// O_TP: utilization of each active uplink direction.
 	for _, ul := range c.uplinks {
 		hostPort := c.net.Host(ul.host).Port()
 		torPort := c.net.Switch(ul.tor).Port(ul.torPort)
@@ -88,33 +94,19 @@ func (c *RuntimeCollector) Sample(interval eventsim.Time) RuntimeSample {
 			if util > 1 {
 				util = 1
 			}
-			utilSum += util
+			s.UtilSum += util
 			s.ActiveLinks++
 		}
 	}
-	if s.ActiveLinks > 0 {
-		s.OTP = utilSum / float64(s.ActiveLinks)
-	}
 
-	// O_RTT: average normalized RTT across the scope's probe samples.
-	var rttSum float64
-	var rttCount int64
+	// O_RTT: the scope's normalized RTT probe samples.
 	for _, hn := range c.hosts {
 		sum, count := c.net.Host(hn).TakeRTT()
-		rttSum += sum
-		rttCount += count
-	}
-	s.RTTSamples = rttCount
-	if rttCount > 0 {
-		s.ORTT = rttSum / float64(rttCount)
-	} else {
-		// No probes landed: nothing indicates congestion.
-		s.ORTT = 1
+		s.RTTNormSum += sum
+		s.RTTCount += count
 	}
 
-	// O_PFC: 1 − average per-device pause fraction over the scope.
-	var pauseFracSum float64
-	devices := 0
+	// O_PFC: per-device pause fraction over the scope.
 	for _, sn := range c.switches {
 		sw := c.net.Switch(sn)
 		paused := sw.TakePausedTime()
@@ -122,8 +114,8 @@ func (c *RuntimeCollector) Sample(interval eventsim.Time) RuntimeSample {
 		if frac > 1 {
 			frac = 1
 		}
-		pauseFracSum += frac
-		devices++
+		s.PauseFracSum += frac
+		s.Devices++
 	}
 	for _, hn := range c.hosts {
 		paused := c.net.Host(hn).Port().TakePausedTime()
@@ -131,13 +123,8 @@ func (c *RuntimeCollector) Sample(interval eventsim.Time) RuntimeSample {
 		if frac > 1 {
 			frac = 1
 		}
-		pauseFracSum += frac
-		devices++
-	}
-	if devices > 0 {
-		s.OPFC = 1 - pauseFracSum/float64(devices)
-	} else {
-		s.OPFC = 1
+		s.PauseFracSum += frac
+		s.Devices++
 	}
 	return s
 }
