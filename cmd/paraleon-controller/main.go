@@ -58,8 +58,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Tuner = *tunerName
 	cfg.Logger = log.New(os.Stderr, "controller: ", log.LstdFlags)
-	cfg.ReadTimeout = *ioTimeout
-	cfg.WriteTimeout = *ioTimeout
+	cfg.IOTimeout = *ioTimeout
 	cfg.Guard.MaxRelStep = *maxRelStep
 	cfg.Guard.MinGap = eventsim.Time(minGap.Nanoseconds())
 	if err := cfg.Weights.Validate(); err != nil {

@@ -1,8 +1,9 @@
 // Package chaos is the fault-injection subsystem: deterministic,
-// seed-driven scenarios that break the simulated fabric (link outages,
-// flaps, degradation), the measurement agents (crash/restart with
-// sketch-state loss, stale reports), and the control-plane transport
-// (dropped/duplicated/truncated/delayed frames) so the Paraleon control
+// seed-driven scenarios that break the simulated fabric (link outages
+// and flaps), the measurement agents (crash/restart with sketch-state
+// loss, stale reports), the rollout pipeline (dropped or delayed ACKs, a
+// controller killed mid-rollout), and the control-plane transport
+// (dropped/duplicated/truncated frames) so the Paraleon control
 // loop's graceful-degradation paths can be exercised and regression-
 // tested.
 //
@@ -58,20 +59,6 @@ type LinkFault struct {
 	Every eventsim.Time
 }
 
-// LinkDegrade throttles and/or delays one bidirectional link for a
-// window — a brown-out rather than an outage.
-type LinkDegrade struct {
-	A, B topology.NodeID
-	// At and Until bound the degradation window; Until 0 means the
-	// degradation persists to the end of the run.
-	At, Until eventsim.Time
-	// RateFactor scales the link rate, clamped to (0,1]; 0 means 1 (no
-	// rate cut).
-	RateFactor float64
-	// ExtraDelay is added to the link's propagation delay.
-	ExtraDelay eventsim.Time
-}
-
 // AgentFault breaks one measurement agent. A crash loses the agent's
 // sketch state: whatever it accumulated before and during the outage is
 // discarded on restart, exactly as a rebooted switch agent would come
@@ -116,7 +103,6 @@ type Scenario struct {
 	Seed int64
 
 	Links    []LinkFault
-	Degrades []LinkDegrade
 	Agents   []AgentFault
 	Dispatch []DispatchFault
 
@@ -172,20 +158,15 @@ func (inj *Injector) BindDispatch(target DispatchTarget, kill func()) {
 func (inj *Injector) Install(sc Scenario) error {
 	rng := rand.New(rand.NewSource(sc.Seed))
 
-	// Validate links up front with no-op applications: SetLinkUp(true) /
-	// DegradeLink(1, 0) leave a healthy link unchanged but fail on a
-	// nonexistent one, turning a typo'd scenario into an install error
-	// instead of a mid-run surprise.
+	// Validate links up front with a no-op application: SetLinkUp(true)
+	// leaves a healthy link unchanged but fails on a nonexistent one,
+	// turning a typo'd scenario into an install error instead of a
+	// mid-run surprise.
 	for _, lf := range sc.Links {
 		if lf.DownFor <= 0 {
 			return fmt.Errorf("chaos: link %d-%d: DownFor must be positive", lf.A, lf.B)
 		}
 		if err := inj.net.SetLinkUp(lf.A, lf.B, true); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-	}
-	for _, ld := range sc.Degrades {
-		if err := inj.net.DegradeLink(ld.A, ld.B, 1, 0); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
 	}
@@ -208,9 +189,6 @@ func (inj *Injector) Install(sc Scenario) error {
 
 	for _, lf := range sc.Links {
 		inj.installLink(lf, rng)
-	}
-	for _, ld := range sc.Degrades {
-		inj.installDegrade(ld)
 	}
 	for _, af := range sc.Agents {
 		inj.installAgent(af)
@@ -252,25 +230,6 @@ func (inj *Injector) installLink(lf LinkFault, rng *rand.Rand) {
 			step = lf.DownFor + 1
 		}
 		at += step
-	}
-}
-
-func (inj *Injector) installDegrade(ld LinkDegrade) {
-	a, b := ld.A, ld.B
-	target := fmt.Sprintf("link %d-%d", a, b)
-	factor := ld.RateFactor
-	if factor == 0 {
-		factor = 1
-	}
-	inj.net.Eng.Schedule(ld.At, func() {
-		inj.net.DegradeLink(a, b, factor, ld.ExtraDelay)
-		inj.sink.Fault("link_degrade", target)
-	})
-	if ld.Until > ld.At {
-		inj.net.Eng.Schedule(ld.Until, func() {
-			inj.net.DegradeLink(a, b, 1, 0)
-			inj.sink.Recover("link_degrade", target)
-		})
 	}
 }
 

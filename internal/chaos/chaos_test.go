@@ -192,31 +192,6 @@ func TestInjectorScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestDegradationWindowRestores(t *testing.T) {
-	n := quickNet(t)
-	inj := NewInjector(n, nil, nil)
-	host, tor := n.Topo.Hosts()[0], n.Topo.ToRs()[0]
-	err := inj.Install(Scenario{
-		Degrades: []LinkDegrade{{
-			A: host, B: tor,
-			At: eventsim.Millisecond, Until: 2 * eventsim.Millisecond,
-			RateFactor: 0.5, ExtraDelay: eventsim.Microsecond,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := n.Host(host).Port()
-	n.Run(eventsim.Millisecond + 1)
-	if !port.Degraded() {
-		t.Error("port not degraded inside the window")
-	}
-	n.Run(2*eventsim.Millisecond + 1)
-	if port.Degraded() {
-		t.Error("port still degraded after the window")
-	}
-}
-
 // fakeDispatch records the faults and phase hooks the injector arms.
 type fakeDispatch struct {
 	acks  []string

@@ -39,17 +39,13 @@ type ConnFaults struct {
 	// connection, leaving the peer a partial frame.
 	TruncProb float64
 
-	// Delay (plus uniform [0,Jitter)) is added before every write.
-	Delay  time.Duration
-	Jitter time.Duration
-
 	// DropTimeout overrides DefaultDropTimeout when >0.
 	DropTimeout time.Duration
 }
 
 // Enabled reports whether any fault is configured.
 func (f ConnFaults) Enabled() bool {
-	return f.DropProb > 0 || f.DupProb > 0 || f.TruncProb > 0 || f.Delay > 0 || f.Jitter > 0
+	return f.DropProb > 0 || f.DupProb > 0 || f.TruncProb > 0
 }
 
 // Wrap returns conn with f's faults applied to its writes.
@@ -61,8 +57,8 @@ func (f ConnFaults) Wrap(conn net.Conn) *FaultyConn {
 	return &FaultyConn{Conn: conn, faults: f, rng: rand.New(rand.NewSource(seed))}
 }
 
-// FaultyConn is a net.Conn whose writes may be dropped, duplicated,
-// truncated, or delayed. Reads pass through untouched (faulting one
+// FaultyConn is a net.Conn whose writes may be dropped, duplicated or
+// truncated. Reads pass through untouched (faulting one
 // direction is enough to exercise every recovery path, and keeps cause
 // and effect attributable).
 type FaultyConn struct {
@@ -86,18 +82,7 @@ func (c *FaultyConn) dropTimeout() time.Duration {
 func (c *FaultyConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	roll := c.rng.Float64()
-	var sleep time.Duration
-	if c.faults.Delay > 0 || c.faults.Jitter > 0 {
-		sleep = c.faults.Delay
-		if c.faults.Jitter > 0 {
-			sleep += time.Duration(c.rng.Int63n(int64(c.faults.Jitter)))
-		}
-	}
 	c.mu.Unlock()
-
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
 
 	switch p := c.faults; {
 	case roll < p.DropProb:

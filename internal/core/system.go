@@ -44,15 +44,12 @@ type SystemConfig struct {
 	// deployment's scope size (one agent per ToR).
 	Bandit   tuner.BanditConfig
 	MultiECN tuner.MultiECNConfig
-	// Agent selects the measurement design (Paraleon vs naive Elastic).
-	Agent monitor.AgentConfig
-	// ProbeEvery is the RTT probing period; 0 means Interval/4.
-	ProbeEvery eventsim.Time
 	// Seed fixes the tuner's mutation randomness.
 	Seed int64
-	// Sources, when non-nil, replaces the sketch agents as the
-	// controller's FSD inputs (NetFlow baseline, no-FSD ablation). The
-	// caller is responsible for any tap wiring they need.
+	// Sources, when non-nil, replaces the Paraleon sketch agents
+	// (monitor.ParaleonAgentConfig) as the controller's FSD inputs
+	// (NetFlow baseline, no-FSD ablation). The caller is responsible
+	// for any tap wiring they need.
 	Sources []loop.ReportSource
 	// Scope, when non-nil, restricts the deployment to the racks under
 	// these ToRs: agents attach only there, runtime metrics cover only
@@ -112,7 +109,6 @@ func DefaultSystemConfig() SystemConfig {
 		Theta:    0.01,
 		Weights:  tuner.DefaultWeights(),
 		SA:       tuner.DefaultSAConfig(),
-		Agent:    monitor.ParaleonAgentConfig(),
 		Seed:     1,
 	}
 }
@@ -130,7 +126,6 @@ type System struct {
 	Agents     []*monitor.SwitchAgent
 
 	interval eventsim.Time
-	probe    eventsim.Time
 	tickEv   eventsim.EventID
 	running  bool
 	weights  tuner.Weights
@@ -249,15 +244,11 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 		Net:      net,
 		Tuner:    tun,
 		interval: cfg.Interval,
-		probe:    cfg.ProbeEvery,
 		weights:  cfg.Weights,
 		degrade:  cfg.Degrade,
 		current:  *net.RNICParams(),
 		guard:    dispatch.NewGuard(dispatch.GuardConfig{}),
 		trace:    cfg.Trace,
-	}
-	if s.probe <= 0 {
-		s.probe = cfg.Interval / 4
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -274,7 +265,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	if sources == nil {
 		sketchTM := telemetry.NewSketchMetrics(reg)
 		for i, tor := range scope {
-			a := monitor.NewSwitchAgent(cfg.Agent, uint64(cfg.Seed)+uint64(i)+1)
+			a := monitor.NewSwitchAgent(monitor.ParaleonAgentConfig(), uint64(cfg.Seed)+uint64(i)+1)
 			a.TM = sketchTM
 			a.Attach(net.Switch(tor))
 			s.Agents = append(s.Agents, a)
@@ -420,7 +411,7 @@ func (s *System) Start() {
 		return
 	}
 	s.running = true
-	s.Collector.StartProbing(s.probe)
+	s.Collector.StartProbing(s.interval / 4)
 	s.armTick()
 }
 
@@ -455,7 +446,7 @@ func (s *System) TickOnce() { s.tick() }
 
 // StartProbingOnly arms RTT probing without the recurring tick, for
 // TickOnce-driven deployments.
-func (s *System) StartProbingOnly() { s.Collector.StartProbing(s.probe) }
+func (s *System) StartProbingOnly() { s.Collector.StartProbing(s.interval / 4) }
 
 // tick is one monitor interval: aggregate FSD (possibly triggering),
 // sample runtime metrics, advance the SA search, dispatch.
@@ -497,7 +488,6 @@ func (s *System) tick() {
 	s.apply.health(dispatch.Health{
 		Utility:   s.utilEWMA,
 		PauseFrac: 1 - sample.OPFC,
-		KL:        s.Controller.LastKL,
 	}, now)
 	// Per-switch strategies see this interval's per-agent reports before
 	// they step; agent i's slice is the report from torScope[i]'s switch.

@@ -66,11 +66,11 @@ func TestClientNoTimeoutByDefault(t *testing.T) {
 }
 
 // TestServerTimeoutOnStalledClient: a client that opens a connection and
-// sends half a frame must be cut loose by the server's ReadTimeout —
+// sends half a frame must be cut loose by the server's IOTimeout —
 // the handler goroutine exits instead of pinning the partial read.
 func TestServerTimeoutOnStalledClient(t *testing.T) {
 	cfg := DefaultServerConfig()
-	cfg.ReadTimeout = 50 * time.Millisecond
+	cfg.IOTimeout = 50 * time.Millisecond
 	s, err := Serve("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestServerTimeoutOnStalledClient(t *testing.T) {
 	}
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {
-		t.Error("server still holding the stalled connection after its ReadTimeout")
+		t.Error("server still holding the stalled connection after its IOTimeout")
 	}
 }
 

@@ -41,11 +41,6 @@ type ReconnClient struct {
 	BaseDelay  time.Duration
 	MaxDelay   time.Duration
 
-	// Timeout is copied onto every dialed Client: per-frame I/O
-	// deadlines so a stalled controller turns into a retriable error
-	// instead of a hang. 0 disables deadlines.
-	Timeout time.Duration
-
 	// Dial overrides how connections are established (fault injectors
 	// wrap the raw conn here); nil means the package Dial.
 	Dial func(addr string) (*Client, error)
@@ -166,7 +161,6 @@ func (r *ReconnClient) redial() error {
 		c, err := r.dial()
 		if err == nil {
 			c.TM = r.TM
-			c.Timeout = r.Timeout
 			r.c = c
 			return nil
 		}
@@ -199,58 +193,36 @@ func (r *ReconnClient) Close() error {
 
 // SendReport uploads a report, redialing once on failure.
 func (r *ReconnClient) SendReport(rep Report) error {
-	if r.c == nil {
-		if err := r.redial(); err != nil {
-			return err
-		}
-	}
-	r.c.TM = r.TM // TM may have been set after the initial dial
-	if err := r.c.SendReport(rep); err == nil {
-		return nil
-	}
-	if err := r.redial(); err != nil {
-		return err
-	}
-	r.Reconnects++
-	if r.TM != nil {
-		r.TM.Reconnects.Inc()
-	}
-	return r.c.SendReport(rep)
+	return r.call(func(c *Client) error { return c.SendReport(rep) })
 }
 
 // Tick closes an interval, redialing once on failure.
 func (r *ReconnClient) Tick(seq uint64, interval time.Duration) (TickResult, error) {
-	if r.c == nil {
-		if err := r.redial(); err != nil {
-			return TickResult{}, err
-		}
-	}
-	r.c.TM = r.TM // TM may have been set after the initial dial
-	r.c.Timeout = r.Timeout
-	res, err := r.c.Tick(seq, interval)
-	if err == nil {
-		return res, nil
-	}
-	if err := r.redial(); err != nil {
-		return TickResult{}, err
-	}
-	r.Reconnects++
-	if r.TM != nil {
-		r.TM.Reconnects.Inc()
-	}
-	return r.c.Tick(seq, interval)
+	var res TickResult
+	err := r.call(func(c *Client) error {
+		var err error
+		res, err = c.Tick(seq, interval)
+		return err
+	})
+	return res, err
 }
 
 // SendApplyAck reports an applied epoch, redialing once on failure.
 func (r *ReconnClient) SendApplyAck(a AckMsg) error {
+	return r.call(func(c *Client) error { return c.SendApplyAck(a) })
+}
+
+// call runs fn on the live connection, dialing first if there is none.
+// A failed call redials once, counts the reconnect and runs fn again on
+// the fresh connection.
+func (r *ReconnClient) call(fn func(*Client) error) error {
 	if r.c == nil {
 		if err := r.redial(); err != nil {
 			return err
 		}
 	}
 	r.c.TM = r.TM // TM may have been set after the initial dial
-	r.c.Timeout = r.Timeout
-	if err := r.c.SendApplyAck(a); err == nil {
+	if err := fn(r.c); err == nil {
 		return nil
 	}
 	if err := r.redial(); err != nil {
@@ -260,5 +232,5 @@ func (r *ReconnClient) SendApplyAck(a AckMsg) error {
 	if r.TM != nil {
 		r.TM.Reconnects.Inc()
 	}
-	return r.c.SendApplyAck(a)
+	return fn(r.c)
 }

@@ -45,12 +45,11 @@ type ServerConfig struct {
 	// Telemetry selects the metrics registry the server instruments
 	// itself against; nil means telemetry.Default().
 	Telemetry *telemetry.Registry
-	// ReadTimeout and WriteTimeout, when > 0, bound each frame read and
-	// each response write on agent connections, so one stalled agent
-	// (half-open TCP, wedged peer) cannot pin a handler goroutine
-	// forever. 0 disables the deadline, matching the previous behaviour.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	// IOTimeout, when > 0, bounds each frame read and each response
+	// write on agent connections, so one stalled agent (half-open TCP,
+	// wedged peer) cannot pin a handler goroutine forever. 0 disables
+	// the deadline, matching the previous behaviour.
+	IOTimeout time.Duration
 	// Guard bounds what tuner output is allowed onto the wire: Spec
 	// bounds and Kmin<Kmax are always enforced; MaxRelStep/MinGap are
 	// opt-in. A rejected vector keeps the current one and is counted.
@@ -310,8 +309,8 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	var rbuf []byte
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if s.cfg.IOTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
 		typ, payload, n, err := readFrame(br, &rbuf)
 		if err != nil {
@@ -327,8 +326,8 @@ func (s *Server) handle(conn net.Conn) {
 		s.tm.BytesIn.Add(int64(n))
 
 		var out int
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		if s.cfg.IOTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
 		switch typ {
 		case TypeReport:

@@ -15,9 +15,10 @@
 //     health signals, then promote fabric-wide or abort-and-restore;
 //   - an epoch commit protocol makes applies idempotent: every dispatch
 //     carries a monotonically increasing epoch, devices ACK
-//     (epoch, vector-hash), phases commit only on ACK quorum within
-//     bounded retries, and stale or duplicate applies are rejected
-//     idempotently so reordered and retried frames are safe;
+//     (epoch, vector-hash), phases commit only once every awaited
+//     device has ACKed within bounded retries, and stale or duplicate
+//     applies are rejected idempotently so reordered and retried frames
+//     are safe;
 //   - a write-ahead intent log journals intent → phase transitions →
 //     commit/abort, so a controller restarted mid-rollout replays the
 //     log and converges the fabric to exactly one epoch instead of
@@ -183,7 +184,7 @@ func hashMix(h, v uint64) uint64 {
 
 // VectorHash fingerprints a parameter vector deterministically and
 // allocation-free. Devices ACK (epoch, hash); the controller matches the
-// hash before counting the ACK toward quorum.
+// hash before counting the ACK.
 func VectorHash(p *dcqcn.Params) uint64 {
 	h := uint64(0x243f6a8885a308d3) // π, for want of a better constant
 	h = hashMix(h, math.Float64bits(p.AIRateBps))

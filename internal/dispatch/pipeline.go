@@ -39,36 +39,17 @@ func (p Phase) String() string {
 // core.System with a zero Dispatch config keeps its legacy direct-apply
 // path, byte-identical to previous builds.
 type Config struct {
-	// Enabled turns the staged pipeline on.
+	// Enabled turns the staged pipeline on. Admission then always
+	// enforces the spec bounds and ECN ordering (GuardConfig{}).
 	Enabled bool
-	// Guard bounds admission (see GuardConfig); bounds and ECN-ordering
-	// checks are always on once the pipeline is enabled.
-	Guard GuardConfig
 	// Canary is the canary prefix size in devices (scope ToRs); 0 means 1.
 	Canary int
 	// SettleIntervals is how many health ticks the canary must survive
 	// before promotion; 0 means 3.
 	SettleIntervals int
-	// MaxPauseFrac aborts the plan when the fabric PFC pause fraction
-	// exceeds it during settle; 0 means 0.5.
-	MaxPauseFrac float64
 	// UtilDropMargin aborts when utility falls more than this below the
 	// plan's baseline during settle; 0 disables.
 	UtilDropMargin float64
-	// MaxKL aborts when the trigger divergence exceeds it during settle;
-	// 0 disables.
-	MaxKL float64
-	// AckDelay is the simulated device ACK latency; 0 means 20 µs.
-	AckDelay eventsim.Time
-	// AckDeadline bounds each apply wave's wait for quorum; 0 means
-	// 10 × AckDelay.
-	AckDeadline eventsim.Time
-	// AckRetries is how many re-apply waves follow a missed deadline
-	// before the plan aborts; 0 means 2.
-	AckRetries int
-	// QuorumFrac is the fraction of awaited devices that must ACK for a
-	// phase to commit; 0 means 1 (all).
-	QuorumFrac float64
 	// WAL is the intent journal; nil means a fresh MemWAL. Hand the same
 	// WAL to a restarted controller to recover an in-flight rollout.
 	WAL WAL
@@ -77,6 +58,21 @@ type Config struct {
 	// switch state and survive the controller.
 	Fabric *Fabric
 }
+
+// The rollout's fixed timings and thresholds. A phase commits once
+// every awaited device has ACKed.
+const (
+	// maxPauseFrac aborts the plan when the fabric PFC pause fraction
+	// exceeds it during settle.
+	maxPauseFrac = 0.5
+	// ackDelay is the simulated device ACK latency.
+	ackDelay = 20 * eventsim.Microsecond
+	// ackDeadline bounds each apply wave's wait for its ACKs.
+	ackDeadline = 10 * ackDelay
+	// ackRetries is how many re-apply waves follow a missed deadline
+	// before the plan aborts.
+	ackRetries = 2
+)
 
 func (c *Config) canary(n int) int {
 	k := c.Canary
@@ -96,58 +92,13 @@ func (c *Config) settleIntervals() int {
 	return c.SettleIntervals
 }
 
-func (c *Config) maxPauseFrac() float64 {
-	if c.MaxPauseFrac <= 0 {
-		return 0.5
-	}
-	return c.MaxPauseFrac
-}
-
-func (c *Config) ackDelay() eventsim.Time {
-	if c.AckDelay <= 0 {
-		return 20 * eventsim.Microsecond
-	}
-	return c.AckDelay
-}
-
-func (c *Config) ackDeadline() eventsim.Time {
-	if c.AckDeadline <= 0 {
-		return 10 * c.ackDelay()
-	}
-	return c.AckDeadline
-}
-
-func (c *Config) ackRetries() int {
-	if c.AckRetries <= 0 {
-		return 2
-	}
-	return c.AckRetries
-}
-
-func (c *Config) quorum(awaited int) int {
-	frac := c.QuorumFrac
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
-	need := int(frac*float64(awaited) + 0.999999)
-	if need < 1 {
-		need = 1
-	}
-	if need > awaited {
-		need = awaited
-	}
-	return need
-}
-
-// Health is the per-interval signal set the settle window watches — all
-// three already instrumented by the monitor/controller stack.
+// Health is the per-interval signal set the settle window watches — both
+// already instrumented by the monitor/controller stack.
 type Health struct {
 	// Utility is the EWMA-smoothed utility (tuner.Utility scale).
 	Utility float64
 	// PauseFrac is the fabric PFC pause fraction in [0,1].
 	PauseFrac float64
-	// KL is the last trigger divergence.
-	KL float64
 }
 
 // Status is the /debug/status snapshot of the pipeline, published to
@@ -244,7 +195,7 @@ func New(cfg Config, eng *eventsim.Engine, fab *Fabric, apply func(devs []int, p
 		cfg:       cfg,
 		eng:       eng,
 		fab:       fab,
-		guard:     NewGuard(cfg.Guard),
+		guard:     NewGuard(GuardConfig{}),
 		wal:       wal,
 		apply:     apply,
 		status:    telemetry.NewStatusCell[Status](reg, "dispatch"),
@@ -315,7 +266,7 @@ func (p *Pipeline) Resume(initial dcqcn.Params, now eventsim.Time) error {
 	// Orphaned rollout: the crash caught epoch rec.InFlight.Epoch
 	// somewhere between intent and commit. Abort it in the journal,
 	// then re-impose the last committed vector on the whole fabric
-	// under a fresh epoch, confirmed by ACK quorum.
+	// under a fresh epoch, confirmed by every device's ACK.
 	if err := p.append(Record{T: int64(now), Kind: KindAbort, Epoch: rec.InFlight.Epoch, Phase: rec.InFlightPhase, Reason: "recovery"}); err != nil {
 		return err
 	}
@@ -417,16 +368,12 @@ func (p *Pipeline) Tick(h Health, now eventsim.Time) {
 	if p.phase != PhaseSettle {
 		return
 	}
-	if h.PauseFrac > p.cfg.maxPauseFrac() {
+	if h.PauseFrac > maxPauseFrac {
 		p.abortRestore("health_pfc", now)
 		return
 	}
 	if p.cfg.UtilDropMargin > 0 && p.haveBaseline && h.Utility < p.baselineUtil-p.cfg.UtilDropMargin {
 		p.abortRestore("health_utility", now)
-		return
-	}
-	if p.cfg.MaxKL > 0 && h.KL > p.cfg.MaxKL {
-		p.abortRestore("health_kl", now)
 		return
 	}
 	p.settleLeft--
@@ -554,7 +501,7 @@ func (p *Pipeline) sendWave(devs []int, now eventsim.Time) {
 			continue
 		}
 		a := ack
-		p.eng.Schedule(now+p.cfg.ackDelay()+p.ackDelays[i], func() {
+		p.eng.Schedule(now+ackDelay+p.ackDelays[i], func() {
 			p.onAck(epoch, a)
 		})
 	}
@@ -565,7 +512,7 @@ func (p *Pipeline) armDeadline(now eventsim.Time) {
 	p.cancelDeadline()
 	epoch := p.planEpoch
 	wave := p.ackWave
-	p.deadlineEv = p.eng.Schedule(now+p.cfg.ackDeadline(), func() {
+	p.deadlineEv = p.eng.Schedule(now+ackDeadline, func() {
 		p.onDeadline(epoch, wave)
 	})
 	p.haveDL = true
@@ -589,14 +536,10 @@ func (p *Pipeline) onAck(epoch uint64, a Ack) {
 		p.acked[a.Device] = true
 		p.tm.Acks.Inc()
 	}
-	got := 0
 	for _, i := range p.await {
-		if p.acked[i] {
-			got++
+		if !p.acked[i] {
+			return
 		}
-	}
-	if got < p.cfg.quorum(len(p.await)) {
-		return
 	}
 	p.cancelDeadline()
 	now := p.eng.Now()
@@ -615,7 +558,7 @@ func (p *Pipeline) onDeadline(epoch uint64, wave int) {
 		return
 	}
 	p.haveDL = false
-	if p.ackWave >= p.cfg.ackRetries() {
+	if p.ackWave >= ackRetries {
 		p.abortRestore("ack_timeout", p.eng.Now())
 		return
 	}

@@ -98,7 +98,7 @@ func TestPipelineCanaryPromoteCommit(t *testing.T) {
 }
 
 func TestPipelineHealthAbortRestoresCanaries(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 2, SettleIntervals: 3, MaxPauseFrac: 0.3}, 4)
+	rig := newRig(t, Config{Enabled: true, Canary: 2, SettleIntervals: 3}, 4)
 	p := rig.pipe
 	prev := dcqcn.DefaultParams()
 	tgt := target()
@@ -139,7 +139,7 @@ func TestPipelineHealthAbortRestoresCanaries(t *testing.T) {
 }
 
 func TestPipelineAckRetryThenCommit(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 1, SettleIntervals: 1, AckRetries: 2}, 3)
+	rig := newRig(t, Config{Enabled: true, Canary: 1, SettleIntervals: 1}, 3)
 	p := rig.pipe
 	p.FaultAcks(0, 1, 0) // drop the canary's first ACK
 
@@ -156,7 +156,7 @@ func TestPipelineAckRetryThenCommit(t *testing.T) {
 }
 
 func TestPipelineAckExhaustionAborts(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 1, AckRetries: 2}, 3)
+	rig := newRig(t, Config{Enabled: true, Canary: 1}, 3)
 	p := rig.pipe
 	p.FaultAcks(0, 10, 0) // drop every canary ACK
 

@@ -94,6 +94,17 @@ func alltoall(workers int, msg int64, off eventsim.Time) func(*sim.Network) erro
 // runs and the tuner shootout.
 var crossRackAlltoall = alltoall(6, 1<<20, eventsim.Millisecond)
 
+// shootoutIncast is the tuner shootout's fan-in: up to six senders push
+// 256 KB each to the first host, a new wave 0.5 ms after each one lands,
+// until the run ends.
+var shootoutIncast = func(n *sim.Network) error {
+	hosts := n.Topo.Hosts()
+	_, err := workload.InstallIncast(n, workload.IncastConfig{
+		Aggregator: hosts[0], FanIn: min(6, len(hosts)-1), MessageBytes: 256 << 10, Gap: eventsim.Millisecond / 2,
+	})
+	return err
+}
+
 // --- Table II and Figs 5–6: static parameters ---
 
 func table2(x Setup) []Arm {
@@ -898,18 +909,11 @@ func shootoutCells(wl string, util, pfc []float64, sessions, dispatches, rollbac
 // scenario with rollback armed. Within a workload every arm sees the same
 // fabric, seed and horizon, so differences are the search strategy's.
 func tunerShootout(x Setup) []Arm {
-	incast := func(n *sim.Network) error {
-		hosts := n.Topo.Hosts()
-		_, err := workload.InstallIncast(n, workload.IncastConfig{
-			Aggregator: hosts[0], FanIn: min(6, len(hosts)-1), MessageBytes: 256 << 10, Gap: eventsim.Millisecond / 2,
-		})
-		return err
-	}
 	var arms []Arm
 	for _, wl := range []struct {
 		name    string
 		install func(*sim.Network) error
-	}{{"alltoall", crossRackAlltoall}, {"incast", incast}} {
+	}{{"alltoall", crossRackAlltoall}, {"incast", shootoutIncast}} {
 		for _, name := range tuner.Names() {
 			sc := ParaleonScheme()
 			sc.Name, sc.SystemCfg = name, shootoutSystemCfg(name)

@@ -390,6 +390,28 @@ func TestTunerShootoutRunsAllCells(t *testing.T) {
 	}
 }
 
+// TestShootoutIncastLoadsHorizon: the shootout's incast repeats its
+// waves for the whole run instead of going idle after the first one.
+func TestShootoutIncastLoadsHorizon(t *testing.T) {
+	sc := ParaleonScheme()
+	sc.Name, sc.SystemCfg, sc.TriggerAtStart = "sa", shootoutSystemCfg("sa"), true
+	r, err := Run(QuickScale().Config(sc, 30*eventsim.Millisecond, shootoutIncast))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := r.Net.Topo.Hosts()
+	fanIn := min(6, len(hosts)-1)
+	landed := 0
+	for _, rec := range r.Net.Completed {
+		if rec.Dst == hosts[0] {
+			landed++
+		}
+	}
+	if waves := landed / fanIn; waves < 10 {
+		t.Errorf("%d incast waves completed in 30 ms, want >= 10", waves)
+	}
+}
+
 // TestTunerShootoutDeterministic pins the acceptance bar: identical
 // (scale, horizon, seed) must reproduce the full table.
 func TestTunerShootoutDeterministic(t *testing.T) {

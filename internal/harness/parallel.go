@@ -7,26 +7,16 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"repro/internal/splitmix"
 )
 
 // ParallelOptions controls how RunAll and RunExperiment spread arms over
-// workers. The zero value is a sensible default: one worker per CPU, no
-// seed derivation, no progress reporting.
+// workers. The zero value is a sensible default: one worker per CPU and
+// no progress reporting.
 type ParallelOptions struct {
 	// Workers bounds the number of arms executing concurrently. Zero or
 	// negative means GOMAXPROCS. One worker degenerates to a strictly
 	// sequential, in-order sweep.
 	Workers int
-	// DeriveSeeds, when true, makes RunAll run arm i with
-	// Net.Seed = DeriveArmSeed(cfg.Net.Seed, i) so that arms sharing a
-	// base configuration draw independent randomness. The derivation is a
-	// pure function of (base seed, arm index) — never of scheduling — so
-	// a parallel sweep reproduces a sequential one bit for bit. Leave it
-	// off when arms must see the *same* workload draw (the figure
-	// experiments compare schemes under identical traffic).
-	DeriveSeeds bool
 	// Progress, when non-nil, is invoked once per completed arm.
 	// Invocations are serialized; the callback needs no locking of its
 	// own but must not call back into RunAll.
@@ -44,14 +34,6 @@ type ArmStatus struct {
 	Err    error
 }
 
-// DeriveArmSeed maps a base seed and an arm index to the arm's engine
-// seed via a SplitMix64 round (splitmix.Derive). It depends only on its
-// arguments, so seeds are stable across runs, worker counts, and
-// completion order.
-func DeriveArmSeed(base int64, arm int) int64 {
-	return splitmix.Derive(base, arm)
-}
-
 // RunAll executes every arm of a sweep, concurrently up to opts.Workers,
 // and returns results in input order. Each arm owns its own network and
 // event engine, so arms never share mutable state and the output is
@@ -64,11 +46,7 @@ func DeriveArmSeed(base int64, arm int) int64 {
 func RunAll(cfgs []RunConfig, opts ParallelOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	err := pool(len(cfgs), opts, func(i int) string { return cfgs[i].Scheme.Name }, func(i int) (err error) {
-		cfg := cfgs[i]
-		if opts.DeriveSeeds {
-			cfg.Net.Seed = DeriveArmSeed(cfg.Net.Seed, i)
-		}
-		results[i], err = Run(cfg)
+		results[i], err = Run(cfgs[i])
 		return err
 	})
 	return results, err

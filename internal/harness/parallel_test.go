@@ -181,47 +181,10 @@ func TestRunAllProgress(t *testing.T) {
 	}
 }
 
-func TestRunAllDeriveSeeds(t *testing.T) {
-	base := sweepConfigs(5 * eventsim.Millisecond)[0]
-	cfgs := []RunConfig{base, base} // identical arms
-	derived, err := RunAll(cfgs, ParallelOptions{Workers: 2, DeriveSeeds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(derived[0].Net.Completed, derived[1].Net.Completed) {
-		t.Error("derived seeds produced identical arms; want independent draws")
-	}
-	again, err := RunAll(cfgs, ParallelOptions{Workers: 1, DeriveSeeds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, derived, again)
-}
-
 func TestRunAllEmpty(t *testing.T) {
 	results, err := RunAll(nil, ParallelOptions{})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("RunAll(nil) = %v, %v", results, err)
-	}
-}
-
-func TestDeriveArmSeed(t *testing.T) {
-	seen := map[int64]bool{}
-	for arm := 0; arm < 100; arm++ {
-		s := DeriveArmSeed(1, arm)
-		if s < 0 {
-			t.Fatalf("arm %d: negative seed %d", arm, s)
-		}
-		if s2 := DeriveArmSeed(1, arm); s2 != s {
-			t.Fatalf("arm %d: derivation not pure (%d vs %d)", arm, s, s2)
-		}
-		if seen[s] {
-			t.Fatalf("arm %d: seed %d collides", arm, s)
-		}
-		seen[s] = true
-	}
-	if DeriveArmSeed(1, 0) == DeriveArmSeed(2, 0) {
-		t.Error("different base seeds derived the same arm seed")
 	}
 }
 

@@ -100,9 +100,6 @@ type Scheme struct {
 	SystemCfg core.SystemConfig
 	// FSDMode selects the Paraleon controller's FSD inputs.
 	FSDMode FSDMode
-	// ACCCfg / DPlusCfg configure the corresponding baselines.
-	ACCCfg   baselines.ACCConfig
-	DPlusCfg baselines.DCQCNPlusConfig
 	// TriggerAtStart force-starts a tuning session on the first
 	// interval (used when the FSD source cannot trigger, e.g. NoFSD).
 	TriggerAtStart bool
@@ -157,22 +154,12 @@ func ParaleonScheme() Scheme {
 
 // ACCScheme is the RL ECN baseline.
 func ACCScheme() Scheme {
-	return Scheme{
-		Kind:   KindACC,
-		Name:   "acc",
-		Static: dcqcn.DefaultParams(),
-		ACCCfg: baselines.DefaultACCConfig(),
-	}
+	return Scheme{Kind: KindACC, Name: "acc", Static: dcqcn.DefaultParams()}
 }
 
 // DCQCNPlusScheme is the incast-adaptive baseline.
 func DCQCNPlusScheme() Scheme {
-	return Scheme{
-		Kind:     KindDCQCNPlus,
-		Name:     "dcqcn+",
-		Static:   dcqcn.DefaultParams(),
-		DPlusCfg: baselines.DefaultDCQCNPlusConfig(),
-	}
+	return Scheme{Kind: KindDCQCNPlus, Name: "dcqcn+", Static: dcqcn.DefaultParams()}
 }
 
 // RunConfig is one experiment arm's execution plan.
@@ -383,9 +370,9 @@ func Run(cfg RunConfig) (*Result, error) {
 			return sys.LastSample, nil
 		}
 	case KindACC:
-		baselines.InstallACC(n, cfg.Scheme.ACCCfg).Start()
+		baselines.InstallACC(n, baselines.DefaultACCConfig()).Start()
 	case KindDCQCNPlus:
-		baselines.InstallDCQCNPlus(n, cfg.Scheme.DPlusCfg).Start()
+		baselines.InstallDCQCNPlus(n, baselines.DefaultDCQCNPlusConfig()).Start()
 	case KindStatic:
 	default:
 		return nil, fmt.Errorf("harness: unknown scheme kind %d", cfg.Scheme.Kind)

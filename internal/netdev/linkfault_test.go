@@ -44,38 +44,3 @@ func TestPortLinkDownStillSendsPFC(t *testing.T) {
 		t.Fatalf("PFC frame did not cross the down link (got %d pkts)", len(dst.pkts))
 	}
 }
-
-func TestPortDegradationSlowsAndDelays(t *testing.T) {
-	eng, p, dst := newPort(t, 1e9, eventsim.Microsecond)
-	// Half rate doubles serialization (10→20 µs); +4 µs propagation.
-	p.SetDegradation(0.5, 4*eventsim.Microsecond)
-	if !p.Degraded() {
-		t.Fatal("Degraded() false after SetDegradation")
-	}
-	p.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: 1250}, -1)
-	eng.Run()
-	if len(dst.pkts) != 1 {
-		t.Fatalf("delivered %d packets, want 1", len(dst.pkts))
-	}
-	want := 25 * eventsim.Microsecond // 20 serialization + 1 prop + 4 extra
-	if dst.times[0] != want {
-		t.Errorf("arrival at %v, want %v", dst.times[0], want)
-	}
-	p.SetDegradation(1, 0)
-	if p.Degraded() {
-		t.Error("Degraded() true after reset")
-	}
-}
-
-func TestPortDegradationClamps(t *testing.T) {
-	eng, p, _ := newPort(t, 1e9, eventsim.Microsecond)
-	_ = eng
-	p.SetDegradation(-2, -eventsim.Microsecond)
-	if p.Degraded() {
-		t.Error("negative inputs should clamp to healthy")
-	}
-	p.SetDegradation(7, 0)
-	if p.Degraded() {
-		t.Error("factor > 1 should clamp to 1")
-	}
-}

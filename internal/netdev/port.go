@@ -99,11 +99,8 @@ type EgressPort struct {
 	// the sim has no link-layer retransmit, so dropping in-queue lossless
 	// traffic would strand flows forever; holding models an outage that
 	// upper layers experience as unbounded delay while ECMP routes new
-	// traffic around the port. rateFactor < 1 and extraDelay model a
-	// degraded (flapping, mis-negotiated) link that still passes traffic.
-	up         bool
-	rateFactor float64
-	extraDelay eventsim.Time
+	// traffic around the port.
+	up bool
 
 	// marker returns the ECN mark probability for a class-0 queue depth;
 	// nil disables marking (host ports).
@@ -145,7 +142,7 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, se
 	if rateBps <= 0 {
 		panic("netdev: non-positive port rate")
 	}
-	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, seed: seed, up: true, rateFactor: 1}
+	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, seed: seed, up: true}
 	p.txDoneFn = p.txDone
 	return p
 }
@@ -173,23 +170,6 @@ func (p *EgressPort) SetLinkUp(up bool) {
 	}
 	p.kick()
 }
-
-// SetDegradation installs a link-quality fault: the effective line rate
-// becomes rateFactor·rateBps and every packet pays extraDelay on top of
-// propagation. rateFactor is clamped to (0, 1]; pass (1, 0) to heal.
-func (p *EgressPort) SetDegradation(rateFactor float64, extraDelay eventsim.Time) {
-	if rateFactor <= 0 || rateFactor > 1 {
-		rateFactor = 1
-	}
-	if extraDelay < 0 {
-		extraDelay = 0
-	}
-	p.rateFactor = rateFactor
-	p.extraDelay = extraDelay
-}
-
-// Degraded reports whether a degradation fault is active.
-func (p *EgressPort) Degraded() bool { return p.rateFactor != 1 || p.extraDelay != 0 }
 
 // SetPeer wires the far end of the link: packets arrive at dev.Receive
 // with inPort = port.
@@ -219,10 +199,9 @@ func (p *EgressPort) RateBps() float64 { return p.rateBps }
 // QueueBytes reports the current depth of the given class queue.
 func (p *EgressPort) QueueBytes(class int) int64 { return p.queues[class].bytes }
 
-// serialization returns the wire time of n bytes at the effective line
-// rate (degradation faults cut it by rateFactor).
+// serialization returns the wire time of n bytes at the line rate.
 func (p *EgressPort) serialization(n int) eventsim.Time {
-	return eventsim.Time(float64(n*8) / (p.rateBps * p.rateFactor) * 1e9)
+	return eventsim.Time(float64(n*8) / p.rateBps * 1e9)
 }
 
 // Enqueue hands the port a packet tagged with its ingress port (−1 for
@@ -351,9 +330,7 @@ func (p *EgressPort) eligible() int {
 
 // transmit starts serializing pkt on a free port: the ECN decision, the
 // counters and the hand-over to the wire all happen now, and the packet
-// arrives serialization + propagation later. The rate and extra delay are
-// those of this instant, so a degradation fault applied mid-flight leaves
-// the packet's arrival alone.
+// arrives serialization + propagation later.
 func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	if p.peer == nil {
 		panic("netdev: transmit before SetPeer")
@@ -376,7 +353,7 @@ func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	ser := p.serialization(pkt.WireBytes)
 	p.busyUntil = p.eng.Now() + ser
 	watch := p.sw != nil && p.sw.departing(p.index, pkt, inPort, p.busyUntil)
-	p.scheduleDelivery(pkt, ser+p.prop+p.extraDelay)
+	p.scheduleDelivery(pkt, ser+p.prop)
 	if watch || p.eligible() >= 0 {
 		p.armTxDone()
 	}

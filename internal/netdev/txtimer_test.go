@@ -120,25 +120,6 @@ func TestPortFaultMidSerializationWithoutTimer(t *testing.T) {
 			}
 		}
 	}
-
-	// Degradation never holds traffic, but it moves neither the busyUntil
-	// nor the arrival of the packet already serializing.
-	eng, p, dst := newPort(t, 1e9, 0)
-	p.Enqueue(&Packet{Class: ClassData, WireBytes: 1250}, -1)
-	eng.Schedule(2*us, func() {
-		p.SetDegradation(0.5, 3*us)
-		p.Enqueue(&Packet{Class: ClassData, WireBytes: 1250}, -1) // 10us → 30us, +3us
-	})
-	eng.Schedule(12*us, func() {
-		p.SetDegradation(1, 0)
-		p.Enqueue(&Packet{Class: ClassData, WireBytes: 1250}, -1) // 30us → 40us
-	})
-	eng.Run()
-	for i, want := range []eventsim.Time{10, 33, 40} {
-		if dst.times[i] != want*us {
-			t.Errorf("degradation: packet %d arrived at %v, want %vus", i, dst.times[i], want)
-		}
-	}
 }
 
 // pending reports how many releases the switch has yet to settle.

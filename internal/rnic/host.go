@@ -61,7 +61,6 @@ type Host struct {
 	params func() *dcqcn.Params
 
 	port *netdev.EgressPort
-	mtu  int
 
 	// pool recycles packets this RNIC sinks and supplies the ones it
 	// originates. May be nil (tests wiring hosts by hand).
@@ -125,7 +124,6 @@ func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID
 	l := &topo.Links[n.Ports[0]]
 	h := &Host{
 		eng: eng, topo: topo, node: node, params: params,
-		mtu:                netdev.DefaultMTU,
 		byID:               map[uint64]*SendFlow{},
 		rx:                 map[uint64]*recvFlow{},
 		onComplete:         onComplete,
@@ -159,14 +157,6 @@ func (h *Host) Port() *netdev.EgressPort { return h.port }
 
 // Params returns the DCQCN parameters this RNIC's QPs run on now.
 func (h *Host) Params() *dcqcn.Params { return h.params() }
-
-// SetMTU overrides the per-packet payload size (default netdev.DefaultMTU).
-func (h *Host) SetMTU(mtu int) {
-	if mtu <= 0 {
-		panic("rnic: non-positive MTU")
-	}
-	h.mtu = mtu
-}
 
 // ActiveFlows reports the number of in-progress sending flows.
 func (h *Host) ActiveFlows() int { return len(h.sendFlows) }
@@ -242,7 +232,7 @@ func (h *Host) schedule() {
 }
 
 func (h *Host) sendPacket(f *SendFlow) {
-	payload := h.mtu
+	payload := netdev.DefaultMTU
 	if remaining := f.Size - f.Sent; int64(payload) > remaining {
 		payload = int(remaining)
 	}

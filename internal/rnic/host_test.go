@@ -106,27 +106,6 @@ func TestSegmentationAndCompletion(t *testing.T) {
 	}
 }
 
-func TestCustomMTU(t *testing.T) {
-	r := newRig(t, dcqcn.DefaultParams())
-	a, b := r.hosts[0], r.hosts[1]
-	a.SetMTU(500)
-	b.ExpectFlow(1, a.NodeID(), 1500, 0)
-	a.StartFlow(1, b.NodeID(), 1500)
-	r.eng.RunUntil(eventsim.Second)
-	var data int
-	for _, pkt := range r.relay.seen {
-		if pkt.Kind == netdev.KindData {
-			data++
-			if pkt.PayloadBytes != 500 {
-				t.Errorf("payload %d, want 500", pkt.PayloadBytes)
-			}
-		}
-	}
-	if data != 3 {
-		t.Errorf("%d packets at MTU 500 for 1500B, want 3", data)
-	}
-}
-
 func TestDuplicateFlowIDPanics(t *testing.T) {
 	r := newRig(t, dcqcn.DefaultParams())
 	a, b := r.hosts[0], r.hosts[1]

@@ -29,8 +29,6 @@ type Config struct {
 	// of (Seed, node, port, packet) — netdev.PortSeed — and never a stream;
 	// workload generators draw from streams split off Eng.Rand().
 	Seed int64
-	// MTU overrides the data payload per packet when > 0.
-	MTU int
 	// Tuner names the search strategy a control loop attached to this
 	// network should use when its own config leaves the choice open
 	// (see internal/tuner; empty means "sa"). The network itself never
@@ -161,9 +159,6 @@ func New(cfg Config) (*Network, error) {
 			}
 			return n.rnicParams
 		}, n.flowCompleted)
-		if cfg.MTU > 0 {
-			h.SetMTU(cfg.MTU)
-		}
 		h.SetPacketPool(n.pool)
 		n.Hosts = append(n.Hosts, h)
 		n.hostByNode[hn] = h
@@ -215,19 +210,6 @@ func (n *Network) SetLinkUp(a, b topology.NodeID, up bool) error {
 	}
 	pa.SetLinkUp(up)
 	pb.SetLinkUp(up)
-	return nil
-}
-
-// DegradeLink applies a link-quality fault to both directions of the a↔b
-// link: effective rate becomes rateFactor·line rate and every packet pays
-// extraDelay. Pass (1, 0) to heal.
-func (n *Network) DegradeLink(a, b topology.NodeID, rateFactor float64, extraDelay eventsim.Time) error {
-	pa, pb, err := n.linkPorts(a, b)
-	if err != nil {
-		return err
-	}
-	pa.SetDegradation(rateFactor, extraDelay)
-	pb.SetDegradation(rateFactor, extraDelay)
 	return nil
 }
 
@@ -404,11 +386,7 @@ func (n *Network) RunUntilIdle(maxTime eventsim.Time) eventsim.Time {
 // every packet at the bottleneck host link plus the one-way base path
 // delay. FCT slowdowns (Fig 7) normalize against this.
 func (n *Network) IdealFCT(src, dst topology.NodeID, size int64) eventsim.Time {
-	mtu := n.cfg.MTU
-	if mtu <= 0 {
-		mtu = netdev.DefaultMTU
-	}
-	packets := (size + int64(mtu) - 1) / int64(mtu)
+	packets := (size + netdev.DefaultMTU - 1) / netdev.DefaultMTU
 	wire := size + packets*netdev.HeaderBytes
 	ser := eventsim.Time(float64(wire*8) / n.cfg.Clos.HostLinkBps * 1e9)
 	return ser + n.Topo.BasePathDelay(src, dst)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BanditConfig parameterizes the "bandit" strategy: an ε-greedy or UCB1
+// BanditConfig parameterizes the "bandit" strategy: an ε-greedy
 // hill-climber over the discretized one-step neighborhood of the current
 // vector, in the spirit of the lightweight learning baselines the
 // DRL-for-congestion-control literature measures against. Each arm is
@@ -18,61 +18,31 @@ import (
 // reward is the measured utility, and an arm whose measurement beats the
 // incumbent commits the move.
 type BanditConfig struct {
-	// Epsilon is the exploration probability of ε-greedy selection
-	// (default 0.1). Ignored when UCB is set.
-	Epsilon float64
-	// UCB switches arm selection to UCB1 with exploration constant UCBC
-	// (default 2.0).
-	UCB  bool
-	UCBC float64
 	// Budget is the number of search iterations per session
 	// (default 120 — comparable to ShortSAConfig sessions, far under
 	// Table III's 270).
 	Budget int
-	// StepScale scales each arm's move as a fraction of the parameter's
-	// spec step (default 1.0).
-	StepScale float64
 }
 
-// DefaultBanditConfig returns the defaults above.
-func DefaultBanditConfig() BanditConfig {
-	return BanditConfig{Epsilon: 0.1, UCBC: 2.0, Budget: 120, StepScale: 1.0}
-}
+// banditEpsilon is the exploration probability of ε-greedy selection.
+const banditEpsilon = 0.1
 
 func (c BanditConfig) withDefaults() BanditConfig {
-	d := DefaultBanditConfig()
-	if c.Epsilon == 0 {
-		c.Epsilon = d.Epsilon
-	}
-	if c.UCBC == 0 {
-		c.UCBC = d.UCBC
-	}
 	if c.Budget == 0 {
-		c.Budget = d.Budget
-	}
-	if c.StepScale == 0 {
-		c.StepScale = d.StepScale
+		c.Budget = 120
 	}
 	return c
 }
 
 // Validate checks the (defaulted) configuration.
 func (c BanditConfig) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.Epsilon < 0 || c.Epsilon > 1:
-		return fmt.Errorf("tuner: bandit epsilon = %g, need in [0,1]", c.Epsilon)
-	case c.UCBC < 0:
-		return fmt.Errorf("tuner: bandit UCB constant = %g", c.UCBC)
-	case c.Budget < 1:
+	if c = c.withDefaults(); c.Budget < 1 {
 		return fmt.Errorf("tuner: bandit budget = %d", c.Budget)
-	case c.StepScale <= 0:
-		return fmt.Errorf("tuner: bandit step scale = %g", c.StepScale)
 	}
 	return nil
 }
 
-// Bandit is the ε-greedy/UCB hill-climber. Arm 0 holds the vector; arm
+// Bandit is the ε-greedy hill-climber. Arm 0 holds the vector; arm
 // 2i+1 moves spec i one step up, arm 2i+2 one step down. Per-arm means
 // are reset at each Trigger — a session answers "which local move helps
 // *this* workload".
@@ -282,30 +252,15 @@ func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bo
 }
 
 // selectArm picks the next arm. Untried arms are preferred in index
-// order (optimistic initialization) under both policies; ties elsewhere
-// break toward the lowest index, keeping selection deterministic for a
-// fixed RNG stream.
+// order (optimistic initialization); ties elsewhere break toward the
+// lowest index, keeping selection deterministic for a fixed RNG stream.
 func (b *Bandit) selectArm() int {
 	for i, c := range b.counts {
 		if c == 0 {
 			return i
 		}
 	}
-	if b.cfg.UCB {
-		total := 0
-		for _, c := range b.counts {
-			total += c
-		}
-		bestArm, bestVal := 0, math.Inf(-1)
-		for i := range b.counts {
-			v := b.means[i] + b.cfg.UCBC*math.Sqrt(math.Log(float64(total))/float64(b.counts[i]))
-			if v > bestVal {
-				bestArm, bestVal = i, v
-			}
-		}
-		return bestArm
-	}
-	if b.rng.Float64() < b.cfg.Epsilon {
+	if b.rng.Float64() < banditEpsilon {
 		return b.rng.Intn(len(b.counts))
 	}
 	bestArm, bestVal := 0, math.Inf(-1)
@@ -318,7 +273,7 @@ func (b *Bandit) selectArm() int {
 }
 
 // applyArm realizes an arm on base: arm 0 holds, arm 2i+1 moves spec i
-// up one (scaled) step, arm 2i+2 down one. Log-scaled parameters move
+// up one step, arm 2i+2 down one. Log-scaled parameters move
 // multiplicatively, mirroring the annealer's mutation geometry. The
 // result is clamped and ECN-order-repaired, so every proposal is
 // guard-admissible by construction.
@@ -332,18 +287,16 @@ func (b *Bandit) applyArm(arm int, base dcqcn.Params) dcqcn.Params {
 	b.mbase = base
 	v := spec.Get(&b.mbase)
 	if spec.Log {
-		factor := 1 + 0.5*b.cfg.StepScale
 		if up {
-			v *= factor
+			v *= 1.5
 		} else {
-			v /= factor
+			v /= 1.5
 		}
 	} else {
-		delta := spec.Step * b.cfg.StepScale
 		if up {
-			v += delta
+			v += spec.Step
 		} else {
-			v -= delta
+			v -= spec.Step
 		}
 	}
 	b.mout = base

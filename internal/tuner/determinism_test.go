@@ -79,11 +79,10 @@ func TestAllTunersDeterministicProposalStream(t *testing.T) {
 	}
 }
 
-// TestMultiECNAgentStreamStableAcrossAgentCounts pins the DeriveArmSeed
+// TestMultiECNAgentStreamStableAcrossAgentCounts pins the splitmix.Derive
 // discipline: agent 0's RNG stream depends only on (seed, 0), so its
 // local trajectory is identical whether it shares the fabric with 0 or 7
-// other agents (given the same global rewards) — exactly how harness
-// arm seeds stay stable across worker counts.
+// other agents (given the same global rewards).
 func TestMultiECNAgentStreamStableAcrossAgentCounts(t *testing.T) {
 	run := func(agents int) []ECNProposal {
 		cfg := quickConfig()

@@ -22,41 +22,29 @@ type MultiECNConfig struct {
 	// Agents is the number of per-ToR agents (the deployment sets this
 	// to its scope size; default 1).
 	Agents int
-	// StepFrac bounds one adjustment's relative move (default 0.15);
-	// the realized step is scaled by rand(0.5,1) from the agent's own
-	// stream and by the dominance µ of its local traffic.
-	StepFrac float64
 	// Budget is the number of search iterations per session (default 60).
 	Budget int
-	// PFCFloor and RTTFloor classify an interval as congested when the
-	// corresponding objective falls below them (defaults 0.995, 0.6):
-	// congestion flips every agent toward earlier, harder marking
-	// regardless of local dominance.
-	PFCFloor float64
-	RTTFloor float64
 }
 
-// DefaultMultiECNConfig returns the defaults above.
-func DefaultMultiECNConfig() MultiECNConfig {
-	return MultiECNConfig{Agents: 1, StepFrac: 0.15, Budget: 60, PFCFloor: 0.995, RTTFloor: 0.6}
-}
+const (
+	// ecnStepFrac bounds one adjustment's relative move; the realized
+	// step is scaled by rand(0.5,1) from the agent's own stream and by
+	// the dominance µ of its local traffic.
+	ecnStepFrac = 0.15
+	// ecnPFCFloor and ecnRTTFloor classify an interval as congested when
+	// the corresponding objective falls below them: congestion flips
+	// every agent toward earlier, harder marking regardless of local
+	// dominance.
+	ecnPFCFloor = 0.995
+	ecnRTTFloor = 0.6
+)
 
 func (c MultiECNConfig) withDefaults() MultiECNConfig {
-	d := DefaultMultiECNConfig()
 	if c.Agents == 0 {
-		c.Agents = d.Agents
-	}
-	if c.StepFrac == 0 {
-		c.StepFrac = d.StepFrac
+		c.Agents = 1
 	}
 	if c.Budget == 0 {
-		c.Budget = d.Budget
-	}
-	if c.PFCFloor == 0 {
-		c.PFCFloor = d.PFCFloor
-	}
-	if c.RTTFloor == 0 {
-		c.RTTFloor = d.RTTFloor
+		c.Budget = 60
 	}
 	return c
 }
@@ -67,12 +55,8 @@ func (c MultiECNConfig) Validate() error {
 	switch {
 	case c.Agents < 1:
 		return fmt.Errorf("tuner: multiecn agents = %d", c.Agents)
-	case c.StepFrac <= 0 || c.StepFrac >= 1:
-		return fmt.Errorf("tuner: multiecn step fraction = %g, need in (0,1)", c.StepFrac)
 	case c.Budget < 1:
 		return fmt.Errorf("tuner: multiecn budget = %d", c.Budget)
-	case c.PFCFloor <= 0 || c.PFCFloor > 1 || c.RTTFloor <= 0 || c.RTTFloor > 1:
-		return fmt.Errorf("tuner: multiecn floors (%g, %g), need in (0,1]", c.PFCFloor, c.RTTFloor)
 	}
 	return nil
 }
@@ -334,7 +318,7 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 		return m.best, true
 	}
 
-	congested := sample.OPFC < m.cfg.PFCFloor || sample.ORTT < m.cfg.RTTFloor
+	congested := sample.OPFC < ecnPFCFloor || sample.ORTT < ecnRTTFloor
 	for i := range m.agents {
 		m.adjustAgent(&m.agents[i], congested)
 	}
@@ -359,7 +343,7 @@ func (m *MultiECN) adjustAgent(a *ecnAgent, congested bool) {
 	}
 	elephant, mu := fsd.DominantElephant()
 	r := 0.5 + 0.5*a.rng.Float64()
-	step := 1 + m.cfg.StepFrac*r*mu
+	step := 1 + ecnStepFrac*r*mu
 	if elephant && !congested {
 		a.kmin *= step
 		a.kmax *= step

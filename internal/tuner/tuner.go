@@ -11,8 +11,8 @@
 //   - "multiecn" — a PET-style multi-agent ECN tuner: each ToR agent
 //     independently adjusts its local Kmin/Kmax/Pmax from its own flow
 //     size distribution slice, on a deterministic per-agent RNG stream
-//     (splitmix.Derive, the harness arm-seed discipline).
-//   - "bandit" — an ε-greedy / UCB hill-climber over the discretized
+//     (splitmix.Derive).
+//   - "bandit" — an ε-greedy hill-climber over the discretized
 //     one-step neighborhood of the current vector, using the utility
 //     function as the arm reward.
 //

@@ -108,12 +108,6 @@ type AlltoallConfig struct {
 	OffTime eventsim.Time
 	// Rounds bounds the workload; 0 means run until the simulation ends.
 	Rounds int
-	// Start is the first round's launch time.
-	Start eventsim.Time
-	// QPsPerPair splits each pair's message across this many parallel
-	// QPs (NCCL's NCCL_IB_QPS_PER_CONNECTION; the paper's testbed uses
-	// 1). 0 means 1.
-	QPsPerPair int
 }
 
 // AlltoallGen is an installed collective workload.
@@ -151,7 +145,7 @@ func InstallAlltoall(n *sim.Network, cfg AlltoallConfig) (*AlltoallGen, error) {
 		FlowIDs: map[uint64]bool{},
 	}
 	n.AddFlowCompleteHook(g.onComplete)
-	n.Eng.Schedule(cfg.Start, g.startRound)
+	n.Eng.Schedule(0, g.startRound)
 	return g, nil
 }
 
@@ -182,31 +176,14 @@ func (g *AlltoallGen) startRound() {
 	}
 	g.inRound = true
 	g.roundAt = g.net.Eng.Now()
-	qps := g.cfg.QPsPerPair
-	if qps < 1 {
-		qps = 1
-	}
 	for _, src := range g.cfg.Workers {
 		for _, dst := range g.cfg.Workers {
 			if src == dst {
 				continue
 			}
-			// Split the pair's bytes across QPs, front-loading the
-			// remainder so every QP moves at least one byte.
-			base := g.cfg.MessageBytes / int64(qps)
-			rem := g.cfg.MessageBytes % int64(qps)
-			for q := 0; q < qps; q++ {
-				size := base
-				if int64(q) < rem {
-					size++
-				}
-				if size <= 0 {
-					continue
-				}
-				id := g.net.StartFlow(src, dst, size)
-				g.pending[id] = true
-				g.FlowIDs[id] = true
-			}
+			id := g.net.StartFlow(src, dst, g.cfg.MessageBytes)
+			g.pending[id] = true
+			g.FlowIDs[id] = true
 		}
 	}
 }

@@ -19,9 +19,9 @@ type IncastConfig struct {
 	// FanIn bounds the sender count (0 = all senders).
 	FanIn        int
 	MessageBytes int64
-	Repeat       int
-	Gap          eventsim.Time
-	Start        eventsim.Time
+	// Repeat bounds the waves; 0 means repeat until the simulation ends.
+	Repeat int
+	Gap    eventsim.Time
 }
 
 // IncastGen is an installed incast workload.
@@ -35,7 +35,7 @@ type IncastGen struct {
 	FlowIDs       map[uint64]bool
 	WaveDurations []eventsim.Time
 	waveAt        eventsim.Time
-	wavesLeft     int
+	waves         int // waves launched
 }
 
 // InstallIncast schedules the workload on n.
@@ -61,28 +61,27 @@ func InstallIncast(n *sim.Network, cfg IncastConfig) (*IncastGen, error) {
 	if cfg.MessageBytes <= 0 {
 		return nil, fmt.Errorf("workload: non-positive incast message")
 	}
-	if cfg.Repeat <= 0 {
-		cfg.Repeat = 1
-	}
 	g := &IncastGen{
 		net: n, cfg: cfg,
-		pending:   map[uint64]bool{},
-		FlowIDs:   map[uint64]bool{},
-		wavesLeft: cfg.Repeat,
+		pending: map[uint64]bool{},
+		FlowIDs: map[uint64]bool{},
 	}
 	n.AddFlowCompleteHook(g.onComplete)
-	n.Eng.Schedule(cfg.Start, g.wave)
+	n.Eng.Schedule(0, g.wave)
 	return g, nil
 }
 
 // WavesDone reports completed waves.
 func (g *IncastGen) WavesDone() int { return len(g.WaveDurations) }
 
+// more reports whether another wave is due.
+func (g *IncastGen) more() bool { return g.cfg.Repeat <= 0 || g.waves < g.cfg.Repeat }
+
 func (g *IncastGen) wave() {
-	if g.wavesLeft <= 0 {
+	if !g.more() {
 		return
 	}
-	g.wavesLeft--
+	g.waves++
 	g.waveAt = g.net.Eng.Now()
 	for _, s := range g.cfg.Senders {
 		id := g.net.StartFlow(s, g.cfg.Aggregator, g.cfg.MessageBytes)
@@ -100,56 +99,7 @@ func (g *IncastGen) onComplete(rec sim.FlowRecord) {
 		return
 	}
 	g.WaveDurations = append(g.WaveDurations, g.net.Eng.Now()-g.waveAt)
-	if g.wavesLeft > 0 {
+	if g.more() {
 		g.net.Eng.After(g.cfg.Gap, g.wave)
 	}
-}
-
-// PermutationConfig drives a permutation workload: each host sends one
-// flow to a distinct peer (a cyclic shift), the canonical pattern for
-// measuring a fabric's bisection behaviour without incast.
-type PermutationConfig struct {
-	// Hosts participate; nil means all. Shift is the cyclic distance
-	// (default 1; must not be a multiple of the host count).
-	Hosts []topology.NodeID
-	Shift int
-	Bytes int64
-	Start eventsim.Time
-}
-
-// PermutationGen is an installed permutation workload; FlowIDs fills
-// (in host order) when the start event fires.
-type PermutationGen struct {
-	FlowIDs  []uint64
-	Launched bool
-}
-
-// InstallPermutation schedules the workload.
-func InstallPermutation(n *sim.Network, cfg PermutationConfig) (*PermutationGen, error) {
-	hosts := cfg.Hosts
-	if hosts == nil {
-		hosts = n.Topo.Hosts()
-	}
-	if len(hosts) < 2 {
-		return nil, fmt.Errorf("workload: permutation needs >= 2 hosts")
-	}
-	shift := cfg.Shift
-	if shift == 0 {
-		shift = 1
-	}
-	if shift%len(hosts) == 0 {
-		return nil, fmt.Errorf("workload: shift %d maps hosts to themselves", shift)
-	}
-	if cfg.Bytes <= 0 {
-		return nil, fmt.Errorf("workload: non-positive permutation size")
-	}
-	g := &PermutationGen{}
-	n.Eng.Schedule(cfg.Start, func() {
-		for i, src := range hosts {
-			dst := hosts[(i+shift)%len(hosts)]
-			g.FlowIDs = append(g.FlowIDs, n.StartFlow(src, dst, cfg.Bytes))
-		}
-		g.Launched = true
-	})
-	return g, nil
 }

@@ -333,37 +333,3 @@ func TestAlltoallRejectsBadConfig(t *testing.T) {
 		t.Error("zero message accepted")
 	}
 }
-
-func TestAlltoallMultiQP(t *testing.T) {
-	n := newNet(t)
-	workers := n.Topo.Hosts()[:3]
-	g, err := InstallAlltoall(n, AlltoallConfig{
-		Workers:      workers,
-		MessageBytes: 100<<10 + 1, // odd size exercises the remainder split
-		QPsPerPair:   4,
-		Rounds:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.RunUntilIdle(eventsim.Second)
-	if g.RoundsDone != 1 {
-		t.Fatalf("round incomplete")
-	}
-	wantFlows := 3 * 2 * 4
-	if len(g.FlowIDs) != wantFlows {
-		t.Errorf("launched %d flows, want %d (pairs x QPs)", len(g.FlowIDs), wantFlows)
-	}
-	// Total bytes conserved across the QP split.
-	var total int64
-	for _, rec := range n.Completed {
-		total += rec.Size
-	}
-	if want := int64(3*2) * (100<<10 + 1); total != want {
-		t.Errorf("moved %d bytes, want %d", total, want)
-	}
-	// Goodput accounting still based on the logical message size.
-	if bw := g.AggregateGoodputBps(0); bw <= 0 {
-		t.Errorf("goodput %g", bw)
-	}
-}

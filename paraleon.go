@@ -145,31 +145,29 @@ type (
 	SizeCDF        = workload.SizeCDF
 )
 
-// IncastConfig and PermutationConfig cover the remaining canonical
-// datacenter patterns; TraceFlow supports trace record/replay.
+// IncastConfig covers the remaining canonical datacenter pattern;
+// TraceFlow supports trace record/replay.
 type (
-	IncastConfig      = workload.IncastConfig
-	PermutationConfig = workload.PermutationConfig
-	TraceFlow         = workload.TraceFlow
+	IncastConfig = workload.IncastConfig
+	TraceFlow    = workload.TraceFlow
 )
 
-// InstallPoisson, InstallAlltoall, InstallInflux, InstallIncast,
-// InstallPermutation and InstallReplay schedule traffic; FBHadoop,
+// InstallPoisson, InstallAlltoall, InstallInflux, InstallIncast and
+// InstallReplay schedule traffic; FBHadoop,
 // SolarRPC and WebSearch are the built-in size distributions; SaveTrace,
 // LoadTrace and RecordTrace round-trip workloads through CSV.
 var (
-	InstallPoisson     = workload.InstallPoisson
-	InstallAlltoall    = workload.InstallAlltoall
-	InstallInflux      = workload.InstallInflux
-	InstallIncast      = workload.InstallIncast
-	InstallPermutation = workload.InstallPermutation
-	InstallReplay      = workload.InstallReplay
-	SaveTrace          = workload.SaveTrace
-	LoadTrace          = workload.LoadTrace
-	RecordTrace        = workload.RecordTrace
-	FBHadoop           = workload.FBHadoop
-	SolarRPC           = workload.SolarRPC
-	WebSearch          = workload.WebSearch
+	InstallPoisson  = workload.InstallPoisson
+	InstallAlltoall = workload.InstallAlltoall
+	InstallInflux   = workload.InstallInflux
+	InstallIncast   = workload.InstallIncast
+	InstallReplay   = workload.InstallReplay
+	SaveTrace       = workload.SaveTrace
+	LoadTrace       = workload.LoadTrace
+	RecordTrace     = workload.RecordTrace
+	FBHadoop        = workload.FBHadoop
+	SolarRPC        = workload.SolarRPC
+	WebSearch       = workload.WebSearch
 )
 
 // FlowRecord is one completed flow; FCTSummary an aggregate.
