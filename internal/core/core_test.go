@@ -6,9 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/dcqcn"
+	"repro/internal/dispatch"
 	"repro/internal/eventsim"
 	"repro/internal/loop"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tuner"
 )
 
@@ -376,7 +378,7 @@ func TestSystemTunerSelection(t *testing.T) {
 }
 
 // rogueTuner proposes a misordered vector (Kmin >= Kmax) every step; the
-// System's guard must refuse to push it onto the fabric.
+// pipeline's guard must refuse to push it onto the fabric.
 type rogueTuner struct {
 	tuner.Tuner
 	active bool
@@ -390,34 +392,46 @@ func (r *rogueTuner) Step(loop.RuntimeSample, loop.FSD) (dcqcn.Params, bool) {
 	return p, true
 }
 
+// TestSystemGuardRejectsRogueProposals runs the rogue strategy with
+// canary plans off and on: either way every refusal is counted once, in
+// GuardRejects and the tuner_guard_rejects counter, and nothing reaches
+// the fabric.
 func TestSystemGuardRejectsRogueProposals(t *testing.T) {
-	base, _ := tuner.New("sa", tuner.Config{
-		Weights: tuner.DefaultWeights(), Base: dcqcn.DefaultParams(), SA: quickSA(),
-	}, 1)
-	n, err := sim.New(sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Attach(n, quickSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Tuner = &rogueTuner{Tuner: base}
-	s.wireStep()
-	before := *n.RNICParams()
-	s.Start()
-	hosts := n.Topo.Hosts()
-	n.StartFlow(hosts[1], hosts[0], 64<<20)
-	s.TriggerNow()
-	n.Run(10 * eventsim.Millisecond)
-	if s.GuardRejects == 0 {
-		t.Fatal("guard admitted misordered Kmin >= Kmax proposals")
-	}
-	if s.Dispatches != 0 {
-		t.Errorf("%d rogue proposals dispatched", s.Dispatches)
-	}
-	if *n.RNICParams() != before {
-		t.Error("rogue proposal reached the fabric")
+	for _, canary := range []int{0, 1} {
+		base, _ := tuner.New("sa", tuner.Config{
+			Weights: tuner.DefaultWeights(), Base: dcqcn.DefaultParams(), SA: quickSA(),
+		}, 1)
+		n, err := sim.New(sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickSystem()
+		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.Dispatch = dispatch.Config{Canary: canary}
+		s, err := Attach(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Tuner = &rogueTuner{Tuner: base}
+		s.wireStep()
+		before := *n.RNICParams()
+		s.Start()
+		hosts := n.Topo.Hosts()
+		n.StartFlow(hosts[1], hosts[0], 64<<20)
+		s.TriggerNow()
+		n.Run(10 * eventsim.Millisecond)
+		if s.GuardRejects == 0 {
+			t.Fatalf("canary %d: guard admitted misordered Kmin >= Kmax proposals", canary)
+		}
+		if got := s.TM.GuardRejects.Value(); got != int64(s.GuardRejects) {
+			t.Errorf("canary %d: guard-reject counter %d, GuardRejects %d", canary, got, s.GuardRejects)
+		}
+		if s.Dispatches != 0 {
+			t.Errorf("canary %d: %d rogue proposals dispatched", canary, s.Dispatches)
+		}
+		if *n.RNICParams() != before {
+			t.Errorf("canary %d: rogue proposal reached the fabric", canary)
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestSystemDispatchPipeline runs the closed loop with the staged
-// rollout pipeline enabled: exploration dispatches go fabric-wide under
-// fresh epochs, the session-settling dispatch walks a canary plan, and
-// at least one plan commits with the whole fabric on one epoch.
+// TestSystemDispatchPipeline runs the closed loop with canary plans on:
+// exploration dispatches go fabric-wide under fresh epochs, the
+// session-settling dispatch walks a canary plan, and at least one plan
+// commits with the whole fabric on one epoch.
 func TestSystemDispatchPipeline(t *testing.T) {
 	n, err := sim.New(sim.DefaultConfig())
 	if err != nil {
@@ -21,13 +21,10 @@ func TestSystemDispatchPipeline(t *testing.T) {
 	}
 	cfg := quickSystem()
 	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 2}
+	cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
 	s, err := Attach(n, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Dispatch == nil {
-		t.Fatal("pipeline not attached")
 	}
 	// The pipeline's devices are the ToRs, and at the instant a plan commits
 	// every one of them runs the committed vector. That instant is the only
@@ -38,7 +35,9 @@ func TestSystemDispatchPipeline(t *testing.T) {
 	// shared RNIC vector and the leaf switches alone.)
 	onCommit := s.Dispatch.OnCommit
 	s.Dispatch.OnCommit = func(p dcqcn.Params) {
-		onCommit(p)
+		if onCommit != nil {
+			onCommit(p)
+		}
 		committed, _ := s.Dispatch.Committed()
 		for _, tor := range n.Topo.ToRs() {
 			if p != committed || *n.SwitchParams(tor) != committed {
@@ -85,19 +84,61 @@ func TestSystemDispatchPipeline(t *testing.T) {
 	}
 }
 
-// TestSystemDispatchDisabledIsLegacy: the zero Dispatch config must
-// leave the pipeline off entirely.
-func TestSystemDispatchDisabledIsLegacy(t *testing.T) {
-	n, err := sim.New(sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Attach(n, quickSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Dispatch != nil {
-		t.Fatal("pipeline attached despite zero Dispatch config")
+// TestSystemCanaryPlansFollowCanary runs a session to settle twice. With
+// Canary 0 the settling vector goes fabric-wide at the interval it was
+// decided and no plan ever starts; with Canary 1 it starts a canary plan
+// on the first device only.
+func TestSystemCanaryPlansFollowCanary(t *testing.T) {
+	for _, canary := range []int{0, 1} {
+		n, err := sim.New(sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickSystem()
+		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.Dispatch = dispatch.Config{Canary: canary}
+		s, err := Attach(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last dcqcn.Params
+		s.OnDispatch = func(p dcqcn.Params) { last = p }
+		settles := 0
+		onSettle := s.step.OnSettle
+		s.step.OnSettle = func() {
+			onSettle()
+			settles++
+			if settles > 1 {
+				return
+			}
+			if canary == 0 {
+				for _, tor := range n.Topo.ToRs() {
+					if *n.SwitchParams(tor) != last {
+						t.Errorf("canary 0: ToR %d does not run the settling vector at its interval", tor)
+					}
+				}
+				return
+			}
+			if s.Dispatch.Plans != 1 || s.Dispatch.Phase() != dispatch.PhaseCanary {
+				t.Errorf("canary 1: plans=%d phase=%v at settle, want one plan in canary", s.Dispatch.Plans, s.Dispatch.Phase())
+			}
+			if devs := s.Dispatch.Fabric().Devices; devs[0].Params != last || devs[1].Params == last {
+				t.Error("canary 1: the settling vector is not on exactly the canary device")
+			}
+		}
+		s.Start()
+		hosts := n.Topo.Hosts()
+		for i := 1; i <= 3; i++ {
+			n.StartFlow(hosts[i], hosts[0], 256<<20)
+		}
+		n.Run(30 * eventsim.Millisecond)
+		s.Stop()
+		if settles == 0 {
+			t.Fatalf("canary %d: no session settled", canary)
+		}
+		if canary == 0 && s.Dispatch.Plans != 0 {
+			t.Errorf("canary 0: %d plans started", s.Dispatch.Plans)
+		}
 	}
 }
 
@@ -111,7 +152,7 @@ func TestExploreAfterCommitReachesEveryHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickSystem()
-	cfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 1}
+	cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 1}
 	s, err := Attach(n, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -127,10 +127,8 @@ func (f *flightSampler) sample(s *System, now eventsim.Time, sample loop.Runtime
 		f.bestUtility.Append(t, best)
 	}
 	f.regret.Append(t, s.TM.Regret.Value())
-	if phase, epoch, ok := s.apply.rollout(); ok {
-		f.epoch.Append(t, float64(epoch))
-		f.phase.Append(t, float64(phase))
-	}
+	f.epoch.Append(t, float64(s.Dispatch.Epoch()))
+	f.phase.Append(t, float64(s.Dispatch.Phase()))
 
 	for i, sw := range f.switches {
 		f.queue[i].Append(t, float64(sw.BufferUsed()))

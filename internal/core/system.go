@@ -2,10 +2,10 @@
 // simulated network: agents measure, the controller and the decision
 // step of internal/loop (the ones the ctrlrpc daemon runs too) aggregate,
 // trigger and drive a search strategy from internal/tuner, and the
-// proposed DCQCN vectors go to every RNIC and switch (directly, or
-// through the staged dispatch pipeline). The utility function
-// (Equation 1), the simulated-annealing search of Algorithm 1 and its
-// configuration live in internal/tuner.
+// proposed DCQCN vectors go to every RNIC and switch through the staged
+// dispatch pipeline. The utility function (Equation 1), the
+// simulated-annealing search of Algorithm 1 and its configuration live
+// in internal/tuner.
 package core
 
 import (
@@ -65,10 +65,10 @@ type SystemConfig struct {
 	// itself against; nil means telemetry.Default(), so every run a
 	// binary performs lands in its -telemetry-addr / -report surface.
 	Telemetry *telemetry.Registry
-	// Dispatch configures the staged rollout pipeline (guardrails,
-	// canary plans, epoch commit protocol, write-ahead intent log). The
-	// zero value keeps the legacy direct-apply path byte-for-byte: no
-	// guard, no plan events, no WAL.
+	// Dispatch configures the rollout pipeline every push goes through
+	// (guardrails, epoch commit protocol, write-ahead intent log).
+	// Session-settling dispatches run canary plans iff Canary > 0; the
+	// zero value applies every admitted proposal fabric-wide at once.
 	Dispatch dispatch.Config
 	// Flight, when non-nil, attaches the virtual-time flight recorder:
 	// the loop samples its health signals (and a bounded per-ToR fabric
@@ -129,22 +129,17 @@ type System struct {
 	tickEv   eventsim.EventID
 	running  bool
 	weights  tuner.Weights
-	// scope, when non-nil, restricts dispatch to these ToRs' clusters.
-	scope []topology.NodeID
 	// torScope is the resolved ToR list (scope, or every ToR): agent i of
 	// a per-switch strategy owns torScope[i].
 	torScope []topology.NodeID
-	// guard bounds-checks every proposal on the direct apply path and
-	// every per-switch override, so no strategy — in-tree or registered
-	// by a caller — can push an out-of-spec or misordered (Kmin >= Kmax)
-	// vector onto the fabric. The pipeline path carries its own, stricter
-	// guard.
-	guard *dispatch.Guard
-	// step is the decision shared with the daemon; apply is the path its
-	// proposals take to the fabric (direct, or staged through Dispatch).
-	step  *loop.Step
-	apply applier
-	// GuardRejects counts proposals the loop's guard refused.
+	// step is the decision shared with the daemon; its proposals reach
+	// the fabric through Dispatch.
+	step *loop.Step
+	// plans is whether session-settling proposals start canary plans
+	// (SystemConfig.Dispatch.Canary > 0).
+	plans bool
+	// GuardRejects counts proposals, fabric-wide or per-switch, that the
+	// pipeline's guard refused.
 	GuardRejects int
 
 	// Dispatches counts parameter updates pushed to the network;
@@ -152,14 +147,15 @@ type System struct {
 	Dispatches int
 	LastSample loop.RuntimeSample
 
-	// Dispatch, when non-nil, is the staged rollout pipeline every
-	// parameter push goes through (SystemConfig.Dispatch.Enabled); nil
-	// means the direct apply path.
+	// Dispatch is the rollout pipeline every parameter push goes
+	// through. Its guard bounds-checks every proposal and per-switch
+	// override, so no strategy — in-tree or registered by a caller — can
+	// push an out-of-spec or misordered (Kmin >= Kmax) vector onto the
+	// fabric; its Live() is the vector the loop last dispatched.
 	Dispatch *dispatch.Pipeline
 
 	// Graceful degradation (see DegradeConfig).
 	degrade  DegradeConfig
-	current  dcqcn.Params // last dispatched (or initial) setting
 	utilEWMA float64
 	haveEWMA bool
 	lastGood dcqcn.Params
@@ -246,8 +242,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 		interval: cfg.Interval,
 		weights:  cfg.Weights,
 		degrade:  cfg.Degrade,
-		current:  *net.RNICParams(),
-		guard:    dispatch.NewGuard(dispatch.GuardConfig{}),
+		plans:    cfg.Dispatch.Canary > 0,
 		trace:    cfg.Trace,
 	}
 	reg := cfg.Telemetry
@@ -259,7 +254,6 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	s.Tuner.SetMetrics(s.TM)
 	s.vtime = telemetry.VirtualTime(reg)
 
-	s.scope = cfg.Scope
 	s.torScope = scope
 	sources := cfg.Sources
 	if sources == nil {
@@ -277,14 +271,8 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	s.Controller.QuorumFrac = cfg.Degrade.QuorumFrac
 	s.Controller.TM = telemetry.NewMonitorMetrics(reg)
 	s.Collector = monitor.NewScopedRuntimeCollector(net, scope)
-	// The dispatch family is registered even when the pipeline is off,
-	// so every run's /metrics surface carries it for scrape checks.
-	telemetry.NewDispatchMetrics(reg)
-	s.apply = direct{s}
-	if cfg.Dispatch.Enabled {
-		if err := s.attachDispatch(cfg, scope, reg); err != nil {
-			return nil, err
-		}
+	if err := s.attachDispatch(cfg, scope, reg); err != nil {
+		return nil, err
 	}
 	s.wireStep()
 	if cfg.Flight != nil {
@@ -293,7 +281,7 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
-// attachDispatch builds the staged rollout pipeline over the scope
+// attachDispatch builds the rollout pipeline over the scope
 // ToRs: device i of the fabric is scope[i], so the canary prefix is a
 // deterministic pod subset. The fabric and WAL come from the config
 // when the caller needs them to survive controller restarts (the
@@ -306,11 +294,11 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 	if len(fab.Devices) != len(scope) {
 		return fmt.Errorf("core: dispatch fabric has %d devices, scope has %d ToRs", len(fab.Devices), len(scope))
 	}
-	net, full := s.Net, s.scope == nil
+	net, full := s.Net, cfg.Scope == nil
 	apply := func(devs []int, p dcqcn.Params) {
 		if full && len(devs) == len(scope) {
 			// Fabric-wide on an unscoped deployment: cover the leaf and
-			// spine switches too, exactly as the legacy path did.
+			// spine switches too.
 			net.ApplyParams(p)
 			return
 		}
@@ -322,7 +310,6 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 	}
 	s.Dispatch = dispatch.New(cfg.Dispatch, net.Eng, fab, apply, reg)
 	s.Dispatch.Trace = s.trace
-	s.Dispatch.OnCommit = func(p dcqcn.Params) { s.current = p }
 	s.Dispatch.OnAbort = func(restored dcqcn.Params, reason string) {
 		// A failed canary must not poison the baseline: re-anchor the
 		// last-known-good vector at what the abort restored and reset
@@ -333,14 +320,13 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 		s.regress = 0
 		s.flight.trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
 	}
-	s.apply = staged{s}
 	return s.Dispatch.Resume(*net.RNICParams(), net.Eng.Now())
 }
 
-// wireStep builds the decision step over s.Tuner and s.apply and hooks
-// the loop's trace, dispatch and settle bookkeeping onto it.
+// wireStep builds the decision step over s.Tuner and s.Dispatch and
+// hooks the loop's trace, dispatch and settle bookkeeping onto it.
 func (s *System) wireStep() {
-	s.step = loop.NewStep(s.Controller, s.Tuner, s.apply, s.Net.Eng.Now, s.TM)
+	s.step = loop.NewStep(s.Controller, s.Tuner, applier{s}, s.Net.Eng.Now, s.TM)
 	s.step.OnSession = s.traceSession
 	s.step.OnDispatch = s.dispatched
 	s.step.OnSettle = s.settled
@@ -485,7 +471,7 @@ func (s *System) tick() {
 	// signals. Frozen and idle intervals never reach here — a canary
 	// must not be judged (or promoted) on readings the loop itself
 	// considers suspect.
-	s.apply.health(dispatch.Health{
+	s.Dispatch.Tick(dispatch.Health{
 		Utility:   s.utilEWMA,
 		PauseFrac: 1 - sample.OPFC,
 	}, now)
@@ -506,31 +492,23 @@ func (s *System) tick() {
 // per-switch overrides are withheld — a half-converted fabric must stay
 // exactly as the plan's epoch stamped it.
 func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
-	if phase, _, _ := s.apply.rollout(); phase != dispatch.PhaseIdle {
+	if s.Dispatch.InFlight() {
 		return
 	}
+	live := s.Dispatch.Live()
 	for _, pr := range ps.LocalProposals() {
 		if pr.Agent < 0 || pr.Agent >= len(s.torScope) {
 			continue
 		}
-		cand := s.current
+		cand := live
 		cand.KminBytes, cand.KmaxBytes, cand.PMax = pr.KminBytes, pr.KmaxBytes, pr.PMax
-		if s.admit(&cand, now) {
+		r, _ := s.Dispatch.Guard().Admit(&cand, &live, now)
+		s.countReject(r)
+		if r == dispatch.RejectNone {
 			s.Net.ApplySwitchECN(s.torScope[pr.Agent], pr.KminBytes, pr.KmaxBytes, pr.PMax)
 			ps.AgentCommitted(pr.Agent)
 		}
 	}
-}
-
-// admit runs cand past the loop's guard against the live vector and
-// counts a refusal.
-func (s *System) admit(cand *dcqcn.Params, now eventsim.Time) bool {
-	if rej, _ := s.guard.Admit(cand, &s.current, now); rej != dispatch.RejectNone {
-		s.GuardRejects++
-		s.TM.GuardRejects.Inc()
-		return false
-	}
-	return true
 }
 
 // publishStatus overwrites the loop's status cell, which the
@@ -538,11 +516,6 @@ func (s *System) admit(cand *dcqcn.Params, now eventsim.Time) bool {
 // cell under its lock rather than reading the System, which keeps the
 // single-threaded simulation state off concurrent scrape goroutines.
 func (s *System) publishStatus(now eventsim.Time) {
-	var phase string
-	ph, epoch, ok := s.apply.rollout()
-	if ok {
-		phase = ph.String()
-	}
 	var temp float64
 	if td, ok := s.Tuner.(tuner.Temperatured); ok {
 		temp = td.Temperature()
@@ -550,7 +523,7 @@ func (s *System) publishStatus(now eventsim.Time) {
 	st := s.Tuner.Stats()
 	s.status.Set(LoopStatus{
 		VirtualTimeNs: int64(now),
-		Params:        s.current,
+		Params:        s.Dispatch.Live(),
 		Tuner:         s.Tuner.Name(),
 		Frozen:        s.Controller.Frozen,
 		Degraded:      s.Controller.Degraded,
@@ -565,8 +538,8 @@ func (s *System) publishStatus(now eventsim.Time) {
 		Aborts:        st.Aborts,
 		Dispatches:    s.Dispatches,
 		Rollbacks:     s.Rollbacks,
-		DispatchPhase: phase,
-		DispatchEpoch: epoch,
+		DispatchPhase: s.Dispatch.Phase().String(),
+		DispatchEpoch: s.Dispatch.Epoch(),
 	})
 }
 
@@ -592,7 +565,7 @@ func (s *System) checkRollback(util float64) bool {
 	if !s.haveGood || s.utilEWMA >= s.goodUtil {
 		// The live vector is performing at least as well as anything
 		// before it: it is the new last-known-good.
-		s.lastGood = s.current
+		s.lastGood = s.Dispatch.Live()
 		s.goodUtil = s.utilEWMA
 		s.haveGood = true
 		s.regress = 0
@@ -603,10 +576,10 @@ func (s *System) checkRollback(util float64) bool {
 		return false
 	}
 	s.regress++
-	if s.regress < s.degrade.RollbackWindow || s.current == s.lastGood {
+	if s.regress < s.degrade.RollbackWindow || s.Dispatch.Live() == s.lastGood {
 		return false
 	}
-	s.apply.restore(s.lastGood, s.Net.Eng.Now())
+	s.Dispatch.Restore(s.lastGood, s.Net.Eng.Now())
 	wasActive := s.Tuner.Active()
 	s.Tuner.Abort()
 	s.Rollbacks++

@@ -148,6 +148,8 @@ func TestStatusScrapeRace(t *testing.T) {
 		Aborts:        ts.Aborts,
 		Dispatches:    sys.Dispatches,
 		Rollbacks:     sys.Rollbacks,
+		DispatchPhase: sys.Dispatch.Phase().String(),
+		DispatchEpoch: sys.Dispatch.Epoch(),
 	}
 	if got := st["control_loop"]; got != wantLoop {
 		t.Errorf("control_loop section = %+v\nwant the last tick's %+v", got, wantLoop)

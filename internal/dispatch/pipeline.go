@@ -35,14 +35,12 @@ func (p Phase) String() string {
 	}
 }
 
-// Config parameterizes a Pipeline. The zero value means "disabled":
-// core.System with a zero Dispatch config keeps its legacy direct-apply
-// path, byte-identical to previous builds.
+// Config parameterizes a Pipeline. Admission always enforces the spec
+// bounds and ECN ordering (GuardConfig{}).
 type Config struct {
-	// Enabled turns the staged pipeline on. Admission then always
-	// enforces the spec bounds and ECN ordering (GuardConfig{}).
-	Enabled bool
-	// Canary is the canary prefix size in devices (scope ToRs); 0 means 1.
+	// Canary is the canary prefix size in devices (scope ToRs); 0 means 1
+	// for a SubmitFinal caller. core.System starts canary plans only when
+	// it is > 0.
 	Canary int
 	// SettleIntervals is how many health ticks the canary must survive
 	// before promotion; 0 means 3.
@@ -272,7 +270,7 @@ func (p *Pipeline) Resume(initial dcqcn.Params, now eventsim.Time) error {
 	}
 	p.Trace.Note(0, "dispatch_recovery epoch=%d phase=%s: aborting orphaned rollout", rec.InFlight.Epoch, rec.InFlightPhase)
 	p.recovering = true
-	p.planEpoch = p.grantEpoch(now)
+	p.planEpoch, _ = p.grantEpoch(now)
 	p.target = p.committed
 	p.targetHash = VectorHash(&p.target)
 	p.prev = p.committed
@@ -287,7 +285,8 @@ func (p *Pipeline) Resume(initial dcqcn.Params, now eventsim.Time) error {
 // inside a session. Admitted vectors go fabric-wide immediately under a
 // fresh epoch (exploration is transient by design; the canary machinery
 // protects only the session-settling dispatch). Returns false with the
-// reason when the guard refused.
+// reason when the guard refused, and false with RejectNone when the WAL
+// would not journal the epoch.
 func (p *Pipeline) SubmitExplore(cand dcqcn.Params, now eventsim.Time) (bool, RejectReason) {
 	if p.phase != PhaseIdle {
 		p.reject(RejectInFlight, -1)
@@ -298,7 +297,14 @@ func (p *Pipeline) SubmitExplore(cand dcqcn.Params, now eventsim.Time) (bool, Re
 		return false, r
 	}
 	p.tm.Admitted.Inc()
-	epoch := p.grantEpoch(now)
+	epoch, err := p.grantEpoch(now)
+	if err != nil {
+		// As in SubmitFinal: an epoch the journal refused must not reach
+		// a device, or a restarted controller could issue it again.
+		p.lastReject = "wal_error"
+		p.publish()
+		return false, RejectNone
+	}
 	p.applyTo(p.allDevices(), epoch, cand)
 	p.live = cand
 	p.publish()
@@ -345,12 +351,14 @@ func (p *Pipeline) SubmitFinal(cand dcqcn.Params, baselineUtil float64, now even
 
 // Restore force-applies vec fabric-wide under a fresh epoch and records
 // it as committed — the rollback path (core.checkRollback) re-imposing
-// the last-known-good vector. An active plan is aborted first.
+// the last-known-good vector. An active plan is aborted first. Restore
+// is a safety action, so it dispatches even when the WAL refuses its
+// records.
 func (p *Pipeline) Restore(vec dcqcn.Params, now eventsim.Time) {
 	if p.phase != PhaseIdle {
 		p.abort("rollback", now)
 	}
-	epoch := p.grantEpoch(now)
+	epoch, _ := p.grantEpoch(now)
 	p.applyTo(p.allDevices(), epoch, vec)
 	p.live = vec
 	p.committed = vec
@@ -429,11 +437,12 @@ func (p *Pipeline) allDevices() []int {
 }
 
 // grantEpoch issues the next epoch number and journals the grant, so a
-// recovered controller never reuses a number some device has seen.
-func (p *Pipeline) grantEpoch(now eventsim.Time) uint64 {
+// recovered controller never reuses a number some device has seen. The
+// error is the journal's: only the safety actions (Restore, abort, the
+// recovery restore) dispatch an epoch it refused.
+func (p *Pipeline) grantEpoch(now eventsim.Time) (uint64, error) {
 	e := p.grantEpochQuiet()
-	p.append(Record{T: int64(now), Kind: KindEpoch, Epoch: e})
-	return e
+	return e, p.append(Record{T: int64(now), Kind: KindEpoch, Epoch: e})
 }
 
 // grantEpochQuiet issues the next epoch without its own journal record,
@@ -630,7 +639,9 @@ func (p *Pipeline) abortRestore(reason string, now eventsim.Time) {
 
 // abort journals the abort and rolls the touched devices back to the
 // pre-plan vector under a fresh epoch. It does not fire OnAbort (the
-// Restore path aborts without wanting rollback feedback loops).
+// Restore path aborts without wanting rollback feedback loops). Like
+// Restore it is a safety action: it dispatches the restore even when
+// the WAL refuses its records.
 func (p *Pipeline) abort(reason string, now eventsim.Time) {
 	p.append(Record{T: int64(now), Kind: KindAbort, Epoch: p.planEpoch, Phase: p.phase.String(), Reason: reason})
 	p.Aborts++
@@ -645,7 +656,7 @@ func (p *Pipeline) abort(reason string, now eventsim.Time) {
 			touched = append(touched, i)
 		}
 	}
-	restoreEpoch := p.grantEpoch(now)
+	restoreEpoch, _ := p.grantEpoch(now)
 	if len(touched) > 0 {
 		p.applyTo(touched, restoreEpoch, p.prev)
 	}

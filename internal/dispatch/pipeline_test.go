@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -45,7 +46,7 @@ func target() dcqcn.Params {
 }
 
 func TestPipelineCanaryPromoteCommit(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 1, SettleIntervals: 2}, 4)
+	rig := newRig(t, Config{Canary: 1, SettleIntervals: 2}, 4)
 	p := rig.pipe
 	tgt := target()
 
@@ -98,7 +99,7 @@ func TestPipelineCanaryPromoteCommit(t *testing.T) {
 }
 
 func TestPipelineHealthAbortRestoresCanaries(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 2, SettleIntervals: 3}, 4)
+	rig := newRig(t, Config{Canary: 2, SettleIntervals: 3}, 4)
 	p := rig.pipe
 	prev := dcqcn.DefaultParams()
 	tgt := target()
@@ -139,7 +140,7 @@ func TestPipelineHealthAbortRestoresCanaries(t *testing.T) {
 }
 
 func TestPipelineAckRetryThenCommit(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 1, SettleIntervals: 1}, 3)
+	rig := newRig(t, Config{Canary: 1, SettleIntervals: 1}, 3)
 	p := rig.pipe
 	p.FaultAcks(0, 1, 0) // drop the canary's first ACK
 
@@ -156,7 +157,7 @@ func TestPipelineAckRetryThenCommit(t *testing.T) {
 }
 
 func TestPipelineAckExhaustionAborts(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true, Canary: 1}, 3)
+	rig := newRig(t, Config{Canary: 1}, 3)
 	p := rig.pipe
 	p.FaultAcks(0, 10, 0) // drop every canary ACK
 
@@ -180,7 +181,7 @@ func TestPipelineCrashRecovery(t *testing.T) {
 	wal := &MemWAL{}
 	fab := NewFabric(4)
 	initial := dcqcn.DefaultParams()
-	cfg := Config{Enabled: true, Canary: 1, SettleIntervals: 5, WAL: wal, Fabric: fab}
+	cfg := Config{Canary: 1, SettleIntervals: 5, WAL: wal, Fabric: fab}
 
 	rigA := newRig(t, cfg, 4)
 	tgt := target()
@@ -235,7 +236,7 @@ func TestPipelineCrashRecovery(t *testing.T) {
 func TestPipelineRecoveryAfterCommitIsQuiet(t *testing.T) {
 	wal := &MemWAL{}
 	fab := NewFabric(2)
-	cfg := Config{Enabled: true, Canary: 1, SettleIntervals: 1, WAL: wal, Fabric: fab}
+	cfg := Config{Canary: 1, SettleIntervals: 1, WAL: wal, Fabric: fab}
 	rig := newRig(t, cfg, 2)
 	tgt := target()
 	if ok, _ := rig.pipe.SubmitFinal(tgt, 50, rig.eng.Now()); !ok {
@@ -266,7 +267,7 @@ func TestPipelineRecoveryAfterCommitIsQuiet(t *testing.T) {
 }
 
 func TestPipelineRejectLeavesFabricUntouched(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true}, 3)
+	rig := newRig(t, Config{}, 3)
 	p := rig.pipe
 	before := rig.fab.Epochs()
 
@@ -293,7 +294,7 @@ func TestPipelineRejectLeavesFabricUntouched(t *testing.T) {
 }
 
 func TestPipelineExploreAppliesDirectly(t *testing.T) {
-	rig := newRig(t, Config{Enabled: true}, 3)
+	rig := newRig(t, Config{}, 3)
 	p := rig.pipe
 	tgt := target()
 	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); !ok {
@@ -313,6 +314,41 @@ func TestPipelineExploreAppliesDirectly(t *testing.T) {
 	}
 	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); ok || r != RejectInFlight {
 		t.Fatalf("explore during plan: ok=%v r=%v, want RejectInFlight", ok, r)
+	}
+}
+
+// refusingWAL refuses every record, like a disk that filled up.
+type refusingWAL struct{ MemWAL }
+
+func (*refusingWAL) Append(Record) error { return errors.New("disk full") }
+
+// TestPipelineExploreVetoesUnjournaledEpoch: an exploration step whose
+// epoch the WAL refused reaches no device, as a plan's intent does not.
+// Restore still dispatches: it is the safety action.
+func TestPipelineExploreVetoesUnjournaledEpoch(t *testing.T) {
+	rig := newRig(t, Config{WAL: &refusingWAL{}}, 3)
+	p := rig.pipe
+	tgt := target()
+	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); ok || r != RejectNone {
+		t.Fatalf("explore with a refusing WAL: ok=%v r=%v, want a veto", ok, r)
+	}
+	if p.lastReject != "wal_error" {
+		t.Errorf("lastReject = %q, want wal_error", p.lastReject)
+	}
+	if ok, _ := p.SubmitFinal(tgt, 50, rig.eng.Now()); ok {
+		t.Error("plan started with a refusing WAL")
+	}
+	if len(rig.pushes) != 0 || p.Live() != dcqcn.DefaultParams() {
+		t.Fatalf("vetoed dispatches reached the network: %+v", rig.pushes)
+	}
+	for i, d := range rig.fab.Devices {
+		if d.Applies != 0 {
+			t.Errorf("device %d applied a vetoed epoch %d", i, d.Epoch)
+		}
+	}
+	p.Restore(tgt, rig.eng.Now())
+	if len(rig.pushes) != 1 || len(rig.pushes[0].devs) != 3 || rig.pushes[0].vec != tgt {
+		t.Errorf("restore with a refusing WAL: pushes %+v, want one fabric-wide push", rig.pushes)
 	}
 }
 

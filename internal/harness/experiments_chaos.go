@@ -262,7 +262,7 @@ func ChaosCtrlPartitionConfig(scale Scale, horizon eventsim.Time, seed int64) Ru
 func ChaosDispatchConfig(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) RunConfig {
 	cfg := chaosConfig("chaos-dispatch", scale, horizon, traceTo, core.DegradeConfig{})
 	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
-	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 3, WAL: &dispatch.MemWAL{}}
+	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 3, WAL: &dispatch.MemWAL{}}
 	cfg.Faults = FixedFaults(chaos.Scenario{
 		Seed:     seed,
 		Dispatch: []chaos.DispatchFault{{KillAtPhase: "settle"}},

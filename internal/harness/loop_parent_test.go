@@ -16,11 +16,11 @@ import (
 )
 
 // loopDigest runs the simulated loop with strategy name for 80 intervals
-// of a QuickScale alltoall with OFF gaps, through the direct apply path
-// or the staged pipeline. It returns the FNV-1a digest of every dispatch
-// (virtual time and vector), then the rollback, freeze, reject and
-// trigger counts and the vector every ToR switch ends on.
-func loopDigest(t *testing.T, name string, staged bool) uint64 {
+// of a QuickScale alltoall with OFF gaps, with or without canary plans
+// for the session-settling dispatches. It returns the FNV-1a digest of
+// every dispatch (virtual time and vector), then the rollback, freeze,
+// reject and trigger counts and the vector every ToR switch ends on.
+func loopDigest(t *testing.T, name string, plans bool) uint64 {
 	t.Helper()
 	scale := QuickScale()
 	n, err := sim.New(scale.Net)
@@ -29,8 +29,8 @@ func loopDigest(t *testing.T, name string, staged bool) uint64 {
 	}
 	cfg := shootoutSystemCfg(name)
 	cfg.Telemetry = telemetry.NewRegistry()
-	if staged {
-		cfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 2}
+	if plans {
+		cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
 	}
 	sys, err := core.Attach(n, cfg)
 	if err != nil {
@@ -54,12 +54,8 @@ func loopDigest(t *testing.T, name string, staged bool) uint64 {
 	if sys.Dispatches == 0 {
 		t.Errorf("%s: the loop never dispatched", name)
 	}
-	rejects := sys.GuardRejects
-	if staged {
-		rejects += sys.Dispatch.Guard().Rejects()
-	}
 	fmt.Fprintf(h, "rollbacks=%d frozen=%d rejects=%d triggers=%d dispatches=%d\n",
-		sys.Rollbacks, sys.FrozenIntervals, rejects, sys.Controller.Triggers, sys.Dispatches)
+		sys.Rollbacks, sys.FrozenIntervals, sys.GuardRejects, sys.Controller.Triggers, sys.Dispatches)
 	for _, tor := range n.Topo.ToRs() {
 		fmt.Fprintf(h, "tor %d %016x\n", tor, dispatch.VectorHash(n.SwitchParams(tor)))
 	}
@@ -68,27 +64,28 @@ func loopDigest(t *testing.T, name string, staged bool) uint64 {
 }
 
 // TestSimLoopMatchesParent pins the simulated loop's decisions for every
-// registered strategy on both apply paths, and for chaos-linkflap (a
-// flapping uplink with rollback armed) through the pipeline, whose
-// rollbacks restore through it. The digests were taken before the daemon
-// and the simulated loop shared one decision step; sharing it must not
-// move them.
+// registered strategy with canary plans off and on, and for
+// chaos-linkflap (a flapping uplink with rollback armed) with plans on,
+// whose rollbacks restore through the pipeline. The digests were taken
+// while plans off still bypassed the pipeline, and before the daemon and
+// the simulated loop shared one decision step; neither change may move
+// them.
 func TestSimLoopMatchesParent(t *testing.T) {
 	want := map[string]uint64{
-		"bandit/direct":   0x621893c7d98bd529,
-		"bandit/staged":   0x47a57408fe9dd964,
-		"multiecn/direct": 0xa62d685e0a430100,
-		"multiecn/staged": 0x63232c5ccba37254,
-		"sa/direct":       0xd5b00ddafe7ba859,
-		"sa/staged":       0xdca30e77d20af42c,
+		"bandit/plans-off":   0x621893c7d98bd529,
+		"bandit/plans-on":    0x47a57408fe9dd964,
+		"multiecn/plans-off": 0xa62d685e0a430100,
+		"multiecn/plans-on":  0x63232c5ccba37254,
+		"sa/plans-off":       0xd5b00ddafe7ba859,
+		"sa/plans-on":        0xdca30e77d20af42c,
 	}
 	for _, name := range tuner.Names() {
-		for _, staged := range []bool{false, true} {
-			key := name + "/direct"
-			if staged {
-				key = name + "/staged"
+		for _, plans := range []bool{false, true} {
+			key := name + "/plans-off"
+			if plans {
+				key = name + "/plans-on"
 			}
-			if got := loopDigest(t, name, staged); got != want[key] {
+			if got := loopDigest(t, name, plans); got != want[key] {
 				t.Errorf("%s: digest %#x, want %#x", key, got, want[key])
 			}
 		}
@@ -97,7 +94,7 @@ func TestSimLoopMatchesParent(t *testing.T) {
 	h := fnv.New64a()
 	cfg := ChaosLinkFlapConfig(QuickScale(), 60*eventsim.Millisecond, 7, h)
 	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
-	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Enabled: true, Canary: 1, SettleIntervals: 2}
+	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

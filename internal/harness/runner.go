@@ -356,9 +356,7 @@ func Run(cfg RunConfig) (*Result, error) {
 				// empty aggregation state. Attach replays the WAL and
 				// launches the recovery restore before the first tick.
 				res.addSystem(sys)
-				if sys.Dispatch != nil {
-					sysCfg.Dispatch.Fabric = sys.Dispatch.Fabric()
-				}
+				sysCfg.Dispatch.Fabric = sys.Dispatch.Fabric()
 				if sys, err = obs.attach(n, sysCfg); err != nil {
 					return loop.RuntimeSample{}, fmt.Errorf("harness: controller restart: %w", err)
 				}
@@ -393,7 +391,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// core.Attach, where the recorded goldens put it.
 	if cfg.Faults != nil {
 		inj := chaos.NewInjector(n, flaky, obs)
-		if res.Sys != nil && res.Sys.Dispatch != nil {
+		if res.Sys != nil {
 			inj.BindDispatch(res.Sys.Dispatch, kill)
 		}
 		if err := inj.Install(scenario); err != nil {
