@@ -7,8 +7,9 @@
 //   - Two traffic classes share each link: class 0 carries RDMA data and
 //     is lossless (PFC-protected, ECN-marked); class 1 carries CNPs and
 //     probe replies with strict priority and is neither marked nor paused.
-//   - PFC frames are MAC control frames: they bypass egress queues and
-//     occupy the wire only for their 64-byte serialization.
+//   - PFC frames are MAC control frames: they bypass egress queues and the
+//     transmitter, landing a 64-byte serialization plus propagation after
+//     they are sent, and delay no other frame.
 //   - ECN marking happens at dequeue against the instantaneous class-0
 //     egress queue depth.
 package netdev
@@ -88,23 +89,16 @@ type Packet struct {
 	PayloadBytes int
 	WireBytes    int
 
-	// SentAt is stamped by the sender for RTT measurement.
+	// SentAt is stamped by the sender, for RTT measurement and, on a PFC
+	// frame, to know when it lands (EgressPort.landsAfter).
 	SentAt eventsim.Time
 
-	// via is the port whose wire the packet is crossing (nil off the wire),
-	// and arrive the event handler that lands it at via's peer: the packet
-	// is its own delivery record. arrive is built the first time the packet
-	// goes on a wire and survives PacketPool.Put, so a recycled packet
-	// costs no closure.
-	via    *EgressPort
-	arrive eventsim.Handler
-
-	// next and inPort thread an egress queue through its packets: a packet
-	// waits in at most one queue at a time, so the queue is the packet's own
-	// link to the one behind it plus the ingress port it came in on (−1 for
-	// locally generated traffic), which the owning switch needs to release
-	// ingress PFC accounting when the packet leaves. A queue therefore holds
-	// no memory beyond its current backlog.
+	// next links the packet into the one list that holds it: an egress
+	// queue, or the wire it is crossing (EgressPort.land). A packet is
+	// queued or on a wire, never both, so one link serves both and neither
+	// holds memory beyond its current members. inPort is the ingress port a
+	// queued packet came in on (−1 for locally generated traffic), which the
+	// owning switch needs to release ingress PFC accounting when it leaves.
 	next   *Packet
 	inPort int
 
@@ -174,16 +168,15 @@ func (p *PacketPool) Get() *Packet {
 	return pkt
 }
 
-// Put recycles a packet whose life ended. Every data field is zeroed here,
-// so a late use-after-Put reads zeroes rather than another packet's fields;
-// only the delivery handler, which names the packet and nothing else, is
-// kept. Callers must not retain pkt afterwards.
+// Put recycles a packet whose life ended. The whole packet is zeroed here,
+// so a late use-after-Put reads zeroes rather than another packet's fields.
+// Callers must not retain pkt afterwards.
 func (p *PacketPool) Put(pkt *Packet) {
 	if p == nil || pkt == nil {
 		return
 	}
 	p.Puts++
-	*pkt = Packet{arrive: pkt.arrive}
+	*pkt = Packet{}
 	if len(p.free) >= maxPooledPackets {
 		return
 	}

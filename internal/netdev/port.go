@@ -90,10 +90,12 @@ type EgressPort struct {
 	txArmed   bool
 	txDoneFn  eventsim.Handler
 
-	// onWire counts the packets crossing the wire, each from the start of
-	// its serialization until it arrives. Several can overlap: the next
-	// packet serializes while earlier ones are still propagating.
-	onWire int
+	// wire and wireTail are the packets crossing the link, each from the
+	// start of its serialization until it arrives, linked through
+	// Packet.next in arrival order. Every member has one landFn event
+	// pending, and landFn lands the head, so nothing per packet is built.
+	wire, wireTail *Packet
+	landFn         eventsim.Handler
 
 	// Link fault state (internal/chaos). A down link holds its queues —
 	// the sim has no link-layer retransmit, so dropping in-queue lossless
@@ -143,7 +145,7 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, se
 		panic("netdev: non-positive port rate")
 	}
 	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, seed: seed, up: true}
-	p.txDoneFn = p.txDone
+	p.txDoneFn, p.landFn = p.txDone, p.land
 	return p
 }
 
@@ -289,8 +291,9 @@ func (p *EgressPort) SendPFC(pause bool, class int) {
 	frame := p.pool.Get()
 	frame.Kind, frame.WireBytes = KindPFC, CtrlFrameBytes
 	frame.Class, frame.Pause, frame.PauseClass = ClassCtrl, pause, uint8(class)
+	frame.SentAt = p.eng.Now()
 	p.Stats.PFCSent++
-	p.scheduleDelivery(frame, p.serialization(CtrlFrameBytes)+p.prop)
+	p.putOnWire(frame, frame.SentAt+p.serialization(CtrlFrameBytes)+p.prop)
 }
 
 // kick serves the highest-priority eligible queue: at once when the port is
@@ -353,7 +356,7 @@ func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	ser := p.serialization(pkt.WireBytes)
 	p.busyUntil = p.eng.Now() + ser
 	watch := p.sw != nil && p.sw.departing(p.index, pkt, inPort, p.busyUntil)
-	p.scheduleDelivery(pkt, ser+p.prop)
+	p.putOnWire(pkt, p.busyUntil+p.prop)
 	if watch || p.eligible() >= 0 {
 		p.armTxDone()
 	}
@@ -396,17 +399,51 @@ func (p *EgressPort) txDone() {
 	p.kick()
 }
 
-// scheduleDelivery puts pkt on the wire: after delay it arrives at the
-// peer. The packet records the port it is crossing and carries the handler
-// that lands it, built once per packet, so the steady-state cost is one
-// event and zero allocations.
-func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
-	if pkt.arrive == nil {
-		pkt.arrive = pkt.deliver
+// putOnWire starts pkt's crossing; it lands at the peer at time at. The
+// wire stays in landing order, ties in the order their events were armed,
+// so the member each landFn event lands is the one due then. Appending keeps
+// that order unless the tail lands after at; then pkt goes ahead of the
+// first member that does.
+func (p *EgressPort) putOnWire(pkt *Packet, at eventsim.Time) {
+	p.eng.Schedule(at, p.landFn)
+	switch tail := p.wireTail; {
+	case tail == nil:
+		p.wire, p.wireTail = pkt, pkt
+	case !p.landsAfter(tail, at):
+		tail.next, p.wireTail = pkt, pkt
+	default:
+		link := &p.wire
+		for !p.landsAfter(*link, at) {
+			link = &(*link).next
+		}
+		pkt.next, *link = *link, pkt
 	}
-	pkt.via = p
-	p.onWire++
-	p.eng.After(delay, pkt.arrive)
+}
+
+// landsAfter reports whether m, on the wire, lands after at, the landing
+// time being added now. A PFC frame skips the transmitter and lands a
+// frame's serialization plus prop after it was sent (SentAt). Every other
+// member went through the transmitter, which starts a packet no earlier than
+// the one before it ends, so only the last one transmitted can land after a
+// frame: the tail, at busyUntil + prop. When at belongs to a transmitted
+// packet, busyUntil is already that packet's and no such member lands later.
+func (p *EgressPort) landsAfter(m *Packet, at eventsim.Time) bool {
+	if m.Kind == KindPFC {
+		return m.SentAt+p.serialization(CtrlFrameBytes)+p.prop > at
+	}
+	return m == p.wireTail && p.busyUntil+p.prop > at
+}
+
+// land is the persistent arrival handler: the head of the wire reaches the
+// peer.
+func (p *EgressPort) land() {
+	pkt := p.wire
+	p.wire = pkt.next
+	if p.wire == nil {
+		p.wireTail = nil
+	}
+	pkt.next = nil
+	p.peer.Receive(pkt, p.peerPort)
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a
@@ -414,18 +451,12 @@ func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
 // serialization until it arrives. sim.Network sums this over every port to
 // check the packet-pool leak invariant Fresh+Recycled == Puts + in-flight.
 func (p *EgressPort) InFlightPackets() int {
-	n := p.onWire
+	n := 0
+	for pkt := p.wire; pkt != nil; pkt = pkt.next {
+		n++
+	}
 	for c := range p.queues {
 		n += p.queues[c].n
 	}
 	return n
-}
-
-// deliver takes the packet off the wire it is crossing and hands it to the
-// peer at the far end.
-func (pkt *Packet) deliver() {
-	p := pkt.via
-	pkt.via = nil
-	p.onWire--
-	p.peer.Receive(pkt, p.peerPort)
 }

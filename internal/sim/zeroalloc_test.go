@@ -53,8 +53,8 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config, probeEvery eventsim.
 			h.StartProbing(probeEvery)
 		}
 	}
-	// Warm up past slow start into the congested steady state: slabs,
-	// queues, pool, and delivery slots all reach their high-water marks.
+	// Warm up past slow start into the congested steady state: the packet
+	// pool and the event slab reach their high-water marks.
 	n.Run(2 * eventsim.Millisecond)
 	if n.ActiveFlows() != 3 {
 		t.Fatalf("ActiveFlows=%d, want 3 (flows must outlive the test)", n.ActiveFlows())
