@@ -33,9 +33,6 @@ func NewFlakySource(inner loop.ReportSource) *FlakySource {
 // Alive implements loop.LivenessSource.
 func (f *FlakySource) Alive() bool { return f.alive }
 
-// Inner exposes the wrapped source.
-func (f *FlakySource) Inner() loop.ReportSource { return f.inner }
-
 // Crash kills the source; it stops answering until Restart.
 func (f *FlakySource) Crash() {
 	if !f.alive {

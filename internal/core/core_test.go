@@ -286,6 +286,28 @@ func TestSystemClosedLoop(t *testing.T) {
 	}
 }
 
+// TestSystemRestartTicksOnce: Stop then Start between two interval ends
+// keeps one tick per interval; the tick armed before Stop is the one that
+// fires.
+func TestSystemRestartTicksOnce(t *testing.T) {
+	n, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Attach(n, quickSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	n.Run(eventsim.Millisecond / 2)
+	s.Stop()
+	s.Start()
+	n.Run(3 * eventsim.Millisecond)
+	if s.Controller.Ticks != 3 {
+		t.Errorf("%d ticks in 3 intervals across a Stop/Start, want 3", s.Controller.Ticks)
+	}
+}
+
 func TestSystemSessionCompletes(t *testing.T) {
 	n, err := sim.New(sim.DefaultConfig())
 	if err != nil {

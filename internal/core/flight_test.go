@@ -10,6 +10,7 @@ import (
 	"repro/internal/telemetry/series"
 	"repro/internal/trace"
 	"repro/internal/tuner"
+	"repro/internal/workload"
 )
 
 // TestFlightSampleZeroAlloc pins the steady-state contract of the whole
@@ -103,5 +104,54 @@ func TestFlightRecorderCapturesLoop(t *testing.T) {
 	// least once in 15 ms of quickSA on fresh traffic).
 	if got := len(trace.Filter(a.Events, trace.KindDispatch)); got == 0 || got != s.Dispatches {
 		t.Errorf("%d dispatch events recorded, %d dispatches", got, s.Dispatches)
+	}
+}
+
+// TestStartMatchesTickOnce: a Start-driven loop closes each interval where
+// a driver calling TickOnce after Run does, at the end of the interval's
+// engine instant, so over 40 intervals of a 6-worker alltoall on the
+// 4:1 over-subscribed fabric both record the same O_TP in every interval.
+func TestStartMatchesTickOnce(t *testing.T) {
+	const intervals = 40
+	run := func(start bool) []float64 {
+		netCfg := sim.DefaultConfig()
+		netCfg.Clos.FabricLinkBps = 10e9
+		n, err := sim.New(netCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultSystemConfig()
+		cfg.SA = tuner.ShortSAConfig()
+		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.Flight = series.NewRecorder(series.Meta{Experiment: "unit"})
+		s, err := Attach(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.InstallAlltoall(n, workload.AlltoallConfig{
+			Workers: n.Topo.Hosts()[:6], MessageBytes: 1 << 20, OffTime: 2 * eventsim.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if start {
+			s.Start()
+			n.Run(intervals * cfg.Interval)
+		} else {
+			s.StartProbingOnly()
+			for i := eventsim.Time(1); i <= intervals; i++ {
+				n.Run(i * cfg.Interval)
+				s.TickOnce()
+			}
+		}
+		return cfg.Flight.Set.Series("otp", "frac").Values()
+	}
+	started, ticked := run(true), run(false)
+	if len(started) != intervals || len(ticked) != intervals {
+		t.Fatalf("recorded %d and %d intervals, want %d", len(started), len(ticked), intervals)
+	}
+	for i := range ticked {
+		if started[i] != ticked[i] {
+			t.Errorf("interval %d: Start-driven O_TP %v, TickOnce-driven %v", i+1, started[i], ticked[i])
+		}
 	}
 }

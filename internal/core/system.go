@@ -126,9 +126,9 @@ type System struct {
 	Agents     []*monitor.SwitchAgent
 
 	interval eventsim.Time
-	tickEv   eventsim.EventID
-	running  bool
 	weights  tuner.Weights
+	// running is whether the loop ticks; armed is whether a tick is armed.
+	running, armed bool
 	// torScope is the resolved ToR list (scope, or every ToR): agent i of
 	// a per-switch strategy owns torScope[i].
 	torScope []topology.NodeID
@@ -391,24 +391,23 @@ func AttachPartitioned(net *sim.Network, cfg SystemConfig, clusters [][]topology
 	return systems, nil
 }
 
-// Start arms probing and the recurring monitor-interval tick.
+// Start arms probing and the recurring monitor-interval tick, which
+// closes each interval at the end of its engine instant, where
+// harness.Run closes its intervals too.
 func (s *System) Start() {
 	if s.running {
 		return
 	}
 	s.running = true
 	s.Collector.StartProbing(s.interval / 4)
-	s.armTick()
+	if !s.armed {
+		s.armTick()
+	}
 }
 
-// Stop halts the loop (probing stays armed on hosts with active flows).
-func (s *System) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	s.Net.Eng.Cancel(s.tickEv)
-}
+// Stop halts the loop: the armed tick fires without ticking or re-arming
+// (probing stays armed on hosts with active flows).
+func (s *System) Stop() { s.running = false }
 
 // TriggerNow force-starts a tuning session with the current FSD,
 // regardless of the KL trigger (used by the no-FSD ablation and by
@@ -416,18 +415,18 @@ func (s *System) Stop() {
 func (s *System) TriggerNow() { s.step.Trigger(s.Controller.Current) }
 
 func (s *System) armTick() {
-	s.tickEv = s.Net.Eng.After(s.interval, func() {
-		if !s.running {
-			return
+	s.armed = true
+	s.Net.Eng.AtInstantEnd(s.Net.Eng.Now()+s.interval, func() {
+		s.armed = false
+		if s.running {
+			s.tick()
+			s.armTick()
 		}
-		s.tick()
-		s.armTick()
 	})
 }
 
-// TickOnce runs a single monitor interval synchronously. Harnesses that
-// drive the loop themselves (to interleave their own per-interval
-// sampling) use this instead of Start; the two modes must not be mixed.
+// TickOnce closes one monitor interval now. A driver that closes
+// intervals on its own clock (harness.Run) uses it instead of Start.
 func (s *System) TickOnce() { s.tick() }
 
 // StartProbingOnly arms RTT probing without the recurring tick, for

@@ -56,6 +56,11 @@
 //     slot only when its start is within the deadline, so the cursor never
 //     passes the clock it leaves behind and a later Schedule at any
 //     at ≥ Now() is still ahead of it. NextEventTime moves nothing.
+//
+// An instant end (AtInstantEnd) is not an event and has no place in that
+// order. Run and RunUntil step events up to the earliest instant end due;
+// once no event at or before its time is pending, the clock moves to that
+// time and it fires. Instant ends of one time fire in arming order.
 package eventsim
 
 import (
@@ -63,6 +68,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -166,6 +172,8 @@ type Engine struct {
 	head     [wheelLists]int32
 	tail     [wheelLists]int32
 
+	// ends are the armed instant ends, by time and then arming order.
+	ends    []instantEnd
 	seed    int64
 	rng     *rand.Rand
 	stopped bool
@@ -175,6 +183,12 @@ type Engine struct {
 	Processed uint64
 	relinks   uint64
 	peak      int
+}
+
+// instantEnd is a handler AtInstantEnd armed for the end of instant at.
+type instantEnd struct {
+	at Time
+	fn Handler
 }
 
 // Stats is the engine's account of its own work since construction.
@@ -490,24 +504,57 @@ func (e *Engine) step(limit Time) bool {
 }
 
 // Step executes the single earliest pending event. It reports false when no
-// events remain.
+// events remain. It fires no instant end.
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
-// Run executes events until the queue drains or Stop is called.
-func (e *Engine) Run() {
+// AtInstantEnd runs fn at virtual time at once no event at or before at
+// is pending, including events that instant's own events schedule for it.
+// It is not an event: Processed does not count it, it cannot be cancelled,
+// and only Run and RunUntil fire it.
+func (e *Engine) AtInstantEnd(at Time, fn Handler) {
+	if at < e.now {
+		panic(fmt.Sprintf("eventsim: instant end at %v before now %v", at, e.now))
+	}
+	i := len(e.ends)
+	for i > 0 && e.ends[i-1].at > at {
+		i--
+	}
+	e.ends = slices.Insert(e.ends, i, instantEnd{at, fn})
+}
+
+// run executes events and instant ends with timestamps ≤ deadline until
+// Stop. The per-event path is step alone, limited by the next instant end.
+func (e *Engine) run(deadline Time) {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped {
+		limit, due := deadline, len(e.ends) > 0 && e.ends[0].at <= deadline
+		if due {
+			limit = e.ends[0].at
+		}
+		for !e.stopped && e.step(limit) {
+		}
+		if e.stopped || !due {
+			return
+		}
+		end := e.ends[0]
+		e.ends = slices.Delete(e.ends, 0, 1)
+		e.now = end.at
+		end.fn()
 	}
 }
 
-// RunUntil executes events with timestamps ≤ deadline, then advances the
-// clock to exactly deadline. Events scheduled beyond deadline remain queued
-// so the simulation can be resumed.
+// Run executes events and instant ends until both run out or Stop is
+// called.
+func (e *Engine) Run() { e.run(math.MaxInt64) }
+
+// RunUntil executes events and instant ends with timestamps ≤ deadline,
+// then advances the clock to exactly deadline. Events scheduled beyond
+// deadline remain queued so the simulation can be resumed. A handler that
+// calls Stop leaves the clock where it stopped, so the events still
+// pending are not behind it.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && e.step(deadline) {
-	}
-	if e.now < deadline {
+	e.run(deadline)
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 }

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -275,5 +276,63 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			e.Schedule(Time(j), func() {})
 		}
 		e.Run()
+	}
+}
+
+// TestInstantEndOrder pins where instant ends fire: after every event of
+// their nanosecond, including one such an event schedules for it, and in
+// arming order among themselves; each is followed by the events it
+// schedules for its own time, and none counts as an event.
+func TestInstantEndOrder(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	log := func(s string) Handler { return func() { got = append(got, s) } }
+	e.AtInstantEnd(5, func() {
+		got = append(got, "end1")
+		e.Schedule(5, log("by-end1"))
+	})
+	e.Schedule(5, func() {
+		got = append(got, "a")
+		e.Schedule(5, log("by-a"))
+	})
+	e.AtInstantEnd(5, log("end2"))
+	e.AtInstantEnd(3, log("end-at-3"))
+	e.Schedule(5, log("b"))
+	e.Schedule(6, log("c"))
+	e.AtInstantEnd(9, log("end-at-9"))
+	e.RunUntil(8)
+	want := []string{"end-at-3", "a", "b", "by-a", "end1", "by-end1", "end2", "c"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if e.Processed != 5 {
+		t.Errorf("Processed = %d, want the 5 events only", e.Processed)
+	}
+	if e.Now() != 8 {
+		t.Errorf("Now() = %v, want 8", e.Now())
+	}
+	// The instant end beyond the deadline waits for the next run, which
+	// moves an idle clock to it.
+	e.RunUntil(20)
+	if got[len(got)-1] != "end-at-9" {
+		t.Errorf("instant end past the deadline: got %v", got)
+	}
+}
+
+// TestStoppedRunUntilKeepsClock: a handler that stops RunUntil leaves the
+// clock at its own time, so the events still pending are ahead of it and
+// the next run fires them without the clock going back.
+func TestStoppedRunUntilKeepsClock(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(5, e.Stop)
+	var fired Time
+	e.Schedule(7, func() { fired = e.Now() })
+	e.RunUntil(10)
+	if e.Now() != 5 {
+		t.Fatalf("Now() = %v after a stop at 5, want 5", e.Now())
+	}
+	e.RunUntil(10)
+	if fired != 7 || e.Now() != 10 {
+		t.Errorf("pending event fired at %v, clock %v; want 7 and 10", fired, e.Now())
 	}
 }

@@ -217,8 +217,10 @@ func fig7fb(x Setup) []Arm {
 			if sc.Kind != KindParaleon {
 				return cs
 			}
-			// Where the tuner left the fabric explains what the buckets
-			// paid for: the ECN ramp and the rate floor it settled on.
+			// Where the tuner left the fabric after the drain. The loop
+			// tunes through it, so this is the drain session's winner,
+			// not what the arrivals ran under or what the buckets paid
+			// for (EXPERIMENTS.md, Fig 7(a,b)).
 			p := r.Net.RNICParams()
 			const sec = "paraleon tuner at the end of the run"
 			return append(cs, Cell{sec, "sessions", float64(r.Rounds)}, Cell{sec, "dispatches", float64(r.Dispatches)},
@@ -583,7 +585,8 @@ func fig13(x Setup) []Arm {
 		}
 		// Paraleon runs behind the real control plane. Drain manually so
 		// the generator stops launching rounds first — DrainAfter would
-		// keep the collective running until MaxTime.
+		// keep the collective running until MaxTime — and the wire loop
+		// does not tick through the tail.
 		arms = append(arms, Arm{Row: "paraleon", Key: col, Run: func(seed int64) ([]Cell, error) {
 			var gen *workload.AlltoallGen
 			r, err := x.run(testbedConfig(x.Scale, dur, func(n *sim.Network) (err error) {
@@ -594,8 +597,8 @@ func fig13(x Setup) []Arm {
 				return nil, err
 			}
 			gen.Stop()
-			if err := drain(r.Net, x.Scale.Interval, dur+eventsim.Second, nil); err != nil {
-				return nil, err
+			for n := r.Net; n.Eng.Now() < dur+eventsim.Second && n.IncompleteFlows() > 0; {
+				n.Run(n.Eng.Now() + x.Scale.Interval)
 			}
 			return []Cell{{sec, col, lateGoodputGbps(gen, dur/2)}}, nil
 		}})

@@ -9,6 +9,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/baselines"
 	"repro/internal/chaos"
@@ -418,21 +419,34 @@ func Run(cfg RunConfig) (*Result, error) {
 		n.Eng.Schedule(cfg.Interval+1, func() { res.Sys.TriggerNow() })
 	}
 
-	// The measurement loop.
-	for i := 1; i <= ticks; i++ {
-		n.Run(eventsim.Time(i) * cfg.Interval)
+	// One handler closes every monitor interval, at the end of its engine
+	// instant, and records it while inside the horizon. It stops the
+	// engine at the horizon or, with DrainAfter, once every started flow
+	// has a completion record (probe timers keep the engine busy) or
+	// MaxTime is reached. The loop ticks through the drain: as mice finish
+	// and elephants take dominance the tuner must be able to swing
+	// throughput-friendly (the §IV-B1 narrative).
+	done := func(seq int) bool {
+		return seq >= ticks && (!cfg.DrainAfter || n.Eng.Now() >= cfg.MaxTime || n.IncompleteFlows() == 0)
+	}
+	seq := 0
+	var closeInterval eventsim.Handler
+	closeInterval = func() {
+		seq++
 		now := n.Eng.Now()
-		sample, err := tick(i)
-		if err != nil {
-			return nil, err
+		var sample loop.RuntimeSample
+		if sample, err = tick(seq); err != nil {
+			n.Eng.Stop()
+			return
 		}
-		res.TP.Append(int64(now), sample.OTP)
-		res.RTT.Append(int64(now), sample.ORTT)
-		res.PFC.Append(int64(now), sample.OPFC)
-		res.Utility.Append(int64(now), tuner.Utility(sample, weights))
+		if seq <= ticks {
+			res.TP.Append(int64(now), sample.OTP)
+			res.RTT.Append(int64(now), sample.ORTT)
+			res.PFC.Append(int64(now), sample.OPFC)
+			res.Utility.Append(int64(now), tuner.Utility(sample, weights))
+		}
 		if truth != nil {
-			tr := truth.Tick()
-			if tr.TotalBytes > 0 {
+			if tr := truth.Tick(); seq <= ticks && tr.TotalBytes > 0 {
 				var est loop.FSD
 				if res.Sys != nil {
 					est = res.Sys.Controller.Current
@@ -440,20 +454,15 @@ func Run(cfg RunConfig) (*Result, error) {
 				res.Accuracy.Append(int64(now), monitor.Accuracy(est, tr))
 			}
 		}
+		if done(seq) {
+			n.Eng.Stop()
+			return
+		}
+		n.Eng.AtInstantEnd(now+cfg.Interval, closeInterval)
 	}
-	if cfg.DrainAfter {
-		// Keep the closed loop alive while the tail drains: as mice
-		// finish and elephants take dominance the tuner must be able to
-		// swing throughput-friendly (the §IV-B1 narrative).
-		seq := ticks
-		err := drain(n, cfg.Interval, cfg.MaxTime, func() error {
-			seq++
-			_, err := tick(seq)
-			if truth != nil {
-				truth.Tick()
-			}
-			return err
-		})
+	if !done(0) {
+		n.Eng.AtInstantEnd(cfg.Interval, closeInterval)
+		n.Run(math.MaxInt64)
 		if err != nil {
 			return nil, err
 		}
@@ -473,23 +482,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// drain runs n an interval at a time, closing each interval with tick
-// when there is one, until every started flow has a completion record or
-// maxTime is reached. It ends on the receivers' view (see
-// sim.Network.IncompleteFlows): probe timers keep the engine busy, so
-// RunUntilIdle would run to maxTime.
-func drain(n *sim.Network, interval, maxTime eventsim.Time, tick func() error) error {
-	for n.Eng.Now() < maxTime && n.IncompleteFlows() > 0 {
-		n.Run(n.Eng.Now() + interval)
-		if tick != nil {
-			if err := tick(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // publishEngine adds a finished run's engine accounting to reg, which is

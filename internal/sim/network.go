@@ -64,6 +64,14 @@ type FlowRecord struct {
 // FCT returns the flow completion time.
 func (r FlowRecord) FCT() eventsim.Time { return r.End - r.Start }
 
+// ApplyRecord is one parameter dispatch: at At, Params went to the racks
+// under ToRs, or to the whole fabric when ToRs is nil.
+type ApplyRecord struct {
+	At     eventsim.Time
+	ToRs   []topology.NodeID
+	Params dcqcn.Params
+}
+
 // Network is a fully wired simulation instance.
 type Network struct {
 	Eng  *eventsim.Engine
@@ -98,10 +106,13 @@ type Network struct {
 
 	// Completed accumulates flow records in completion order.
 	Completed []FlowRecord
+	// Applied accumulates every ApplyParams and ApplyParamsToCluster call
+	// in order: the schedule through which a control loop acts on the
+	// fabric. ApplySwitchECN's per-switch overrides are not in it.
+	Applied []ApplyRecord
 	// OnFlowComplete, if set, fires per completion (workload round logic).
 	OnFlowComplete func(FlowRecord)
 	hooks          []func(FlowRecord)
-	startHooks     []func(id uint64, src, dst topology.NodeID, size int64)
 
 	// runWall is the host time spent inside Run.
 	runWall time.Duration
@@ -111,12 +122,6 @@ type Network struct {
 // workload generators use this so several can coexist.
 func (n *Network) AddFlowCompleteHook(fn func(FlowRecord)) {
 	n.hooks = append(n.hooks, fn)
-}
-
-// AddFlowStartHook registers an observer called when a flow is admitted
-// (trace recorders, live dashboards).
-func (n *Network) AddFlowStartHook(fn func(id uint64, src, dst topology.NodeID, size int64)) {
-	n.startHooks = append(n.startHooks, fn)
 }
 
 // New builds and wires a network from cfg.
@@ -231,6 +236,7 @@ func (n *Network) SwitchParams(node topology.NodeID) *dcqcn.Params { return n.sw
 // follows p again; overrides installed through SetHostParams (DCQCN+'s
 // per-endpoint settings) stay.
 func (n *Network) ApplyParams(p dcqcn.Params) {
+	n.Applied = append(n.Applied, ApplyRecord{At: n.Eng.Now(), Params: p})
 	*n.rnicParams = p
 	for hn, cp := range n.clusterParams {
 		if n.hostParams[hn] == cp {
@@ -249,6 +255,7 @@ func (n *Network) ApplyParams(p dcqcn.Params) {
 // Host-side settings install as per-host overrides so other clusters'
 // hosts are untouched.
 func (n *Network) ApplyParamsToCluster(tors []topology.NodeID, p dcqcn.Params) {
+	n.Applied = append(n.Applied, ApplyRecord{At: n.Eng.Now(), ToRs: append([]topology.NodeID{}, tors...), Params: p})
 	inScope := make(map[topology.NodeID]bool, len(tors))
 	for _, tor := range tors {
 		inScope[tor] = true
@@ -304,9 +311,6 @@ func (n *Network) StartFlow(src, dst topology.NodeID, size int64) uint64 {
 	id := n.nextFlowID
 	n.nextFlowID++
 	n.flowSizes[id] = size
-	for _, fn := range n.startHooks {
-		fn(id, src, dst, size)
-	}
 	n.hostByNode[dst].ExpectFlow(id, src, size, n.Eng.Now())
 	n.hostByNode[src].StartFlow(id, dst, size)
 	return id

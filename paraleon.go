@@ -6,10 +6,9 @@
 // DCQCN+, NetFlow, static expert settings), and a real TCP control plane
 // mirroring the prototype.
 //
-// This file is the public facade: it re-exports the pieces a downstream
-// user composes, so examples and applications can work from a single
-// import. The implementation lives under internal/, one package per
-// subsystem:
+// This file is the public facade: it re-exports what the examples and the
+// README's library snippet compose, so they work from a single import.
+// The implementation lives under internal/, one package per subsystem:
 //
 //	eventsim  – deterministic discrete-event engine
 //	topology  – CLOS fabrics and ECMP routing
@@ -31,23 +30,16 @@ package paraleon
 
 import (
 	"repro/internal/core"
-	"repro/internal/ctrlrpc"
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
-	"repro/internal/loop"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
-// Time is virtual simulation time in nanoseconds.
-type Time = eventsim.Time
-
-// Common durations.
+// Common durations of virtual time, in nanoseconds.
 const (
-	Microsecond = eventsim.Microsecond
 	Millisecond = eventsim.Millisecond
 	Second      = eventsim.Second
 )
@@ -55,136 +47,52 @@ const (
 // Params is the full DCQCN parameter vector (RNIC + switch ECN).
 type Params = dcqcn.Params
 
-// DefaultParams is the NVIDIA default setting; ExpertParams the
-// hand-tuned Table I setting.
+// DefaultParams is the NVIDIA default setting; ExpertParams the hand-tuned
+// Table I setting.
 var (
 	DefaultParams = dcqcn.DefaultParams
 	ExpertParams  = dcqcn.ExpertParams
 )
 
-// Network is a wired, runnable RoCEv2 fabric simulation.
-type Network = sim.Network
-
-// NetworkConfig parameterizes a network build; ClosConfig the fabric.
-type (
-	NetworkConfig = sim.Config
-	ClosConfig    = topology.ClosConfig
-)
-
-// NewNetwork builds a network; DefaultNetworkConfig is a small fast
-// fabric; PaperClosConfig the paper's 128-host NS-3 topology.
+// NewNetwork builds a wired, runnable RoCEv2 fabric simulation;
+// DefaultNetworkConfig is a small fast fabric.
 var (
 	NewNetwork           = sim.New
 	DefaultNetworkConfig = sim.DefaultConfig
-	PaperClosConfig      = topology.PaperClosConfig
 )
 
-// System is a full Paraleon deployment (monitor + controller + tuner)
-// attached to a network; SystemConfig mirrors Table III.
-type (
-	System       = core.System
-	SystemConfig = core.SystemConfig
-)
-
-// SAConfig parameterizes the annealing search.
-type SAConfig = tuner.SAConfig
-
-// Tuner is the pluggable search-strategy interface; every registered
-// strategy (sa, multiecn, bandit) satisfies it. TunerConfig carries the
-// per-strategy knobs; BanditConfig and MultiECNConfig parameterize the
-// two alternatives to SA. Select a strategy by name via
-// SystemConfig.Tuner or NetworkConfig.Tuner.
-type (
-	Tuner          = tuner.Tuner
-	TunerConfig    = tuner.Config
-	BanditConfig   = tuner.BanditConfig
-	MultiECNConfig = tuner.MultiECNConfig
-)
-
-// NewTuner builds a registered strategy by name ("" selects sa);
-// TunerNames lists the registry.
-var (
-	NewTuner   = tuner.New
-	TunerNames = tuner.Names
-)
-
-// Attach wires Paraleon onto a network; DefaultSystemConfig is Table III.
-// ShortSAConfig compresses the SA schedule for short runs.
-// AttachPartitioned deploys one controller per cluster of racks with
-// heterogeneous parameters (§V).
+// Attach wires Paraleon (monitor + controller + tuner) onto a network;
+// DefaultSystemConfig is Table III, ShortSAConfig compresses the SA
+// schedule for short runs, ThroughputWeights are the utility weights
+// (0.5, 0.2, 0.3), and AttachPartitioned deploys one controller per
+// cluster of racks with heterogeneous parameters (§V).
 var (
 	Attach              = core.Attach
 	AttachPartitioned   = core.AttachPartitioned
 	DefaultSystemConfig = core.DefaultSystemConfig
 	ShortSAConfig       = tuner.ShortSAConfig
-	Pretrain            = core.Pretrain
+	ThroughputWeights   = tuner.ThroughputWeights
 )
 
-// Weights are the utility-function weights ω_TP/ω_RTT/ω_PFC.
-type Weights = tuner.Weights
-
-// DefaultWeights is (0.2, 0.5, 0.3); ThroughputWeights (0.5, 0.2, 0.3).
-var (
-	DefaultWeights    = tuner.DefaultWeights
-	ThroughputWeights = tuner.ThroughputWeights
-	Utility           = tuner.Utility
-)
-
-// FSD is a network-wide flow size distribution; RuntimeSample one
-// interval's utility inputs.
-type (
-	FSD           = loop.FSD
-	RuntimeSample = loop.RuntimeSample
-)
-
-// Workload generators.
+// Workload generator configurations.
 type (
 	PoissonConfig  = workload.PoissonConfig
 	AlltoallConfig = workload.AlltoallConfig
 	InfluxConfig   = workload.InfluxConfig
-	SizeCDF        = workload.SizeCDF
 )
 
-// IncastConfig covers the remaining canonical datacenter pattern;
-// TraceFlow supports trace record/replay.
-type (
-	IncastConfig = workload.IncastConfig
-	TraceFlow    = workload.TraceFlow
-)
-
-// InstallPoisson, InstallAlltoall, InstallInflux, InstallIncast and
-// InstallReplay schedule traffic; FBHadoop,
-// SolarRPC and WebSearch are the built-in size distributions; SaveTrace,
-// LoadTrace and RecordTrace round-trip workloads through CSV.
+// InstallPoisson, InstallAlltoall and InstallInflux schedule traffic;
+// FBHadoop and SolarRPC are built-in flow-size distributions.
 var (
 	InstallPoisson  = workload.InstallPoisson
 	InstallAlltoall = workload.InstallAlltoall
 	InstallInflux   = workload.InstallInflux
-	InstallIncast   = workload.InstallIncast
-	InstallReplay   = workload.InstallReplay
-	SaveTrace       = workload.SaveTrace
-	LoadTrace       = workload.LoadTrace
-	RecordTrace     = workload.RecordTrace
 	FBHadoop        = workload.FBHadoop
 	SolarRPC        = workload.SolarRPC
-	WebSearch       = workload.WebSearch
 )
 
-// FlowRecord is one completed flow; FCTSummary an aggregate.
-type (
-	FlowRecord = sim.FlowRecord
-	FCTSummary = metrics.FCTSummary
-)
+// FCTSummary aggregates a finished run's flow completion times.
+type FCTSummary = metrics.FCTSummary
 
-// Summarize computes FCT statistics for a finished run.
+// Summarize computes the FCTSummary of a run's completion records.
 var Summarize = metrics.Summarize
-
-// ControllerConfig configures the real TCP controller; ServeController
-// starts one and DialController connects an agent to it.
-type ControllerConfig = ctrlrpc.ServerConfig
-
-var (
-	ServeController         = ctrlrpc.Serve
-	DialController          = ctrlrpc.Dial
-	DefaultControllerConfig = ctrlrpc.DefaultServerConfig
-)
