@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -15,33 +17,39 @@ func driveSession(t *testing.T, tu Tuner, seedStep int) []dcqcn.Params {
 	t.Helper()
 	tu.Trigger(elephantFSD())
 	var stream []dcqcn.Params
-	i := 0
-	for tu.Active() {
-		// Utility wobbles deterministically in [0.3, 0.7); FSD alternates
-		// dominance so guided strategies exercise both directions.
-		otp := 0.3 + 0.4*float64((i*37+seedStep)%100)/100
-		fsd := elephantFSD()
-		if i%3 == 2 {
-			fsd = miceFSD()
-		}
-		if ps, ok := tu.(PerSwitch); ok {
-			var r loop.Report
-			r.Hist[12] = float64(1000 + i)
-			r.ElephantBytes, r.MiceBytes = 900, 100
-			r.ElephantFlowsW, r.MiceFlowsW = 9, 1
-			ps.ObserveLocals([]loop.Report{r, r, r})
-		}
-		p, ok := tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, fsd)
-		if !ok {
-			t.Fatal("active tuner refused to step")
-		}
-		stream = append(stream, p)
-		i++
+	for i := 0; tu.Active(); i++ {
+		stream = append(stream, scriptStep(t, tu, i, seedStep))
 		if i > 5000 {
 			t.Fatal("session never terminated")
 		}
 	}
 	return stream
+}
+
+// scriptStep is interval i of driveSession's feedback script: it hands a
+// per-switch strategy three elephant-heavy local reports, steps the
+// tuner and returns its proposal.
+func scriptStep(t *testing.T, tu Tuner, i, seedStep int) dcqcn.Params {
+	t.Helper()
+	// Utility wobbles deterministically in [0.3, 0.7); FSD alternates
+	// dominance so guided strategies exercise both directions.
+	otp := 0.3 + 0.4*float64((i*37+seedStep)%100)/100
+	fsd := elephantFSD()
+	if i%3 == 2 {
+		fsd = miceFSD()
+	}
+	if ps, ok := tu.(PerSwitch); ok {
+		var r loop.Report
+		r.Hist[12] = float64(1000 + i)
+		r.ElephantBytes, r.MiceBytes = 900, 100
+		r.ElephantFlowsW, r.MiceFlowsW = 9, 1
+		ps.ObserveLocals([]loop.Report{r, r, r})
+	}
+	p, ok := tu.Step(loop.RuntimeSample{OTP: otp, ORTT: 0.5, OPFC: 1}, fsd)
+	if !ok {
+		t.Fatal("active tuner refused to step")
+	}
+	return p
 }
 
 // TestAllTunersDeterministicProposalStream: equal (config, seed) must
@@ -111,6 +119,59 @@ func TestMultiECNAgentStreamStableAcrossAgentCounts(t *testing.T) {
 	for i := range one {
 		if one[i] != eight[i] {
 			t.Fatalf("agent-0 proposal %d differs across agent counts:\n%+v\n%+v", i, one[i], eight[i])
+		}
+	}
+}
+
+// TestTunerSessionsMatchParent pins every strategy's observable session
+// behaviour: two full sessions on driveSession's script, a third aborted
+// after five intervals, and a fourth run to the end, with every proposal
+// committed and every per-switch proposal confirmed as the control loop
+// does. The digest covers the proposals, the per-switch proposals, the
+// counters, the best-so-far trace and utility, and each strategy's own
+// readouts (temperature, regret, per-agent commit counts).
+func TestTunerSessionsMatchParent(t *testing.T) {
+	want := map[string]uint64{
+		"bandit":   0x1f3267fc8c3cdbed,
+		"multiecn": 0xc370c2940b88a382,
+		"sa":       0x37215f07c595d5f5,
+	}
+	for _, name := range Names() {
+		tu := mustNew(t, name, quickConfig(), 42)
+		h := fnv.New64a()
+		put := func(v ...any) { fmt.Fprintln(h, v...) }
+		session := func(limit int) {
+			tu.Trigger(elephantFSD())
+			for i := 0; tu.Active() && i != limit; i++ {
+				p := scriptStep(t, tu, i, 0)
+				tu.Commit(p)
+				put(p)
+				if ps, ok := tu.(PerSwitch); ok {
+					for _, pr := range ps.LocalProposals() {
+						put(pr)
+						ps.AgentCommitted(pr.Agent)
+					}
+				}
+			}
+			if limit >= 0 {
+				tu.Abort()
+			}
+			put(tu.Stats(), tu.BestTrace(), tu.BestUtility(), tu.Best())
+			switch x := tu.(type) {
+			case *SA:
+				put(x.Temperature())
+			case *Bandit:
+				put(x.Regret())
+			case *MultiECN:
+				put(x.AgentCommitCounts())
+			}
+		}
+		session(-1)
+		session(-1)
+		session(5)
+		session(-1)
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("%s: session digest %#x, want %#x", name, got, want[name])
 		}
 	}
 }
