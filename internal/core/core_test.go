@@ -166,8 +166,8 @@ func TestTunerSessionLifecycle(t *testing.T) {
 	if steps < want || steps > want+2 {
 		t.Errorf("session took %d steps, want ≈%d", steps, want)
 	}
-	if tu.Rounds != 1 {
-		t.Errorf("Rounds = %d, want 1", tu.Rounds)
+	if n := tu.Stats().Sessions; n != 1 {
+		t.Errorf("Sessions = %d, want 1", n)
 	}
 }
 
@@ -192,9 +192,10 @@ func TestTunerBestUtilityMonotone(t *testing.T) {
 		tu2.Step(loop.RuntimeSample{OTP: utils[i%len(utils)]}, miceFSD())
 		i++
 	}
-	for j := 1; j < len(tu2.Trace); j++ {
-		if tu2.Trace[j] < tu2.Trace[j-1] {
-			t.Fatalf("best-so-far trace decreased at %d: %v", j, tu2.Trace)
+	trace := tu2.BestTrace()
+	for j := 1; j < len(trace); j++ {
+		if trace[j] < trace[j-1] {
+			t.Fatalf("best-so-far trace decreased at %d: %v", j, trace)
 		}
 	}
 	if tu2.BestUtility() != 90 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/loop"
-	"repro/internal/telemetry"
 )
 
 // BanditConfig parameterizes the "bandit" strategy: an ε-greedy
@@ -42,42 +41,27 @@ func (c BanditConfig) Validate() error {
 	return nil
 }
 
-// Bandit is the ε-greedy hill-climber. Arm 0 holds the vector; arm
-// 2i+1 moves spec i one step up, arm 2i+2 one step down. Per-arm means
-// are reset at each Trigger — a session answers "which local move helps
-// *this* workload".
+// Bandit is the ε-greedy hill-climbing move over the shared session.
+// Arm 0 holds the vector; arm 2i+1 moves spec i one step up, arm 2i+2
+// one step down. Per-arm means are reset at each Trigger — a session
+// answers "which local move helps *this* workload".
 type Bandit struct {
-	cfg     BanditConfig
-	weights Weights
-	specs   []dcqcn.Spec
-	rng     *rand.Rand
+	session
+	cfg   BanditConfig
+	specs []dcqcn.Spec
+	rng   *rand.Rand
 
-	active  bool
-	warmup  bool
-	started bool
-	iter    int // iterations consumed this session
-
-	current     dcqcn.Params
-	currentUtil float64
-	best        dcqcn.Params
-	bestUtil    float64
-	pending     dcqcn.Params
-	lastArm     int
+	pending dcqcn.Params
+	lastArm int
 
 	counts []int
 	means  []float64
-	vec    []float64 // scratch for applyArm
-	trace  []float64
 	// mbase and mout hold the base and candidate vectors during an
 	// applyArm call: Spec.Get/Set take pointers through indirect calls,
 	// so local copies would escape and allocate per Step.
 	mbase  dcqcn.Params
 	mout   dcqcn.Params
 	regret float64 // cumulative shortfall vs best-seen reward
-
-	sessions, steps, aborts, accepts, rejects, proposals int
-
-	tm *telemetry.TunerMetrics
 }
 
 // NewBandit builds a bandit hill-climber searching from base.
@@ -86,97 +70,37 @@ func NewBandit(cfg BanditConfig, weights Weights, base dcqcn.Params, seed int64)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := weights.Validate(); err != nil {
-		return nil, err
-	}
-	if err := base.Validate(); err != nil {
+	sess, err := newSession(weights, base)
+	if err != nil {
 		return nil, err
 	}
 	specs := dcqcn.Specs()
 	arms := 1 + 2*len(specs)
 	return &Bandit{
+		session: sess,
 		cfg:     cfg,
-		weights: weights,
 		specs:   specs,
 		rng:     rand.New(rand.NewSource(seed)),
-		current: base,
-		best:    base,
 		counts:  make([]int, arms),
 		means:   make([]float64, arms),
-		vec:     make([]float64, len(specs)),
-		tm:      noMetrics,
 	}, nil
 }
 
-// Name is the registry name.
+// Name is the strategy's name.
 func (b *Bandit) Name() string { return "bandit" }
-
-// Active reports whether a session is in progress.
-func (b *Bandit) Active() bool { return b.active }
-
-// Best returns the best vector found so far.
-func (b *Bandit) Best() dcqcn.Params { return b.best }
-
-// BestUtility returns Best's utility on the 0–100 scale.
-func (b *Bandit) BestUtility() float64 { return b.bestUtil }
-
-// BestTrace returns the best-so-far utility per session iteration.
-func (b *Bandit) BestTrace() []float64 { return b.trace }
 
 // Regret returns the cumulative shortfall of measured rewards against
 // the best reward seen so far, summed over all sessions.
 func (b *Bandit) Regret() float64 { return b.regret }
 
-// Stats returns the lifetime counters.
-func (b *Bandit) Stats() Stats {
-	return Stats{
-		Sessions:  b.sessions,
-		Steps:     b.steps,
-		Aborts:    b.aborts,
-		Accepts:   b.accepts,
-		Rejects:   b.rejects,
-		Proposals: b.proposals,
-	}
-}
-
-// SetMetrics attaches a telemetry bundle.
-func (b *Bandit) SetMetrics(tm *telemetry.TunerMetrics) { b.tm = metricsOr(tm) }
-
-// Commit is a no-op; an admitted proposal needs no extra bookkeeping.
-func (b *Bandit) Commit(p dcqcn.Params) {}
-
 // Trigger opens a session: arm statistics reset (the workload changed,
-// so stale per-arm rewards would mislead selection) and the first
-// sample is discarded exactly as the annealer's warmup does.
+// so stale per-arm rewards would mislead selection).
 func (b *Bandit) Trigger(fsd loop.FSD) {
-	b.active = true
-	b.warmup = true
-	b.started = false
-	b.iter = 0
-	b.bestUtil = math.Inf(-1)
-	b.currentUtil = math.Inf(-1)
-	b.trace = b.trace[:0]
+	b.open()
 	for i := range b.counts {
 		b.counts[i] = 0
 		b.means[i] = 0
 	}
-	b.tm.Active.Set(1)
-}
-
-// Abort cancels the session without settling.
-func (b *Bandit) Abort() {
-	if !b.active {
-		return
-	}
-	b.active = false
-	b.aborts++
-	b.tm.Aborts.Inc()
-	b.tm.Active.Set(0)
-}
-
-func (b *Bandit) propose() {
-	b.proposals++
-	b.tm.Proposals.Inc()
 }
 
 // Step consumes the reward measured under the previously proposed
@@ -186,24 +110,13 @@ func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bo
 	if !b.active {
 		return dcqcn.Params{}, false
 	}
-	reward := 100 * Utility(sample, b.weights)
-	b.steps++
-	b.tm.Iterations.Inc()
-
+	reward := b.measure(sample)
 	if b.warmup {
-		// Same ramp-bias guard as the annealer: the trigger interval's
-		// measurement straddles the traffic change.
-		b.warmup = false
-		b.propose()
-		return b.current, true
+		return b.hold(), true
 	}
-
 	if !b.started {
 		// Clean measurement of the incumbent: baseline for hill-climbing.
-		b.started = true
-		b.currentUtil = reward
-		b.best, b.bestUtil = b.current, reward
-		b.trace = append(b.trace, b.bestUtil)
+		b.seed(reward)
 		b.lastArm = b.selectArm()
 		b.pending = b.applyArm(b.lastArm, b.current)
 		b.propose()
@@ -219,30 +132,11 @@ func (b *Bandit) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bo
 		b.tm.Regret.Set(b.regret)
 	}
 	// Hill-climb: commit the move only when it measured strictly better.
-	if reward > b.currentUtil {
-		b.current = b.pending
-		b.currentUtil = reward
-		b.accepts++
-		b.tm.Accepts.Inc()
-	} else {
-		b.rejects++
-		b.tm.Rejects.Inc()
-	}
-	if b.currentUtil > b.bestUtil {
-		b.best = b.current
-		b.bestUtil = b.currentUtil
-	}
-	b.trace = append(b.trace, b.bestUtil)
-	b.tm.BestUtility.Set(b.bestUtil)
+	b.judge(reward, reward > b.currentUtil, b.pending)
 
 	b.iter++
 	if b.iter >= b.cfg.Budget {
-		b.active = false
-		b.sessions++
-		b.tm.Sessions.Inc()
-		b.tm.Active.Set(0)
-		b.propose()
-		return b.best, true
+		return b.settle(), true
 	}
 
 	b.lastArm = b.selectArm()

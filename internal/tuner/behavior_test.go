@@ -37,18 +37,15 @@ func mustNew(t *testing.T, name string, cfg Config, seed int64) Tuner {
 func TestRegistryNames(t *testing.T) {
 	names := Names()
 	want := []string{"bandit", "multiecn", "sa"}
-	if len(names) < len(want) {
-		t.Fatalf("Names() = %v, want at least %v", names, want)
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
+	for i, w := range want {
+		if names[i] != w {
+			t.Fatalf("Names() = %v, want %v", names, want)
 		}
-		if !found {
-			t.Errorf("strategy %q not registered", w)
+		if tu, err := New(w, quickConfig(), 1); err != nil || tu.Name() != w {
+			t.Errorf("New(%q) = (%v, %v), want a %q tuner", w, tu, err, w)
 		}
 	}
 	if tu, err := New("", quickConfig(), 1); err != nil || tu.Name() != "sa" {
@@ -59,8 +56,7 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-// The contract every registered strategy must honor, table-driven over
-// the registry.
+// The contract every strategy must honor, table-driven over Names.
 
 func TestAllTunersIdleUntilTriggered(t *testing.T) {
 	for _, name := range Names() {

@@ -49,7 +49,7 @@ func BenchmarkTunerStep(b *testing.B) {
 }
 
 // TestStepZeroAlloc: Step sits on the per-interval control path, and every
-// registered strategy keeps scratch buffers (SA/Bandit mutation vectors,
+// strategy keeps scratch buffers (SA/Bandit mutation vectors,
 // MultiECN's proposal slice) so that the steady state — sessions ending and
 // re-triggering included — allocates nothing.
 func TestStepZeroAlloc(t *testing.T) {

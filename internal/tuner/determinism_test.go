@@ -53,7 +53,7 @@ func scriptStep(t *testing.T, tu Tuner, i, seedStep int) dcqcn.Params {
 }
 
 // TestAllTunersDeterministicProposalStream: equal (config, seed) must
-// yield byte-identical proposal streams — the contract tuner.Factory
+// yield byte-identical proposal streams — the contract tuner.New
 // documents, and what makes the shootout harness reproducible.
 func TestAllTunersDeterministicProposalStream(t *testing.T) {
 	for _, name := range Names() {

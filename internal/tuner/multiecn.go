@@ -2,13 +2,11 @@ package tuner
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dcqcn"
 	"repro/internal/loop"
 	"repro/internal/splitmix"
-	"repro/internal/telemetry"
 )
 
 // MultiECNConfig parameterizes the "multiecn" strategy, a PET-style
@@ -75,39 +73,23 @@ type ecnAgent struct {
 	haveLocal bool
 }
 
-// MultiECN is the registry's "multiecn" strategy. Each Step every agent
-// takes one bounded move guided by its local traffic mix and the global
-// congestion signals; the moves are kept when the fabric-wide utility
-// improved and reverted otherwise (a coordinated multi-agent
-// hill-climb). Step's returned vector carries the mean marking ramp for
-// the plumbing that wants one fabric setting; the true per-switch
-// output is LocalProposals, applied switch-by-switch by the loop.
+// MultiECN is the "multiecn" strategy's per-agent ECN move over the
+// shared session. Each Step every agent takes one bounded move guided
+// by its local traffic mix and the global congestion signals; the moves
+// are kept when the fabric-wide utility improved and reverted otherwise
+// (a coordinated multi-agent hill-climb). Step's returned vector, the
+// session's incumbent, carries the mean marking ramp for the plumbing
+// that wants one fabric setting; the true per-switch output is
+// LocalProposals, applied switch-by-switch by the loop.
 type MultiECN struct {
-	cfg     MultiECNConfig
-	weights Weights
+	session
+	cfg MultiECNConfig
 
 	kminSpec, kmaxSpec, pmaxSpec *dcqcn.Spec
-	specs                        []dcqcn.Spec
-
-	active  bool
-	warmup  bool
-	started bool
-	iter    int
 
 	agents    []ecnAgent
 	proposals []ECNProposal
-
-	current     dcqcn.Params // composite (mean-ramp) vector
-	currentUtil float64
-	best        dcqcn.Params
-	bestUtil    float64
-	globalFSD   loop.FSD
-
-	trace []float64
-
-	sessions, steps, aborts, accepts, rejects, nproposals, agentCommits int
-
-	tm *telemetry.TunerMetrics
+	globalFSD loop.FSD
 }
 
 // NewMultiECN builds a multi-agent ECN tuner with cfg.Agents agents,
@@ -119,22 +101,16 @@ func NewMultiECN(cfg MultiECNConfig, weights Weights, base dcqcn.Params, seed in
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := weights.Validate(); err != nil {
-		return nil, err
-	}
-	if err := base.Validate(); err != nil {
+	sess, err := newSession(weights, base)
+	if err != nil {
 		return nil, err
 	}
 	specs := dcqcn.Specs()
 	m := &MultiECN{
+		session:   sess,
 		cfg:       cfg,
-		weights:   weights,
-		specs:     specs,
 		agents:    make([]ecnAgent, cfg.Agents),
 		proposals: make([]ECNProposal, 0, cfg.Agents),
-		current:   base,
-		best:      base,
-		tm:        noMetrics,
 	}
 	for i := range specs {
 		switch specs[i].Name {
@@ -157,39 +133,8 @@ func NewMultiECN(cfg MultiECNConfig, weights Weights, base dcqcn.Params, seed in
 	return m, nil
 }
 
-// Name is the registry name.
+// Name is the strategy's name.
 func (m *MultiECN) Name() string { return "multiecn" }
-
-// Active reports whether a session is in progress.
-func (m *MultiECN) Active() bool { return m.active }
-
-// Best returns the best composite vector found so far.
-func (m *MultiECN) Best() dcqcn.Params { return m.best }
-
-// BestUtility returns Best's utility on the 0–100 scale.
-func (m *MultiECN) BestUtility() float64 { return m.bestUtil }
-
-// BestTrace returns the best-so-far utility per session iteration.
-func (m *MultiECN) BestTrace() []float64 { return m.trace }
-
-// Stats returns the lifetime counters.
-func (m *MultiECN) Stats() Stats {
-	return Stats{
-		Sessions:     m.sessions,
-		Steps:        m.steps,
-		Aborts:       m.aborts,
-		Accepts:      m.accepts,
-		Rejects:      m.rejects,
-		Proposals:    m.nproposals,
-		AgentCommits: m.agentCommits,
-	}
-}
-
-// SetMetrics attaches a telemetry bundle.
-func (m *MultiECN) SetMetrics(tm *telemetry.TunerMetrics) { m.tm = metricsOr(tm) }
-
-// Commit is a no-op; per-agent confirmations arrive via AgentCommitted.
-func (m *MultiECN) Commit(p dcqcn.Params) {}
 
 // ObserveLocals hands the tuner this interval's per-agent reports,
 // aligned with the deployment's agent order. Extra reports are ignored;
@@ -214,7 +159,7 @@ func (m *MultiECN) AgentCommitted(agent int) {
 		return
 	}
 	m.agents[agent].commits++
-	m.agentCommits++
+	m.stats.AgentCommits++
 	m.tm.AgentCommits.Inc()
 }
 
@@ -229,31 +174,8 @@ func (m *MultiECN) AgentCommitCounts() []int {
 
 // Trigger opens a session.
 func (m *MultiECN) Trigger(fsd loop.FSD) {
-	m.active = true
-	m.warmup = true
-	m.started = false
-	m.iter = 0
-	m.bestUtil = math.Inf(-1)
-	m.currentUtil = math.Inf(-1)
-	m.trace = m.trace[:0]
+	m.open()
 	m.globalFSD = fsd
-	m.tm.Active.Set(1)
-}
-
-// Abort cancels the session without settling.
-func (m *MultiECN) Abort() {
-	if !m.active {
-		return
-	}
-	m.active = false
-	m.aborts++
-	m.tm.Aborts.Inc()
-	m.tm.Active.Set(0)
-}
-
-func (m *MultiECN) propose() {
-	m.nproposals++
-	m.tm.Proposals.Inc()
 }
 
 // Step advances every agent one bounded move and composes the next
@@ -263,30 +185,19 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 		return dcqcn.Params{}, false
 	}
 	m.globalFSD = fsd
-	reward := 100 * Utility(sample, m.weights)
-	m.steps++
-	m.tm.Iterations.Inc()
-
+	reward := m.measure(sample)
 	if m.warmup {
-		// Same ramp-bias guard as the annealer.
-		m.warmup = false
 		m.rebuildProposals()
-		m.propose()
-		return m.current, true
+		return m.hold(), true
 	}
 
 	if !m.started {
-		m.started = true
-		m.currentUtil = reward
-		m.best, m.bestUtil = m.current, reward
-		m.trace = append(m.trace, m.bestUtil)
+		m.seed(reward)
 	} else {
-		// Judge the agents' previous coordinated move.
-		if reward > m.currentUtil {
-			m.currentUtil = reward
-			m.accepts++
-			m.tm.Accepts.Inc()
-		} else {
+		// Judge the agents' previous coordinated move, which the
+		// incumbent already composes.
+		accept := reward > m.currentUtil
+		if !accept {
 			// Fabric-wide utility regressed: revert every agent to its
 			// pre-move point. Agents whose local signal was right will
 			// re-derive the same direction next interval with a fresh
@@ -296,26 +207,14 @@ func (m *MultiECN) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, 
 				a := &m.agents[i]
 				a.kmin, a.kmax, a.pmax = a.prevKmin, a.prevKmax, a.prevPmax
 			}
-			m.rejects++
-			m.tm.Rejects.Inc()
 		}
-		if m.currentUtil > m.bestUtil {
-			m.best = m.composite()
-			m.bestUtil = m.currentUtil
-		}
-		m.trace = append(m.trace, m.bestUtil)
-		m.tm.BestUtility.Set(m.bestUtil)
+		m.judge(reward, accept, m.current)
 	}
 
 	m.iter++
 	if m.iter >= m.cfg.Budget {
-		m.active = false
-		m.sessions++
-		m.tm.Sessions.Inc()
-		m.tm.Active.Set(0)
 		m.rebuildProposals()
-		m.propose()
-		return m.best, true
+		return m.settle(), true
 	}
 
 	congested := sample.OPFC < ecnPFCFloor || sample.ORTT < ecnRTTFloor

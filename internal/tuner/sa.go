@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/dcqcn"
 	"repro/internal/loop"
-	"repro/internal/telemetry"
 )
 
 // Weights are the operator-assigned utility weights ω_TP, ω_RTT, ω_PFC of
@@ -148,25 +147,17 @@ func (c SAConfig) SessionIterations() int {
 	return levels * c.TotalIterNum
 }
 
-// SA is the simulated-annealing search state machine of Algorithm 1,
-// the registry's "sa" strategy and the loop's default.
+// SA is the simulated-annealing search move of Algorithm 1, the "sa"
+// strategy and the loop's default: the Metropolis test, the temperature
+// schedule and guided mutation, over the shared session.
 type SA struct {
-	cfg     SAConfig
-	weights Weights
-	specs   []dcqcn.Spec
-	rng     *rand.Rand
+	session
+	cfg   SAConfig
+	specs []dcqcn.Spec
+	rng   *rand.Rand
 
-	active  bool
 	temp    float64
-	iter    int
-	started bool // pending params have been dispatched at least once
-	warmup  bool // discard the first post-trigger sample (ramp bias)
-
-	current     dcqcn.Params
-	currentUtil float64
-	best        dcqcn.Params
-	bestUtil    float64
-	pending     dcqcn.Params
+	pending dcqcn.Params
 
 	// fsd guides mutation; refreshed every Step.
 	dominantElephant bool
@@ -180,26 +171,6 @@ type SA struct {
 	vec   []float64
 	mbase dcqcn.Params
 	mout  dcqcn.Params
-
-	// Rounds counts completed tuning sessions; Steps counts SA
-	// iterations consumed; Aborts counts sessions cancelled by Abort.
-	// Accepts and Rejects split the Metropolis decisions over candidate
-	// measurements (warmup and seeding intervals count toward neither).
-	// Proposals counts vectors handed out for dispatch.
-	Rounds    int
-	Steps     int
-	Aborts    int
-	Accepts   int
-	Rejects   int
-	Proposals int
-	// TM mirrors search activity into the telemetry registry
-	// (iterations, accept/reject, session lifecycle, best utility and
-	// temperature gauges); see SetMetrics.
-	TM *telemetry.TunerMetrics
-	// Trace records best-so-far utility per iteration of the current or
-	// last session, on the annealer's 0–100 scale (Fig 12's convergence
-	// curves).
-	Trace []float64
 }
 
 // NewSA builds an annealing tuner that searches from base. seed fixes
@@ -208,102 +179,38 @@ func NewSA(cfg SAConfig, weights Weights, base dcqcn.Params, seed int64) (*SA, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := weights.Validate(); err != nil {
-		return nil, err
-	}
-	if err := base.Validate(); err != nil {
+	sess, err := newSession(weights, base)
+	if err != nil {
 		return nil, err
 	}
 	specs := dcqcn.Specs()
 	return &SA{
+		session: sess,
 		cfg:     cfg,
-		weights: weights,
 		specs:   specs,
 		rng:     rand.New(rand.NewSource(seed)),
-		current: base,
-		best:    base,
 		vec:     make([]float64, len(specs)),
-		TM:      noMetrics,
 	}, nil
 }
 
-// Name is the registry name.
+// Name is the strategy's name.
 func (t *SA) Name() string { return "sa" }
-
-// Active reports whether a tuning session is in progress.
-func (t *SA) Active() bool { return t.active }
-
-// Best returns the best parameter setting found so far.
-func (t *SA) Best() dcqcn.Params { return t.best }
-
-// BestUtility returns the utility of Best on the annealer's 0–100 scale.
-func (t *SA) BestUtility() float64 { return t.bestUtil }
-
-// BestTrace returns the best-so-far utility per session iteration.
-func (t *SA) BestTrace() []float64 { return t.Trace }
 
 // Temperature reports the current annealing temperature (the last
 // session's floor when idle).
 func (t *SA) Temperature() float64 { return t.temp }
 
-// Stats returns the lifetime counters.
-func (t *SA) Stats() Stats {
-	return Stats{
-		Sessions:  t.Rounds,
-		Steps:     t.Steps,
-		Aborts:    t.Aborts,
-		Accepts:   t.Accepts,
-		Rejects:   t.Rejects,
-		Proposals: t.Proposals,
-	}
-}
-
-// SetMetrics attaches a telemetry bundle.
-func (t *SA) SetMetrics(tm *telemetry.TunerMetrics) { t.TM = metricsOr(tm) }
-
-// Commit is a no-op: the annealer's chain state already assumes its
-// proposals land; the loop's guard/pipeline rejections surface as
-// ordinary (bad) measurements instead.
-func (t *SA) Commit(p dcqcn.Params) {}
-
 // Trigger starts (or restarts) a tuning session in response to a
 // significant traffic-pattern change.
 func (t *SA) Trigger(fsd loop.FSD) {
-	t.active = true
-	t.started = false
-	t.warmup = true
+	t.open()
 	t.temp = t.cfg.InitialTemp
-	t.iter = 0
-	t.bestUtil = math.Inf(-1)
-	t.currentUtil = math.Inf(-1)
-	t.Trace = t.Trace[:0]
 	t.observeFSD(fsd)
-	t.TM.Active.Set(1)
-	t.TM.Temperature.Set(t.temp)
+	t.tm.Temperature.Set(t.temp)
 }
 
 func (t *SA) observeFSD(fsd loop.FSD) {
 	t.dominantElephant, t.mu = fsd.DominantElephant()
-}
-
-// Abort cancels an in-progress tuning session without settling on its
-// best setting. The rollback path uses it: a session whose measurements
-// straddle a fault was searching on corrupted feedback, so neither its
-// chain nor its best are worth keeping. A later KL trigger starts fresh.
-func (t *SA) Abort() {
-	if !t.active {
-		return
-	}
-	t.active = false
-	t.Aborts++
-	t.TM.Aborts.Inc()
-	t.TM.Active.Set(0)
-}
-
-// propose counts a vector handed out for dispatch.
-func (t *SA) propose() {
-	t.Proposals++
-	t.TM.Proposals.Inc()
 }
 
 // Step advances one SA iteration (lines 4–23 of Algorithm 1): the sample
@@ -321,64 +228,31 @@ func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) 
 	// 20-point regression is accepted with p ≈ 0.8 while late it is
 	// nearly always rejected. On a 0–1 scale those temperatures would
 	// accept everything and the search would degenerate to a random walk.
-	newUtil := 100 * Utility(sample, t.weights)
-	t.Steps++
-	t.TM.Iterations.Inc()
-
+	newUtil := t.measure(sample)
 	if t.warmup {
-		// The interval in which the trigger fired straddles the traffic
-		// change (ramp-up, or the old pattern's tail); its measurement
-		// would bias the incumbent's utility. Hold the incumbent for one
-		// more interval and seed from the next, clean sample.
-		t.warmup = false
-		t.propose()
-		return t.current, true
+		return t.hold(), true
 	}
-
 	if !t.started {
 		// First interval after the trigger measured the incumbent
 		// setting; seed the search from it.
-		t.started = true
-		t.currentUtil = newUtil
-		t.best, t.bestUtil = t.current, newUtil
-		t.Trace = append(t.Trace, t.bestUtil)
+		t.seed(newUtil)
 		t.pending = t.mutate(t.current)
 		t.propose()
 		return t.pending, true
 	}
 
 	// Metropolis acceptance of the pending candidate.
-	if newUtil > t.currentUtil || math.Exp((newUtil-t.currentUtil)/t.temp) > t.rng.Float64() {
-		t.current = t.pending
-		t.currentUtil = newUtil
-		t.Accepts++
-		t.TM.Accepts.Inc()
-	} else {
-		t.Rejects++
-		t.TM.Rejects.Inc()
-	}
-	if t.currentUtil > t.bestUtil {
-		t.best = t.current
-		t.bestUtil = t.currentUtil
-	}
-	t.Trace = append(t.Trace, t.bestUtil)
-	t.TM.BestUtility.Set(t.bestUtil)
+	accept := newUtil > t.currentUtil || math.Exp((newUtil-t.currentUtil)/t.temp) > t.rng.Float64()
+	t.judge(newUtil, accept, t.pending)
 
 	t.iter++
 	if t.iter >= t.cfg.TotalIterNum {
 		t.iter = 0
 		t.temp *= t.cfg.CoolingRate
+		t.tm.Temperature.Set(t.temp)
 		if t.temp <= t.cfg.FinalTemp {
-			// Session over: settle on the best setting found.
-			t.active = false
-			t.Rounds++
-			t.TM.Sessions.Inc()
-			t.TM.Active.Set(0)
-			t.TM.Temperature.Set(t.temp)
-			t.propose()
-			return t.best, true
+			return t.settle(), true
 		}
-		t.TM.Temperature.Set(t.temp)
 		// Elitist re-centering at each temperature level: guided
 		// mutation biases ~min(μ,η) of the parameters in one direction,
 		// so a chain started from `current` under a permissive early

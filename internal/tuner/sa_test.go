@@ -188,22 +188,3 @@ func TestElitistRecentering(t *testing.T) {
 		t.Errorf("elitist final score %g, want near the incumbent's 1.0", withElitist)
 	}
 }
-
-// TestSALegacySurface pins the exported concrete fields core's callers
-// historically read (Rounds, Steps, Trace) to the interface counterparts.
-func TestSALegacySurface(t *testing.T) {
-	tu, _ := NewSA(quickSA(), DefaultWeights(), dcqcn.DefaultParams(), 1)
-	tu.Trigger(elephantFSD())
-	sample := loop.RuntimeSample{OTP: 0.5, ORTT: 0.5, OPFC: 1}
-	for tu.Active() {
-		tu.Step(sample, elephantFSD())
-	}
-	st := tu.Stats()
-	if tu.Rounds != st.Sessions || tu.Steps != st.Steps || tu.Aborts != st.Aborts {
-		t.Errorf("legacy counters (%d,%d,%d) diverge from Stats %+v",
-			tu.Rounds, tu.Steps, tu.Aborts, st)
-	}
-	if len(tu.Trace) == 0 || &tu.Trace[0] != &tu.BestTrace()[0] {
-		t.Error("BestTrace is not the legacy Trace slice")
-	}
-}

@@ -1,13 +1,14 @@
-// Package tuner is the pluggable parameter-search subsystem: every
-// strategy that proposes DCQCN vectors to the control loop lives behind
-// one Tuner interface, created through a registry keyed by name.
+// Package tuner is the parameter-search subsystem: every strategy that
+// proposes DCQCN vectors to the control loop lives behind one Tuner
+// interface and is built by New from its name.
 //
-// Three strategies ship in-tree:
+// A strategy is the shared session (session.go: trigger, warmup
+// interval, seeding, settle, abort, the best-so-far trace and the
+// lifetime counters) plus its own search move. Three ship:
 //
 //   - "sa" — the paper's improved simulated annealing (Algorithm 1 with
-//     guided randomness and the relaxed temperature schedule), moved
-//     here verbatim from the former core.Tuner. It is the default and
-//     its behaviour is byte-identical to the pre-refactor code.
+//     guided randomness and the relaxed temperature schedule). It is the
+//     default.
 //   - "multiecn" — a PET-style multi-agent ECN tuner: each ToR agent
 //     independently adjusts its local Kmin/Kmax/Pmax from its own flow
 //     size distribution slice, on a deterministic per-agent RNG stream
@@ -25,7 +26,6 @@ package tuner
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dcqcn"
 	"repro/internal/loop"
@@ -39,7 +39,7 @@ import (
 // vector to dispatch. The final Step of a session returns the best
 // setting found and deactivates the tuner.
 type Tuner interface {
-	// Name is the registry name the tuner was created under.
+	// Name is the name New built the tuner under.
 	Name() string
 	// Trigger starts (or restarts) a tuning session in response to a
 	// significant traffic-pattern change.
@@ -69,17 +69,6 @@ type Tuner interface {
 	// SetMetrics mirrors search activity into a telemetry bundle
 	// (nil detaches).
 	SetMetrics(tm *telemetry.TunerMetrics)
-}
-
-// noMetrics is the bundle of a strategy no registry is attached to, so
-// strategies record without checking for one.
-var noMetrics = telemetry.NewTunerMetrics(telemetry.NewRegistry())
-
-func metricsOr(tm *telemetry.TunerMetrics) *telemetry.TunerMetrics {
-	if tm == nil {
-		return noMetrics
-	}
-	return tm
 }
 
 // Stats are the lifetime counters every strategy maintains.
@@ -133,7 +122,7 @@ type PerSwitch interface {
 	AgentCommitted(agent int)
 }
 
-// Config carries everything a factory might need; each strategy reads
+// Config carries everything New might need; each strategy reads
 // its own section and ignores the rest. Zero-valued strategy sections
 // fall back to that strategy's defaults.
 type Config struct {
@@ -149,56 +138,20 @@ type Config struct {
 	MultiECN MultiECNConfig
 }
 
-// Factory builds a strategy instance. seed fixes all of the strategy's
-// randomness; equal (cfg, seed) must yield identical proposal streams.
-type Factory func(cfg Config, seed int64) (Tuner, error)
-
-var registry = map[string]Factory{}
-
-// Register adds a strategy under name. It panics on empty or duplicate
-// names — registration is an init-time programming act, not a runtime
-// condition.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("tuner: Register with empty name or nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic("tuner: duplicate Register of " + name)
-	}
-	registry[name] = f
-}
-
-// New builds the named strategy. An empty name selects "sa", the
-// default.
+// New builds the named strategy; seed fixes all of its randomness, so
+// equal (cfg, seed) yield identical proposal streams. An empty name
+// selects "sa", the default.
 func New(name string, cfg Config, seed int64) (Tuner, error) {
-	if name == "" {
-		name = "sa"
-	}
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("tuner: unknown strategy %q (have %v)", name, Names())
-	}
-	return f(cfg, seed)
-}
-
-// Names lists the registered strategies, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("sa", func(cfg Config, seed int64) (Tuner, error) {
+	switch name {
+	case "", "sa":
 		return NewSA(cfg.SA, cfg.Weights, cfg.Base, seed)
-	})
-	Register("bandit", func(cfg Config, seed int64) (Tuner, error) {
+	case "bandit":
 		return NewBandit(cfg.Bandit, cfg.Weights, cfg.Base, seed)
-	})
-	Register("multiecn", func(cfg Config, seed int64) (Tuner, error) {
+	case "multiecn":
 		return NewMultiECN(cfg.MultiECN, cfg.Weights, cfg.Base, seed)
-	})
+	}
+	return nil, fmt.Errorf("tuner: unknown strategy %q (have %v)", name, Names())
 }
+
+// Names lists the strategies New builds, sorted.
+func Names() []string { return []string{"bandit", "multiecn", "sa"} }
