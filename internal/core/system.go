@@ -313,8 +313,10 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 	s.Dispatch.OnAbort = func(restored dcqcn.Params, reason string) {
 		// A failed canary must not poison the baseline: re-anchor the
 		// last-known-good vector at what the abort restored and reset
-		// the regression window, exactly as a rollback does.
+		// the regression window, exactly as a rollback does, and open
+		// the next session on it.
 		s.lastGood = restored
+		s.Tuner.Commit(restored)
 		s.goodUtil = s.utilEWMA
 		s.haveGood = true
 		s.regress = 0
@@ -579,6 +581,7 @@ func (s *System) checkRollback(util float64) bool {
 		return false
 	}
 	s.Dispatch.Restore(s.lastGood, s.Net.Eng.Now())
+	s.Tuner.Commit(s.lastGood)
 	wasActive := s.Tuner.Active()
 	s.Tuner.Abort()
 	s.Rollbacks++

@@ -80,11 +80,14 @@ func daemonDigest(t *testing.T, name string) (uint64, ServerStats) {
 // strategy it serves: the epochs, vectors, change and trigger flags it
 // answers, and its trigger, dispatch and reject counts. The digests were
 // taken before the daemon and the simulated loop shared one decision
-// step; sharing it must not move them.
+// step; sharing it must not move them. Both were re-pinned when a new
+// session began to open on the vector the fabric runs: the daemon's
+// guard refuses some proposals, so that is not always the previous
+// session's last point.
 func TestDaemonStreamMatchesParent(t *testing.T) {
 	want := map[string]uint64{
-		"bandit": 0xb8acf86d1dcf4b8f,
-		"sa":     0x5c00e34e927a0680,
+		"bandit": 0x9f3072e1a6f042b7,
+		"sa":     0x80d9150cd40348be,
 	}
 	var rejects int64
 	for _, name := range []string{"bandit", "sa"} {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/trace"
 )
@@ -133,6 +134,43 @@ func TestChaosLinkFlapRollsBack(t *testing.T) {
 	}
 	if downs != 3 {
 		t.Errorf("saw %d link_down events, want 3", downs)
+	}
+}
+
+// TestChaosLinkFlapSessionOpensOnRestored: a rollback restores the
+// last-known-good vector, so the next session's warmup interval must
+// hold that vector; a session that opened on its aborted chain would
+// undo the rollback one interval later.
+func TestChaosLinkFlapSessionOpensOnRestored(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Run(ChaosLinkFlapConfig(QuickScale(), 40*eventsim.Millisecond, 7, &buf)); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored *dcqcn.Params
+	opened, checked := false, 0
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KindRollback:
+			restored, opened = e.Params, false
+		case trace.KindTrigger:
+			opened = restored != nil
+		case trace.KindDispatch:
+			if !opened {
+				continue
+			}
+			if *e.Params != *restored {
+				t.Errorf("session at %d ns after a rollback first dispatched %+v, want the restored %+v", e.T, *e.Params, *restored)
+			}
+			restored, opened = nil, false
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no session followed a rollback")
 	}
 }
 

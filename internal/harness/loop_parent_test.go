@@ -69,15 +69,17 @@ func loopDigest(t *testing.T, name string, plans bool) uint64 {
 // whose rollbacks restore through the pipeline. The digests were taken
 // while plans off still bypassed the pipeline, and before the daemon and
 // the simulated loop shared one decision step; neither change may move
-// them.
+// them. The sa, multiecn and chaos-linkflap digests were re-pinned when
+// a new session began to open on the vector the fabric runs (the
+// settled or restored one) instead of its previous chain's last point.
 func TestSimLoopMatchesParent(t *testing.T) {
 	want := map[string]uint64{
 		"bandit/plans-off":   0x621893c7d98bd529,
 		"bandit/plans-on":    0x47a57408fe9dd964,
-		"multiecn/plans-off": 0xa62d685e0a430100,
+		"multiecn/plans-off": 0x3d3cc87e19395062,
 		"multiecn/plans-on":  0x63232c5ccba37254,
-		"sa/plans-off":       0xd5b00ddafe7ba859,
-		"sa/plans-on":        0xdca30e77d20af42c,
+		"sa/plans-off":       0xd06f4c82331a25bc,
+		"sa/plans-on":        0x6e4be882f8ae2c0b,
 	}
 	for _, name := range tuner.Names() {
 		for _, plans := range []bool{false, true} {
@@ -104,7 +106,7 @@ func TestSimLoopMatchesParent(t *testing.T) {
 	}
 	fmt.Fprintf(h, "rollbacks=%d frozen=%d dispatches=%d triggers=%d\n",
 		res.Sys.Rollbacks, res.Sys.FrozenIntervals, res.Dispatches, res.Triggers)
-	if got, want := h.Sum64(), uint64(0x1a36ebf5c5b151b3); got != want {
+	if got, want := h.Sum64(), uint64(0x29548fe68c26171d); got != want {
 		t.Errorf("chaos-linkflap: digest %#x, want %#x (%d rollbacks, %d dispatches)", got, want, res.Sys.Rollbacks, res.Dispatches)
 	}
 }

@@ -274,3 +274,34 @@ func TestBanditRegretAccounting(t *testing.T) {
 		t.Error("shortfall vs best-seen did not accumulate regret")
 	}
 }
+
+// TestAllTunersOpenOnTheLiveVector: a session's warmup interval holds
+// the vector the fabric runs, which Commit records. After a settled
+// session that is the settled vector; after a rollback (the loop
+// commits the restored vector and aborts) it is the restored one, not
+// a point of the aborted chain.
+func TestAllTunersOpenOnTheLiveVector(t *testing.T) {
+	for _, name := range Names() {
+		tu := mustNew(t, name, quickConfig(), 42)
+		tu.Trigger(elephantFSD())
+		var settled dcqcn.Params
+		for i := 0; tu.Active(); i++ {
+			settled = scriptStep(t, tu, i, 0)
+			tu.Commit(settled)
+		}
+		tu.Trigger(elephantFSD())
+		if p := scriptStep(t, tu, 0, 0); p != settled {
+			t.Errorf("%s: session after a settle opened on %+v, want the settled %+v", name, p, settled)
+		}
+		for i := 1; i < 6; i++ {
+			tu.Commit(scriptStep(t, tu, i, 0))
+		}
+		restored := dcqcn.ExpertParams()
+		tu.Commit(restored)
+		tu.Abort()
+		tu.Trigger(elephantFSD())
+		if p := scriptStep(t, tu, 0, 0); p != restored {
+			t.Errorf("%s: session after a rollback opened on %+v, want the restored %+v", name, p, restored)
+		}
+	}
+}

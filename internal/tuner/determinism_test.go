@@ -129,12 +129,14 @@ func TestMultiECNAgentStreamStableAcrossAgentCounts(t *testing.T) {
 // committed and every per-switch proposal confirmed as the control loop
 // does. The digest covers the proposals, the per-switch proposals, the
 // counters, the best-so-far trace and utility, and each strategy's own
-// readouts (temperature, regret, per-agent commit counts).
+// readouts (temperature, regret, per-agent commit counts). All three
+// were re-pinned once, when a new session began to open on the last
+// committed vector instead of its previous chain's last point.
 func TestTunerSessionsMatchParent(t *testing.T) {
 	want := map[string]uint64{
-		"bandit":   0x1f3267fc8c3cdbed,
-		"multiecn": 0xc370c2940b88a382,
-		"sa":       0x37215f07c595d5f5,
+		"bandit":   0x3b92674e025f11b1,
+		"multiecn": 0x66657055f8bd0bf0,
+		"sa":       0x165f990234766b1e,
 	}
 	for _, name := range Names() {
 		tu := mustNew(t, name, quickConfig(), 42)

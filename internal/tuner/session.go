@@ -24,6 +24,9 @@ type session struct {
 	started bool // the incumbent has been measured and seeded
 	iter    int  // search iterations consumed this session
 
+	// live is the vector the fabric runs, as Commit last recorded it;
+	// a new session's incumbent.
+	live        dcqcn.Params
 	current     dcqcn.Params
 	currentUtil float64
 	best        dcqcn.Params
@@ -40,8 +43,8 @@ type session struct {
 // sessions record without checking for one.
 var noMetrics = telemetry.NewTunerMetrics(telemetry.NewRegistry())
 
-// newSession validates the weights and the starting vector and holds
-// base as the incumbent.
+// newSession validates the weights and the starting vector, the one the
+// fabric runs until the first Commit.
 func newSession(weights Weights, base dcqcn.Params) (session, error) {
 	if err := weights.Validate(); err != nil {
 		return session{}, err
@@ -49,7 +52,7 @@ func newSession(weights Weights, base dcqcn.Params) (session, error) {
 	if err := base.Validate(); err != nil {
 		return session{}, err
 	}
-	return session{weights: weights, current: base, best: base, tm: noMetrics}, nil
+	return session{weights: weights, live: base, current: base, best: base, tm: noMetrics}, nil
 }
 
 // Active reports whether a session is in progress.
@@ -75,10 +78,11 @@ func (s *session) SetMetrics(tm *telemetry.TunerMetrics) {
 	s.tm = tm
 }
 
-// Commit is a no-op: a search assumes its proposals land, and the
-// loop's guard and pipeline rejections surface as ordinary (bad)
+// Commit records p as the vector the fabric runs; the next session
+// opens on it. Within a session the search assumes its proposals land,
+// and the loop's guard and pipeline rejections surface as ordinary (bad)
 // measurements instead.
-func (s *session) Commit(p dcqcn.Params) {}
+func (s *session) Commit(p dcqcn.Params) { s.live = p }
 
 // Abort cancels an in-progress session without settling on its best
 // setting. The rollback path uses it: a session whose measurements
@@ -94,9 +98,11 @@ func (s *session) Abort() {
 	s.tm.Active.Set(0)
 }
 
-// open is Trigger's reset: a new session, its warmup interval pending.
+// open is Trigger's reset: a new session on the vector the fabric runs,
+// its warmup interval pending.
 func (s *session) open() {
 	s.active = true
+	s.current = s.live
 	s.warmup = true
 	s.started = false
 	s.iter = 0
@@ -114,11 +120,11 @@ func (s *session) measure(sample loop.RuntimeSample) float64 {
 	return 100 * Utility(sample, s.weights)
 }
 
-// hold ends the warmup interval. The interval in which the trigger fired
-// straddles the traffic change (ramp-up, or the old pattern's tail); its
-// measurement would bias the incumbent's utility, so the incumbent is
-// held for one more interval and the search seeds from the next, clean
-// sample.
+// hold ends the warmup interval, which holds the vector the fabric
+// runs. The interval in which the trigger fired straddles the traffic
+// change (ramp-up, or the old pattern's tail); its measurement would bias
+// the incumbent's utility, so the incumbent is held for one more interval
+// and the search seeds from the next, clean sample.
 func (s *session) hold() dcqcn.Params {
 	s.warmup = false
 	s.propose()
