@@ -16,7 +16,7 @@ func (a applier) Apply(p dcqcn.Params, final bool, now eventsim.Time) bool {
 	var ok bool
 	var r dispatch.RejectReason
 	if final && a.plans {
-		ok, r = a.Dispatch.SubmitFinal(p, a.utilEWMA, now)
+		ok, r = a.Dispatch.SubmitFinal(p, 0, now)
 	} else {
 		ok, r = a.Dispatch.SubmitExplore(p, now)
 	}

@@ -472,10 +472,7 @@ func (s *System) tick() {
 	// signals. Frozen and idle intervals never reach here — a canary
 	// must not be judged (or promoted) on readings the loop itself
 	// considers suspect.
-	s.Dispatch.Tick(dispatch.Health{
-		Utility:   s.utilEWMA,
-		PauseFrac: 1 - sample.OPFC,
-	}, now)
+	s.Dispatch.Tick(dispatch.Health{PauseFrac: 1 - sample.OPFC}, now)
 	// Per-switch strategies see this interval's per-agent reports before
 	// they step; agent i's slice is the report from torScope[i]'s switch.
 	if ps, ok := s.Tuner.(tuner.PerSwitch); ok {

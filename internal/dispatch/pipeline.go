@@ -45,9 +45,6 @@ type Config struct {
 	// SettleIntervals is how many health ticks the canary must survive
 	// before promotion; 0 means 3.
 	SettleIntervals int
-	// UtilDropMargin aborts when utility falls more than this below the
-	// plan's baseline during settle; 0 disables.
-	UtilDropMargin float64
 	// WAL is the intent journal; nil means a fresh MemWAL. Hand the same
 	// WAL to a restarted controller to recover an in-flight rollout.
 	WAL WAL
@@ -90,10 +87,11 @@ func (c *Config) settleIntervals() int {
 	return c.SettleIntervals
 }
 
-// Health is the per-interval signal set the settle window watches — both
+// Health is the per-interval signal set the settle window watches,
 // already instrumented by the monitor/controller stack.
 type Health struct {
-	// Utility is the EWMA-smoothed utility (tuner.Utility scale).
+	// Utility is the EWMA-smoothed utility (tuner.Utility scale). Nothing
+	// reads it; it stays only because the benchmark module sets it.
 	Utility float64
 	// PauseFrac is the fabric PFC pause fraction in [0,1].
 	PauseFrac float64
@@ -156,9 +154,7 @@ type Pipeline struct {
 	phaseSpan  uint64
 	recovering bool
 
-	settleLeft   int
-	baselineUtil float64
-	haveBaseline bool
+	settleLeft int
 
 	await      []int
 	acked      []bool
@@ -313,8 +309,8 @@ func (p *Pipeline) SubmitExplore(cand dcqcn.Params, now eventsim.Time) (bool, Re
 
 // SubmitFinal guards a session-settling dispatch and starts its canary
 // rollout plan: apply to the canary prefix, hold SettleIntervals health
-// ticks, then promote fabric-wide or abort-and-restore. baselineUtil
-// anchors the settle window's utility-drop check.
+// ticks, then promote fabric-wide or abort-and-restore. Nothing reads
+// baselineUtil; it stays only because the benchmark module passes it.
 func (p *Pipeline) SubmitFinal(cand dcqcn.Params, baselineUtil float64, now eventsim.Time) (bool, RejectReason) {
 	if p.phase != PhaseIdle {
 		p.reject(RejectInFlight, -1)
@@ -332,8 +328,6 @@ func (p *Pipeline) SubmitFinal(cand dcqcn.Params, baselineUtil float64, now even
 	p.targetHash = VectorHash(&cand)
 	p.prev = p.live
 	p.planStart = now
-	p.baselineUtil = baselineUtil
-	p.haveBaseline = true
 	p.recovering = false
 	if err := p.append(Record{T: int64(now), Kind: KindIntent, Epoch: p.planEpoch, Params: &p.target, Hash: p.targetHash, Canary: p.canarySize()}); err != nil {
 		// A journal that cannot accept the intent must veto the rollout:
@@ -378,10 +372,6 @@ func (p *Pipeline) Tick(h Health, now eventsim.Time) {
 	}
 	if h.PauseFrac > maxPauseFrac {
 		p.abortRestore("health_pfc", now)
-		return
-	}
-	if p.cfg.UtilDropMargin > 0 && p.haveBaseline && h.Utility < p.baselineUtil-p.cfg.UtilDropMargin {
-		p.abortRestore("health_utility", now)
 		return
 	}
 	p.settleLeft--
@@ -666,7 +656,6 @@ func (p *Pipeline) abort(reason string, now eventsim.Time) {
 func (p *Pipeline) endPlan(now eventsim.Time) {
 	p.cancelDeadline()
 	p.recovering = false
-	p.haveBaseline = false
 	p.await = nil
 	p.enterPhase(PhaseIdle, now)
 	p.Trace.SpanEnd(p.planSpan)
