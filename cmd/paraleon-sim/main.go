@@ -72,7 +72,7 @@ func validateFlags(exp string, workers, seeds int, horizon time.Duration, set ma
 		return fmt.Errorf("-chaos-trace only applies to chaos-* experiments, not %q", exp)
 	}
 	if set["tuner"] && exp == "tuner-shootout" {
-		return fmt.Errorf("-tuner does not apply to tuner-shootout: it always races every registered strategy")
+		return fmt.Errorf("-tuner does not apply to tuner-shootout: it always races every strategy")
 	}
 	return nil
 }

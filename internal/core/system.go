@@ -32,7 +32,7 @@ type SystemConfig struct {
 	Theta float64
 	// Weights parameterize the utility function.
 	Weights tuner.Weights
-	// Tuner selects the search strategy by registry name ("sa",
+	// Tuner selects the search strategy by name ("sa",
 	// "multiecn", "bandit"; see internal/tuner). Empty falls back to the
 	// network's sim.Config.Tuner, then to "sa" — the default, whose
 	// behaviour is byte-identical to the pre-pluggable loop.
@@ -149,9 +149,9 @@ type System struct {
 
 	// Dispatch is the rollout pipeline every parameter push goes
 	// through. Its guard bounds-checks every proposal and per-switch
-	// override, so no strategy — in-tree or registered by a caller — can
-	// push an out-of-spec or misordered (Kmin >= Kmax) vector onto the
-	// fabric; its Live() is the vector the loop last dispatched.
+	// override, so no strategy can push an out-of-spec or misordered
+	// (Kmin >= Kmax) vector onto the fabric; its Live() is the vector
+	// the loop last dispatched.
 	Dispatch *dispatch.Pipeline
 
 	// Graceful degradation (see DegradeConfig).

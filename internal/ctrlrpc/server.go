@@ -28,7 +28,7 @@ type ServerConfig struct {
 	// Weights and SA configure the tuner.
 	Weights tuner.Weights
 	SA      tuner.SAConfig
-	// Tuner selects the search strategy by registry name (see
+	// Tuner selects the search strategy by name (see
 	// internal/tuner); empty means "sa", preserving the historical
 	// behaviour exactly. Bandit parameterizes that strategy when
 	// selected; the zero value means its defaults. A per-switch strategy

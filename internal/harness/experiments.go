@@ -907,7 +907,7 @@ func shootoutCells(wl string, util, pfc []float64, sessions, dispatches, rollbac
 		Cell{wl, "dispatches", float64(dispatches)}, Cell{wl, "rollbacks", float64(rollbacks)})
 }
 
-// tunerShootout races every registered strategy head-to-head across a
+// tunerShootout races every strategy head-to-head across a
 // sustained cross-rack alltoall, a fan-in incast, and the chaos-linkflap
 // scenario with rollback armed. Within a workload every arm sees the same
 // fabric, seed and horizon, so differences are the search strategy's.

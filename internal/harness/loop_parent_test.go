@@ -64,7 +64,7 @@ func loopDigest(t *testing.T, name string, plans bool) uint64 {
 }
 
 // TestSimLoopMatchesParent pins the simulated loop's decisions for every
-// registered strategy with canary plans off and on, and for
+// strategy with canary plans off and on, and for
 // chaos-linkflap (a flapping uplink with rollback armed) with plans on,
 // whose rollbacks restore through the pipeline. The digests were taken
 // while plans off still bypassed the pipeline, and before the daemon and
