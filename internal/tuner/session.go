@@ -79,9 +79,9 @@ func (s *session) SetMetrics(tm *telemetry.TunerMetrics) {
 }
 
 // Commit records p as the vector the fabric runs; the next session
-// opens on it. Within a session the search assumes its proposals land,
-// and the loop's guard and pipeline rejections surface as ordinary (bad)
-// measurements instead.
+// opens on it. Within a session the search assumes its proposals land:
+// after a proposal the loop refused, the next sample measures the vector
+// the fabric kept, and the search judges it as the candidate's.
 func (s *session) Commit(p dcqcn.Params) { s.live = p }
 
 // Abort cancels an in-progress session without settling on its best
