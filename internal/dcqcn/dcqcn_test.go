@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/eventsim"
 )
@@ -186,6 +187,14 @@ func newTestRP(p Params) (*eventsim.Engine, *RP, *Params) {
 	return eng, rp, &live
 }
 
+// An RP is two cache lines: a CNP touches nearly every field, and the
+// timer fleet holds thousands of RPs.
+func TestRPIs128Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(RP{}); got > 128 {
+		t.Fatalf("RP is %d bytes, want at most 128", got)
+	}
+}
+
 func TestRPStartsAtLineRate(t *testing.T) {
 	_, rp, _ := newTestRP(DefaultParams())
 	if rp.Rate() != 100e9 {
@@ -360,9 +369,15 @@ func TestRPStopCancelsTimers(t *testing.T) {
 	p := DefaultParams()
 	eng, rp, _ := newTestRP(p)
 	rp.Start()
+	// A QP at line rate parks its increase timer: cut it below line rate
+	// so there is a timer for Stop to cancel and for Start to restart.
+	rp.OnCNP()
 	rp.Stop()
 	if rp.Running() {
 		t.Error("Running() true after Stop")
+	}
+	if got := eng.Pending(); got != 0 {
+		t.Errorf("Pending = %d after Stop, want 0", got)
 	}
 	eng.RunUntil(10 * eventsim.Millisecond)
 	if rp.Increases != 0 {

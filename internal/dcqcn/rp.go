@@ -1,18 +1,34 @@
 package dcqcn
 
 import (
-	"math"
-
 	"repro/internal/eventsim"
 )
 
 // RP is the Reaction Point state machine for one QP: the sender-side AIMD
-// loop of DCQCN. It owns two recurring timers (the rate-increase timer and
-// the alpha-decay timer) on the simulation engine while started.
+// loop of DCQCN. Of DCQCN's two recurring timers, only the rate-increase
+// timer is an engine event, and only while the QP sends below line rate: a
+// QP at line rate parks it, and the next cut restarts it. Parking changes
+// nothing a caller can see, because at line rate an increase is a no-op
+// (rc and rt stay clamped) and the next cut resets the stage counters the
+// fires would have bumped; only the Increases counter stops counting those
+// clamped fires.
+//
+// The alpha-decay timer is not an event at all. The RP keeps the time of
+// its next fire, alphaAt, and before anything reads or changes alpha
+// (OnCNP, Alpha, Stop, CatchUp) applies every fire at or before now, each
+// as the timer would have. A fire at a CNP's own nanosecond therefore
+// counts as before that CNP. The timer agreed whenever it was armed before
+// the CNP's delivery event, that is whenever the CNP's last-hop flight is
+// shorter than alpha_update_interval (Specs() allows 1 µs, Table III runs
+// 55 µs).
 //
 // Parameters are read through a func so that a centralized tuner can swap
 // the live Params without touching every QP: the next timer or CNP simply
-// observes the new values.
+// observes the new values. A fire reads G and alpha_update_interval when it
+// is applied, so whoever changes either under a running RP calls CatchUp
+// first (rnic.Host.SetParams does, for every QP of the host); a fire at
+// the change's own nanosecond then runs on the old values, as it does
+// when the change comes at the end of that engine instant.
 type RP struct {
 	eng    *eventsim.Engine
 	params func() *Params
@@ -22,31 +38,28 @@ type RP struct {
 	rc, rt float64 // current and target rate, bps
 	alpha  float64
 
-	bcStage, tStage int   // byte-counter and timer stages since last cut
+	// The stage counters restart at every cut. Below line rate a QP
+	// climbs back within far fewer than 2^31 stages, and at line rate an
+	// increase is a no-op whichever branch it takes, so 32 bits hold
+	// them and keep an RP in two cache lines (TestRPIs128Bytes).
 	byteCounter     int64 // bytes toward the next byte-counter stage
+	bcStage, tStage int32 // byte-counter and timer stages since last cut
 	hyperCount      int   // consecutive hyper-increase events
 
-	lastCut           eventsim.Time
 	everCut           bool
 	cnpSinceAlpha     bool
 	increasedSinceCut bool
+	running           bool
 
-	// timerFn and alphaFn are the persistent timer handlers, built once in
-	// NewRP so each re-arm schedules without allocating a closure.
-	timerFn, alphaFn eventsim.Handler
-	timerEv, alphaEv eventsim.EventID
-	running          bool
+	lastCut eventsim.Time
+	// alphaAt is the next fire of the alpha-decay grid while running.
+	alphaAt eventsim.Time
 
-	// Quiescent-timer suppression (SetSuppression). A QP pinned at line
-	// rate with alpha fully decayed changes no observable state on timer
-	// fires, so the timers park instead of re-arming and unpark lazily on
-	// the next CNP. timerParked/alphaParked record the parked timers;
-	// alphaAnchor is the virtual time of the alpha timer's last fire, the
-	// grid origin the lazy re-arm replays from.
-	suppress    bool
-	timerParked bool
-	alphaParked bool
-	alphaAnchor eventsim.Time
+	// timerFn is the persistent increase-timer handler, built once in NewRP
+	// so each re-arm schedules without allocating a closure. timerEv is
+	// stale while the timer is parked.
+	timerFn eventsim.Handler
+	timerEv eventsim.EventID
 
 	// Cuts and Increases count rate-decrease and rate-increase events;
 	// exported for tests and overhead accounting.
@@ -60,7 +73,7 @@ type RP struct {
 // (1-G)*alpha + G rounds to the same double either way, and the cut
 // factor 1 - alpha/2 rounds to exactly 1.0. Snapping therefore changes
 // no trace — it only gives "fully decayed" a representable fixed point
-// the suppression path can park on.
+// past which the decay grid can jump.
 const alphaSnapFloor = 1e-21
 
 // NewRP returns a reaction point sending at line rate with alpha seeded
@@ -81,63 +94,11 @@ func NewRP(eng *eventsim.Engine, params func() *Params, lineRateBps float64) *RP
 		}
 		rp.tStage++
 		rp.increaseEvent()
-		// Park once the QP is pinned at line rate: every further fire
-		// would only bump stage counters that the next cut resets before
-		// anything reads them, so skipping the fires is trace-invariant
-		// (see SetSuppression). OnCNP re-arms on the cut path.
-		if rp.suppress && rp.rc >= rp.lineRateBps && rp.rt >= rp.lineRateBps {
-			rp.timerParked = true
-			return
-		}
-		rp.armIncreaseTimer()
-	}
-	rp.alphaFn = func() {
-		if !rp.running {
-			return
-		}
-		if !rp.cnpSinceAlpha {
-			rp.alpha *= 1 - rp.params().G
-			if rp.alpha < alphaSnapFloor {
-				rp.alpha = 0
-			}
-		}
-		rp.cnpSinceAlpha = false
-		// Fully decayed: further decays are no-ops, so park and let the
-		// next CNP replay the fire grid from this anchor.
-		if rp.suppress && rp.alpha == 0 {
-			rp.alphaParked = true
-			rp.alphaAnchor = rp.eng.Now()
-			return
-		}
-		rp.armAlphaTimer()
-	}
-	return rp
-}
-
-// SetSuppression enables quiescent-QP timer suppression: when the QP
-// sits at line rate (increase timer) or alpha has fully decayed to 0
-// (alpha timer), the timer parks instead of re-arming, and the next CNP
-// re-arms it lazily. Parking is trace-invariant: a parked timer's fires
-// would only have touched state that is either invisible until the next
-// cut resets it (tStage, hyperCount at clamped line rate) or already at
-// its fixed point (alpha 0), and event ordering is purely comparative,
-// so removing the fires shifts no surviving event relative to another.
-// The only observable divergence is the Increases statistics counter,
-// which stops counting clamped no-op increases while parked. The alpha
-// re-arm replays the original fire grid from the last fire, exact as
-// long as alpha_update_interval is not retuned mid-park (a retune
-// re-phases the grid by less than one interval once).
-func (rp *RP) SetSuppression(on bool) {
-	rp.suppress = on
-	if !on && rp.running {
-		if rp.timerParked {
-			rp.timerParked = false
+		if !rp.atLineRate() {
 			rp.armIncreaseTimer()
 		}
-		if rp.alphaParked {
-			rp.unparkAlpha()
-		}
 	}
+	return rp
 }
 
 // Rate reports the current sending rate in bps.
@@ -146,82 +107,88 @@ func (rp *RP) Rate() float64 { return rp.rc }
 // TargetRate reports the target rate in bps.
 func (rp *RP) TargetRate() float64 { return rp.rt }
 
-// Alpha reports the congestion estimate.
-func (rp *RP) Alpha() float64 { return rp.alpha }
+// Alpha reports the congestion estimate, decayed up to now.
+func (rp *RP) Alpha() float64 {
+	rp.CatchUp()
+	return rp.alpha
+}
 
-// Running reports whether the RP timers are armed.
+// Running reports whether the RP is started.
 func (rp *RP) Running() bool { return rp.running }
 
-// Start arms the increase and alpha timers. It is idempotent. Under
-// suppression a QP that is already quiescent (line rate, alpha at 0 —
-// e.g. InitialAlpha 0) parks its timers immediately instead of arming
-// them: every skipped fire would have been a no-op, and the unpark
-// paths restore the exact schedules a never-parked QP would have.
+func (rp *RP) atLineRate() bool { return rp.rc >= rp.lineRateBps && rp.rt >= rp.lineRateBps }
+
+// Start starts the alpha-decay grid one alpha_update_interval from now and,
+// below line rate, the increase timer. It is idempotent.
 func (rp *RP) Start() {
 	if rp.running {
 		return
 	}
 	rp.running = true
-	if rp.suppress && rp.rc >= rp.lineRateBps && rp.rt >= rp.lineRateBps {
-		rp.timerParked = true
-	} else {
+	rp.alphaAt = rp.eng.Now() + rp.params().AlphaUpdateInterval
+	if !rp.atLineRate() {
 		rp.armIncreaseTimer()
-	}
-	if rp.suppress && rp.alpha == 0 {
-		rp.alphaParked = true
-		rp.alphaAnchor = rp.eng.Now()
-	} else {
-		rp.armAlphaTimer()
 	}
 }
 
-// Stop cancels the timers; the QP went idle or its flow finished.
+// Stop applies the alpha decay due by now and cancels the increase timer;
+// the QP went idle or its flow finished.
 func (rp *RP) Stop() {
 	if !rp.running {
 		return
 	}
+	rp.CatchUp()
 	rp.running = false
 	rp.eng.Cancel(rp.timerEv)
-	rp.eng.Cancel(rp.alphaEv)
-	rp.timerParked = false
-	rp.alphaParked = false
 }
 
-// The arm helpers rearm through the timing wheel: on the fire path the
-// old id is stale and this schedules afresh; on the OnCNP restart path
-// the live timer is rescheduled in place, O(1) instead of heap churn.
+// CatchUp applies every alpha-decay fire at or before now, in order, as
+// the recurring timer did: decay by G unless a CNP came since the previous
+// fire, snap below alphaSnapFloor to 0, next fire one
+// alpha_update_interval later. Callers that change G or
+// alpha_update_interval under a running RP call it first. It inlines: a
+// CNP between two grid points costs one comparison.
+func (rp *RP) CatchUp() {
+	if rp.running && rp.alphaAt <= rp.eng.Now() {
+		rp.decayTo(rp.eng.Now())
+	}
+}
+
+// decayTo applies the grid points up to now, the first of them due. Once
+// alpha is 0 the remaining points are no-ops and the grid jumps past them.
+func (rp *RP) decayTo(now eventsim.Time) {
+	p := rp.params()
+	for rp.alphaAt <= now {
+		if !rp.cnpSinceAlpha {
+			rp.alpha *= 1 - p.G
+			if rp.alpha < alphaSnapFloor {
+				rp.alpha = 0
+			}
+		}
+		rp.cnpSinceAlpha = false
+		if rp.alpha == 0 {
+			rp.alphaAt += ((now-rp.alphaAt)/p.AlphaUpdateInterval + 1) * p.AlphaUpdateInterval
+			return
+		}
+		rp.alphaAt += p.AlphaUpdateInterval
+	}
+}
+
+// armIncreaseTimer rearms through the timing wheel: on the fire path (and
+// after a park) the old id is stale and this schedules afresh; on the
+// OnCNP restart path the live timer is rescheduled in place.
 func (rp *RP) armIncreaseTimer() {
 	rp.timerEv = rp.eng.RearmAfter(rp.timerEv, rp.params().RPGTimeReset, rp.timerFn)
-}
-
-func (rp *RP) armAlphaTimer() {
-	rp.alphaEv = rp.eng.RearmAfter(rp.alphaEv, rp.params().AlphaUpdateInterval, rp.alphaFn)
-}
-
-// unparkAlpha re-arms a parked alpha timer on the fire grid it would
-// have kept had it never parked: the first multiple of the update
-// interval strictly after now, counted from the last fire. Strictly
-// after, because a fire scheduled at the CNP's own instant would have
-// run before the CNP (it was scheduled far earlier) and re-armed +I.
-func (rp *RP) unparkAlpha() {
-	rp.alphaParked = false
-	i := rp.params().AlphaUpdateInterval
-	k := (rp.eng.Now()-rp.alphaAnchor)/i + 1
-	rp.alphaEv = rp.eng.RearmAt(rp.alphaEv, rp.alphaAnchor+k*i, rp.alphaFn)
 }
 
 // OnCNP handles a congestion notification from the NP. The alpha estimate
 // rises immediately; the multiplicative cut is throttled by
 // rate_reduce_monitor_period.
 func (rp *RP) OnCNP() {
+	rp.CatchUp()
 	p := rp.params()
 	rp.cnpSinceAlpha = true
 	rp.alpha = (1-p.G)*rp.alpha + p.G
-	// Alpha is no longer at its decayed fixed point: resume the decay
-	// grid before the throttle can swallow the rest of this CNP.
-	if rp.alphaParked && rp.running {
-		rp.unparkAlpha()
-	}
 	now := rp.eng.Now()
 	if rp.everCut && now-rp.lastCut < p.RateReduceMonitorPeriod {
 		return
@@ -232,7 +199,7 @@ func (rp *RP) OnCNP() {
 	if p.ClampTgtRate || rp.increasedSinceCut {
 		rp.rt = rp.rc
 	}
-	rp.rc = math.Max(p.MinRateBps, rp.rc*(1-rp.alpha/2))
+	rp.rc = max(p.MinRateBps, rp.rc*(1-rp.alpha/2))
 	rp.lastCut = now
 	rp.everCut = true
 	rp.increasedSinceCut = false
@@ -240,12 +207,9 @@ func (rp *RP) OnCNP() {
 	rp.byteCounter = 0
 	rp.hyperCount = 0
 	rp.Cuts++
-	// The DCQCN increase timer restarts on a cut: one reschedule-in-place
-	// (or a fresh schedule when it was parked at line rate) instead of
-	// the historical Cancel+After pair — same one sequence number, no
-	// heap churn.
+	// The DCQCN increase timer restarts on a cut: one reschedule-in-place,
+	// or a fresh schedule when it was parked at line rate.
 	if rp.running {
-		rp.timerParked = false
 		rp.armIncreaseTimer()
 	}
 }
@@ -267,7 +231,7 @@ func (rp *RP) OnBytesSent(n int64) {
 // beyond F, additive increase otherwise.
 func (rp *RP) increaseEvent() {
 	p := rp.params()
-	f := p.RPGThreshold
+	f := int32(p.RPGThreshold)
 	switch {
 	case rp.bcStage < f && rp.tStage < f:
 		// Fast recovery: halve toward the target.

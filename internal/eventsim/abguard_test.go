@@ -91,13 +91,6 @@ func (e *refEngine) rearmAt(ev *refEvent, at Time, fn Handler) *refEvent {
 	return ev
 }
 
-func (e *refEngine) nextEventTime() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
-}
-
 func (e *refEngine) step() bool {
 	if len(e.heap) == 0 {
 		return false

@@ -55,7 +55,7 @@
 //     level-0 event moves it to that event's time. RunUntil cascades a
 //     slot only when its start is within the deadline, so the cursor never
 //     passes the clock it leaves behind and a later Schedule at any
-//     at ≥ Now() is still ahead of it. NextEventTime moves nothing.
+//     at ≥ Now() is still ahead of it.
 //
 // An instant end (AtInstantEnd) is not an event and has no place in that
 // order. Run and RunUntil step events up to the earliest instant end due;
@@ -427,28 +427,6 @@ func (e *Engine) earliest() int {
 		}
 	}
 	return -1
-}
-
-// NextEventTime reports the timestamp of the earliest pending event, and
-// false when the queue is empty. It is a pure read, for callers that want
-// to look ahead without running anything (the dcqcn suppression tests
-// check which grid point a woken timer re-armed at): a list above level 0
-// is scanned, not cascaded, because the cursor must not pass a clock the
-// caller may still schedule at.
-func (e *Engine) NextEventTime() (Time, bool) {
-	list := e.earliest()
-	if list < 0 {
-		return 0, false
-	}
-	t := e.slots[e.head[list]].at
-	if list >= level0Slots {
-		for s := e.slots[e.head[list]].next; s >= 0; s = e.slots[s].next {
-			if at := e.slots[s].at; at < t {
-				t = at
-			}
-		}
-	}
-	return t, true
 }
 
 // cascade refiles the earliest slot above level 0 while level 0 is empty

@@ -21,7 +21,6 @@ type queue interface {
 	handles() int
 	step() bool
 	runUntil(t Time)
-	nextEventTime() (Time, bool)
 	pending() int
 	processed() uint64
 }
@@ -59,13 +58,12 @@ func (q *engQueue) rearm(handle int, at Time, fn Handler) {
 	}
 	q.ids = append(q.ids, q.eng.RearmAfter(id, at-q.eng.Now(), fn))
 }
-func (q *engQueue) cancel(handle int)           { q.eng.Cancel(q.ids[handle]) }
-func (q *engQueue) handles() int                { return len(q.ids) }
-func (q *engQueue) step() bool                  { return q.eng.Step() }
-func (q *engQueue) runUntil(t Time)             { q.eng.RunUntil(t) }
-func (q *engQueue) nextEventTime() (Time, bool) { return q.eng.NextEventTime() }
-func (q *engQueue) pending() int                { return q.eng.Pending() }
-func (q *engQueue) processed() uint64           { return q.eng.Processed }
+func (q *engQueue) cancel(handle int) { q.eng.Cancel(q.ids[handle]) }
+func (q *engQueue) handles() int      { return len(q.ids) }
+func (q *engQueue) step() bool        { return q.eng.Step() }
+func (q *engQueue) runUntil(t Time)   { q.eng.RunUntil(t) }
+func (q *engQueue) pending() int      { return q.eng.Pending() }
+func (q *engQueue) processed() uint64 { return q.eng.Processed }
 
 type refQueue struct {
 	ref refEngine
@@ -83,13 +81,12 @@ func (q *refQueue) rearm(handle int, at Time, fn Handler) {
 	}
 	q.evs = append(q.evs, q.ref.rearmAt(ev, at, fn))
 }
-func (q *refQueue) cancel(handle int)           { q.ref.cancel(q.evs[handle]) }
-func (q *refQueue) handles() int                { return len(q.evs) }
-func (q *refQueue) step() bool                  { return q.ref.step() }
-func (q *refQueue) runUntil(t Time)             { q.ref.runUntil(t) }
-func (q *refQueue) nextEventTime() (Time, bool) { return q.ref.nextEventTime() }
-func (q *refQueue) pending() int                { return len(q.ref.heap) }
-func (q *refQueue) processed() uint64           { return q.ref.processed }
+func (q *refQueue) cancel(handle int) { q.ref.cancel(q.evs[handle]) }
+func (q *refQueue) handles() int      { return len(q.evs) }
+func (q *refQueue) step() bool        { return q.ref.step() }
+func (q *refQueue) runUntil(t Time)   { q.ref.runUntil(t) }
+func (q *refQueue) pending() int      { return len(q.ref.heap) }
+func (q *refQueue) processed() uint64 { return q.ref.processed }
 
 // scriptRun replays one scripted op sequence on a queue and records the
 // pop stream as "time/tag@now" strings, interleaved with what the queue
@@ -179,8 +176,7 @@ func (r *scriptRun) apply(script []byte) int {
 		at := later(now, Time(1)<<uint(a%63)+Time(b))
 		r.q.schedule(c%3, at, func() { r.fire(tag, at) })
 	}
-	next, ok := r.q.nextEventTime()
-	r.log = append(r.log, fmt.Sprintf("now=%d next=%d,%v pending=%d", r.q.now(), next, ok, r.q.pending()))
+	r.log = append(r.log, fmt.Sprintf("now=%d pending=%d", r.q.now(), r.q.pending()))
 	return 4
 }
 
@@ -355,9 +351,6 @@ func TestRunUntilIdleThenNearerSchedule(t *testing.T) {
 	eng.RunUntil(Millisecond)
 	if eng.Now() != Millisecond || len(got) != 0 {
 		t.Fatalf("after idle run: now %v, fired %v", eng.Now(), got)
-	}
-	if next, ok := eng.NextEventTime(); !ok || next != 5*Millisecond {
-		t.Fatalf("NextEventTime = %v, %v; want 5ms", next, ok)
 	}
 	eng.Schedule(Millisecond, func() { got = append(got, "1ms") })
 	eng.Schedule(2*Millisecond, func() { got = append(got, "2ms") })

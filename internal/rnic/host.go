@@ -55,10 +55,15 @@ type HostStats struct {
 
 // Host is one server's RNIC attached to the fabric by a single uplink.
 type Host struct {
-	eng    *eventsim.Engine
-	topo   *topology.Topology
-	node   topology.NodeID
-	params func() *dcqcn.Params
+	eng  *eventsim.Engine
+	topo *topology.Topology
+	node topology.NodeID
+
+	// shared is the fabric-wide RNIC vector and override this host's own,
+	// nil when it follows shared. params reads whichever is in force; it
+	// is built once and handed to every QP and NP of the host.
+	shared, override *dcqcn.Params
+	params           func() *dcqcn.Params
 
 	port *netdev.EgressPort
 
@@ -110,10 +115,11 @@ type Host struct {
 	Stats HostStats
 }
 
-// NewHost builds the RNIC for node. The single uplink egress port is
+// NewHost builds the RNIC for node, running on the shared parameter vector
+// until SetParams gives it its own. The single uplink egress port is
 // created from the node's first topology port; wire it to the ToR with
 // Port().SetPeer. onComplete may be nil.
-func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID, params func() *dcqcn.Params, onComplete FlowCompleteFunc) *Host {
+func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID, shared *dcqcn.Params, onComplete FlowCompleteFunc) *Host {
 	n := &topo.Nodes[node]
 	if n.Kind != topology.Host {
 		panic(fmt.Sprintf("rnic: node %d is a %v, not a host", node, n.Kind))
@@ -123,7 +129,7 @@ func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID
 	}
 	l := &topo.Links[n.Ports[0]]
 	h := &Host{
-		eng: eng, topo: topo, node: node, params: params,
+		eng: eng, topo: topo, node: node, shared: shared,
 		byID:               map[uint64]*SendFlow{},
 		rx:                 map[uint64]*recvFlow{},
 		onComplete:         onComplete,
@@ -134,6 +140,12 @@ func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID
 	}
 	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, netdev.PortSeed(eng.Seed(), node, 0))
 	h.port.SetOnResume(func(class int) { h.schedule() })
+	h.params = func() *dcqcn.Params {
+		if h.override != nil {
+			return h.override
+		}
+		return h.shared
+	}
 	h.timerFn = func() { h.schedule() }
 	h.probeFn = func() {
 		h.sendProbes()
@@ -158,6 +170,23 @@ func (h *Host) Port() *netdev.EgressPort { return h.port }
 // Params returns the DCQCN parameters this RNIC's QPs run on now.
 func (h *Host) Params() *dcqcn.Params { return h.params() }
 
+// Override returns the host's own parameter vector, or nil if it follows
+// the shared one.
+func (h *Host) Override() *dcqcn.Params { return h.override }
+
+// SetParams is the one way this RNIC's parameters change. It first brings
+// every QP's alpha decay up to now on the parameters it ran on, then makes
+// override (nil: the shared vector) the one its QPs and NPs read. A caller
+// about to write G or alpha_update_interval into a vector this host reads
+// calls it first, with the override it wants to keep; DCQCN+ rewrites the
+// other fields of its overrides in place.
+func (h *Host) SetParams(override *dcqcn.Params) {
+	for _, f := range h.sendFlows {
+		f.rp.CatchUp()
+	}
+	h.override = override
+}
+
 // ActiveFlows reports the number of in-progress sending flows.
 func (h *Host) ActiveFlows() int { return len(h.sendFlows) }
 
@@ -176,10 +205,6 @@ func (h *Host) StartFlow(id uint64, dst topology.NodeID, size int64) *SendFlow {
 		rp:       dcqcn.NewRP(h.eng, h.params, h.port.RateBps()),
 		nextSend: h.eng.Now(),
 	}
-	// Park the QP's timers while it is provably quiescent (line rate,
-	// alpha fully decayed); trace-invariant by construction, see
-	// dcqcn.RP.SetSuppression.
-	f.rp.SetSuppression(true)
 	f.rp.Start()
 	h.sendFlows = append(h.sendFlows, f)
 	h.byID[id] = f

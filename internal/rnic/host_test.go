@@ -61,7 +61,7 @@ func newRig(t *testing.T, p dcqcn.Params) *rig {
 		r.done = append(r.done, id)
 	}
 	for i, hn := range topo.Hosts() {
-		h := NewHost(r.eng, topo, hn, func() *dcqcn.Params { return r.params }, onDone)
+		h := NewHost(r.eng, topo, hn, r.params, onDone)
 		h.Port().SetPeer(r.relay, i)
 		r.hosts[i] = h
 		r.relay.hosts[i] = h
@@ -325,7 +325,7 @@ func TestHostRequiresHostNode(t *testing.T) {
 		}
 	}()
 	p := dcqcn.DefaultParams()
-	NewHost(r.eng, r.topo, r.topo.ToRs()[0], func() *dcqcn.Params { return &p }, nil)
+	NewHost(r.eng, r.topo, r.topo.ToRs()[0], &p, nil)
 }
 
 // TestWakeupFollowsUplinkPastControlFrame: the RNIC hears nothing when a

@@ -90,14 +90,13 @@ type Network struct {
 	switchByNode map[topology.NodeID]*netdev.Switch
 
 	// rnicParams is shared by every host RNIC; switchParams is
-	// per-switch so schemes like ACC can tune ECN thresholds locally.
-	// hostParams overrides rnicParams for individual hosts (DCQCN+
-	// adjusts per-endpoint CNP pacing and increase steps); clusterParams
-	// holds the overrides ApplyParamsToCluster installed, which the next
-	// fabric-wide ApplyParams lifts.
+	// per-switch so schemes like ACC can tune ECN thresholds locally. A
+	// host may hold its own override of rnicParams (rnic.Host.SetParams;
+	// DCQCN+ adjusts per-endpoint CNP pacing and increase steps);
+	// clusterParams holds the overrides ApplyParamsToCluster installed,
+	// which the next fabric-wide ApplyParams lifts.
 	rnicParams    *dcqcn.Params
 	switchParams  map[topology.NodeID]*dcqcn.Params
-	hostParams    map[topology.NodeID]*dcqcn.Params
 	clusterParams map[topology.NodeID]*dcqcn.Params
 
 	cfg        Config
@@ -140,7 +139,6 @@ func New(cfg Config) (*Network, error) {
 		hostByNode:    map[topology.NodeID]*rnic.Host{},
 		switchByNode:  map[topology.NodeID]*netdev.Switch{},
 		switchParams:  map[topology.NodeID]*dcqcn.Params{},
-		hostParams:    map[topology.NodeID]*dcqcn.Params{},
 		clusterParams: map[topology.NodeID]*dcqcn.Params{},
 		flowSizes:     map[uint64]int64{},
 	}
@@ -157,13 +155,7 @@ func New(cfg Config) (*Network, error) {
 		n.switchByNode[sn] = sw
 	}
 	for _, hn := range topo.Hosts() {
-		hn := hn
-		h := rnic.NewHost(eng, topo, hn, func() *dcqcn.Params {
-			if p := n.hostParams[hn]; p != nil {
-				return p
-			}
-			return n.rnicParams
-		}, n.flowCompleted)
+		h := rnic.NewHost(eng, topo, hn, n.rnicParams, n.flowCompleted)
 		h.SetPacketPool(n.pool)
 		n.Hosts = append(n.Hosts, h)
 		n.hostByNode[hn] = h
@@ -234,16 +226,19 @@ func (n *Network) SwitchParams(node topology.NodeID) *dcqcn.Params { return n.sw
 // switch — Paraleon's "dispatch P_m to RNICs and switches" step. Host
 // overrides a cluster dispatch installed are lifted so every such host
 // follows p again; overrides installed through SetHostParams (DCQCN+'s
-// per-endpoint settings) stay.
+// per-endpoint settings) stay. Every host catches its QPs up before the
+// shared vector changes under them.
 func (n *Network) ApplyParams(p dcqcn.Params) {
 	n.Applied = append(n.Applied, ApplyRecord{At: n.Eng.Now(), Params: p})
-	*n.rnicParams = p
-	for hn, cp := range n.clusterParams {
-		if n.hostParams[hn] == cp {
-			delete(n.hostParams, hn)
+	for _, h := range n.Hosts {
+		ov := h.Override()
+		if ov == n.clusterParams[h.NodeID()] {
+			ov = nil
 		}
+		h.SetParams(ov)
 	}
 	clear(n.clusterParams)
+	*n.rnicParams = p
 	for _, sp := range n.switchParams {
 		*sp = p
 	}
@@ -267,29 +262,31 @@ func (n *Network) ApplyParamsToCluster(tors []topology.NodeID, p dcqcn.Params) {
 		if !inScope[n.Topo.ToROf(hn)] {
 			continue
 		}
-		if hp := n.hostParams[hn]; hp != nil {
+		h := n.hostByNode[hn]
+		if hp := h.Override(); hp != nil {
+			h.SetParams(hp)
 			*hp = p
 		} else {
 			cp := p
-			n.hostParams[hn] = &cp
+			h.SetParams(&cp)
 			n.clusterParams[hn] = &cp
 		}
 	}
 }
 
 // SetHostParams installs (or, with nil, clears) a per-host RNIC parameter
-// override; the host's QPs observe it on their next timer or CNP.
+// override. The host's QPs catch their alpha decay up to now on the
+// parameters they ran on, then read p from their next timer, CNP or alpha
+// read on.
 func (n *Network) SetHostParams(node topology.NodeID, p *dcqcn.Params) {
-	if p == nil {
-		delete(n.hostParams, node)
-		return
-	}
-	n.hostParams[node] = p
+	n.hostByNode[node].SetParams(p)
 }
 
 // HostParams returns the live override for a host, or nil if it follows
 // the shared setting.
-func (n *Network) HostParams(node topology.NodeID) *dcqcn.Params { return n.hostParams[node] }
+func (n *Network) HostParams(node topology.NodeID) *dcqcn.Params {
+	return n.hostByNode[node].Override()
+}
 
 // ApplySwitchECN retargets only the ECN thresholds of one switch (what an
 // ACC agent actuates). Addressing a node that is not a switch of this

@@ -173,6 +173,48 @@ func TestApplyParamsReachesAllDevices(t *testing.T) {
 	}
 }
 
+// A retune of alpha_update_interval keeps a QP's alpha-decay grid where a
+// recurring timer would have kept it, even while alpha sits at 0: the fire
+// already armed lands on the old interval, and only the fires after it
+// step by the new one. Here the grid is 55, 110 µs, then 130, 150, 170 µs
+// after the retune at 100 µs; a CNP at 115 µs raises alpha to G, the fire
+// at 130 µs only clears the CNP flag, and 150 and 170 µs decay.
+func TestApplyParamsKeepsAlphaGridOnRetune(t *testing.T) {
+	us := eventsim.Microsecond
+	cfg := DefaultConfig()
+	cfg.Params.InitialAlpha = 0
+	n := build(t, cfg)
+	hosts := n.Topo.Hosts()
+	src, dst := n.Host(hosts[0]), n.Host(hosts[1])
+	const id = 1
+	dst.ExpectFlow(id, src.NodeID(), 1<<30, 0)
+	rp := src.StartFlow(id, dst.NodeID(), 1<<30).RP()
+
+	n.Eng.RunUntil(100 * us)
+	p := *n.RNICParams()
+	p.AlphaUpdateInterval = 20 * us
+	n.ApplyParams(p)
+	n.Eng.RunUntil(115 * us)
+	src.Receive(n.pool.NewCNP(id, dst.NodeID(), src.NodeID()), 0)
+
+	g := p.G
+	for _, c := range []struct {
+		at    eventsim.Time
+		alpha float64
+	}{
+		{115 * us, g}, {130 * us, g}, {150*us - 1, g},
+		{150 * us, g * (1 - g)}, {170*us - 1, g * (1 - g)}, {170 * us, g * (1 - g) * (1 - g)},
+	} {
+		n.Eng.RunUntil(c.at)
+		if got := rp.Alpha(); got != c.alpha {
+			t.Fatalf("alpha at %v = %g, want %g", c.at, got, c.alpha)
+		}
+	}
+	if rp.Cuts != 1 {
+		t.Fatalf("%d cuts, want the one CNP's", rp.Cuts)
+	}
+}
+
 func TestApplySwitchECNIsLocal(t *testing.T) {
 	n := build(t, DefaultConfig())
 	sws := n.Topo.SwitchIDs()
