@@ -195,6 +195,21 @@ func TestRPIs128Bytes(t *testing.T) {
 	}
 }
 
+// hyperCount saturates rather than wraps, and at saturation a hyper
+// increase at the smallest hai_rate Specs() allows still reaches line rate.
+func TestRPHyperCountSaturates(t *testing.T) {
+	p := DefaultParams()
+	p.HAIRateBps = 10e6
+	_, rp, _ := newTestRP(p)
+	rp.rc, rp.rt = p.MinRateBps, p.MinRateBps
+	rp.bcStage, rp.tStage = int32(p.RPGThreshold), int32(p.RPGThreshold)
+	rp.hyperCount = math.MaxInt32
+	rp.increaseEvent(&p)
+	if rp.hyperCount != math.MaxInt32 || rp.TargetRate() != 100e9 {
+		t.Fatalf("hyperCount %d, rt %g; want %d and line rate", rp.hyperCount, rp.TargetRate(), math.MaxInt32)
+	}
+}
+
 func TestRPStartsAtLineRate(t *testing.T) {
 	_, rp, _ := newTestRP(DefaultParams())
 	if rp.Rate() != 100e9 {

@@ -2,6 +2,7 @@ package dcqcn
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 
 // refRP is the reaction point as DCQCN describes it: two recurring engine
 // timers, the rate-increase timer and the alpha-decay timer, each firing
-// every interval for as long as the RP runs, with no parking and no lazy
-// catch-up. It is the test oracle for RP, as eventsim's refEngine is for
-// the timing wheel. idleFires counts the increase-timer fires armed while
+// every interval for as long as the RP runs, with no parking, no lazy
+// catch-up, and the increase timer's event rescheduled at every cut. It
+// is the test oracle for RP, as eventsim's refEngine is for the timing
+// wheel. idleFires counts the increase-timer fires armed while
 // the QP sat at line rate (at Start, or by a fire that left it there):
 // the clamped no-op increases RP skips by parking, and the only place the
 // two may differ. A cut always arms a counted fire.
@@ -312,6 +314,77 @@ func quiescenceScript(p Params) []rpOp {
 	}
 }
 
+// stormScript is sustained throttling from line rate: a CNP every `every`
+// ns for 3.5 rpg_time_reset, each a cut if every ≥
+// rate_reduce_monitor_period. One CNP lands on the nanosecond the increase
+// timer armed by the first cut fires early. Mid-storm rpg_time_reset is
+// retuned down to `down` µs, so the next cut's due falls before the pending
+// one, and the storm pauses over that due's fire; later it is retuned
+// up to `up` µs. Then the QP goes quiet until the timer fires, `up` µs
+// after the last cut.
+func stormScript(p Params, every eventsim.Time, down, up int) []rpOp {
+	var script []rpOp
+	var now eventsim.Time
+	at := func(t eventsim.Time, kind, value int) {
+		script = append(script, rpOp{kind: kind, wait: t - now, value: value})
+		now = t
+	}
+	T := p.RPGTimeReset
+	first := 3 * eventsim.Microsecond
+	t := first
+	for ; t <= first+T-every; t += every {
+		at(t, opCNP, 0)
+	}
+	for t = first + T; t < first+3*T/2; t += every {
+		at(t, opCNP, 0)
+	}
+	at(t, opRetuneTimer, down-1)
+	at(t, opCNP, 0)
+	at(t+eventsim.Time(down)*eventsim.Microsecond, opIdle, 0)
+	for t = now + every; t < first+5*T/2; t += every {
+		at(t, opCNP, 0)
+	}
+	at(t, opRetuneTimer, up-1)
+	for ; t < first+7*T/2; t += every {
+		at(t, opCNP, 0)
+	}
+	fire := now + eventsim.Time(up)*eventsim.Microsecond
+	at(fire-1, opIdle, 0)
+	at(fire, opIdle, 0)
+	return script
+}
+
+// fuzzInput encodes a script of CNPs, idle waits and rpg_time_reset
+// retunes to a value below 256 as FuzzRPMatchesEager's bytes, after the
+// leading head byte. A wait no op can hold becomes idle ops before it.
+func fuzzInput(head byte, script []rpOp) []byte {
+	in := []byte{head}
+	for _, op := range script {
+		// An op's last two bytes are its wait (a, s: a << s ns); a
+		// retune's are also its value, so it waits op.value ns.
+		last := []byte{0, 0}
+		if op.kind == opRetuneTimer {
+			op.wait -= eventsim.Time(op.value)
+			last[0] = byte(op.value)
+		}
+		var chunks []byte
+		for w := op.wait; w > 0; {
+			s := min(max(bits.Len64(uint64(w))-8, 0), 15)
+			a := min(w>>s, 255)
+			chunks = append(chunks, byte(a), byte(s))
+			w -= a << s
+		}
+		if op.kind != opRetuneTimer && len(chunks) > 0 {
+			last, chunks = chunks[len(chunks)-2:], chunks[:len(chunks)-2]
+		}
+		for ; len(chunks) > 0; chunks = chunks[2:] {
+			in = append(in, opIdle, chunks[0], chunks[1])
+		}
+		in = append(in, byte(op.kind), last[0], last[1])
+	}
+	return in
+}
+
 // randomScript draws n ops; every seventh wait or so is a long idle gap.
 func randomScript(rng *rand.Rand, p Params, n int) []rpOp {
 	script := make([]rpOp, n)
@@ -347,6 +420,37 @@ func TestRPMatchesEagerReference(t *testing.T) {
 			newEagerPair(t, p).run(quiescenceScript(p))
 		})
 	}
+	// Under a cut every rate_reduce_monitor_period + 7 ns the increase
+	// timer's due moves at every cut and its event fires early.
+	t.Run("cnp-storm", func(t *testing.T) {
+		p := DefaultParams()
+		up := 250 * eventsim.Microsecond
+		e := newEagerPair(t, p)
+		e.run(append(stormScript(p, p.RateReduceMonitorPeriod+7, 50, 250),
+			// Timer stages past F, then hyper increases by bytes sent bring
+			// the QP back to line rate, and the next fire parks the timer.
+			rpOp{kind: opIdle, wait: 5 * up},
+			rpOp{kind: opBytes, value: int(200 * p.RPGByteReset)},
+			rpOp{kind: opIdle, wait: 2 * up}))
+		if got := e.eng.Pending(); got != 0 {
+			t.Fatalf("Pending = %d after the storm's recovery, want 0 (timer parked)", got)
+		}
+	})
+	// A QP stopped with its timer armed at line rate restarts parked; its
+	// next cut arms a timer that fires one rpg_time_reset later.
+	t.Run("stop-armed-at-line-rate", func(t *testing.T) {
+		p := DefaultParams()
+		us := eventsim.Microsecond
+		newEagerPair(t, p).run([]rpOp{
+			{kind: opCNP, wait: 3 * us},
+			{kind: opBytes, value: int(80 * p.RPGByteReset)},
+			{kind: opStop, wait: us},
+			{kind: opStart, wait: us},
+			{kind: opCNP, wait: p.RateReduceMonitorPeriod},
+			{kind: opIdle, wait: p.RPGTimeReset},
+			{kind: opIdle, wait: 100 * p.RPGTimeReset},
+		})
+	})
 	t.Run("randomized", func(t *testing.T) {
 		p := DefaultParams()
 		p.InitialAlpha = 0
@@ -380,7 +484,7 @@ func TestRPFleetMatchesEagerReference(t *testing.T) {
 			cnp()
 			ev = e.RearmAfter(ev, injectEvery, fn)
 		}
-		ev = e.TimerAfter(first, fn)
+		ev = e.After(first, fn)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for j := range rps {
@@ -426,6 +530,10 @@ func FuzzRPMatchesEager(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	storm := DefaultParams()
+	storm.RPGTimeReset = 40 * eventsim.Microsecond
+	f.Add(fuzzInput(0, append([]rpOp{{kind: opRetuneTimer, wait: 39, value: 39}},
+		stormScript(storm, 253<<4, 10, 100)...)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return

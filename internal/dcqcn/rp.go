@@ -1,6 +1,8 @@
 package dcqcn
 
 import (
+	"math"
+
 	"repro/internal/eventsim"
 )
 
@@ -12,6 +14,19 @@ import (
 // (rc and rt stay clamped) and the next cut resets the stage counters the
 // fires would have bumped; only the Increases counter stops counting those
 // clamped fires.
+//
+// The increase timer's due time, incAt, lives apart from the engine event
+// that wakes it. A cut restarts the timer by moving incAt one
+// rpg_time_reset past the cut and asks the engine nothing, unless the
+// timer was parked or the new due is earlier than incAt (rpg_time_reset
+// was retuned down); then it re-arms the event. Under sustained throttling
+// the event thus fires early, before incAt, and re-arms once for incAt.
+// The fire at incAt is DCQCN's to the nanosecond, but its place among the
+// events of that nanosecond can differ: an eager restart files the event
+// at the last cut, this one where it last fired early, so it runs after,
+// not before, an event scheduled for that nanosecond between the cut and
+// the early fire. (After two cuts in one nanosecond, possible with
+// rate_reduce_monitor_period 0, it keeps the place the first cut gave it.)
 //
 // The alpha-decay timer is not an event at all. The RP keeps the time of
 // its next fire, alphaAt, and before anything reads or changes alpha
@@ -42,9 +57,13 @@ type RP struct {
 	// climbs back within far fewer than 2^31 stages, and at line rate an
 	// increase is a no-op whichever branch it takes, so 32 bits hold
 	// them and keep an RP in two cache lines (TestRPIs128Bytes).
+	// hyperCount saturates at MaxInt32 instead of wrapping: by then
+	// hyperCount·hai_rate is past any line rate up to 2^31 × 10 Mbps
+	// (Specs() floors hai_rate at 10 Mbps), so rt clamps and saturating
+	// is bit-identical to counting on.
 	byteCounter     int64 // bytes toward the next byte-counter stage
 	bcStage, tStage int32 // byte-counter and timer stages since last cut
-	hyperCount      int   // consecutive hyper-increase events
+	hyperCount      int32 // consecutive hyper-increase events
 
 	everCut           bool
 	cnpSinceAlpha     bool
@@ -54,6 +73,10 @@ type RP struct {
 	lastCut eventsim.Time
 	// alphaAt is the next fire of the alpha-decay grid while running.
 	alphaAt eventsim.Time
+	// incAt is the increase timer's due time, 0 while it is parked; an
+	// armed due is never 0, since Validate rejects rpg_time_reset ≤ 0.
+	// While armed, timerEv is filed at or before incAt.
+	incAt eventsim.Time
 
 	// timerFn is the persistent increase-timer handler, built once in NewRP
 	// so each re-arm schedules without allocating a closure. timerEv is
@@ -92,10 +115,17 @@ func NewRP(eng *eventsim.Engine, params func() *Params, lineRateBps float64) *RP
 		if !rp.running {
 			return
 		}
+		if rp.eng.Now() < rp.incAt {
+			// Cuts moved the due time since this event was filed.
+			rp.timerEv = rp.eng.Schedule(rp.incAt, rp.timerFn)
+			return
+		}
+		rp.incAt = 0
+		p := rp.params()
 		rp.tStage++
-		rp.increaseEvent()
+		rp.increaseEvent(p)
 		if !rp.atLineRate() {
-			rp.armIncreaseTimer()
+			rp.armIncreaseTimer(p)
 		}
 	}
 	return rp
@@ -127,7 +157,7 @@ func (rp *RP) Start() {
 	rp.running = true
 	rp.alphaAt = rp.eng.Now() + rp.params().AlphaUpdateInterval
 	if !rp.atLineRate() {
-		rp.armIncreaseTimer()
+		rp.armIncreaseTimer(rp.params())
 	}
 }
 
@@ -139,6 +169,7 @@ func (rp *RP) Stop() {
 	}
 	rp.CatchUp()
 	rp.running = false
+	rp.incAt = 0
 	rp.eng.Cancel(rp.timerEv)
 }
 
@@ -150,14 +181,13 @@ func (rp *RP) Stop() {
 // CNP between two grid points costs one comparison.
 func (rp *RP) CatchUp() {
 	if rp.running && rp.alphaAt <= rp.eng.Now() {
-		rp.decayTo(rp.eng.Now())
+		rp.decayTo(rp.params(), rp.eng.Now())
 	}
 }
 
 // decayTo applies the grid points up to now, the first of them due. Once
 // alpha is 0 the remaining points are no-ops and the grid jumps past them.
-func (rp *RP) decayTo(now eventsim.Time) {
-	p := rp.params()
+func (rp *RP) decayTo(p *Params, now eventsim.Time) {
 	for rp.alphaAt <= now {
 		if !rp.cnpSinceAlpha {
 			rp.alpha *= 1 - p.G
@@ -174,22 +204,26 @@ func (rp *RP) decayTo(now eventsim.Time) {
 	}
 }
 
-// armIncreaseTimer rearms through the timing wheel: on the fire path (and
-// after a park) the old id is stale and this schedules afresh; on the
-// OnCNP restart path the live timer is rescheduled in place.
-func (rp *RP) armIncreaseTimer() {
-	rp.timerEv = rp.eng.RearmAfter(rp.timerEv, rp.params().RPGTimeReset, rp.timerFn)
+// armIncreaseTimer sets the due time one rpg_time_reset from now and files
+// the event for it: on the fire path (and after a park) the old id is stale
+// and this schedules afresh; on OnCNP's re-arm path, a due earlier than the
+// live event's, the live event is rescheduled in place.
+func (rp *RP) armIncreaseTimer(p *Params) {
+	rp.incAt = rp.eng.Now() + p.RPGTimeReset
+	rp.timerEv = rp.eng.RearmAt(rp.timerEv, rp.incAt, rp.timerFn)
 }
 
 // OnCNP handles a congestion notification from the NP. The alpha estimate
 // rises immediately; the multiplicative cut is throttled by
 // rate_reduce_monitor_period.
 func (rp *RP) OnCNP() {
-	rp.CatchUp()
 	p := rp.params()
+	now := rp.eng.Now()
+	if rp.running && rp.alphaAt <= now {
+		rp.decayTo(p, now)
+	}
 	rp.cnpSinceAlpha = true
 	rp.alpha = (1-p.G)*rp.alpha + p.G
-	now := rp.eng.Now()
 	if rp.everCut && now-rp.lastCut < p.RateReduceMonitorPeriod {
 		return
 	}
@@ -207,10 +241,17 @@ func (rp *RP) OnCNP() {
 	rp.byteCounter = 0
 	rp.hyperCount = 0
 	rp.Cuts++
-	// The DCQCN increase timer restarts on a cut: one reschedule-in-place,
-	// or a fresh schedule when it was parked at line rate.
+	// The DCQCN increase timer restarts on a cut. While it is armed and the
+	// new due is no earlier, only incAt moves, and the event, filed at or
+	// before the old due, re-arms for it when it fires early. A parked
+	// timer is armed, and a due earlier than incAt reschedules the live
+	// event in place.
 	if rp.running {
-		rp.armIncreaseTimer()
+		if due := now + p.RPGTimeReset; rp.incAt != 0 && due >= rp.incAt {
+			rp.incAt = due
+		} else {
+			rp.armIncreaseTimer(p)
+		}
 	}
 }
 
@@ -222,21 +263,22 @@ func (rp *RP) OnBytesSent(n int64) {
 	for rp.byteCounter >= p.RPGByteReset {
 		rp.byteCounter -= p.RPGByteReset
 		rp.bcStage++
-		rp.increaseEvent()
+		rp.increaseEvent(p)
 	}
 }
 
 // increaseEvent applies one DCQCN rate-increase step: fast recovery while
 // both stage counters are below F, hyper increase once both are at or
 // beyond F, additive increase otherwise.
-func (rp *RP) increaseEvent() {
-	p := rp.params()
+func (rp *RP) increaseEvent(p *Params) {
 	f := int32(p.RPGThreshold)
 	switch {
 	case rp.bcStage < f && rp.tStage < f:
 		// Fast recovery: halve toward the target.
 	case rp.bcStage >= f && rp.tStage >= f:
-		rp.hyperCount++
+		if rp.hyperCount < math.MaxInt32 {
+			rp.hyperCount++
+		}
 		rp.rt += float64(rp.hyperCount) * p.HAIRateBps
 	default:
 		rp.rt += p.AIRateBps
