@@ -742,9 +742,9 @@ func extPartitioned(x Setup) []Arm {
 			}
 			cfg := core.DefaultSystemConfig()
 			cfg.SA = tuner.ShortSAConfig()
+			tors := n.Topo.ToRs()
 			var systems []*core.System
 			if partitioned {
-				tors := n.Topo.ToRs()
 				systems, err = core.AttachPartitioned(n, cfg, [][]topology.NodeID{{tors[0]}, {tors[1]}})
 			} else {
 				var s *core.System
@@ -771,9 +771,16 @@ func extPartitioned(x Setup) []Arm {
 			}
 			n.Run(80 * eventsim.Millisecond)
 			// Training-rack throughput and RPC-rack delay, each from its
-			// own scope when partitioned.
-			const sec = "last interval"
-			return []Cell{{sec, "training TP", systems[0].LastSample.OTP}, {sec, "RPC RTTnorm", systems[1].LastSample.ORTT}}, nil
+			// own scope when partitioned, then the ECN thresholds each
+			// rack's switch ended on.
+			const sec, ecn = "last interval", "converged ECN thresholds"
+			cells := []Cell{{sec, "training TP", systems[0].LastSample.OTP}, {sec, "RPC RTTnorm", systems[1].LastSample.ORTT}}
+			for i, tor := range tors[:2] {
+				p, rack := n.SwitchParams(tor), fmt.Sprintf("rack %d ", i)
+				cells = append(cells, Cell{ecn, rack + "Kmin KB", float64(p.KminBytes >> 10)},
+					Cell{ecn, rack + "Kmax KB", float64(p.KmaxBytes >> 10)}, Cell{ecn, rack + "Pmax", p.PMax})
+			}
+			return cells, nil
 		}})
 	}
 	return arms

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/eventsim"
@@ -82,48 +80,6 @@ func TestIncastRejectsBadConfig(t *testing.T) {
 
 // --- Trace record/replay ---
 
-func TestTraceRoundTrip(t *testing.T) {
-	flows := []TraceFlow{
-		{StartNs: 3000, SrcIndex: 1, DstIndex: 2, Bytes: 5000},
-		{StartNs: 1000, SrcIndex: 0, DstIndex: 3, Bytes: 1 << 20},
-	}
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, flows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("%d flows", len(got))
-	}
-	// Saved sorted by start.
-	if got[0].StartNs != 1000 || got[1].StartNs != 3000 {
-		t.Errorf("not sorted: %+v", got)
-	}
-	if got[0].Bytes != 1<<20 || got[1].SrcIndex != 1 {
-		t.Errorf("fields lost: %+v", got)
-	}
-}
-
-func TestLoadTraceRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"a,b,c,d\n1,0,1,100\n",                 // bad header
-		"start_ns,src,dst,bytes\nx,0,1,100\n",  // bad int
-		"start_ns,src,dst,bytes\n1,0,0,100\n",  // src == dst
-		"start_ns,src,dst,bytes\n1,0,1,0\n",    // zero bytes
-		"start_ns,src,dst,bytes\n-5,0,1,100\n", // negative time
-		"start_ns,src,dst,bytes\n1,0,1\n",      // wrong arity
-	}
-	for i, c := range cases {
-		if _, err := LoadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 func TestRecordAndReplay(t *testing.T) {
 	// Run a workload, record it, replay it on a fresh fabric: the same
 	// flows (sizes, endpoints, relative starts) must appear.
@@ -137,19 +93,17 @@ func TestRecordAndReplay(t *testing.T) {
 	if len(n1.Completed) == 0 {
 		t.Fatal("no flows to record")
 	}
-	tr := RecordTrace(n1, n1.Completed)
-
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, tr); err != nil {
-		t.Fatal(err)
+	index := map[int]int{}
+	for i, h := range n1.Topo.Hosts() {
+		index[int(h)] = i
 	}
-	loaded, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var tr []TraceFlow
+	for _, r := range n1.Completed {
+		tr = append(tr, TraceFlow{StartNs: int64(r.Start), SrcIndex: index[int(r.Src)], DstIndex: index[int(r.Dst)], Bytes: r.Size})
 	}
 
 	n2 := newNet(t)
-	if err := InstallReplay(n2, loaded, eventsim.Millisecond); err != nil {
+	if err := InstallReplay(n2, tr, eventsim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	n2.RunUntilIdle(eventsim.Second)

@@ -6,9 +6,11 @@
 // DCQCN+, NetFlow, static expert settings), and a real TCP control plane
 // mirroring the prototype.
 //
-// This file is the public facade: it re-exports what the examples and the
-// README's library snippet compose, so they work from a single import.
-// The implementation lives under internal/, one package per subsystem:
+// This file is the public facade: it re-exports what the README's
+// library snippet composes, so it works from a single import; Example
+// runs that snippet and checks what it prints. The paper's evaluation is
+// the experiment table behind cmd/paraleon-sim. The implementation lives
+// under internal/, one package per subsystem:
 //
 //	eventsim  – deterministic discrete-event engine
 //	topology  – CLOS fabrics and ECMP routing
@@ -21,38 +23,29 @@
 //	loop      – FSD aggregation, KL trigger, the shared decision step
 //	core      – the simulated tuning control loop
 //	tuner     – pluggable strategies: guided SA, multi-agent ECN, bandit
+//	dispatch  – guarded, canaried, crash-recoverable parameter rollout
 //	baselines – ACC, DCQCN+, NetFlow
 //	workload  – FB_Hadoop / SolarRPC / alltoall generators
-//	metrics   – slowdowns, CDFs, time series
+//	metrics   – slowdowns, CDFs, FCT summaries, CSV export
+//	chaos     – seeded fault injection: links, agents, rollouts, wire
+//	telemetry – metrics registry, /metrics and /debug endpoints, time
+//	            series and flight-recorder artifacts (telemetry/series)
+//	trace     – a run's one event log
+//	splitmix  – the shared SplitMix64 mixing primitives
 //	ctrlrpc   – the real TCP control plane
 //	harness   – the experiment table behind cmd/paraleon-sim
 package paraleon
 
 import (
 	"repro/internal/core"
-	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
-// Common durations of virtual time, in nanoseconds.
-const (
-	Millisecond = eventsim.Millisecond
-	Second      = eventsim.Second
-)
-
-// Params is the full DCQCN parameter vector (RNIC + switch ECN).
-type Params = dcqcn.Params
-
-// DefaultParams is the NVIDIA default setting; ExpertParams the hand-tuned
-// Table I setting.
-var (
-	DefaultParams = dcqcn.DefaultParams
-	ExpertParams  = dcqcn.ExpertParams
-)
+// Millisecond is one millisecond of virtual time, in nanoseconds.
+const Millisecond = eventsim.Millisecond
 
 // NewNetwork builds a wired, runnable RoCEv2 fabric simulation;
 // DefaultNetworkConfig is a small fast fabric.
@@ -62,37 +55,21 @@ var (
 )
 
 // Attach wires Paraleon (monitor + controller + tuner) onto a network;
-// DefaultSystemConfig is Table III, ShortSAConfig compresses the SA
-// schedule for short runs, ThroughputWeights are the utility weights
-// (0.5, 0.2, 0.3), and AttachPartitioned deploys one controller per
-// cluster of racks with heterogeneous parameters (§V).
+// DefaultSystemConfig is Table III.
 var (
 	Attach              = core.Attach
-	AttachPartitioned   = core.AttachPartitioned
 	DefaultSystemConfig = core.DefaultSystemConfig
-	ShortSAConfig       = tuner.ShortSAConfig
-	ThroughputWeights   = tuner.ThroughputWeights
 )
 
-// Workload generator configurations.
-type (
-	PoissonConfig  = workload.PoissonConfig
-	AlltoallConfig = workload.AlltoallConfig
-	InfluxConfig   = workload.InfluxConfig
-)
+// PoissonConfig configures InstallPoisson.
+type PoissonConfig = workload.PoissonConfig
 
-// InstallPoisson, InstallAlltoall and InstallInflux schedule traffic;
-// FBHadoop and SolarRPC are built-in flow-size distributions.
+// InstallPoisson schedules Poisson flow arrivals at a target load;
+// FBHadoop is the paper's built-in flow-size distribution.
 var (
-	InstallPoisson  = workload.InstallPoisson
-	InstallAlltoall = workload.InstallAlltoall
-	InstallInflux   = workload.InstallInflux
-	FBHadoop        = workload.FBHadoop
-	SolarRPC        = workload.SolarRPC
+	InstallPoisson = workload.InstallPoisson
+	FBHadoop       = workload.FBHadoop
 )
 
-// FCTSummary aggregates a finished run's flow completion times.
-type FCTSummary = metrics.FCTSummary
-
-// Summarize computes the FCTSummary of a run's completion records.
+// Summarize computes the FCT summary of a run's completion records.
 var Summarize = metrics.Summarize
