@@ -102,14 +102,14 @@ func main() {
 		select {
 		case <-tick:
 			st := srv.Stats()
-			fmt.Printf("stats: reports=%d ticks=%d triggers=%d dispatches=%d rejects=%d epoch=%d acks=%d in=%dB out=%dB cpu=%v\n",
+			fmt.Printf("stats: reports=%d ticks=%d triggers=%d dispatches=%d rejects=%d epoch=%d acks=%d in=%dB out=%dB cpu=%v journal=%v\n",
 				st.Reports, st.Ticks, st.Triggers, st.Dispatches, st.Rejects, srv.Epoch(), st.ApplyAcks,
-				st.BytesIn, st.BytesOut, st.Processing.Round(time.Microsecond))
+				st.BytesIn, st.BytesOut, st.Processing.Round(time.Microsecond), st.Journal.Round(time.Microsecond))
 		case <-stop:
 			st := srv.Stats()
-			fmt.Printf("\nfinal: reports=%d ticks=%d triggers=%d dispatches=%d rejects=%d epoch=%d acks=%d in=%dB out=%dB cpu=%v\n",
+			fmt.Printf("\nfinal: reports=%d ticks=%d triggers=%d dispatches=%d rejects=%d epoch=%d acks=%d in=%dB out=%dB cpu=%v journal=%v\n",
 				st.Reports, st.Ticks, st.Triggers, st.Dispatches, st.Rejects, srv.Epoch(), st.ApplyAcks,
-				st.BytesIn, st.BytesOut, st.Processing.Round(time.Microsecond))
+				st.BytesIn, st.BytesOut, st.Processing.Round(time.Microsecond), st.Journal.Round(time.Microsecond))
 			srv.Close()
 			if flight != nil {
 				// The daemon has no virtual clock; the artifact's time

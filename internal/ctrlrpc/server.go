@@ -94,8 +94,11 @@ type ServerStats struct {
 	// ApplyAcks counts agent apply acknowledgements.
 	ApplyAcks int64
 	// Processing is wall-clock time spent in KL computation and SA
-	// tuning — the controller CPU overhead.
+	// tuning — the controller CPU overhead. Journal is not in it.
 	Processing time.Duration
+	// Journal is wall-clock time spent appending dispatched epochs to the
+	// WAL, a FileWAL's fsync included.
+	Journal time.Duration
 }
 
 // Server is the centralized controller: it accepts agent connections,
@@ -380,8 +383,8 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) tick(t TickMsg) ParamsMsg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := time.Now()
-	defer func() { s.stats.Processing += time.Since(start) }()
+	start, journal := time.Now(), s.stats.Journal
+	defer func() { s.stats.Processing += time.Since(start) - (s.stats.Journal - journal) }()
 
 	// The whole tick holds s.mu, so no handler appends while reports is
 	// read and its backing array can take the next interval's reports.
@@ -461,7 +464,10 @@ func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
 			T: int64(now), Kind: dispatch.KindCommit,
 			Epoch: s.epoch + 1, Params: &s.proposal, Hash: dispatch.VectorHash(&s.proposal),
 		}
-		if err := s.cfg.WAL.Append(rec); err != nil {
+		start := time.Now()
+		err := s.cfg.WAL.Append(rec)
+		s.stats.Journal += time.Since(start)
+		if err != nil {
 			s.reject("wal_error", err.Error())
 			return false
 		}

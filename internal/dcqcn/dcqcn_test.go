@@ -195,6 +195,41 @@ func TestRPIs128Bytes(t *testing.T) {
 	}
 }
 
+// NewRP calls its params func once, and the RP reads the vector it got from
+// then on: not at Start, a cut, a throttled CNP, a byte credit, an early or
+// a real increase-timer fire, CatchUp, Alpha or Stop.
+func TestRPReadsParamsOnce(t *testing.T) {
+	p := DefaultParams()
+	us := eventsim.Microsecond
+	calls := 0
+	eng := eventsim.NewEngine(7)
+	rp := NewRP(eng, func() *Params { calls++; return &p }, 100e9)
+	rp.Start()
+	eng.RunUntil(3 * us)
+	rp.OnCNP() // a cut: the increase timer is due at 303 µs
+	rp.OnCNP() // throttled by rate_reduce_monitor_period
+	eng.RunUntil(eng.Now() + p.RateReduceMonitorPeriod)
+	rp.OnCNP() // a cut: the due moves to 307 µs, the event stays at 303 µs
+	rp.OnBytesSent(p.RPGByteReset)
+	if rp.Cuts != 2 || rp.Increases != 1 {
+		t.Fatalf("%d cuts and %d increases, want 2 and 1", rp.Cuts, rp.Increases)
+	}
+	eng.RunUntil(3*us + p.RPGTimeReset)
+	if eng.Processed != 1 || rp.Increases != 1 {
+		t.Fatalf("after the early fire: %d events, %d increases; want 1 and 1", eng.Processed, rp.Increases)
+	}
+	eng.RunUntil(7*us + p.RPGTimeReset)
+	if eng.Processed != 2 || rp.Increases != 2 {
+		t.Fatalf("after the real fire: %d events, %d increases; want 2 and 2", eng.Processed, rp.Increases)
+	}
+	rp.CatchUp()
+	rp.Alpha()
+	rp.Stop()
+	if calls != 1 {
+		t.Fatalf("the params func ran %d times, want 1", calls)
+	}
+}
+
 // hyperCount saturates rather than wraps, and at saturation a hyper
 // increase at the smallest hai_rate Specs() allows still reaches line rate.
 func TestRPHyperCountSaturates(t *testing.T) {
@@ -468,7 +503,7 @@ func TestQuickRPInvariants(t *testing.T) {
 func TestNPPacesCNPs(t *testing.T) {
 	p := DefaultParams()
 	p.MinTimeBetweenCNPs = 50 * eventsim.Microsecond
-	np := NewNP(func() *Params { return &p })
+	np := NewNP(&p)
 	if !np.OnECNMarked(0) {
 		t.Fatal("first marked packet must produce a CNP")
 	}
@@ -489,7 +524,7 @@ func TestNPPacesCNPs(t *testing.T) {
 func TestNPZeroPacingSendsEveryTime(t *testing.T) {
 	p := DefaultParams()
 	p.MinTimeBetweenCNPs = 0
-	np := NewNP(func() *Params { return &p })
+	np := NewNP(&p)
 	for i := 0; i < 5; i++ {
 		if !np.OnECNMarked(eventsim.Time(i)) {
 			t.Fatalf("CNP %d suppressed with zero pacing", i)
@@ -503,7 +538,7 @@ func TestQuickNPPacingBound(t *testing.T) {
 	f := func(gaps []uint16) bool {
 		p := DefaultParams()
 		p.MinTimeBetweenCNPs = 30 * eventsim.Microsecond
-		np := NewNP(func() *Params { return &p })
+		np := NewNP(&p)
 		now := eventsim.Time(0)
 		for _, g := range gaps {
 			now += eventsim.Time(g) * eventsim.Nanosecond

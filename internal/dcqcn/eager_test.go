@@ -187,7 +187,8 @@ func snapRef(rp *refRP) rpSnapshot {
 
 // Op kinds of an RP script. Every op first waits, then acts; a retune goes
 // through CatchUp on the RP, as rnic.Host.SetParams does before a network
-// setter writes.
+// setter writes, and a re-point is CatchUp then SetParams, as
+// rnic.Host.SetParams does for every QP.
 const (
 	opCNP         = iota // wait, then a CNP
 	opBytes              // wait, then bytes sent
@@ -198,6 +199,7 @@ const (
 	opRetuneG            // wait, then a new G
 	opRetuneAlpha        // wait, then a new alpha_update_interval
 	opRetuneTimer        // wait, then a new rpg_time_reset
+	opRepoint            // wait, then a second vector with new G, alpha_update_interval and rpg_time_reset
 	opKinds
 )
 
@@ -208,19 +210,21 @@ type rpOp struct {
 }
 
 // eagerPair drives an RP and its oracle through the same script, each on
-// its own engine with its own live parameters.
+// its own engine with its own live parameters and a spare vector that the
+// next re-point fills and moves onto.
 type eagerPair struct {
-	t             *testing.T
-	eng, rEng     *eventsim.Engine
-	live, refLive *Params
-	rp            *RP
-	ref           *refRP
+	t               *testing.T
+	eng, rEng       *eventsim.Engine
+	live, refLive   *Params
+	spare, refSpare *Params
+	rp              *RP
+	ref             *refRP
 }
 
 func newEagerPair(t *testing.T, p Params) *eagerPair {
 	e := &eagerPair{t: t, eng: eventsim.NewEngine(1), rEng: eventsim.NewEngine(1)}
-	live, refLive := p, p
-	e.live, e.refLive = &live, &refLive
+	live, refLive, spare, refSpare := p, p, p, p
+	e.live, e.refLive, e.spare, e.refSpare = &live, &refLive, &spare, &refSpare
 	e.rp = NewRP(e.eng, func() *Params { return e.live }, 100e9)
 	e.ref = newRefRP(e.rEng, func() *Params { return e.refLive }, 100e9)
 	e.rp.Start()
@@ -234,6 +238,22 @@ func (e *eagerPair) retune(set func(*Params)) {
 	e.rp.CatchUp()
 	set(e.live)
 	set(e.refLive)
+}
+
+// repoint moves both sides onto the spare vector, filled with the live one
+// but G, alpha_update_interval and rpg_time_reset drawn from value: the RP
+// by CatchUp and SetParams, the oracle through its func. The vector left
+// behind is the next re-point's spare.
+func (e *eagerPair) repoint(value int) {
+	next := *e.live
+	next.G = float64(1+value%256) / 256
+	next.AlphaUpdateInterval = eventsim.Time(1+value%97) * eventsim.Microsecond
+	next.RPGTimeReset = eventsim.Time(1+value%293) * eventsim.Microsecond
+	*e.spare, *e.refSpare = next, next
+	e.rp.CatchUp()
+	e.rp.SetParams(e.spare)
+	e.live, e.spare = e.spare, e.live
+	e.refLive, e.refSpare = e.refSpare, e.refLive
 }
 
 func (e *eagerPair) apply(i int, op rpOp) {
@@ -266,6 +286,8 @@ func (e *eagerPair) apply(i int, op rpOp) {
 		e.retune(func(p *Params) { p.AlphaUpdateInterval = eventsim.Time(1+op.value%100) * eventsim.Microsecond })
 	case opRetuneTimer:
 		e.retune(func(p *Params) { p.RPGTimeReset = eventsim.Time(1+op.value%300) * eventsim.Microsecond })
+	case opRepoint:
+		e.repoint(op.value)
 	}
 	if got, want := snapRP(e.rp), snapRef(e.ref); got != want {
 		e.t.Fatalf("op %d %+v diverges from the eager reference:\n  rp:  %+v\n  ref: %+v", i, op, got, want)
@@ -399,9 +421,9 @@ func randomScript(rng *rand.Rand, p Params, n int) []rpOp {
 }
 
 // TestRPMatchesEagerReference: after every op of every script — scripted
-// and randomized, under CNPs, bytes sent, waits, Stop/Start and retunes of
-// G, alpha_update_interval and rpg_time_reset — RP shows what the
-// two-timer reference shows, bit for bit.
+// and randomized, under CNPs, bytes sent, waits, Stop/Start, retunes of G,
+// alpha_update_interval and rpg_time_reset, and re-points onto another
+// vector — RP shows what the two-timer reference shows, bit for bit.
 func TestRPMatchesEagerReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -450,6 +472,32 @@ func TestRPMatchesEagerReference(t *testing.T) {
 			{kind: opIdle, wait: p.RPGTimeReset},
 			{kind: opIdle, wait: 100 * p.RPGTimeReset},
 		})
+	})
+	// A re-point between two alpha grid points with the increase timer
+	// armed, one back onto small intervals, and one in the middle of a
+	// CNP storm whose cuts keep moving the timer's due.
+	t.Run("repoint", func(t *testing.T) {
+		p := DefaultParams()
+		us := eventsim.Microsecond
+		i := p.AlphaUpdateInterval
+		newEagerPair(t, p).run([]rpOp{
+			{kind: opCNP, wait: 3 * us},
+			{kind: opCNP, wait: i / 3},
+			// G 128/256, alpha_update_interval 31 µs, rpg_time_reset 128 µs.
+			{kind: opRepoint, wait: i / 2, value: 127},
+			{kind: opGridCNP},
+			{kind: opCNP, wait: 5 * us},
+			{kind: opIdle, wait: 300 * us},
+			// G 6/256, alpha_update_interval 6 µs, rpg_time_reset 6 µs.
+			{kind: opRepoint, wait: 7, value: 5},
+			{kind: opCNP, wait: 13},
+			{kind: opIdle, wait: 100 * i},
+		})
+		storm := stormScript(p, p.RateReduceMonitorPeriod+7, 50, 250)
+		mid := len(storm) / 2
+		// G 201/256, alpha_update_interval 7 µs, rpg_time_reset 201 µs.
+		storm = append(storm[:mid:mid], append([]rpOp{{kind: opRepoint, value: 200}}, storm[mid:]...)...)
+		newEagerPair(t, p).run(append(storm, rpOp{kind: opIdle, wait: 10 * p.RPGTimeReset}))
 	})
 	t.Run("randomized", func(t *testing.T) {
 		p := DefaultParams()
@@ -534,6 +582,18 @@ func FuzzRPMatchesEager(f *testing.F) {
 	storm.RPGTimeReset = 40 * eventsim.Microsecond
 	f.Add(fuzzInput(0, append([]rpOp{{kind: opRetuneTimer, wait: 39, value: 39}},
 		stormScript(storm, 253<<4, 10, 100)...)))
+	// A re-point decodes its value from its wait bytes: 200 << 4 ns is
+	// value 4<<8 | 200, so G 201/256, alpha_update_interval 61 µs,
+	// rpg_time_reset 53 µs.
+	us := eventsim.Microsecond
+	f.Add(fuzzInput(1, []rpOp{
+		{kind: opCNP, wait: 3 * us},
+		{kind: opCNP, wait: 10 * us},
+		{kind: opRepoint, wait: 200 << 4},
+		{kind: opGridCNP},
+		{kind: opCNP, wait: 20 * us},
+		{kind: opIdle, wait: 2 * eventsim.Millisecond},
+	}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return

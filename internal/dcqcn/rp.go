@@ -37,16 +37,17 @@ import (
 // shorter than alpha_update_interval (Specs() allows 1 µs, Table III runs
 // 55 µs).
 //
-// Parameters are read through a func so that a centralized tuner can swap
-// the live Params without touching every QP: the next timer or CNP simply
-// observes the new values. A fire reads G and alpha_update_interval when it
-// is applied, so whoever changes either under a running RP calls CatchUp
-// first (rnic.Host.SetParams does, for every QP of the host); a fire at
-// the change's own nanosecond then runs on the old values, as it does
-// when the change comes at the end of that engine instant.
+// The RP reads its parameters through the pointer it was built with, so a
+// write through that pointer reaches it at the next timer, CNP or byte
+// credit, and SetParams points it at another vector. A fire reads G and
+// alpha_update_interval when it is applied, so whoever changes either
+// under a running RP, by writing or by re-pointing, calls CatchUp first
+// (rnic.Host.SetParams does, for every QP of the host); a fire at the
+// change's own nanosecond then runs on the old values, as it does when the
+// change comes at the end of that engine instant.
 type RP struct {
 	eng    *eventsim.Engine
-	params func() *Params
+	params *Params
 
 	lineRateBps float64
 
@@ -100,12 +101,13 @@ type RP struct {
 const alphaSnapFloor = 1e-21
 
 // NewRP returns a reaction point sending at line rate with alpha seeded
-// from the current parameters. params must never return nil.
+// from the parameters params returns. It calls params once and keeps the
+// vector it returns, which must not be nil.
 func NewRP(eng *eventsim.Engine, params func() *Params, lineRateBps float64) *RP {
 	p := params()
 	rp := &RP{
 		eng:         eng,
-		params:      params,
+		params:      p,
 		lineRateBps: lineRateBps,
 		rc:          lineRateBps,
 		rt:          lineRateBps,
@@ -121,7 +123,7 @@ func NewRP(eng *eventsim.Engine, params func() *Params, lineRateBps float64) *RP
 			return
 		}
 		rp.incAt = 0
-		p := rp.params()
+		p := rp.params
 		rp.tStage++
 		rp.increaseEvent(p)
 		if !rp.atLineRate() {
@@ -155,9 +157,9 @@ func (rp *RP) Start() {
 		return
 	}
 	rp.running = true
-	rp.alphaAt = rp.eng.Now() + rp.params().AlphaUpdateInterval
+	rp.alphaAt = rp.eng.Now() + rp.params.AlphaUpdateInterval
 	if !rp.atLineRate() {
-		rp.armIncreaseTimer(rp.params())
+		rp.armIncreaseTimer(rp.params)
 	}
 }
 
@@ -173,6 +175,12 @@ func (rp *RP) Stop() {
 	rp.eng.Cancel(rp.timerEv)
 }
 
+// SetParams points the RP at p, which must not be nil. Whoever re-points a
+// running RP onto a vector with another G or alpha_update_interval calls
+// CatchUp first. An armed increase timer keeps its due time, as it does
+// when rpg_time_reset is written in place.
+func (rp *RP) SetParams(p *Params) { rp.params = p }
+
 // CatchUp applies every alpha-decay fire at or before now, in order, as
 // the recurring timer did: decay by G unless a CNP came since the previous
 // fire, snap below alphaSnapFloor to 0, next fire one
@@ -181,7 +189,7 @@ func (rp *RP) Stop() {
 // CNP between two grid points costs one comparison.
 func (rp *RP) CatchUp() {
 	if rp.running && rp.alphaAt <= rp.eng.Now() {
-		rp.decayTo(rp.params(), rp.eng.Now())
+		rp.decayTo(rp.params, rp.eng.Now())
 	}
 }
 
@@ -217,7 +225,7 @@ func (rp *RP) armIncreaseTimer(p *Params) {
 // rises immediately; the multiplicative cut is throttled by
 // rate_reduce_monitor_period.
 func (rp *RP) OnCNP() {
-	p := rp.params()
+	p := rp.params
 	now := rp.eng.Now()
 	if rp.running && rp.alphaAt <= now {
 		rp.decayTo(p, now)
@@ -258,7 +266,7 @@ func (rp *RP) OnCNP() {
 // OnBytesSent credits transmitted bytes toward byte-counter stages. The
 // caller invokes it per packet.
 func (rp *RP) OnBytesSent(n int64) {
-	p := rp.params()
+	p := rp.params
 	rp.byteCounter += n
 	for rp.byteCounter >= p.RPGByteReset {
 		rp.byteCounter -= p.RPGByteReset

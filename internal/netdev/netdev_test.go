@@ -316,6 +316,40 @@ func testFabric(t *testing.T, cfg SwitchConfig, params *dcqcn.Params) (*eventsim
 	return eng, topo, sw, sinks
 }
 
+// NewSwitch reads its vector once, and every port marks by it: a write in
+// place, as sim.Network.ApplySwitchECN makes, retargets the marking law
+// without another call.
+func TestSwitchMarksByItsVector(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		NumToR: 1, NumLeaf: 0, HostsPerToR: 2,
+		HostLinkBps: 1e9, PropDelay: eventsim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dcqcn.DefaultParams()
+	calls := 0
+	sw := NewSwitch(eventsim.NewEngine(5), topo, topo.ToRs()[0], DefaultSwitchConfig(), func() *dcqcn.Params { calls++; return &p })
+	depth := int64(800 << 10)
+	for i := 0; i < sw.NumPorts(); i++ {
+		if got, want := sw.Port(i).marker(depth), p.MarkProbability(depth); got != want || got == 0 {
+			t.Fatalf("port %d marks %g at %d B, want %g", i, got, depth, want)
+		}
+	}
+	p.KminBytes, p.KmaxBytes, p.PMax = 1000<<10, 2000<<10, 0.5
+	for i := 0; i < sw.NumPorts(); i++ {
+		if got := sw.Port(i).marker(depth); got != 0 {
+			t.Fatalf("port %d marks %g at %d B under Kmin %d B", i, got, depth, p.KminBytes)
+		}
+		if got, want := sw.Port(i).marker(1500<<10), 0.25; got != want {
+			t.Fatalf("port %d marks %g at 1500 KB, want %g", i, got, want)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("the params func ran %d times, want 1", calls)
+	}
+}
+
 func TestSwitchForwardsToHost(t *testing.T) {
 	eng, topo, sw, sinks := testFabric(t, DefaultSwitchConfig(), defaultParamsPtr())
 	hosts := topo.Hosts()

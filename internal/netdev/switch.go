@@ -39,16 +39,14 @@ type SwitchStats struct {
 }
 
 // Switch is a shared-buffer output-queued switch with per-port DCQCN ECN
-// marking (the CP) and ingress-based PFC flow control. ECN thresholds are
-// read live through the params func, so a tuner can retarget Kmin/Kmax/Pmax
-// for this switch without reconstructing it.
+// marking (the CP) and ingress-based PFC flow control. Every port marks by
+// the vector NewSwitch was given, so a tuner retargets Kmin/Kmax/Pmax for
+// this switch by writing through that pointer.
 type Switch struct {
 	eng  *eventsim.Engine
 	topo *topology.Topology
 	node topology.NodeID
 	cfg  SwitchConfig
-
-	params func() *dcqcn.Params
 
 	ports        []*EgressPort
 	ingressBytes []int64
@@ -85,12 +83,13 @@ type release struct {
 
 // NewSwitch builds the device model for node within topo. Egress ports are
 // created per the node's topology ports but remain unwired; call WirePort
-// for each once the peer devices exist.
+// for each once the peer devices exist. NewSwitch calls params once and
+// marks by the vector it returns.
 func NewSwitch(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID, cfg SwitchConfig, params func() *dcqcn.Params) *Switch {
 	n := &topo.Nodes[node]
+	sp := params()
 	s := &Switch{
 		eng: eng, topo: topo, node: node, cfg: cfg,
-		params:       params,
 		ingressBytes: make([]int64, len(n.Ports)),
 		pauseSent:    make([]bool, len(n.Ports)),
 	}
@@ -98,7 +97,7 @@ func NewSwitch(eng *eventsim.Engine, topo *topology.Topology, node topology.Node
 	for i, lid := range n.Ports {
 		l := &topo.Links[lid]
 		p := NewEgressPort(eng, l.RateBps, l.PropDelay, PortSeed(eng.Seed(), node, i))
-		p.SetMarker(func(depth int64) float64 { return s.params().MarkProbability(depth) })
+		p.SetMarker(sp.MarkProbability)
 		p.sw, p.index = s, i
 		s.ports[i] = p
 	}

@@ -60,8 +60,9 @@ type Host struct {
 	node topology.NodeID
 
 	// shared is the fabric-wide RNIC vector and override this host's own,
-	// nil when it follows shared. params reads whichever is in force; it
-	// is built once and handed to every QP and NP of the host.
+	// nil when it follows shared. Every QP and NP of the host points at
+	// whichever is in force, and SetParams re-points them. params returns
+	// it; it is built once for dcqcn.NewRP.
 	shared, override *dcqcn.Params
 	params           func() *dcqcn.Params
 
@@ -176,15 +177,21 @@ func (h *Host) Override() *dcqcn.Params { return h.override }
 
 // SetParams is the one way this RNIC's parameters change. It first brings
 // every QP's alpha decay up to now on the parameters it ran on, then makes
-// override (nil: the shared vector) the one its QPs and NPs read. A caller
-// about to write G or alpha_update_interval into a vector this host reads
-// calls it first, with the override it wants to keep; DCQCN+ rewrites the
-// other fields of its overrides in place.
+// override (nil: the shared vector) the one its QPs and NPs read and
+// points each of them at it. A caller about to write G or
+// alpha_update_interval into a vector this host reads calls it first, with
+// the override it wants to keep; DCQCN+ rewrites the other fields of its
+// overrides in place.
 func (h *Host) SetParams(override *dcqcn.Params) {
+	h.override = override
+	p := h.params()
 	for _, f := range h.sendFlows {
 		f.rp.CatchUp()
+		f.rp.SetParams(p)
 	}
-	h.override = override
+	for _, rf := range h.rx {
+		rf.np.SetParams(p)
+	}
 }
 
 // ActiveFlows reports the number of in-progress sending flows.
@@ -216,7 +223,7 @@ func (h *Host) StartFlow(id uint64, dst topology.NodeID, size int64) *SendFlow {
 // ExpectFlow registers an inbound flow at the receiver so completion can
 // be detected and timed from its true start.
 func (h *Host) ExpectFlow(id uint64, src topology.NodeID, size int64, start eventsim.Time) {
-	h.rx[id] = &recvFlow{src: src, expected: size, start: start, np: dcqcn.NewNP(h.params)}
+	h.rx[id] = &recvFlow{src: src, expected: size, start: start, np: dcqcn.NewNP(h.params())}
 }
 
 // schedule is the QP arbiter: while the uplink is free and unpaused, the
@@ -302,7 +309,7 @@ func (h *Host) Receive(pkt *netdev.Packet, inPort int) {
 		if rf == nil {
 			// Unregistered flow (e.g. raw injection in tests): track it
 			// so NP behaviour still applies, but never complete it.
-			rf = &recvFlow{src: pkt.Src, expected: -1, np: dcqcn.NewNP(h.params)}
+			rf = &recvFlow{src: pkt.Src, expected: -1, np: dcqcn.NewNP(h.params())}
 			h.rx[pkt.FlowID] = rf
 		}
 		rf.got += int64(pkt.PayloadBytes)

@@ -389,3 +389,55 @@ func TestUplinkNeverHoldsTwoDataPackets(t *testing.T) {
 		t.Fatalf("scenario did not interleave control traffic (CNPs %d, probes %d)", a.Stats.CNPsSent, a.Stats.ProbesSent)
 	}
 }
+
+// Every QP and NP of a host runs on the vector SetParams last put in force,
+// whether it was registered before or after the call, and a write in place
+// into that vector reaches it without one. A CNP's alpha update shows the
+// G a QP reads; a second marked packet in one nanosecond shows the
+// min_time_between_cnps an NP reads.
+func TestSetParamsRepointsQPsAndNPs(t *testing.T) {
+	shared := dcqcn.DefaultParams()
+	shared.InitialAlpha = 0
+	r := newRig(t, shared)
+	h, dst := r.hosts[0], r.hosts[1].NodeID()
+	override := *r.params
+	override.G = 1.0 / 2
+	override.MinTimeBetweenCNPs = 0
+	var id uint64
+	register := func() {
+		id++
+		h.StartFlow(id, dst, 1<<20)
+		id++
+		h.ExpectFlow(id, dst, 1<<20, 0)
+	}
+	check := func(when string, want *dcqcn.Params) {
+		t.Helper()
+		for _, f := range h.sendFlows {
+			before := f.rp.Alpha()
+			f.rp.OnCNP()
+			if got := f.rp.Alpha(); got != (1-want.G)*before+want.G {
+				t.Fatalf("%s: QP %d updates alpha %g to %g, not by G = %g", when, f.ID, before, got, want.G)
+			}
+		}
+		for fid, rf := range h.rx {
+			rf.np.OnECNMarked(r.eng.Now())
+			if got := rf.np.OnECNMarked(r.eng.Now()); got != (want.MinTimeBetweenCNPs == 0) {
+				t.Fatalf("%s: NP of flow %d sends a second CNP in one nanosecond: %v, want %v", when, fid, got, !got)
+			}
+		}
+	}
+	register()
+	check("shared", r.params)
+	h.SetParams(&override)
+	register()
+	check("override", &override)
+	h.SetParams(nil)
+	register()
+	check("shared again", r.params)
+	r.params.G = 1.0 / 8
+	r.params.MinTimeBetweenCNPs = 0
+	check("written in place", r.params)
+	if len(h.sendFlows) != 3 || len(h.rx) != 3 {
+		t.Fatalf("%d QPs and %d NPs, want 3 and 3", len(h.sendFlows), len(h.rx))
+	}
+}
