@@ -53,10 +53,14 @@ func TestRunStaticScheme(t *testing.T) {
 	if perTx := float64(tm.Events.Value()) / float64(tx); perTx >= 2 {
 		t.Errorf("%.3f events per transmission, want < 2", perTx)
 	}
+	if pkts, bytes := r.Net.PacketsAllocated(); pkts == 0 || tm.PacketsAllocated.Value() != float64(pkts) || tm.PacketBytes.Value() != float64(bytes) {
+		t.Errorf("published %g packets allocated (%g B), network allocated %d (%d B)",
+			tm.PacketsAllocated.Value(), tm.PacketBytes.Value(), pkts, bytes)
+	}
 	var rep strings.Builder
 	sc.SystemCfg.Telemetry.BuildReport().Fprint(&rep)
-	if !strings.Contains(rep.String(), "  ports: ") {
-		t.Errorf("report has no ports line:\n%s", rep.String())
+	if !strings.Contains(rep.String(), "  ports: ") || !strings.Contains(rep.String(), " packets allocated (") {
+		t.Errorf("report has no ports line with packets allocated:\n%s", rep.String())
 	}
 }
 

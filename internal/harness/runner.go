@@ -497,6 +497,9 @@ func publishEngine(reg *telemetry.Registry, n *sim.Network) {
 	tx, timers := n.PortTotals()
 	tm.Transmissions.Add(tx)
 	tm.TxTimers.Add(timers)
+	pkts, bytes := n.PacketsAllocated()
+	tm.PacketsAllocated.SetMax(float64(pkts))
+	tm.PacketBytes.SetMax(float64(bytes))
 }
 
 // buildSources wires the FSD inputs for a Paraleon-kind scheme, composing

@@ -38,7 +38,7 @@ func TestFIFO(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		pkt := q.pop()
-		if pkt == nil || pkt.Seq != int64(i) || pkt.inPort != i {
+		if pkt == nil || pkt.Seq != int64(i) || int(pkt.inPort) != i {
 			t.Fatalf("pop %d: %+v", i, pkt)
 		}
 		if pkt.next != nil {

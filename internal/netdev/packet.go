@@ -86,8 +86,8 @@ type Packet struct {
 	// Seq is the first payload byte's offset within the message.
 	Seq int64
 	// PayloadBytes is the RDMA payload carried; WireBytes includes headers.
-	PayloadBytes int
-	WireBytes    int
+	PayloadBytes int32
+	WireBytes    int32
 
 	// SentAt is stamped by the sender, for RTT measurement and, on a PFC
 	// frame, to know when it lands (EgressPort.landsAfter).
@@ -100,7 +100,7 @@ type Packet struct {
 	// queued packet came in on (−1 for locally generated traffic), which the
 	// owning switch needs to release ingress PFC accounting when it leaves.
 	next   *Packet
-	inPort int
+	inPort int32
 
 	// The one-byte fields sit together so they share one word
 	// (TestPacketSizeClass).
@@ -187,7 +187,7 @@ func (p *PacketPool) Put(pkt *Packet) {
 func (p *PacketPool) NewDataPacket(flow uint64, src, dst topology.NodeID, seq int64, payload int, last bool) *Packet {
 	pkt := p.Get()
 	pkt.Kind, pkt.FlowID, pkt.Src, pkt.Dst = KindData, flow, src, dst
-	pkt.Seq, pkt.PayloadBytes, pkt.WireBytes = seq, payload, payload+HeaderBytes
+	pkt.Seq, pkt.PayloadBytes, pkt.WireBytes = seq, int32(payload), int32(payload+HeaderBytes)
 	pkt.Class, pkt.Last = ClassData, last
 	return pkt
 }

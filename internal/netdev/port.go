@@ -17,7 +17,7 @@ type fifo struct {
 
 // push queues pkt, which came in on inPort, at the tail.
 func (q *fifo) push(pkt *Packet, inPort int) {
-	pkt.inPort = inPort
+	pkt.inPort = int32(inPort)
 	if q.tail == nil {
 		q.head = pkt
 	} else {
@@ -70,11 +70,25 @@ type EgressPort struct {
 	// seed keys the port's ECN coins (see coin); PortSeed derives it.
 	seed uint64
 
-	peer     Device
-	peerPort int
+	peer Device
+	// peerPort is the port the peer receives on; index is this port's
+	// egress index on its owning switch (sw).
+	peerPort, index int32
 
 	queues [NumClasses]fifo
-	paused [NumClasses]bool
+
+	// The five flags sit together so they share one word
+	// (TestEgressPortSizeClass). paused is the PFC state per class; txArmed
+	// is described with the transmitter and pauseCounted with the pause
+	// accounting below. up is the link fault state (internal/chaos): a down
+	// link holds its queues — the sim has no link-layer retransmit, so
+	// dropping in-queue lossless traffic would strand flows forever;
+	// holding models an outage that upper layers experience as unbounded
+	// delay while ECMP routes new traffic around the port.
+	paused       [NumClasses]bool
+	txArmed      bool
+	up           bool
+	pauseCounted bool
 
 	// pool recycles packets this port originates (PFC frames). May be nil.
 	pool *PacketPool
@@ -87,7 +101,6 @@ type EgressPort struct {
 	// departure on time. Until a pending event has run the port counts as
 	// busy, so an Enqueue landing on the same nanosecond queues behind it.
 	busyUntil eventsim.Time
-	txArmed   bool
 	txDoneFn  eventsim.Handler
 
 	// wire and wireTail are the packets crossing the link, each from the
@@ -97,13 +110,6 @@ type EgressPort struct {
 	wire, wireTail *Packet
 	landFn         eventsim.Handler
 
-	// Link fault state (internal/chaos). A down link holds its queues —
-	// the sim has no link-layer retransmit, so dropping in-queue lossless
-	// traffic would strand flows forever; holding models an outage that
-	// upper layers experience as unbounded delay while ECMP routes new
-	// traffic around the port.
-	up bool
-
 	// marker returns the ECN mark probability for a class-0 queue depth;
 	// nil disables marking (host ports).
 	marker func(queueBytes int64) float64
@@ -112,21 +118,19 @@ type EgressPort struct {
 	// It records a buffer release at every transmit start and settles the
 	// due ones whenever a serialization-done event runs (see Switch.settle).
 	// Host ports have no owner to tell: the RNIC paces itself off BusyUntil.
-	sw    *Switch
-	index int
+	sw *Switch
 	// onResume, if set, is called when a PFC RESUME unpauses a class
 	// (host RNICs restart their flow scheduler here).
 	onResume func(class int)
 
-	// pause-duration accounting for the O_PFC utility term.
-	// pausedAccum is take-style (owned by the runtime collector);
-	// pausedTotal accumulates the same closed intervals forever so
-	// read-only consumers (the flight recorder) can take deltas
-	// without stealing from the collector.
-	pausedSince  eventsim.Time
-	pausedAccum  eventsim.Time
-	pausedTotal  eventsim.Time
-	pauseCounted bool
+	// pause-duration accounting for the O_PFC utility term, open while
+	// pauseCounted. pausedAccum is take-style (owned by the runtime
+	// collector); pausedTotal accumulates the same closed intervals forever
+	// so read-only consumers (the flight recorder) can take deltas without
+	// stealing from the collector.
+	pausedSince eventsim.Time
+	pausedAccum eventsim.Time
+	pausedTotal eventsim.Time
 
 	Stats PortStats
 }
@@ -177,7 +181,7 @@ func (p *EgressPort) SetLinkUp(up bool) {
 // with inPort = port.
 func (p *EgressPort) SetPeer(dev Device, port int) {
 	p.peer = dev
-	p.peerPort = port
+	p.peerPort = int32(port)
 }
 
 // SetMarker installs the ECN marking law (switch CP behaviour). The
@@ -313,7 +317,7 @@ func (p *EgressPort) kick() {
 		return
 	}
 	pkt := p.queues[class].pop()
-	p.transmit(pkt, pkt.inPort)
+	p.transmit(pkt, int(pkt.inPort))
 }
 
 // eligible picks the class to serve next — control first, then unpaused
@@ -353,9 +357,9 @@ func (p *EgressPort) transmit(pkt *Packet, inPort int) {
 	}
 	p.Stats.TxPackets++
 	p.Stats.TxBytes += wire
-	ser := p.serialization(pkt.WireBytes)
+	ser := p.serialization(int(pkt.WireBytes))
 	p.busyUntil = p.eng.Now() + ser
-	watch := p.sw != nil && p.sw.departing(p.index, pkt, inPort, p.busyUntil)
+	watch := p.sw != nil && p.sw.departing(int(p.index), pkt, inPort, p.busyUntil)
 	p.putOnWire(pkt, p.busyUntil+p.prop)
 	if watch || p.eligible() >= 0 {
 		p.armTxDone()
@@ -443,7 +447,7 @@ func (p *EgressPort) land() {
 		p.wireTail = nil
 	}
 	pkt.next = nil
-	p.peer.Receive(pkt, p.peerPort)
+	p.peer.Receive(pkt, int(p.peerPort))
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a

@@ -98,7 +98,7 @@ func NewSwitch(eng *eventsim.Engine, topo *topology.Topology, node topology.Node
 		l := &topo.Links[lid]
 		p := NewEgressPort(eng, l.RateBps, l.PropDelay, PortSeed(eng.Seed(), node, i))
 		p.SetMarker(sp.MarkProbability)
-		p.sw, p.index = s, i
+		p.sw, p.index = s, int32(i)
 		s.ports[i] = p
 	}
 	return s

@@ -6,6 +6,7 @@ package rnic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dcqcn"
@@ -87,31 +88,33 @@ type Host struct {
 
 	probeFn      eventsim.Handler
 	probeEv      eventsim.EventID
-	probeArmed   bool
 	probeEvery   eventsim.Time
 	rttNormSum   float64
 	rttNormCount int64
 
+	// The per-flow maps below stay nil until something uses them, so a
+	// host that no reader asks for flow records (a static drain's) holds
+	// none; reads, delete and clear on a nil map are no-ops.
+
 	// markedInbound collects inbound flows that saw ECN marks since the
 	// last TakeCongestedInbound (DCQCN+ uses this as its incast-scale
-	// signal). It is recorded only once RecordCongestedInbound has been
-	// called, so a host no reader drains holds it empty.
-	markedInbound       map[uint64]bool
-	recordMarkedInbound bool
+	// signal). RecordCongestedInbound makes it, and it is recorded only
+	// once made, so a host no reader drains holds none.
+	markedInbound map[uint64]bool
 
 	// dstSeen and dstList are scratch for walking the distinct
-	// destinations of sendFlows (probe ticks, ActiveDestinations).
+	// destinations of sendFlows (probe ticks, ActiveDestinations), made
+	// on the first walk.
 	dstSeen map[topology.NodeID]bool
 	dstList []topology.NodeID
 
 	// reportedSent tracks how many bytes of each flow TakeFlowBytes has
-	// already reported; finishedUnreported holds residue of flows that
-	// completed between takes. Together they realize the §V "per-QP
-	// counters in future RNICs" monitoring mode. finishedUnreported is
-	// recorded only once RecordFlowBytes has been called.
+	// already reported, made on its first call; finishedUnreported holds
+	// residue of flows that completed between takes, made by
+	// RecordFlowBytes and recorded only once made. Together they realize
+	// the §V "per-QP counters in future RNICs" monitoring mode.
 	reportedSent       map[uint64]int64
 	finishedUnreported map[uint64]int64
-	recordFlowBytes    bool
 
 	Stats HostStats
 }
@@ -131,13 +134,9 @@ func NewHost(eng *eventsim.Engine, topo *topology.Topology, node topology.NodeID
 	l := &topo.Links[n.Ports[0]]
 	h := &Host{
 		eng: eng, topo: topo, node: node, shared: shared,
-		byID:               map[uint64]*SendFlow{},
-		rx:                 map[uint64]*recvFlow{},
-		onComplete:         onComplete,
-		markedInbound:      map[uint64]bool{},
-		dstSeen:            map[topology.NodeID]bool{},
-		reportedSent:       map[uint64]int64{},
-		finishedUnreported: map[uint64]int64{},
+		byID:       map[uint64]*SendFlow{},
+		rx:         map[uint64]*recvFlow{},
+		onComplete: onComplete,
 	}
 	h.port = netdev.NewEgressPort(eng, l.RateBps, l.PropDelay, netdev.PortSeed(eng.Seed(), node, 0))
 	h.port.SetOnResume(func(class int) { h.schedule() })
@@ -284,16 +283,15 @@ func (h *Host) sendPacket(f *SendFlow) {
 
 func (h *Host) finishSendFlow(f *SendFlow) {
 	f.rp.Stop()
-	if residue := f.Sent - h.reportedSent[f.ID]; h.recordFlowBytes && residue > 0 {
+	if residue := f.Sent - h.reportedSent[f.ID]; h.finishedUnreported != nil && residue > 0 {
 		h.finishedUnreported[f.ID] += residue
 	}
 	delete(h.reportedSent, f.ID)
 	delete(h.byID, f.ID)
-	for i, g := range h.sendFlows {
-		if g == f {
-			h.sendFlows = append(h.sendFlows[:i], h.sendFlows[i+1:]...)
-			break
-		}
+	// slices.Delete clears the vacated tail slot, so a finished flow and
+	// its RP are not kept reachable by the slice's spare capacity.
+	if i := slices.Index(h.sendFlows, f); i >= 0 {
+		h.sendFlows = slices.Delete(h.sendFlows, i, i+1)
 	}
 }
 
@@ -313,7 +311,7 @@ func (h *Host) Receive(pkt *netdev.Packet, inPort int) {
 			h.rx[pkt.FlowID] = rf
 		}
 		rf.got += int64(pkt.PayloadBytes)
-		if pkt.ECNMarked && h.recordMarkedInbound {
+		if pkt.ECNMarked && h.markedInbound != nil {
 			h.markedInbound[pkt.FlowID] = true
 		}
 		if pkt.ECNMarked && rf.np.OnECNMarked(h.eng.Now()) {
@@ -371,21 +369,25 @@ func (h *Host) StartProbing(every eventsim.Time) {
 	h.armProbe()
 }
 
-// StopProbing cancels periodic probing.
-func (h *Host) StopProbing() {
-	if h.probeArmed {
-		h.eng.Cancel(h.probeEv)
-		h.probeArmed = false
-	}
-}
+// StopProbing cancels periodic probing. A probe event that already fired
+// or was cancelled leaves a stale ID, which Cancel ignores.
+func (h *Host) StopProbing() { h.eng.Cancel(h.probeEv) }
 
 func (h *Host) armProbe() {
-	h.probeArmed = true
 	h.probeEv = h.eng.RearmAfter(h.probeEv, h.probeEvery, h.probeFn)
 }
 
-func (h *Host) sendProbes() {
+// resetDstSeen empties the destination scratch set, making it on the first
+// walk: only probing hosts and DCQCN+'s reader ever walk destinations.
+func (h *Host) resetDstSeen() {
+	if h.dstSeen == nil {
+		h.dstSeen = map[topology.NodeID]bool{}
+	}
 	clear(h.dstSeen)
+}
+
+func (h *Host) sendProbes() {
+	h.resetDstSeen()
 	for _, f := range h.sendFlows {
 		if h.dstSeen[f.Dst] {
 			continue
@@ -413,7 +415,11 @@ func (h *Host) TakeRTT() (sumNorm float64, count int64) {
 // RecordCongestedInbound starts recording which inbound flows see ECN
 // marks; the reader that will call TakeCongestedInbound turns it on when it
 // is built. Until then the host keeps no per-flow record.
-func (h *Host) RecordCongestedInbound() { h.recordMarkedInbound = true }
+func (h *Host) RecordCongestedInbound() {
+	if h.markedInbound == nil {
+		h.markedInbound = map[uint64]bool{}
+	}
+}
 
 // TakeCongestedInbound reports how many distinct inbound flows received
 // ECN-marked packets since the previous call, then resets the set. This
@@ -428,7 +434,11 @@ func (h *Host) TakeCongestedInbound() int {
 // RecordFlowBytes starts recording the unreported residue of flows that
 // complete; the reader that will call TakeFlowBytes turns it on when it is
 // built. Until then a completed flow leaves nothing behind.
-func (h *Host) RecordFlowBytes() { h.recordFlowBytes = true }
+func (h *Host) RecordFlowBytes() {
+	if h.finishedUnreported == nil {
+		h.finishedUnreported = map[uint64]int64{}
+	}
+}
 
 // TakeFlowBytes reports, per flow this RNIC sent on since the previous
 // call, the payload bytes transmitted in that window — exact per-QP
@@ -436,6 +446,9 @@ func (h *Host) RecordFlowBytes() { h.recordFlowBytes = true }
 // flow ID; flows that completed between takes contribute their residue
 // if RecordFlowBytes was called.
 func (h *Host) TakeFlowBytes() []FlowBytes {
+	if h.reportedSent == nil {
+		h.reportedSent = map[uint64]int64{}
+	}
 	out := make([]FlowBytes, 0, len(h.sendFlows)+len(h.finishedUnreported))
 	for _, f := range h.sendFlows {
 		delta := f.Sent - h.reportedSent[f.ID]
@@ -463,7 +476,7 @@ type FlowBytes struct {
 // sending flows, in first-flow order. The slice is the host's scratch: it
 // is valid until the next call.
 func (h *Host) ActiveDestinations() []topology.NodeID {
-	clear(h.dstSeen)
+	h.resetDstSeen()
 	h.dstList = h.dstList[:0]
 	for _, f := range h.sendFlows {
 		if !h.dstSeen[f.Dst] {

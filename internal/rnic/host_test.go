@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
@@ -85,7 +86,7 @@ func TestSegmentationAndCompletion(t *testing.T) {
 	if len(data) != 3 {
 		t.Fatalf("saw %d data packets, want 3", len(data))
 	}
-	wantPayloads := []int{1000, 1000, 500}
+	wantPayloads := []int32{1000, 1000, 500}
 	wantSeqs := []int64{0, 1000, 2000}
 	for i, pkt := range data {
 		if pkt.PayloadBytes != wantPayloads[i] || pkt.Seq != wantSeqs[i] {
@@ -218,10 +219,42 @@ func TestUnreadFlowRecordsStayEmpty(t *testing.T) {
 		t.Fatalf("%d of %d flows completed, %d CNPs sent", len(r.done), flows, b.Stats.CNPsSent)
 	}
 	for _, h := range r.hosts {
-		if len(h.markedInbound) != 0 || len(h.finishedUnreported) != 0 {
-			t.Errorf("host %d holds %d congested-inbound and %d unreported-flow records with no reader",
-				h.NodeID(), len(h.markedInbound), len(h.finishedUnreported))
+		if h.markedInbound != nil || h.finishedUnreported != nil || h.reportedSent != nil || h.dstSeen != nil {
+			t.Errorf("host %d made a per-flow map with no reader: congested-inbound %v, unreported %v, reported %v, destinations %v",
+				h.NodeID(), h.markedInbound != nil, h.finishedUnreported != nil, h.reportedSent != nil, h.dstSeen != nil)
 		}
+	}
+}
+
+// TestFinishedFlowsAreNotRetained pins that removing a finished flow from
+// sendFlows clears the slot it vacates: a stale pointer in the slice's spare
+// capacity would keep the flow and its reaction point reachable until a
+// later StartFlow overwrote it, which never happens for a host's last flow.
+func TestFinishedFlowsAreNotRetained(t *testing.T) {
+	r := newRig(t, dcqcn.DefaultParams())
+	a, b := r.hosts[0], r.hosts[1]
+	// Different sizes finish out of start order, from the middle of the
+	// slice as well as its ends.
+	for id, size := range []int64{4000, 1000, 8000, 2000} {
+		b.ExpectFlow(uint64(id), a.NodeID(), size, r.eng.Now())
+		a.StartFlow(uint64(id), b.NodeID(), size)
+	}
+	r.eng.RunUntil(r.eng.Now() + eventsim.Millisecond)
+	if len(r.done) != 4 || a.ActiveFlows() != 0 {
+		t.Fatalf("%d of 4 flows completed, %d still sending", len(r.done), a.ActiveFlows())
+	}
+	for i, f := range a.sendFlows[:cap(a.sendFlows)] {
+		if f != nil {
+			t.Errorf("sendFlows[%d] past the end still holds finished flow %d", i, f.ID)
+		}
+	}
+}
+
+// TestHostSizeClass pins the RNIC inside Go's 288-byte size class: the
+// 4096-host CLOS builds one per host.
+func TestHostSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Host{}); size > 288 {
+		t.Fatalf("Host is %d bytes, want <= 288", size)
 	}
 }
 

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"repro/internal/dcqcn"
 	"repro/internal/eventsim"
@@ -396,6 +397,12 @@ func (n *Network) IdealFCT(src, dst topology.NodeID, size int64) eventsim.Time {
 // PacketPool exposes the network-wide packet free-list (pool hit-rate
 // accounting in overhead reports and tests).
 func (n *Network) PacketPool() *netdev.PacketPool { return n.pool }
+
+// PacketsAllocated reports how many packets the pool allocated rather than
+// recycled, and their bytes: the packet heap the run grew to.
+func (n *Network) PacketsAllocated() (packets, bytes int64) {
+	return n.pool.Fresh, n.pool.Fresh * int64(unsafe.Sizeof(netdev.Packet{}))
+}
 
 // PortTotals sums, over every egress port of the fabric, the packets
 // transmitted and the transmissions that needed a serialization timer

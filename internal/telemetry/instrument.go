@@ -252,6 +252,11 @@ type EngineMetrics struct {
 	// of the delivery (netdev.PortStats.TxTimers).
 	Transmissions *Counter
 	TxTimers      *Counter
+	// PacketsAllocated and PacketBytes are the largest number of packets,
+	// and their bytes, that one run's packet pool allocated rather than
+	// recycled (netdev.PacketPool.Fresh): the data plane's packet heap.
+	PacketsAllocated *Gauge
+	PacketBytes      *Gauge
 }
 
 // Engine metric names, shared with Report's derived summary.
@@ -262,6 +267,8 @@ const (
 	engineVirtualNs = "paraleon_engine_virtual_ns_total"
 	portTx          = "paraleon_port_transmissions_total"
 	portTxTimers    = "paraleon_port_tx_timers_total"
+	poolPackets     = "paraleon_pool_packets_allocated"
+	poolBytes       = "paraleon_pool_packet_bytes_allocated"
 )
 
 // NewEngineMetrics resolves the engine family set from r.
@@ -275,6 +282,9 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 
 		Transmissions: r.Counter(portTx, "Packets put on a wire by egress ports, summed over runs."),
 		TxTimers:      r.Counter(portTxTimers, "Transmissions that needed a serialization-done event besides the delivery."),
+
+		PacketsAllocated: r.Gauge(poolPackets, "Largest number of packets one run's pool allocated rather than recycled."),
+		PacketBytes:      r.Gauge(poolBytes, "Bytes of the packets counted by paraleon_pool_packets_allocated."),
 	}
 }
 

@@ -88,8 +88,8 @@ func (rep Report) Fprint(w io.Writer) {
 			events, events/(wall/1e9), (wall/1e9)/(virt/1e6), rep.value(engineRelinks)/events)
 		if tx := rep.value(portTx); tx > 0 {
 			timers := rep.value(portTxTimers)
-			fmt.Fprintf(w, "  ports: %.0f transmissions, %.0f serialization timers (%.1f %%), %.3f events per transmission\n",
-				tx, timers, 100*timers/tx, events/tx)
+			fmt.Fprintf(w, "  ports: %.0f transmissions, %.0f serialization timers (%.1f %%), %.3f events per transmission, %.0f packets allocated (%.2f MB)\n",
+				tx, timers, 100*timers/tx, events/tx, rep.value(poolPackets), rep.value(poolBytes)/(1<<20))
 		}
 	}
 	for _, m := range rep.Metrics {

@@ -15,7 +15,7 @@ import (
 )
 
 // NodeID identifies a node within one Topology.
-type NodeID int
+type NodeID int32
 
 // Kind distinguishes traffic endpoints from forwarding devices.
 type Kind int
