@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"repro/cmd/internal/telhttp"
 	"repro/internal/eventsim"
 	"repro/internal/harness"
 	"repro/internal/sim"
@@ -33,9 +34,9 @@ func main() {
 	report := flag.Bool("report", false, "print a telemetry run summary after the run")
 	flag.Parse()
 
-	var telemetrySrv *telemetry.HTTPServer
+	var telemetrySrv *telhttp.HTTPServer
 	if *telemetryAddr != "" {
-		srv, err := telemetry.Serve(nil, *telemetryAddr, telemetry.Default())
+		srv, err := telhttp.Serve(nil, *telemetryAddr, telemetry.Default())
 		if err != nil {
 			log.Fatalf("telemetry: %v", err)
 		}

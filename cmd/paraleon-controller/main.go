@@ -18,6 +18,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/telhttp"
 	"repro/internal/ctrlrpc"
 	"repro/internal/dispatch"
 	"repro/internal/eventsim"
@@ -42,9 +43,9 @@ func main() {
 	blackbox := flag.String("blackbox", "", "flight-recorder artifact written on shutdown (read with paraleon-analyze)")
 	flag.Parse()
 
-	var telemetrySrv *telemetry.HTTPServer
+	var telemetrySrv *telhttp.HTTPServer
 	if *telemetryAddr != "" {
-		tsrv, err := telemetry.Serve(nil, *telemetryAddr, telemetry.Default())
+		tsrv, err := telhttp.Serve(nil, *telemetryAddr, telemetry.Default())
 		if err != nil {
 			log.Fatalf("telemetry: %v", err)
 		}

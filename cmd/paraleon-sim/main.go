@@ -22,10 +22,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
+	"repro/cmd/internal/telhttp"
 	"repro/internal/eventsim"
 	"repro/internal/harness"
 	"repro/internal/telemetry"
@@ -108,7 +110,7 @@ func main() {
 	ctrace := flag.String("chaos-trace", "", "file for the chaos experiments' JSONL event trace")
 	blackbox := flag.String("blackbox", "", "file for the chaos experiments' flight-recorder artifact (read with paraleon-analyze)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to this file when the run ends (alloc_space counts every allocation; inuse_space is the heap live after the last arm, not its peak)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/status and /debug/pprof on this address (e.g. 127.0.0.1:9100)")
 	telemetryHold := flag.Duration("telemetry-hold", 0, "keep the telemetry server up this long after experiments finish (requires -telemetry-addr)")
 	report := flag.Bool("report", false, "print a telemetry run summary after experiments finish")
@@ -175,9 +177,9 @@ func main() {
 		fail(1, "%v", err)
 	}
 
-	var telemetrySrv *telemetry.HTTPServer
+	var telemetrySrv *telhttp.HTTPServer
 	if *telemetryAddr != "" {
-		srv, err := telemetry.Serve(nil, *telemetryAddr, telemetry.Default())
+		srv, err := telhttp.Serve(nil, *telemetryAddr, telemetry.Default())
 		if err != nil {
 			fail(1, "telemetry: %v", err)
 		}
@@ -217,6 +219,10 @@ func main() {
 		}
 	}
 	if *memProfile != "" {
+		// A heap profile counts allocations up to the last finished GC
+		// cycle; collect first, as go test -memprofile does, so the
+		// profile holds every allocation of the run.
+		runtime.GC()
 		f, err := os.Create(*memProfile)
 		if err == nil {
 			err = pprof.Lookup("allocs").WriteTo(f, 0)

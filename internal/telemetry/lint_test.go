@@ -9,7 +9,7 @@ import (
 
 // metricNameRe is the project's naming contract: every runtime metric
 // is lowercase snake_case under the paraleon_ prefix. The registry's
-// own nameRe is looser (it allows anything Prometheus allows); this
+// own validName is looser (it allows anything Prometheus allows); this
 // test pins the stricter house style.
 var metricNameRe = regexp.MustCompile(`^paraleon_[a-z0-9_]+$`)
 

@@ -1,8 +1,9 @@
 // Package telemetry is Paraleon's runtime observability layer: a
 // low-overhead metrics registry (counters, gauges, fixed-bucket
-// histograms), an HTTP introspection server (Prometheus text-format
-// /metrics, net/http/pprof, a JSON /debug/status snapshot), and a
-// run-summary Report generator.
+// histograms) with Prometheus text exposition and pulled status
+// sections, and a run-summary Report generator. The binaries serve a
+// registry over HTTP with cmd/internal/telhttp; this package links no
+// HTTP stack.
 //
 // The closed loop the paper describes — monitor intervals feeding
 // KL-divergence triggers, triggers driving an SA search, the search
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"sort"
 	"strconv"
 	"sync"
@@ -193,7 +193,22 @@ type family struct {
 	h    *Histogram
 }
 
-var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+// validName reports whether name is a Prometheus metric name,
+// [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':':
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Registry holds metric families and status sections. Metric lookups
 // (Counter/Gauge/Histogram) are get-or-create: asking for an existing
@@ -230,7 +245,7 @@ func Default() *Registry {
 }
 
 func (r *Registry) lookup(name, help string, kind metricKind) *family {
-	if !nameRe.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	r.mu.Lock()
@@ -267,7 +282,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // fixed for the registry's lifetime (an existing histogram keeps its
 // original layout).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if !nameRe.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	for i := 1; i < len(bounds); i++ {

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +115,14 @@ func TestGetOrCreateAndKindMismatch(t *testing.T) {
 			}
 		}()
 		r.Counter("bad name with spaces", "")
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("invalid histogram name did not panic")
+			}
+		}()
+		r.Histogram("9starts_with_digit", "", []float64{1})
 	}()
 	func() {
 		defer func() {
@@ -262,4 +272,36 @@ func TestStatusCell(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Set(loop{Ticks: 3}) }); n != 0 {
 		t.Errorf("Set allocates %.0f objects", n)
 	}
+}
+
+// TestValidNameMatchesRegexp checks validName against the Prometheus
+// name pattern on every string of up to three bytes over an alphabet
+// that holds both ends of each class and the bytes just outside them.
+func TestValidNameMatchesRegexp(t *testing.T) {
+	re := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	alphabet := []byte("azAZ09_:@[`{/;- \xc3")
+	names := []string{""}
+	for n, prev := 0, []string{""}; n < 3; n++ {
+		var next []string
+		for _, p := range prev {
+			for _, c := range alphabet {
+				next = append(next, p+string([]byte{c}))
+			}
+		}
+		names, prev = append(names, next...), next
+	}
+	for _, name := range names {
+		if got, want := validName(name), re.MatchString(name); got != want {
+			t.Errorf("validName(%q) = %v, regexp says %v", name, got, want)
+		}
+	}
+}
+
+// Example of correlating a scrape with virtual time: the gauge moves as
+// the loop ticks, and /debug/status reports the same clock.
+func ExampleVirtualTime() {
+	r := NewRegistry()
+	VirtualTime(r).Set(2e6)
+	fmt.Println(int64(VirtualTime(r).Value()))
+	// Output: 2000000
 }
