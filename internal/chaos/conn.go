@@ -12,15 +12,16 @@ import (
 // short on purpose.
 var ErrInjectedTruncation = errors.New("chaos: injected frame truncation")
 
-// DefaultDropTimeout bounds how long a request whose frame was dropped
-// can hang: the drop arms a read deadline so the caller's pending
-// response read fails instead of blocking forever (the ctrlrpc protocol
-// is synchronous request/response with no other timeout).
+// DefaultDropTimeout bounds how long a caller whose frames were dropped
+// can hang: the drop arms a read deadline so the caller's wait for the
+// acks or the reply that will never come fails instead of blocking
+// forever (a ctrlrpc client without a Timeout has no other deadline).
 const DefaultDropTimeout = 50 * time.Millisecond
 
 // ConnFaults configures control-plane transport faults. Probabilities
-// are per Write call; the ctrlrpc client flushes exactly one frame per
-// Write, so these are effectively per-frame.
+// are per Write call. A ctrlrpc client's Write carries every frame it
+// buffered since its last flush; in wire runs each agent's Write still
+// carries one report, or one apply-ack, so there they are per frame.
 type ConnFaults struct {
 	// Seed drives the per-connection RNG; 0 falls back to the scenario
 	// seed (or 1 standalone). The transport runs on real TCP threads, so

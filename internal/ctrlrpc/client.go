@@ -11,27 +11,38 @@ import (
 )
 
 // Client is one agent's (or the tick driver's) connection to the
-// controller. Calls are synchronous request/response; a Client is not
-// safe for concurrent use.
+// controller. A report is a one-way frame: SendReport only buffers it and
+// counts its ack as owed, and Sync, or the next Tick or SendApplyAck,
+// sends every buffered frame in one write and reads the owed acks before
+// its own reply. After an error the connection is out of step and should
+// be closed. A Client is not safe for concurrent use.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	rbuf []byte // reply payloads are read into this, valid until the next call
+	// owed counts the reports whose acks have not been read.
+	owed int
 
-	// Timeout, when > 0, bounds each frame write and each response read
+	// Timeout, when > 0, bounds each flush and each wait for replies
 	// with a connection deadline, so a hung controller fails the call
 	// instead of wedging the agent's dispatch loop forever. 0 keeps the
 	// pre-deadline behaviour (block indefinitely).
 	Timeout time.Duration
 
 	// BytesIn and BytesOut count wire traffic for overhead accounting.
+	// A frame counts in BytesOut when it is buffered.
 	BytesIn, BytesOut int64
 
 	// TM, when non-nil, mirrors frame and byte flow into the telemetry
 	// registry.
 	TM *telemetry.RPCMetrics
 }
+
+// maxOwed bounds the acks a Client lets go unread: SendReport syncs on
+// its own once this many are owed, so a caller that never syncs cannot
+// fill both ends' socket buffers and wedge them.
+const maxOwed = 64
 
 // Dial connects to a controller with a sane timeout.
 func Dial(addr string) (*Client, error) {
@@ -52,48 +63,97 @@ func NewClient(conn net.Conn) *Client {
 	}
 }
 
-// Close tears the connection down.
+// Close tears the connection down; reports not yet synced are lost.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(typ byte, msg any) (byte, []byte, error) {
+// send buffers one frame.
+func (c *Client) send(typ byte, msg any) error {
 	if c.Timeout > 0 {
+		// The frame flushes the buffer first when it is full.
 		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
 	}
-	n, err := WriteFrame(c.bw, typ, msg)
+	n, err := appendFrame(c.bw, typ, msg)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	c.BytesOut += int64(n)
 	if c.TM != nil {
 		c.TM.FramesOut.Inc()
 		c.TM.BytesOut.Add(int64(n))
 	}
+	return nil
+}
+
+// read reads one reply frame.
+func (c *Client) read() (byte, []byte, error) {
+	typ, payload, n, err := readFrame(c.br, &c.rbuf)
+	if err != nil {
+		return 0, nil, err
+	}
+	c.BytesIn += int64(n)
+	if c.TM != nil {
+		c.TM.FramesIn.Inc()
+		c.TM.BytesIn.Add(int64(n))
+	}
+	return typ, payload, nil
+}
+
+// exchange flushes every buffered frame and reads the owed report acks,
+// then, when reply is set, the reply to the frame buffered last.
+func (c *Client) exchange(reply bool) (byte, []byte, error) {
+	if c.Timeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
+	}
+	if err := c.bw.Flush(); err != nil {
+		return 0, nil, err
+	}
+	if !reply && c.owed == 0 {
+		return 0, nil, nil
+	}
 	if c.Timeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	rtyp, payload, rn, err := readFrame(c.br, &c.rbuf)
-	if err != nil {
-		return 0, nil, err
+	for ; c.owed > 0; c.owed-- {
+		typ, _, err := c.read()
+		if err != nil {
+			return 0, nil, err
+		}
+		if typ != TypeAck {
+			return 0, nil, fmt.Errorf("ctrlrpc: report answered with type %d, want ack", typ)
+		}
 	}
-	c.BytesIn += int64(rn)
-	if c.TM != nil {
-		c.TM.FramesIn.Inc()
-		c.TM.BytesIn.Add(int64(rn))
+	if !reply {
+		return 0, nil, nil
 	}
-	return rtyp, payload, nil
+	return c.read()
 }
 
-// SendReport uploads one interval report and waits for the ack.
+func (c *Client) roundTrip(typ byte, msg any) (byte, []byte, error) {
+	if err := c.send(typ, msg); err != nil {
+		return 0, nil, err
+	}
+	return c.exchange(true)
+}
+
+// SendReport buffers one interval report and counts its ack as owed. It
+// writes nothing unless maxOwed acks are owed, when it syncs.
 func (c *Client) SendReport(r Report) error {
-	typ, _, err := c.roundTrip(TypeReport, &r)
-	if err != nil {
+	c.owed++
+	if err := c.send(TypeReport, &r); err != nil {
 		return err
 	}
-	if typ != TypeAck {
-		return fmt.Errorf("ctrlrpc: report answered with type %d, want ack", typ)
+	if c.owed >= maxOwed {
+		return c.Sync()
 	}
 	return nil
+}
+
+// Sync sends every buffered report and reads its ack. Once it returns
+// nil, the controller has taken every report sent so far.
+func (c *Client) Sync() error {
+	_, _, err := c.exchange(false)
+	return err
 }
 
 // TickResult is the controller's answer to a tick: the parameter

@@ -318,6 +318,11 @@ func TestServerMultipleAgents(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for _, c := range clients {
+			if err := c.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := driver.Tick(seq, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +354,11 @@ func TestServerRejectsGarbageConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.SendReport(elephantReport(1, 1)); err != nil {
+	err = c.SendReport(elephantReport(1, 1))
+	if err == nil {
+		err = c.Sync()
+	}
+	if err != nil {
 		t.Errorf("server unusable after garbage: %v", err)
 	}
 }

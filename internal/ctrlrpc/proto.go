@@ -181,11 +181,31 @@ const (
 // errNotMessage rejects a value that is not one of the four wire messages.
 var errNotMessage = errors.New("ctrlrpc: not a wire message")
 
+// largestFrame is the longest frame any message encodes to.
+const largestFrame = frameHeader + max(reportSize, tickSize, ackSize, paramsSize)
+
 // WriteFrame encodes msg — a *Report, *TickMsg, *AckMsg or *ParamsMsg, or
-// nil for bodyless types — and writes one frame. It returns the bytes
-// written.
+// nil for bodyless types — and writes one frame: appendFrame, then a
+// flush. It returns the bytes written.
 func WriteFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
-	// Build the frame in the writer's free space: when it fits, Write
+	n, err := appendFrame(w, typ, msg)
+	if err != nil {
+		return 0, err
+	}
+	return n, w.Flush()
+}
+
+// appendFrame encodes msg as one frame into w's buffer without flushing
+// it, so frames appended back to back leave in one write. It flushes
+// first only when the buffer has no room for the largest frame, so a
+// frame is never split across writes. It returns the frame's length.
+func appendFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
+	if w.Available() < largestFrame {
+		if err := w.Flush(); err != nil {
+			return 0, err
+		}
+	}
+	// Build the frame in the writer's free space: it fits, so Write
 	// copies it onto itself and nothing is allocated.
 	b := append(w.AvailableBuffer(), 0, 0, 0, 0, typ)
 	switch m := msg.(type) {
@@ -205,7 +225,7 @@ func WriteFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
 	if _, err := w.Write(b); err != nil {
 		return 0, err
 	}
-	return len(b), w.Flush()
+	return len(b), nil
 }
 
 // ReadFrame reads one frame and returns its type and raw payload, freshly

@@ -344,7 +344,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.stats.Reports++
 			s.mu.Unlock()
 			s.tm.Reports.Inc()
-			out, err = WriteFrame(bw, TypeAck, nil)
+			out, err = appendFrame(bw, TypeAck, nil)
 		case TypeTick:
 			var t TickMsg
 			if err := Decode(payload, &t); err != nil {
@@ -352,7 +352,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			resp := s.tick(t)
-			out, err = WriteFrame(bw, TypeParams, &resp)
+			out, err = appendFrame(bw, TypeParams, &resp)
 		case TypeApplyAck:
 			var a AckMsg
 			if err := Decode(payload, &a); err != nil {
@@ -360,10 +360,15 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			s.applyAck(a)
-			out, err = WriteFrame(bw, TypeAck, nil)
+			out, err = appendFrame(bw, TypeAck, nil)
 		default:
 			s.logf("ctrlrpc: unknown frame type %d", typ)
 			return
+		}
+		// Replies wait in bw while more frames are already read: a batch
+		// of reports and the call behind them are answered in one write.
+		if err == nil && br.Buffered() == 0 {
+			err = bw.Flush()
 		}
 		if err != nil {
 			s.logf("ctrlrpc: write to %v: %v", conn.RemoteAddr(), err)
