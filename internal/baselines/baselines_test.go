@@ -123,7 +123,7 @@ func TestDCQCNPlusScalesWithIncast(t *testing.T) {
 	for at := dp.cfg.Interval; at <= 10*eventsim.Millisecond; at += dp.cfg.Interval {
 		n.Run(at)
 		// The receiver must have a stretched CNP interval.
-		if rx := n.HostParams(hosts[0]); rx != nil {
+		if rx := n.Host(hosts[0]).Override(); rx != nil {
 			foundReceiver = true
 			if rx.MinTimeBetweenCNPs <= base.MinTimeBetweenCNPs {
 				t.Errorf("at %v: receiver CNP interval %v not stretched from %v", at, rx.MinTimeBetweenCNPs, base.MinTimeBetweenCNPs)
@@ -131,7 +131,7 @@ func TestDCQCNPlusScalesWithIncast(t *testing.T) {
 		}
 		// Senders must have shrunken increase steps.
 		for i := 1; i <= 6; i++ {
-			if p := n.HostParams(hosts[i]); p != nil {
+			if p := n.Host(hosts[i]).Override(); p != nil {
 				foundSender = true
 				if p.AIRateBps >= base.AIRateBps {
 					t.Errorf("at %v: sender %d ai_rate %g not reduced from %g", at, i, p.AIRateBps, base.AIRateBps)
@@ -165,7 +165,7 @@ func TestDCQCNPlusRelaxesWhenCalm(t *testing.T) {
 	// Let several calm intervals elapse after the incast drains.
 	n.Run(n.Eng.Now() + 10*eventsim.Millisecond)
 	for _, hn := range n.Topo.Hosts() {
-		if p := n.HostParams(hn); p != nil {
+		if p := n.Host(hn).Override(); p != nil {
 			t.Errorf("host %d still overridden after traffic drained", hn)
 		}
 	}
@@ -182,7 +182,7 @@ func TestDCQCNPlusStopRemovesOverrides(t *testing.T) {
 	n.Run(5 * eventsim.Millisecond)
 	dp.Stop()
 	for _, hn := range n.Topo.Hosts() {
-		if n.HostParams(hn) != nil {
+		if n.Host(hn).Override() != nil {
 			t.Fatalf("override on host %d survives Stop", hn)
 		}
 	}

@@ -10,6 +10,20 @@ import (
 	"repro/internal/telemetry"
 )
 
+// commitWAL journals to a MemWAL and hands check each commit record as
+// it is appended.
+type commitWAL struct {
+	dispatch.MemWAL
+	check func(r dispatch.Record)
+}
+
+func (w *commitWAL) Append(r dispatch.Record) error {
+	if r.Kind == dispatch.KindCommit {
+		w.check(r)
+	}
+	return w.MemWAL.Append(r)
+}
+
 // TestSystemDispatchPipeline runs the closed loop with canary plans on:
 // exploration dispatches go fabric-wide under fresh epochs, the
 // session-settling dispatch walks a canary plan, and at least one plan
@@ -21,29 +35,25 @@ func TestSystemDispatchPipeline(t *testing.T) {
 	}
 	cfg := quickSystem()
 	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
-	s, err := Attach(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The pipeline's devices are the ToRs, and at the instant a plan commits
 	// every one of them runs the committed vector. That instant is the only
 	// time the committed vector is guaranteed: see the live-vector check
 	// below. (The check reads the ToRs' switch parameters, not RNICParams():
 	// a canary or promote wave that covers part of the fabric goes through
 	// ApplyParamsToCluster, which installs per-host overrides and leaves the
-	// shared RNIC vector and the leaf switches alone.)
-	onCommit := s.Dispatch.OnCommit
-	s.Dispatch.OnCommit = func(p dcqcn.Params) {
-		if onCommit != nil {
-			onCommit(p)
-		}
-		committed, _ := s.Dispatch.Committed()
+	// shared RNIC vector and the leaf switches alone.) The commit record is
+	// journaled at that instant.
+	wal := &commitWAL{check: func(r dispatch.Record) {
 		for _, tor := range n.Topo.ToRs() {
-			if p != committed || *n.SwitchParams(tor) != committed {
-				t.Errorf("at commit of epoch %d ToR %d does not run the committed vector", s.Dispatch.CommittedEpoch(), tor)
+			if *n.SwitchParams(tor) != *r.Params {
+				t.Errorf("at commit of epoch %d ToR %d does not run the committed vector", r.Epoch, tor)
 			}
 		}
+	}}
+	cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2, WAL: wal}
+	s, err := Attach(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	hosts := n.Topo.Hosts()

@@ -69,8 +69,8 @@ func TestPartitionedHeterogeneousTuning(t *testing.T) {
 		t.Error("clusters converged to identical parameters despite opposite workloads")
 	}
 	// Hosts carry their own cluster's setting via overrides.
-	h0 := n.HostParams(hosts[0])
-	h4 := n.HostParams(hosts[4])
+	h0 := n.Host(hosts[0]).Override()
+	h4 := n.Host(hosts[4]).Override()
 	if h0 == nil || h4 == nil {
 		t.Fatal("cluster dispatch did not install host overrides")
 	}
@@ -123,10 +123,10 @@ func TestClusterApplyLeavesOthersAlone(t *testing.T) {
 		t.Error("foreign cluster switch modified")
 	}
 	hosts := n.Topo.Hosts()
-	if n.HostParams(hosts[0]) == nil {
+	if n.Host(hosts[0]).Override() == nil {
 		t.Error("cluster host override missing")
 	}
-	if n.HostParams(hosts[7]) != nil {
+	if n.Host(hosts[7]).Override() != nil {
 		t.Error("foreign host override installed")
 	}
 }

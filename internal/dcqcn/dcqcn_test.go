@@ -143,29 +143,12 @@ func TestSpecsCoverAllParams(t *testing.T) {
 func TestVectorRoundTrip(t *testing.T) {
 	p := ExpertParams()
 	v := Vector(&p)
-	q := FromVector(DefaultParams(), v)
+	q := DefaultParams()
+	for i, spec := range Specs() {
+		spec.Set(&q, v[i])
+	}
 	if q.AIRateBps != p.AIRateBps || q.KmaxBytes != p.KmaxBytes || q.PMax != p.PMax {
 		t.Errorf("round trip mismatch: %+v vs %+v", q, p)
-	}
-}
-
-func TestFromVectorClampsAndRepairs(t *testing.T) {
-	specs := Specs()
-	v := make([]float64, len(specs))
-	for i := range v {
-		v[i] = 1e18 // absurdly large
-	}
-	p := FromVector(DefaultParams(), v)
-	if err := p.Validate(); err != nil {
-		t.Errorf("clamped params invalid: %v", err)
-	}
-	for i := range v {
-		v[i] = -1e18
-	}
-	p = FromVector(DefaultParams(), v)
-	// Kmin == its min, Kmax must have been repaired above Kmin.
-	if p.KmaxBytes <= p.KminBytes {
-		t.Errorf("Kmin/Kmax ordering not repaired: %d/%d", p.KminBytes, p.KmaxBytes)
 	}
 }
 

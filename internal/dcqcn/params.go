@@ -320,20 +320,3 @@ func Vector(p *Params) []float64 {
 	}
 	return v
 }
-
-// FromVector writes the vector back onto a copy of base, clamping each
-// coordinate into its legal range and repairing Kmin < Kmax ordering.
-func FromVector(base Params, v []float64) Params {
-	specs := Specs()
-	if len(v) != len(specs) {
-		panic(fmt.Sprintf("dcqcn: vector length %d, want %d", len(v), len(specs)))
-	}
-	p := base
-	for i := range specs {
-		specs[i].Set(&p, specs[i].Clamp(v[i]))
-	}
-	if p.KmaxBytes <= p.KminBytes {
-		p.KmaxBytes = p.KminBytes + (64 << 10)
-	}
-	return p
-}

@@ -136,17 +136,11 @@ func NewRP(eng *eventsim.Engine, params func() *Params, lineRateBps float64) *RP
 // Rate reports the current sending rate in bps.
 func (rp *RP) Rate() float64 { return rp.rc }
 
-// TargetRate reports the target rate in bps.
-func (rp *RP) TargetRate() float64 { return rp.rt }
-
 // Alpha reports the congestion estimate, decayed up to now.
 func (rp *RP) Alpha() float64 {
 	rp.CatchUp()
 	return rp.alpha
 }
-
-// Running reports whether the RP is started.
-func (rp *RP) Running() bool { return rp.running }
 
 func (rp *RP) atLineRate() bool { return rp.rc >= rp.lineRateBps && rp.rt >= rp.lineRateBps }
 

@@ -132,11 +132,8 @@ type Pipeline struct {
 	// Trace, when non-nil, receives plan/phase spans and reject notes.
 	// Set it before Resume so recovery is traced too.
 	Trace *trace.Recorder
-	// OnCommit fires with the vector once a plan (or recovery restore)
-	// has committed fabric-wide. OnAbort fires with the restored vector
-	// and the abort reason.
-	OnCommit func(p dcqcn.Params)
-	OnAbort  func(restored dcqcn.Params, reason string)
+	// OnAbort fires with the restored vector and the abort reason.
+	OnAbort func(restored dcqcn.Params, reason string)
 
 	epoch          uint64
 	live           dcqcn.Params // last vector admitted fabric-wide
@@ -605,9 +602,6 @@ func (p *Pipeline) commit(now eventsim.Time) {
 	p.tm.Commits.Inc()
 	p.Trace.Note(0, "dispatch_commit epoch=%d hash=%016x%s", p.planEpoch, p.targetHash, commitSuffix(reason))
 	p.endPlan(now)
-	if p.OnCommit != nil {
-		p.OnCommit(p.committed)
-	}
 }
 
 func commitSuffix(reason string) string {

@@ -117,6 +117,11 @@ type FileWAL struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 	rec Record
+	// torn is set when a write failed and may have left part of a line
+	// at the end of the file (a short write, say on ENOSPC). The next
+	// Append cuts that fragment off before it writes, so its record
+	// starts a line of its own.
+	torn bool
 }
 
 // ErrWALCorrupt is returned (wrapped, with the line number) by
@@ -181,7 +186,14 @@ func (w *FileWAL) Append(r Record) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: wal encode: %w", err)
 	}
+	if w.torn {
+		if err := dropTornTail(w.f); err != nil {
+			return fmt.Errorf("dispatch: wal append: %w", err)
+		}
+		w.torn = false
+	}
 	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+		w.torn = true
 		return fmt.Errorf("dispatch: wal append: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {

@@ -92,9 +92,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros reports t as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Millis reports t as floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 

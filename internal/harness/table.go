@@ -146,16 +146,6 @@ func (t *Table) add(row string, seed int, c Cell) {
 	t.vals[k][seed] += c.V
 }
 
-// Rows lists a section's rows in the order their arms were laid out.
-func (t *Table) Rows(section string) []string {
-	for _, s := range t.sections {
-		if s.title == section {
-			return s.rows
-		}
-	}
-	return nil
-}
-
 // Values returns a cell's value at every seed, nil if it was never
 // measured.
 func (t *Table) Values(section, row, col string) []float64 {

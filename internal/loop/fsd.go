@@ -165,9 +165,6 @@ func (s *Smoother) Update(raw FSD) FSD {
 	return s.fsd
 }
 
-// Has reports whether any traffic has been absorbed yet.
-func (s *Smoother) Has() bool { return s.has }
-
 // TriggerDivergence is the tuning trigger's change signal: the KL
 // divergence between the ternary-weighted elephant/mice flow compositions
 // of two (smoothed) distributions.

@@ -26,8 +26,10 @@ func TestSmootherFirstSamplePassesThrough(t *testing.T) {
 	if got != raw {
 		t.Errorf("first update altered the sample: %+v vs %+v", got, raw)
 	}
-	if !s.Has() {
-		t.Error("Has() false after first traffic")
+	// The first traffic is absorbed: the next sample blends with it.
+	next := fsdWithShare(1, 3, 4, 1000)
+	if s.Update(next) == next {
+		t.Error("second sample passed through: the first was not absorbed")
 	}
 }
 
@@ -58,8 +60,13 @@ func TestSmootherIgnoresEmptyIntervals(t *testing.T) {
 func TestSmootherEmptyBeforeTraffic(t *testing.T) {
 	var s loop.Smoother
 	got := s.Update(loop.FSD{})
-	if s.Has() || got.TotalBytes != 0 {
+	if got.TotalBytes != 0 {
 		t.Error("empty update before traffic counted")
+	}
+	// Nothing was absorbed: the first traffic still passes through.
+	raw := fsdWithShare(3, 1, 11, 1000)
+	if s.Update(raw) != raw {
+		t.Error("empty update before traffic was absorbed")
 	}
 }
 
@@ -82,7 +89,7 @@ func TestQuickSmoothedHistStaysNormalized(t *testing.T) {
 			}
 			_ = i
 		}
-		return len(shares) == 0 || s.Has()
+		return len(shares) == 0 || s.Update(loop.FSD{}).TotalBytes > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -88,9 +88,6 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 	return &Tracker{cfg: cfg, flows: map[uint64]*trackedFlow{}}
 }
 
-// Tracked reports the number of flows currently in the state table.
-func (t *Tracker) Tracked() int { return len(t.flows) }
-
 // State returns a flow's current classification (Mice if untracked).
 func (t *Tracker) State(flow uint64) FlowState {
 	if f := t.flows[flow]; f != nil {

@@ -110,16 +110,14 @@ type Network struct {
 	// in order: the schedule through which a control loop acts on the
 	// fabric. ApplySwitchECN's per-switch overrides are not in it.
 	Applied []ApplyRecord
-	// OnFlowComplete, if set, fires per completion (workload round logic).
-	OnFlowComplete func(FlowRecord)
-	hooks          []func(FlowRecord)
+	hooks   []func(FlowRecord)
 
 	// runWall is the host time spent inside Run.
 	runWall time.Duration
 }
 
-// AddFlowCompleteHook registers an additional completion observer;
-// workload generators use this so several can coexist.
+// AddFlowCompleteHook registers a completion observer; each workload
+// generator adds its own, so several coexist.
 func (n *Network) AddFlowCompleteHook(fn func(FlowRecord)) {
 	n.hooks = append(n.hooks, fn)
 }
@@ -283,12 +281,6 @@ func (n *Network) SetHostParams(node topology.NodeID, p *dcqcn.Params) {
 	n.hostByNode[node].SetParams(p)
 }
 
-// HostParams returns the live override for a host, or nil if it follows
-// the shared setting.
-func (n *Network) HostParams(node topology.NodeID) *dcqcn.Params {
-	return n.hostByNode[node].Override()
-}
-
 // ApplySwitchECN retargets only the ECN thresholds of one switch (what an
 // ACC agent actuates). Addressing a node that is not a switch of this
 // network is a programming error and panics with the offending node
@@ -328,9 +320,6 @@ func (n *Network) StartFlowAt(at eventsim.Time, src, dst topology.NodeID, size i
 func (n *Network) flowCompleted(id uint64, src, dst topology.NodeID, size int64, start, end eventsim.Time) {
 	rec := FlowRecord{ID: id, Src: src, Dst: dst, Size: size, Start: start, End: end}
 	n.Completed = append(n.Completed, rec)
-	if n.OnFlowComplete != nil {
-		n.OnFlowComplete(rec)
-	}
 	for _, fn := range n.hooks {
 		fn(rec)
 	}

@@ -276,7 +276,7 @@ func TestOnFlowCompleteHook(t *testing.T) {
 	n := build(t, DefaultConfig())
 	hosts := n.Topo.Hosts()
 	var hooked []uint64
-	n.OnFlowComplete = func(r FlowRecord) { hooked = append(hooked, r.ID) }
+	n.AddFlowCompleteHook(func(r FlowRecord) { hooked = append(hooked, r.ID) })
 	id := n.StartFlow(hosts[0], hosts[1], 64<<10)
 	n.RunUntilIdle(eventsim.Second)
 	if len(hooked) != 1 || hooked[0] != id {

@@ -160,20 +160,6 @@ func (s *Sketch) lightEstimate(flow uint64) int64 {
 	return min
 }
 
-// Estimate returns the byte estimate for flow. For heavy residents the
-// estimate is exact up to Light Part residue; for everything else it is
-// the count-min estimate (never an underestimate).
-func (s *Sketch) Estimate(flow uint64) int64 {
-	b := &s.heavy[s.heavyIndex(flow)]
-	if b.used && b.flow == flow {
-		if b.flag {
-			return b.votePos + s.lightEstimate(flow)
-		}
-		return b.votePos
-	}
-	return s.lightEstimate(flow)
-}
-
 // HeavyFlows lists the Heavy Part residents with their full estimates,
 // largest first. This is what the switch control plane reads every monitor
 // interval. The returned slice is backed by a scratch buffer the sketch
@@ -209,17 +195,6 @@ func (s *Sketch) HeavyFlows() []FlowSize {
 	})
 	s.scratch = out
 	return out
-}
-
-// HeavyBytes sums the Heavy Part residents' vote+ bytes.
-func (s *Sketch) HeavyBytes() int64 {
-	var total int64
-	for i := range s.heavy {
-		if s.heavy[i].used {
-			total += s.heavy[i].votePos
-		}
-	}
-	return total
 }
 
 // FlaggedResidue sums the Light Part estimates of flagged Heavy Part

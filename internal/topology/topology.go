@@ -183,8 +183,7 @@ func (t *Topology) ToRs() []NodeID {
 }
 
 // ComputeRoutes (re)builds the shortest-path ECMP tables. It must be
-// called after the last AddLink and before NextHops, HopCount, or
-// BasePathDelay.
+// called after the last AddLink and before NextHops or BasePathDelay.
 func (t *Topology) ComputeRoutes() {
 	// Split stubs from core by degree alone, so hand-wired topologies
 	// need no Kind discipline. Two degree-1 nodes cabled back to back are
@@ -319,27 +318,6 @@ func (t *Topology) NextHops(src, dst NodeID) []int {
 	return t.nhSets[id-1]
 }
 
-// HopCount returns the number of links on a shortest path from src to dst,
-// or -1 if unreachable.
-func (t *Topology) HopCount(src, dst NodeID) int {
-	t.mustRouted()
-	if src == dst {
-		return 0
-	}
-	s, d := t.attach[src], t.attach[dst]
-	hops := int(t.hopCount[t.coreIdx(s, d)])
-	if hops < 0 {
-		return -1
-	}
-	if s.port >= 0 {
-		hops++
-	}
-	if d.port >= 0 {
-		hops++
-	}
-	return hops
-}
-
 // BasePathDelay returns the summed one-way propagation delay on a shortest
 // path from src to dst. This is the n·d term of Swift's base path delay
 // used to normalize RTT in the Paraleon utility function.
@@ -402,14 +380,6 @@ func (c ClosConfig) Validate() error {
 		return fmt.Errorf("clos: negative propagation delay")
 	}
 	return nil
-}
-
-// Oversubscription reports the ToR downlink:uplink capacity ratio.
-func (c ClosConfig) Oversubscription() float64 {
-	if c.NumLeaf == 0 {
-		return 0
-	}
-	return (float64(c.HostsPerToR) * c.HostLinkBps) / (float64(c.NumLeaf) * c.FabricLinkBps)
 }
 
 // PaperClosConfig is the NS-3 topology from §IV-B: 8 ToRs, 4 leaves,

@@ -47,8 +47,9 @@ func TestClosNodeAndLinkCounts(t *testing.T) {
 
 func TestPaperClosConfig(t *testing.T) {
 	cfg := PaperClosConfig()
-	if cfg.Oversubscription() != 4 {
-		t.Errorf("paper oversubscription = %v, want 4", cfg.Oversubscription())
+	// 4:1 over-subscribed: a ToR's host links carry four times its uplinks.
+	if down, up := float64(cfg.HostsPerToR)*cfg.HostLinkBps, float64(cfg.NumLeaf)*cfg.FabricLinkBps; down != 4*up {
+		t.Errorf("paper ToR down:up = %v:%v, want 4:1", down, up)
 	}
 	topo, err := NewClos(cfg)
 	if err != nil {

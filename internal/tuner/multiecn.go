@@ -163,15 +163,6 @@ func (m *MultiECN) AgentCommitted(agent int) {
 	m.tm.AgentCommits.Inc()
 }
 
-// AgentCommitCounts returns per-agent applied-proposal counts.
-func (m *MultiECN) AgentCommitCounts() []int {
-	counts := make([]int, len(m.agents))
-	for i := range m.agents {
-		counts[i] = m.agents[i].commits
-	}
-	return counts
-}
-
 // Trigger opens a session.
 func (m *MultiECN) Trigger(fsd loop.FSD) {
 	m.open()

@@ -272,10 +272,8 @@ func (t *SA) Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool) 
 
 // mutate derives a new candidate from base per Optimization 1 (or uniform
 // random directions when unguided). It works in the tuner's scratch
-// vector and re-applies the clamp-and-repair of dcqcn.FromVector inline,
-// so the per-interval hot path stays allocation-free while producing the
-// same candidates (and consuming the same RNG draws) as the
-// Vector/FromVector round trip it replaces.
+// vector, clamps each coordinate into its spec's range and repairs
+// Kmin < Kmax, so the per-interval hot path stays allocation-free.
 func (t *SA) mutate(base dcqcn.Params) dcqcn.Params {
 	t.mbase = base
 	v := t.vec

@@ -141,6 +141,27 @@ func TestQuickMutationAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestMutationClampsAndRepairs: from a base with every coordinate far
+// outside its range, or with Kmin far above Kmax, a candidate is still
+// valid: each coordinate is clamped, and Kmax is lifted above Kmin when
+// the clamps leave them out of order.
+func TestMutationClampsAndRepairs(t *testing.T) {
+	tu, _ := NewSA(quickSA(), DefaultWeights(), dcqcn.DefaultParams(), 11)
+	tu.Trigger(elephantFSD())
+	high, low, crossed := dcqcn.DefaultParams(), dcqcn.DefaultParams(), dcqcn.DefaultParams()
+	for _, spec := range dcqcn.Specs() {
+		spec.Set(&high, 1e18)
+		spec.Set(&low, -1e18)
+	}
+	crossed.KminBytes, crossed.KmaxBytes = 1<<40, 0
+	for i, base := range []dcqcn.Params{high, low, crossed} {
+		p := tu.mutate(base)
+		if err := p.Validate(); err != nil {
+			t.Errorf("candidate from base %d (high, low, crossed): %v", i, err)
+		}
+	}
+}
+
 // --- Annealer-specific session behaviour ---
 
 // TestElitistRecentering verifies the drift guard: with Elitist on, the

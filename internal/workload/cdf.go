@@ -144,22 +144,3 @@ func SolarRPC() SizeCDF {
 		1:    128 << 10,
 	})
 }
-
-// WebSearch is the DCTCP web-search distribution, a common third workload
-// for FCT studies.
-func WebSearch() SizeCDF {
-	return mustCDF("WebSearch", map[float64]int64{
-		0:    6 << 10,
-		0.15: 10 << 10,
-		0.2:  13 << 10,
-		0.3:  19 << 10,
-		0.4:  33 << 10,
-		0.53: 53 << 10,
-		0.6:  133 << 10,
-		0.7:  667 << 10,
-		0.8:  1461 << 10,
-		0.9:  3 << 20,
-		0.97: 10 << 20,
-		1:    30 << 20,
-	})
-}

@@ -152,9 +152,6 @@ func InstallAlltoall(n *sim.Network, cfg AlltoallConfig) (*AlltoallGen, error) {
 // Stop prevents further rounds from starting.
 func (g *AlltoallGen) Stop() { g.stopped = true }
 
-// InRound reports whether a round is currently in flight (the ON period).
-func (g *AlltoallGen) InRound() bool { return g.inRound }
-
 // AggregateGoodputBps reports a completed round's goodput: total payload
 // bits moved divided by the round duration.
 func (g *AlltoallGen) AggregateGoodputBps(round int) float64 {

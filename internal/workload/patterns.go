@@ -9,9 +9,9 @@ import (
 )
 
 // IncastConfig drives the classic partition/aggregate pattern: FanIn
-// senders each push MessageBytes to one aggregator, Repeat times with
-// Gap between waves. Incast is the scenario DCQCN+ targets and the
-// stress case for PFC.
+// senders each push MessageBytes to one aggregator, a new wave Gap after
+// each one lands, until the simulation ends. Incast is the scenario
+// DCQCN+ targets and the stress case for PFC.
 type IncastConfig struct {
 	// Aggregator receives; nil Senders means every other host sends.
 	Aggregator topology.NodeID
@@ -19,9 +19,7 @@ type IncastConfig struct {
 	// FanIn bounds the sender count (0 = all senders).
 	FanIn        int
 	MessageBytes int64
-	// Repeat bounds the waves; 0 means repeat until the simulation ends.
-	Repeat int
-	Gap    eventsim.Time
+	Gap          eventsim.Time
 }
 
 // IncastGen is an installed incast workload.
@@ -35,7 +33,6 @@ type IncastGen struct {
 	FlowIDs       map[uint64]bool
 	WaveDurations []eventsim.Time
 	waveAt        eventsim.Time
-	waves         int // waves launched
 }
 
 // InstallIncast schedules the workload on n.
@@ -71,17 +68,7 @@ func InstallIncast(n *sim.Network, cfg IncastConfig) (*IncastGen, error) {
 	return g, nil
 }
 
-// WavesDone reports completed waves.
-func (g *IncastGen) WavesDone() int { return len(g.WaveDurations) }
-
-// more reports whether another wave is due.
-func (g *IncastGen) more() bool { return g.cfg.Repeat <= 0 || g.waves < g.cfg.Repeat }
-
 func (g *IncastGen) wave() {
-	if !g.more() {
-		return
-	}
-	g.waves++
 	g.waveAt = g.net.Eng.Now()
 	for _, s := range g.cfg.Senders {
 		id := g.net.StartFlow(s, g.cfg.Aggregator, g.cfg.MessageBytes)
@@ -99,7 +86,5 @@ func (g *IncastGen) onComplete(rec sim.FlowRecord) {
 		return
 	}
 	g.WaveDurations = append(g.WaveDurations, g.net.Eng.Now()-g.waveAt)
-	if g.more() {
-		g.net.Eng.After(g.cfg.Gap, g.wave)
-	}
+	g.net.Eng.After(g.cfg.Gap, g.wave)
 }

@@ -28,7 +28,7 @@ func TestCDFValidation(t *testing.T) {
 }
 
 func TestBuiltinCDFs(t *testing.T) {
-	for _, c := range []SizeCDF{FBHadoop(), SolarRPC(), WebSearch()} {
+	for _, c := range []SizeCDF{FBHadoop(), SolarRPC()} {
 		if c.Name() == "" {
 			t.Error("unnamed CDF")
 		}
