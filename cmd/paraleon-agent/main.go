@@ -71,6 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d flows without a completion record when the drain hit its time limit\n", res.Incomplete)
 	}
 	fmt.Printf("  parameter dispatches:  %d\n", res.Dispatches)
+	fmt.Printf("  last epoch answered:   %d\n", res.Wire.Epoch)
 	fmt.Printf("  report frame size:     %d B\n", res.Wire.ReportBytes)
 	fmt.Printf("  params frame size:     %d B\n", res.Wire.ParamsBytes)
 	fmt.Printf("  agent bytes uploaded:  %d B\n", res.Wire.AgentBytesOut)

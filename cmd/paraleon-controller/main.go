@@ -86,6 +86,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
+	if *walPath != "" {
+		fmt.Printf("wal %s: resuming at epoch %d\n", *walPath, srv.Epoch())
+	}
 	fmt.Printf("paraleon controller listening on %s (theta=%.3g weights=%.2f/%.2f/%.2f)\n",
 		srv.Addr(), *theta, *wTP, *wRTT, *wPFC)
 

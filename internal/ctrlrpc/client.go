@@ -24,10 +24,14 @@ type Client struct {
 	// owed counts the reports whose acks have not been read.
 	owed int
 
-	// Timeout, when > 0, bounds each flush and each wait for replies
-	// with a connection deadline, so a hung controller fails the call
-	// instead of wedging the agent's dispatch loop forever. 0 keeps the
-	// pre-deadline behaviour (block indefinitely).
+	// Timeout, when > 0, puts every write and every wait for a reply
+	// under a connection deadline at most Timeout after the start of the
+	// call that makes it, so a hung controller fails the call instead of
+	// wedging the agent's dispatch loop forever. A call arms one
+	// deadline, and SendReport arms one only when its frame may flush the
+	// buffer. No deadline is cleared after its call, so setting Timeout
+	// back to 0 on a live connection leaves the last one armed. 0 from
+	// the start keeps the pre-deadline behaviour (block indefinitely).
 	Timeout time.Duration
 
 	// BytesIn and BytesOut count wire traffic for overhead accounting.
@@ -68,8 +72,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // send buffers one frame.
 func (c *Client) send(typ byte, msg any) error {
-	if c.Timeout > 0 {
-		// The frame flushes the buffer first when it is full.
+	if c.Timeout > 0 && c.bw.Available() < largestFrame {
+		// appendFrame flushes the buffer first.
 		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
 	}
 	n, err := appendFrame(c.bw, typ, msg)
@@ -100,19 +104,17 @@ func (c *Client) read() (byte, []byte, error) {
 
 // exchange flushes every buffered frame and reads the owed report acks,
 // then, when reply is set, the reply to the frame buffered last.
+// The one deadline it arms covers both; it is left in place, since every
+// later write or wait arms its own first.
 func (c *Client) exchange(reply bool) (byte, []byte, error) {
 	if c.Timeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
+		c.conn.SetDeadline(time.Now().Add(c.Timeout))
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
 	if !reply && c.owed == 0 {
 		return 0, nil, nil
-	}
-	if c.Timeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
-		defer c.conn.SetReadDeadline(time.Time{})
 	}
 	for ; c.owed > 0; c.owed-- {
 		typ, _, err := c.read()

@@ -97,7 +97,7 @@ type ServerStats struct {
 	// tuning — the controller CPU overhead. Journal is not in it.
 	Processing time.Duration
 	// Journal is wall-clock time spent appending dispatched epochs to the
-	// WAL, a FileWAL's fsync included.
+	// WAL, a FileWAL's synced write included.
 	Journal time.Duration
 }
 

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
+	"unsafe"
 
 	"repro/internal/dcqcn"
 )
@@ -103,9 +105,15 @@ func (w *MemWAL) Len() int {
 }
 
 // FileWAL is the file-backed journal for daemon deployments: one JSON
-// record per line, synced on every append. Dispatch is a per-interval
-// (millisecond-scale) control-plane event, so an fsync per record is
-// cheap insurance against exactly the crash the log exists for.
+// record per line, on stable storage when Append returns. The file grows
+// in zero-filled chunks of walChunk bytes, each written and synced once,
+// so an append neither changes the file's size nor allocates blocks: it
+// copies the record into a copy of the tail block and writes that block
+// (two when the record crosses a boundary) back at its aligned offset
+// through a descriptor opened O_DSYNC, and O_DIRECT when the filesystem
+// accepts it. That one write is the whole sync: no filesystem-journal
+// commit, and no page-cache copy of the journal. The logical end of the
+// journal is just past the last newline before the zero padding.
 type FileWAL struct {
 	mu   sync.Mutex
 	path string
@@ -117,12 +125,23 @@ type FileWAL struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 	rec Record
-	// torn is set when a write failed and may have left part of a line
-	// at the end of the file (a short write, say on ENOSPC). The next
-	// Append cuts that fragment off before it writes, so its record
-	// starts a line of its own.
-	torn bool
+	// end is the logical end; size is the end of the zero-filled space.
+	end, size int64
+	// tail holds the file's bytes from the start of the block that
+	// holds end up to end, and zeros after them. Like zeros, one chunk
+	// of zeros made at the first growth, it is block-aligned in memory,
+	// as O_DIRECT requires.
+	tail, zeros []byte
 }
+
+const (
+	walBlock = 4096
+	walChunk = 256 << 10
+)
+
+// walDirect is the O_DIRECT flag OpenFileWAL tries first: oDirect, 0
+// where the platform has none.
+var walDirect = oDirect
 
 // ErrWALCorrupt is returned (wrapped, with the line number) by
 // FileWAL.Replay when an undecodable line is followed by further records:
@@ -130,52 +149,100 @@ type FileWAL struct {
 // replaying around it would silently drop or reorder commits.
 var ErrWALCorrupt = errors.New("dispatch: wal corrupt")
 
-// OpenFileWAL opens (creating if needed) the journal at path in append
-// mode. Existing records are preserved; Replay reads them. A final line
-// with no newline is a torn append from a crash — Append never returned
-// for it — and is cut off here, so the next Append starts a line of its
-// own instead of fusing with the fragment.
+// OpenFileWAL opens (creating if needed) the journal at path. Existing
+// records are preserved; Replay reads them. A final line that does not
+// decode (a NUL hole, or bytes with no newline after them) is a torn
+// append from a crash — Append never returned for it — and the logical
+// end is cut before it, so the next Append overwrites it instead of
+// fusing with it. A plain JSON-lines file with no padding opens too.
 func OpenFileWAL(path string) (*FileWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	flags := os.O_CREATE | os.O_RDWR | oDSync
+	f, err := os.OpenFile(path, flags|walDirect, 0o644)
+	if err != nil && walDirect != 0 {
+		f, err = os.OpenFile(path, flags, 0o644)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: open wal: %w", err)
 	}
-	if err := dropTornTail(f); err != nil {
+	w := &FileWAL{path: path, f: f, tail: alignedBlocks(2)}
+	if err := w.findEnd(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("dispatch: open wal: %w", err)
 	}
-	w := &FileWAL{path: path, f: f}
 	w.enc = json.NewEncoder(&w.buf)
 	return w, nil
 }
 
-// dropTornTail truncates f to end just after its last newline.
-func dropTornTail(f *os.File) error {
-	st, err := f.Stat()
+// findEnd reads size, the logical end and the tail block from the file.
+func (w *FileWAL) findEnd() error {
+	r, err := os.Open(w.path)
 	if err != nil {
 		return err
 	}
-	end := st.Size()
-	keep := end // scans back to the offset just past the last newline
-	buf := make([]byte, 4096)
-	for keep > 0 {
-		n := min(int64(len(buf)), keep)
-		if _, err := f.ReadAt(buf[:n], keep-n); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			keep += int64(i) + 1 - n
-			break
-		}
-		keep -= n
+	defer r.Close()
+	st, err := r.Stat()
+	if err != nil {
+		return err
 	}
-	if keep == end {
-		return nil
+	w.size = st.Size()
+	buf := make([]byte, walBlock)
+	last, err := scanBack(r, w.size, buf, func(b byte) bool { return b != 0 })
+	if err != nil {
+		return err
 	}
-	return f.Truncate(keep)
+	isNewline := func(b byte) bool { return b == '\n' }
+	end, err := scanBack(r, last, buf, isNewline)
+	if err != nil || end == 0 {
+		return err
+	}
+	start, err := scanBack(r, end-1, buf, isNewline)
+	if err != nil {
+		return err
+	}
+	line := make([]byte, end-1-start)
+	if _, err := r.ReadAt(line, start); err != nil {
+		return err
+	}
+	var rec Record
+	if json.Unmarshal(line, &rec) != nil {
+		end = start
+	}
+	w.end = end
+	base := end &^ (walBlock - 1)
+	_, err = r.ReadAt(w.tail[:end-base], base)
+	return err
 }
 
-// Append writes r as one JSON line and syncs it to stable storage.
+// scanBack returns the offset just past the last byte before off for
+// which keep is true, or 0 if there is none.
+func scanBack(r io.ReaderAt, off int64, buf []byte, keep func(byte) bool) (int64, error) {
+	for off > 0 {
+		n := min(int64(len(buf)), off)
+		if _, err := r.ReadAt(buf[:n], off-n); err != nil {
+			return 0, err
+		}
+		for i := n - 1; i >= 0; i-- {
+			if keep(buf[i]) {
+				return off - n + i + 1, nil
+			}
+		}
+		off -= n
+	}
+	return 0, nil
+}
+
+// alignedBlocks returns k zeroed blocks starting at a block-aligned
+// address.
+func alignedBlocks(k int) []byte {
+	b := make([]byte, (k+1)*walBlock)
+	off := -int(uintptr(unsafe.Pointer(&b[0]))) & (walBlock - 1)
+	return b[off : off+k*walBlock : off+k*walBlock]
+}
+
+// Append writes r as one JSON line and returns once it is on stable
+// storage. A crash mid-write can tear only the blocks written, whose
+// earlier bytes are rewritten as they were, so it can cost only r. After
+// a failed write the next Append rewrites the same blocks whole.
 func (w *FileWAL) Append(r Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -186,37 +253,68 @@ func (w *FileWAL) Append(r Record) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: wal encode: %w", err)
 	}
-	if w.torn {
-		if err := dropTornTail(w.f); err != nil {
-			return fmt.Errorf("dispatch: wal append: %w", err)
-		}
-		w.torn = false
+	line := w.buf.Bytes()
+	base := w.end &^ (walBlock - 1)
+	o := int(w.end - base)
+	n := (o + len(line) + walBlock - 1) &^ (walBlock - 1)
+	if err := w.grow(base + int64(n)); err != nil {
+		return fmt.Errorf("dispatch: wal grow: %w", err)
 	}
-	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
-		w.torn = true
+	if n > len(w.tail) {
+		t := alignedBlocks(n / walBlock)
+		copy(t, w.tail[:o])
+		w.tail = t
+	}
+	copy(w.tail[o:], line)
+	if _, err := w.f.WriteAt(w.tail[:n], base); err != nil {
+		clear(w.tail[o:n])
 		return fmt.Errorf("dispatch: wal append: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("dispatch: wal sync: %w", err)
+	w.end += int64(len(line))
+	if done := int(w.end&^(walBlock-1) - base); done > 0 {
+		k := copy(w.tail, w.tail[done:n])
+		clear(w.tail[k:n])
 	}
 	return nil
 }
 
-// Replay decodes the journal line by line into one reused Record and
-// visits each. An undecodable final line (torn write from a crash
-// mid-append) is skipped, not an error: the record it would have been
-// was by definition not durable. An undecodable line with records after
-// it is ErrWALCorrupt. Replay reads through its own file handle and
-// takes no lock: Append writes each line in one call, so a concurrent
-// append can only show up as a torn final line.
+// grow extends the zero-filled space to at least need bytes, in whole
+// chunks written through the journal's own descriptor.
+func (w *FileWAL) grow(need int64) error {
+	if need <= w.size {
+		return nil
+	}
+	if w.zeros == nil {
+		w.zeros = alignedBlocks(walChunk / walBlock)
+	}
+	// A plain JSON-lines file ends mid-block; its last block is already
+	// allocated.
+	for off := (w.size + walBlock - 1) &^ (walBlock - 1); off < need; off += walChunk {
+		if _, err := w.f.WriteAt(w.zeros, off); err != nil {
+			return err
+		}
+		w.size = off + walChunk
+	}
+	return nil
+}
+
+// Replay decodes the journal up to its logical end line by line into one
+// reused Record and visits each. An undecodable final line (damage the
+// journal's open did not see) is skipped, not an error. An undecodable
+// line with records after it is ErrWALCorrupt. Replay reads through its
+// own file handle and holds the lock only to read the logical end, so it
+// visits the records appended before it was called.
 func (w *FileWAL) Replay(fn func(*Record) error) error {
+	w.mu.Lock()
+	end := w.end
+	w.mu.Unlock()
 	f, err := os.Open(w.path)
 	if err != nil {
 		return fmt.Errorf("dispatch: wal replay: %w", err)
 	}
 	defer f.Close()
 	var r Record
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(io.NewSectionReader(f, 0, end))
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	badLine := 0 // 1-based number of an undecodable line, 0 if none so far
 	for line := 1; sc.Scan(); line++ {
@@ -242,7 +340,8 @@ func (w *FileWAL) Replay(fn func(*Record) error) error {
 	return nil
 }
 
-// Close releases the journal file.
+// Close releases the journal file. The zero padding stays; the next
+// OpenFileWAL finds the logical end before it.
 func (w *FileWAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

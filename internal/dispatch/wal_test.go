@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -129,8 +130,9 @@ func TestRecoverBytesPerRecord(t *testing.T) {
 
 // TestFileWALLinesMatchMarshal pins the journal format to what Append
 // wrote before it kept an encoder: json.Marshal(r) plus a newline, HTML
-// escaping included, for every record kind. A record Marshal refuses
-// writes nothing and leaves later appends intact.
+// escaping included, for every record kind, followed by zero padding to
+// the end of a whole chunk. A record Marshal refuses writes nothing and
+// leaves later appends intact.
 func TestFileWALLinesMatchMarshal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dispatch.wal")
 	w, err := OpenFileWAL(path)
@@ -169,8 +171,15 @@ func TestFileWALLinesMatchMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != want.String() {
-		t.Errorf("journal differs from json.Marshal lines:\n got %s\nwant %s", got, want.String())
+	if len(got) != walChunk {
+		t.Errorf("journal is %d bytes, want one %d-byte chunk", len(got), walChunk)
+	}
+	lines, pad, _ := bytes.Cut(got, []byte{0})
+	if string(lines) != want.String() {
+		t.Errorf("journal differs from json.Marshal lines:\n got %s\nwant %s", lines, want.String())
+	}
+	if len(bytes.Trim(pad, "\x00")) != 0 {
+		t.Error("the padding after the last line is not all zeros")
 	}
 }
 
@@ -207,18 +216,19 @@ func TestFileWALRoundTrip(t *testing.T) {
 	}
 }
 
-// appendRaw writes bytes to the journal file behind the WAL's back, the
-// way a crash or disk damage would.
-func appendRaw(t *testing.T, path, raw string) {
+// appendRaw writes bytes at the journal's logical end behind the WAL's
+// back, the way a crash or disk damage would. w keeps its own idea of the
+// end; reopen the file to see the damage.
+func appendRaw(t *testing.T, w *FileWAL, raw string) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(w.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(raw); err != nil {
+	defer f.Close()
+	if _, err := f.WriteAt([]byte(raw), w.end); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 }
 
 func TestFileWALTornTail(t *testing.T) {
@@ -232,7 +242,7 @@ func TestFileWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn, undecodable trailing line.
-	appendRaw(t, path, `{"t":2,"kind":"int`)
+	appendRaw(t, w, `{"t":2,"kind":"int`)
 	got, err := replayAll(w)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +257,9 @@ func TestFileWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
+	if got, err := replayAll(w2); err != nil || len(got) != 1 {
+		t.Fatalf("reopened replay = %+v, %v; want the one record", got, err)
+	}
 	if err := w2.Append(Record{T: 3, Kind: KindEpoch, Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +285,178 @@ func TestFileWALMidFileCorruption(t *testing.T) {
 	if err := w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1, Params: &p}); err != nil {
 		t.Fatal(err)
 	}
-	appendRaw(t, path, "{\"t\":2,\"kind\":\"com\x00\x00\n")
-	if err := w.Append(Record{T: 3, Kind: KindCommit, Epoch: 3, Params: &p}); err != nil {
+	good, err := json.Marshal(Record{T: 3, Kind: KindCommit, Epoch: 3, Params: &p})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = replayAll(w)
+	appendRaw(t, w, "{\"t\":2,\"kind\":\"com\x00\x00\n"+string(good)+"\n")
+	w2, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := w2.Append(Record{T: 4, Kind: KindCommit, Epoch: 4, Params: &p}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = replayAll(w2)
 	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("Replay error = %v, want ErrWALCorrupt naming line 2", err)
 	}
-	if _, err := Recover(w); !errors.Is(err, ErrWALCorrupt) {
+	if _, err := Recover(w2); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("Recover error = %v, want ErrWALCorrupt", err)
 	}
+}
+
+// The benchmark and older deployments write plain JSON lines with no
+// padding. Such a file opens, replays, and takes appends after its last
+// line.
+func TestFileWALPlainFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	p := dcqcn.DefaultParams()
+	var plain []byte
+	for i := 1; i <= 3; i++ {
+		b, err := json.Marshal(Record{T: int64(i), Kind: KindCommit, Epoch: uint64(i), Params: &p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain = append(append(plain, b...), '\n')
+	}
+	if err := os.WriteFile(path, plain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := replayAll(w); err != nil || len(got) != 3 || got[2].Epoch != 3 {
+		t.Fatalf("plain file replays %+v, %v; want epochs 1-3", got, err)
+	}
+	if err := w.Append(Record{T: 4, Kind: KindEpoch, Epoch: 4}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w, err = OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec, err := Recover(w)
+	if err != nil || rec.Replayed != 4 || rec.Epoch != 4 || rec.CommittedEpoch != 3 {
+		t.Fatalf("recovery after an append = %+v, %v", rec, err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(got, plain) {
+		t.Fatalf("the plain lines were rewritten (err %v)", err)
+	}
+}
+
+// FuzzFileWALTornTail crashes the journal's last append. The blocks it
+// wrote hold a fuzzer-chosen mix of their old and new 512-B sectors, or
+// new bytes up to a fuzzer-chosen byte and old ones after it, or the file
+// is cut at that byte. The reopened journal must recover a prefix of what
+// was appended that keeps every record the crash could not touch, take a
+// further append, and never report ErrWALCorrupt.
+func FuzzFileWALTornTail(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint64(0), uint16(0))
+	f.Add(uint8(12), uint8(0), uint64(0x5), uint16(0))
+	f.Add(uint8(20), uint8(1), uint64(0), uint16(300))
+	f.Add(uint8(9), uint8(2), uint64(0), uint16(4000))
+	f.Fuzz(func(t *testing.T, n, mode uint8, sectors uint64, cut uint16) {
+		path := filepath.Join(t.TempDir(), "dispatch.wal")
+		w, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		p := dcqcn.DefaultParams()
+		var want []Record
+		appendOne := func(w *FileWAL) {
+			i := len(want) + 1
+			// Reasons of varied length move record ends across blocks.
+			r := Record{T: int64(i), Kind: KindCommit, Epoch: uint64(i), Params: &p, Reason: strings.Repeat("r", i*37%200)}
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+		for range 1 + int(n%40) {
+			appendOne(w)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := w.end &^ (walBlock - 1)
+		appendOne(w)
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := (w.end + walBlock - 1) &^ (walBlock - 1)
+		// old is the file as the last append found it: grown, but with
+		// its blocks not yet written.
+		old := make([]byte, len(after))
+		copy(old, before)
+		torn := after
+		at := base + int64(cut)%(top-base+1)
+		switch mode % 3 {
+		case 0:
+			for s := base; s < top; s += 512 {
+				if sectors>>((s-base)/512%64)&1 == 0 {
+					copy(torn[s:s+512], old[s:s+512])
+				}
+			}
+		case 1:
+			copy(torn[at:top], old[at:top])
+		case 2:
+			torn = torn[:at]
+		}
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Every record that ends before the damage must come back.
+		keep := len(want) - 1
+		if mode%3 == 2 {
+			keep = bytes.Count(torn, []byte{'\n'})
+		}
+
+		w2, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		got, err := replayAll(w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < keep || !isPrefix(got, want) {
+			t.Fatalf("recovered %d records, want a prefix of the %d appended with at least %d", len(got), len(want), keep)
+		}
+		want = want[:len(got)]
+		appendOne(w2)
+		got, err = replayAll(w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || !isPrefix(got, want) {
+			t.Fatalf("after a further append recovered %d records, want %d", len(got), len(want))
+		}
+	})
+}
+
+// isPrefix reports whether got is a prefix of want, record by record.
+func isPrefix(got, want []Record) bool {
+	if len(got) > len(want) {
+		return false
+	}
+	for i, g := range got {
+		r := want[i]
+		if g.T != r.T || g.Kind != r.Kind || g.Epoch != r.Epoch || g.Reason != r.Reason ||
+			(g.Params == nil) != (r.Params == nil) || (g.Params != nil && *g.Params != *r.Params) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRecoverFolding(t *testing.T) {

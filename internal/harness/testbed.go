@@ -47,6 +47,8 @@ type WireStats struct {
 	// the redials, and Drops, Dups and Truncs the injected frame faults.
 	AgentErrors, TickErrors, Reconnects int
 	Drops, Dups, Truncs                 int
+	// Epoch is the epoch on the controller's last answered tick.
+	Epoch uint64
 }
 
 // testbedConfig is Paraleon behind an in-process TCP controller, on
@@ -194,6 +196,9 @@ func (w *wirePlane) tick(seq int) (loop.RuntimeSample, error) {
 	}
 	after, _ := w.clients[driver].Traffic()
 	st.ParamsBytes = int(after - before)
+	if err == nil {
+		st.Epoch = tick.Epoch
+	}
 	if tick.Changed {
 		w.n.ApplyParams(tick.Params)
 		w.res.Dispatches++

@@ -34,8 +34,6 @@ type PoissonGen struct {
 	rate float64 // arrivals per second, aggregate
 	rng  *rand.Rand
 
-	// FlowIDs records every flow this generator launched.
-	FlowIDs map[uint64]bool
 	// Launched counts arrivals so far.
 	Launched int
 }
@@ -56,10 +54,9 @@ func InstallPoisson(n *sim.Network, cfg PoissonConfig) (*PoissonGen, error) {
 		return nil, fmt.Errorf("workload: CDF %q has non-positive mean", cfg.CDF.Name())
 	}
 	g := &PoissonGen{
-		net:     n,
-		cfg:     cfg,
-		FlowIDs: map[uint64]bool{},
-		rng:     n.Eng.Rand(),
+		net: n,
+		cfg: cfg,
+		rng: n.Eng.Rand(),
 		// Aggregate bits/sec target divided by mean flow size.
 		rate: cfg.Load * n.HostLinkBps() * float64(len(cfg.Hosts)) / (mean * 8),
 	}
@@ -90,8 +87,7 @@ func (g *PoissonGen) launchOne() {
 		di++
 	}
 	size := g.cfg.CDF.Sample(rng)
-	id := g.net.StartFlow(hosts[si], hosts[di], size)
-	g.FlowIDs[id] = true
+	g.net.StartFlow(hosts[si], hosts[di], size)
 	g.Launched++
 }
 

@@ -28,11 +28,6 @@ type IncastGen struct {
 	cfg IncastConfig
 
 	pending map[uint64]bool
-	// FlowIDs records all launched flows; WaveDurations each wave's
-	// completion time.
-	FlowIDs       map[uint64]bool
-	WaveDurations []eventsim.Time
-	waveAt        eventsim.Time
 }
 
 // InstallIncast schedules the workload on n.
@@ -61,7 +56,6 @@ func InstallIncast(n *sim.Network, cfg IncastConfig) (*IncastGen, error) {
 	g := &IncastGen{
 		net: n, cfg: cfg,
 		pending: map[uint64]bool{},
-		FlowIDs: map[uint64]bool{},
 	}
 	n.AddFlowCompleteHook(g.onComplete)
 	n.Eng.Schedule(0, g.wave)
@@ -69,11 +63,8 @@ func InstallIncast(n *sim.Network, cfg IncastConfig) (*IncastGen, error) {
 }
 
 func (g *IncastGen) wave() {
-	g.waveAt = g.net.Eng.Now()
 	for _, s := range g.cfg.Senders {
-		id := g.net.StartFlow(s, g.cfg.Aggregator, g.cfg.MessageBytes)
-		g.pending[id] = true
-		g.FlowIDs[id] = true
+		g.pending[g.net.StartFlow(s, g.cfg.Aggregator, g.cfg.MessageBytes)] = true
 	}
 }
 
@@ -85,6 +76,5 @@ func (g *IncastGen) onComplete(rec sim.FlowRecord) {
 	if len(g.pending) > 0 {
 		return
 	}
-	g.WaveDurations = append(g.WaveDurations, g.net.Eng.Now()-g.waveAt)
 	g.net.Eng.After(g.cfg.Gap, g.wave)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,9 +148,11 @@ func TestPoissonLoadCalibration(t *testing.T) {
 	if g.Launched == 0 {
 		t.Fatal("no arrivals")
 	}
-	// Offered load: bytes launched / capacity across hosts.
+	// Offered load: bytes launched / capacity across hosts. The
+	// workload is the network's only one, so its flows are IDs 0 to
+	// Launched-1.
 	var offered int64
-	for id := range g.FlowIDs {
+	for id := range uint64(g.Launched) {
 		offered += n.FlowSize(id)
 	}
 	capacity := n.HostLinkBps() * float64(len(n.Topo.Hosts())) * horizon.Seconds() / 8
@@ -316,10 +319,14 @@ func TestInfluxComposition(t *testing.T) {
 	if flux.Burst.Launched == 0 {
 		t.Error("burst never arrived")
 	}
-	// Flow ID sets are disjoint.
-	for id := range flux.Burst.FlowIDs {
-		if flux.Background.FlowIDs[id] {
-			t.Fatalf("flow %d claimed by both generators", id)
+	// Each started flow belongs to exactly one generator: the burst's
+	// hosts never appear in the collective.
+	if started := len(n.Completed) + n.IncompleteFlows(); len(flux.Background.FlowIDs)+flux.Burst.Launched != started {
+		t.Errorf("collective %d + burst %d flows, network started %d", len(flux.Background.FlowIDs), flux.Burst.Launched, started)
+	}
+	for _, rec := range n.Completed {
+		if flux.Background.FlowIDs[rec.ID] && slices.Contains(hosts[4:], rec.Src) {
+			t.Fatalf("flow %d from burst host %d claimed by the collective", rec.ID, rec.Src)
 		}
 	}
 }
