@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/dcqcn"
 	"repro/internal/telemetry"
 )
 
@@ -158,16 +157,6 @@ func (c *Client) Sync() error {
 	return err
 }
 
-// TickResult is the controller's answer to a tick: the parameter
-// vector to run, the epoch stamped on it, and whether this interval
-// changed it (Changed) after a KL trigger (Triggered).
-type TickResult struct {
-	Params    dcqcn.Params
-	Epoch     uint64
-	Changed   bool
-	Triggered bool
-}
-
 // Tick closes interval seq and returns the controller's parameter
 // decision.
 func (c *Client) Tick(seq uint64, interval time.Duration) (TickResult, error) {
@@ -178,16 +167,11 @@ func (c *Client) Tick(seq uint64, interval time.Duration) (TickResult, error) {
 	if typ != TypeParams {
 		return TickResult{}, fmt.Errorf("ctrlrpc: tick answered with type %d, want params", typ)
 	}
-	var resp ParamsMsg
-	if err := Decode(payload, &resp); err != nil {
+	var res TickResult
+	if err := Decode(payload, &res); err != nil {
 		return TickResult{}, err
 	}
-	return TickResult{
-		Params:    FromWire(resp.Params),
-		Epoch:     resp.Epoch,
-		Changed:   resp.Changed,
-		Triggered: resp.Triggered,
-	}, nil
+	return res, nil
 }
 
 // SendApplyAck reports that this agent applied (or idempotently

@@ -4,15 +4,59 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/dcqcn"
 )
 
 // The hand-written codec is held to encoding/binary, which it replaced:
 // binary.Write and binary.Read stay here as the reference.
+
+// paramsLayout is the params frame as encoding/binary writes it: a
+// TickResult whose parameter vector carries every integer as an int64,
+// durations in nanoseconds. binary.Write cannot write dcqcn.Params
+// itself, whose RPGThreshold is an int.
+type paramsLayout struct {
+	Changed   bool
+	Triggered bool
+	Epoch     uint64
+	Params    struct {
+		AIRateBps               float64
+		HAIRateBps              float64
+		RPGTimeResetNs          int64
+		RPGByteReset            int64
+		RPGThreshold            int64
+		RateReduceMonitorNs     int64
+		MinRateBps              float64
+		ClampTgtRate            bool
+		G                       float64
+		AlphaUpdateIntervalNs   int64
+		InitialAlpha            float64
+		MinTimeBetweenCNPsNanos int64
+		KminBytes               int64
+		KmaxBytes               int64
+		PMax                    float64
+	}
+}
+
+// layoutOf is t in the oracle's layout.
+func layoutOf(t *TickResult) *paramsLayout {
+	l := &paramsLayout{Changed: t.Changed, Triggered: t.Triggered, Epoch: t.Epoch}
+	p, w := &t.Params, &l.Params
+	w.AIRateBps, w.HAIRateBps = p.AIRateBps, p.HAIRateBps
+	w.RPGTimeResetNs, w.RPGByteReset = int64(p.RPGTimeReset), p.RPGByteReset
+	w.RPGThreshold, w.RateReduceMonitorNs = int64(p.RPGThreshold), int64(p.RateReduceMonitorPeriod)
+	w.MinRateBps, w.ClampTgtRate, w.G = p.MinRateBps, p.ClampTgtRate, p.G
+	w.AlphaUpdateIntervalNs, w.InitialAlpha = int64(p.AlphaUpdateInterval), p.InitialAlpha
+	w.MinTimeBetweenCNPsNanos = int64(p.MinTimeBetweenCNPs)
+	w.KminBytes, w.KmaxBytes, w.PMax = p.KminBytes, p.KmaxBytes, p.PMax
+	return l
+}
 
 func oracleEncode(t testing.TB, msg any) []byte {
 	t.Helper()
@@ -34,6 +78,22 @@ func frameBytes(t testing.TB, typ byte, msg any) []byte {
 		t.Fatalf("WriteFrame reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
+}
+
+// frameRoundTrip sends msg through WriteFrame, ReadFrame and Decode into
+// out.
+func frameRoundTrip(t testing.TB, typ byte, msg, out any) {
+	t.Helper()
+	got, payload, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, typ, msg))))
+	if err == nil && got != typ {
+		err = fmt.Errorf("frame type %d, want %d", got, typ)
+	}
+	if err == nil {
+		err = Decode(payload, out)
+	}
+	if err != nil {
+		t.Fatalf("%T round trip: %v", msg, err)
+	}
 }
 
 // randomFloat favours the values a bit-exact codec gets wrong first: NaNs
@@ -69,7 +129,7 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 		v.SetBool(rng.Intn(2) == 1)
 	case reflect.Float64:
 		v.SetFloat(randomFloat(rng))
-	case reflect.Int32, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		v.SetInt(int64(rng.Uint64()))
 	case reflect.Uint32, reflect.Uint64:
 		v.SetUint(rng.Uint64())
@@ -78,33 +138,41 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 	}
 }
 
-// codecCase is one wire message: its frame type, wire size and a fresh
-// zero value to decode into.
+// codecCase is one wire message: its frame type, wire size, a fresh zero
+// value to decode into, and the value encoding/binary reads and writes
+// for a message (the message itself, but for TickResult's paramsLayout).
 type codecCase struct {
-	name  string
-	typ   byte
-	size  int
-	fresh func() any
+	name   string
+	typ    byte
+	size   int
+	fresh  func() any
+	oracle func(msg any) any
 }
 
+func sameMessage(msg any) any { return msg }
+
 var codecCases = []codecCase{
-	{"Report", TypeReport, reportSize, func() any { return new(Report) }},
-	{"TickMsg", TypeTick, tickSize, func() any { return new(TickMsg) }},
-	{"AckMsg", TypeApplyAck, ackSize, func() any { return new(AckMsg) }},
-	{"ParamsMsg", TypeParams, paramsSize, func() any { return new(ParamsMsg) }},
+	{"Report", TypeReport, reportSize, func() any { return new(Report) }, sameMessage},
+	{"TickMsg", TypeTick, tickSize, func() any { return new(TickMsg) }, sameMessage},
+	{"AckMsg", TypeApplyAck, ackSize, func() any { return new(AckMsg) }, sameMessage},
+	{"TickResult", TypeParams, paramsSize, func() any { return new(TickResult) },
+		func(msg any) any { return layoutOf(msg.(*TickResult)) }},
 }
+
+// oracleFresh is a zero value for binary.Read to decode tc's payload into.
+func (tc codecCase) oracleFresh() any { return tc.oracle(tc.fresh()) }
 
 func TestCodecMatchesBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range codecCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := binary.Size(tc.fresh()); got != tc.size {
+			if got := binary.Size(tc.oracleFresh()); got != tc.size {
 				t.Fatalf("binary.Size %d, codec size %d", got, tc.size)
 			}
 			for i := 0; i < 500; i++ {
 				msg := tc.fresh()
 				fillRandom(rng, reflect.ValueOf(msg).Elem())
-				want := oracleEncode(t, msg)
+				want := oracleEncode(t, tc.oracle(msg))
 				frame := frameBytes(t, tc.typ, msg)
 				if !bytes.Equal(frame[frameHeader:], want) {
 					t.Fatalf("encoding differs from binary.Write:\n got %x\nwant %x", frame[frameHeader:], want)
@@ -112,7 +180,7 @@ func TestCodecMatchesBinary(t *testing.T) {
 				if size := binary.LittleEndian.Uint32(frame); int(size) != tc.size || frame[4] != tc.typ {
 					t.Fatalf("header says %d bytes of type %d", size, frame[4])
 				}
-				got, ref := tc.fresh(), tc.fresh()
+				got, ref := tc.fresh(), tc.oracleFresh()
 				if err := Decode(want, got); err != nil {
 					t.Fatalf("Decode: %v", err)
 				}
@@ -120,7 +188,7 @@ func TestCodecMatchesBinary(t *testing.T) {
 					t.Fatalf("binary.Read: %v", err)
 				}
 				// Compared through the oracle's bytes: bit for bit, NaN-safe.
-				if !bytes.Equal(oracleEncode(t, got), oracleEncode(t, ref)) {
+				if !bytes.Equal(oracleEncode(t, tc.oracle(got)), oracleEncode(t, ref)) {
 					t.Fatalf("Decode disagrees with binary.Read:\n got %+v\nwant %+v", got, ref)
 				}
 			}
@@ -132,30 +200,23 @@ func TestCodecMatchesBinary(t *testing.T) {
 func TestDecodeNonCanonicalBool(t *testing.T) {
 	ack := oracleEncode(t, &AckMsg{AgentID: 3, Epoch: 9})
 	ack[ackSize-1] = 0x7F
-	params := oracleEncode(t, &ParamsMsg{})
+	params := oracleEncode(t, &paramsLayout{})
 	params[0], params[1] = 2, 0xFF
-	params[10+7*8] = 0x80 // WireParams.ClampTgtRate
-	for _, tc := range []struct {
-		payload   []byte
-		got, want any
-	}{
-		{ack, new(AckMsg), new(AckMsg)},
-		{params, new(ParamsMsg), new(ParamsMsg)},
+	params[10+7*8] = 0x80 // Params.ClampTgtRate
+	var a, refA AckMsg
+	var p TickResult
+	var refP paramsLayout
+	for _, err := range []error{
+		Decode(ack, &a), binary.Read(bytes.NewReader(ack), binary.LittleEndian, &refA),
+		Decode(params, &p), binary.Read(bytes.NewReader(params), binary.LittleEndian, &refP),
 	} {
-		if err := Decode(tc.payload, tc.got); err != nil {
+		if err != nil {
 			t.Fatal(err)
-		}
-		if err := binary.Read(bytes.NewReader(tc.payload), binary.LittleEndian, tc.want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tc.got, tc.want) {
-			t.Errorf("got %+v, binary.Read %+v", tc.got, tc.want)
 		}
 	}
-	var a AckMsg
-	var p ParamsMsg
-	Decode(ack, &a)
-	Decode(params, &p)
+	if a != refA || *layoutOf(&p) != refP {
+		t.Errorf("got %+v %+v, binary.Read %+v %+v", a, p, refA, refP)
+	}
 	if !a.Applied || !p.Changed || !p.Triggered || !p.Params.ClampTgtRate {
 		t.Errorf("non-canonical bool bytes did not decode as true: %+v %+v", a, p)
 	}
@@ -166,11 +227,11 @@ func TestDecodeShortAndTrailing(t *testing.T) {
 	for _, tc := range codecCases {
 		msg := tc.fresh()
 		fillRandom(rng, reflect.ValueOf(msg).Elem())
-		payload := oracleEncode(t, msg)
+		payload := oracleEncode(t, tc.oracle(msg))
 		for _, cut := range []int{0, 1, tc.size - 1} {
 			out := tc.fresh()
 			err := Decode(payload[:cut], out)
-			ref := binary.Read(bytes.NewReader(payload[:cut]), binary.LittleEndian, tc.fresh())
+			ref := binary.Read(bytes.NewReader(payload[:cut]), binary.LittleEndian, tc.oracleFresh())
 			if err == nil || err != ref {
 				t.Errorf("%s cut to %d: error %v, binary.Read %v", tc.name, cut, err, ref)
 			}
@@ -182,7 +243,7 @@ func TestDecodeShortAndTrailing(t *testing.T) {
 		out := tc.fresh()
 		if err := Decode(long, out); err != nil {
 			t.Errorf("%s with trailing bytes: %v", tc.name, err)
-		} else if !bytes.Equal(oracleEncode(t, out), payload) {
+		} else if !bytes.Equal(oracleEncode(t, tc.oracle(out)), payload) {
 			t.Errorf("%s: trailing bytes changed the decoded message", tc.name)
 		}
 	}
@@ -191,13 +252,13 @@ func TestDecodeShortAndTrailing(t *testing.T) {
 func TestCodecRejectsNonMessages(t *testing.T) {
 	payload := make([]byte, reportSize)
 	var x uint64
-	for _, out := range []any{nil, &x, Report{}, &WireParams{}, &payload} {
+	for _, out := range []any{nil, &x, Report{}, &dcqcn.Params{}, &payload} {
 		if err := Decode(payload, out); err == nil {
 			t.Errorf("Decode into %T succeeded", out)
 		}
 	}
 	bw := bufio.NewWriter(io.Discard)
-	for _, msg := range []any{x, &x, Report{}, &WireParams{}, payload} {
+	for _, msg := range []any{x, &x, Report{}, &dcqcn.Params{}, payload} {
 		if _, err := WriteFrame(bw, TypeReport, msg); err == nil {
 			t.Errorf("WriteFrame of %T succeeded", msg)
 		}
@@ -212,7 +273,7 @@ func TestFrameSizes(t *testing.T) {
 		want int
 	}{
 		{TypeReport, &Report{}, 221},
-		{TypeParams, &ParamsMsg{}, 128},
+		{TypeParams, &TickResult{}, 128},
 		{TypeApplyAck, &AckMsg{}, 26},
 		{TypeTick, &TickMsg{}, 21},
 		{TypeAck, nil, 5},
@@ -249,7 +310,7 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 			case *AckMsg:
 				local := *m
 				_, err = WriteFrame(bw, tc.typ, &local)
-			case *ParamsMsg:
+			case *TickResult:
 				local := *m
 				_, err = WriteFrame(bw, tc.typ, &local)
 			}
@@ -273,8 +334,8 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 			case *AckMsg:
 				var out AckMsg
 				err = Decode(payload, &out)
-			case *ParamsMsg:
-				var out ParamsMsg
+			case *TickResult:
+				var out TickResult
 				err = Decode(payload, &out)
 			}
 		}); a != 0 || err != nil {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/dcqcn"
@@ -18,11 +17,15 @@ import (
 	"repro/internal/tuner"
 )
 
-func TestWireParamsRoundTrip(t *testing.T) {
+// TestTickResultFrameRoundTrip: the shipped parameter vectors come back
+// from the params frame unchanged.
+func TestTickResultFrameRoundTrip(t *testing.T) {
 	for _, p := range []dcqcn.Params{dcqcn.DefaultParams(), dcqcn.ExpertParams()} {
-		got := FromWire(ToWire(p))
-		if got != p {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, p)
+		want := TickResult{Changed: true, Epoch: 7, Params: p}
+		var got TickResult
+		frameRoundTrip(t, TypeParams, &want, &got)
+		if got != want {
+			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
 }
@@ -30,7 +33,7 @@ func TestWireParamsRoundTrip(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	r := Report{AgentID: 7, Seq: 42, ElephantBytes: 1000, Flows: 3}
+	r := Report{AgentID: 7, Seq: 42, Report: loop.Report{ElephantBytes: 1000, Flows: 3}}
 	r.Hist[5] = 123.5
 	n, err := WriteFrame(bw, TypeReport, &r)
 	if err != nil {
@@ -81,18 +84,6 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestQuickWireParamsRoundTrip(t *testing.T) {
-	f := func(ai, hai, g, pmax float64, kmin, kmax int64) bool {
-		p := dcqcn.DefaultParams()
-		p.AIRateBps, p.HAIRateBps, p.G, p.PMax = ai, hai, g, pmax
-		p.KminBytes, p.KmaxBytes = kmin, kmax
-		return FromWire(ToWire(p)) == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func quickServer(t *testing.T) *Server {
 	t.Helper()
 	cfg := DefaultServerConfig()
@@ -111,7 +102,7 @@ func quickServer(t *testing.T) *Server {
 func elephantReport(agent uint32, seq uint64) Report {
 	r := Report{
 		AgentID: agent, Seq: seq,
-		ElephantBytes: 9000, MiceBytes: 1000, Flows: 4,
+		Report: loop.Report{ElephantBytes: 9000, MiceBytes: 1000, Flows: 4},
 		RuntimeSums: loop.RuntimeSums{
 			UtilSum: 0.8, ActiveLinks: 1,
 			RTTNormSum: 0.9, RTTCount: 1,

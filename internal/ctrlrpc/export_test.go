@@ -1,7 +1,8 @@
 package ctrlrpc
 
 // DialReconnecting connects to addr with the default retry and backoff
-// settings, verifying the controller is reachable once.
-func DialReconnecting(addr string) (*ReconnClient, error) {
-	return DialReconnectingWith(addr, 0, 0, 0, nil)
+// settings and the given jitter seed, verifying the controller is
+// reachable once.
+func DialReconnecting(addr string, seed int64) (*ReconnClient, error) {
+	return DialReconnectingWith(addr, 0, 0, 0, seed, nil)
 }

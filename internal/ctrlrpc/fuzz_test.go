@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/dcqcn"
+	"repro/internal/loop"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
@@ -50,7 +53,7 @@ func FuzzReadFrame(f *testing.F) {
 			var tk TickMsg
 			_ = Decode(payload, &tk)
 		case TypeParams:
-			var p ParamsMsg
+			var p TickResult
 			_ = Decode(payload, &p)
 		}
 	})
@@ -58,65 +61,33 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzDecode hammers the payload decoder directly (below the framing
 // layer) with arbitrary bytes against every message type: it must never
-// panic, and a payload that decodes as a Report must re-encode stably
-// (encode→decode→encode is a fixed point).
+// panic, and whatever message a payload decodes to must come back bit for
+// bit from a round trip through WriteFrame, ReadFrame and Decode.
 func FuzzDecode(f *testing.F) {
-	seed := func(typ byte, msg any) {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if _, err := WriteFrame(bw, typ, msg); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes()[5:]) // payload only, header stripped
-	}
-	seed(TypeReport, &Report{AgentID: 1, Seq: 7, Flows: 3})
+	seed := func(typ byte, msg any) { f.Add(frameBytes(f, typ, msg)[frameHeader:]) }
+	seed(TypeReport, &Report{AgentID: 1, Seq: 7, Report: loop.Report{Flows: 3}})
 	seed(TypeTick, &TickMsg{Seq: 9, IntervalNanos: 1e6})
-	seed(TypeParams, &ParamsMsg{Changed: true, Params: ToWire(FromWire(WireParams{}))})
+	seed(TypeParams, &TickResult{Changed: true})
+	seed(TypeParams, &TickResult{Params: dcqcn.Params{
+		AIRateBps: 5e6, HAIRateBps: 50e6, G: 0.00390625, PMax: 0.2,
+		KminBytes: 400 << 10, KmaxBytes: 1600 << 10, RPGTimeReset: 300000,
+		ClampTgtRate: true,
+	}})
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var tk TickMsg
-		_ = Decode(payload, &tk)
-		var pm ParamsMsg
-		_ = Decode(payload, &pm)
-		var r Report
-		if err := Decode(payload, &r); err != nil {
-			return
-		}
-		// Fixed-point check, NaN-safe: compare re-encodings, not structs.
-		encode := func(msg *Report) []byte {
-			var buf bytes.Buffer
-			bw := bufio.NewWriter(&buf)
-			if _, err := WriteFrame(bw, TypeReport, msg); err != nil {
-				t.Fatalf("re-encode: %v", err)
+		for _, tc := range codecCases {
+			msg := tc.fresh()
+			if Decode(payload, msg) != nil {
+				continue
 			}
-			return buf.Bytes()
-		}
-		first := encode(&r)
-		var r2 Report
-		if err := Decode(first[5:], &r2); err != nil {
-			t.Fatalf("decode of own encoding failed: %v", err)
-		}
-		if !bytes.Equal(first, encode(&r2)) {
-			t.Fatal("encode→decode→encode not a fixed point")
-		}
-	})
-}
-
-// FuzzWireParamsRoundTrip checks that any finite parameter vector
-// survives the wire encoding bit-exactly.
-func FuzzWireParamsRoundTrip(f *testing.F) {
-	f.Add(5e6, 50e6, 0.00390625, 0.2, int64(400<<10), int64(1600<<10), int64(300000), true)
-	f.Fuzz(func(t *testing.T, ai, hai, g, pmax float64, kmin, kmax, timeReset int64, clamp bool) {
-		p := FromWire(WireParams{
-			AIRateBps: ai, HAIRateBps: hai, G: g, PMax: pmax,
-			KminBytes: kmin, KmaxBytes: kmax, RPGTimeResetNs: timeReset,
-			ClampTgtRate: clamp,
-		})
-		got := FromWire(ToWire(p))
-		if got != p {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
+			back := tc.fresh()
+			frameRoundTrip(t, tc.typ, msg, back)
+			// Compared through the oracle's bytes: bit for bit, NaN-safe.
+			if !bytes.Equal(oracleEncode(t, tc.oracle(back)), oracleEncode(t, tc.oracle(msg))) {
+				t.Fatalf("%s: the frame round trip turned %+v into %+v", tc.name, msg, back)
+			}
 		}
 	})
 }
@@ -130,20 +101,20 @@ func FuzzCodecMatchesBinary(f *testing.F) {
 	for _, tc := range codecCases {
 		msg := tc.fresh()
 		fillRandom(rng, reflect.ValueOf(msg).Elem())
-		f.Add(oracleEncode(f, msg))
+		f.Add(oracleEncode(f, tc.oracle(msg)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, tc := range codecCases {
-			got, ref := tc.fresh(), tc.fresh()
+			got, ref := tc.fresh(), tc.oracleFresh()
 			err := Decode(payload, got)
 			if rerr := binary.Read(bytes.NewReader(payload), binary.LittleEndian, ref); err != rerr {
 				t.Fatalf("%s: Decode error %v, binary.Read %v", tc.name, err, rerr)
 			}
 			want := oracleEncode(t, ref)
-			if !bytes.Equal(oracleEncode(t, got), want) {
+			if !bytes.Equal(oracleEncode(t, tc.oracle(got)), want) {
 				t.Fatalf("%s: Decode disagrees with binary.Read", tc.name)
 			}
 			if err == nil && !bytes.Equal(frameBytes(t, tc.typ, got)[frameHeader:], want) {

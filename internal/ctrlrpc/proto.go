@@ -7,9 +7,12 @@
 //
 // Framing: uint32 little-endian payload length, one type byte, then the
 // fixed-layout little-endian payload: every field in declaration order,
-// byte for byte what encoding/binary writes for the struct (the tests hold
-// the hand-written codec to that oracle). Payloads are capped at MaxFrame
-// to bound memory against misbehaving peers.
+// byte for byte what encoding/binary writes for the struct. The one
+// exception is TickResult's dcqcn.Params, whose RPGThreshold is an int
+// that encoding/binary cannot write: it goes out as an int64, like the
+// durations, which are nanoseconds. The tests hold the hand-written codec
+// to that oracle. Payloads are capped at MaxFrame to bound memory against
+// misbehaving peers.
 package ctrlrpc
 
 import (
@@ -51,29 +54,16 @@ type Report struct {
 	AgentID uint32
 	Seq     uint64
 
-	// Local FSD (mirrors loop.Report).
-	Hist           [loop.NumBuckets]float64
-	ElephantBytes  float64
-	MiceBytes      float64
-	ElephantFlowsW float64
-	MiceFlowsW     float64
-	Flows          int32
+	// Local FSD.
+	loop.Report
 
 	// Runtime metric contributions for this agent's scope.
 	loop.RuntimeSums
 }
 
-// MonitorReport converts the wire FSD fields back to a loop.Report.
-func (r *Report) MonitorReport() loop.Report {
-	var m loop.Report
-	m.Hist = r.Hist
-	m.ElephantBytes = r.ElephantBytes
-	m.MiceBytes = r.MiceBytes
-	m.ElephantFlowsW = r.ElephantFlowsW
-	m.MiceFlowsW = r.MiceFlowsW
-	m.Flows = int(r.Flows)
-	return m
-}
+// MonitorReport returns the report's local FSD. In-repo code reads
+// r.Report; this stays because the benchmark module calls it.
+func (r *Report) MonitorReport() loop.Report { return r.Report }
 
 // TickMsg closes interval Seq; IntervalNanos is λ_MI for rate math.
 type TickMsg struct {
@@ -81,16 +71,18 @@ type TickMsg struct {
 	IntervalNanos int64
 }
 
-// ParamsMsg answers a tick with the setting to dispatch. Epoch is the
-// monotonically increasing number of the current vector: agents ACK
-// (epoch, vector-hash) after applying, and an agent that sees an epoch
-// at or below its own treats the frame as a duplicate — retries and
-// reordered deliveries are idempotent by construction.
-type ParamsMsg struct {
+// TickResult is the controller's answer to a tick: whether this interval
+// changed the parameter vector (Changed) after a KL trigger (Triggered),
+// the epoch stamped on the vector, and the vector to run. Epoch is
+// monotonically increasing: agents ACK (epoch, vector-hash) after
+// applying, and an agent that sees an epoch at or below its own treats
+// the frame as a duplicate — retries and reordered deliveries are
+// idempotent by construction.
+type TickResult struct {
 	Changed   bool
 	Triggered bool
 	Epoch     uint64
-	Params    WireParams
+	Params    dcqcn.Params
 }
 
 // AckMsg is an agent's apply acknowledgement: the epoch it applied and
@@ -104,78 +96,16 @@ type AckMsg struct {
 	Applied    bool
 }
 
-// WireParams is dcqcn.Params with fixed-width fields for binary encoding.
-type WireParams struct {
-	AIRateBps               float64
-	HAIRateBps              float64
-	RPGTimeResetNs          int64
-	RPGByteReset            int64
-	RPGThreshold            int64
-	RateReduceMonitorNs     int64
-	MinRateBps              float64
-	ClampTgtRate            bool
-	G                       float64
-	AlphaUpdateIntervalNs   int64
-	InitialAlpha            float64
-	MinTimeBetweenCNPsNanos int64
-	KminBytes               int64
-	KmaxBytes               int64
-	PMax                    float64
-}
-
-// ToWire converts engine-typed params to the wire layout.
-func ToWire(p dcqcn.Params) WireParams {
-	return WireParams{
-		AIRateBps:               p.AIRateBps,
-		HAIRateBps:              p.HAIRateBps,
-		RPGTimeResetNs:          int64(p.RPGTimeReset),
-		RPGByteReset:            p.RPGByteReset,
-		RPGThreshold:            int64(p.RPGThreshold),
-		RateReduceMonitorNs:     int64(p.RateReduceMonitorPeriod),
-		MinRateBps:              p.MinRateBps,
-		ClampTgtRate:            p.ClampTgtRate,
-		G:                       p.G,
-		AlphaUpdateIntervalNs:   int64(p.AlphaUpdateInterval),
-		InitialAlpha:            p.InitialAlpha,
-		MinTimeBetweenCNPsNanos: int64(p.MinTimeBetweenCNPs),
-		KminBytes:               p.KminBytes,
-		KmaxBytes:               p.KmaxBytes,
-		PMax:                    p.PMax,
-	}
-}
-
-// FromWire converts back to engine-typed params.
-func FromWire(w WireParams) dcqcn.Params {
-	return dcqcn.Params{
-		AIRateBps:               w.AIRateBps,
-		HAIRateBps:              w.HAIRateBps,
-		RPGTimeReset:            eventsim.Time(w.RPGTimeResetNs),
-		RPGByteReset:            w.RPGByteReset,
-		RPGThreshold:            int(w.RPGThreshold),
-		RateReduceMonitorPeriod: eventsim.Time(w.RateReduceMonitorNs),
-		MinRateBps:              w.MinRateBps,
-		ClampTgtRate:            w.ClampTgtRate,
-		G:                       w.G,
-		AlphaUpdateInterval:     eventsim.Time(w.AlphaUpdateIntervalNs),
-		InitialAlpha:            w.InitialAlpha,
-		MinTimeBetweenCNPs:      eventsim.Time(w.MinTimeBetweenCNPsNanos),
-		KminBytes:               w.KminBytes,
-		KmaxBytes:               w.KmaxBytes,
-		PMax:                    w.PMax,
-	}
-}
-
 // frameHeader is the uint32 payload length plus the type byte.
 const frameHeader = 5
 
 // Payload sizes of the fixed layouts: every field in declaration order,
 // bools as one byte, no padding — what binary.Size reports for each struct.
 const (
-	reportSize     = 4 + 8 + 8*loop.NumBuckets + 4*8 + 4 + 8 + 4 + 8 + 8 + 8 + 4
-	tickSize       = 8 + 8
-	ackSize        = 4 + 8 + 8 + 1
-	wireParamsSize = 14*8 + 1
-	paramsSize     = 1 + 1 + 8 + wireParamsSize
+	reportSize = 4 + 8 + 8*loop.NumBuckets + 4*8 + 4 + 8 + 4 + 8 + 8 + 8 + 4
+	tickSize   = 8 + 8
+	ackSize    = 4 + 8 + 8 + 1
+	paramsSize = 1 + 1 + 8 + 14*8 + 1
 )
 
 // errNotMessage rejects a value that is not one of the four wire messages.
@@ -184,7 +114,7 @@ var errNotMessage = errors.New("ctrlrpc: not a wire message")
 // largestFrame is the longest frame any message encodes to.
 const largestFrame = frameHeader + max(reportSize, tickSize, ackSize, paramsSize)
 
-// WriteFrame encodes msg — a *Report, *TickMsg, *AckMsg or *ParamsMsg, or
+// WriteFrame encodes msg — a *Report, *TickMsg, *AckMsg or *TickResult, or
 // nil for bodyless types — and writes one frame: appendFrame, then a
 // flush. It returns the bytes written.
 func WriteFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
@@ -216,7 +146,7 @@ func appendFrame(w *bufio.Writer, typ byte, msg any) (int, error) {
 		b = m.appendTo(b)
 	case *AckMsg:
 		b = m.appendTo(b)
-	case *ParamsMsg:
+	case *TickResult:
 		b = m.appendTo(b)
 	default:
 		return 0, fmt.Errorf("ctrlrpc: encode type %d: %w", typ, errNotMessage)
@@ -262,7 +192,7 @@ func readFrame(r *bufio.Reader, buf *[]byte) (typ byte, payload []byte, n int, e
 }
 
 // Decode unmarshals a fixed-layout payload into out, which must be a
-// *Report, *TickMsg, *AckMsg or *ParamsMsg. As with binary.Read, trailing
+// *Report, *TickMsg, *AckMsg or *TickResult. As with binary.Read, trailing
 // bytes are ignored, and an empty or short payload leaves out untouched
 // and returns io.EOF or io.ErrUnexpectedEOF.
 func Decode(payload []byte, out any) error {
@@ -273,7 +203,7 @@ func Decode(payload []byte, out any) error {
 		return m.decode(payload)
 	case *AckMsg:
 		return m.decode(payload)
-	case *ParamsMsg:
+	case *TickResult:
 		return m.decode(payload)
 	}
 	return errNotMessage
@@ -403,58 +333,51 @@ func (a *AckMsg) decode(c cursor) error {
 	return nil
 }
 
-func (p *ParamsMsg) appendTo(b []byte) []byte {
-	b = appendBool(b, p.Changed)
-	b = appendBool(b, p.Triggered)
-	b = binary.LittleEndian.AppendUint64(b, p.Epoch)
-	return p.Params.appendTo(b)
+func (t *TickResult) appendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = appendBool(b, t.Changed)
+	b = appendBool(b, t.Triggered)
+	b = le.AppendUint64(b, t.Epoch)
+	p := &t.Params
+	b = appendF64(b, p.AIRateBps)
+	b = appendF64(b, p.HAIRateBps)
+	b = le.AppendUint64(b, uint64(p.RPGTimeReset))
+	b = le.AppendUint64(b, uint64(p.RPGByteReset))
+	b = le.AppendUint64(b, uint64(p.RPGThreshold))
+	b = le.AppendUint64(b, uint64(p.RateReduceMonitorPeriod))
+	b = appendF64(b, p.MinRateBps)
+	b = appendBool(b, p.ClampTgtRate)
+	b = appendF64(b, p.G)
+	b = le.AppendUint64(b, uint64(p.AlphaUpdateInterval))
+	b = appendF64(b, p.InitialAlpha)
+	b = le.AppendUint64(b, uint64(p.MinTimeBetweenCNPs))
+	b = le.AppendUint64(b, uint64(p.KminBytes))
+	b = le.AppendUint64(b, uint64(p.KmaxBytes))
+	return appendF64(b, p.PMax)
 }
 
-func (p *ParamsMsg) decode(c cursor) error {
+func (t *TickResult) decode(c cursor) error {
 	if err := c.need(paramsSize); err != nil {
 		return err
 	}
-	p.Changed = c.flag()
-	p.Triggered = c.flag()
-	p.Epoch = c.u64()
-	p.Params.read(&c)
+	t.Changed = c.flag()
+	t.Triggered = c.flag()
+	t.Epoch = c.u64()
+	p := &t.Params
+	p.AIRateBps = c.f64()
+	p.HAIRateBps = c.f64()
+	p.RPGTimeReset = eventsim.Time(c.u64())
+	p.RPGByteReset = int64(c.u64())
+	p.RPGThreshold = int(int64(c.u64()))
+	p.RateReduceMonitorPeriod = eventsim.Time(c.u64())
+	p.MinRateBps = c.f64()
+	p.ClampTgtRate = c.flag()
+	p.G = c.f64()
+	p.AlphaUpdateInterval = eventsim.Time(c.u64())
+	p.InitialAlpha = c.f64()
+	p.MinTimeBetweenCNPs = eventsim.Time(c.u64())
+	p.KminBytes = int64(c.u64())
+	p.KmaxBytes = int64(c.u64())
+	p.PMax = c.f64()
 	return nil
-}
-
-func (w *WireParams) appendTo(b []byte) []byte {
-	le := binary.LittleEndian
-	b = appendF64(b, w.AIRateBps)
-	b = appendF64(b, w.HAIRateBps)
-	b = le.AppendUint64(b, uint64(w.RPGTimeResetNs))
-	b = le.AppendUint64(b, uint64(w.RPGByteReset))
-	b = le.AppendUint64(b, uint64(w.RPGThreshold))
-	b = le.AppendUint64(b, uint64(w.RateReduceMonitorNs))
-	b = appendF64(b, w.MinRateBps)
-	b = appendBool(b, w.ClampTgtRate)
-	b = appendF64(b, w.G)
-	b = le.AppendUint64(b, uint64(w.AlphaUpdateIntervalNs))
-	b = appendF64(b, w.InitialAlpha)
-	b = le.AppendUint64(b, uint64(w.MinTimeBetweenCNPsNanos))
-	b = le.AppendUint64(b, uint64(w.KminBytes))
-	b = le.AppendUint64(b, uint64(w.KmaxBytes))
-	return appendF64(b, w.PMax)
-}
-
-// read decodes WireParams inside a ParamsMsg, whose need covers it.
-func (w *WireParams) read(c *cursor) {
-	w.AIRateBps = c.f64()
-	w.HAIRateBps = c.f64()
-	w.RPGTimeResetNs = int64(c.u64())
-	w.RPGByteReset = int64(c.u64())
-	w.RPGThreshold = int64(c.u64())
-	w.RateReduceMonitorNs = int64(c.u64())
-	w.MinRateBps = c.f64()
-	w.ClampTgtRate = c.flag()
-	w.G = c.f64()
-	w.AlphaUpdateIntervalNs = int64(c.u64())
-	w.InitialAlpha = c.f64()
-	w.MinTimeBetweenCNPsNanos = int64(c.u64())
-	w.KminBytes = int64(c.u64())
-	w.KmaxBytes = int64(c.u64())
-	w.PMax = c.f64()
 }

@@ -3,11 +3,8 @@ package ctrlrpc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/splitmix"
 	"repro/internal/telemetry"
 )
 
@@ -56,46 +53,25 @@ type ReconnClient struct {
 	// wrapped Client, frame and byte flow) into the telemetry registry.
 	TM *telemetry.RPCMetrics
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// rng draws the backoff jitter.
+	rng *rand.Rand
 }
 
-// DialReconnectingWith connects with explicit retry/backoff settings and
-// an optional dial hook (nil means the package Dial); zero settings fall
-// back to the defaults.
-func DialReconnectingWith(addr string, maxRetries int, base, max time.Duration, dial func(string) (*Client, error)) (*ReconnClient, error) {
-	r := &ReconnClient{addr: addr, MaxRetries: maxRetries, BaseDelay: base, MaxDelay: max, Dial: dial}
+// DialReconnectingWith connects with explicit retry/backoff settings, the
+// seed of the backoff jitter and an optional dial hook (nil means the
+// package Dial); zero settings fall back to the defaults. Clients that
+// share a controller take different seeds, so their redials spread out
+// instead of landing in lockstep; the first dial's retries already draw
+// from the seed.
+func DialReconnectingWith(addr string, maxRetries int, base, max time.Duration, seed int64, dial func(string) (*Client, error)) (*ReconnClient, error) {
+	r := &ReconnClient{
+		addr: addr, MaxRetries: maxRetries, BaseDelay: base, MaxDelay: max, Dial: dial,
+		rng: rand.New(rand.NewSource(seed)),
+	}
 	if err := r.redial(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// SeedBackoff fixes the jitter RNG, making the backoff sequence
-// reproducible. Unseeded clients get a per-client stream split off the
-// address hash so distinct agents spread out by default.
-func (r *ReconnClient) SeedBackoff(seed int64) {
-	r.rngMu.Lock()
-	r.rng = rand.New(rand.NewSource(seed))
-	r.rngMu.Unlock()
-}
-
-// reconnSeq distinguishes unseeded clients dialing the same address. The
-// address hash alone would hand every agent of one controller the same
-// jitter stream — their redials would land in lockstep, resurrecting the
-// thundering herd the jitter exists to break.
-var reconnSeq atomic.Uint64
-
-// fallbackSeed derives the jitter seed for a client that never called
-// SeedBackoff: the address hash mixed with a process-wide counter, put
-// through one SplitMix64 step so consecutive clients don't start their
-// backoff streams near each other.
-func fallbackSeed(addr string) int64 {
-	var h uint64
-	for _, b := range []byte(addr) {
-		h = h*131 + uint64(b)
-	}
-	return int64(splitmix.Next(h + reconnSeq.Add(1)))
 }
 
 // backoffDelay returns the pause before dial attempt k (k ≥ 1):
@@ -116,12 +92,7 @@ func (r *ReconnClient) backoffDelay(k int) time.Duration {
 	if d > max {
 		d = max
 	}
-	r.rngMu.Lock()
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(fallbackSeed(r.addr)))
-	}
 	jitter := 0.5 + 0.5*r.rng.Float64()
-	r.rngMu.Unlock()
 	return time.Duration(float64(d) * jitter)
 }
 

@@ -1,6 +1,7 @@
 package ctrlrpc
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -23,18 +24,13 @@ func TestReconnClientsConcurrentRestart(t *testing.T) {
 	const nClients = 6
 	clients := make([]*ReconnClient, nClients)
 	for i := range clients {
-		c, err := DialReconnecting(addr)
+		c, err := DialReconnecting(addr, int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.BaseDelay = 2 * time.Millisecond
 		c.MaxDelay = 20 * time.Millisecond
 		c.MaxRetries = 50
-		// Half the clients stay unseeded: the fallback-seed path must be
-		// just as race-free as the explicit one.
-		if i%2 == 0 {
-			c.SeedBackoff(int64(i + 1))
-		}
 		clients[i] = c
 		defer c.Close()
 	}
@@ -85,19 +81,18 @@ func TestReconnClientsConcurrentRestart(t *testing.T) {
 }
 
 // TestReconnFallbackSeedsDiverge checks the herd property directly: two
-// unseeded clients dialing the same controller must not share a jitter
-// stream. Before the split-off counter, the address-hash seed made their
-// backoff sequences identical, synchronizing every agent's redial.
+// clients of one controller built with different seeds must not share a
+// jitter stream, or their redials would land in lockstep. The same seed
+// must give the same stream, so a run's backoff is reproducible.
 func TestReconnFallbackSeedsDiverge(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	addr := s.Addr()
 
-	jitterSeq := func() []time.Duration {
-		c, err := DialReconnecting(addr)
+	jitterSeq := func(seed int64) []time.Duration {
+		c, err := DialReconnecting(s.Addr(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,34 +105,10 @@ func TestReconnFallbackSeedsDiverge(t *testing.T) {
 		}
 		return seq
 	}
-	a, b := jitterSeq(), jitterSeq()
-	same := true
-	for k := range a {
-		if a[k] != b[k] {
-			same = false
-			break
-		}
+	if a, b := jitterSeq(1), jitterSeq(2); slices.Equal(a, b) {
+		t.Fatalf("seeds 1 and 2 produced the identical backoff sequence %v — thundering herd is back", a)
 	}
-	if same {
-		t.Fatalf("two unseeded clients produced the identical backoff sequence %v — thundering herd is back", a)
-	}
-
-	// SeedBackoff must stay reproducible: same seed, same sequence.
-	c1, err := DialReconnecting(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := DialReconnecting(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	c1.SeedBackoff(42)
-	c2.SeedBackoff(42)
-	for k := 1; k <= 8; k++ {
-		if d1, d2 := c1.backoffDelay(k), c2.backoffDelay(k); d1 != d2 {
-			t.Fatalf("SeedBackoff(42) diverged at attempt %d: %v vs %v", k, d1, d2)
-		}
+	if a, b := jitterSeq(42), jitterSeq(42); !slices.Equal(a, b) {
+		t.Fatalf("seed 42 gave two backoff sequences: %v and %v", a, b)
 	}
 }

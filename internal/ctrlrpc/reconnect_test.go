@@ -1,6 +1,8 @@
 package ctrlrpc
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -13,7 +15,7 @@ func TestReconnClientSurvivesControllerRestart(t *testing.T) {
 	}
 	addr := s1.Addr()
 
-	c, err := DialReconnecting(addr)
+	c, err := DialReconnecting(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +23,6 @@ func TestReconnClientSurvivesControllerRestart(t *testing.T) {
 	c.BaseDelay = 5 * time.Millisecond
 	c.MaxDelay = 20 * time.Millisecond
 	c.MaxRetries = 25
-	c.SeedBackoff(1)
 
 	if err := c.SendReport(elephantReport(1, 1)); err != nil {
 		t.Fatal(err)
@@ -70,14 +71,13 @@ func TestReconnClientGivesUpEventually(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := s.Addr()
-	c, err := DialReconnecting(addr)
+	c, err := DialReconnecting(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.MaxRetries = 2
 	c.BaseDelay = 5 * time.Millisecond
-	c.SeedBackoff(1)
 	s.Close() // nothing will listen again
 	if err := c.SendReport(elephantReport(1, 1)); err == nil {
 		t.Error("report to a dead controller succeeded")
@@ -90,7 +90,7 @@ func TestReconnClientAggregatesBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialReconnecting(s.Addr())
+	c, err := DialReconnecting(s.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +100,38 @@ func TestReconnClientAggregatesBytes(t *testing.T) {
 	c.Close()
 	if c.BytesOut == 0 || c.BytesIn == 0 {
 		t.Errorf("byte aggregation lost: in=%d out=%d", c.BytesIn, c.BytesOut)
+	}
+}
+
+// TestReconnFirstDialDrawsFromSeed: the retries of a first dial that
+// fails, as when an agent starts before its controller, already draw
+// their jitter from the client's seed, so after two failed dials the
+// next delay takes the seeded stream's third draw.
+func TestReconnFirstDialDrawsFromSeed(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fails := 2
+	dial := func(addr string) (*Client, error) {
+		if fails > 0 {
+			fails--
+			return nil, errors.New("controller not up yet")
+		}
+		return Dial(addr)
+	}
+	const seed = 7
+	c, err := DialReconnectingWith(s.Addr(), 5, time.Millisecond, time.Millisecond, seed, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(seed))
+	rng.Float64()
+	rng.Float64()
+	want := time.Duration(float64(time.Millisecond) * (0.5 + 0.5*rng.Float64()))
+	if got := c.backoffDelay(1); got != want {
+		t.Errorf("next backoff %v, want %v from the seed's third draw", got, want)
 	}
 }

@@ -32,7 +32,7 @@ type ServerConfig struct {
 	// internal/tuner); empty means "sa", preserving the historical
 	// behaviour exactly. Bandit parameterizes that strategy when
 	// selected; the zero value means its defaults. A per-switch strategy
-	// (tuner.PerSwitch) is refused: ParamsMsg carries one fabric-wide
+	// (tuner.PerSwitch) is refused: TickResult carries one fabric-wide
 	// vector, so its per-switch proposals could not reach the switches.
 	Tuner  string
 	Bandit tuner.BanditConfig
@@ -385,7 +385,7 @@ func (s *Server) handle(conn net.Conn) {
 // tick is the controller's per-interval brain: it sums the pushed
 // reports into the interval's runtime sample, closes the interval on the
 // shared controller, and lets the shared step decide on live intervals.
-func (s *Server) tick(t TickMsg) ParamsMsg {
+func (s *Server) tick(t TickMsg) TickResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start, journal := time.Now(), s.stats.Journal
@@ -402,7 +402,7 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 	locals := s.locals[:0]
 	var sums loop.RuntimeSums
 	for i := range reports {
-		locals = append(locals, reports[i].MonitorReport())
+		locals = append(locals, reports[i].Report)
 		sums.Add(reports[i].RuntimeSums)
 	}
 	s.locals = locals
@@ -435,9 +435,9 @@ func (s *Server) tick(t TickMsg) ParamsMsg {
 		}
 		s.fEpoch.Append(tk, float64(s.epoch))
 	}
-	return ParamsMsg{
-		Epoch: s.epoch, Params: ToWire(s.current),
+	return TickResult{
 		Changed: s.epoch != epoch, Triggered: s.stats.Triggers != triggers,
+		Epoch: s.epoch, Params: s.current,
 	}
 }
 

@@ -372,11 +372,10 @@ func pretrain(scale Scale, train func(*sim.Network) error) (dcqcn.Params, error)
 // --- Figs 10–11: monitoring designs ---
 
 // monitoringScheme builds a Paraleon scheme whose FSD comes from mode.
-func monitoringScheme(name string, mode FSDMode, interval eventsim.Time) Scheme {
+func monitoringScheme(name string, mode FSDMode) Scheme {
 	sc := ParaleonScheme()
 	sc.Name = name
 	sc.FSDMode = mode
-	sc.SystemCfg.Interval = interval
 	if mode == FSDNone {
 		// No distribution: nothing can trigger tuning, and guidance is
 		// meaningless — fall back to unguided search kicked off
@@ -410,7 +409,7 @@ func fig10(x Setup) []Arm {
 		mode FSDMode
 	}{{"no-fsd", FSDNone}, {"netflow", FSDNetFlow}, {"elastic", FSDNaiveElastic}, {"paraleon", FSDParaleon}} {
 		for _, load := range []float64{0.3, 0.5, 0.7} {
-			sc := monitoringScheme(m.name, m.mode, x.Scale.Interval)
+			sc := monitoringScheme(m.name, m.mode)
 			arms = append(arms, monitoringArm(x, sc, fmt.Sprintf("load=%g", load), x.Scale.Interval, load))
 		}
 	}
@@ -425,7 +424,7 @@ func fig11(x Setup) []Arm {
 	}{{"elastic", FSDNaiveElastic}, {"paraleon", FSDParaleon}} {
 		for _, ms := range []float64{1, 2, 4, 8} {
 			interval := eventsim.Time(ms * float64(eventsim.Millisecond))
-			sc := monitoringScheme(m.name, m.mode, interval)
+			sc := monitoringScheme(m.name, m.mode)
 			arms = append(arms, monitoringArm(x, sc, fmt.Sprintf("%gms", ms), interval, 0.3))
 		}
 	}

@@ -177,9 +177,9 @@ type RunConfig struct {
 	MaxTime    eventsim.Time
 	// Workload installs traffic on the fresh network.
 	Workload func(n *sim.Network) error
-	// TrackAccuracy attaches ground-truth oracles and scores the
-	// scheme's FSD each interval (only meaningful when the scheme has an
-	// FSD estimate).
+	// TrackAccuracy attaches ground-truth oracles to the ToR agents'
+	// taps and scores the scheme's FSD each interval. Only a Paraleon
+	// scheme has agents, so for any other it records nothing.
 	TrackAccuracy bool
 
 	// Faults, when set, builds the run's fault schedule from the fresh
@@ -228,8 +228,6 @@ type Result struct {
 	// controller of the run (Paraleon arms only; a Wire run counts only
 	// Dispatches).
 	Triggers, Dispatches, Rounds int
-	// UtilTrace is the tuner's best-so-far trace (Fig 12).
-	UtilTrace []float64
 
 	// Faults / Recovers count injected-fault and recovery events
 	// (including controller-detected ones like eviction and quorum
@@ -251,7 +249,6 @@ func (r *Result) addSystem(sys *core.System) {
 	r.Triggers += sys.Controller.Triggers
 	r.Dispatches += sys.Dispatches
 	r.Rounds += sys.Tuner.Stats().Sessions
-	r.UtilTrace = append(r.UtilTrace, sys.Tuner.BestTrace()...)
 }
 
 // MeanAccuracy averages the accuracy series (NaN if empty).
@@ -378,14 +375,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	if weights.Validate() != nil {
 		weights = tuner.DefaultWeights()
-	}
-
-	// For oracle taps on non-Paraleon schemes the oracle needs to see
-	// packets: attach oracle taps where no agent tap exists.
-	if cfg.TrackAccuracy && cfg.Scheme.Kind != KindParaleon {
-		for i, tor := range n.Topo.ToRs() {
-			monitor.TapAll(n.Switch(tor), oracles[i].OnPacket)
-		}
 	}
 
 	// The fault schedule schedules engine events, so it installs after

@@ -138,13 +138,12 @@ func dialWire(n *sim.Network, cfg RunConfig, sources []loop.ReportSource, sc cha
 			}
 			return ctrlrpc.NewClient(conn), nil
 		}
-		rc, err := ctrlrpc.DialReconnectingWith(addr, 10, 2*time.Millisecond, 20*time.Millisecond, dial)
+		rc, err := ctrlrpc.DialReconnectingWith(addr, 10, 2*time.Millisecond, 20*time.Millisecond, sc.Seed+int64(i), dial)
 		if err != nil {
 			w.close()
 			return nil, err
 		}
 		rc.TM = rpcTM
-		rc.SeedBackoff(sc.Seed + int64(i))
 		w.clients = append(w.clients, rc)
 	}
 	return w, nil
@@ -170,12 +169,9 @@ func (w *wirePlane) tick(seq int) (loop.RuntimeSample, error) {
 	st := &w.res.Wire
 	var sums loop.RuntimeSums
 	for i, src := range w.sources {
-		mr := src.EndInterval()
 		r := ctrlrpc.Report{
-			AgentID: uint32(i), Seq: uint64(seq), Flows: int32(mr.Flows), Hist: mr.Hist,
-			ElephantBytes: mr.ElephantBytes, MiceBytes: mr.MiceBytes,
-			ElephantFlowsW: mr.ElephantFlowsW, MiceFlowsW: mr.MiceFlowsW,
-			RuntimeSums: w.racks[i].Sums(w.interval),
+			AgentID: uint32(i), Seq: uint64(seq),
+			Report: src.EndInterval(), RuntimeSums: w.racks[i].Sums(w.interval),
 		}
 		_, before := w.clients[i].Traffic()
 		if err := w.tolerate(w.clients[i].SendReport(r), &st.AgentErrors); err != nil {

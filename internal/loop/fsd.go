@@ -37,11 +37,13 @@ func BucketFor(size int64) int {
 // Report is one agent's unnormalized contribution for one monitor
 // interval: byte mass per size class, plus the ternary-weighted
 // elephant/mice split.
+//
+// The fields are in the order the ctrlrpc report frame carries them, at
+// the widths it carries them.
 type Report struct {
 	Hist          [NumBuckets]float64
 	ElephantBytes float64
 	MiceBytes     float64
-	Flows         int
 	// ElephantFlowsW / MiceFlowsW are ternary-weighted flow counts: a
 	// potential elephant contributes its likelihood to the elephant side
 	// and the remainder to the mice side. Dominance (the mu that guides
@@ -50,6 +52,8 @@ type Report struct {
 	// even though elephants carry most bytes.
 	ElephantFlowsW float64
 	MiceFlowsW     float64
+	// Flows counts the distinct flows the agent tracked.
+	Flows int32
 }
 
 // Add accumulates another report into r.
@@ -95,7 +99,7 @@ func Aggregate(locals ...Report) FSD {
 		sum.Add(l)
 	}
 	var f FSD
-	f.Flows = sum.Flows
+	f.Flows = int(sum.Flows)
 	var total float64
 	for _, v := range sum.Hist {
 		total += v

@@ -14,7 +14,7 @@ func traffic(elephants, mice float64) Report {
 	r.Hist[12], r.Hist[0] = 9000, 1000
 	r.ElephantBytes, r.MiceBytes = 9000, 1000
 	r.ElephantFlowsW, r.MiceFlowsW = elephants, mice
-	r.Flows = int(elephants + mice)
+	r.Flows = int32(elephants + mice)
 	return r
 }
 

@@ -15,7 +15,7 @@ func fsdWithShare(eleFlows, miceFlows float64, bucket int, bytes float64) loop.F
 	r.MiceFlowsW = miceFlows
 	r.ElephantBytes = bytes * eleFlows / math.Max(1, eleFlows+miceFlows)
 	r.MiceBytes = bytes - r.ElephantBytes
-	r.Flows = int(eleFlows + miceFlows)
+	r.Flows = int32(eleFlows + miceFlows)
 	return Aggregate(r)
 }
 

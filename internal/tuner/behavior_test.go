@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -109,8 +110,8 @@ func TestAllTunersTriggerResetsSession(t *testing.T) {
 		}
 		stepsBefore := tu.Stats().Steps
 		tu.Trigger(miceFSD())
-		if len(tu.BestTrace()) != 0 {
-			t.Errorf("%s: re-trigger did not reset the trace", name)
+		if !math.IsInf(tu.BestUtility(), -1) {
+			t.Errorf("%s: re-trigger did not reset the best utility", name)
 		}
 		if !tu.Active() {
 			t.Errorf("%s: tuner inactive after re-trigger", name)

@@ -128,10 +128,11 @@ func TestMultiECNAgentStreamStableAcrossAgentCounts(t *testing.T) {
 // after five intervals, and a fourth run to the end, with every proposal
 // committed and every per-switch proposal confirmed as the control loop
 // does. The digest covers the proposals, the per-switch proposals, the
-// counters, the best-so-far trace and utility, and each strategy's own
-// readouts (temperature, regret, per-agent commit counts). All three
-// were re-pinned once, when a new session began to open on the last
-// committed vector instead of its previous chain's last point.
+// counters, the best utility after every step but the warmup interval's
+// (the digests were pinned without it), the final best, and each
+// strategy's own readouts (temperature, regret, per-agent commit counts).
+// All three were re-pinned once, when a new session began to open on the
+// last committed vector instead of its previous chain's last point.
 func TestTunerSessionsMatchParent(t *testing.T) {
 	want := map[string]uint64{
 		"bandit":   0x3b92674e025f11b1,
@@ -144,8 +145,12 @@ func TestTunerSessionsMatchParent(t *testing.T) {
 		put := func(v ...any) { fmt.Fprintln(h, v...) }
 		session := func(limit int) {
 			tu.Trigger(elephantFSD())
+			var best []float64
 			for i := 0; tu.Active() && i != limit; i++ {
 				p := scriptStep(t, tu, i, 0)
+				if i > 0 {
+					best = append(best, tu.BestUtility())
+				}
 				tu.Commit(p)
 				put(p)
 				if ps, ok := tu.(PerSwitch); ok {
@@ -158,7 +163,7 @@ func TestTunerSessionsMatchParent(t *testing.T) {
 			if limit >= 0 {
 				tu.Abort()
 			}
-			put(tu.Stats(), tu.BestTrace(), tu.BestUtility(), tu.Best())
+			put(tu.Stats(), best, tu.BestUtility(), tu.Best())
 			switch x := tu.(type) {
 			case *SA:
 				put(x.Temperature())

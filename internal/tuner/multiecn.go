@@ -293,7 +293,7 @@ func (m *MultiECN) rebuildProposals() {
 // per agent).
 func aggregateOne(r *loop.Report) loop.FSD {
 	var f loop.FSD
-	f.Flows = r.Flows
+	f.Flows = int(r.Flows)
 	var total float64
 	for _, v := range r.Hist {
 		total += v

@@ -12,10 +12,9 @@ import (
 // a KL trigger opens it, a warmup interval holds the incumbent, the next
 // interval's clean measurement seeds the search, the strategy's own move
 // steps until its schedule ends, and the best vector settles. It holds
-// the incumbent/best pair with the best-so-far trace, the lifetime
-// counters and their telemetry mirrors; a strategy embeds it and calls
-// its helpers in the order its search needs, so each strategy's RNG
-// draws stay its own.
+// the incumbent/best pair, the lifetime counters and their telemetry
+// mirrors; a strategy embeds it and calls its helpers in the order its
+// search needs, so each strategy's RNG draws stay its own.
 type session struct {
 	weights Weights
 
@@ -31,9 +30,6 @@ type session struct {
 	currentUtil float64
 	best        dcqcn.Params
 	bestUtil    float64
-	// trace records best-so-far utility per iteration of the current or
-	// last session, on the 0–100 scale (Fig 12's convergence curves).
-	trace []float64
 
 	stats Stats
 	tm    *telemetry.TunerMetrics
@@ -63,9 +59,6 @@ func (s *session) Best() dcqcn.Params { return s.best }
 
 // BestUtility returns Best's utility on the 0–100 scale.
 func (s *session) BestUtility() float64 { return s.bestUtil }
-
-// BestTrace returns the best-so-far utility per session iteration.
-func (s *session) BestTrace() []float64 { return s.trace }
 
 // Stats returns the lifetime counters.
 func (s *session) Stats() Stats { return s.stats }
@@ -108,7 +101,6 @@ func (s *session) open() {
 	s.iter = 0
 	s.bestUtil = math.Inf(-1)
 	s.currentUtil = math.Inf(-1)
-	s.trace = s.trace[:0]
 	s.tm.Active.Set(1)
 }
 
@@ -137,12 +129,11 @@ func (s *session) seed(util float64) {
 	s.started = true
 	s.currentUtil = util
 	s.best, s.bestUtil = s.current, util
-	s.trace = append(s.trace, s.bestUtil)
 }
 
 // judge records the strategy's decision on the candidate measured at
-// util: an accepted candidate becomes the incumbent, and the best and
-// the trace follow the incumbent.
+// util: an accepted candidate becomes the incumbent, and the best
+// follows the incumbent.
 func (s *session) judge(util float64, accept bool, cand dcqcn.Params) {
 	if accept {
 		s.current = cand
@@ -157,7 +148,6 @@ func (s *session) judge(util float64, accept bool, cand dcqcn.Params) {
 		s.best = s.current
 		s.bestUtil = s.currentUtil
 	}
-	s.trace = append(s.trace, s.bestUtil)
 	s.tm.BestUtility.Set(s.bestUtil)
 }
 

@@ -3,8 +3,8 @@
 // interface and is built by New from its name.
 //
 // A strategy is the shared session (session.go: trigger, warmup
-// interval, seeding, settle, abort, the best-so-far trace and the
-// lifetime counters) plus its own search move. Three ship:
+// interval, seeding, settle, abort and the lifetime counters) plus its
+// own search move. Three ship:
 //
 //   - "sa" — the paper's improved simulated annealing (Algorithm 1 with
 //     guided randomness and the relaxed temperature schedule). It is the
@@ -62,9 +62,6 @@ type Tuner interface {
 	Best() dcqcn.Params
 	// BestUtility returns Best's utility on the 0–100 scale.
 	BestUtility() float64
-	// BestTrace returns the best-so-far utility per iteration of the
-	// current or last session (Fig 12-style convergence curves).
-	BestTrace() []float64
 	// Stats returns the strategy's lifetime counters.
 	Stats() Stats
 	// SetMetrics mirrors search activity into a telemetry bundle
