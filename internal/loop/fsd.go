@@ -90,6 +90,43 @@ type FSD struct {
 	Degraded bool
 }
 
+// AddFlow credits one flow's interval contribution to r: bytes moved
+// this interval go to the size class of size, and split w : 1−w between
+// the elephant and mice sides, as the flow counts do. w is the flow's
+// elephant likelihood; a hard classification passes 0 or 1.
+func (r *Report) AddFlow(bytes, size int64, w float64) {
+	b := float64(bytes)
+	r.Hist[BucketFor(size)] += b
+	r.ElephantBytes += w * b
+	r.MiceBytes += (1 - w) * b
+	r.ElephantFlowsW += w
+	r.MiceFlowsW += 1 - w
+	r.Flows++
+}
+
+// FSD normalizes r into a flow size distribution.
+func (r *Report) FSD() FSD {
+	var f FSD
+	f.Flows = int(r.Flows)
+	var total float64
+	for _, v := range r.Hist {
+		total += v
+	}
+	f.TotalBytes = total
+	if total > 0 {
+		for i, v := range r.Hist {
+			f.Hist[i] = v / total
+		}
+	}
+	if eb, mb := r.ElephantBytes, r.MiceBytes; eb+mb > 0 {
+		f.ElephantShare = eb / (eb + mb)
+	}
+	if ef, mf := r.ElephantFlowsW, r.MiceFlowsW; ef+mf > 0 {
+		f.ElephantFlowShare = ef / (ef + mf)
+	}
+	return f
+}
+
 // Aggregate merges local reports into the network-wide FSD — the
 // controller-side "layered" aggregation step. With the insert-once rule
 // each flow is recorded at exactly one switch, so summation is exact.
@@ -98,25 +135,7 @@ func Aggregate(locals ...Report) FSD {
 	for _, l := range locals {
 		sum.Add(l)
 	}
-	var f FSD
-	f.Flows = int(sum.Flows)
-	var total float64
-	for _, v := range sum.Hist {
-		total += v
-	}
-	f.TotalBytes = total
-	if total > 0 {
-		for i, v := range sum.Hist {
-			f.Hist[i] = v / total
-		}
-	}
-	if eb, mb := sum.ElephantBytes, sum.MiceBytes; eb+mb > 0 {
-		f.ElephantShare = eb / (eb + mb)
-	}
-	if ef, mf := sum.ElephantFlowsW, sum.MiceFlowsW; ef+mf > 0 {
-		f.ElephantFlowShare = ef / (ef + mf)
-	}
-	return f
+	return sum.FSD()
 }
 
 // DominantElephant reports whether elephants dominate the active flow

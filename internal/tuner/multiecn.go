@@ -229,7 +229,7 @@ func (m *MultiECN) adjustAgent(a *ecnAgent, congested bool) {
 	a.prevKmin, a.prevKmax, a.prevPmax = a.kmin, a.kmax, a.pmax
 	fsd := m.globalFSD
 	if a.haveLocal {
-		fsd = aggregateOne(&a.local)
+		fsd = a.local.FSD()
 	}
 	elephant, mu := fsd.DominantElephant()
 	r := 0.5 + 0.5*a.rng.Float64()
@@ -286,29 +286,4 @@ func (m *MultiECN) rebuildProposals() {
 			PMax:      a.pmax,
 		})
 	}
-}
-
-// aggregateOne is loop.Aggregate for a single report without the
-// variadic slice allocation (the per-interval hot path calls it once
-// per agent).
-func aggregateOne(r *loop.Report) loop.FSD {
-	var f loop.FSD
-	f.Flows = int(r.Flows)
-	var total float64
-	for _, v := range r.Hist {
-		total += v
-	}
-	f.TotalBytes = total
-	if total > 0 {
-		for i, v := range r.Hist {
-			f.Hist[i] = v / total
-		}
-	}
-	if eb, mb := r.ElephantBytes, r.MiceBytes; eb+mb > 0 {
-		f.ElephantShare = eb / (eb + mb)
-	}
-	if ef, mf := r.ElephantFlowsW, r.MiceFlowsW; ef+mf > 0 {
-		f.ElephantFlowShare = ef / (ef + mf)
-	}
-	return f
 }
