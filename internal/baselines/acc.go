@@ -164,15 +164,6 @@ func (a *ACC) arm() {
 	a.ev = a.net.Eng.RearmAfter(a.ev, a.cfg.Interval, a.tickFn)
 }
 
-// Decisions sums decisions across agents.
-func (a *ACC) Decisions() int {
-	total := 0
-	for _, ag := range a.agents {
-		total += ag.Decisions
-	}
-	return total
-}
-
 // observe builds the discretized local state and the reward for the
 // elapsed period.
 func (ag *accAgent) observe() (state int, reward float64) {

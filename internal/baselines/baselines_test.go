@@ -290,7 +290,7 @@ func TestParaleonBeatsNetFlowAccuracy(t *testing.T) {
 		var est []loop.ReportSource
 		var oracles []loop.ReportSource
 		for i, tor := range tors {
-			o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
+			o := monitor.NewOracle(n.Topo, tor)
 			oracles = append(oracles, o)
 			if useNetFlow {
 				cfg := DefaultNetFlowConfig()

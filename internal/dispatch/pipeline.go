@@ -210,9 +210,6 @@ func (p *Pipeline) Epoch() uint64 { return p.epoch }
 // CommittedEpoch returns the epoch of the last fabric-wide commit.
 func (p *Pipeline) CommittedEpoch() uint64 { return p.committedEpoch }
 
-// Committed returns the last committed vector and whether one exists.
-func (p *Pipeline) Committed() (dcqcn.Params, bool) { return p.committed, p.haveCommitted }
-
 // Live returns the last vector admitted fabric-wide: the committed one, or
 // an exploration step dispatched since.
 func (p *Pipeline) Live() dcqcn.Params { return p.live }

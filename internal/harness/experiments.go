@@ -683,7 +683,7 @@ func sketchAccuracy(x Setup, seed int64, cfg monitor.AgentConfig) (float64, erro
 	}
 	var est, truth []loop.ReportSource
 	for i, tor := range n.Topo.ToRs() {
-		o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
+		o := monitor.NewOracle(n.Topo, tor)
 		a := monitor.NewSwitchAgent(cfg, uint64(i+1))
 		monitor.TapAll(n.Switch(tor), o.OnPacket, a.OnPacket)
 		truth = append(truth, o)

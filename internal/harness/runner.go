@@ -301,7 +301,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.TrackAccuracy {
 		var sources []loop.ReportSource
 		for _, tor := range n.Topo.ToRs() {
-			o := monitor.NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
+			o := monitor.NewOracle(n.Topo, tor)
 			oracles = append(oracles, o)
 			sources = append(sources, o)
 		}
@@ -524,7 +524,7 @@ func buildSources(n *sim.Network, s Scheme, interval eventsim.Time, oracles []*m
 					hosts = append(hosts, n.Host(hn))
 				}
 			}
-			sources = append(sources, monitor.NewRNICAgent(monitor.DefaultTrackerConfig(), hosts))
+			sources = append(sources, monitor.NewRNICAgent(hosts))
 		}
 		if len(taps) > 0 {
 			monitor.TapAll(n.Switch(tor), taps...)

@@ -122,7 +122,7 @@ func TestAttachComposesWithOracle(t *testing.T) {
 
 	for _, oracleFirst := range []bool{true, false} {
 		sw := &netdev.Switch{}
-		o := NewOracle(topo, tor, 1<<20, func(uint64) int64 { return 0 })
+		o := NewOracle(topo, tor)
 		a := NewSwitchAgent(ParaleonAgentConfig(), 1)
 		attach(sw, o, a, oracleFirst)
 		pkt := netdev.NewDataPacket(9, src, dst, 0, 1000, false)

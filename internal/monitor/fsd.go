@@ -27,25 +27,6 @@ var (
 	NewController = loop.NewController
 )
 
-// klEpsilon smooths zero probabilities so KL stays finite.
-const klEpsilon = 1e-6
-
-// KL computes the Kullback–Leibler divergence KL(f‖prev) between two
-// successive network-wide distributions, the paper's traffic-change
-// signal.
-func KL(f, prev loop.FSD) float64 {
-	var d float64
-	for i := range f.Hist {
-		p := f.Hist[i] + klEpsilon
-		q := prev.Hist[i] + klEpsilon
-		d += p * math.Log(p/q)
-	}
-	if d < 0 {
-		d = 0 // numerical floor; KL is nonnegative
-	}
-	return d
-}
-
 // Accuracy scores an estimated FSD against ground truth in [0,1]:
 // the mean of histogram similarity (1 − total variation distance) and
 // elephant-share agreement. This is the metric behind Fig 10(a)/11(a).

@@ -85,36 +85,6 @@ func TestAggregateEmpty(t *testing.T) {
 	}
 }
 
-func TestKL(t *testing.T) {
-	var a Report
-	a.Hist[0] = 500
-	a.Hist[5] = 500
-	f1 := Aggregate(a)
-	if d := KL(f1, f1); d > 1e-9 {
-		t.Errorf("KL(f,f) = %g, want ~0", d)
-	}
-	var b Report
-	b.Hist[10] = 1000
-	f2 := Aggregate(b)
-	if d := KL(f2, f1); d < 0.1 {
-		t.Errorf("KL of disjoint distributions = %g, want large", d)
-	}
-}
-
-func TestQuickKLNonNegative(t *testing.T) {
-	f := func(xs, ys [loop.NumBuckets]uint16) bool {
-		var a, b Report
-		for i := 0; i < loop.NumBuckets; i++ {
-			a.Hist[i] = float64(xs[i])
-			b.Hist[i] = float64(ys[i])
-		}
-		return KL(Aggregate(a), Aggregate(b)) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	var a Report
 	a.Hist[3] = 1000
@@ -137,7 +107,7 @@ func TestAccuracy(t *testing.T) {
 func fs(flow uint64, b int64) sketch.FlowSize { return sketch.FlowSize{Flow: flow, Bytes: b} }
 
 func TestTrackerImmediateElephant(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewTracker()
 	out := tr.EndInterval([]sketch.FlowSize{fs(1, 2<<20)})
 	if len(out) != 1 || out[0].State != Elephant || out[0].EWeight != 1 {
 		t.Errorf("big flow classified %+v, want elephant", out)
@@ -147,8 +117,7 @@ func TestTrackerImmediateElephant(t *testing.T) {
 // TestTrackerFig4F2 walks flow f2 of Fig 4: mice for two intervals,
 // potential elephant once the window fills, elephant once Φ ≥ τ.
 func TestTrackerFig4F2(t *testing.T) {
-	cfg := DefaultTrackerConfig() // τ=1MB, δ=3
-	tr := NewTracker(cfg)
+	tr := NewTracker()        // τ=1MB, δ=3
 	perMI := int64(160 << 10) // 160 KB per interval
 	wantStates := []FlowState{Mice, Mice, PotentialElephant, PotentialElephant, PotentialElephant, PotentialElephant}
 	for i, want := range wantStates {
@@ -167,9 +136,7 @@ func TestTrackerFig4F2(t *testing.T) {
 // TestTrackerFig4F3 walks f3: becomes PE, then goes inactive and never
 // becomes an elephant; eventually evicted.
 func TestTrackerFig4F3(t *testing.T) {
-	cfg := DefaultTrackerConfig()
-	cfg.EvictAfter = 3
-	tr := NewTracker(cfg)
+	tr := NewTracker()
 	for i := 0; i < 5; i++ {
 		tr.EndInterval([]sketch.FlowSize{fs(3, 50<<10)})
 	}
@@ -177,7 +144,7 @@ func TestTrackerFig4F3(t *testing.T) {
 		t.Fatalf("state %v after 5 active MIs, want PE", tr.State(3))
 	}
 	// Flow goes quiet.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < evictAfter; i++ {
 		tr.EndInterval(nil)
 	}
 	if tr.Tracked() != 0 {
@@ -189,7 +156,7 @@ func TestTrackerFig4F3(t *testing.T) {
 }
 
 func TestTrackerStreakResetByGap(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewTracker()
 	tr.EndInterval([]sketch.FlowSize{fs(1, 1000)})
 	tr.EndInterval([]sketch.FlowSize{fs(1, 1000)})
 	tr.EndInterval(nil) // gap resets the streak
@@ -200,7 +167,7 @@ func TestTrackerStreakResetByGap(t *testing.T) {
 }
 
 func TestTrackerPEWeightGrows(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewTracker()
 	var prev float64
 	for i := 0; i < 5; i++ {
 		out := tr.EndInterval([]sketch.FlowSize{fs(1, 100<<10)})
@@ -220,7 +187,7 @@ func TestTrackerPEWeightGrows(t *testing.T) {
 }
 
 func TestTrackerDeterministicOrder(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewTracker()
 	out := tr.EndInterval([]sketch.FlowSize{fs(9, 10), fs(3, 10), fs(7, 10)})
 	for i := 1; i < len(out); i++ {
 		if out[i].Flow < out[i-1].Flow {
@@ -335,39 +302,44 @@ func TestOracleCountsOnlyAtSourceToR(t *testing.T) {
 	}
 	hosts := topo.Hosts()
 	tors := topo.ToRs()
-	sizes := map[uint64]int64{7: 4 << 20}
-	sizeOf := func(id uint64) int64 { return sizes[id] }
-	oSrc := NewOracle(topo, tors[0], 1<<20, sizeOf)
-	oDst := NewOracle(topo, tors[1], 1<<20, sizeOf)
+	oSrc := NewOracle(topo, tors[0])
+	oDst := NewOracle(topo, tors[1])
 	pkt := netdev.NewDataPacket(7, hosts[0], hosts[2], 0, 1000, false)
 	oSrc.OnPacket(pkt, 0)
 	oDst.OnPacket(pkt, 0)
 	rSrc, rDst := oSrc.EndInterval(), oDst.EndInterval()
-	if rSrc.Flows != 1 || rSrc.ElephantBytes != 1000 {
-		t.Errorf("source oracle report %+v, want 1 elephant flow of 1000B", rSrc)
+	if rSrc.Flows != 1 || rSrc.MiceBytes != 1000 {
+		t.Errorf("source oracle report %+v, want 1 mice flow of 1000B", rSrc)
 	}
 	if rDst.Flows != 0 {
 		t.Errorf("destination oracle counted a transit packet: %+v", rDst)
 	}
 }
 
-func TestOracleClassifiesByTrueSize(t *testing.T) {
+// TestOracleClassifiesByBytesSoFar: the oracle classifies a flow by
+// what it has sent up to the end of the interval, not by a final size
+// no agent could know — 600 KB is a mice flow in the 600 KB class, and
+// the next 600 KB make it an elephant in the 1.2 MB class.
+func TestOracleClassifiesByBytesSoFar(t *testing.T) {
 	topo, _ := topology.NewClos(topology.ClosConfig{
 		NumToR: 1, NumLeaf: 0, HostsPerToR: 2, HostLinkBps: 1e9,
 	})
 	hosts := topo.Hosts()
-	sizeOf := func(id uint64) int64 {
-		if id == 1 {
-			return 8 << 20 // true elephant even if this interval is tiny
+	o := NewOracle(topo, topo.ToRs()[0])
+	const chunk = 600 << 10
+	for i, want := range []struct {
+		elephant, mice float64
+		bucket         int
+	}{
+		{0, chunk, BucketFor(chunk)},
+		{chunk, 0, BucketFor(2 * chunk)},
+	} {
+		o.OnPacket(netdev.NewDataPacket(1, hosts[0], hosts[1], int64(i)*chunk, chunk, false), 0)
+		r := o.EndInterval()
+		if r.ElephantBytes != want.elephant || r.MiceBytes != want.mice || r.Hist[want.bucket] != chunk {
+			t.Errorf("interval %d: oracle split %g/%g in %v, want %g/%g in bucket %d",
+				i+1, r.ElephantBytes, r.MiceBytes, r.Hist, want.elephant, want.mice, want.bucket)
 		}
-		return 10 << 10
-	}
-	o := NewOracle(topo, topo.ToRs()[0], 1<<20, sizeOf)
-	o.OnPacket(netdev.NewDataPacket(1, hosts[0], hosts[1], 0, 500, false), 0)
-	o.OnPacket(netdev.NewDataPacket(2, hosts[0], hosts[1], 0, 500, false), 0)
-	r := o.EndInterval()
-	if r.ElephantBytes != 500 || r.MiceBytes != 500 {
-		t.Errorf("oracle split %g/%g, want 500/500", r.ElephantBytes, r.MiceBytes)
 	}
 }
 
@@ -541,7 +513,7 @@ func TestAgentsVsOracleOnLiveTraffic(t *testing.T) {
 	var oracles []ReportSource
 	for i, tor := range n.Topo.ToRs() {
 		a := NewSwitchAgent(ParaleonAgentConfig(), uint64(i+1))
-		o := NewOracle(n.Topo, tor, 1<<20, n.FlowSize)
+		o := NewOracle(n.Topo, tor)
 		TapAll(n.Switch(tor), o.OnPacket, a.OnPacket)
 		agents = append(agents, a)
 		oracles = append(oracles, o)
@@ -570,7 +542,7 @@ func TestAgentsVsOracleOnLiveTraffic(t *testing.T) {
 		t.Fatal("no intervals with traffic")
 	}
 	avg := acc / float64(ticks)
-	if avg < 0.7 {
-		t.Errorf("average FSD accuracy %g, want >= 0.7", avg)
+	if avg < 0.99 {
+		t.Errorf("average FSD accuracy %g, want >= 0.99", avg)
 	}
 }

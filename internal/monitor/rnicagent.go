@@ -21,11 +21,11 @@ type RNICAgent struct {
 
 // NewRNICAgent builds an agent over the given hosts' per-QP counters and
 // has each host record the residue of completed flows for it.
-func NewRNICAgent(cfg TrackerConfig, hosts []*rnic.Host) *RNICAgent {
+func NewRNICAgent(hosts []*rnic.Host) *RNICAgent {
 	for _, h := range hosts {
 		h.RecordFlowBytes()
 	}
-	return &RNICAgent{hosts: hosts, tracker: NewTracker(cfg)}
+	return &RNICAgent{hosts: hosts, tracker: NewTracker()}
 }
 
 // EndInterval implements ReportSource by draining every host's per-flow

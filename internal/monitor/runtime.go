@@ -61,9 +61,6 @@ func NewScopedRuntimeCollector(n *sim.Network, tors []topology.NodeID) *RuntimeC
 	return c
 }
 
-// Hosts lists the host nodes in this collector's scope.
-func (c *RuntimeCollector) Hosts() []topology.NodeID { return c.hosts }
-
 // Sample closes the interval of the given length and returns its metrics.
 func (c *RuntimeCollector) Sample(interval eventsim.Time) RuntimeSample {
 	return c.Sums(interval).Sample()

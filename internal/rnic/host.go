@@ -193,9 +193,6 @@ func (h *Host) SetParams(override *dcqcn.Params) {
 	}
 }
 
-// ActiveFlows reports the number of in-progress sending flows.
-func (h *Host) ActiveFlows() int { return len(h.sendFlows) }
-
 // StartFlow begins transmitting size bytes to dst as flow id. The caller
 // (normally sim.Network) must also register the expectation at the
 // destination with ExpectFlow.

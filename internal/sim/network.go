@@ -102,7 +102,6 @@ type Network struct {
 
 	cfg        Config
 	nextFlowID uint64
-	flowSizes  map[uint64]int64
 
 	// Completed accumulates flow records in completion order.
 	Completed []FlowRecord
@@ -139,7 +138,6 @@ func New(cfg Config) (*Network, error) {
 		switchByNode:  map[topology.NodeID]*netdev.Switch{},
 		switchParams:  map[topology.NodeID]*dcqcn.Params{},
 		clusterParams: map[topology.NodeID]*dcqcn.Params{},
-		flowSizes:     map[uint64]int64{},
 	}
 	rp := cfg.Params
 	n.rnicParams = &rp
@@ -300,15 +298,10 @@ func (n *Network) StartFlow(src, dst topology.NodeID, size int64) uint64 {
 	}
 	id := n.nextFlowID
 	n.nextFlowID++
-	n.flowSizes[id] = size
 	n.hostByNode[dst].ExpectFlow(id, src, size, n.Eng.Now())
 	n.hostByNode[src].StartFlow(id, dst, size)
 	return id
 }
-
-// FlowSize reports the declared total size of a flow (0 if unknown). The
-// ground-truth oracle in internal/monitor classifies flows with it.
-func (n *Network) FlowSize(id uint64) int64 { return n.flowSizes[id] }
 
 // StartFlowAt schedules a flow to begin at absolute virtual time at.
 func (n *Network) StartFlowAt(at eventsim.Time, src, dst topology.NodeID, size int64) {
@@ -325,20 +318,11 @@ func (n *Network) flowCompleted(id uint64, src, dst topology.NodeID, size int64,
 	}
 }
 
-// ActiveFlows sums in-progress sender flows across hosts.
-func (n *Network) ActiveFlows() int {
-	total := 0
-	for _, h := range n.Hosts {
-		total += h.ActiveFlows()
-	}
-	return total
-}
-
 // IncompleteFlows counts flows that were started and have no completion
-// record yet — the receivers' view, where ActiveFlows is the senders': a
-// sender is done once its last packet is handed to the uplink, which can be
-// long before that packet leaves a PFC-paused fabric. Probe packets do not
-// count, so it reaches zero while probing keeps PacketsInNetwork above it.
+// record yet — the receivers' view: a sender is done once its last packet
+// is handed to the uplink, which can be long before that packet leaves a
+// PFC-paused fabric. Probe packets do not count, so it reaches zero while
+// probing keeps PacketsInNetwork above it.
 func (n *Network) IncompleteFlows() int { return int(n.nextFlowID) - len(n.Completed) }
 
 // Run advances the simulation to absolute virtual time deadline. Between

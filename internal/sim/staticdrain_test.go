@@ -173,9 +173,6 @@ func TestLargeCLOSQuickRun(t *testing.T) {
 		flows++
 	}
 	n.RunUntilIdle(eventsim.Second)
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("%d flows still active", n.ActiveFlows())
-	}
 	if len(n.Completed) != flows {
 		t.Fatalf("%d completions, want %d", len(n.Completed), flows)
 	}

@@ -56,8 +56,8 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config, probeEvery eventsim.
 	// Warm up past slow start into the congested steady state: the packet
 	// pool and the event slab reach their high-water marks.
 	n.Run(2 * eventsim.Millisecond)
-	if n.ActiveFlows() != 3 {
-		t.Fatalf("ActiveFlows=%d, want 3 (flows must outlive the test)", n.ActiveFlows())
+	if k := sendingHosts(n); k != 3 {
+		t.Fatalf("%d hosts sending, want 3 (flows must outlive the test)", k)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 5000; i++ {

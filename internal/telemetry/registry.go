@@ -93,17 +93,6 @@ func (g *Gauge) SetBool(b bool) {
 	}
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // SetMax raises the gauge to v if v is larger: a high-water mark that
 // concurrent writers can share.
 func (g *Gauge) SetMax(v float64) {

@@ -64,9 +64,6 @@ func (s *Series) Len() int { return s.n }
 // for (1 until the first overflow, then 2, 4, ...).
 func (s *Series) Stride() int { return s.stride }
 
-// Offered reports the total samples offered via Append, stored or not.
-func (s *Series) Offered() int64 { return s.offered }
-
 // At returns the i-th stored sample.
 func (s *Series) At(i int) (t int64, v float64) { return s.t[i], s.v[i] }
 

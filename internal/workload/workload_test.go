@@ -136,24 +136,27 @@ func newNet(t *testing.T) *sim.Network {
 
 func TestPoissonLoadCalibration(t *testing.T) {
 	n := newNet(t)
+	horizon := 50 * eventsim.Millisecond
 	g, err := InstallPoisson(n, PoissonConfig{
-		CDF:  SolarRPC(), // bounded sizes make short-run load stable
-		Load: 0.3,
+		CDF:      SolarRPC(), // bounded sizes make short-run load stable
+		Load:     0.3,
+		Duration: horizon,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := 50 * eventsim.Millisecond
-	n.Run(horizon)
+	n.RunUntilIdle(eventsim.Second)
 	if g.Launched == 0 {
 		t.Fatal("no arrivals")
 	}
-	// Offered load: bytes launched / capacity across hosts. The
-	// workload is the network's only one, so its flows are IDs 0 to
-	// Launched-1.
+	if len(n.Completed) != g.Launched {
+		t.Fatalf("%d of %d flows completed", len(n.Completed), g.Launched)
+	}
+	// Offered load: bytes launched in the horizon / capacity across
+	// hosts. The network drained, so every launched flow has completed.
 	var offered int64
-	for id := range uint64(g.Launched) {
-		offered += n.FlowSize(id)
+	for _, r := range n.Completed {
+		offered += r.Size
 	}
 	capacity := n.HostLinkBps() * float64(len(n.Topo.Hosts())) * horizon.Seconds() / 8
 	load := float64(offered) / capacity
