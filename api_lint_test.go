@@ -28,10 +28,8 @@ var apiAllowlist = map[string]string{
 	"internal/trace.Filter": "the event log's read side",
 	"internal/trace.Spans":  "the event log's read side",
 	// EXPERIMENTS.md's "Kept on purpose" table (every knob earns a caller).
-	"internal/chaos.AgentFault.StallAt":     "the agent-stall fault, which ROADMAP item 10's chaos-parity case names",
-	"internal/chaos.AgentFault.StallFor":    "the agent-stall fault, which ROADMAP item 10's chaos-parity case names",
-	"internal/chaos.DispatchFault.DropAcks": "the only way tests reach the pipeline's ACK-retry code, which is safety code",
-	"internal/chaos.DispatchFault.DelayAck": "the only way tests reach the pipeline's ACK-deadline code, which is safety code",
+	"internal/chaos.AgentFault.StallAt":  "the agent-stall fault, which ROADMAP item 10's chaos-parity case names",
+	"internal/chaos.AgentFault.StallFor": "the agent-stall fault, which ROADMAP item 10's chaos-parity case names",
 }
 
 // sourceFiles parses every non-test Go file under root (a directory or

@@ -1,8 +1,8 @@
 // Package chaos is the fault-injection subsystem: deterministic,
 // seed-driven scenarios that break the simulated fabric (link outages
 // and flaps), the measurement agents (crash/restart with sketch-state
-// loss, stale reports), the rollout pipeline (dropped or delayed ACKs, a
-// controller killed mid-rollout), and the control-plane transport
+// loss, stale reports), the controller (killed between two dispatches),
+// and the control-plane transport
 // (dropped/duplicated/truncated frames) so the Paraleon control
 // loop's graceful-degradation paths can be exercised and regression-
 // tested.
@@ -77,34 +77,17 @@ type AgentFault struct {
 	StallFor int
 }
 
-// DispatchFault perturbs the parameter-rollout pipeline: ACK frames
-// from one device can be dropped or delayed, and the controller can be
-// killed the first time the pipeline enters a named phase — the
-// crash-mid-rollout scenario the write-ahead intent log exists for.
-type DispatchFault struct {
-	// Device indexes the rollout fabric's device whose ACKs are faulted.
-	Device int
-	// DropAcks swallows that many consecutive ACK frames from Device.
-	DropAcks int
-	// DelayAck adds this much to each of Device's ACK deliveries.
-	DelayAck eventsim.Time
-	// At is when the ACK fault arms; 0 arms it at install time.
-	At eventsim.Time
-	// KillAtPhase, when non-empty, fires the injector's controller-kill
-	// hook the first time the pipeline enters the named phase ("canary",
-	// "settle", "promote"). ACK fields are ignored on a pure kill fault.
-	KillAtPhase string
-}
-
 // Scenario is a complete declarative fault plan.
 type Scenario struct {
 	// Seed drives every random choice the scenario makes (flap jitter,
 	// transport fault coin flips). Same seed, same faults.
 	Seed int64
 
-	Links    []LinkFault
-	Agents   []AgentFault
-	Dispatch []DispatchFault
+	Links  []LinkFault
+	Agents []AgentFault
+	// KillAt, if > 0, is when the controller is killed: the injector
+	// fires the hook BindKill installed, as an engine event.
+	KillAt eventsim.Time
 
 	// Conn configures control-plane transport faults; it is not
 	// scheduled by the injector (the transport runs on real TCP, outside
@@ -113,24 +96,12 @@ type Scenario struct {
 	Conn ConnFaults
 }
 
-// DispatchTarget is the slice of the rollout pipeline the injector
-// faults. dispatch.Pipeline satisfies it; the interface lives here so
-// chaos does not import dispatch (nor vice versa).
-type DispatchTarget interface {
-	// FaultAcks arms ACK faults on one device.
-	FaultAcks(device, drop int, delay eventsim.Time)
-	// OnPhaseEnter registers a hook for the pipeline entering a phase.
-	OnPhaseEnter(phase string, fn func())
-}
-
 // Injector schedules a Scenario's faults onto a network's event engine.
 type Injector struct {
 	net     *sim.Network
 	sources []*FlakySource
 	sink    Sink
-
-	dispatch DispatchTarget
-	kill     func()
+	kill    func()
 }
 
 // NewInjector builds an injector over n. sources are the crashable
@@ -143,14 +114,10 @@ func NewInjector(n *sim.Network, sources []*FlakySource, sink Sink) *Injector {
 	return &Injector{net: n, sources: sources, sink: sink}
 }
 
-// BindDispatch attaches the rollout pipeline the scenario's dispatch
-// faults act on, plus the hook a KillAtPhase fault fires (the harness
-// tears the controller down there). Must be called before Install when
-// the scenario carries dispatch faults.
-func (inj *Injector) BindDispatch(target DispatchTarget, kill func()) {
-	inj.dispatch = target
-	inj.kill = kill
-}
+// BindKill installs the hook Scenario.KillAt fires (the harness tears
+// the controller down there). Call it before Install when the scenario
+// kills the controller.
+func (inj *Injector) BindKill(kill func()) { inj.kill = kill }
 
 // Install validates sc and schedules all of its in-simulation faults.
 // Every random draw happens here, from sc.Seed, so the resulting event
@@ -175,16 +142,11 @@ func (inj *Injector) Install(sc Scenario) error {
 			return fmt.Errorf("chaos: agent %d out of range (have %d sources)", af.Agent, len(inj.sources))
 		}
 	}
-	for _, df := range sc.Dispatch {
-		if inj.dispatch == nil {
-			return fmt.Errorf("chaos: dispatch fault without BindDispatch")
-		}
-		if df.KillAtPhase == "" && df.DropAcks <= 0 && df.DelayAck <= 0 {
-			return fmt.Errorf("chaos: dispatch fault on device %d does nothing", df.Device)
-		}
-		if df.KillAtPhase != "" && inj.kill == nil {
-			return fmt.Errorf("chaos: KillAtPhase %q without a kill hook", df.KillAtPhase)
-		}
+	if sc.KillAt < 0 {
+		return fmt.Errorf("chaos: negative KillAt %v", sc.KillAt)
+	}
+	if sc.KillAt > 0 && inj.kill == nil {
+		return fmt.Errorf("chaos: KillAt without BindKill")
 	}
 
 	for _, lf := range sc.Links {
@@ -193,8 +155,11 @@ func (inj *Injector) Install(sc Scenario) error {
 	for _, af := range sc.Agents {
 		inj.installAgent(af)
 	}
-	for _, df := range sc.Dispatch {
-		inj.installDispatch(df)
+	if sc.KillAt > 0 {
+		inj.net.Eng.Schedule(sc.KillAt, func() {
+			inj.sink.Fault("controller_kill", "controller")
+			inj.kill()
+		})
 	}
 	return nil
 }
@@ -254,32 +219,5 @@ func (inj *Injector) installAgent(af AgentFault) {
 			src.Stall(n)
 			inj.sink.Fault("agent_stall", target)
 		})
-	}
-}
-
-func (inj *Injector) installDispatch(df DispatchFault) {
-	if df.KillAtPhase != "" {
-		phase := df.KillAtPhase
-		fired := false
-		inj.dispatch.OnPhaseEnter(phase, func() {
-			if fired {
-				return
-			}
-			fired = true
-			inj.sink.Fault("controller_kill", "phase "+phase)
-			inj.kill()
-		})
-		return
-	}
-	target := fmt.Sprintf("device %d", df.Device)
-	device, drop, delay := df.Device, df.DropAcks, df.DelayAck
-	arm := func() {
-		inj.dispatch.FaultAcks(device, drop, delay)
-		inj.sink.Fault("dispatch_ack", target)
-	}
-	if df.At > 0 {
-		inj.net.Eng.Schedule(df.At, arm)
-	} else {
-		arm()
 	}
 }

@@ -192,79 +192,40 @@ func TestInjectorScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// fakeDispatch records the faults and phase hooks the injector arms.
-type fakeDispatch struct {
-	acks  []string
-	hooks map[string][]func()
-}
-
-func (f *fakeDispatch) FaultAcks(device, drop int, delay eventsim.Time) {
-	f.acks = append(f.acks, fmt.Sprintf("dev%d drop=%d delay=%d", device, drop, delay))
-}
-
-func (f *fakeDispatch) OnPhaseEnter(phase string, fn func()) {
-	if f.hooks == nil {
-		f.hooks = map[string][]func(){}
-	}
-	f.hooks[phase] = append(f.hooks[phase], fn)
-}
-
+// TestInjectorDispatchValidation: the chaos-dispatch fault, a
+// controller kill, needs a kill hook and a time that is not negative.
 func TestInjectorDispatchValidation(t *testing.T) {
 	n := quickNet(t)
 	inj := NewInjector(n, nil, nil)
-	if err := inj.Install(Scenario{Dispatch: []DispatchFault{{DropAcks: 1}}}); err == nil {
-		t.Error("dispatch fault without BindDispatch accepted")
+	if err := inj.Install(Scenario{KillAt: eventsim.Millisecond}); err == nil {
+		t.Error("KillAt without BindKill accepted")
 	}
-	inj.BindDispatch(&fakeDispatch{}, nil)
-	if err := inj.Install(Scenario{Dispatch: []DispatchFault{{Device: 0}}}); err == nil {
-		t.Error("no-op dispatch fault accepted")
-	}
-	if err := inj.Install(Scenario{Dispatch: []DispatchFault{{KillAtPhase: "settle"}}}); err == nil {
-		t.Error("KillAtPhase without a kill hook accepted")
+	inj.BindKill(func() {})
+	if err := inj.Install(Scenario{KillAt: -1}); err == nil {
+		t.Error("negative KillAt accepted")
 	}
 }
 
+// TestInjectorDispatchFaults: KillAt fires the kill hook once, as an
+// engine event at its time, and records the fault first.
 func TestInjectorDispatchFaults(t *testing.T) {
 	n := quickNet(t)
 	sink := &recordingSink{}
 	inj := NewInjector(n, nil, sink)
-	fd := &fakeDispatch{}
-	kills := 0
-	inj.BindDispatch(fd, func() { kills++ })
-	err := inj.Install(Scenario{
-		Seed: 1,
-		Dispatch: []DispatchFault{
-			{Device: 1, DropAcks: 2}, // arms at install
-			{Device: 0, DelayAck: eventsim.Millisecond, At: 5 * eventsim.Millisecond},
-			{KillAtPhase: "settle"},
-		},
-	})
-	if err != nil {
+	var killedAt []eventsim.Time
+	inj.BindKill(func() { killedAt = append(killedAt, n.Eng.Now()) })
+	if err := inj.Install(Scenario{Seed: 1, KillAt: 5 * eventsim.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if len(fd.acks) != 1 || fd.acks[0] != "dev1 drop=2 delay=0" {
-		t.Fatalf("install-time ACK fault wrong: %v", fd.acks)
+	n.Run(5*eventsim.Millisecond - 1)
+	if len(killedAt) != 0 {
+		t.Fatalf("kill hook fired early, at %v", killedAt)
 	}
 	n.Run(10 * eventsim.Millisecond)
-	if len(fd.acks) != 2 || fd.acks[1] != "dev0 drop=0 delay=1000000" {
-		t.Fatalf("scheduled ACK fault wrong: %v", fd.acks)
+	if len(killedAt) != 1 || killedAt[0] != 5*eventsim.Millisecond {
+		t.Errorf("kill hook fired at %v, want once at 5ms", killedAt)
 	}
-	hooks := fd.hooks["settle"]
-	if len(hooks) != 1 {
-		t.Fatalf("settle hooks = %d, want 1", len(hooks))
-	}
-	// The kill hook fires once, even if the pipeline re-enters the phase.
-	hooks[0]()
-	hooks[0]()
-	if kills != 1 {
-		t.Errorf("kill hook fired %d times, want 1", kills)
-	}
-	want := []string{
-		"F:dispatch_ack:device 1",
-		"F:dispatch_ack:device 0",
-		"F:controller_kill:phase settle",
-	}
-	if fmt.Sprint(sink.events) != fmt.Sprint(want) {
+	if want := []string{"F:controller_kill:controller"}; fmt.Sprint(sink.events) != fmt.Sprint(want) {
 		t.Errorf("sink events %v, want %v", sink.events, want)
 	}
 }

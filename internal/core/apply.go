@@ -7,27 +7,19 @@ import (
 )
 
 // applier is the loop.Applier the decision step pushes proposals
-// through. A session-settling proposal starts a canary rollout plan when
-// plans are on (Dispatch.Canary > 0); every other proposal is guarded
-// and applied fabric-wide under a fresh epoch.
+// through: each one is guarded, journaled and applied fabric-wide under
+// a fresh epoch.
 type applier struct{ *System }
 
-func (a applier) Apply(p dcqcn.Params, final bool, now eventsim.Time) bool {
-	var ok bool
-	var r dispatch.RejectReason
-	if final && a.plans {
-		ok, r = a.Dispatch.SubmitFinal(p, 0, now)
-	} else {
-		ok, r = a.Dispatch.SubmitExplore(p, now)
-	}
+func (a applier) Apply(p dcqcn.Params, now eventsim.Time) bool {
+	ok, r := a.Dispatch.Submit(p, now)
 	a.countReject(r)
 	return ok
 }
 
-// countReject counts a guard refusal. A plan in flight is not one: the
-// proposal was well-formed, the fabric was just busy.
+// countReject counts a guard refusal.
 func (s *System) countReject(r dispatch.RejectReason) {
-	if r != dispatch.RejectNone && r != dispatch.RejectInFlight {
+	if r != dispatch.RejectNone {
 		s.GuardRejects++
 		s.TM.GuardRejects.Inc()
 	}

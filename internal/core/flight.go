@@ -14,9 +14,9 @@ import (
 // flightSampler feeds a flight recorder from the control loop: once per
 // monitor interval it appends the loop's health signals and a bounded
 // set of per-ToR fabric signals into the recorder's series, and trips
-// anomaly snapshots on the transitions worth a postmortem (rollback and
-// dispatch aborts trip from their own code paths; this sampler owns the
-// delta/transition triggers).
+// anomaly snapshots on the transitions worth a postmortem (rollbacks
+// trip from their own code path; this sampler owns the delta/transition
+// triggers).
 //
 // Everything here is read-only with respect to the simulation — no
 // engine events, no randomness, no take-style counter resets — so an
@@ -34,7 +34,7 @@ type flightSampler struct {
 	temperature       *series.Series
 	bestUtility       *series.Series
 	regret            *series.Series
-	epoch, phase      *series.Series
+	epoch             *series.Series
 
 	// Per-ToR fabric series (bounded to maxFlightToRs switches).
 	switches  []*netdev.Switch
@@ -82,7 +82,6 @@ func newFlightSampler(rec *series.Recorder, s *System) *flightSampler {
 		bestUtility: set.Series("tuner_best_utility", "score"),
 		regret:      set.Series("tuner_regret", "score"),
 		epoch:       set.Series("dispatch_epoch", ""),
-		phase:       set.Series("dispatch_phase", ""),
 		interval:    s.interval,
 	}
 	n := len(s.torScope)
@@ -128,7 +127,6 @@ func (f *flightSampler) sample(s *System, now eventsim.Time, sample loop.Runtime
 	}
 	f.regret.Append(t, s.TM.Regret.Value())
 	f.epoch.Append(t, float64(s.Dispatch.Epoch()))
-	f.phase.Append(t, float64(s.Dispatch.Phase()))
 
 	for i, sw := range f.switches {
 		f.queue[i].Append(t, float64(sw.BufferUsed()))

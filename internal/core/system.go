@@ -65,22 +65,21 @@ type SystemConfig struct {
 	// itself against; nil means telemetry.Default(), so every run a
 	// binary performs lands in its -telemetry-addr / -report surface.
 	Telemetry *telemetry.Registry
-	// Dispatch configures the rollout pipeline every push goes through
-	// (guardrails, epoch commit protocol, write-ahead intent log).
-	// Session-settling dispatches run canary plans iff Canary > 0; the
-	// zero value applies every admitted proposal fabric-wide at once.
+	// Dispatch configures the pipeline every push goes through (guard,
+	// write-ahead log, epoch protocol); the zero value journals to a
+	// fresh MemWAL over a fresh fabric.
 	Dispatch dispatch.Config
 	// Flight, when non-nil, attaches the virtual-time flight recorder:
 	// the loop samples its health signals (and a bounded per-ToR fabric
 	// view) into the recorder each interval and trips anomaly snapshots
-	// on rollbacks, dispatch aborts, quorum freezes, FSD degradation,
+	// on rollbacks, quorum freezes, FSD degradation,
 	// and guard-reject bursts. Sampling is read-only and allocation-free;
 	// nil (the default) changes nothing.
 	Flight *series.Recorder
 	// Trace, when non-nil, is the run's event log. A span opens at each
 	// tuning trigger, every dispatch of the session carries its ID, and
 	// the span closes when the session settles or aborts; the dispatch
-	// pipeline writes its plan and phase spans into the same log.
+	// pipeline writes its reject notes into the same log.
 	Trace *trace.Recorder
 }
 
@@ -135,9 +134,6 @@ type System struct {
 	// step is the decision shared with the daemon; its proposals reach
 	// the fabric through Dispatch.
 	step *loop.Step
-	// plans is whether session-settling proposals start canary plans
-	// (SystemConfig.Dispatch.Canary > 0).
-	plans bool
 	// GuardRejects counts proposals, fabric-wide or per-switch, that the
 	// pipeline's guard refused.
 	GuardRejects int
@@ -147,7 +143,7 @@ type System struct {
 	Dispatches int
 	LastSample loop.RuntimeSample
 
-	// Dispatch is the rollout pipeline every parameter push goes
+	// Dispatch is the dispatch pipeline every parameter push goes
 	// through. Its guard bounds-checks every proposal and per-switch
 	// override, so no strategy can push an out-of-spec or misordered
 	// (Kmin >= Kmax) vector onto the fabric; its Live() is the vector
@@ -202,7 +198,6 @@ type LoopStatus struct {
 	Aborts        int          `json:"aborts"`
 	Dispatches    int          `json:"dispatches"`
 	Rollbacks     int          `json:"rollbacks"`
-	DispatchPhase string       `json:"dispatch_phase,omitempty"`
 	DispatchEpoch uint64       `json:"dispatch_epoch,omitempty"`
 }
 
@@ -242,7 +237,6 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 		interval: cfg.Interval,
 		weights:  cfg.Weights,
 		degrade:  cfg.Degrade,
-		plans:    cfg.Dispatch.Canary > 0,
 		trace:    cfg.Trace,
 	}
 	reg := cfg.Telemetry
@@ -281,11 +275,10 @@ func Attach(net *sim.Network, cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
-// attachDispatch builds the rollout pipeline over the scope
-// ToRs: device i of the fabric is scope[i], so the canary prefix is a
-// deterministic pod subset. The fabric and WAL come from the config
-// when the caller needs them to survive controller restarts (the
-// crash-recovery experiments); otherwise both are fresh.
+// attachDispatch builds the dispatch pipeline over the scope ToRs:
+// device i of the fabric is scope[i]. The fabric and WAL come from the
+// config when the caller needs them to survive controller restarts (the
+// crash-recovery experiment); otherwise both are fresh.
 func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *telemetry.Registry) error {
 	fab := cfg.Dispatch.Fabric
 	if fab == nil {
@@ -310,18 +303,6 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 	}
 	s.Dispatch = dispatch.New(cfg.Dispatch, net.Eng, fab, apply, reg)
 	s.Dispatch.Trace = s.trace
-	s.Dispatch.OnAbort = func(restored dcqcn.Params, reason string) {
-		// A failed canary must not poison the baseline: re-anchor the
-		// last-known-good vector at what the abort restored and reset
-		// the regression window, exactly as a rollback does, and open
-		// the next session on it.
-		s.lastGood = restored
-		s.Tuner.Commit(restored)
-		s.goodUtil = s.utilEWMA
-		s.haveGood = true
-		s.regress = 0
-		s.flight.trip(int64(s.Net.Eng.Now()), "dispatch_abort", reason)
-	}
 	return s.Dispatch.Resume(*net.RNICParams(), net.Eng.Now())
 }
 
@@ -468,11 +449,6 @@ func (s *System) tick() {
 	if s.checkRollback(util) {
 		return
 	}
-	// Advance an in-flight rollout plan with this interval's health
-	// signals. Frozen and idle intervals never reach here — a canary
-	// must not be judged (or promoted) on readings the loop itself
-	// considers suspect.
-	s.Dispatch.Tick(dispatch.Health{PauseFrac: 1 - sample.OPFC}, now)
 	// Per-switch strategies see this interval's per-agent reports before
 	// they step; agent i's slice is the report from torScope[i]'s switch.
 	if ps, ok := s.Tuner.(tuner.PerSwitch); ok {
@@ -485,14 +461,8 @@ func (s *System) tick() {
 // proposals on top of the fabric-wide dispatch: agent i's (Kmin, Kmax,
 // Pmax) goes to torScope[i]'s switch, after the same guard check every
 // fabric-wide proposal passes (the trio substituted into the live
-// vector, so bounds and Kmin<Kmax ordering hold per switch). While a
-// canary rollout plan is in flight the pipeline owns the fabric and
-// per-switch overrides are withheld — a half-converted fabric must stay
-// exactly as the plan's epoch stamped it.
+// vector, so bounds and Kmin<Kmax ordering hold per switch).
 func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
-	if s.Dispatch.InFlight() {
-		return
-	}
 	live := s.Dispatch.Live()
 	for _, pr := range ps.LocalProposals() {
 		if pr.Agent < 0 || pr.Agent >= len(s.torScope) {
@@ -536,7 +506,6 @@ func (s *System) publishStatus(now eventsim.Time) {
 		Aborts:        st.Aborts,
 		Dispatches:    s.Dispatches,
 		Rollbacks:     s.Rollbacks,
-		DispatchPhase: s.Dispatch.Phase().String(),
 		DispatchEpoch: s.Dispatch.Epoch(),
 	})
 }

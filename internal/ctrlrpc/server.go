@@ -446,11 +446,11 @@ func wallClock() eventsim.Time { return eventsim.Time(time.Now().UnixNano()) }
 
 // wire is the daemon's apply path: the guard on the wall clock, then the
 // WAL, then a fresh epoch the tick answers on the wire. The guard runs
-// before the journal, as in Pipeline.SubmitFinal, so an epoch the WAL
-// vetoes has already been admitted and opened the guard's MinGap window.
+// before the journal, as in Pipeline.Submit, so an epoch the WAL vetoes
+// has already been admitted and opened the guard's MinGap window.
 type wire struct{ *Server }
 
-func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
+func (w wire) Apply(p dcqcn.Params, now eventsim.Time) bool {
 	s := w.Server
 	s.proposal = p
 	if reason, spec := s.guard.Admit(&s.proposal, &s.current, now); reason != dispatch.RejectNone {
@@ -462,7 +462,7 @@ func (w wire) Apply(p dcqcn.Params, _ bool, now eventsim.Time) bool {
 	}
 	if s.cfg.WAL != nil {
 		// Journal first, and let a journal that cannot take the epoch veto
-		// it, as Pipeline.SubmitFinal does: a restarted daemon recovers
+		// it, as Pipeline.Submit does: a restarted daemon recovers
 		// only what the WAL holds, and would re-issue an epoch agents
 		// already run.
 		rec := dispatch.Record{
@@ -520,7 +520,6 @@ func (s *Server) applyAck(a AckMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.ApplyAcks++
-	s.dm.Acks.Inc()
 	if a.Epoch == s.epoch && a.VectorHash == dispatch.VectorHash(&s.current) {
 		s.acks[a.AgentID] = true
 	}

@@ -148,7 +148,6 @@ func TestStatusScrapeRace(t *testing.T) {
 		Aborts:        ts.Aborts,
 		Dispatches:    sys.Dispatches,
 		Rollbacks:     sys.Rollbacks,
-		DispatchPhase: sys.Dispatch.Phase().String(),
 		DispatchEpoch: sys.Dispatch.Epoch(),
 	}
 	if got := st["control_loop"]; got != wantLoop {

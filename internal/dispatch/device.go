@@ -2,22 +2,10 @@ package dispatch
 
 import "repro/internal/dcqcn"
 
-// Ack is a device's answer to an apply: the epoch and vector hash it is
-// actually running. Applied distinguishes a fresh apply from the
-// idempotent re-ACK a duplicate or stale frame earns.
-type Ack struct {
-	Device  int
-	Epoch   uint64
-	Hash    uint64
-	Applied bool
-}
-
-// Device is the agent-side half of the epoch commit protocol: the
-// stateful applier that makes retried, duplicated, and reordered
-// dispatch frames safe. It accepts an apply only when its epoch is
-// strictly newer than the device's, and answers every frame — fresh,
-// duplicate, or stale — with the (epoch, hash) it is actually running,
-// so the controller can always tell what state the device is in.
+// Device is the agent-side half of the epoch protocol: the stateful
+// applier that makes retried, duplicated, and reordered dispatch frames
+// safe. It accepts an apply only when its epoch is strictly newer than
+// the device's; its (Epoch, Hash) is always the state it runs.
 type Device struct {
 	// Epoch / Hash / Params are the last accepted apply.
 	Epoch  uint64
@@ -30,34 +18,33 @@ type Device struct {
 	Applies, Dups, Stale int
 }
 
-// Apply offers (epoch, p) to the device. The returned bool reports
-// whether the vector is fresh and must be pushed to the underlying
-// hardware; duplicates and stale frames return false and change
-// nothing, making every delivery idempotent.
-func (d *Device) Apply(epoch uint64, p dcqcn.Params) (Ack, bool) {
+// Apply offers (epoch, p) to the device and reports whether the vector
+// is fresh and must be pushed to the underlying hardware; duplicates and
+// stale frames return false and change nothing, making every delivery
+// idempotent.
+func (d *Device) Apply(epoch uint64, p dcqcn.Params) bool {
 	switch {
 	case d.seen && epoch < d.Epoch:
 		d.Stale++
-		return Ack{Epoch: d.Epoch, Hash: d.Hash, Applied: false}, false
+		return false
 	case d.seen && epoch == d.Epoch:
 		d.Dups++
-		return Ack{Epoch: d.Epoch, Hash: d.Hash, Applied: false}, false
+		return false
 	default:
 		d.Epoch = epoch
 		d.Hash = VectorHash(&p)
 		d.Params = p
 		d.seen = true
 		d.Applies++
-		return Ack{Epoch: epoch, Hash: d.Hash, Applied: true}, true
+		return true
 	}
 }
 
-// Fabric is the ordered set of rollout targets — one Device per scope
-// ToR, in scope order, so "the canary subset" is a deterministic prefix.
-// The harness owns the Fabric and hands it to each controller
-// incarnation: device epochs are switch state and survive controller
-// restarts, exactly what forces the recovery protocol to reconcile
-// rather than assume.
+// Fabric is the ordered set of dispatch targets — one Device per scope
+// ToR, in scope order. The harness owns the Fabric and hands it to each
+// controller incarnation: device epochs are switch state and survive
+// controller restarts, so a restarted controller whose journal lost an
+// epoch would see its next dispatch refused as a duplicate.
 type Fabric struct {
 	Devices []*Device
 }

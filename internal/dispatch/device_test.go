@@ -24,10 +24,11 @@ func testFrames() []frame {
 }
 
 // deliver runs a schedule against a fresh device and returns its final
-// state plus the byte-serialized ACK stream from re-offering every
-// frame once after the schedule completes. That re-ACK stream is the
-// property retries depend on: whatever arrived and in whatever order,
-// a retransmitted frame must earn the same answer.
+// state plus the byte-serialized answer stream — the (epoch, hash) the
+// device runs and whether it applied — from re-offering every frame
+// once after the schedule completes. That stream is the property
+// retries depend on: whatever arrived and in whatever order, a
+// retransmitted frame must earn the same answer.
 func deliver(t *testing.T, schedule []frame) (*Device, []byte) {
 	t.Helper()
 	d := &Device{}
@@ -36,11 +37,11 @@ func deliver(t *testing.T, schedule []frame) (*Device, []byte) {
 	}
 	var buf bytes.Buffer
 	for _, f := range testFrames() {
-		ack, _ := d.Apply(f.epoch, f.vec)
+		applied := d.Apply(f.epoch, f.vec)
 		if err := binary.Write(&buf, binary.LittleEndian, struct {
 			Epoch, Hash uint64
 			Applied     bool
-		}{ack.Epoch, ack.Hash, ack.Applied}); err != nil {
+		}{d.Epoch, d.Hash, applied}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func deliver(t *testing.T, schedule []frame) (*Device, []byte) {
 }
 
 // TestDeviceEpochIdempotency: duplicate, reordered, and stale-epoch
-// dispatch frames leave the device vector and its ACK stream
+// dispatch frames leave the device vector and its answer stream
 // byte-identical to the in-order run.
 func TestDeviceEpochIdempotency(t *testing.T) {
 	f := testFrames()
@@ -74,7 +75,7 @@ func TestDeviceEpochIdempotency(t *testing.T) {
 				t.Fatalf("device vector %+v, want %+v", dev.Params, wantDev.Params)
 			}
 			if !bytes.Equal(acks, wantAcks) {
-				t.Fatalf("ACK stream diverged from in-order run\n got: %x\nwant: %x", acks, wantAcks)
+				t.Fatalf("answer stream diverged from in-order run\n got: %x\nwant: %x", acks, wantAcks)
 			}
 		})
 	}
@@ -89,12 +90,11 @@ func TestDeviceCountsStaleAndDup(t *testing.T) {
 	if d.Applies != 1 || d.Dups != 1 || d.Stale != 1 {
 		t.Fatalf("applies/dups/stale = %d/%d/%d, want 1/1/1", d.Applies, d.Dups, d.Stale)
 	}
-	ack, fresh := d.Apply(f[0].epoch, f[0].vec)
-	if fresh || ack.Applied {
+	if d.Apply(f[0].epoch, f[0].vec) {
 		t.Fatal("stale frame reported as applied")
 	}
-	if ack.Epoch != 2 || ack.Hash != VectorHash(&f[1].vec) {
-		t.Fatalf("stale re-ACK carries (epoch=%d hash=%016x), want current state", ack.Epoch, ack.Hash)
+	if d.Epoch != 2 || d.Hash != VectorHash(&f[1].vec) {
+		t.Fatalf("after a stale frame the device is at (epoch=%d hash=%016x), want epoch 2's state", d.Epoch, d.Hash)
 	}
 }
 

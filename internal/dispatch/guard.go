@@ -1,28 +1,22 @@
-// Package dispatch is the staged, guardrailed, crash-recoverable
-// parameter-rollout pipeline between the tuner and the fabric.
+// Package dispatch is the guarded, journaled parameter-dispatch path
+// between the tuner and the fabric.
 //
 // A tuned DCQCN vector is the most dangerous artifact the control loop
 // produces: one bad setting, pushed fabric-wide, collapses throughput
-// everywhere at once. This package makes the push the *safest* part of
-// the loop instead of the most fragile:
+// everywhere at once. Every vector therefore takes one path, guard →
+// journal → apply:
 //
 //   - admission guardrails validate every candidate before it leaves the
 //     controller (per-parameter bounds, Kmin<Kmax ordering, bounded
 //     relative step against the live vector, dispatch-frequency rate
 //     limits) — rejects are counted and traced, never silently dropped;
-//   - session-settling dispatches become multi-phase canary plans: apply
-//     to a deterministic canary subset, hold a settle window watching
-//     health signals, then promote fabric-wide or abort-and-restore;
-//   - an epoch commit protocol makes applies idempotent: every dispatch
-//     carries a monotonically increasing epoch, devices ACK
-//     (epoch, vector-hash), phases commit only once every awaited
-//     device has ACKed within bounded retries, and stale or duplicate
-//     applies are rejected idempotently so reordered and retried frames
-//     are safe;
-//   - a write-ahead intent log journals intent → phase transitions →
-//     commit/abort, so a controller restarted mid-rollout replays the
-//     log and converges the fabric to exactly one epoch instead of
-//     forking its state.
+//   - a write-ahead log journals one commit record (epoch, vector, hash)
+//     before any device sees the epoch, and a journal that refuses the
+//     record vetoes the dispatch, so a restarted controller resumes on
+//     the last vector any device was sent and never re-issues an epoch;
+//   - an epoch protocol makes applies idempotent: every dispatch carries
+//     a monotonically increasing epoch, and devices reject stale or
+//     duplicate applies, so reordered and retried frames are safe.
 package dispatch
 
 import (
@@ -52,9 +46,6 @@ const (
 	// RejectRate: the dispatch arrived sooner than MinGap after the
 	// previous admitted one.
 	RejectRate
-	// RejectInFlight: a rollout plan is already in flight; concurrent
-	// plans would interleave epochs on the same devices.
-	RejectInFlight
 
 	numRejectReasons
 )
@@ -72,8 +63,6 @@ func (r RejectReason) String() string {
 		return "rel_step"
 	case RejectRate:
 		return "rate_limit"
-	case RejectInFlight:
-		return "plan_in_flight"
 	default:
 		return "unknown"
 	}

@@ -45,224 +45,71 @@ func target() dcqcn.Params {
 	return p
 }
 
-func TestPipelineCanaryPromoteCommit(t *testing.T) {
-	rig := newRig(t, Config{Canary: 1, SettleIntervals: 2}, 4)
-	p := rig.pipe
-	tgt := target()
-
-	ok, r := p.SubmitFinal(tgt, 50, rig.eng.Now())
-	if !ok {
-		t.Fatalf("SubmitFinal rejected: %v", r)
-	}
-	if p.Phase() != PhaseCanary {
-		t.Fatalf("phase = %v, want canary", p.Phase())
-	}
-	rig.eng.Run() // deliver canary ACKs
-	if p.Phase() != PhaseSettle {
-		t.Fatalf("phase = %v after ACKs, want settle", p.Phase())
-	}
-	// Only the canary runs the target so far.
-	if rig.fab.Devices[0].Params != tgt {
-		t.Fatal("canary device does not run the target")
-	}
-	if rig.fab.Devices[3].Params == tgt {
-		t.Fatal("non-canary device updated before promote")
-	}
-
-	healthy := Health{Utility: 50, PauseFrac: 0.01}
-	p.Tick(healthy, rig.eng.Now())
-	if p.Phase() != PhaseSettle {
-		t.Fatalf("settle ended one interval early")
-	}
-	p.Tick(healthy, rig.eng.Now())
-	if p.Phase() != PhasePromote {
-		t.Fatalf("phase = %v after settle window, want promote", p.Phase())
-	}
-	rig.eng.Run() // deliver fabric-wide ACKs
-	if p.Phase() != PhaseIdle {
-		t.Fatalf("phase = %v after promote ACKs, want idle", p.Phase())
-	}
-	if p.Commits != 1 {
-		t.Fatalf("commits = %d, want 1", p.Commits)
-	}
-	if got, ok := p.Committed(); !ok || got != tgt {
-		t.Fatalf("committed = %+v ok=%v", got, ok)
-	}
-	if !rig.fab.Converged() {
-		t.Fatal("fabric did not converge after commit")
-	}
-	for i, d := range rig.fab.Devices {
-		if d.Params != tgt {
-			t.Fatalf("device %d runs %+v, want target", i, d.Params)
-		}
-	}
-}
-
-func TestPipelineHealthAbortRestoresCanaries(t *testing.T) {
-	rig := newRig(t, Config{Canary: 2, SettleIntervals: 3}, 4)
-	p := rig.pipe
-	prev := dcqcn.DefaultParams()
-	tgt := target()
-
-	if ok, _ := p.SubmitFinal(tgt, 50, rig.eng.Now()); !ok {
-		t.Fatal("SubmitFinal rejected")
-	}
-	rig.eng.Run()
-	if p.Phase() != PhaseSettle {
-		t.Fatalf("phase = %v, want settle", p.Phase())
-	}
-	var aborted string
-	p.OnAbort = func(restored dcqcn.Params, reason string) {
-		if restored != prev {
-			t.Fatalf("OnAbort restored %+v, want pre-plan vector", restored)
-		}
-		aborted = reason
-	}
-	p.Tick(Health{Utility: 50, PauseFrac: 0.9}, rig.eng.Now())
-	if aborted != "health_pfc" {
-		t.Fatalf("abort reason = %q, want health_pfc", aborted)
-	}
-	if p.Phase() != PhaseIdle || p.Aborts != 1 {
-		t.Fatalf("phase=%v aborts=%d after health abort", p.Phase(), p.Aborts)
-	}
-	// Canaries were rolled back to the pre-plan vector under a fresh
-	// epoch; devices the plan never reached never changed.
-	for i := 0; i < 2; i++ {
-		if d := rig.fab.Devices[i]; d.Params != prev {
-			t.Fatalf("canary %d runs %+v after abort, want pre-plan vector", i, d.Params)
-		}
-	}
-	for i := 2; i < 4; i++ {
-		if d := rig.fab.Devices[i]; d.Applies != 0 {
-			t.Fatalf("non-canary device %d saw %d applies during an aborted canary", i, d.Applies)
-		}
-	}
-}
-
-func TestPipelineAckRetryThenCommit(t *testing.T) {
-	rig := newRig(t, Config{Canary: 1, SettleIntervals: 1}, 3)
-	p := rig.pipe
-	p.FaultAcks(0, 1, 0) // drop the canary's first ACK
-
-	if ok, _ := p.SubmitFinal(target(), 50, rig.eng.Now()); !ok {
-		t.Fatal("SubmitFinal rejected")
-	}
-	rig.eng.Run() // first wave dropped, deadline fires, retry wave ACKs
-	if p.Phase() != PhaseSettle {
-		t.Fatalf("phase = %v after retry wave, want settle", p.Phase())
-	}
-	if p.tm.AckRetries.Value() != 1 {
-		t.Fatalf("ack retries = %d, want 1", p.tm.AckRetries.Value())
-	}
-}
-
-func TestPipelineAckExhaustionAborts(t *testing.T) {
-	rig := newRig(t, Config{Canary: 1}, 3)
-	p := rig.pipe
-	p.FaultAcks(0, 10, 0) // drop every canary ACK
-
-	if ok, _ := p.SubmitFinal(target(), 50, rig.eng.Now()); !ok {
-		t.Fatal("SubmitFinal rejected")
-	}
-	rig.eng.Run()
-	if p.Phase() != PhaseIdle || p.Aborts != 1 {
-		t.Fatalf("phase=%v aborts=%d, want idle/1 after ACK exhaustion", p.Phase(), p.Aborts)
-	}
-	if rig.fab.Devices[0].Params != dcqcn.DefaultParams() {
-		t.Fatal("canary not restored after ACK exhaustion")
-	}
-}
-
-// TestPipelineCrashRecovery is the tentpole protocol property in
-// miniature: kill the controller between canary-apply and promote,
-// hand its WAL and fabric to a fresh incarnation, and the fabric must
-// converge to exactly one committed epoch.
+// TestPipelineCrashRecovery: a controller killed between two dispatches
+// and restarted on the same journal and fabric resumes on the vector the
+// fabric runs, even when a restore came between them, and numbers its
+// next epoch above every device's.
 func TestPipelineCrashRecovery(t *testing.T) {
 	wal := &MemWAL{}
 	fab := NewFabric(4)
-	initial := dcqcn.DefaultParams()
-	cfg := Config{Canary: 1, SettleIntervals: 5, WAL: wal, Fabric: fab}
+	cfg := Config{WAL: wal, Fabric: fab}
+	v0, v1, v2 := dcqcn.DefaultParams(), target(), target2()
 
 	rigA := newRig(t, cfg, 4)
-	tgt := target()
-	if ok, _ := rigA.pipe.SubmitFinal(tgt, 50, rigA.eng.Now()); !ok {
-		t.Fatal("SubmitFinal rejected")
+	now := rigA.eng.Now()
+	if ok, r := rigA.pipe.Submit(v1, now); !ok {
+		t.Fatalf("dispatch of v1 refused: %v", r)
 	}
-	rigA.eng.Run()
-	if rigA.pipe.Phase() != PhaseSettle {
-		t.Fatalf("phase = %v, want settle (mid-rollout)", rigA.pipe.Phase())
+	rigA.pipe.Restore(v0, now)
+	if ok, r := rigA.pipe.Submit(v2, now); !ok {
+		t.Fatalf("dispatch of v2 refused: %v", r)
 	}
-	// The fabric is now forked: the canary runs the target epoch, the
-	// rest run the initial one. Controller A dies here.
-	if fab.Converged() {
-		t.Fatal("fabric should be mid-rollout (forked)")
-	}
-	epochA := rigA.pipe.Epoch()
 
-	// Controller B restarts from the same WAL against the same fabric.
-	engB := eventsim.NewEngine(1)
-	pipeB := New(cfg, engB, fab, nil, telemetry.NewRegistry())
-	if err := pipeB.Resume(initial, engB.Now()); err != nil {
-		t.Fatal(err)
+	// Controller A dies here; B restarts on the same WAL and fabric.
+	rigB := newRig(t, cfg, 4)
+	pipeB := rigB.pipe
+	if pipeB.Live() != v2 {
+		t.Fatalf("restarted controller is live on %+v, want v2, which the fabric runs", pipeB.Live())
 	}
-	if pipeB.Phase() != PhasePromote {
-		t.Fatalf("recovery phase = %v, want promote (restore rollout)", pipeB.Phase())
+	if pipeB.WALReplayed() != 3 {
+		t.Errorf("replayed %d records, want 3", pipeB.WALReplayed())
 	}
-	if pipeB.Epoch() <= epochA {
-		t.Fatalf("recovery epoch %d not above pre-crash %d", pipeB.Epoch(), epochA)
-	}
-	engB.Run() // restore-wave ACKs
-	if pipeB.Phase() != PhaseIdle {
-		t.Fatalf("phase = %v after recovery, want idle", pipeB.Phase())
-	}
-	if !fab.Converged() {
-		t.Fatalf("fabric did not converge after recovery: epochs %v", fab.Epochs())
-	}
-	if fab.Devices[0].Params != initial {
-		t.Fatalf("recovered fabric runs %+v, want the pre-plan vector", fab.Devices[0].Params)
-	}
-	if pipeB.CommittedEpoch() != pipeB.Epoch() {
-		t.Fatalf("committed epoch %d != granted %d after recovery", pipeB.CommittedEpoch(), pipeB.Epoch())
-	}
-	for _, d := range fab.Devices {
-		if d.Epoch != pipeB.CommittedEpoch() {
-			t.Fatalf("device epochs %v, want all %d", fab.Epochs(), pipeB.CommittedEpoch())
+	next := pipeB.Epoch() + 1
+	for i, d := range fab.Devices {
+		if d.Params != v2 || d.Epoch >= next {
+			t.Fatalf("device %d at epoch %d runs %+v; restarted controller's next epoch is %d", i, d.Epoch, d.Params, next)
 		}
+	}
+	if ok, r := pipeB.Submit(v1, rigB.eng.Now()); !ok {
+		t.Fatalf("dispatch after restart refused: %v", r)
+	}
+	if !fab.Converged() || fab.Devices[0].Epoch != next || fab.Devices[0].Params != v1 {
+		t.Fatalf("dispatch after restart did not reach the fabric: epochs %v", fab.Epochs())
 	}
 }
 
-// TestPipelineRecoveryAfterCommitIsQuiet: a WAL whose last rollout
-// committed cleanly must not trigger a recovery rollout.
+// TestPipelineRecoveryAfterCommitIsQuiet: a restart journals and
+// dispatches nothing, and keeps the committed vector.
 func TestPipelineRecoveryAfterCommitIsQuiet(t *testing.T) {
 	wal := &MemWAL{}
 	fab := NewFabric(2)
-	cfg := Config{Canary: 1, SettleIntervals: 1, WAL: wal, Fabric: fab}
+	cfg := Config{WAL: wal, Fabric: fab}
 	rig := newRig(t, cfg, 2)
 	tgt := target()
 	if ok, _ := rig.pipe.SubmitFinal(tgt, 50, rig.eng.Now()); !ok {
 		t.Fatal("SubmitFinal rejected")
 	}
-	rig.eng.Run()
-	rig.pipe.Tick(Health{Utility: 50}, rig.eng.Now())
-	rig.eng.Run()
 	if rig.pipe.Commits != 1 {
 		t.Fatalf("commits = %d, want 1", rig.pipe.Commits)
 	}
 	walLen := wal.Len()
 
-	engB := eventsim.NewEngine(1)
-	pipeB := New(cfg, engB, fab, nil, telemetry.NewRegistry())
-	if err := pipeB.Resume(dcqcn.DefaultParams(), engB.Now()); err != nil {
-		t.Fatal(err)
+	rigB := newRig(t, cfg, 2)
+	if wal.Len() != walLen || len(rigB.pushes) != 0 {
+		t.Fatalf("clean restart appended %d WAL records and pushed %d vectors", wal.Len()-walLen, len(rigB.pushes))
 	}
-	if pipeB.Phase() != PhaseIdle {
-		t.Fatalf("clean restart started a rollout (phase %v)", pipeB.Phase())
-	}
-	if wal.Len() != walLen {
-		t.Fatalf("clean restart appended %d WAL records", wal.Len()-walLen)
-	}
-	if got, ok := pipeB.Committed(); !ok || got != tgt {
-		t.Fatalf("restart lost the committed vector: %+v ok=%v", got, ok)
+	if got := rigB.pipe.Live(); got != tgt {
+		t.Fatalf("restart lost the committed vector: %+v", got)
 	}
 }
 
@@ -273,13 +120,12 @@ func TestPipelineRejectLeavesFabricUntouched(t *testing.T) {
 
 	bad := dcqcn.DefaultParams()
 	bad.PMax = 2.0
-	if ok, r := p.SubmitExplore(bad, rig.eng.Now()); ok || r != RejectBounds {
+	if ok, r := p.Submit(bad, rig.eng.Now()); ok || r != RejectBounds {
 		t.Fatalf("out-of-bounds vector admitted (ok=%v r=%v)", ok, r)
 	}
 	if ok, r := p.SubmitFinal(bad, 50, rig.eng.Now()); ok || r != RejectBounds {
 		t.Fatalf("out-of-bounds final admitted (ok=%v r=%v)", ok, r)
 	}
-	rig.eng.Run()
 	if len(rig.pushes) != 0 {
 		t.Fatalf("rejected vectors reached the network: %+v", rig.pushes)
 	}
@@ -297,7 +143,7 @@ func TestPipelineExploreAppliesDirectly(t *testing.T) {
 	rig := newRig(t, Config{}, 3)
 	p := rig.pipe
 	tgt := target()
-	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); !ok {
+	if ok, r := p.Submit(tgt, rig.eng.Now()); !ok {
 		t.Fatalf("explore rejected: %v", r)
 	}
 	for i, d := range rig.fab.Devices {
@@ -308,12 +154,15 @@ func TestPipelineExploreAppliesDirectly(t *testing.T) {
 	if len(rig.pushes) != 1 || len(rig.pushes[0].devs) != 3 {
 		t.Fatalf("pushes = %+v, want one fabric-wide push", rig.pushes)
 	}
-	// A second explore while idle is fine; one during a plan is not.
+	// SubmitFinal takes the same path: fabric-wide at once, one epoch on.
 	if ok, _ := p.SubmitFinal(target2(), 50, rig.eng.Now()); !ok {
 		t.Fatal("final rejected")
 	}
-	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); ok || r != RejectInFlight {
-		t.Fatalf("explore during plan: ok=%v r=%v, want RejectInFlight", ok, r)
+	if !rig.fab.Converged() || rig.fab.Devices[0].Epoch != 2 || rig.fab.Devices[0].Params != target2() {
+		t.Fatalf("final dispatch did not reach the fabric at epoch 2: epochs %v", rig.fab.Epochs())
+	}
+	if p.Commits != 2 || p.InFlight() {
+		t.Fatalf("commits = %d, in flight %v; want 2 commits and nothing in flight", p.Commits, p.InFlight())
 	}
 }
 
@@ -322,21 +171,21 @@ type refusingWAL struct{ MemWAL }
 
 func (*refusingWAL) Append(Record) error { return errors.New("disk full") }
 
-// TestPipelineExploreVetoesUnjournaledEpoch: an exploration step whose
-// epoch the WAL refused reaches no device, as a plan's intent does not.
-// Restore still dispatches: it is the safety action.
+// TestPipelineExploreVetoesUnjournaledEpoch: a dispatch whose record the
+// WAL refused reaches no device. Restore still dispatches: it is the
+// safety action.
 func TestPipelineExploreVetoesUnjournaledEpoch(t *testing.T) {
 	rig := newRig(t, Config{WAL: &refusingWAL{}}, 3)
 	p := rig.pipe
 	tgt := target()
-	if ok, r := p.SubmitExplore(tgt, rig.eng.Now()); ok || r != RejectNone {
+	if ok, r := p.Submit(tgt, rig.eng.Now()); ok || r != RejectNone {
 		t.Fatalf("explore with a refusing WAL: ok=%v r=%v, want a veto", ok, r)
 	}
 	if p.lastReject != "wal_error" {
 		t.Errorf("lastReject = %q, want wal_error", p.lastReject)
 	}
 	if ok, _ := p.SubmitFinal(tgt, 50, rig.eng.Now()); ok {
-		t.Error("plan started with a refusing WAL")
+		t.Error("SubmitFinal dispatched with a refusing WAL")
 	}
 	if len(rig.pushes) != 0 || p.Live() != dcqcn.DefaultParams() {
 		t.Fatalf("vetoed dispatches reached the network: %+v", rig.pushes)

@@ -14,35 +14,21 @@ import (
 	"repro/internal/dcqcn"
 )
 
-// WAL record kinds. A rollout writes intent first, then one phase record
-// per transition, then exactly one of commit or abort. Epoch grants that
-// bypass the plan machinery (SA exploration dispatches, rollback
-// restores) write an epoch record so a recovered controller never
-// re-issues an epoch number some device has already seen.
-const (
-	KindIntent = "intent"
-	KindPhase  = "phase"
-	KindCommit = "commit"
-	KindAbort  = "abort"
-	KindEpoch  = "epoch"
-)
+// KindCommit is the kind of every record the pipeline and the daemon
+// write: one per dispatch, journaled before any device sees its epoch.
+const KindCommit = "commit"
 
-// Record is one write-ahead log entry. T is virtual time (engine
-// nanoseconds) — the log must replay identically across restarts, so it
-// carries no wall-clock timestamps.
+// Record is one write-ahead log entry. T is the loop's clock (engine
+// nanoseconds in the simulator, wall time in the daemon); a simulated
+// log replays identically across restarts.
 type Record struct {
 	T     int64  `json:"t"`
 	Kind  string `json:"kind"`
 	Epoch uint64 `json:"epoch"`
-	// Phase names the phase being entered (KindPhase records).
-	Phase string `json:"phase,omitempty"`
-	// Params is the full target vector (KindIntent and KindCommit
-	// records; epoch grants log only the hash).
+	// Params is the dispatched vector, and Hash its VectorHash.
 	Params *dcqcn.Params `json:"params,omitempty"`
 	Hash   uint64        `json:"hash,omitempty"`
-	// Canary is the canary device count of the plan (KindIntent).
-	Canary int `json:"canary,omitempty"`
-	// Reason annotates aborts and restore-commits.
+	// Reason is "restore" on a rollback's record.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -350,76 +336,34 @@ func (w *FileWAL) Close() error {
 
 // Recovery is what a restarted controller learns from its journal.
 type Recovery struct {
-	// Epoch is the highest epoch number granted before the crash; the
-	// recovered controller resumes numbering strictly above it.
+	// Epoch is the highest epoch number in the journal; the recovered
+	// controller resumes numbering strictly above it.
 	Epoch uint64
-	// Committed is the last vector that fully committed (nil if none
-	// ever did), with its epoch.
-	Committed      *dcqcn.Params
-	CommittedEpoch uint64
-	// InFlight is the intent of a rollout that neither committed nor
-	// aborted — the crash caught it mid-flight — along with the last
-	// phase it was known to have entered.
-	InFlight      *Record
-	InFlightPhase string
+	// Committed is the last vector journaled (nil if none was): the
+	// last one any device was sent.
+	Committed *dcqcn.Params
 	// Replayed counts records read.
 	Replayed int
 }
 
 // Recover streams w and folds it into the state a restarting controller
-// needs: where epoch numbering left off, what the fabric last agreed
-// on, and whether a rollout was orphaned mid-flight. It holds the
-// committed vector and the in-flight intent as values while it reads,
-// so its memory does not grow with the journal.
+// needs: where epoch numbering left off and what the fabric was last
+// sent. It holds the last vector as a value while it reads, so its
+// memory does not grow with the journal.
 func Recover(w WAL) (Recovery, error) {
 	var rec Recovery
-	var committed, intentParams dcqcn.Params
-	var intent Record
-	haveCommitted, inFlight := false, false
+	var committed dcqcn.Params
 	err := w.Replay(func(r *Record) error {
 		rec.Replayed++
-		if r.Epoch > rec.Epoch {
-			rec.Epoch = r.Epoch
-		}
-		switch r.Kind {
-		case KindIntent:
-			intent = *r
-			if r.Params != nil {
-				intentParams = *r.Params
-				intent.Params = &intentParams
-			}
-			inFlight = true
-			rec.InFlightPhase = ""
-		case KindPhase:
-			if inFlight && r.Epoch == intent.Epoch {
-				rec.InFlightPhase = r.Phase
-			}
-		case KindCommit:
-			if r.Params != nil {
-				committed = *r.Params
-				haveCommitted = true
-				rec.CommittedEpoch = r.Epoch
-			}
-			if inFlight && r.Epoch == intent.Epoch {
-				inFlight = false
-				rec.InFlightPhase = ""
-			}
-		case KindAbort:
-			if inFlight && r.Epoch == intent.Epoch {
-				inFlight = false
-				rec.InFlightPhase = ""
-			}
+		rec.Epoch = max(rec.Epoch, r.Epoch)
+		if r.Kind == KindCommit && r.Params != nil {
+			committed = *r.Params
+			rec.Committed = &committed
 		}
 		return nil
 	})
 	if err != nil {
 		return Recovery{}, err
-	}
-	if haveCommitted {
-		rec.Committed = &committed
-	}
-	if inFlight {
-		rec.InFlight = &intent
 	}
 	return rec, nil
 }

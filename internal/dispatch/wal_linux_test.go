@@ -109,11 +109,12 @@ func TestFileWALDSyncOnly(t *testing.T) {
 	}
 	appendRaw(t, w, `{"t":21,"kind":"com`)
 	w2 := reopen(t, path)
-	if err := w2.Append(Record{T: 22, Kind: KindEpoch, Epoch: 22}); err != nil {
+	q := dcqcn.ExpertParams()
+	if err := w2.Append(Record{T: 22, Kind: KindCommit, Epoch: 22, Params: &q}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := Recover(reopen(t, path))
-	if err != nil || rec.Replayed != 21 || rec.Epoch != 22 || rec.CommittedEpoch != 20 {
+	if err != nil || rec.Replayed != 21 || rec.Epoch != 22 || rec.Committed == nil || *rec.Committed != q {
 		t.Fatalf("recovery = %+v, %v", rec, err)
 	}
 }

@@ -33,8 +33,8 @@ func TestMemWALRoundTrip(t *testing.T) {
 	w := &MemWAL{}
 	p := dcqcn.DefaultParams()
 	recs := []Record{
-		{T: 1, Kind: KindIntent, Epoch: 3, Params: &p, Hash: VectorHash(&p), Canary: 1},
-		{T: 2, Kind: KindPhase, Epoch: 3, Phase: "canary"},
+		{T: 1, Kind: KindCommit, Epoch: 1, Params: &p, Hash: VectorHash(&p)},
+		{T: 2, Kind: KindCommit, Epoch: 2, Params: &p, Hash: VectorHash(&p), Reason: "restore"},
 		{T: 3, Kind: KindCommit, Epoch: 3, Params: &p, Hash: VectorHash(&p)},
 	}
 	for _, r := range recs {
@@ -50,7 +50,7 @@ func TestMemWALRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		if got[i].Kind != recs[i].Kind || got[i].Epoch != recs[i].Epoch {
+		if got[i].Kind != recs[i].Kind || got[i].Epoch != recs[i].Epoch || got[i].Reason != recs[i].Reason {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
 	}
@@ -142,11 +142,11 @@ func TestFileWALLinesMatchMarshal(t *testing.T) {
 	defer w.Close()
 	p, q := dcqcn.DefaultParams(), dcqcn.ExpertParams()
 	recs := []Record{
-		{T: 1, Kind: KindIntent, Epoch: 4, Params: &p, Hash: VectorHash(&p), Canary: 2},
-		{T: 2, Kind: KindPhase, Epoch: 4, Phase: "canary"},
-		{T: 3, Kind: KindAbort, Epoch: 4, Phase: "canary", Reason: "health <pfc> & \"rtt\""},
-		{T: 4, Kind: KindEpoch, Epoch: 5, Hash: VectorHash(&q)},
-		{T: 5, Kind: KindCommit, Epoch: 6, Params: &q, Hash: VectorHash(&q), Reason: "restore"},
+		{T: 1, Kind: KindCommit, Epoch: 4, Params: &p, Hash: VectorHash(&p)},
+		{T: 2, Kind: KindCommit, Epoch: 5, Params: &q, Hash: VectorHash(&q)},
+		{T: 3, Kind: KindCommit, Epoch: 6, Params: &p, Hash: VectorHash(&p), Reason: "<restore> & \"rtt\""},
+		{T: 4, Kind: KindCommit, Epoch: 7, Params: &q, Hash: VectorHash(&q)},
+		{T: 5, Kind: KindCommit, Epoch: 8, Params: &q, Hash: VectorHash(&q), Reason: "restore"},
 	}
 	var want strings.Builder
 	for i, r := range recs {
@@ -190,10 +190,10 @@ func TestFileWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := dcqcn.DefaultParams()
-	if err := w.Append(Record{T: 1, Kind: KindIntent, Epoch: 7, Params: &p, Hash: VectorHash(&p)}); err != nil {
+	if err := w.Append(Record{T: 1, Kind: KindCommit, Epoch: 7, Params: &p, Hash: VectorHash(&p)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Record{T: 2, Kind: KindAbort, Epoch: 7, Phase: "canary", Reason: "health_pfc"}); err != nil {
+	if err := w.Append(Record{T: 2, Kind: KindCommit, Epoch: 8, Params: &p, Hash: VectorHash(&p), Reason: "restore"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -208,11 +208,11 @@ func TestFileWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Kind != KindIntent || got[1].Reason != "health_pfc" {
+	if len(got) != 2 || got[0].Kind != KindCommit || got[1].Epoch != 8 || got[1].Reason != "restore" {
 		t.Fatalf("replay = %+v", got)
 	}
 	if got[0].Params == nil || got[0].Params.KminBytes != p.KminBytes {
-		t.Fatalf("intent params did not survive the file round trip: %+v", got[0].Params)
+		t.Fatalf("params did not survive the file round trip: %+v", got[0].Params)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestFileWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append(Record{T: 1, Kind: KindEpoch, Epoch: 1}); err != nil {
+	if err := w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn, undecodable trailing line.
@@ -260,7 +260,7 @@ func TestFileWALTornTail(t *testing.T) {
 	if got, err := replayAll(w2); err != nil || len(got) != 1 {
 		t.Fatalf("reopened replay = %+v, %v; want the one record", got, err)
 	}
-	if err := w2.Append(Record{T: 3, Kind: KindEpoch, Epoch: 2}); err != nil {
+	if err := w2.Append(Record{T: 3, Kind: KindCommit, Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, err = replayAll(w2)
@@ -331,7 +331,8 @@ func TestFileWALPlainFile(t *testing.T) {
 	if got, err := replayAll(w); err != nil || len(got) != 3 || got[2].Epoch != 3 {
 		t.Fatalf("plain file replays %+v, %v; want epochs 1-3", got, err)
 	}
-	if err := w.Append(Record{T: 4, Kind: KindEpoch, Epoch: 4}); err != nil {
+	q := dcqcn.ExpertParams()
+	if err := w.Append(Record{T: 4, Kind: KindCommit, Epoch: 4, Params: &q}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -341,7 +342,7 @@ func TestFileWALPlainFile(t *testing.T) {
 	}
 	defer w.Close()
 	rec, err := Recover(w)
-	if err != nil || rec.Replayed != 4 || rec.Epoch != 4 || rec.CommittedEpoch != 3 {
+	if err != nil || rec.Replayed != 4 || rec.Epoch != 4 || rec.Committed == nil || *rec.Committed != q {
 		t.Fatalf("recovery after an append = %+v, %v", rec, err)
 	}
 	got, err := os.ReadFile(path)
@@ -459,62 +460,43 @@ func isPrefix(got, want []Record) bool {
 	return true
 }
 
+// TestRecoverFolding: a restarted controller resumes above the highest
+// epoch and on the last vector journaled, a restore's included.
 func TestRecoverFolding(t *testing.T) {
 	p := dcqcn.DefaultParams()
 	q := dcqcn.ExpertParams()
 
 	t.Run("clean_commit", func(t *testing.T) {
 		w := &MemWAL{}
-		w.Append(Record{T: 1, Kind: KindIntent, Epoch: 1, Params: &p})
-		w.Append(Record{T: 2, Kind: KindPhase, Epoch: 1, Phase: "canary"})
-		w.Append(Record{T: 3, Kind: KindCommit, Epoch: 1, Params: &p})
+		w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1, Params: &q})
+		w.Append(Record{T: 2, Kind: KindCommit, Epoch: 2, Params: &p})
 		rec, err := Recover(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.InFlight != nil {
-			t.Fatalf("committed rollout reported in flight: %+v", rec.InFlight)
-		}
-		if rec.Epoch != 1 || rec.CommittedEpoch != 1 || rec.Committed == nil {
+		if rec.Epoch != 2 || rec.Replayed != 2 || rec.Committed == nil || *rec.Committed != p {
 			t.Fatalf("recovery = %+v", rec)
 		}
 	})
 
-	t.Run("orphaned_mid_settle", func(t *testing.T) {
+	t.Run("restore_then_dispatch", func(t *testing.T) {
 		w := &MemWAL{}
-		w.Append(Record{T: 1, Kind: KindCommit, Epoch: 2, Params: &p})
-		w.Append(Record{T: 2, Kind: KindIntent, Epoch: 5, Params: &q})
-		w.Append(Record{T: 3, Kind: KindPhase, Epoch: 5, Phase: "canary"})
-		w.Append(Record{T: 4, Kind: KindPhase, Epoch: 5, Phase: "settle"})
+		w.Append(Record{T: 1, Kind: KindCommit, Epoch: 1, Params: &q})
+		w.Append(Record{T: 2, Kind: KindCommit, Epoch: 2, Params: &p, Reason: "restore"})
+		w.Append(Record{T: 3, Kind: KindCommit, Epoch: 3, Params: &q})
 		rec, err := Recover(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.InFlight == nil || rec.InFlight.Epoch != 5 || rec.InFlightPhase != "settle" {
-			t.Fatalf("orphan not detected: %+v", rec)
-		}
-		if rec.Epoch != 5 {
-			t.Fatalf("epoch = %d, want 5", rec.Epoch)
-		}
-		if rec.Committed == nil || rec.Committed.KminBytes != p.KminBytes || rec.CommittedEpoch != 2 {
-			t.Fatalf("committed = %+v @%d", rec.Committed, rec.CommittedEpoch)
+		if rec.Epoch != 3 || rec.Committed == nil || *rec.Committed != q {
+			t.Fatalf("recovery = %+v, want epoch 3 on the vector dispatched after the restore", rec)
 		}
 	})
 
-	t.Run("aborted_is_not_in_flight", func(t *testing.T) {
-		w := &MemWAL{}
-		w.Append(Record{T: 1, Kind: KindIntent, Epoch: 3, Params: &q})
-		w.Append(Record{T: 2, Kind: KindAbort, Epoch: 3, Reason: "ack_timeout"})
-		w.Append(Record{T: 3, Kind: KindEpoch, Epoch: 4})
-		rec, err := Recover(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.InFlight != nil {
-			t.Fatalf("aborted rollout reported in flight")
-		}
-		if rec.Epoch != 4 {
-			t.Fatalf("epoch = %d, want 4 (epoch grants count)", rec.Epoch)
+	t.Run("empty", func(t *testing.T) {
+		rec, err := Recover(&MemWAL{})
+		if err != nil || rec.Epoch != 0 || rec.Committed != nil || rec.Replayed != 0 {
+			t.Fatalf("recovery of an empty journal = %+v, %v", rec, err)
 		}
 	})
 }

@@ -9,11 +9,14 @@ import (
 )
 
 // TestChaosDispatchGolden pins the chaos-dispatch experiment — kill the
-// controller between canary and promote, restart it from the WAL — to a
+// controller between two dispatches, restart it from the WAL — to a
 // byte-exact trace, and asserts the invariants the trace alone cannot:
-// the fabric converged to exactly one epoch, the recovery restore
-// committed, and the out-of-bounds probe bounced off the guard without
-// touching the fabric. -update (see golden_test.go) rewrites the golden.
+// the restarted controller replayed the journal and dispatched, the
+// fabric is on one epoch, and the out-of-bounds probe bounced off the
+// guard (the run's End hook fails it if the restarted controller's live
+// vector is not the fabric's, if a device refused one of its epochs, or
+// if the probe moved the fabric). -update (see golden_test.go) rewrites
+// the golden.
 func TestChaosDispatchGolden(t *testing.T) {
 	run := func() (*Result, *telemetry.DispatchMetrics, []byte) {
 		var buf bytes.Buffer
@@ -29,15 +32,12 @@ func TestChaosDispatchGolden(t *testing.T) {
 	if res.Kills != 1 {
 		t.Errorf("controller kills = %d, want 1", res.Kills)
 	}
-	if dm.Plans.Value() == 0 {
-		t.Error("no rollout plan started before the kill")
-	}
-	if dm.Commits.Value() == 0 {
-		t.Error("recovery restore never committed")
-	}
 	d := res.Sys.Dispatch
 	if d.WALReplayed() == 0 {
 		t.Error("restarted controller replayed nothing")
+	}
+	if d.Commits == 0 || dm.Epochs.Value() <= int64(d.WALReplayed()) {
+		t.Errorf("restarted controller committed %d vectors (%d epochs in all, %d replayed), want some", d.Commits, dm.Epochs.Value(), d.WALReplayed())
 	}
 	if !d.Fabric().Converged() {
 		t.Error("fabric did not converge to one epoch after recovery")

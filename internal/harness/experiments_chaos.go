@@ -238,46 +238,47 @@ func ChaosCtrlPartitionConfig(scale Scale, horizon eventsim.Time, seed int64) Ru
 	return cfg
 }
 
-// ChaosDispatchConfig is the chaos-dispatch run: the staged rollout
-// pipeline is driven into a canary plan, the controller is killed the
-// moment the plan enters its settle window (after the canary epoch
-// reached a subset of devices, before promotion), and a fresh controller
-// is brought up two intervals later sharing only the intent WAL and the
-// fabric — the journal because it is durable, the fabric because device
-// epochs are switch state and switches do not die with the controller.
-// The restarted controller must replay the journal, abort the orphaned
-// plan, and restore every touched device under one fresh epoch — the
-// fabric converges to exactly one (epoch, hash) instead of forking
-// between canary and stale vectors.
+// ChaosDispatchConfig is the chaos-dispatch run: the controller is
+// killed between two dispatches, at half the horizon, and a fresh one
+// is brought up two intervals later sharing only the write-ahead log and
+// the fabric — the journal because it is durable, the fabric because
+// device epochs are switch state and switches do not die with the
+// controller. The restarted controller replays the journal and resumes
+// on the last vector any device was sent, numbering its epochs above
+// every one a device saw: the run fails if its live vector is not the
+// fabric's, or if any device refused an epoch as stale or duplicate.
 //
 // The run ends with a deliberately out-of-bounds vector submitted to
 // the recovered pipeline: the guard must reject it with the fabric
 // untouched, visible in the dispatch telemetry family, which the run
 // keeps in a registry of its own.
 //
-// Fully in-simulation (MemWAL, simulated ACK latency), so a fixed seed
-// yields a byte-identical trace. A flight recorder's artifact spans both
-// controller incarnations (the replay-driven plan abort trips an anomaly
-// snapshot).
+// Fully in-simulation (MemWAL), so a fixed seed yields a byte-identical
+// trace. A flight recorder's artifact spans both controller
+// incarnations.
 func ChaosDispatchConfig(scale Scale, horizon eventsim.Time, seed int64, traceTo io.Writer) RunConfig {
 	cfg := chaosConfig("chaos-dispatch", scale, horizon, traceTo, core.DegradeConfig{})
 	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
-	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 3, WAL: &dispatch.MemWAL{}}
-	cfg.Faults = FixedFaults(chaos.Scenario{
-		Seed:     seed,
-		Dispatch: []chaos.DispatchFault{{KillAtPhase: "settle"}},
-	})
+	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{WAL: &dispatch.MemWAL{}}
+	cfg.Faults = FixedFaults(chaos.Scenario{Seed: seed, KillAt: horizon / 2})
 	cfg.End = func(n *sim.Network, sys *core.System) error {
-		// Let any in-flight recovery or promotion ACK waves finish.
-		n.Run(n.Eng.Now() + 10*eventsim.Millisecond)
+		fab, live := sys.Dispatch.Fabric(), sys.Dispatch.Live()
+		for i, d := range fab.Devices {
+			if d.Params != live {
+				return fmt.Errorf("chaos-dispatch: device %d runs %016x, the restarted controller's live vector is %016x",
+					i, d.Hash, dispatch.VectorHash(&live))
+			}
+			if d.Stale+d.Dups > 0 {
+				return fmt.Errorf("chaos-dispatch: device %d refused %d epochs as stale and %d as duplicate", i, d.Stale, d.Dups)
+			}
+		}
 
 		// Guardrail probe: an out-of-bounds vector against the recovered
 		// pipeline must bounce off admission with the fabric untouched.
-		fab := sys.Dispatch.Fabric()
 		epochsBefore := fmt.Sprintf("%v", fab.Epochs())
 		bad := *n.RNICParams()
 		bad.PMax = 2.0
-		if ok, reason := sys.Dispatch.SubmitFinal(bad, 0, n.Eng.Now()); ok {
+		if ok, reason := sys.Dispatch.Submit(bad, n.Eng.Now()); ok {
 			return fmt.Errorf("chaos-dispatch: guard admitted PMax=2.0")
 		} else if reason != dispatch.RejectBounds {
 			return fmt.Errorf("chaos-dispatch: PMax=2.0 rejected as %v, want bounds", reason)

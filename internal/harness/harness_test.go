@@ -229,8 +229,10 @@ func TestRunKeepsEverySample(t *testing.T) {
 	for name, s := range map[string]*series.Series{
 		"TP": r.TP, "RTT": r.RTT, "PFC": r.PFC, "Utility": r.Utility, "Accuracy": r.Accuracy,
 	} {
-		if s.Len() != ticks || s.Stride() != 1 {
-			t.Errorf("%s: %d samples at stride %d, want %d at stride 1", name, s.Len(), s.Stride(), ticks)
+		// A series that overflowed keeps every second sample, so fewer
+		// than ticks of them.
+		if s.Len() != ticks {
+			t.Errorf("%s: %d samples, want one per tick, %d", name, s.Len(), ticks)
 		}
 	}
 }

@@ -16,11 +16,10 @@ import (
 )
 
 // loopDigest runs the simulated loop with strategy name for 80 intervals
-// of a QuickScale alltoall with OFF gaps, with or without canary plans
-// for the session-settling dispatches. It returns the FNV-1a digest of
+// of a QuickScale alltoall with OFF gaps. It returns the FNV-1a digest of
 // every dispatch (virtual time and vector), then the rollback, freeze,
 // reject and trigger counts and the vector every ToR switch ends on.
-func loopDigest(t *testing.T, name string, plans bool) uint64 {
+func loopDigest(t *testing.T, name string) uint64 {
 	t.Helper()
 	scale := QuickScale()
 	n, err := sim.New(scale.Net)
@@ -29,9 +28,6 @@ func loopDigest(t *testing.T, name string, plans bool) uint64 {
 	}
 	cfg := shootoutSystemCfg(name)
 	cfg.Telemetry = telemetry.NewRegistry()
-	if plans {
-		cfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
-	}
 	sys, err := core.Attach(n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,39 +60,31 @@ func loopDigest(t *testing.T, name string, plans bool) uint64 {
 }
 
 // TestSimLoopMatchesParent pins the simulated loop's decisions for every
-// strategy with canary plans off and on, and for
-// chaos-linkflap (a flapping uplink with rollback armed) with plans on,
-// whose rollbacks restore through the pipeline. The digests were taken
-// while plans off still bypassed the pipeline, and before the daemon and
-// the simulated loop shared one decision step; neither change may move
-// them. The sa, multiecn and chaos-linkflap digests were re-pinned when
-// a new session began to open on the vector the fabric runs (the
-// settled or restored one) instead of its previous chain's last point.
+// strategy, and for chaos-linkflap (a flapping uplink with rollback
+// armed), whose rollbacks restore through the pipeline. The digests were
+// taken while the loop still bypassed the pipeline, before the daemon
+// and the simulated loop shared one decision step, and while the
+// pipeline still had a canary walk (the chaos-linkflap digest, then
+// taken with the canary on, read the same with it off); none of those
+// changes may move them. The sa, multiecn and chaos-linkflap digests
+// were re-pinned when a new session began to open on the vector the
+// fabric runs (the settled or restored one) instead of its previous
+// chain's last point.
 func TestSimLoopMatchesParent(t *testing.T) {
 	want := map[string]uint64{
-		"bandit/plans-off":   0x621893c7d98bd529,
-		"bandit/plans-on":    0x47a57408fe9dd964,
-		"multiecn/plans-off": 0x3d3cc87e19395062,
-		"multiecn/plans-on":  0x63232c5ccba37254,
-		"sa/plans-off":       0xd06f4c82331a25bc,
-		"sa/plans-on":        0x6e4be882f8ae2c0b,
+		"bandit":   0x621893c7d98bd529,
+		"multiecn": 0x3d3cc87e19395062,
+		"sa":       0xd06f4c82331a25bc,
 	}
 	for _, name := range tuner.Names() {
-		for _, plans := range []bool{false, true} {
-			key := name + "/plans-off"
-			if plans {
-				key = name + "/plans-on"
-			}
-			if got := loopDigest(t, name, plans); got != want[key] {
-				t.Errorf("%s: digest %#x, want %#x", key, got, want[key])
-			}
+		if got := loopDigest(t, name); got != want[name] {
+			t.Errorf("%s: digest %#x, want %#x", name, got, want[name])
 		}
 	}
 
 	h := fnv.New64a()
 	cfg := ChaosLinkFlapConfig(QuickScale(), 60*eventsim.Millisecond, 7, h)
 	cfg.Scheme.SystemCfg.Telemetry = telemetry.NewRegistry()
-	cfg.Scheme.SystemCfg.Dispatch = dispatch.Config{Canary: 1, SettleIntervals: 2}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -312,7 +312,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// control plane and returns its runtime sample.
 	var tick func(seq int) (loop.RuntimeSample, error)
 	var flaky []*chaos.FlakySource
-	kill := func() {}
+	var kill func() // the in-process controller's, for Scenario.KillAt
 	weights := cfg.Scheme.SystemCfg.Weights
 	switch cfg.Scheme.Kind {
 	case KindParaleon:
@@ -351,8 +351,8 @@ func Run(cfg RunConfig) (*Result, error) {
 					return sys.LastSample, nil // no controller: the sample goes stale
 				}
 				// A fresh controller: new tuner, new monitor controller,
-				// empty aggregation state. Attach replays the WAL and
-				// launches the recovery restore before the first tick.
+				// empty aggregation state. Attach replays the WAL, so the
+				// pipeline resumes on the vector the fabric runs.
 				res.addSystem(sys)
 				sysCfg.Dispatch.Fabric = sys.Dispatch.Fabric()
 				if sys, err = obs.attach(n, sysCfg); err != nil {
@@ -381,9 +381,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// core.Attach, where the recorded goldens put it.
 	if cfg.Faults != nil {
 		inj := chaos.NewInjector(n, flaky, obs)
-		if res.Sys != nil {
-			inj.BindDispatch(res.Sys.Dispatch, kill)
-		}
+		inj.BindKill(kill)
 		if err := inj.Install(scenario); err != nil {
 			return nil, err
 		}

@@ -15,12 +15,12 @@ type Tuner interface {
 }
 
 // Applier is the seam between the decision and the devices. Apply
-// admits a proposal and pushes it, or refuses it, and reports which;
-// final marks the proposal that settles a session. The simulated loop
-// applies directly or through the staged rollout pipeline, and the
-// daemon journals an epoch and answers it on the wire.
+// admits a proposal and pushes it, or refuses it, and reports which.
+// Both appliers guard, journal and apply each vector the same way: the
+// simulated loop through dispatch.Pipeline, and the daemon by answering
+// the journaled epoch on the wire.
 type Applier interface {
-	Apply(p dcqcn.Params, final bool, now eventsim.Time) bool
+	Apply(p dcqcn.Params, now eventsim.Time) bool
 }
 
 // Step is the decision half of the closed loop: it starts a tuning
@@ -78,7 +78,7 @@ func (s *Step) Decide(sample RuntimeSample, fsd FSD) {
 	}
 	now := s.now()
 	final := wasActive && !s.tuner.Active()
-	if s.apply.Apply(p, final, now) {
+	if s.apply.Apply(p, now) {
 		s.tuner.Commit(p)
 		if s.OnDispatch != nil {
 			s.OnDispatch(p)

@@ -72,13 +72,10 @@ func (s *sessionTuner) Step(RuntimeSample, FSD) (dcqcn.Params, bool) {
 }
 
 // everyOther refuses every second proposal it is offered.
-type everyOther struct{ offered, finals int }
+type everyOther struct{ offered int }
 
-func (a *everyOther) Apply(p dcqcn.Params, final bool, now eventsim.Time) bool {
+func (a *everyOther) Apply(p dcqcn.Params, now eventsim.Time) bool {
 	a.offered++
-	if final {
-		a.finals++
-	}
 	return a.offered%2 == 1
 }
 
@@ -106,8 +103,8 @@ func TestStepSessionLifecycle(t *testing.T) {
 	if c.Triggers != 2 || tun.triggers != 1 || sessions != 1 {
 		t.Errorf("controller triggers %d, sessions started %d (hook %d); want 2 and 1", c.Triggers, tun.triggers, sessions)
 	}
-	if apply.offered != 3 || apply.finals != 1 || settled != 1 {
-		t.Errorf("offered %d proposals with %d final, settled %d; want 3, 1, 1", apply.offered, apply.finals, settled)
+	if apply.offered != 3 || settled != 1 {
+		t.Errorf("offered %d proposals, settled %d; want 3, 1", apply.offered, settled)
 	}
 	if len(tun.committed) != 2 || dispatched != 2 || tm.Dispatches.Value() != 2 {
 		t.Errorf("committed %d, dispatched %d, counted %d; want the 2 the applier took", len(tun.committed), dispatched, tm.Dispatches.Value())

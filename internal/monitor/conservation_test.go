@@ -47,7 +47,7 @@ func TestEndIntervalConservesBytes(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 400; i++ {
 				flow := uint64(rng.Intn(16))
-				pkt := netdev.NewDataPacket(flow, 0, 1, 0, rng.Intn(1460)+1, false)
+				pkt := noPool.NewDataPacket(flow, 0, 1, 0, rng.Intn(1460)+1, false)
 				a.OnPacket(pkt, 0)
 			}
 			if a.Sketch().Evictions == 0 {
@@ -78,7 +78,7 @@ func TestInsertOnceConservationProperty(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			flow := uint64(rng.Intn(16))
 			size := rng.Intn(1460) + 1
-			pkt := netdev.NewDataPacket(flow, 0, 1, 0, size, false)
+			pkt := noPool.NewDataPacket(flow, 0, 1, 0, size, false)
 			total += float64(size)
 			// Each packet traverses both switches; vary which sees it
 			// first so both sketches take real inserts.
@@ -125,7 +125,7 @@ func TestAttachComposesWithOracle(t *testing.T) {
 		o := NewOracle(topo, tor)
 		a := NewSwitchAgent(ParaleonAgentConfig(), 1)
 		attach(sw, o, a, oracleFirst)
-		pkt := netdev.NewDataPacket(9, src, dst, 0, 1000, false)
+		pkt := noPool.NewDataPacket(9, src, dst, 0, 1000, false)
 		sw.Tap(pkt, 0)
 		if got := a.Sketch().TotalBytes; got != 1000 {
 			t.Errorf("oracleFirst=%v: agent recorded %d bytes, want 1000", oracleFirst, got)
@@ -144,7 +144,7 @@ func TestAttachTwiceComposes(t *testing.T) {
 	a2 := NewSwitchAgent(ParaleonAgentConfig(), 2)
 	a1.Attach(sw)
 	a2.Attach(sw)
-	sw.Tap(netdev.NewDataPacket(1, 0, 1, 0, 1000, false), 0)
+	sw.Tap(noPool.NewDataPacket(1, 0, 1, 0, 1000, false), 0)
 	if a1.Sketch().TotalBytes != 1000 {
 		t.Error("first attached agent missed the packet")
 	}

@@ -13,6 +13,10 @@ import (
 	"repro/internal/topology"
 )
 
+// noPool builds packets outside any pool, as a test that hands a device
+// one packet at a time needs.
+var noPool *netdev.PacketPool
+
 func TestBucketFor(t *testing.T) {
 	cases := []struct {
 		size int64
@@ -227,7 +231,7 @@ func TestReportFrom(t *testing.T) {
 
 func TestInsertOnceSkipsMarkedPackets(t *testing.T) {
 	a := NewSwitchAgent(ParaleonAgentConfig(), 1)
-	pkt := netdev.NewDataPacket(1, 0, 1, 0, 1000, false)
+	pkt := noPool.NewDataPacket(1, 0, 1, 0, 1000, false)
 	a.OnPacket(pkt, 0)
 	if !pkt.TOSMarked {
 		t.Fatal("agent did not mark the TOS bit")
@@ -249,7 +253,7 @@ func TestInsertOnceSkipsMarkedPackets(t *testing.T) {
 func TestNaiveAgentDoubleCounts(t *testing.T) {
 	a := NewSwitchAgent(NaiveElasticConfig(), 1)
 	b := NewSwitchAgent(NaiveElasticConfig(), 2)
-	pkt := netdev.NewDataPacket(1, 0, 1, 0, 1000, false)
+	pkt := noPool.NewDataPacket(1, 0, 1, 0, 1000, false)
 	a.OnPacket(pkt, 0)
 	b.OnPacket(pkt, 0)
 	if a.Sketch().TotalBytes != 1000 || b.Sketch().TotalBytes != 1000 {
@@ -259,7 +263,7 @@ func TestNaiveAgentDoubleCounts(t *testing.T) {
 
 func TestAgentIgnoresControlPackets(t *testing.T) {
 	a := NewSwitchAgent(ParaleonAgentConfig(), 1)
-	a.OnPacket(netdev.NewCNP(1, 0, 1), 0)
+	a.OnPacket(noPool.NewCNP(1, 0, 1), 0)
 	if a.Sketch().Inserts != 0 {
 		t.Error("CNP inserted into sketch")
 	}
@@ -275,9 +279,9 @@ func TestTernaryFixesSlowElephant(t *testing.T) {
 	// intervals: 2.4 MB total.
 	var lastP, lastN Report
 	for i := 0; i < 8; i++ {
-		pkt := netdev.NewDataPacket(42, 0, 1, 0, 300<<10, false)
+		pkt := noPool.NewDataPacket(42, 0, 1, 0, 300<<10, false)
 		paraleon.OnPacket(pkt, 0)
-		naivePkt := netdev.NewDataPacket(42, 0, 1, 0, 300<<10, false)
+		naivePkt := noPool.NewDataPacket(42, 0, 1, 0, 300<<10, false)
 		naive.OnPacket(naivePkt, 0)
 		lastP = paraleon.EndInterval()
 		lastN = naive.EndInterval()
@@ -304,7 +308,7 @@ func TestOracleCountsOnlyAtSourceToR(t *testing.T) {
 	tors := topo.ToRs()
 	oSrc := NewOracle(topo, tors[0])
 	oDst := NewOracle(topo, tors[1])
-	pkt := netdev.NewDataPacket(7, hosts[0], hosts[2], 0, 1000, false)
+	pkt := noPool.NewDataPacket(7, hosts[0], hosts[2], 0, 1000, false)
 	oSrc.OnPacket(pkt, 0)
 	oDst.OnPacket(pkt, 0)
 	rSrc, rDst := oSrc.EndInterval(), oDst.EndInterval()
@@ -334,7 +338,7 @@ func TestOracleClassifiesByBytesSoFar(t *testing.T) {
 		{0, chunk, BucketFor(chunk)},
 		{chunk, 0, BucketFor(2 * chunk)},
 	} {
-		o.OnPacket(netdev.NewDataPacket(1, hosts[0], hosts[1], int64(i)*chunk, chunk, false), 0)
+		o.OnPacket(noPool.NewDataPacket(1, hosts[0], hosts[1], int64(i)*chunk, chunk, false), 0)
 		r := o.EndInterval()
 		if r.ElephantBytes != want.elephant || r.MiceBytes != want.mice || r.Hist[want.bucket] != chunk {
 			t.Errorf("interval %d: oracle split %g/%g in %v, want %g/%g in bucket %d",

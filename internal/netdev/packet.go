@@ -201,17 +201,6 @@ func (p *PacketPool) NewCNP(flow uint64, src, dst topology.NodeID) *Packet {
 	return pkt
 }
 
-// NewDataPacket builds a data segment of a flow without a pool.
-func NewDataPacket(flow uint64, src, dst topology.NodeID, seq int64, payload int, last bool) *Packet {
-	return (*PacketPool)(nil).NewDataPacket(flow, src, dst, seq, payload, last)
-}
-
-// NewCNP builds a pool-less congestion notification for flow, sent from
-// the NP back to the RP (src is the NP's host).
-func NewCNP(flow uint64, src, dst topology.NodeID) *Packet {
-	return (*PacketPool)(nil).NewCNP(flow, src, dst)
-}
-
 // Device is anything that terminates a link: a switch or a host RNIC.
 // Receive is invoked by the engine when a packet fully arrives on the
 // device's local port inPort.

@@ -167,9 +167,6 @@ func (h *Host) NodeID() topology.NodeID { return h.node }
 // Port returns the uplink egress port for wiring and counter sampling.
 func (h *Host) Port() *netdev.EgressPort { return h.port }
 
-// Params returns the DCQCN parameters this RNIC's QPs run on now.
-func (h *Host) Params() *dcqcn.Params { return h.params() }
-
 // Override returns the host's own parameter vector, or nil if it follows
 // the shared one.
 func (h *Host) Override() *dcqcn.Params { return h.override }

@@ -10,6 +10,10 @@ import (
 	"repro/internal/topology"
 )
 
+// noPool builds packets outside any pool, as a test that hands a device
+// one packet at a time needs.
+var noPool *netdev.PacketPool
+
 // pipe is a stand-in ToR that relays every non-PFC packet to the other
 // host instantly, recording what it saw. With mark set it ECN-marks every
 // data packet it relays.
@@ -160,7 +164,7 @@ func TestCNPReducesRate(t *testing.T) {
 	r.eng.RunUntil(eventsim.Millisecond)
 	before := f.RP().Rate()
 	// Deliver a CNP for the flow through the host's receive path.
-	a.Receive(netdev.NewCNP(7, b.NodeID(), a.NodeID()), 0)
+	a.Receive(noPool.NewCNP(7, b.NodeID(), a.NodeID()), 0)
 	if f.RP().Rate() >= before {
 		t.Errorf("rate %g did not fall after CNP (was %g)", f.RP().Rate(), before)
 	}
@@ -176,7 +180,7 @@ func TestCNPForFinishedFlowIgnored(t *testing.T) {
 	a.StartFlow(3, b.NodeID(), 1000)
 	r.eng.RunUntil(eventsim.Second)
 	// Must not panic or corrupt state.
-	a.Receive(netdev.NewCNP(3, b.NodeID(), a.NodeID()), 0)
+	a.Receive(noPool.NewCNP(3, b.NodeID(), a.NodeID()), 0)
 	if a.Stats.CNPsReceived != 1 {
 		t.Errorf("CNPsReceived = %d, want 1", a.Stats.CNPsReceived)
 	}
@@ -186,7 +190,7 @@ func TestECNMarkedDataTriggersCNP(t *testing.T) {
 	r := newRig(t, dcqcn.DefaultParams())
 	a, b := r.hosts[0], r.hosts[1]
 	b.ExpectFlow(9, a.NodeID(), 1<<20, 0)
-	pkt := netdev.NewDataPacket(9, a.NodeID(), b.NodeID(), 0, 1000, false)
+	pkt := noPool.NewDataPacket(9, a.NodeID(), b.NodeID(), 0, 1000, false)
 	pkt.ECNMarked = true
 	b.Receive(pkt, 0)
 	r.eng.RunUntil(10 * eventsim.Millisecond)
@@ -266,7 +270,7 @@ func TestCNPPacingAtReceiver(t *testing.T) {
 	b.ExpectFlow(9, a.NodeID(), 1<<20, 0)
 	// Three marked packets in quick succession: only one CNP.
 	for i := 0; i < 3; i++ {
-		pkt := netdev.NewDataPacket(9, a.NodeID(), b.NodeID(), int64(i)*1000, 1000, false)
+		pkt := noPool.NewDataPacket(9, a.NodeID(), b.NodeID(), int64(i)*1000, 1000, false)
 		pkt.ECNMarked = true
 		b.Receive(pkt, 0)
 	}
@@ -340,7 +344,7 @@ func TestNoProbesWithoutFlows(t *testing.T) {
 func TestUnregisteredFlowNeverCompletes(t *testing.T) {
 	r := newRig(t, dcqcn.DefaultParams())
 	a, b := r.hosts[0], r.hosts[1]
-	pkt := netdev.NewDataPacket(99, a.NodeID(), b.NodeID(), 0, 1000, true)
+	pkt := noPool.NewDataPacket(99, a.NodeID(), b.NodeID(), 0, 1000, true)
 	b.Receive(pkt, 0)
 	if len(r.done) != 0 {
 		t.Error("unregistered flow completed")
@@ -370,7 +374,7 @@ func TestWakeupFollowsUplinkPastControlFrame(t *testing.T) {
 	a, b := r.hosts[0], r.hosts[1]
 	a.StartFlow(1, b.NodeID(), 1<<20) // line rate: 1048 B every 8384 ns at 1 Gbps
 	r.eng.Schedule(2*eventsim.Microsecond, func() {
-		marked := netdev.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
+		marked := noPool.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
 		marked.ECNMarked = true
 		a.Receive(marked, 0) // a answers with a CNP while its first packet serializes
 	})
@@ -408,7 +412,7 @@ func TestUplinkNeverHoldsTwoDataPackets(t *testing.T) {
 	a.StartProbing(20 * eventsim.Microsecond)
 	for i := 1; i <= 200; i++ {
 		r.eng.Schedule(eventsim.Time(i)*5*eventsim.Microsecond, func() {
-			marked := netdev.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
+			marked := noPool.NewDataPacket(9, b.NodeID(), a.NodeID(), 0, 1000, false)
 			marked.ECNMarked = true
 			a.Receive(marked, 0)
 		})

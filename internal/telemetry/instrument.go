@@ -177,27 +177,15 @@ func NewChaosMetrics(r *Registry) *ChaosMetrics {
 	}
 }
 
-// DispatchMetrics covers the safe-dispatch pipeline: guardrail
-// admissions/rejections, rollout plan lifecycle (phase, commits,
-// aborts), the epoch commit protocol (epochs granted, ACKs, retries),
-// canary settle latency, and write-ahead-log activity.
+// DispatchMetrics covers the dispatch path: guardrail admissions and
+// rejections, epochs granted (one per vector applied fabric-wide), and
+// write-ahead-log activity.
 type DispatchMetrics struct {
-	Admitted   *Counter // vectors admitted by the guard
-	Rejects    *Counter // vectors refused by the guard (any reason)
-	Plans      *Counter // canary rollout plans started
-	Commits    *Counter // plans promoted and committed fabric-wide
-	PlanAborts *Counter // plans aborted (health or ACK exhaustion)
-	Epochs     *Counter // epoch numbers granted
-	Acks       *Counter // device ACKs accepted toward quorum
-	AckRetries *Counter // re-apply waves after an ACK deadline
+	Admitted *Counter // vectors admitted by the guard
+	Rejects  *Counter // vectors refused by the guard (any reason)
+	Epochs   *Counter // epoch numbers granted
 
-	Phase *Gauge // current plan phase (0 idle, 1 canary, 2 settle, 3 promote)
-
-	// SettleMs is the canary settle latency: plan start to promote
-	// decision, in virtual milliseconds, for plans that promoted.
-	SettleMs *Histogram
-
-	WALRecords     *Counter // records appended to the intent log
+	WALRecords     *Counter // records appended to the journal
 	WALReplays     *Counter // recovery replays performed
 	WALReplayedRec *Counter // records read back during replays
 }
@@ -207,15 +195,8 @@ func NewDispatchMetrics(r *Registry) *DispatchMetrics {
 	return &DispatchMetrics{
 		Admitted:       r.Counter("paraleon_dispatch_admitted_total", "Parameter vectors admitted by the dispatch guard."),
 		Rejects:        r.Counter("paraleon_dispatch_rejects_total", "Parameter vectors refused by the dispatch guard."),
-		Plans:          r.Counter("paraleon_dispatch_plans_total", "Canary rollout plans started."),
-		Commits:        r.Counter("paraleon_dispatch_commits_total", "Rollout plans promoted and committed fabric-wide."),
-		PlanAborts:     r.Counter("paraleon_dispatch_plan_aborts_total", "Rollout plans aborted by health signals or ACK exhaustion."),
 		Epochs:         r.Counter("paraleon_dispatch_epochs_total", "Dispatch epoch numbers granted."),
-		Acks:           r.Counter("paraleon_dispatch_acks_total", "Device ACKs accepted toward phase quorum."),
-		AckRetries:     r.Counter("paraleon_dispatch_ack_retries_total", "Re-apply waves sent after an ACK deadline expired."),
-		Phase:          r.Gauge("paraleon_dispatch_phase", "Current rollout phase (0 idle, 1 canary, 2 settle, 3 promote)."),
-		SettleMs:       r.Histogram("paraleon_dispatch_canary_settle_ms", "Canary settle latency (plan start to promote) in virtual milliseconds.", BucketsLatencyMs),
-		WALRecords:     r.Counter("paraleon_dispatch_wal_records_total", "Records appended to the write-ahead intent log."),
+		WALRecords:     r.Counter("paraleon_dispatch_wal_records_total", "Records appended to the write-ahead log."),
 		WALReplays:     r.Counter("paraleon_dispatch_wal_replays_total", "Write-ahead-log recovery replays performed."),
 		WALReplayedRec: r.Counter("paraleon_dispatch_wal_replayed_records_total", "Records read back during write-ahead-log replays."),
 	}

@@ -2,7 +2,7 @@
 // sampled once per monitor interval. The figure tables read them from
 // every harness result (throughput, RTT, PFC, utility, FSD accuracy),
 // and the flight recorder samples its own (queue depth, ECN mark rate,
-// PFC pause fraction, KL, utility, dispatch phase, ...) and snapshots
+// PFC pause fraction, KL, utility, dispatch epoch, ...) and snapshots
 // them, with the tail of the run's event log, into self-contained,
 // deterministic JSON black-box artifacts when an anomaly trips.
 //
@@ -59,10 +59,6 @@ func (s *Series) Name() string { return s.name }
 
 // Len reports the number of stored samples.
 func (s *Series) Len() int { return s.n }
-
-// Stride reports how many offered samples one stored sample stands
-// for (1 until the first overflow, then 2, 4, ...).
-func (s *Series) Stride() int { return s.stride }
 
 // At returns the i-th stored sample.
 func (s *Series) At(i int) (t int64, v float64) { return s.t[i], s.v[i] }

@@ -50,8 +50,8 @@ type Tuner interface {
 	// active. The final Step of a session returns the session's best.
 	Step(sample loop.RuntimeSample, fsd loop.FSD) (dcqcn.Params, bool)
 	// Commit tells the tuner the vector the fabric now runs: a proposal
-	// the loop applied, or the vector a rollback or a failed canary
-	// restored. The next session opens on it.
+	// the loop applied, or the vector a rollback restored. The next
+	// session opens on it.
 	Commit(p dcqcn.Params)
 	// Abort cancels an in-progress session without settling on its best
 	// (rollback path: the session's feedback straddled a fault).

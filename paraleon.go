@@ -23,11 +23,11 @@
 //	loop      – FSD aggregation, KL trigger, the shared decision step
 //	core      – the simulated tuning control loop
 //	tuner     – pluggable strategies: guided SA, multi-agent ECN, bandit
-//	dispatch  – guarded, canaried, crash-recoverable parameter rollout
+//	dispatch  – guarded, journaled, crash-recoverable parameter dispatch
 //	baselines – ACC, DCQCN+, NetFlow
 //	workload  – FB_Hadoop / SolarRPC / alltoall generators
 //	metrics   – slowdowns, CDFs, FCT summaries, CSV export
-//	chaos     – seeded fault injection: links, agents, rollouts, wire
+//	chaos     – seeded fault injection: links, agents, controller kills, wire
 //	telemetry – metrics registry, /metrics and /debug endpoints, time
 //	            series and flight-recorder artifacts (telemetry/series)
 //	trace     – a run's one event log
