@@ -405,8 +405,8 @@ func (r *rogueTuner) Step(loop.RuntimeSample, loop.FSD) (dcqcn.Params, bool) {
 }
 
 // TestSystemGuardRejectsRogueProposals runs the rogue strategy: every
-// refusal is counted once, in GuardRejects and the tuner_guard_rejects
-// counter, and nothing reaches the fabric.
+// refusal is counted once, by the pipeline, whose count GuardRejects
+// and the dispatch_rejects counter read, and nothing reaches the fabric.
 func TestSystemGuardRejectsRogueProposals(t *testing.T) {
 	base, _ := tuner.New("sa", tuner.Config{
 		Weights: tuner.DefaultWeights(), Base: dcqcn.DefaultParams(), SA: quickSA(),
@@ -432,8 +432,8 @@ func TestSystemGuardRejectsRogueProposals(t *testing.T) {
 	if s.GuardRejects == 0 {
 		t.Fatal("guard admitted misordered Kmin >= Kmax proposals")
 	}
-	if got := s.TM.GuardRejects.Value(); got != int64(s.GuardRejects) {
-		t.Errorf("guard-reject counter %d, GuardRejects %d", got, s.GuardRejects)
+	if got := telemetry.NewDispatchMetrics(cfg.Telemetry).Rejects.Value(); got != int64(s.GuardRejects) {
+		t.Errorf("dispatch-reject counter %d, GuardRejects %d", got, s.GuardRejects)
 	}
 	if s.Dispatches != 0 {
 		t.Errorf("%d rogue proposals dispatched", s.Dispatches)

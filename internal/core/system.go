@@ -66,8 +66,8 @@ type SystemConfig struct {
 	// binary performs lands in its -telemetry-addr / -report surface.
 	Telemetry *telemetry.Registry
 	// Dispatch configures the pipeline every push goes through (guard,
-	// write-ahead log, epoch protocol); the zero value journals to a
-	// fresh MemWAL over a fresh fabric.
+	// write-ahead log, epoch protocol); the zero value journals nothing
+	// and dispatches over a fresh fabric.
 	Dispatch dispatch.Config
 	// Flight, when non-nil, attaches the virtual-time flight recorder:
 	// the loop samples its health signals (and a bounded per-ToR fabric
@@ -134,8 +134,8 @@ type System struct {
 	// step is the decision shared with the daemon; its proposals reach
 	// the fabric through Dispatch.
 	step *loop.Step
-	// GuardRejects counts proposals, fabric-wide or per-switch, that the
-	// pipeline's guard refused.
+	// GuardRejects is how many proposals, fabric-wide or per-switch, the
+	// pipeline's guard had refused when the last tick ended.
 	GuardRejects int
 
 	// Dispatches counts parameter updates pushed to the network;
@@ -309,7 +309,7 @@ func (s *System) attachDispatch(cfg SystemConfig, scope []topology.NodeID, reg *
 // wireStep builds the decision step over s.Tuner and s.Dispatch and
 // hooks the loop's trace, dispatch and settle bookkeeping onto it.
 func (s *System) wireStep() {
-	s.step = loop.NewStep(s.Controller, s.Tuner, applier{s}, s.Net.Eng.Now, s.TM)
+	s.step = loop.NewStep(s.Controller, s.Tuner, s.Dispatch, s.Net.Eng.Now, s.TM)
 	s.step.OnSession = s.traceSession
 	s.step.OnDispatch = s.dispatched
 	s.step.OnSettle = s.settled
@@ -470,9 +470,7 @@ func (s *System) applyLocalProposals(ps tuner.PerSwitch, now eventsim.Time) {
 		}
 		cand := live
 		cand.KminBytes, cand.KmaxBytes, cand.PMax = pr.KminBytes, pr.KmaxBytes, pr.PMax
-		r, _ := s.Dispatch.Guard().Admit(&cand, &live, now)
-		s.countReject(r)
-		if r == dispatch.RejectNone {
+		if r, _ := s.Dispatch.Guard().Admit(&cand, &live, now); r == dispatch.RejectNone {
 			s.Net.ApplySwitchECN(s.torScope[pr.Agent], pr.KminBytes, pr.KmaxBytes, pr.PMax)
 			ps.AgentCommitted(pr.Agent)
 		}
@@ -489,6 +487,7 @@ func (s *System) publishStatus(now eventsim.Time) {
 		temp = td.Temperature()
 	}
 	st := s.Tuner.Stats()
+	s.GuardRejects = s.Dispatch.Guard().Rejects()
 	s.status.Set(LoopStatus{
 		VirtualTimeNs: int64(now),
 		Params:        s.Dispatch.Live(),

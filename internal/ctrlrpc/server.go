@@ -52,12 +52,13 @@ type ServerConfig struct {
 	IOTimeout time.Duration
 	// Guard bounds what tuner output is allowed onto the wire: Spec
 	// bounds and Kmin<Kmax are always enforced; MaxRelStep/MinGap are
-	// opt-in. A rejected vector keeps the current one and is counted.
+	// opt-in. A rejected vector keeps the current one and is counted. It
+	// is the dispatch pipeline's Config.Guard.
 	Guard dispatch.GuardConfig
 	// WAL, when non-nil, journals every dispatched epoch so a restarted
 	// controller resumes from the last committed vector instead of
 	// re-announcing the base setting under already-used epochs. An epoch
-	// the WAL cannot journal is not dispatched.
+	// the WAL cannot journal is not dispatched. Nil journals nothing.
 	WAL dispatch.WAL
 	// Flight, when non-nil, attaches the flight recorder: each tick the
 	// server samples its aggregated health signals into the recorder's
@@ -89,7 +90,8 @@ type ServerStats struct {
 	Triggers   int64
 	Dispatches int64
 	// Rejects counts tuner outputs that did not go out: refused by the
-	// admission guard, or vetoed by a WAL that could not journal them.
+	// dispatch pipeline's guard, or vetoed by a WAL that could not
+	// journal them.
 	Rejects int64
 	// ApplyAcks counts agent apply acknowledgements.
 	ApplyAcks int64
@@ -113,17 +115,14 @@ type Server struct {
 	pending []Report
 	locals  []loop.Report // tick's per-agent FSDs, reused across ticks
 	// ctl and step are the aggregation and decision the simulated loop
-	// runs too; the server feeds them pushed reports on its wall clock.
-	ctl     *loop.Controller
-	step    *loop.Step
-	tuner   tuner.Tuner
-	current dcqcn.Params
-	// proposal receives the tuner's output each tick. It lives here, not
-	// on tick's stack, because its address reaches the guard and the WAL
-	// record, and a local would escape to the heap on every tick.
-	proposal dcqcn.Params
-	guard    *dispatch.Guard
-	epoch    uint64
+	// runs too; the server feeds them pushed reports on its wall clock,
+	// and step dispatches through pipe, as the simulated loop does. The
+	// pipeline's fabric is empty: agents learn each epoch from the tick
+	// answer, and its Epoch and Live are what the server answers.
+	ctl   *loop.Controller
+	step  *loop.Step
+	tuner tuner.Tuner
+	pipe  *dispatch.Pipeline
 	// acks maps an epoch to the set of agents that acknowledged it with
 	// a matching vector hash. Only the current epoch's set is kept live.
 	acks  map[uint32]bool
@@ -135,7 +134,6 @@ type Server struct {
 
 	status *telemetry.StatusCell[controllerStatus]
 	tm     *telemetry.RPCMetrics
-	dm     *telemetry.DispatchMetrics
 	ttm    *telemetry.TunerMetrics
 
 	// Flight-recorder series handles and event log (nil unless
@@ -180,8 +178,7 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg: cfg, ln: ln, tuner: tun, current: cfg.Base,
-		guard: dispatch.NewGuard(cfg.Guard),
+		cfg: cfg, ln: ln, tuner: tun,
 		acks:  map[uint32]bool{},
 		conns: map[net.Conn]bool{},
 	}
@@ -191,14 +188,20 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s.status = telemetry.NewStatusCell[controllerStatus](reg, "controller")
 	s.tm = telemetry.NewRPCMetrics(reg)
-	s.dm = telemetry.NewDispatchMetrics(reg)
 	s.ttm = telemetry.NewTunerMetrics(reg)
 	s.tuner.SetMetrics(s.ttm)
 	s.ctl = loop.NewController(cfg.Theta)
 	s.ctl.TM = telemetry.NewMonitorMetrics(reg)
-	s.step = loop.NewStep(s.ctl, tun, wire{s}, wallClock, s.ttm)
+	var wal dispatch.WAL
+	if cfg.WAL != nil {
+		wal = timedWAL{cfg.WAL, &s.stats.Journal}
+	}
+	s.pipe = dispatch.New(dispatch.Config{WAL: wal, Guard: cfg.Guard}, nil, dispatch.NewFabric(0), nil, reg)
+	s.step = loop.NewStep(s.ctl, tun, s.pipe, wallClock, s.ttm)
 	// ServerStats.Triggers counts sessions started, not KL crossings.
 	s.step.OnSession = func(loop.FSD) { s.stats.Triggers++ }
+	s.step.OnDispatch = s.dispatched
+	s.step.OnReject = s.rejected
 	if cfg.Flight != nil {
 		s.flight = cfg.Flight
 		set := s.flight.Set
@@ -215,19 +218,11 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		// Events are stamped inside tick, which holds s.mu.
 		s.trace = trace.New(func() int64 { return s.stats.Ticks }, nil, true)
 		s.flight.Log = s.trace
+		s.pipe.Trace = s.trace
 	}
-	if cfg.WAL != nil {
-		rec, err := dispatch.Recover(cfg.WAL)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("ctrlrpc: wal replay: %w", err)
-		}
-		s.epoch = rec.Epoch
-		if rec.Committed != nil {
-			s.current = *rec.Committed
-		}
-		s.dm.WALReplays.Inc()
-		s.dm.WALReplayedRec.Add(int64(rec.Replayed))
+	if err := s.pipe.Resume(cfg.Base, 0); err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("ctrlrpc: wal replay: %w", err)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -248,7 +243,7 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) Current() dcqcn.Params {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.current
+	return s.pipe.Live()
 }
 
 // Close stops the listener, closes every live connection, and waits for
@@ -410,7 +405,7 @@ func (s *Server) tick(t TickMsg) TickResult {
 
 	// KL is computed only against traffic an earlier tick absorbed.
 	warm := s.ctl.Current.TotalBytes > 0
-	epoch, triggers := s.epoch, s.stats.Triggers
+	epoch, triggers := s.pipe.Epoch(), s.stats.Triggers
 	fsd := s.ctl.TickReports(locals)
 	// A tick whose aggregate carries no bytes is idle, even with no
 	// reports at all: no distribution to compare, no feedback worth
@@ -433,79 +428,57 @@ func (s *Server) tick(t TickMsg) TickResult {
 		if best := s.tuner.BestUtility(); !math.IsInf(best, 0) && !math.IsNaN(best) {
 			s.fBest.Append(tk, best)
 		}
-		s.fEpoch.Append(tk, float64(s.epoch))
+		s.fEpoch.Append(tk, float64(s.pipe.Epoch()))
 	}
 	return TickResult{
-		Changed: s.epoch != epoch, Triggered: s.stats.Triggers != triggers,
-		Epoch: s.epoch, Params: s.current,
+		Changed: s.pipe.Epoch() != epoch, Triggered: s.stats.Triggers != triggers,
+		Epoch: s.pipe.Epoch(), Params: s.pipe.Live(),
 	}
 }
 
 // wallClock is the daemon's loop clock.
 func wallClock() eventsim.Time { return eventsim.Time(time.Now().UnixNano()) }
 
-// wire is the daemon's apply path: the guard on the wall clock, then the
-// WAL, then a fresh epoch the tick answers on the wire. The guard runs
-// before the journal, as in Pipeline.Submit, so an epoch the WAL vetoes
-// has already been admitted and opened the guard's MinGap window.
-type wire struct{ *Server }
-
-func (w wire) Apply(p dcqcn.Params, now eventsim.Time) bool {
-	s := w.Server
-	s.proposal = p
-	if reason, spec := s.guard.Admit(&s.proposal, &s.current, now); reason != dispatch.RejectNone {
-		// A vector the guard refuses never reaches the wire: the fabric
-		// keeps running s.current under the unchanged epoch.
-		s.ttm.GuardRejects.Inc()
-		s.reject("guard_reject", s.guard.Explain(reason, spec))
-		return false
-	}
-	if s.cfg.WAL != nil {
-		// Journal first, and let a journal that cannot take the epoch veto
-		// it, as Pipeline.Submit does: a restarted daemon recovers
-		// only what the WAL holds, and would re-issue an epoch agents
-		// already run.
-		rec := dispatch.Record{
-			T: int64(now), Kind: dispatch.KindCommit,
-			Epoch: s.epoch + 1, Params: &s.proposal, Hash: dispatch.VectorHash(&s.proposal),
-		}
-		start := time.Now()
-		err := s.cfg.WAL.Append(rec)
-		s.stats.Journal += time.Since(start)
-		if err != nil {
-			s.reject("wal_error", err.Error())
-			return false
-		}
-		s.dm.WALRecords.Inc()
-	}
-	s.epoch++
-	s.current = s.proposal
+// dispatched records a vector the pipeline sent out: the previous
+// epoch's acknowledgements no longer count.
+func (s *Server) dispatched(p dcqcn.Params) {
 	clear(s.acks)
 	s.stats.Dispatches++
-	s.dm.Epochs.Inc()
-	s.trace.Dispatch(0, s.current)
-	return true
+	s.trace.Dispatch(0, p)
 }
 
-// reject counts a proposal that did not go out and says why.
-func (s *Server) reject(kind, why string) {
+// rejected counts a proposal the pipeline refused and says why; the
+// pipeline has traced it.
+func (s *Server) rejected() {
 	s.stats.Rejects++
-	s.dm.Rejects.Inc()
-	s.trace.Note(0, "%s %s", kind, why)
-	s.logf("ctrlrpc: dispatch rejected: %s: %s", kind, why)
+	s.logf("ctrlrpc: dispatch rejected: %s", s.pipe.LastReject())
+}
+
+// timedWAL adds the time each append to its WAL takes to spent
+// (ServerStats.Journal).
+type timedWAL struct {
+	dispatch.WAL
+	spent *time.Duration
+}
+
+func (w timedWAL) Append(r dispatch.Record) error {
+	start := time.Now()
+	err := w.WAL.Append(r)
+	*w.spent += time.Since(start)
+	return err
 }
 
 // publishStatus overwrites the /debug/status "controller" section with
 // the state tick leaves behind. The caller holds s.mu.
 func (s *Server) publishStatus() {
 	s.status.Set(controllerStatus{
-		Params:      s.current,
+		Params:      s.pipe.Live(),
 		Ticks:       s.stats.Ticks,
 		Reports:     s.stats.Reports,
 		Triggers:    s.stats.Triggers,
 		Dispatches:  s.stats.Dispatches,
 		Rejects:     s.stats.Rejects,
-		Epoch:       s.epoch,
+		Epoch:       s.pipe.Epoch(),
 		EpochAcks:   len(s.acks),
 		TunerActive: s.tuner.Active(),
 		BestUtility: s.tuner.BestUtility(),
@@ -520,7 +493,8 @@ func (s *Server) applyAck(a AckMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.ApplyAcks++
-	if a.Epoch == s.epoch && a.VectorHash == dispatch.VectorHash(&s.current) {
+	live := s.pipe.Live()
+	if a.Epoch == s.pipe.Epoch() && a.VectorHash == dispatch.VectorHash(&live) {
 		s.acks[a.AgentID] = true
 	}
 }
@@ -529,7 +503,7 @@ func (s *Server) applyAck(a AckMsg) {
 func (s *Server) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.epoch
+	return s.pipe.Epoch()
 }
 
 // EpochAcks returns how many distinct agents have acknowledged the

@@ -107,13 +107,13 @@ func TestStatusScrapeRace(t *testing.T) {
 	st := reg.Status()
 	s.mu.Lock()
 	wantCtl := controllerStatus{
-		Params:      s.current,
+		Params:      s.pipe.Live(),
 		Ticks:       s.stats.Ticks,
 		Reports:     s.stats.Reports,
 		Triggers:    s.stats.Triggers,
 		Dispatches:  s.stats.Dispatches,
 		Rejects:     s.stats.Rejects,
-		Epoch:       s.epoch,
+		Epoch:       s.pipe.Epoch(),
 		EpochAcks:   len(s.acks),
 		TunerActive: s.tuner.Active(),
 		BestUtility: s.tuner.BestUtility(),

@@ -13,12 +13,13 @@ import (
 // TestDaemonTickAllocs gates the whole control loop the ctrl_daemon
 // benchmark drives: an in-process server with its guard and a FileWAL, one
 // client sending 8 reports, a tick and, after a dispatch, 8 apply-acks.
-// Frames, ticks and WAL appends reuse their buffers; the status section is
-// overwritten in place and copied only when scraped; the tuner's proposal
-// is written into a Server field, so its address reaching the guard and
-// the WAL record moves nothing to the heap. Boxing the status each tick,
-// or letting the proposal escape, costs about one object and 100–200 B
-// per tick and fails this test.
+// Frames, ticks and WAL appends reuse their buffers; the status sections
+// are overwritten in place and copied only when scraped; the dispatch
+// pipeline guards and journals the tuner's proposal from a field of its
+// own (dispatch's TestPipelineSubmitAllocs), so its address reaching the
+// guard and the WAL record moves nothing to the heap. Boxing a status
+// each tick, or letting the proposal escape, costs about one object and
+// 100–200 B per tick and fails this test.
 func TestDaemonTickAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

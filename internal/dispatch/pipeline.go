@@ -7,12 +7,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes a Pipeline. Admission always enforces the spec
-// bounds and ECN ordering (GuardConfig{}).
+// Config parameterizes a Pipeline.
 type Config struct {
-	// WAL is the dispatch journal; nil means a fresh MemWAL. Hand the same
-	// WAL to a restarted controller: it resumes on the last vector any
-	// device was sent, numbering epochs above every one it journaled.
+	// Guard bounds what admission lets through. The spec bounds and ECN
+	// ordering are always enforced; the zero value adds no step or rate
+	// limit.
+	Guard GuardConfig
+	// WAL is the dispatch journal; nil journals nothing. Hand the same
+	// WAL and Fabric to a restarted controller: it resumes on the last
+	// vector any device was sent, numbering epochs above every one it
+	// journaled or a device holds.
 	WAL WAL
 	// Fabric is the dispatch target set; nil means the owner builds one.
 	// Hand the same Fabric to a restarted controller: device epochs are
@@ -37,12 +41,13 @@ type Status struct {
 	WALReplayed int    `json:"wal_replayed"`
 }
 
-// Pipeline is the controller-side dispatch path. Every vector takes the
-// same three steps: the guard admits it against the live vector, one
-// KindCommit record journals it under the next epoch, and that epoch is
-// applied to every device. It is single-threaded by construction: every
-// entry point runs on the simulation's event loop, like the rest of the
-// control loop.
+// Pipeline is the controller-side dispatch path and the decision step's
+// loop.Applier in both transports. Every vector takes the same three
+// steps: the guard admits it against the live vector, one KindCommit
+// record journals it under the next epoch, and that epoch is applied to
+// every device. It is not safe for concurrent use: the simulated loop
+// calls it on its event loop, and the daemon (ctrlrpc.Server) under
+// Server.mu.
 type Pipeline struct {
 	fab   *Fabric
 	guard *Guard
@@ -50,6 +55,10 @@ type Pipeline struct {
 	apply func(devs []int, p dcqcn.Params)
 	// fresh collects the devices that took the current epoch as fresh.
 	fresh []int
+	// cand is the vector being guarded and journaled. It lives here, not
+	// on Submit's stack, because its address reaches the guard and the
+	// WAL record, and a local would escape to the heap on every dispatch.
+	cand dcqcn.Params
 
 	status *telemetry.StatusCell[Status]
 	tm     *telemetry.DispatchMetrics
@@ -69,21 +78,19 @@ type Pipeline struct {
 
 // New builds a pipeline over fab that journals to cfg.WAL. apply pushes
 // a vector to the network devices behind the given fabric indices; it
-// must not keep the slice. Call Resume once afterwards to recover the
-// journal. The engine argument is unused; it stays only because the
-// benchmark module passes it (ROADMAP 2(f)).
+// must not keep the slice, and may be nil when fab has no devices (the
+// daemon's pipeline, whose epochs reach agents in tick answers). Call
+// Resume once afterwards to recover the journal. The engine argument is
+// unused; it stays only because the benchmark module passes it
+// (ROADMAP 2(f)).
 func New(cfg Config, _ *eventsim.Engine, fab *Fabric, apply func(devs []int, p dcqcn.Params), reg *telemetry.Registry) *Pipeline {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	wal := cfg.WAL
-	if wal == nil {
-		wal = &MemWAL{}
-	}
 	return &Pipeline{
 		fab:    fab,
-		guard:  NewGuard(GuardConfig{}),
-		wal:    wal,
+		guard:  NewGuard(cfg.Guard),
+		wal:    cfg.WAL,
 		apply:  apply,
 		fresh:  make([]int, 0, len(fab.Devices)),
 		status: telemetry.NewStatusCell[Status](reg, "dispatch"),
@@ -110,11 +117,17 @@ func (p *Pipeline) InFlight() bool { return false }
 // WALReplayed reports how many journal records Resume read.
 func (p *Pipeline) WALReplayed() int { return p.walReplayed }
 
-// Resume replays the journal: epoch numbering continues above every
-// epoch it holds, and the live vector is the last one it journaled,
-// which is the last one any device was sent; initial when it holds
-// none. Resume dispatches nothing. Its time argument is unused; it
-// stays only because the benchmark module passes it (ROADMAP 2(f)).
+// LastReject says why the last refused vector did not go out.
+func (p *Pipeline) LastReject() string { return p.lastReject }
+
+// Resume replays the journal and reads the fabric. Epoch numbering
+// continues above every epoch either holds. The live vector is the last
+// one the journal holds, which is the last one any device was sent,
+// unless a device runs a newer epoch than the journal holds (a restore
+// the journal refused still went out): then it is what that device
+// runs. It is initial when neither holds any. Resume dispatches nothing.
+// Its time argument is unused; it stays only because the benchmark
+// module passes it (ROADMAP 2(f)).
 func (p *Pipeline) Resume(initial dcqcn.Params, _ eventsim.Time) error {
 	rec, err := Recover(p.wal)
 	if err != nil {
@@ -128,6 +141,11 @@ func (p *Pipeline) Resume(initial dcqcn.Params, _ eventsim.Time) error {
 	if rec.Committed != nil {
 		p.live = *rec.Committed
 	}
+	for _, d := range p.fab.Devices {
+		if d.Epoch > p.epoch {
+			p.epoch, p.live = d.Epoch, d.Params
+		}
+	}
 	p.publish()
 	return nil
 }
@@ -138,21 +156,33 @@ func (p *Pipeline) Resume(initial dcqcn.Params, _ eventsim.Time) error {
 // journal refused the record: an epoch the journal does not hold must
 // reach no device, or a restarted controller could issue it again.
 func (p *Pipeline) Submit(cand dcqcn.Params, now eventsim.Time) (bool, RejectReason) {
-	if r, spec := p.guard.Admit(&cand, &p.live, now); r != RejectNone {
+	p.cand = cand
+	if r, spec := p.guard.Admit(&p.cand, &p.live, now); r != RejectNone {
 		p.tm.Rejects.Inc()
-		p.lastReject = p.guard.Explain(r, spec)
-		p.Trace.Note(0, "dispatch_reject %s", p.lastReject)
-		p.publish()
+		p.refuse(p.guard.Explain(r, spec))
 		return false, r
 	}
 	p.tm.Admitted.Inc()
-	if err := p.journal(cand, "", now); err != nil {
-		p.lastReject = "wal_error"
-		p.publish()
+	if err := p.journal("", now); err != nil {
+		p.refuse("wal_error: " + err.Error())
 		return false, RejectNone
 	}
-	p.applyAll(cand)
+	p.applyAll()
 	return true, RejectNone
+}
+
+// Apply is Submit for the decision step: it reports whether cand went
+// out (loop.Applier).
+func (p *Pipeline) Apply(cand dcqcn.Params, now eventsim.Time) bool {
+	ok, _ := p.Submit(cand, now)
+	return ok
+}
+
+// refuse records and traces why a vector did not go out.
+func (p *Pipeline) refuse(why string) {
+	p.lastReject = why
+	p.Trace.Note(0, "dispatch_reject %s", why)
+	p.publish()
 }
 
 // SubmitFinal is Submit; baselineUtil is unused. It stays only because
@@ -166,38 +196,43 @@ func (p *Pipeline) SubmitFinal(cand dcqcn.Params, baselineUtil float64, now even
 // (core.checkRollback) re-imposing the last-known-good vector. A safety
 // action, it dispatches even when the journal refuses the record.
 func (p *Pipeline) Restore(vec dcqcn.Params, now eventsim.Time) {
-	_ = p.journal(vec, "restore", now) // dispatched whatever the journal says
-	p.applyAll(vec)
+	p.cand = vec
+	_ = p.journal("restore", now) // dispatched whatever the journal says
+	p.applyAll()
 }
 
 // Tick does nothing. It stays only because the benchmark module calls it
 // (ROADMAP 2(f)).
 func (p *Pipeline) Tick(Health, eventsim.Time) {}
 
-// journal appends vec's commit record under the next epoch.
-func (p *Pipeline) journal(vec dcqcn.Params, reason string, now eventsim.Time) error {
-	err := p.wal.Append(Record{T: int64(now), Kind: KindCommit, Epoch: p.epoch + 1, Params: &vec, Hash: VectorHash(&vec), Reason: reason})
+// journal appends the candidate's commit record under the next epoch.
+func (p *Pipeline) journal(reason string, now eventsim.Time) error {
+	if p.wal == nil {
+		return nil
+	}
+	err := p.wal.Append(Record{T: int64(now), Kind: KindCommit, Epoch: p.epoch + 1, Params: &p.cand, Hash: VectorHash(&p.cand), Reason: reason})
 	if err == nil {
 		p.tm.WALRecords.Inc()
 	}
 	return err
 }
 
-// applyAll offers vec to every device under the next epoch, pushes it to
-// the network for those that took it as fresh, and makes it live.
-func (p *Pipeline) applyAll(vec dcqcn.Params) {
+// applyAll offers the candidate to every device under the next epoch,
+// pushes it to the network for those that took it as fresh, and makes
+// it live.
+func (p *Pipeline) applyAll() {
 	p.epoch++
 	p.tm.Epochs.Inc()
 	p.fresh = p.fresh[:0]
 	for i, d := range p.fab.Devices {
-		if d.Apply(p.epoch, vec) {
+		if d.Apply(p.epoch, p.cand) {
 			p.fresh = append(p.fresh, i)
 		}
 	}
 	if len(p.fresh) > 0 && p.apply != nil {
-		p.apply(p.fresh, vec)
+		p.apply(p.fresh, p.cand)
 	}
-	p.live = vec
+	p.live = p.cand
 	p.Commits++
 	p.publish()
 }

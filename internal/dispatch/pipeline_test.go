@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -88,6 +89,83 @@ func TestPipelineCrashRecovery(t *testing.T) {
 	}
 }
 
+// flakyWAL refuses records while refusing is set, like a disk that
+// filled up and was then cleared.
+type flakyWAL struct {
+	MemWAL
+	refusing bool
+}
+
+func (w *flakyWAL) Append(r Record) error {
+	if w.refusing {
+		return errors.New("disk full")
+	}
+	return w.MemWAL.Append(r)
+}
+
+// TestPipelineResumesAboveUnjournaledRestore: a restore the journal
+// refused still reached every device, so a controller restarted on that
+// journal numbers its next epoch above the devices' and resumes on the
+// vector they run, not on the journal's last one.
+func TestPipelineResumesAboveUnjournaledRestore(t *testing.T) {
+	wal := &flakyWAL{}
+	fab := NewFabric(3)
+	cfg := Config{WAL: wal, Fabric: fab}
+	v0, v1, v2 := dcqcn.DefaultParams(), target(), target2()
+
+	rigA := newRig(t, cfg, 3)
+	if ok, r := rigA.pipe.Submit(v1, rigA.eng.Now()); !ok {
+		t.Fatalf("dispatch of v1 refused: %v", r)
+	}
+	wal.refusing = true
+	rigA.pipe.Restore(v0, rigA.eng.Now())
+	wal.refusing = false
+
+	rigB := newRig(t, cfg, 3)
+	if got := rigB.pipe.Live(); got != v0 {
+		t.Fatalf("restarted controller is live on %+v, want the restored v0 the devices run", got)
+	}
+	if ok, r := rigB.pipe.Submit(v2, rigB.eng.Now()); !ok {
+		t.Fatalf("dispatch of v2 after restart refused: %v", r)
+	}
+	for i, d := range fab.Devices {
+		if d.Dups != 0 || d.Stale != 0 || d.Epoch != rigB.pipe.Epoch() || d.Params != rigB.pipe.Live() || d.Params != v2 {
+			t.Errorf("device %d at epoch %d runs v2 %v with %d dups, %d stale; the pipeline is at epoch %d",
+				i, d.Epoch, d.Params == v2, d.Dups, d.Stale, rigB.pipe.Epoch())
+		}
+	}
+}
+
+// TestPipelineSubmitAllocs is the dispatch path's allocation gate: an
+// admitted Submit over a FileWAL guards and journals its candidate from
+// the Pipeline, so neither the candidate nor the journaled vector moves
+// to the heap.
+func TestPipelineSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	wal, err := OpenFileWAL(filepath.Join(t.TempDir(), "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	p := New(Config{WAL: wal}, nil, NewFabric(4), func([]int, dcqcn.Params) {}, telemetry.NewRegistry())
+	if err := p.Resume(dcqcn.DefaultParams(), 0); err != nil {
+		t.Fatal(err)
+	}
+	vecs := [2]dcqcn.Params{target(), target2()}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		if ok, r := p.Submit(vecs[i%2], eventsim.Time(i)); !ok {
+			t.Fatalf("dispatch %d refused: %v", i, r)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an admitted Submit over a FileWAL allocates %.2f objects, want 0", allocs)
+	}
+}
+
 // TestPipelineRecoveryAfterCommitIsQuiet: a restart journals and
 // dispatches nothing, and keeps the committed vector.
 func TestPipelineRecoveryAfterCommitIsQuiet(t *testing.T) {
@@ -166,23 +244,18 @@ func TestPipelineExploreAppliesDirectly(t *testing.T) {
 	}
 }
 
-// refusingWAL refuses every record, like a disk that filled up.
-type refusingWAL struct{ MemWAL }
-
-func (*refusingWAL) Append(Record) error { return errors.New("disk full") }
-
 // TestPipelineExploreVetoesUnjournaledEpoch: a dispatch whose record the
 // WAL refused reaches no device. Restore still dispatches: it is the
 // safety action.
 func TestPipelineExploreVetoesUnjournaledEpoch(t *testing.T) {
-	rig := newRig(t, Config{WAL: &refusingWAL{}}, 3)
+	rig := newRig(t, Config{WAL: &flakyWAL{refusing: true}}, 3)
 	p := rig.pipe
 	tgt := target()
 	if ok, r := p.Submit(tgt, rig.eng.Now()); ok || r != RejectNone {
 		t.Fatalf("explore with a refusing WAL: ok=%v r=%v, want a veto", ok, r)
 	}
-	if p.lastReject != "wal_error" {
-		t.Errorf("lastReject = %q, want wal_error", p.lastReject)
+	if p.LastReject() != "wal_error: disk full" {
+		t.Errorf("LastReject() = %q, want the journal's error", p.LastReject())
 	}
 	if ok, _ := p.SubmitFinal(tgt, 50, rig.eng.Now()); ok {
 		t.Error("SubmitFinal dispatched with a refusing WAL")

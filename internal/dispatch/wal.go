@@ -349,9 +349,12 @@ type Recovery struct {
 // Recover streams w and folds it into the state a restarting controller
 // needs: where epoch numbering left off and what the fabric was last
 // sent. It holds the last vector as a value while it reads, so its
-// memory does not grow with the journal.
+// memory does not grow with the journal. A nil WAL holds nothing.
 func Recover(w WAL) (Recovery, error) {
 	var rec Recovery
+	if w == nil {
+		return rec, nil
+	}
 	var committed dcqcn.Params
 	err := w.Replay(func(r *Record) error {
 		rec.Replayed++

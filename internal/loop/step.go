@@ -16,9 +16,9 @@ type Tuner interface {
 
 // Applier is the seam between the decision and the devices. Apply
 // admits a proposal and pushes it, or refuses it, and reports which.
-// Both appliers guard, journal and apply each vector the same way: the
-// simulated loop through dispatch.Pipeline, and the daemon by answering
-// the journaled epoch on the wire.
+// dispatch.Pipeline is the one implementation outside tests: the
+// simulated loop's pipeline pushes each epoch to the switches, and the
+// daemon's has no devices and answers its epoch on the wire.
 type Applier interface {
 	Apply(p dcqcn.Params, now eventsim.Time) bool
 }
@@ -38,10 +38,12 @@ type Step struct {
 	start eventsim.Time
 
 	// OnSession, if set, fires when a session is about to start;
-	// OnDispatch after each committed proposal; OnSettle once a
-	// session's final proposal was decided, whether or not it went out.
+	// OnDispatch after each committed proposal; OnReject after each
+	// proposal the Applier refused; OnSettle once a session's final
+	// proposal was decided, whether or not it went out.
 	OnSession  func(fsd FSD)
 	OnDispatch func(p dcqcn.Params)
+	OnReject   func()
 	OnSettle   func()
 }
 
@@ -85,6 +87,8 @@ func (s *Step) Decide(sample RuntimeSample, fsd FSD) {
 		}
 		s.tm.Dispatches.Inc()
 		s.tm.DispatchLatencyMs.Observe(float64(now-s.start) / 1e6)
+	} else if s.OnReject != nil {
+		s.OnReject()
 	}
 	if final {
 		s.tm.SettleMs.Observe(float64(now-s.start) / 1e6)

@@ -93,11 +93,9 @@ type TunerMetrics struct {
 	Dispatches *Counter
 	Rollbacks  *Counter
 	// Proposals counts vectors the strategy handed out for dispatch;
-	// GuardRejects counts proposals the admission guard refused before
-	// they touched the fabric; AgentCommits counts per-switch local ECN
-	// commits (the multiecn strategy).
+	// AgentCommits counts per-switch local ECN commits (the multiecn
+	// strategy). Refused proposals are DispatchMetrics.Rejects.
 	Proposals    *Counter
-	GuardRejects *Counter
 	AgentCommits *Counter
 
 	Active      *Gauge
@@ -125,7 +123,6 @@ func NewTunerMetrics(r *Registry) *TunerMetrics {
 		Dispatches:        r.Counter("paraleon_tuner_dispatches_total", "Parameter vectors dispatched to the fabric."),
 		Rollbacks:         r.Counter("paraleon_tuner_rollbacks_total", "Reversion dispatches to the last-known-good vector."),
 		Proposals:         r.Counter("paraleon_tuner_proposals_total", "Parameter vectors proposed by the search strategy."),
-		GuardRejects:      r.Counter("paraleon_tuner_guard_rejects_total", "Proposals refused by the dispatch admission guard."),
 		AgentCommits:      r.Counter("paraleon_tuner_agent_commits_total", "Per-switch local ECN commits (multiecn strategy)."),
 		Active:            r.Gauge("paraleon_tuner_active", "1 while a tuning session is in progress."),
 		Temperature:       r.Gauge("paraleon_tuner_temperature", "Current annealing temperature."),
